@@ -393,7 +393,7 @@ func BenchmarkAblationIntervalIndex(b *testing.B) {
 // file from the longitudinal store.
 func BenchmarkSnapshotReconstruction(b *testing.B) {
 	st := benchStudy(b)
-	db := st.World.ZoneDB()
+	db := st.World.ZoneDB().View()
 	day := dates.FromYMD(2016, 7, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -288,11 +288,12 @@ func main() {
 		db.Adopt(fresh)
 		setTag(tag)
 		storeCheck.OK()
+		v := db.View()
 		logger.Info("store ready", "warm", warm,
-			"domains", db.NumDomains(), "nameservers", db.NumNameservers(),
-			"epoch", int(db.View().Epoch()))
+			"domains", v.NumDomains(), "nameservers", v.NumNameservers(),
+			"epoch", int(v.Epoch()))
 		if !warm {
-			sealEpoch(logger, st, segCheck, db.View(), tag)
+			sealEpoch(logger, st, segCheck, v, tag)
 		} else if segCheck != nil {
 			segCheck.OK()
 		}
@@ -334,9 +335,10 @@ func main() {
 			if fresh := loadSealed(logger, st, tag); fresh != nil {
 				db.Adopt(fresh)
 				setTag(tag)
+				v := db.View()
 				logger.Info("archive reloaded from sealed epoch (no re-ingest)", "path", *load,
-					"epoch", int(db.View().Epoch()),
-					"domains", db.NumDomains(), "nameservers", db.NumNameservers())
+					"epoch", int(v.Epoch()),
+					"domains", v.NumDomains(), "nameservers", v.NumNameservers())
 				continue
 			}
 			fresh, err := loadArchive(*load)
@@ -347,10 +349,11 @@ func main() {
 			fresh = project(fresh)
 			db.Adopt(fresh)
 			setTag(tag)
-			sealEpoch(logger, st, segCheck, db.View(), tag)
+			v := db.View()
+			sealEpoch(logger, st, segCheck, v, tag)
 			logger.Info("archive reloaded", "path", *load,
-				"epoch", int(db.View().Epoch()),
-				"domains", db.NumDomains(), "nameservers", db.NumNameservers())
+				"epoch", int(v.Epoch()),
+				"domains", v.NumDomains(), "nameservers", v.NumNameservers())
 		}
 	}()
 
@@ -380,7 +383,7 @@ func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zone
 			return nil, nil, err
 		}
 		logger.Info("archive loaded", "path", load,
-			"domains", db.NumDomains(), "nameservers", db.NumNameservers())
+			"domains", db.View().NumDomains(), "nameservers", db.View().NumNameservers())
 		return db, whois.New(), nil
 	}
 	cfg := sim.DefaultConfig(scale)
@@ -393,8 +396,8 @@ func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zone
 	if err := world.Run(); err != nil {
 		return nil, nil, err
 	}
-	logger.Info("simulation complete",
-		"domains", world.ZoneDB().NumDomains(), "nameservers", world.ZoneDB().NumNameservers())
+	v := world.ZoneDB().View()
+	logger.Info("simulation complete", "domains", v.NumDomains(), "nameservers", v.NumNameservers())
 	return world.ZoneDB(), world.WHOIS(), nil
 }
 

@@ -267,12 +267,13 @@ func writeSnapshots(study *riskybiz.Study, dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	db := study.World.ZoneDB()
+	v := study.World.ZoneDB().View()
 	cfg := study.World.Config()
+	zones := v.Zones()
 	n := 0
 	for day := cfg.Start; day <= cfg.End; day++ {
-		for _, zone := range db.Zones() {
-			snap := db.SnapshotOn(zone, day)
+		for _, zone := range zones {
+			snap := v.SnapshotOn(zone, day)
 			f, err := os.Create(fmt.Sprintf("%s/%s-%s.zone", dir, zone, day))
 			if err != nil {
 				return n, err

@@ -92,8 +92,9 @@ func main() {
 	if err != nil {
 		fatalf("loading dataset: %v", err)
 	}
+	v := db.View()
 	logger.Info("dataset loaded", "prefix", *data,
-		"domains", db.NumDomains(), "nameservers", db.NumNameservers(), "excluded_ns", len(exclude))
+		"domains", v.NumDomains(), "nameservers", v.NumNameservers(), "excluded_ns", len(exclude))
 
 	first, err := dates.Parse(*windowStart)
 	if err != nil {

@@ -83,7 +83,7 @@ func main() {
 		}
 		return
 	}
-	snap := db.SnapshotOn(z, day)
+	snap := db.View().SnapshotOn(z, day)
 	if *grep == "" {
 		if err := snap.Write(os.Stdout); err != nil {
 			log.Fatalf("zonedump: %v", err)

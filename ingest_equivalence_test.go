@@ -25,7 +25,7 @@ func TestSnapshotIngestEquivalence(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	evDB := w.ZoneDB()
+	evDB := w.ZoneDB().View()
 
 	ing := zonedb.NewIngester()
 	for day := cfg.Start; day <= cfg.End; day++ {
@@ -36,7 +36,7 @@ func TestSnapshotIngestEquivalence(t *testing.T) {
 			}
 		}
 	}
-	inDB := ing.Finish()
+	inDB := ing.Finish().View()
 
 	// Every nameserver's edge intervals must agree exactly.
 	nsCount, edgeCount := 0, 0

@@ -30,7 +30,9 @@ import (
 // Analysis evaluates one detection result.
 type Analysis struct {
 	res *detect.Result
-	db  *zonedb.DB
+	// db is the view pinned by New: every table and figure of one
+	// Analysis reads the same generation, lock-free.
+	db *zonedb.View
 
 	// exclude lists nameservers to drop from all analyses — the paper
 	// excludes the Namecheap-accident names on the strength of direct
@@ -53,14 +55,14 @@ func (a *Analysis) WithWHOIS(h *whois.History) *Analysis {
 	return a
 }
 
-// New creates an Analysis over res and db with the given observation
-// window. excludeNS may be nil.
+// New creates an Analysis over res and db's published view with the given
+// observation window. excludeNS may be nil.
 func New(res *detect.Result, db *zonedb.DB, window dates.Range, excludeNS []dnsname.Name) *Analysis {
 	ex := make(map[dnsname.Name]bool, len(excludeNS))
 	for _, ns := range excludeNS {
 		ex[ns] = true
 	}
-	return &Analysis{res: res, db: db, exclude: ex, window: window}
+	return &Analysis{res: res, db: db.View(), exclude: ex, window: window}
 }
 
 // Window returns the analysis window.

@@ -163,11 +163,11 @@ type Coordinator struct {
 	log    *slog.Logger
 	reg    *obs.Registry
 
-	fleet  atomic.Pointer[fleetState]
-	epochN atomic.Uint64 // last assigned fleet epoch
-	signal  *signal
-	syncMu  sync.Mutex  // one fleet sync at a time
-	syncing atomic.Bool // a background sync is in flight (tick dedup)
+	fleet   atomic.Pointer[fleetState]
+	epochN  atomic.Uint64        // last assigned fleet epoch
+	signal  *dzdbapi.EpochSignal // broadcast on every completed sync
+	syncMu  sync.Mutex           // one fleet sync at a time
+	syncing atomic.Bool          // a background sync is in flight (tick dedup)
 
 	shardUp    *obs.GaugeVec   // MetricShardUp{shard}
 	hbFailures *obs.CounterVec // MetricHeartbeatFailures{shard}
@@ -175,10 +175,6 @@ type Coordinator struct {
 	fleetGauge *obs.Gauge
 	partialN   *obs.Counter
 	proxied    *obs.CounterVec // MetricProxied{route,outcome}
-
-	// PushWriteTimeout bounds one SSE event write on the merged feed
-	// (default 5s). Set before serving.
-	PushWriteTimeout time.Duration
 }
 
 // New builds a coordinator for the given fleet with a private metrics
@@ -196,7 +192,7 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		cfg:    cfg,
 		log:    cfg.Log,
 		reg:    reg,
-		signal: newSignal(),
+		signal: dzdbapi.NewEpochSignal(),
 		mux:    http.NewServeMux(),
 
 		shardUp:    reg.GaugeVec(MetricShardUp, "1 when the shard answers heartbeats", "shard"),
@@ -432,7 +428,7 @@ func (c *Coordinator) degraded() bool { return c.degradedReason() != "" }
 // the first).
 func (c *Coordinator) FleetEpoch() uint64 {
 	if fs := c.fleet.Load(); fs != nil {
-		return fs.epoch
+		return fs.Epoch
 	}
 	return 0
 }
@@ -452,26 +448,4 @@ func (c *Coordinator) Shards() []ShardStatus {
 		out = append(out, st)
 	}
 	return out
-}
-
-// signal is the closed-channel publish broadcast the merged feed's
-// push paths park on (same idiom as dzdbapi's epochSignal).
-type signal struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func newSignal() *signal { return &signal{ch: make(chan struct{})} }
-
-func (s *signal) wait() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ch
-}
-
-func (s *signal) broadcast() {
-	s.mu.Lock()
-	close(s.ch)
-	s.ch = make(chan struct{})
-	s.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,6 +235,61 @@ func TestScatterGatherEquivalence(t *testing.T) {
 		}
 		cursor = sr.NextCursor
 	}
+}
+
+// TestNameserverGlueFromAnotherShard: glue lives in the host's own
+// zone, delegations in the delegating domains' zones. When those are on
+// different shards, the shard holding the glue holds no delegation to
+// the host at all — and must still answer the scatter, or the merged
+// response loses glue_spans (the defect bench/serve.go's body check
+// found at scale 3 seed 20).
+func TestNameserverGlueFromAnotherShard(t *testing.T) {
+	// Two zones the partition puts on different shards.
+	var zoneA, zoneB dnsname.Name
+	for _, z := range []dnsname.Name{"com", "net", "org", "biz", "info", "us"} {
+		switch {
+		case zonedb.ShardOf(z, 2) == 0 && zoneA == "":
+			zoneA = z
+		case zonedb.ShardOf(z, 2) == 1 && zoneB == "":
+			zoneB = z
+		}
+	}
+	if zoneA == "" || zoneB == "" {
+		t.Fatal("no candidate zones on both sides of the partition")
+	}
+	host := dnsname.Name("ns1.hoster." + string(zoneA))
+	spare := dnsname.Name("ns2.hoster." + string(zoneA))
+	db := zonedb.New()
+	db.DomainAdded(zoneA, dnsname.Name("hoster."+string(zoneA)), 10)
+	db.GlueAdded(zoneA, host, 10)
+	db.GlueAdded(zoneA, spare, 10) // glue nobody ever delegates to
+	for _, cust := range []string{"alpha.", "beta."} {
+		name := dnsname.Name(cust + string(zoneB))
+		db.DomainAdded(zoneB, name, 20)
+		db.DelegationAdded(zoneB, name, host, 20)
+	}
+	db.Close(100)
+
+	single := httptest.NewServer(dzdbapi.New(db))
+	t.Cleanup(single.Close)
+	urls, _ := startFleet(t, db, 2)
+	ts := httptest.NewServer(newCoord(t, urls))
+	t.Cleanup(ts.Close)
+
+	for _, ns := range []dnsname.Name{host, spare} {
+		path := "/v1/nameservers/" + string(ns)
+		status, body := fetch(t, single.URL+path)
+		if status != http.StatusOK || !strings.Contains(string(body), `"glue_spans"`) {
+			t.Fatalf("%s on the single node: status %d, body %s", path, status, body)
+		}
+		wantSame(t, single.URL, ts.URL, path)
+	}
+	wantSame(t, single.URL, ts.URL, "/v1/nameservers/"+string(host)+"?limit=1")
+	// Neither delegation nor glue: still not found, on both.
+	if status, _ := fetch(t, single.URL+"/v1/nameservers/ns3.hoster."+string(zoneA)); status != http.StatusNotFound {
+		t.Errorf("unobserved nameserver on the single node: status %d, want 404", status)
+	}
+	wantSame(t, single.URL, ts.URL, "/v1/nameservers/ns3.hoster."+string(zoneA))
 }
 
 // replayDirect applies the world's full delta index straight into a

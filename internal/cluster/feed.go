@@ -1,24 +1,10 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/dates"
 	"repro/internal/dzdbapi"
-)
-
-const (
-	// maxLongPollWait / sseBatchDays / defaultPushWriteTimeout mirror
-	// the single-node push layer's bounds.
-	maxLongPollWait         = 60 * time.Second
-	sseBatchDays            = 366
-	defaultPushWriteTimeout = 5 * time.Second
 )
 
 // mergedFeed is the fleet's totally ordered per-day change feed: each
@@ -27,14 +13,26 @@ const (
 // hence exactly one shard — the per-day merge is a disjoint union.
 // Re-sorting each day restores the canonical order the delta package
 // emits, so a merged page is indistinguishable from a single-node one.
-// The feed is built once per fleet sync and served from memory: a
-// shard dying after a sync cannot corrupt or truncate the feed, which
-// is what makes exactly-once delivery across shard failure possible.
+// The feed is built once per fleet sync and served from memory — by
+// dzdbapi's own /v1/deltas handler, as the dzdbapi.Feed of the sync's
+// state — so a shard dying after a sync cannot corrupt or truncate it,
+// which is what makes exactly-once delivery across shard failure
+// possible, and pages are always whole: a day is either fully merged or
+// not served at all.
 type mergedFeed struct {
 	first, close dates.Day
 	// days[i] is the merged change set for day first+i; quiet days are
 	// present with Changes 0, same as the single-node feed.
 	days []dzdbapi.DayDeltaJSON
+}
+
+// Window implements dzdbapi.Feed.
+func (f *mergedFeed) Window() (first, last dates.Day) { return f.first, f.close }
+
+// Days implements dzdbapi.Feed by slicing the pre-merged days.
+func (f *mergedFeed) Days(from dates.Day, n int) []dzdbapi.DayDeltaJSON {
+	off := int(from - f.first)
+	return f.days[off : off+n]
 }
 
 // mergeFeeds builds the fleet feed from per-shard pulls. Shards sealed
@@ -96,182 +94,4 @@ func sortDay(d *dzdbapi.DayDeltaJSON) {
 	sort.Slice(d.DomainsRemoved, func(i, j int) bool { return d.DomainsRemoved[i] < d.DomainsRemoved[j] })
 	sort.Slice(d.GlueAdded, func(i, j int) bool { return d.GlueAdded[i] < d.GlueAdded[j] })
 	sort.Slice(d.GlueRemoved, func(i, j int) bool { return d.GlueRemoved[i] < d.GlueRemoved[j] })
-}
-
-// handleDeltas serves the merged feed with the same contract as a
-// single dzdbd: paginated pages, ?wait= long-poll, and SSE push. Pages
-// come from the last complete sync, so they are always whole — a day
-// is either fully merged or not served at all, never partial.
-func (c *Coordinator) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		c.handleDeltasSSE(w, r)
-		return
-	}
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		wait, err := time.ParseDuration(raw)
-		if err != nil || wait < 0 {
-			dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidWait,
-				"invalid wait %q (want a duration like 30s)", raw)
-			return
-		}
-		c.handleDeltasLongPoll(w, r, wait)
-		return
-	}
-	fs := c.fleet.Load()
-	if fs == nil {
-		c.notSynced(w)
-		return
-	}
-	resp, ok := c.buildDeltaPage(w, r, fs)
-	if !ok {
-		return
-	}
-	dzdbapi.WriteJSON(w, http.StatusOK, resp)
-}
-
-// notSynced answers a fleet-wide request made before the first
-// complete sync: retryable 503 with the heartbeat as the backoff hint.
-func (c *Coordinator) notSynced(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
-	dzdbapi.WriteError(w, http.StatusServiceUnavailable, CodeNotSynced,
-		"fleet has not completed a sync yet; retry shortly")
-}
-
-// buildDeltaPage resolves one page of the merged feed, mirroring the
-// single-node page builder. ok=false means an error response has been
-// written.
-func (c *Coordinator) buildDeltaPage(w http.ResponseWriter, r *http.Request, fs *fleetState) (*dzdbapi.DeltasResponse, bool) {
-	feed := fs.feed
-	resp := &dzdbapi.DeltasResponse{Epoch: fs.epoch, FirstDay: feed.first, CloseDay: feed.close}
-	from := feed.first
-	if raw := r.URL.Query().Get("from"); raw != "" {
-		d, err := dates.Parse(raw)
-		if err != nil {
-			dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidDate,
-				"invalid from %q (want YYYY-MM-DD)", raw)
-			return nil, false
-		}
-		if d > from {
-			from = d
-		}
-	}
-	if from == dates.None || from > feed.close {
-		resp.Deltas = []dzdbapi.DayDeltaJSON{}
-		return resp, true
-	}
-	n := int(feed.close-from) + 1
-	start, end, next, ok := dzdbapi.PageWindow(w, r, n, func(i int) string { return (from + dates.Day(i)).String() })
-	if !ok {
-		return nil, false
-	}
-	off := int(from - feed.first)
-	resp.Deltas = feed.days[off+start : off+end]
-	resp.NextCursor = next
-	return resp, true
-}
-
-// handleDeltasLongPoll parks an empty window on the fleet-sync signal
-// until a sync makes it non-empty or the wait expires.
-func (c *Coordinator) handleDeltasLongPoll(w http.ResponseWriter, r *http.Request, wait time.Duration) {
-	if wait > maxLongPollWait {
-		wait = maxLongPollWait
-	}
-	deadline := time.Now().Add(wait)
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		ch := c.signal.wait()
-		fs := c.fleet.Load()
-		expired := !time.Now().Before(deadline)
-		if fs != nil {
-			resp, ok := c.buildDeltaPage(w, r, fs)
-			if !ok {
-				return
-			}
-			if len(resp.Deltas) > 0 || expired {
-				dzdbapi.WriteJSON(w, http.StatusOK, resp)
-				return
-			}
-		} else if expired {
-			c.notSynced(w)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-timer.C:
-		case <-ch:
-		}
-	}
-}
-
-// handleDeltasSSE streams the merged feed: everything already synced,
-// then each new fleet epoch's days as syncs land.
-func (c *Coordinator) handleDeltasSSE(w http.ResponseWriter, r *http.Request) {
-	pos := dates.None
-	if raw := r.URL.Query().Get("from"); raw != "" {
-		d, err := dates.Parse(raw)
-		if err != nil {
-			dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidDate,
-				"invalid from %q (want YYYY-MM-DD)", raw)
-			return
-		}
-		pos = d
-	}
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if err := rc.Flush(); err != nil {
-		return
-	}
-	for {
-		ch := c.signal.wait()
-		if fs := c.fleet.Load(); fs != nil && fs.feed.first != dates.None {
-			feed := fs.feed
-			if pos == dates.None || pos < feed.first {
-				pos = feed.first
-			}
-			for pos <= feed.close {
-				end := pos + sseBatchDays - 1
-				if end > feed.close {
-					end = feed.close
-				}
-				resp := dzdbapi.DeltasResponse{Epoch: fs.epoch, FirstDay: feed.first, CloseDay: feed.close}
-				off := int(pos - feed.first)
-				resp.Deltas = feed.days[off : off+int(end-pos)+1]
-				if err := c.writeSSEEvent(w, rc, "deltas", resp); err != nil {
-					return
-				}
-				pos = end + 1
-			}
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ch:
-		}
-	}
-}
-
-func (c *Coordinator) pushTimeout() time.Duration {
-	if c.PushWriteTimeout > 0 {
-		return c.PushWriteTimeout
-	}
-	return defaultPushWriteTimeout
-}
-
-func (c *Coordinator) writeSSEEvent(w http.ResponseWriter, rc *http.ResponseController, event string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if err := rc.SetWriteDeadline(time.Now().Add(c.pushTimeout())); err != nil && c.log != nil {
-		c.log.Warn("push: no write-deadline support; slow consumers unbounded", "err", err)
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-		return err
-	}
-	return rc.Flush()
 }

@@ -11,38 +11,25 @@ import (
 	"repro/internal/dzdbapi"
 )
 
-// topNSKeep / defaultTopNSLimit mirror the single-node serving layer's
-// leaderboard bounds (dzdbapi keeps the top 100 and pages 25 by
-// default) so a coordinator answer is indistinguishable from a
-// single-node one.
-const (
-	topNSKeep         = 100
-	defaultTopNSLimit = 25
-)
-
 // fleetState is one complete fleet sync: every fleet-wide answer the
 // coordinator serves, pulled from all shards while they were ready on
-// a stable epoch vector. Immutable once published; handlers read it
-// with one atomic load.
+// a stable epoch vector, in the shape dzdbapi's epoch-wide handlers
+// render. Immutable once published; handlers read it with one atomic
+// load.
 type fleetState struct {
-	// epoch is the coordinator's own monotonic fleet epoch. It moves
-	// whenever any shard's epoch moves, and stamps the merged delta
-	// feed so followers detect mid-walk reloads exactly like they do
-	// against a single dzdbd.
-	epoch       uint64
+	// EpochState.Epoch is the coordinator's own monotonic fleet epoch.
+	// It moves whenever any shard's epoch moves, and stamps the merged
+	// delta feed so followers detect mid-walk reloads exactly like they
+	// do against a single dzdbd.
+	dzdbapi.EpochState
 	shardEpochs []uint64
 	syncedAt    time.Time
-
-	stats dzdbapi.StatsResponse
-	zones []string
-	topNS []dzdbapi.TopNameserver
-	feed  *mergedFeed
 }
 
 // shardPull is the raw material one shard contributes to a sync.
 type shardPull struct {
 	stats  *dzdbapi.StatsResponse
-	rows   []dzdbapi.NSExposureRow
+	rows   []dzdbapi.TopNameserver
 	deltas *dzdbapi.DeltasResponse
 }
 
@@ -92,19 +79,20 @@ func (c *Coordinator) sync(ctx context.Context) error {
 	}
 
 	fs := &fleetState{
-		epoch:       c.epochN.Add(1),
+		EpochState:  mergePulls(pulls),
 		shardEpochs: epochs,
 		syncedAt:    time.Now(),
 	}
-	c.mergePulls(fs, pulls)
+	fs.Epoch = c.epochN.Add(1)
 	c.fleet.Store(fs)
-	c.fleetGauge.Set(int64(fs.epoch))
+	c.fleetGauge.Set(int64(fs.Epoch))
 	c.resyncs.Inc()
-	c.signal.broadcast()
+	c.signal.Broadcast()
 	if c.log != nil {
-		c.log.Info("fleet synced", "fleet_epoch", fs.epoch,
-			"domains", fs.stats.Domains, "nameservers", fs.stats.Nameservers,
-			"zones", len(fs.zones), "close_day", fs.feed.close.String())
+		_, closeDay := fs.Feed.Window()
+		c.log.Info("fleet synced", "fleet_epoch", fs.Epoch,
+			"domains", fs.Stats.Domains, "nameservers", fs.Stats.Nameservers,
+			"zones", len(fs.Stats.Zones), "close_day", closeDay.String())
 	}
 	return nil
 }
@@ -146,11 +134,12 @@ func (c *Coordinator) pull(ctx context.Context, sh *shard) (*shardPull, error) {
 // one NS serves domains in many zones — so the distinct count and the
 // leaderboard come from merging the complete per-shard exposure
 // tables by name, which is exact, not an approximation.
-func (c *Coordinator) mergePulls(fs *fleetState, pulls []*shardPull) {
+func mergePulls(pulls []*shardPull) dzdbapi.EpochState {
+	var st dzdbapi.EpochState
 	zoneSet := make(map[string]bool)
 	exposure := make(map[string]dzdbapi.TopNameserver)
 	for _, p := range pulls {
-		fs.stats.Domains += p.stats.Domains
+		st.Stats.Domains += p.stats.Domains
 		for _, z := range p.stats.Zones {
 			zoneSet[z] = true
 		}
@@ -162,30 +151,18 @@ func (c *Coordinator) mergePulls(fs *fleetState, pulls []*shardPull) {
 			exposure[row.Nameserver] = agg
 		}
 	}
-	fs.zones = make([]string, 0, len(zoneSet))
+	st.Stats.Zones = make([]string, 0, len(zoneSet))
 	for z := range zoneSet {
-		fs.zones = append(fs.zones, z)
+		st.Stats.Zones = append(st.Stats.Zones, z)
 	}
-	sort.Strings(fs.zones)
-	fs.stats.Zones = fs.zones
-	fs.stats.Nameservers = len(exposure)
+	sort.Strings(st.Stats.Zones)
+	st.Stats.Nameservers = len(exposure)
 
-	fs.topNS = make([]dzdbapi.TopNameserver, 0, len(exposure))
+	rows := make([]dzdbapi.TopNameserver, 0, len(exposure))
 	for _, row := range exposure {
-		fs.topNS = append(fs.topNS, row)
+		rows = append(rows, row)
 	}
-	sort.Slice(fs.topNS, func(i, j int) bool {
-		if fs.topNS[i].Domains != fs.topNS[j].Domains {
-			return fs.topNS[i].Domains > fs.topNS[j].Domains
-		}
-		if fs.topNS[i].DomainDays != fs.topNS[j].DomainDays {
-			return fs.topNS[i].DomainDays > fs.topNS[j].DomainDays
-		}
-		return fs.topNS[i].Nameserver < fs.topNS[j].Nameserver
-	})
-	if len(fs.topNS) > topNSKeep {
-		fs.topNS = fs.topNS[:topNSKeep]
-	}
-
-	fs.feed = mergeFeeds(pulls)
+	st.TopNS = dzdbapi.RankNameservers(rows)
+	st.Feed = mergeFeeds(pulls)
+	return st
 }

@@ -4,23 +4,27 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
-	"repro/internal/dnsname"
 	"repro/internal/dzdbapi"
 	"repro/internal/zonedb"
 )
 
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
-	c.mux.HandleFunc("GET /v1/zones", c.handleZones)
-	c.mux.HandleFunc("GET /v1/top/nameservers", c.handleTopNS)
+	// The fleet-wide routes are the node's own handlers, rendering the
+	// last complete sync instead of a view: pagination, limits, the
+	// long-poll and SSE loops and every byte of the envelopes are
+	// dzdbapi's. They are mounted bare — the coordinator has no response
+	// cache, ETags or gzip of its own yet.
+	epoch := dzdbapi.NewEpochRoutes(fleetSource{c}, c.reg, c.log)
+	c.mux.HandleFunc("GET /v1/stats", c.synced(epoch.Stats))
+	c.mux.HandleFunc("GET /v1/zones", c.synced(epoch.Zones))
+	c.mux.HandleFunc("GET /v1/top/nameservers", c.synced(epoch.TopNameservers))
+	c.mux.HandleFunc("GET /v1/deltas", c.synced(epoch.Deltas))
 	c.mux.HandleFunc("GET /v1/nameservers/{name}", c.handleNameserver)
 	c.mux.HandleFunc("GET /v1/domains/{name}", c.handleDomain)
 	c.mux.HandleFunc("GET /v1/zones/{zone}/snapshot", c.handleSnapshot)
-	c.mux.HandleFunc("GET /v1/deltas", c.handleDeltas)
 	c.mux.HandleFunc("GET /v1/cluster/shards", c.handleShards)
 }
 
@@ -29,72 +33,54 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-// markPartial stamps degraded fleet-wide answers: the served state is
-// the last complete sync, but with a shard down it may trail a reload
-// that shard already took, so the envelope says so explicitly.
-func (c *Coordinator) markPartial(set func(bool)) {
-	if c.degraded() {
-		set(true)
-		c.partialN.Inc()
-	}
+// synced mounts one of dzdbapi's epoch-wide handlers on the state of
+// the last complete sync.
+func (c *Coordinator) synced(h func(http.ResponseWriter, *http.Request, *dzdbapi.EpochState)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { h(w, r, c.state()) }
 }
 
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	fs := c.fleet.Load()
-	if fs == nil {
-		c.notSynced(w)
-		return
+// state returns what the last complete sync merged, or nil before the
+// first — which the handlers turn into the source's refusal.
+func (c *Coordinator) state() *dzdbapi.EpochState {
+	if fs := c.fleet.Load(); fs != nil {
+		return &fs.EpochState
 	}
-	resp := fs.stats
-	c.markPartial(func(v bool) { resp.Partial = v })
-	dzdbapi.WriteJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (c *Coordinator) handleZones(w http.ResponseWriter, r *http.Request) {
-	fs := c.fleet.Load()
-	if fs == nil {
-		c.notSynced(w)
-		return
-	}
-	start, end, next, ok := dzdbapi.PageWindow(w, r, len(fs.zones), func(i int) string { return fs.zones[i] })
-	if !ok {
-		return
-	}
-	resp := dzdbapi.ZonesResponse{Zones: fs.zones[start:end], NextCursor: next}
-	c.markPartial(func(v bool) { resp.Partial = v })
-	dzdbapi.WriteJSON(w, http.StatusOK, resp)
+// fleetSource is the dzdbapi.Source of a fleet: the last complete sync,
+// the broadcast every sync ends with, and the two things only a fleet
+// can say — that an answer may be partial, and that there is none yet.
+type fleetSource struct{ c *Coordinator }
+
+func (f fleetSource) Current() (*dzdbapi.EpochState, <-chan struct{}) {
+	ch := f.c.signal.Wait()
+	return f.c.state(), ch
 }
 
-func (c *Coordinator) handleTopNS(w http.ResponseWriter, r *http.Request) {
-	fs := c.fleet.Load()
-	if fs == nil {
-		c.notSynced(w)
-		return
+// Partial stamps degraded fleet-wide answers: the served state is the
+// last complete sync, but with a shard down it may trail a reload that
+// shard already took, so the envelope says so explicitly.
+func (f fleetSource) Partial() bool {
+	if !f.c.degraded() {
+		return false
 	}
-	limit := defaultTopNSLimit
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidLimit, "invalid limit %q", raw)
-			return
-		}
-		if v > 0 {
-			limit = v
-		}
-	}
-	if limit > topNSKeep {
-		limit = topNSKeep
-	}
-	rows := fs.topNS
-	if len(rows) > limit {
-		rows = rows[:limit]
-	}
-	if rows == nil {
-		rows = []dzdbapi.TopNameserver{}
-	}
-	resp := dzdbapi.TopNameserversResponse{Nameservers: rows}
-	c.markPartial(func(v bool) { resp.Partial = v })
-	dzdbapi.WriteJSON(w, http.StatusOK, resp)
+	f.c.partialN.Inc()
+	return true
+}
+
+// Unavailable answers a fleet-wide request made before the first
+// complete sync.
+func (f fleetSource) Unavailable(w http.ResponseWriter) {
+	f.c.retryLater(w, CodeNotSynced, "fleet has not completed a sync yet; retry shortly")
+}
+
+// retryLater sheds a request the fleet cannot answer right now: 503
+// with the heartbeat, the soonest membership can change, as the
+// backoff hint.
+func (c *Coordinator) retryLater(w http.ResponseWriter, code, format string, args ...any) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
+	dzdbapi.WriteError(w, http.StatusServiceUnavailable, code, format, args...)
 }
 
 // handleNameserver scatter-gathers a nameserver's exposure live from
@@ -104,10 +90,8 @@ func (c *Coordinator) handleTopNS(w http.ResponseWriter, r *http.Request) {
 // summaries sum exactly. A shard that cannot answer degrades the
 // response to partial: true rather than failing the whole query.
 func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
-	name, err := dnsname.Parse(r.PathValue("name"))
-	if err != nil {
-		dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidName,
-			"invalid name %q: %v", r.PathValue("name"), err)
+	name, ok := dzdbapi.ParseName(w, r.PathValue("name"))
+	if !ok {
 		return
 	}
 	type result struct {
@@ -154,35 +138,24 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
 	}
 	if !found {
 		if failed {
-			w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
-			dzdbapi.WriteError(w, http.StatusServiceUnavailable, CodeShardUnavailable,
-				"no shard could answer for %s", name)
+			c.retryLater(w, CodeShardUnavailable, "no shard could answer for %s", name)
 			return
 		}
 		dzdbapi.WriteError(w, http.StatusNotFound, dzdbapi.CodeNotFound, "nameserver %s not observed", name)
 		return
 	}
-	sort.Slice(resp.Domains, func(i, j int) bool { return resp.Domains[i].Domain < resp.Domains[j].Domain })
-	start, end, next, ok := dzdbapi.PageWindow(w, r, len(resp.Domains), func(i int) string { return resp.Domains[i].Domain })
-	if !ok {
-		return
-	}
-	resp.Domains = resp.Domains[start:end]
-	resp.NextCursor = next
 	if failed || c.degraded() {
 		resp.Partial = true
 		c.partialN.Inc()
 	}
-	dzdbapi.WriteJSON(w, http.StatusOK, resp)
+	dzdbapi.WriteNameserverPage(w, r, &resp)
 }
 
 // handleDomain routes a domain lookup to the shard owning the
 // domain's zone and relays the shard's response verbatim.
 func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request) {
-	name, err := dnsname.Parse(r.PathValue("name"))
-	if err != nil {
-		dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidName,
-			"invalid name %q: %v", r.PathValue("name"), err)
+	name, ok := dzdbapi.ParseName(w, r.PathValue("name"))
+	if !ok {
 		return
 	}
 	c.proxyTo(w, r, "/v1/domains/{name}", c.shards[zonedb.ShardOf(name.TLD(), len(c.shards))])
@@ -190,10 +163,8 @@ func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot routes a zone snapshot to the owning shard.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	zone, err := dnsname.Parse(r.PathValue("zone"))
-	if err != nil {
-		dzdbapi.WriteError(w, http.StatusBadRequest, dzdbapi.CodeInvalidName,
-			"invalid name %q: %v", r.PathValue("zone"), err)
+	zone, ok := dzdbapi.ParseName(w, r.PathValue("zone"))
+	if !ok {
 		return
 	}
 	c.proxyTo(w, r, "/v1/zones/{zone}/snapshot", c.shards[zonedb.ShardOf(zone, len(c.shards))])
@@ -206,9 +177,7 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // the bytes the shard produced.
 func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, route string, sh *shard) {
 	if !sh.isUp() {
-		w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
-		dzdbapi.WriteError(w, http.StatusServiceUnavailable, CodeShardUnavailable,
-			"shard %d owning this zone is unavailable", sh.id)
+		c.retryLater(w, CodeShardUnavailable, "shard %d owning this zone is unavailable", sh.id)
 		c.proxied.With(route, "unavailable").Inc()
 		return
 	}
@@ -235,9 +204,7 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, route stri
 			c.proxied.With(route, "canceled").Inc()
 			return
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
-		dzdbapi.WriteError(w, http.StatusServiceUnavailable, CodeShardUnavailable,
-			"shard %d unreachable: %v", sh.id, err)
+		c.retryLater(w, CodeShardUnavailable, "shard %d unreachable: %v", sh.id, err)
 		c.proxied.With(route, "error").Inc()
 		return
 	}

@@ -153,29 +153,6 @@ type Detector struct {
 	now func() time.Time
 }
 
-// zoneData is the read surface a detection run needs. A run takes the
-// DB's published *zonedb.View once at the start and holds it throughout,
-// so every worker reads one consistent generation lock-free, even while
-// an ingest publishes behind it.
-type zoneData interface {
-	resolve.ZoneData
-	Nameservers(fn func(ns dnsname.Name) bool)
-	EdgesOf(ns dnsname.Name) []zonedb.Edge
-	EdgeSpans(domain, ns dnsname.Name) *interval.Set
-	DomainRegisteredOn(domain dnsname.Name, day dates.Day) bool
-	DomainFirstSeenAfter(domain dnsname.Name, from dates.Day) dates.Day
-}
-
-// zoneData pins the view the run will read. A DB that was never closed
-// has an empty published view, so legacy callers that skipped Close keep
-// reading the DB directly (with its original semantics).
-func (d *Detector) zoneData() zoneData {
-	if v := d.DB.View(); v.Closed() {
-		return v
-	}
-	return d.DB
-}
-
 // clock returns the time source: WithClock's when set, else the obs
 // registry's (overridable in tests) when present, else the wall clock.
 // Timings never influence detection results, so determinism of the
@@ -225,7 +202,7 @@ type candidate struct {
 // time (one entry in sequential mode) for the utilization report. Each
 // parallel worker runs as a child span of ctx so shard imbalance is
 // visible in the trace.
-func (d *Detector) extractCandidates(ctx context.Context, zd zoneData) (total int, candidates []candidate, busy []time.Duration) {
+func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (total int, candidates []candidate, busy []time.Duration) {
 	now := d.clock()
 	var all []dnsname.Name
 	zd.Nameservers(func(ns dnsname.Name) bool {
@@ -298,7 +275,7 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	defer rsp.End()
 	now := d.clock()
 	start := now()
-	zd := d.zoneData()
+	zd := d.DB.View()
 	res := &Result{byNS: make(map[dnsname.Name]int)}
 	stats := &RunStats{Workers: 1, MatchesByMethod: make(map[string]int)}
 	if d.Cfg.Workers > 1 {
@@ -452,7 +429,7 @@ const (
 // view. It only reads zd, the WHOIS history, the registry directory, and
 // the idiom catalog — all immutable during a run — so it is safe to call
 // from many workers at once.
-func (d *Detector) classifyOne(zd zoneData, c candidate) outcome {
+func (d *Detector) classifyOne(zd *zonedb.View, c candidate) outcome {
 	// Stage 2b: remove registry test nameservers.
 	if idioms.IsTestNameserver(c.ns) {
 		return outcome{kind: outTest}
@@ -480,7 +457,7 @@ func (d *Detector) classifyOne(zd zoneData, c candidate) outcome {
 // the candidate itself lives under the same operator as its affected
 // domains (a rename target is always external to the repository that
 // performed it).
-func (d *Detector) violatesSingleRepo(zd zoneData, ns dnsname.Name) bool {
+func (d *Detector) violatesSingleRepo(zd *zonedb.View, ns dnsname.Name) bool {
 	operators := make(map[string]bool)
 	for _, e := range zd.EdgesOf(ns) {
 		if op := d.Dir.OperatorOf(e.Domain.TLD()); op != "" {
@@ -503,7 +480,7 @@ func (d *Detector) violatesSingleRepo(zd zoneData, ns dnsname.Name) bool {
 // attributed to the registrar WHOIS reports for the original nameserver's
 // domain at that time, and mapped to that registrar's original-based
 // idiom.
-func (d *Detector) matchOriginal(zd zoneData, ns dnsname.Name, first dates.Day) (*idioms.Idiom, string, dnsname.Name, bool) {
+func (d *Detector) matchOriginal(zd *zonedb.View, ns dnsname.Name, first dates.Day) (*idioms.Idiom, string, dnsname.Name, bool) {
 	type match struct {
 		rr   string
 		prev dnsname.Name
@@ -603,7 +580,7 @@ func OriginalIdiomFor(registrarName string, ns, orig dnsname.Name) *idioms.Idiom
 }
 
 // emit records a classified sacrificial nameserver.
-func (d *Detector) emit(zd zoneData, res *Result, ns dnsname.Name, first dates.Day, idiom *idioms.Idiom, registrarName string, orig dnsname.Name) {
+func (d *Detector) emit(zd *zonedb.View, res *Result, ns dnsname.Name, first dates.Day, idiom *idioms.Idiom, registrarName string, orig dnsname.Name) {
 	s := Sacrificial{
 		NS:        ns,
 		Created:   first,

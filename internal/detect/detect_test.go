@@ -326,3 +326,23 @@ func TestParallelWorkersIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestNeverClosedDBDetectsNothing: a run reads the DB's published view,
+// and a database that recorded events but never sealed them publishes
+// the empty one — the run must not reach into the writer's generation.
+func TestNeverClosedDBDetectsNothing(t *testing.T) {
+	db := zonedb.New()
+	db.DomainAdded("net", "whitecounty.net", d(10))
+	db.DelegationAdded("net", "whitecounty.net", "ns2.internetemc1aj2kdy.biz", d(100))
+	_, who, dir := fixture()
+	res := (&Detector{DB: db, WHOIS: who, Dir: dir}).Run()
+	if res.Funnel != (Funnel{}) || len(res.Sacrificial) != 0 || len(res.Patterns) != 0 {
+		t.Fatalf("unsealed database produced funnel %+v, %d sacrificial, %d patterns",
+			res.Funnel, len(res.Sacrificial), len(res.Patterns))
+	}
+	// The same events, sealed, are a candidate.
+	db.Close(d(1000))
+	if res := (&Detector{DB: db, WHOIS: who, Dir: dir}).Run(); res.Funnel.TotalNameservers != 1 {
+		t.Fatalf("sealed: funnel %+v, want one nameserver seen", res.Funnel)
+	}
+}

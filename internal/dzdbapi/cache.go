@@ -194,8 +194,8 @@ func (c *respCache) bump(epoch uint64) {
 }
 
 // CacheStats is a point-in-time snapshot of the response cache,
-// surfaced on /statusz and recorded by riskybench's serve-load
-// workload.
+// surfaced on /statusz and read by the bench's serve-node workload
+// (dzdbapi.cache_hit_ratio, dzdbapi.cache_evictions).
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64

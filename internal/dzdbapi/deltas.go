@@ -91,41 +91,70 @@ type DeltasResponse struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// deltaCache memoizes the delta index per published epoch. Building the
-// index is O(total spans) — fine once, wasteful per request.
-type deltaCache struct {
-	mu    sync.Mutex
-	epoch uint64
-	idx   *delta.Index
+// Feed is one epoch's day window, in wire form. A node converts days out
+// of its delta index as they are asked for; a coordinator slices the
+// days it merged at sync time.
+type Feed interface {
+	// Window returns the first day with any change (dates.None when the
+	// epoch recorded no facts at all) and the close day, the last day
+	// for which the feed is complete.
+	Window() (first, last dates.Day)
+	// Days returns the n consecutive days starting at from, all inside
+	// the window; n == 0 yields an empty, non-nil list.
+	Days(from dates.Day, n int) []DayDeltaJSON
 }
 
-func (c *deltaCache) get(v *zonedb.View) (*delta.Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.idx != nil && c.epoch == v.Epoch() {
-		return c.idx, nil
-	}
-	idx, err := delta.Build(v)
-	if err != nil {
-		return nil, err
-	}
-	c.epoch, c.idx = v.Epoch(), idx
-	return idx, nil
+// indexFeed is a node's Feed: the delta index of one sealed view. The
+// index is built by the first request that needs it, not by the publish
+// hook — an epoch no feed consumer asks about never pays the
+// O(total spans) walk, and a publish stays as short as its aggregates —
+// and then lives as long as the epoch's state.
+type indexFeed struct {
+	view *zonedb.View
+	once sync.Once
+	idx  *delta.Index
 }
 
-// handleDeltas serves the per-day change feed. Unlike the other routes
-// it cannot fall back to an unclosed DB: without a close day there is no
-// boundary between "removed" and "not yet sealed", so the route answers
-// not_found until the database is sealed.
+func (f *indexFeed) index() *delta.Index {
+	f.once.Do(func() {
+		idx, err := delta.Build(f.view)
+		if err != nil {
+			// Build refuses only an unsealed view, and computeState
+			// makes a feed only for a sealed one.
+			panic(err)
+		}
+		f.idx = idx
+	})
+	return f.idx
+}
+
+func (f *indexFeed) Window() (first, last dates.Day) {
+	idx := f.index()
+	return idx.First(), idx.Last()
+}
+
+func (f *indexFeed) Days(from dates.Day, n int) []DayDeltaJSON {
+	idx := f.index()
+	out := make([]DayDeltaJSON, 0, n)
+	for d := from; d < from+dates.Day(n); d++ {
+		out = append(out, dayDeltaJSON(idx.Day(d)))
+	}
+	return out
+}
+
+// Deltas serves the per-day change feed, /v1/deltas. Without a close
+// day there is no boundary between "removed" and "not yet sealed", so
+// until the source has a sealed epoch the route answers with the
+// source's refusal.
 //
 // Parameters: ?from=YYYY-MM-DD starts the window (clamped to the first
 // changed day); ?cursor= resumes a paginated walk; ?limit= caps the
 // number of days per page (0 = the whole remaining window). Two push
 // modes replace polling: Accept: text/event-stream upgrades to an SSE
 // stream, and ?wait=30s long-polls an empty window until a publish.
-func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, st store) {
+func (e *EpochRoutes) Deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	if wantsSSE(r) {
-		s.handleDeltasSSE(w, r)
+		e.deltasSSE(w, r)
 		return
 	}
 	if raw := r.URL.Query().Get("wait"); raw != "" {
@@ -135,32 +164,26 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, st store) 
 				"invalid wait %q (want a duration like 30s)", raw)
 			return
 		}
-		s.handleDeltasLongPoll(w, r, wait)
+		e.deltasLongPoll(w, r, wait)
 		return
 	}
-	v, ok := st.(*zonedb.View)
-	if !ok || !v.Closed() {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			"delta feed requires a sealed database (no Close recorded)")
+	if st == nil || st.Feed == nil {
+		e.src.Unavailable(w)
 		return
 	}
-	resp, ok := s.buildDeltaPage(w, r, v)
+	resp, ok := deltaPage(w, r, st)
 	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// buildDeltaPage resolves one page of the feed against a sealed view.
-// ok=false means an error response has already been written.
-func (s *Server) buildDeltaPage(w http.ResponseWriter, r *http.Request, v *zonedb.View) (*DeltasResponse, bool) {
-	idx, err := s.deltas.get(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "building delta index: %v", err)
-		return nil, false
-	}
-	resp := &DeltasResponse{Epoch: idx.Epoch(), FirstDay: idx.First(), CloseDay: idx.Last()}
-	from := idx.First()
+// deltaPage resolves one page of st's feed. ok=false means an error
+// response has already been written.
+func deltaPage(w http.ResponseWriter, r *http.Request, st *EpochState) (*DeltasResponse, bool) {
+	first, last := st.Feed.Window()
+	resp := &DeltasResponse{Epoch: st.Epoch, FirstDay: first, CloseDay: last}
+	from := first
 	if raw := r.URL.Query().Get("from"); raw != "" {
 		d, err := dates.Parse(raw)
 		if err != nil {
@@ -171,20 +194,17 @@ func (s *Server) buildDeltaPage(w http.ResponseWriter, r *http.Request, v *zoned
 			from = d
 		}
 	}
-	if from == dates.None || from > idx.Last() {
+	if from == dates.None || from > last {
 		// Nothing (or nothing yet) in the window: an empty final page.
 		resp.Deltas = []DayDeltaJSON{}
 		return resp, true
 	}
-	n := int(idx.Last()-from) + 1
+	n := int(last-from) + 1
 	start, end, next, ok := pageWindow(w, r, n, func(i int) string { return (from + dates.Day(i)).String() })
 	if !ok {
 		return nil, false
 	}
-	resp.Deltas = make([]DayDeltaJSON, 0, end-start)
-	for i := start; i < end; i++ {
-		resp.Deltas = append(resp.Deltas, dayDeltaJSON(idx.Day(from+dates.Day(i))))
-	}
+	resp.Deltas = st.Feed.Days(from+dates.Day(start), end-start)
 	resp.NextCursor = next
 	return resp, true
 }

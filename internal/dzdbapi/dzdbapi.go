@@ -30,12 +30,8 @@
 // expires. Per-client token-bucket rate limits and a concurrency cap
 // shed excess load with the v1 error envelope plus Retry-After.
 //
-// The unversioned legacy routes remain mounted as thin aliases for one
-// release; they answer identically (modulo the /v1/zones envelope) and
-// carry Deprecation, Sunset, and Link: rel="successor-version" headers.
-//
 // Pagination: list endpoints accept ?limit= (page size; absent or 0
-// returns everything, preserving legacy behaviour) and ?cursor= (opaque
+// returns everything) and ?cursor= (opaque
 // token from the previous page's next_cursor; empty means start). A
 // response with more data sets next_cursor; the last page omits it.
 //
@@ -43,9 +39,11 @@
 // invalid_name, invalid_date, invalid_cursor, invalid_limit, not_found,
 // and internal.
 //
-// Every request reads one immutable zonedb.View pinned at dispatch, so
-// responses are consistent even while a re-ingest publishes new
-// generations behind the API.
+// Every request reads one epoch's state — the immutable zonedb.View a
+// publish handed the server, plus the aggregates computed from it —
+// pinned at dispatch, so responses are consistent even while a re-ingest
+// publishes new generations behind the API. A database that was never
+// sealed serves what it publishes: the empty view.
 //
 // Names are case-insensitive, as in DNS. All responses are JSON except
 // the snapshot, which is text/dns in master-file format.
@@ -65,7 +63,6 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
-	"repro/internal/dnszone"
 	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -76,12 +73,7 @@ import (
 const (
 	MetricRequests       = "dzdb_http_requests_total"
 	MetricRequestSeconds = "dzdb_http_request_seconds"
-	MetricLegacyRequests = "dzdb_legacy_requests_total"
 )
-
-// legacySunset is the RFC 8594 removal date advertised on the
-// unversioned legacy aliases (also documented in README "API v1").
-const legacySunset = "Sun, 01 Nov 2026 00:00:00 GMT"
 
 // Span is one presence interval in API form.
 type Span struct {
@@ -165,39 +157,22 @@ type ZonesResponse struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// store is the read surface a request needs. Requests normally get the
-// DB's published *zonedb.View — immutable and lock-free — pinned once at
-// dispatch.
-type store interface {
-	Zones() []dnsname.Name
-	NumDomains() int
-	NumNameservers() int
-	Nameservers(fn func(ns dnsname.Name) bool)
-	DomainSpans(domain dnsname.Name) *interval.Set
-	NSHistory(domain dnsname.Name) map[dnsname.Name]*interval.Set
-	NSFirstSeen(ns dnsname.Name) dates.Day
-	GlueSpans(host dnsname.Name) *interval.Set
-	EdgesOf(ns dnsname.Name) []zonedb.Edge
-	EdgeSpans(domain, ns dnsname.Name) *interval.Set
-	SnapshotOn(zone dnsname.Name, day dates.Day) *dnszone.Snapshot
-}
-
-// Server serves a zonedb.DB. Each request reads the DB's published View,
-// so serving concurrently with ingestion (and swapping databases with
-// zonedb.DB.Adopt) is safe.
+// Server serves a zonedb.DB. Each request reads the state of the DB's
+// last published View, so serving concurrently with ingestion (and
+// swapping databases with zonedb.DB.Adopt) is safe.
 type Server struct {
-	db       *zonedb.DB
 	mux      *http.ServeMux
 	obs      *obs.Registry
 	requests *obs.CounterVec   // MetricRequests{route,class}
 	latency  *obs.HistogramVec // MetricRequestSeconds{route}
-	deltas   deltaCache        // per-epoch delta index for /v1/deltas
 
-	// Serving layer: the epoch-keyed response cache, the Adopt-time
-	// aggregates, and the publish broadcast the push paths park on.
+	// Serving layer: the epoch-keyed response cache, the state of the
+	// epoch being served (the View plus its publish-time aggregates),
+	// and the publish broadcast the push paths park on.
 	cache  *respCache
-	agg    atomic.Pointer[aggregates]
-	signal *epochSignal
+	state  atomic.Pointer[EpochState]
+	signal *EpochSignal
+	epoch  *EpochRoutes // /v1/stats, /v1/zones, /v1/top/nameservers, /v1/deltas
 
 	// Adopt-time cache warming (see SetWarmKeys / warm).
 	warmKeys    int
@@ -217,7 +192,6 @@ type Server struct {
 	shardID    int
 	shardCount int
 
-	legacy        *obs.CounterVec // MetricLegacyRequests{route}
 	cacheReqs     *obs.CounterVec // MetricCacheRequests{route,outcome}
 	cacheEvict    *obs.Counter
 	cacheEntries  *obs.Gauge
@@ -226,8 +200,6 @@ type Server struct {
 	shedTotal     *obs.CounterVec // MetricShed{route,code}
 	inflightGauge *obs.Gauge
 	pushActive    *obs.Gauge
-	pushEvents    *obs.Counter
-	pushDropped   *obs.Counter
 
 	// Log, when non-nil, receives one structured record per request,
 	// carrying the request's trace ID when the client sent a
@@ -253,13 +225,11 @@ func New(db *zonedb.DB) *Server {
 // NewWithRegistry builds the API server recording request metrics into
 // reg — what dzdbd uses to fold API metrics into its /metrics registry.
 func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
-	s := &Server{db: db, mux: http.NewServeMux(), obs: reg}
+	s := &Server{mux: http.NewServeMux(), obs: reg}
 	s.requests = reg.CounterVec(MetricRequests,
 		"API requests by route and status class.", "route", "class")
 	s.latency = reg.HistogramVec(MetricRequestSeconds,
 		"API request latency by route.", nil, "route")
-	s.legacy = reg.CounterVec(MetricLegacyRequests,
-		"Requests to deprecated unversioned legacy routes.", "route")
 	s.cacheReqs = reg.CounterVec(MetricCacheRequests,
 		"Response cache lookups by route and outcome (hit, miss, revalidated).", "route", "outcome")
 	s.cacheEvict = reg.Counter(MetricCacheEvictions, "Response cache LRU evictions.")
@@ -271,56 +241,76 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
 	s.pushActive = reg.Gauge(MetricPushActive, "Open SSE and long-poll delta connections.")
-	s.pushEvents = reg.Counter(MetricPushEvents, "SSE delta events delivered.")
-	s.pushDropped = reg.Counter(MetricPushDropped, "Push connections dropped for backpressure.")
 
 	s.cache = newRespCache(defaultCacheBytes)
-	s.signal = newEpochSignal()
-	v := db.View()
-	s.agg.Store(computeAggregates(v.Epoch(), v))
+	s.signal = NewEpochSignal()
+	s.state.Store(computeState(db.View()))
 	db.OnPublish(s.onPublish)
+	s.epoch = NewEpochRoutes(nodeSource{s}, reg, nil)
 
-	s.handle("GET /v1/stats", "/v1/stats", s.handleStats)
-	s.handle("GET /v1/zones", "/v1/zones", s.handleZonesV1)
+	s.handle("GET /v1/stats", "/v1/stats", s.epoch.Stats)
+	s.handle("GET /v1/zones", "/v1/zones", s.epoch.Zones)
 	s.handle("GET /v1/domains/{name}", "/v1/domains/{name}", s.handleDomain)
 	s.handle("GET /v1/nameservers/{name}", "/v1/nameservers/{name}", s.handleNameserver)
-	s.handle("GET /v1/top/nameservers", "/v1/top/nameservers", s.handleTopNameservers)
+	s.handle("GET /v1/top/nameservers", "/v1/top/nameservers", s.epoch.TopNameservers)
 	s.handle("GET /v1/zones/{zone}/snapshot", "/v1/zones/{zone}/snapshot", s.handleSnapshot)
 	s.handle("GET /v1/deltas", "/v1/deltas", s.handleDeltas)
 
 	// Internal shard-to-coordinator surface (not part of the public API).
 	s.handle("GET /v1/internal/shard-info", "/v1/internal/shard-info", s.handleShardInfo)
 	s.handle("GET /v1/internal/ns-exposure", "/v1/internal/ns-exposure", s.handleNSExposure)
-
-	// Legacy unversioned aliases, kept for one release. They keep their
-	// own route labels so deprecated traffic stays visible in metrics.
-	s.handle("GET /stats", "/stats", s.deprecated("/stats", "/v1/stats", s.handleStats))
-	s.handle("GET /zones", "/zones", s.deprecated("/zones", "/v1/zones", s.handleZones))
-	s.handle("GET /domains/{name}", "/domains/{name}", s.deprecated("/domains/{name}", "/v1/domains/{name}", s.handleDomain))
-	s.handle("GET /nameservers/{name}", "/nameservers/{name}", s.deprecated("/nameservers/{name}", "/v1/nameservers/{name}", s.handleNameserver))
-	s.handle("GET /zones/{zone}/snapshot", "/zones/{zone}/snapshot", s.deprecated("/zones/{zone}/snapshot", "/v1/zones/{zone}/snapshot", s.handleSnapshot))
 	return s
 }
 
-// onPublish is the zonedb publish hook: refresh the hot aggregates for
-// the new epoch, retire the response cache's old working set, re-render
-// the retiring epoch's hottest keys into the new one, and only then
-// wake every parked push connection — so by the time consumers see the
-// new epoch, its hot set is already cached. It runs on the publishing
-// goroutine (Close/Adopt caller), outside the DB's write lock.
+// onPublish is the zonedb publish hook: compute the new epoch's state
+// and start serving it, retire the response cache's old working set,
+// re-render the retiring epoch's hottest keys into the new one, and
+// only then wake every parked push connection — so by the time
+// consumers see the new epoch, its hot set is already cached. It runs
+// on the publishing goroutine (Close/Adopt caller), outside the DB's
+// write lock; until it stores the new state, requests keep reading the
+// previous epoch whole.
 func (s *Server) onPublish(v *zonedb.View) {
 	var hot []string
 	if s.cache != nil {
 		// Snapshot the heat ranking before the flush erases it.
 		hot = s.cache.hottest(s.warmCount())
 	}
-	s.agg.Store(computeAggregates(v.Epoch(), v))
+	s.state.Store(computeState(v))
 	if s.cache != nil {
 		s.cache.bump(v.Epoch())
 		s.warm(hot)
 		s.updateCacheGauges()
 	}
-	s.signal.broadcast()
+	s.signal.Broadcast()
+}
+
+// nodeSource is the Source of a single node: the state its publish
+// hook last stored, never partial.
+type nodeSource struct{ s *Server }
+
+func (n nodeSource) Current() (*EpochState, <-chan struct{}) {
+	ch := n.s.signal.Wait()
+	return n.s.state.Load(), ch
+}
+
+func (nodeSource) Partial() bool { return false }
+
+// Unavailable answers a feed request against a database that was never
+// sealed: without a close day there is no boundary between "removed"
+// and "not yet sealed", so there is no feed to serve.
+func (nodeSource) Unavailable(w http.ResponseWriter) {
+	writeError(w, http.StatusNotFound, CodeNotFound,
+		"delta feed requires a sealed database (no Close recorded)")
+}
+
+// handleDeltas mounts the feed handler with the push settings current
+// at request time: Log and PushWriteTimeout are fields the embedder
+// sets after New.
+func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
+	e := *s.epoch
+	e.log, e.pushTimeout = s.Log, s.PushWriteTimeout
+	e.Deltas(w, r, st)
 }
 
 // SetCacheBytes resizes the response cache budget (default 64 MiB);
@@ -356,29 +346,6 @@ func (s *Server) updateCacheGauges() {
 	s.cacheRatio.Set(st.HitRatio())
 }
 
-// deprecated wraps a legacy alias handler with RFC 8594 headers — the
-// Sunset date after which the alias is removed, plus a pointer at the
-// versioned successor — and counts the remaining legacy traffic.
-func (s *Server) deprecated(route, successor string, h handlerFunc) handlerFunc {
-	return func(w http.ResponseWriter, r *http.Request, st store) {
-		s.legacy.With(route).Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", legacySunset)
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r, st)
-	}
-}
-
-// store pins the view a request will read. A DB that was never closed
-// has an empty published view; those (test-only) servers read the DB
-// directly, as before versioning.
-func (s *Server) store() store {
-	if v := s.db.View(); v.Closed() {
-		return v
-	}
-	return s.db
-}
-
 // Metrics returns the registry the request middleware records into.
 func (s *Server) Metrics() *obs.Registry { return s.obs }
 
@@ -403,10 +370,10 @@ func V1Routes() []string {
 	}
 }
 
-// handlerFunc is a route handler with the request's pinned store
-// threaded through: the middleware resolves the View once so the
-// protection, cache, and handler layers all observe the same epoch.
-type handlerFunc func(w http.ResponseWriter, r *http.Request, st store)
+// handlerFunc is a route handler with the request's pinned state
+// threaded through: the middleware loads it once so the protection,
+// cache, and handler layers all observe the same epoch.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, st *EpochState)
 
 // handle mounts handler at pattern behind the metrics-and-tracing
 // middleware. The route label is the pattern without the method so
@@ -464,13 +431,11 @@ func (s *Server) handle(pattern, route string, handler handlerFunc) {
 	})
 }
 
-// serve runs the protection and cache layers around handler. The store
-// is pinned exactly once; when it is a published View the response is
-// epoch-addressable: If-None-Match is answered 304 from the epoch
-// alone, and hot bodies come out of the LRU without recompute. Legacy
-// aliases and push connections bypass the cache (the former to keep
-// their Deprecation/Sunset headers per-request, the latter because a
-// stream is not a representation).
+// serve runs the protection and cache layers around handler. The state
+// is pinned exactly once and makes the response epoch-addressable:
+// If-None-Match is answered 304 from the epoch alone, and hot bodies
+// come out of the LRU without recompute. Push connections bypass the
+// cache (a stream is not a representation).
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isPush bool, handler handlerFunc) {
 	if !isWarmRequest(r) {
 		release, ok := s.admit(w, r, route, isPush)
@@ -479,9 +444,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 		}
 		defer release()
 	}
-	st := s.store()
-	v, isView := st.(*zonedb.View)
-	if !isView || isPush || !strings.HasPrefix(route, "/v1/") {
+	st := s.state.Load()
+	if isPush {
 		handler(w, r, st)
 		return
 	}
@@ -500,7 +464,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 			key += gzipKeySuffix
 		}
 	}
-	etag := makeETag(v.Epoch(), key)
+	etag := makeETag(st.Epoch, key)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		// The epoch is the validator: the client's representation came
 		// from this same immutable View, so no recompute is needed to
@@ -515,7 +479,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 		s.runHandler(rec, r, st, enc, handler)
 		return
 	}
-	if e, hit := s.cache.get(v.Epoch(), key); hit {
+	if e, hit := s.cache.get(st.Epoch, key); hit {
 		h := w.Header()
 		h.Set("ETag", etag)
 		h.Set("Content-Type", e.ctype)
@@ -538,7 +502,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 	rec := &recordingWriter{ResponseWriter: w, etag: etag}
 	s.runHandler(rec, r, st, enc, handler)
 	if rec.status == http.StatusOK && !rec.tooBig {
-		s.cache.put(v.Epoch(), key, rec.Header().Get("Content-Type"), enc,
+		s.cache.put(st.Epoch, key, rec.Header().Get("Content-Type"), enc,
 			append([]byte(nil), rec.buf.Bytes()...))
 	}
 	s.updateCacheGauges()
@@ -548,7 +512,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 // request negotiated one. The recording writer sits below the
 // compressor, so what it captures (and the cache stores) is the
 // compressed variant.
-func (s *Server) runHandler(w http.ResponseWriter, r *http.Request, st store, enc string, handler handlerFunc) {
+func (s *Server) runHandler(w http.ResponseWriter, r *http.Request, st *EpochState, enc string, handler handlerFunc) {
 	if enc != "gzip" {
 		handler(w, r, st)
 		return
@@ -556,15 +520,6 @@ func (s *Server) runHandler(w http.ResponseWriter, r *http.Request, st store, en
 	gz := newGzipWriter(w)
 	handler(gz, r, st)
 	_ = gz.Close()
-}
-
-// storeEpoch returns the epoch of a pinned View, or 0 for a live-DB
-// fallback store (epochs start at 1, so 0 never matches an aggregate).
-func storeEpoch(st store) uint64 {
-	if v, ok := st.(*zonedb.View); ok {
-		return v.Epoch()
-	}
-	return 0
 }
 
 // statusWriter captures the response status for the middleware.
@@ -622,17 +577,6 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	writeError(w, status, code, format, args...)
 }
 
-// PageWindow resolves ?cursor=&limit= against a sorted list of n keys,
-// exactly as the v1 list handlers do: it returns the [start, end)
-// window and the next cursor ("" when the window reaches the end);
-// limit == 0 means no pagination. The bool is false if the request was
-// malformed — an error response has already been written. Exported so
-// the cluster coordinator paginates merged lists with identical cursor
-// semantics (cursors are interchangeable between shard and coordinator).
-func PageWindow(w http.ResponseWriter, r *http.Request, n int, keyAt func(int) string) (int, int, string, bool) {
-	return pageWindow(w, r, n, keyAt)
-}
-
 // Error codes carried in the v1 error envelope.
 const (
 	CodeInvalidName   = "invalid_name"
@@ -662,7 +606,11 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, apiError{Error: ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-func parseName(w http.ResponseWriter, raw string) (dnsname.Name, bool) {
+// ParseName parses a name taken from a request path; the bool is false
+// if it is malformed, and the invalid_name response has been written.
+// Exported for the cluster coordinator, which must refuse a name in the
+// shards' own words before it picks the shard to ask.
+func ParseName(w http.ResponseWriter, raw string) (dnsname.Name, bool) {
 	n, err := dnsname.Parse(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidName, "invalid name %q: %v", raw, err)
@@ -722,61 +670,12 @@ func pageWindow(w http.ResponseWriter, r *http.Request, n int, keyAt func(int) s
 	return start, end, next, true
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, st store) {
-	if a := s.aggregatesFor(storeEpoch(st)); a != nil {
-		writeJSON(w, http.StatusOK, a.stats)
-		return
-	}
-	zones := st.Zones()
-	zs := make([]string, len(zones))
-	for i, z := range zones {
-		zs[i] = string(z)
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Domains:     st.NumDomains(),
-		Nameservers: st.NumNameservers(),
-		Zones:       zs,
-	})
-}
-
-// zoneList returns the sorted zone names, from the precomputed
-// aggregate when it matches the pinned epoch.
-func (s *Server) zoneList(st store) []dnsname.Name {
-	if a := s.aggregatesFor(storeEpoch(st)); a != nil {
-		return a.zones
-	}
-	return st.Zones()
-}
-
-// handleZones is the legacy /zones shape: a bare, unpaginated array.
-func (s *Server) handleZones(w http.ResponseWriter, r *http.Request, st store) {
-	zones := s.zoneList(st)
-	zs := make([]string, len(zones))
-	for i, z := range zones {
-		zs[i] = string(z)
-	}
-	writeJSON(w, http.StatusOK, zs)
-}
-
-func (s *Server) handleZonesV1(w http.ResponseWriter, r *http.Request, st store) {
-	zones := s.zoneList(st)
-	start, end, next, ok := pageWindow(w, r, len(zones), func(i int) string { return string(zones[i]) })
+func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request, st *EpochState) {
+	name, ok := ParseName(w, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	zs := make([]string, 0, end-start)
-	for _, z := range zones[start:end] {
-		zs = append(zs, string(z))
-	}
-	writeJSON(w, http.StatusOK, ZonesResponse{Zones: zs, NextCursor: next})
-}
-
-func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request, st store) {
-	name, ok := parseName(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	db := st
+	db := st.view
 	resp := DomainResponse{Name: string(name)}
 	resp.Registered = spansOf(db.DomainSpans(name))
 	hist := db.NSHistory(name)
@@ -793,25 +692,42 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request, st store) 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st store) {
-	name, ok := parseName(w, r.PathValue("name"))
+// handleNameserver answers for any name the view holds a fact about: a
+// delegation to it, or its glue. A shard can hold a nameserver's glue
+// (the host's own zone) while every delegation to it lives on other
+// shards, and the coordinator's merge needs that glue.
+func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *EpochState) {
+	name, ok := ParseName(w, r.PathValue("name"))
 	if !ok {
 		return
 	}
-	db := st
+	db := st.view
 	first := db.NSFirstSeen(name)
-	if first == dates.None {
+	glue := db.GlueSpans(name)
+	if first == dates.None && glue == nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, "nameserver %s not observed", name)
 		return
 	}
-	resp := NameserverResponse{Name: string(name), FirstSeen: first.String()}
-	resp.GlueSpans = spansOf(db.GlueSpans(name))
+	resp := NameserverResponse{Name: string(name), GlueSpans: spansOf(glue)}
+	if first != dates.None {
+		resp.FirstSeen = first.String()
+	}
 	for _, e := range db.EdgesOf(name) {
 		sp := db.EdgeSpans(e.Domain, name)
 		resp.Domains = append(resp.Domains, DomainOfNS{Domain: string(e.Domain), Spans: spansOf(sp)})
 		resp.Summary.Domains++
 		resp.Summary.DomainDays += sp.TotalDays()
 	}
+	WriteNameserverPage(w, r, &resp)
+}
+
+// WriteNameserverPage finishes a /v1/nameservers/{name} answer whose
+// Domains hold the nameserver's whole exposure in any order: it sorts
+// them, windows the list by ?cursor=&limit=, and renders. A node calls
+// it with the edges of its view, the cluster coordinator with the
+// disjoint union of its shards' answers, so the two page and render
+// alike and their cursors are interchangeable.
+func WriteNameserverPage(w http.ResponseWriter, r *http.Request, resp *NameserverResponse) {
 	sort.Slice(resp.Domains, func(i, j int) bool { return resp.Domains[i].Domain < resp.Domains[j].Domain })
 	start, end, next, ok := pageWindow(w, r, len(resp.Domains), func(i int) string { return resp.Domains[i].Domain })
 	if !ok {
@@ -822,12 +738,12 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st sto
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st store) {
-	zone, ok := parseName(w, r.PathValue("zone"))
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *EpochState) {
+	zone, ok := ParseName(w, r.PathValue("zone"))
 	if !ok {
 		return
 	}
-	db := st
+	db := st.view
 	raw := r.URL.Query().Get("date")
 	day, err := dates.Parse(raw)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dzdbapi
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -152,16 +153,13 @@ func TestMiddlewareRecordsRequests(t *testing.T) {
 		t.Fatal("expected 404")
 	}
 
-	// A raw request to a legacy alias lands under its own (legacy) route
-	// label, so deprecated traffic stays visible.
+	// The unversioned routes are retired: nothing is mounted there, so
+	// the request never reaches the middleware.
 	if resp, err := ts.Client().Get(ts.URL + "/stats"); err != nil {
 		t.Fatal(err)
 	} else {
-		if resp.Header.Get("Deprecation") == "" {
-			t.Error("legacy alias response missing Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/stats") {
-			t.Errorf("legacy alias Link = %q, want successor /v1/stats", link)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("retired /stats status = %d, want 404", resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
@@ -176,9 +174,6 @@ func TestMiddlewareRecordsRequests(t *testing.T) {
 	}
 	if got := requests.With("/v1/domains/{name}", "4xx").Value(); got != 1 {
 		t.Errorf("domains 4xx = %d, want 1", got)
-	}
-	if got := requests.With("/stats", "2xx").Value(); got != 1 {
-		t.Errorf("legacy stats 2xx = %d, want 1", got)
 	}
 	latency := reg.HistogramVec(MetricRequestSeconds, "", nil, "route")
 	if got := latency.With("/v1/domains/{name}").Count(); got != 2 {

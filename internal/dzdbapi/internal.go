@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/dnsname"
-	"repro/internal/zonedb"
 )
 
 // The /v1/internal/ routes are the shard-to-coordinator surface: they
@@ -32,13 +31,6 @@ type ShardInfoResponse struct {
 	Zones      int    `json:"zones"`
 }
 
-// NSExposureRow is one nameserver's full exposure on this shard.
-type NSExposureRow struct {
-	Nameserver string `json:"nameserver"`
-	Domains    int    `json:"domains"`
-	DomainDays int    `json:"domain_days"`
-}
-
 // NSExposureResponse is one page of /v1/internal/ns-exposure: every
 // nameserver observed by this shard, sorted by name, with its delegated
 // domain count and domain-days. A nameserver serves domains in many
@@ -47,7 +39,7 @@ type NSExposureRow struct {
 // merges by name to get exact fleet-wide distinct counts and a correct
 // global leaderboard.
 type NSExposureResponse struct {
-	Rows       []NSExposureRow `json:"rows"`
+	Rows       []TopNameserver `json:"rows"`
 	NextCursor string          `json:"next_cursor,omitempty"`
 }
 
@@ -58,7 +50,7 @@ func (s *Server) SetShardIdentity(id, count int) {
 	s.shardID, s.shardCount = id, count
 }
 
-func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st store) {
+func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	count := s.shardCount
 	if count <= 0 {
 		count = 1
@@ -66,10 +58,10 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st stor
 	resp := ShardInfoResponse{
 		ShardID:    s.shardID,
 		ShardCount: count,
-		Domains:    st.NumDomains(),
-		Zones:      len(st.Zones()),
+		Domains:    st.Stats.Domains,
+		Zones:      len(st.Stats.Zones),
 	}
-	if v, ok := st.(*zonedb.View); ok && v.Closed() {
+	if v := st.view; v.Closed() {
 		resp.Epoch = v.Epoch()
 		resp.Ready = true
 		resp.CloseDay = v.CloseDay().String()
@@ -77,9 +69,9 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st stor
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st store) {
+func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	var names []dnsname.Name
-	st.Nameservers(func(ns dnsname.Name) bool {
+	st.view.Nameservers(func(ns dnsname.Name) bool {
 		names = append(names, ns)
 		return true
 	})
@@ -88,16 +80,9 @@ func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st sto
 	if !ok {
 		return
 	}
-	rows := make([]NSExposureRow, 0, end-start)
+	rows := make([]TopNameserver, 0, end-start)
 	for _, ns := range names[start:end] {
-		row := NSExposureRow{Nameserver: string(ns)}
-		for _, e := range st.EdgesOf(ns) {
-			row.Domains++
-			if sp := st.EdgeSpans(e.Domain, ns); sp != nil {
-				row.DomainDays += sp.TotalDays()
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, exposureOf(st.view, ns))
 	}
 	writeJSON(w, http.StatusOK, NSExposureResponse{Rows: rows, NextCursor: next})
 }

@@ -33,29 +33,31 @@ const (
 	defaultPushWriteTimeout = 5 * time.Second
 )
 
-// epochSignal broadcasts "a new View was published" to any number of
+// EpochSignal broadcasts "a new epoch was published" to any number of
 // waiting push connections via the closed-channel idiom: waiters grab
 // the current channel, the publisher closes it and installs a fresh
-// one. Grabbing the channel before reading the View guarantees no
-// publish is missed between the read and the wait.
-type epochSignal struct {
+// one. Grabbing the channel before reading the state guarantees no
+// publish is missed between the read and the wait. It is the channel
+// half of a Source.
+type EpochSignal struct {
 	mu sync.Mutex
 	ch chan struct{}
 }
 
-func newEpochSignal() *epochSignal {
-	return &epochSignal{ch: make(chan struct{})}
+// NewEpochSignal returns a signal nobody has broadcast on yet.
+func NewEpochSignal() *EpochSignal {
+	return &EpochSignal{ch: make(chan struct{})}
 }
 
-// wait returns a channel closed at the next publish.
-func (e *epochSignal) wait() <-chan struct{} {
+// Wait returns a channel closed at the next Broadcast.
+func (e *EpochSignal) Wait() <-chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.ch
 }
 
-// broadcast wakes every waiter.
-func (e *epochSignal) broadcast() {
+// Broadcast wakes every waiter.
+func (e *EpochSignal) Broadcast() {
 	e.mu.Lock()
 	close(e.ch)
 	e.ch = make(chan struct{})
@@ -68,20 +70,13 @@ func wantsSSE(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-func (s *Server) pushTimeout() time.Duration {
-	if s.PushWriteTimeout > 0 {
-		return s.PushWriteTimeout
-	}
-	return defaultPushWriteTimeout
-}
-
-// handleDeltasLongPoll serves ?wait=: when the requested window is
-// empty, the request parks on the epoch signal until a publish makes
-// it non-empty or the wait expires, then answers with the ordinary
-// page envelope (empty Deltas on timeout). A caught-up follower
-// therefore holds exactly one outstanding request and still sees a new
-// epoch's days the moment Adopt lands.
-func (s *Server) handleDeltasLongPoll(w http.ResponseWriter, r *http.Request, wait time.Duration) {
+// deltasLongPoll serves ?wait=: when the requested window is empty, the
+// request parks on the source's channel until a publish makes it
+// non-empty or the wait expires, then answers with the ordinary page
+// envelope (empty Deltas on timeout). A caught-up follower therefore
+// holds exactly one outstanding request and still sees a new epoch's
+// days the moment it lands.
+func (e *EpochRoutes) deltasLongPoll(w http.ResponseWriter, r *http.Request, wait time.Duration) {
 	if wait > maxLongPollWait {
 		wait = maxLongPollWait
 	}
@@ -89,11 +84,10 @@ func (s *Server) handleDeltasLongPoll(w http.ResponseWriter, r *http.Request, wa
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {
-		ch := s.signal.wait()
-		v := s.db.View()
+		st, ch := e.src.Current()
 		expired := !time.Now().Before(deadline)
-		if v.Closed() {
-			resp, ok := s.buildDeltaPage(w, r, v)
+		if st != nil && st.Feed != nil {
+			resp, ok := deltaPage(w, r, st)
 			if !ok {
 				return
 			}
@@ -102,8 +96,7 @@ func (s *Server) handleDeltasLongPoll(w http.ResponseWriter, r *http.Request, wa
 				return
 			}
 		} else if expired {
-			writeError(w, http.StatusNotFound, CodeNotFound,
-				"delta feed requires a sealed database (no Close recorded)")
+			e.src.Unavailable(w)
 			return
 		}
 		select {
@@ -115,16 +108,15 @@ func (s *Server) handleDeltasLongPoll(w http.ResponseWriter, r *http.Request, wa
 	}
 }
 
-// handleDeltasSSE streams the delta feed as Server-Sent Events. Each
-// "deltas" event carries one DeltasResponse JSON document covering a
-// contiguous day window; the stream starts at ?from= (or the feed
-// start), sends everything already sealed, then parks on the epoch
-// signal and pushes each new publish's days as they land. Backpressure
-// is a per-event write deadline: a consumer that cannot drain the
-// socket within PushWriteTimeout is disconnected (it can reconnect
-// from its last applied day), so a slow reader never queues unbounded
-// state server-side.
-func (s *Server) handleDeltasSSE(w http.ResponseWriter, r *http.Request) {
+// deltasSSE streams the delta feed as Server-Sent Events. Each "deltas"
+// event carries one DeltasResponse JSON document covering a contiguous
+// day window; the stream starts at ?from= (or the feed start), sends
+// everything already sealed, then parks on the source's channel and
+// pushes each new epoch's days as they land. Backpressure is a
+// per-event write deadline: a consumer that cannot drain the socket in
+// time is disconnected (it can reconnect from its last applied day), so
+// a slow reader never queues unbounded state server-side.
+func (e *EpochRoutes) deltasSSE(w http.ResponseWriter, r *http.Request) {
 	pos := dates.None
 	if raw := r.URL.Query().Get("from"); raw != "" {
 		d, err := dates.Parse(raw)
@@ -144,32 +136,21 @@ func (s *Server) handleDeltasSSE(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for {
-		ch := s.signal.wait()
-		v := s.db.View()
-		if v.Closed() {
-			idx, err := s.deltas.get(v)
-			if err != nil {
-				return
-			}
-			if idx.First() != dates.None {
-				if pos == dates.None || pos < idx.First() {
-					pos = idx.First()
+		st, ch := e.src.Current()
+		if st != nil && st.Feed != nil {
+			if first, last := st.Feed.Window(); first != dates.None {
+				if pos == dates.None || pos < first {
+					pos = first
 				}
-				for pos <= idx.Last() {
-					end := pos + sseBatchDays - 1
-					if end > idx.Last() {
-						end = idx.Last()
-					}
-					resp := DeltasResponse{Epoch: idx.Epoch(), FirstDay: idx.First(), CloseDay: idx.Last()}
-					resp.Deltas = make([]DayDeltaJSON, 0, int(end-pos)+1)
-					for d := pos; d <= end; d++ {
-						resp.Deltas = append(resp.Deltas, dayDeltaJSON(idx.Day(d)))
-					}
-					if err := s.writeSSEEvent(w, rc, "deltas", resp); err != nil {
-						s.pushDropped.Inc()
+				for pos <= last {
+					end := min(pos+sseBatchDays-1, last)
+					resp := DeltasResponse{Epoch: st.Epoch, FirstDay: first, CloseDay: last,
+						Deltas: st.Feed.Days(pos, int(end-pos)+1)}
+					if err := e.writeSSEEvent(w, rc, "deltas", resp); err != nil {
+						e.dropped.Inc()
 						return
 					}
-					s.pushEvents.Inc()
+					e.events.Inc()
 					pos = end + 1
 				}
 			}
@@ -183,13 +164,17 @@ func (s *Server) handleDeltasSSE(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSSEEvent emits one event frame under the push write deadline.
-func (s *Server) writeSSEEvent(w http.ResponseWriter, rc *http.ResponseController, event string, v any) error {
+func (e *EpochRoutes) writeSSEEvent(w http.ResponseWriter, rc *http.ResponseController, event string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if err := rc.SetWriteDeadline(time.Now().Add(s.pushTimeout())); err != nil && s.Log != nil {
-		s.Log.Warn("push: no write-deadline support; slow consumers unbounded", "err", err)
+	timeout := defaultPushWriteTimeout
+	if e.pushTimeout > 0 {
+		timeout = e.pushTimeout
+	}
+	if err := rc.SetWriteDeadline(time.Now().Add(timeout)); err != nil && e.log != nil {
+		e.log.Warn("push: no write-deadline support; slow consumers unbounded", "err", err)
 	}
 	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
 		return err

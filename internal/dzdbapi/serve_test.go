@@ -229,41 +229,6 @@ func TestTopNameservers(t *testing.T) {
 	}
 }
 
-// TestLegacySunset pins the RFC 8594 deprecation surface on the
-// unversioned aliases: headers, the dedicated traffic metric, and that
-// aliases stay out of the response cache (their headers are
-// per-request).
-func TestLegacySunset(t *testing.T) {
-	srv := New(testDB())
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	for i := 0; i < 2; i++ {
-		resp := get(t, ts.URL+"/stats")
-		if got := resp.Header.Get("Sunset"); got != legacySunset {
-			t.Errorf("Sunset = %q, want %q", got, legacySunset)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Error("missing Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, `</v1/stats>; rel="successor-version"`) {
-			t.Errorf("Link = %q", link)
-		}
-		if xc := resp.Header.Get("X-Cache"); xc != "" {
-			t.Errorf("legacy alias went through the cache: X-Cache=%q", xc)
-		}
-	}
-	reg := srv.Metrics()
-	if got := reg.CounterVec(MetricLegacyRequests, "", "route").With("/stats").Value(); got != 2 {
-		t.Errorf("legacy traffic counter = %d, want 2", got)
-	}
-	// v1 traffic does not count as legacy.
-	get(t, ts.URL+"/v1/stats")
-	if got := reg.CounterVec(MetricLegacyRequests, "", "route").With("/v1/stats").Value(); got != 0 {
-		t.Errorf("v1 route counted as legacy: %d", got)
-	}
-}
-
 // TestClientConditionalRequests drives the client-side half: with a
 // CondCache attached the second call revalidates (304, decoded from the
 // stored body) and an Adopt forces a fresh download.
@@ -328,5 +293,52 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if st := srv.CacheStats(); st != (CacheStats{}) {
 		t.Errorf("disabled cache stats = %+v, want zero", st)
+	}
+}
+
+// TestNeverClosedDBServesEmptyView pins what a server over a database
+// that recorded events but never sealed them answers: what that
+// database publishes — the empty view — not the writer's half-built
+// generation.
+func TestNeverClosedDBServesEmptyView(t *testing.T) {
+	db := zonedb.New()
+	db.DomainAdded("net", "whitecounty.net", d(0))
+	db.DelegationAdded("net", "whitecounty.net", "ns2.internetemc.com", d(0))
+	db.GlueAdded("com", "ns2.internetemc.com", d(0))
+	ts := httptest.NewServer(New(db))
+	t.Cleanup(ts.Close)
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	resp := get(t, ts.URL+"/v1/stats")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+		t.Fatalf("/v1/stats: status %d, ETag %q", resp.StatusCode, resp.Header.Get("ETag"))
+	}
+	var stats StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Domains != 0 || stats.Nameservers != 0 || len(stats.Zones) != 0 {
+		t.Errorf("stats of an unsealed database = %+v, want all zero", stats)
+	}
+
+	for _, path := range []string{"/v1/domains/whitecounty.net", "/v1/nameservers/ns2.internetemc.com", "/v1/deltas"} {
+		if status, ae := rawError(t, ts.URL, path); status != http.StatusNotFound || ae.Error.Code != CodeNotFound {
+			t.Errorf("GET %s = %d %q, want 404 %q", path, status, ae.Error.Code, CodeNotFound)
+		}
+	}
+
+	info, err := c.ShardInfo(ctx)
+	if err != nil {
+		t.Fatalf("ShardInfo: %v", err)
+	}
+	if info.Ready || info.Epoch != 0 || info.CloseDay != "" || info.Domains != 0 {
+		t.Errorf("shard-info of an unsealed database = %+v, want not ready and empty", info)
+	}
+
+	// Sealing publishes the events, and the same server serves them.
+	db.Close(d(10))
+	if _, err := c.DomainContext(ctx, "whitecounty.net"); err != nil {
+		t.Errorf("after Close: %v", err)
 	}
 }

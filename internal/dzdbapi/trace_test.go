@@ -75,7 +75,7 @@ func TestMalformedTraceparentStartsFreshRoot(t *testing.T) {
 		"00-ZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZ-0000000000000001-01",
 		"00-00000000000000000000000000000000-0000000000000000-01",
 	} {
-		req, err := http.NewRequest("GET", ts.URL+"/stats", nil)
+		req, err := http.NewRequest("GET", ts.URL+"/v1/stats", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

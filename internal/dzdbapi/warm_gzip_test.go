@@ -195,7 +195,7 @@ func TestShardInternalEndpoints(t *testing.T) {
 
 	// Walk the exposure table one row at a time; rows arrive sorted by
 	// name and the page walk covers every nameserver exactly once.
-	var rows []NSExposureRow
+	var rows []TopNameserver
 	cursor := ""
 	for {
 		page, err := c.NSExposure(ctx, cursor, 1)

@@ -100,8 +100,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Rollup aggregates the journal per span name — what riskybench folds
-// into BENCH_pipeline.json.
+// Rollup aggregates the journal per span name: how often a stage ran,
+// for how long in total, over how many items.
 type Rollup struct {
 	Name  string        `json:"name"`
 	Count int           `json:"count"`

@@ -23,35 +23,21 @@ import (
 // stance of the methodology.
 const maxDepth = 4
 
-// ZoneData is the read surface static resolution needs from the
-// longitudinal zone database. Both *zonedb.DB and the immutable
-// *zonedb.View satisfy it; concurrent resolvers should each hold a View
-// so every lookup is lock-free and pinned to one published generation.
-type ZoneData interface {
-	GlueSpans(host dnsname.Name) *interval.Set
-	NSHistory(domain dnsname.Name) map[dnsname.Name]*interval.Set
-	NSFirstSeen(ns dnsname.Name) dates.Day
-}
-
-var (
-	_ ZoneData = (*zonedb.DB)(nil)
-	_ ZoneData = (*zonedb.View)(nil)
-)
-
-// Static computes static resolvability against a longitudinal zone
-// database. It memoizes per-nameserver results, so one instance should be
-// reused across the whole detection run.
+// Static computes static resolvability against one published view of the
+// longitudinal zone database, so every lookup is lock-free and pinned to
+// one generation. It memoizes per-nameserver results, so one instance
+// should be reused across the whole detection run.
 type Static struct {
-	db    ZoneData
+	db    *zonedb.View
 	memo  map[dnsname.Name]*interval.Set
 	inRun map[dnsname.Name]bool
 }
 
-// NewStatic returns a Static resolver over db. The database must be
-// closed (zonedb.DB.Close) before use.
-func NewStatic(db ZoneData) *Static {
+// NewStatic returns a Static resolver over v, which must be sealed
+// (zonedb.DB.Close) to resolve anything.
+func NewStatic(v *zonedb.View) *Static {
 	return &Static{
-		db:    db,
+		db:    v,
 		memo:  make(map[dnsname.Name]*interval.Set),
 		inRun: make(map[dnsname.Name]bool),
 	}

@@ -41,7 +41,7 @@ func buildDB() *zonedb.DB {
 }
 
 func TestGlueMakesResolvable(t *testing.T) {
-	s := NewStatic(buildDB())
+	s := NewStatic(buildDB().View())
 	if !s.ResolvableOn("ns1.provider.com", d(10)) {
 		t.Error("glue-backed NS should resolve")
 	}
@@ -51,7 +51,7 @@ func TestGlueMakesResolvable(t *testing.T) {
 }
 
 func TestDelegationChainResolvable(t *testing.T) {
-	s := NewStatic(buildDB())
+	s := NewStatic(buildDB().View())
 	// ns.child.org has no glue, but child.org is delegated to a
 	// glue-backed NS: one-level chain.
 	if !s.ResolvableOn("ns.child.org", d(10)) {
@@ -63,7 +63,7 @@ func TestDelegationChainResolvable(t *testing.T) {
 }
 
 func TestSacrificialUnresolvable(t *testing.T) {
-	s := NewStatic(buildDB())
+	s := NewStatic(buildDB().View())
 	if s.ResolvableOn("dropthishost-1.biz", d(60)) {
 		t.Error("sacrificial NS should be unresolvable")
 	}
@@ -90,7 +90,7 @@ func TestSelfDelegationLoopTerminates(t *testing.T) {
 	db.DelegationAdded("com", "a.com", "ns.b.com", d(0))
 	db.DelegationAdded("com", "b.com", "ns.a.com", d(0))
 	db.Close(d(10))
-	s := NewStatic(db)
+	s := NewStatic(db.View())
 	if s.ResolvableOn("ns.a.com", d(5)) || s.ResolvableOn("ns.b.com", d(5)) {
 		t.Error("glueless cycle must be unresolvable")
 	}
@@ -102,14 +102,14 @@ func TestSelfHostedWithGlue(t *testing.T) {
 	db.GlueAdded("com", "ns1.self.com", d(0))
 	db.DelegationAdded("com", "self.com", "ns1.self.com", d(0))
 	db.Close(d(10))
-	s := NewStatic(db)
+	s := NewStatic(db.View())
 	if !s.ResolvableOn("ns1.self.com", d(5)) {
 		t.Error("self-hosted with glue should resolve")
 	}
 }
 
 func TestMemoizationConsistency(t *testing.T) {
-	s := NewStatic(buildDB())
+	s := NewStatic(buildDB().View())
 	a := s.ResolvableSpans("ns.child.org").TotalDays()
 	b := s.ResolvableSpans("ns.child.org").TotalDays()
 	if a != b {
@@ -131,7 +131,7 @@ func TestDepthLimit(t *testing.T) {
 	db.GlueAdded("x", dn("ns."+names[len(names)-1]), d(0))
 	db.DelegationAdded("x", dn(names[len(names)-1]), dn("ns."+names[len(names)-1]), d(0))
 	db.Close(d(10))
-	s := NewStatic(db)
+	s := NewStatic(db.View())
 	// ns.a.com needs 6 hops; the resolver gives up (conservative).
 	if s.ResolvableOn(dn("ns."+names[0]), d(5)) {
 		t.Error("over-deep chain should be treated as unresolvable")

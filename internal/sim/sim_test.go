@@ -65,7 +65,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestTruthConsistentWithZoneData(t *testing.T) {
 	w := shared(t)
-	db := w.ZoneDB()
+	db := w.ZoneDB().View()
 	// A rename is invisible to daily zone files when every linked domain
 	// was itself deleted later the same day (typically a brand-alt
 	// expiring together with its provider). Tolerate a small fraction.
@@ -146,7 +146,7 @@ func TestAccidentTimeline(t *testing.T) {
 	if len(tr.AccidentNS) == 0 {
 		t.Fatal("accident produced no sacrificial names")
 	}
-	db := w.ZoneDB()
+	db := w.ZoneDB().View()
 	peak := map[dnsname.Name]bool{}
 	after3 := map[dnsname.Name]bool{}
 	for _, ns := range tr.AccidentNS {
@@ -181,7 +181,7 @@ func TestRestrictedTLDsExposed(t *testing.T) {
 	// .edu/.gov domains must occasionally be rewritten by .com renames —
 	// the Figure 2 scoping property.
 	w := shared(t)
-	db := w.ZoneDB()
+	db := w.ZoneDB().View()
 	found := false
 	for _, rn := range w.Truth().Renames {
 		for _, e := range db.EdgesOf(rn.New) {
@@ -198,7 +198,7 @@ func TestRestrictedTLDsExposed(t *testing.T) {
 
 func TestSinkDomainsStayRegistered(t *testing.T) {
 	w := shared(t)
-	db := w.ZoneDB()
+	db := w.ZoneDB().View()
 	for _, sink := range []dnsname.Name{"lamedelegation.org", "delete-host.com", "deletedns.com"} {
 		if !db.DomainRegisteredOn(sink, WindowEnd) {
 			t.Errorf("sink %s not registered at window end", sink)

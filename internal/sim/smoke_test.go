@@ -19,7 +19,7 @@ func TestSmokeEndToEnd(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	tr := w.Truth()
-	t.Logf("domains ever: %d, nameservers ever: %d", w.ZoneDB().NumDomains(), w.ZoneDB().NumNameservers())
+	t.Logf("domains ever: %d, nameservers ever: %d", w.ZoneDB().View().NumDomains(), w.ZoneDB().View().NumNameservers())
 	t.Logf("truth renames: %d (hijackable NS: %d), hijacks: %d, testNS: %d, accidentNS: %d",
 		len(tr.Renames), len(tr.HijackableSet()), len(tr.Hijacks), len(tr.TestNS), len(tr.AccidentNS))
 

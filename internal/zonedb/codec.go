@@ -73,13 +73,9 @@ func sortedKeys[K ~string, V any](m map[K]V) []K {
 	return keys
 }
 
-// WriteArchive archives the database. The DB must be closed first so every
-// span is materialized.
-func (db *DB) WriteArchive(w io.Writer) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.writeArchive(w)
-}
+// WriteArchive archives the database's published view. The DB must be
+// closed first so every span is materialized.
+func (db *DB) WriteArchive(w io.Writer) error { return db.View().WriteArchive(w) }
 
 // WriteArchive archives the view. The view's generation must have been
 // sealed by Close so every span is materialized.

@@ -23,29 +23,30 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err := db.WriteArchive(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	back, err := ReadFrom(&buf)
+	loaded, err := ReadFrom(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
-	if back.NumDomains() != db.NumDomains() || back.NumNameservers() != db.NumNameservers() {
+	src, back := db.View(), loaded.View()
+	if back.NumDomains() != src.NumDomains() || back.NumNameservers() != src.NumNameservers() {
 		t.Fatalf("counts differ: %d/%d vs %d/%d",
-			back.NumDomains(), back.NumNameservers(), db.NumDomains(), db.NumNameservers())
+			back.NumDomains(), back.NumNameservers(), src.NumDomains(), src.NumNameservers())
 	}
 	for _, pair := range [][2]string{
 		{"foo.com", "ns1.foo.com"},
 		{"bar.net", "ns1.foo.com"},
 		{"bar.net", "dropthishost-z.biz"},
 	} {
-		a := db.EdgeSpans(dn(pair[0]), dn(pair[1]))
+		a := src.EdgeSpans(dn(pair[0]), dn(pair[1]))
 		b := back.EdgeSpans(dn(pair[0]), dn(pair[1]))
 		if a.String() != b.String() {
 			t.Errorf("edge %v spans differ: %s vs %s", pair, a.String(), b.String())
 		}
 	}
-	if db.GlueSpans("ns1.foo.com").String() != back.GlueSpans("ns1.foo.com").String() {
+	if src.GlueSpans("ns1.foo.com").String() != back.GlueSpans("ns1.foo.com").String() {
 		t.Error("glue spans differ")
 	}
-	if db.DomainSpans("foo.com").String() != back.DomainSpans("foo.com").String() {
+	if src.DomainSpans("foo.com").String() != back.DomainSpans("foo.com").String() {
 		t.Error("domain spans differ")
 	}
 	if len(back.Zones()) != 2 {
@@ -150,8 +151,8 @@ func TestArchiveLegacyV1StillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy archive rejected: %v", err)
 	}
-	if db.NumDomains() != 1 {
-		t.Fatalf("NumDomains = %d", db.NumDomains())
+	if n := db.View().NumDomains(); n != 1 {
+		t.Fatalf("NumDomains = %d", n)
 	}
 }
 

@@ -234,7 +234,7 @@ func TestDegradedIngestSurvivesReadFaults(t *testing.T) {
 		t.Fatalf("second entry = %+v", e)
 	}
 	db := ing.Finish()
-	if got := db.EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 1 {
+	if got := db.View().EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 1 {
 		t.Fatalf("a.com edge days = %d, want 1 (only day 0 ingested)", got)
 	}
 }

@@ -19,9 +19,9 @@ func Example() {
 	db.DelegationAdded("net", "whitecounty.net", "ns2.internetemc1aj2kdy.biz", renameDay)
 	db.Close(dates.FromYMD(2020, 9, 30))
 
-	first := db.NSFirstSeen("ns2.internetemc1aj2kdy.biz")
+	first := db.View().NSFirstSeen("ns2.internetemc1aj2kdy.biz")
 	fmt.Println("candidate first seen:", first)
-	fmt.Println("delegation the day before:", db.NSOn("whitecounty.net", first-1))
+	fmt.Println("delegation the day before:", db.View().NSOn("whitecounty.net", first-1))
 	// Output:
 	// candidate first seen: 2019-07-01
 	// delegation the day before: [ns2.internetemc.com]

@@ -54,15 +54,15 @@ func TestIngestMatchesEvents(t *testing.T) {
 	for _, p := range []probe{
 		{"a.com", "ns1.a.com"}, {"b.com", "ns1.a.com"}, {"b.com", "dropthishost-q.biz"},
 	} {
-		a, b := ev.EdgeSpans(p.dom, p.ns), ing.EdgeSpans(p.dom, p.ns)
+		a, b := ev.View().EdgeSpans(p.dom, p.ns), ing.View().EdgeSpans(p.dom, p.ns)
 		if a.String() != b.String() {
 			t.Errorf("edge %v: events %s vs ingest %s", p, a.String(), b.String())
 		}
 	}
-	if ev.GlueSpans("ns1.a.com").String() != ing.GlueSpans("ns1.a.com").String() {
+	if ev.View().GlueSpans("ns1.a.com").String() != ing.View().GlueSpans("ns1.a.com").String() {
 		t.Error("glue spans differ")
 	}
-	if ev.NSFirstSeen("dropthishost-q.biz") != ing.NSFirstSeen("dropthishost-q.biz") {
+	if ev.View().NSFirstSeen("dropthishost-q.biz") != ing.View().NSFirstSeen("dropthishost-q.biz") {
 		t.Error("first-seen differs")
 	}
 }
@@ -104,13 +104,13 @@ func TestIngestMultipleZonesIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := ing.Finish()
-	if got := db.EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 3 {
+	if got := db.View().EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 3 {
 		t.Errorf("a.com edge days = %d", got)
 	}
-	if got := db.EdgeSpans("b.org", "ns1.x.net").TotalDays(); got != 1 {
+	if got := db.View().EdgeSpans("b.org", "ns1.x.net").TotalDays(); got != 1 {
 		t.Errorf("b.org edge days = %d", got)
 	}
-	if len(db.Zones()) != 2 {
-		t.Errorf("zones = %v", db.Zones())
+	if len(db.View().Zones()) != 2 {
+		t.Errorf("zones = %v", db.View().Zones())
 	}
 }

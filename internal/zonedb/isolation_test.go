@@ -234,12 +234,12 @@ func TestQuarantineMidSeriesKeepsPerZoneEnds(t *testing.T) {
 	}
 	db := ing.Finish()
 
-	if got := db.EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 5 {
+	if got := db.View().EdgeSpans("a.com", "ns1.x.net").TotalDays(); got != 5 {
 		t.Errorf("healthy zone edge days = %d, want 5", got)
 	}
 	// The regression: org's facts used to be sealed at the database-wide
 	// close day (4), inventing three days of presence nobody observed.
-	if got := db.EdgeSpans("b.org", "ns2.x.net").TotalDays(); got != 2 {
+	if got := db.View().EdgeSpans("b.org", "ns2.x.net").TotalDays(); got != 2 {
 		t.Errorf("quarantined zone edge days = %d, want 2 (days 0-1 only)", got)
 	}
 	v := db.View()

@@ -7,7 +7,7 @@
 // registry reports changes as they happen (registry.Recorder), and the DB
 // closes the affected interval; the result is bit-identical to diffing
 // daily snapshots at one-day granularity, at event cost instead of
-// snapshot cost. SnapshotOn reconstructs any single day's zone file.
+// snapshot cost. View.SnapshotOn reconstructs any single day's zone file.
 //
 // # Snapshot isolation
 //
@@ -21,11 +21,12 @@
 // database the same way, which is how dzdbd keeps serving reads during a
 // full re-ingest.
 //
-// The DB's own query methods remain for single-threaded callers; they
-// read the live generation under the writer mutex and behave exactly as
-// the pre-epoch store did.
+// The View is the only read API: the DB itself has no query methods, so
+// nothing can read the writer's half-built generation, and a DB that
+// recorded events but was never closed reads as what it publishes — the
+// empty view.
 //
-// The DB deliberately exposes only zone-derivable queries. The detector
+// The View deliberately exposes only zone-derivable queries. The detector
 // is built exclusively on this interface plus WHOIS, never on simulator
 // ground truth.
 package zonedb
@@ -37,7 +38,6 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
-	"repro/internal/dnszone"
 	"repro/internal/interval"
 )
 
@@ -437,164 +437,4 @@ func (db *DB) CloseZones(last map[dnsname.Name]dates.Day) {
 	v := db.cur.Load()
 	db.mu.Unlock()
 	db.firePublish(v)
-}
-
-// The query methods below preserve the pre-epoch API: they read the live
-// build generation under the writer mutex. Concurrent-read hot paths
-// should take View() once instead.
-
-// EdgeSpans returns the presence intervals of a delegation edge, or nil.
-func (db *DB) EdgeSpans(domain, ns dnsname.Name) *interval.Set {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.EdgeSpans(domain, ns)
-}
-
-// DomainSpans returns the registration intervals of a domain, or nil if
-// the domain was never observed.
-func (db *DB) DomainSpans(domain dnsname.Name) *interval.Set {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.DomainSpans(domain)
-}
-
-// GlueSpans returns the glue-presence intervals of a host, or nil.
-func (db *DB) GlueSpans(host dnsname.Name) *interval.Set {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.GlueSpans(host)
-}
-
-// DomainRegisteredOn reports whether domain was registered on day.
-func (db *DB) DomainRegisteredOn(domain dnsname.Name, day dates.Day) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.DomainRegisteredOn(domain, day)
-}
-
-// DomainFirstSeen returns the first day domain was observed registered,
-// or dates.None.
-func (db *DB) DomainFirstSeen(domain dnsname.Name) dates.Day {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.DomainFirstSeen(domain)
-}
-
-// DomainFirstSeenAfter returns the first day >= from on which domain was
-// registered, or dates.None.
-func (db *DB) DomainFirstSeenAfter(domain dnsname.Name, from dates.Day) dates.Day {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.DomainFirstSeenAfter(domain, from)
-}
-
-// NSFirstSeen returns the first day any domain delegated to ns, or
-// dates.None if ns never appeared.
-func (db *DB) NSFirstSeen(ns dnsname.Name) dates.Day {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.NSFirstSeen(ns)
-}
-
-// DomainsOf returns every domain that ever delegated to ns, sorted.
-func (db *DB) DomainsOf(ns dnsname.Name) []dnsname.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.DomainsOf(ns)
-}
-
-// EdgesOf returns the delegation edges pointing at ns. The slice is owned
-// by the DB.
-func (db *DB) EdgesOf(ns dnsname.Name) []Edge {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.EdgesOf(ns)
-}
-
-// NSHistory returns every nameserver domain ever delegated to, with the
-// presence intervals of each edge.
-func (db *DB) NSHistory(domain dnsname.Name) map[dnsname.Name]*interval.Set {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.NSHistory(domain)
-}
-
-// NSOn returns the nameserver set of domain on day, sorted.
-func (db *DB) NSOn(domain dnsname.Name, day dates.Day) []dnsname.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.NSOn(domain, day)
-}
-
-// Nameservers calls fn for every nameserver name ever observed in a
-// delegation, in unspecified order, stopping if fn returns false.
-// The name set is copied before fn runs, so the callback may freely
-// call other DB methods without deadlocking on the store's lock.
-func (db *DB) Nameservers(fn func(ns dnsname.Name) bool) {
-	for _, ns := range db.nameserverNames() {
-		if !fn(ns) {
-			return
-		}
-	}
-}
-
-func (db *DB) nameserverNames() []dnsname.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]dnsname.Name, 0, len(db.gen.tables.byNS))
-	for ns := range db.gen.tables.byNS {
-		names = append(names, ns)
-	}
-	return names
-}
-
-// Domains calls fn for every domain ever observed registered, in
-// unspecified order, stopping if fn returns false. Like Nameservers,
-// the lock is not held while fn runs.
-func (db *DB) Domains(fn func(domain dnsname.Name) bool) {
-	for _, d := range db.domainNames() {
-		if !fn(d) {
-			return
-		}
-	}
-}
-
-func (db *DB) domainNames() []dnsname.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]dnsname.Name, 0, len(db.gen.tables.domains))
-	for d := range db.gen.tables.domains {
-		names = append(names, d)
-	}
-	return names
-}
-
-// NumNameservers returns the number of distinct nameserver names ever
-// observed.
-func (db *DB) NumNameservers() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.NumNameservers()
-}
-
-// NumDomains returns the number of distinct domains ever observed.
-func (db *DB) NumDomains() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.NumDomains()
-}
-
-// Zones returns the observed zones, sorted.
-func (db *DB) Zones() []dnsname.Name {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.Zones()
-}
-
-// SnapshotOn reconstructs the zone file of one TLD on one day, as if the
-// daily snapshot had been archived.
-func (db *DB) SnapshotOn(zone dnsname.Name, day dates.Day) *dnszone.Snapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.gen.SnapshotOn(zone, day)
 }

@@ -17,7 +17,7 @@ func TestEdgeLifecycle(t *testing.T) {
 	db.DelegationAdded("com", "foo.com", "ns1.x.net", d(30))
 	db.Close(d(40))
 
-	spans := db.EdgeSpans("foo.com", "ns1.x.net")
+	spans := db.View().EdgeSpans("foo.com", "ns1.x.net")
 	if spans == nil {
 		t.Fatal("edge missing")
 	}
@@ -37,7 +37,7 @@ func TestDuplicateEventsIgnored(t *testing.T) {
 	db.DelegationRemoved("com", "a.com", "ns.x.net", d(10))
 	db.DelegationRemoved("com", "a.com", "ns.x.net", d(12)) // already closed
 	db.Close(d(20))
-	if got := db.EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 5 {
+	if got := db.View().EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 5 {
 		t.Fatalf("TotalDays = %d, want 5", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestSameDayAddRemove(t *testing.T) {
 	db.DelegationAdded("com", "a.com", "ns.x.net", d(5))
 	db.DelegationRemoved("com", "a.com", "ns.x.net", d(5))
 	db.Close(d(20))
-	if got := db.EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 0 {
+	if got := db.View().EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 0 {
 		t.Fatalf("TotalDays = %d, want 0", got)
 	}
 }
@@ -60,16 +60,17 @@ func TestDomainPresence(t *testing.T) {
 	db.DomainRemoved("biz", "x.biz", d(465))
 	db.DomainAdded("biz", "x.biz", d(500)) // re-registration
 	db.Close(d(600))
-	if db.DomainFirstSeen("x.biz") != d(100) {
+	v := db.View()
+	if v.DomainFirstSeen("x.biz") != d(100) {
 		t.Error("first seen wrong")
 	}
-	if db.DomainFirstSeenAfter("x.biz", d(466)) != d(500) {
+	if v.DomainFirstSeenAfter("x.biz", d(466)) != d(500) {
 		t.Error("re-registration not found")
 	}
-	if !db.DomainRegisteredOn("x.biz", d(464)) || db.DomainRegisteredOn("x.biz", d(470)) {
+	if !v.DomainRegisteredOn("x.biz", d(464)) || v.DomainRegisteredOn("x.biz", d(470)) {
 		t.Error("presence boundaries wrong")
 	}
-	if db.DomainFirstSeen("ghost.biz") != dates.None {
+	if v.DomainFirstSeen("ghost.biz") != dates.None {
 		t.Error("unknown domain should be None")
 	}
 }
@@ -81,20 +82,21 @@ func TestNSQueries(t *testing.T) {
 	db.DelegationAdded("com", "a.com", "ns2.p.com", d(10))
 	db.DelegationRemoved("com", "a.com", "ns1.p.com", d(20))
 	db.Close(d(30))
+	v := db.View()
 
-	if db.NSFirstSeen("ns1.p.com") != d(10) {
+	if v.NSFirstSeen("ns1.p.com") != d(10) {
 		t.Error("NSFirstSeen wrong")
 	}
-	if got := db.DomainsOf("ns1.p.com"); !reflect.DeepEqual(got, []dnsname.Name{"a.com", "b.com"}) {
+	if got := v.DomainsOf("ns1.p.com"); !reflect.DeepEqual(got, []dnsname.Name{"a.com", "b.com"}) {
 		t.Fatalf("DomainsOf = %v", got)
 	}
-	if got := db.NSOn("a.com", d(12)); !reflect.DeepEqual(got, []dnsname.Name{"ns1.p.com", "ns2.p.com"}) {
+	if got := v.NSOn("a.com", d(12)); !reflect.DeepEqual(got, []dnsname.Name{"ns1.p.com", "ns2.p.com"}) {
 		t.Fatalf("NSOn(12) = %v", got)
 	}
-	if got := db.NSOn("a.com", d(25)); !reflect.DeepEqual(got, []dnsname.Name{"ns2.p.com"}) {
+	if got := v.NSOn("a.com", d(25)); !reflect.DeepEqual(got, []dnsname.Name{"ns2.p.com"}) {
 		t.Fatalf("NSOn(25) = %v", got)
 	}
-	hist := db.NSHistory("a.com")
+	hist := v.NSHistory("a.com")
 	if len(hist) != 2 || hist["ns1.p.com"].Last() != d(19) {
 		t.Fatalf("NSHistory = %v", hist)
 	}
@@ -105,7 +107,7 @@ func TestGlue(t *testing.T) {
 	db.GlueAdded("com", "ns1.p.com", d(5))
 	db.GlueRemoved("com", "ns1.p.com", d(15))
 	db.Close(d(20))
-	g := db.GlueSpans("ns1.p.com")
+	g := db.View().GlueSpans("ns1.p.com")
 	if g == nil || g.TotalDays() != 10 {
 		t.Fatalf("glue spans = %v", g)
 	}
@@ -117,7 +119,7 @@ func TestCloseReopens(t *testing.T) {
 	db.Close(d(10))
 	// More events after a close; second close extends.
 	db.Close(d(15))
-	if got := db.EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 11 {
+	if got := db.View().EdgeSpans("a.com", "ns.x.net").TotalDays(); got != 11 {
 		t.Fatalf("TotalDays after re-close = %d, want 11", got)
 	}
 }
@@ -128,19 +130,20 @@ func TestCounts(t *testing.T) {
 	db.DomainAdded("net", "b.net", d(1))
 	db.DelegationAdded("com", "a.com", "ns1.b.net", d(1))
 	db.Close(d(5))
-	if db.NumDomains() != 2 || db.NumNameservers() != 1 {
-		t.Fatalf("counts: %d domains, %d ns", db.NumDomains(), db.NumNameservers())
+	v := db.View()
+	if v.NumDomains() != 2 || v.NumNameservers() != 1 {
+		t.Fatalf("counts: %d domains, %d ns", v.NumDomains(), v.NumNameservers())
 	}
-	if got := db.Zones(); !reflect.DeepEqual(got, []dnsname.Name{"com", "net"}) {
+	if got := v.Zones(); !reflect.DeepEqual(got, []dnsname.Name{"com", "net"}) {
 		t.Fatalf("Zones = %v", got)
 	}
 	n := 0
-	db.Nameservers(func(dnsname.Name) bool { n++; return true })
+	v.Nameservers(func(dnsname.Name) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("Nameservers visited %d", n)
 	}
 	n = 0
-	db.Domains(func(dnsname.Name) bool { n++; return false })
+	v.Domains(func(dnsname.Name) bool { n++; return false })
 	if n != 1 {
 		t.Fatal("Domains early stop broken")
 	}
@@ -154,12 +157,13 @@ func TestSnapshotOn(t *testing.T) {
 	db.DelegationAdded("com", "b.com", "dropthishost-1.biz", d(10))
 	db.DelegationRemoved("com", "b.com", "dropthishost-1.biz", d(12))
 	db.Close(d(20))
+	v := db.View()
 
-	snap := db.SnapshotOn("com", d(11))
+	snap := v.SnapshotOn("com", d(11))
 	if snap.NumDomains() != 2 {
 		t.Fatalf("snapshot domains = %d", snap.NumDomains())
 	}
-	snap2 := db.SnapshotOn("com", d(15))
+	snap2 := v.SnapshotOn("com", d(15))
 	if snap2.NumDomains() != 1 {
 		t.Fatalf("snapshot after removal = %d", snap2.NumDomains())
 	}
@@ -167,7 +171,7 @@ func TestSnapshotOn(t *testing.T) {
 		t.Fatalf("glue = %v", snap.Glue)
 	}
 	// Zone filter: nothing from .com shows in .biz.
-	if db.SnapshotOn("biz", d(11)).NumDomains() != 0 {
+	if v.SnapshotOn("biz", d(11)).NumDomains() != 0 {
 		t.Error("zone filter broken")
 	}
 }

@@ -182,7 +182,7 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 // differ only requires per-zone chronology, so the zone-outer order is
 // equivalent to the day-outer one).
 func reingest(ctx context.Context, world *sim.World, opts Options) (*zonedb.DB, zonedb.QuarantineReport, error) {
-	src := world.ZoneDB()
+	src := world.ZoneDB().View()
 	ing := zonedb.NewIngester()
 	ing.Degraded = !opts.StrictIngest
 	ing.MaxQuarantine = opts.MaxQuarantine
@@ -193,7 +193,7 @@ func reingest(ctx context.Context, world *sim.World, opts Options) (*zonedb.DB, 
 		_, psp := trace.Start(ctx, "zonedb.ingest.parallel")
 		psp.SetAttrInt("workers", opts.IngestWorkers)
 		err := ing.IngestAll(&snapshotWalker{
-			db: src, zones: src.Zones(), start: cfg.Start, end: cfg.End,
+			view: src, zones: src.Zones(), start: cfg.Start, end: cfg.End,
 		})
 		psp.SetError(err)
 		psp.End()
@@ -225,7 +225,7 @@ func reingest(ctx context.Context, world *sim.World, opts Options) (*zonedb.DB, 
 // day-inner (the differ only needs per-zone chronology) without
 // materializing them all up front.
 type snapshotWalker struct {
-	db         *zonedb.DB
+	view       *zonedb.View
 	zones      []dnsname.Name
 	start, end dates.Day
 
@@ -251,6 +251,6 @@ func (s *snapshotWalker) Next() (*dnszone.Snapshot, string, error) {
 		}
 		zone, day := s.zones[s.zi], s.day
 		s.day++
-		return s.db.SnapshotOn(zone, day), fmt.Sprintf("%s@%s", zone, day), nil
+		return s.view.SnapshotOn(zone, day), fmt.Sprintf("%s@%s", zone, day), nil
 	}
 }

@@ -214,7 +214,7 @@ func TestDetectorPrecision(t *testing.T) {
 
 func TestDetectorRecall(t *testing.T) {
 	st := sharedStudy(t)
-	db := st.World.ZoneDB()
+	db := st.World.ZoneDB().View()
 	total, detected := 0, 0
 	for _, rn := range st.World.Truth().Renames {
 		if rn.Accident || rn.Idiom == "undetectable" {
