@@ -2,6 +2,7 @@ package riskybiz
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestDetectionFromArchivedDataset(t *testing.T) {
 		Dir:   sim.StandardDirectory(),
 		Cfg:   detect.Config{SkipMining: true},
 	}
-	res := det.Run()
+	res := det.RunContext(context.Background())
 
 	orig := st.Result.Funnel
 	got := res.Funnel

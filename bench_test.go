@@ -9,6 +9,7 @@
 package riskybiz
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,7 +34,7 @@ var (
 func benchStudy(b *testing.B) *Study {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSt, benchErr = Run(Options{Seed: 1, DomainsPerDay: 8})
+		benchSt, benchErr = RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 8})
 	})
 	if benchErr != nil {
 		b.Fatalf("study: %v", benchErr)
@@ -178,7 +179,7 @@ func BenchmarkFunnel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := det.Run()
+		res := det.RunContext(context.Background())
 		if res.Funnel.Sacrificial == 0 {
 			b.Fatal("empty funnel")
 		}
@@ -216,7 +217,7 @@ func BenchmarkSimulation(b *testing.B) {
 
 func BenchmarkFullPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st, err := Run(Options{Seed: int64(i + 1), DomainsPerDay: 3})
+		st, err := RunContext(context.Background(), Options{Seed: int64(i + 1), DomainsPerDay: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func BenchmarkAblationSelectivity(b *testing.B) {
 	}{{"selective", false}, {"uniform", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := Run(Options{Seed: 1, DomainsPerDay: 3, UniformHijackers: mode.uniform})
+				st, err := RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 3, UniformHijackers: mode.uniform})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,7 +263,7 @@ func BenchmarkAblationEPPFix(b *testing.B) {
 	}{{"historical", false}, {"cascade-fix", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := Run(Options{Seed: 1, DomainsPerDay: 3, EPPCascadeFix: mode.fix})
+				st, err := RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 3, EPPCascadeFix: mode.fix})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,7 +298,7 @@ func BenchmarkAblationSingleRepo(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := det.Run()
+				res := det.RunContext(context.Background())
 				if i == 0 {
 					b.Logf("%s: %d violations, %d unclassified",
 						mode.name, res.Funnel.SingleRepoViolations, res.Funnel.Unclassified)
@@ -477,7 +478,7 @@ func BenchmarkDetectionWorkers(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := det.Run()
+				res := det.RunContext(context.Background())
 				if res.Funnel.Sacrificial == 0 {
 					b.Fatal("empty result")
 				}

@@ -21,15 +21,14 @@
 //	curl http://localhost:8053/readyz             # readiness probe
 //	curl http://localhost:8053/statusz            # human-readable status
 //	go tool pprof http://localhost:8053/debug/pprof/profile
-//	curl 'http://localhost:8053/debug/prof/delta?type=heap&seconds=30' > delta.pprof
+//	curl 'http://localhost:8053/debug/pprof/heap?seconds=30' > delta.pprof
 //
 // The -prof-* flags opt into continuous profiling: -prof-dir starts
 // periodic heap/CPU/goroutine captures into a rotating directory, and
 // -prof-mutex-fraction/-prof-block-rate enable contention profiling
 // (off by default; it taxes every lock), which also lights up the
-// /statusz contention table and type=mutex delta profiles.
-//
-// The pre-/v1/ routes still answer, marked with a Deprecation header.
+// /statusz contention table and /debug/pprof/mutex (412
+// profiling_disabled while the fraction is 0).
 //
 // The listener comes up immediately: probes and /statusz answer while
 // the archive loads (or the world simulates) in the background, with

@@ -55,7 +55,7 @@ func main() {
 	reingest := flag.Bool("reingest", false, "rebuild the zone DB from daily snapshots through the ingester before detection")
 	strict := flag.Bool("strict", false, "with -reingest, abort on the first invalid snapshot instead of quarantining it")
 	maxQuarantine := flag.Int("max-quarantine", 0, "with -reingest, abort after quarantining this many snapshots (0 = unlimited)")
-	workers := flag.Int("workers", 0, "detection classify workers (0 = sequential; output is identical either way)")
+	workers := flag.Int("workers", 0, "candidate-extraction workers (0 = sequential; output is identical either way)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "with -reingest, zone-affine ingest workers (0 = sequential)")
 	saveSnapshots := flag.String("save-snapshots", "", "after simulating, write each zone's daily master-file snapshots into this directory")
 	traceOut := flag.String("trace", "", "write a JSONL trace journal of the run to this file (\"-\" = stderr)")

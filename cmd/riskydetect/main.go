@@ -60,7 +60,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON")
 	windowStart := flag.String("window-start", "2011-04-01", "analysis window start")
 	windowEnd := flag.String("window-end", "2020-09-30", "analysis window end")
-	workers := flag.Int("workers", 0, "candidate-extraction workers (0 = sequential)")
+	workers := flag.Int("workers", 0, "candidate-extraction workers (0 = sequential; output is identical either way)")
 	stats := flag.Bool("stats", false, "print a pipeline stage-timing report to stderr")
 	statsJSON := flag.String("stats-json", "", "also dump the stage timings as JSON to this file (\"-\" = stderr)")
 	snapshots := flag.String("snapshots", "", "build the zone DB by ingesting master-file snapshots matching this glob instead of PREFIX.dzdb")

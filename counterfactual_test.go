@@ -1,6 +1,7 @@
 package riskybiz
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/idioms"
@@ -11,7 +12,7 @@ import (
 // once domain deletion cascades to subordinate host references, no
 // sacrificial nameservers are created.
 func TestCascadeFixStopsNewExposure(t *testing.T) {
-	st, err := Run(Options{Seed: 2, DomainsPerDay: 4, EPPCascadeFix: true})
+	st, err := RunContext(context.Background(), Options{Seed: 2, DomainsPerDay: 4, EPPCascadeFix: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestCascadeFixStopsNewExposure(t *testing.T) {
 	}
 	// The world stays consistent: deletions still complete (no parked
 	// domains piling up as undeletable).
-	baseline, err := Run(Options{Seed: 2, DomainsPerDay: 4})
+	baseline, err := RunContext(context.Background(), Options{Seed: 2, DomainsPerDay: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCascadeFixStopsNewExposure(t *testing.T) {
 // and the resulting names can never be hijacked (no registry operates
 // .invalid, so the detector reports them as protected).
 func TestInvalidTLDRemediation(t *testing.T) {
-	st, err := Run(Options{Seed: 2, DomainsPerDay: 4, InvalidTLDRemediation: true})
+	st, err := RunContext(context.Background(), Options{Seed: 2, DomainsPerDay: 4, InvalidTLDRemediation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package riskybiz_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -10,7 +11,7 @@ import (
 // headline selectivity result. The run is deterministic for a given
 // seed, so the shape assertion below always holds.
 func Example() {
-	study, err := riskybiz.Run(riskybiz.Options{Seed: 7, DomainsPerDay: 4})
+	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 7, DomainsPerDay: 4})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

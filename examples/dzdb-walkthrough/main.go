@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -28,7 +29,7 @@ func main() {
 
 func run() error {
 	// Simulate the ecosystem and serve its zone database over HTTP.
-	study, err := riskybiz.Run(riskybiz.Options{Seed: 5, DomainsPerDay: 5})
+	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 5, DomainsPerDay: 5})
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func main() {
-	study, err := riskybiz.Run(riskybiz.Options{Seed: 7, DomainsPerDay: 6})
+	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 7, DomainsPerDay: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

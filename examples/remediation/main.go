@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,11 +18,11 @@ import (
 func main() {
 	const seed, scale = 11, 6
 
-	with, err := riskybiz.Run(riskybiz.Options{Seed: seed, DomainsPerDay: scale})
+	with, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: seed, DomainsPerDay: scale})
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := riskybiz.Run(riskybiz.Options{Seed: seed, DomainsPerDay: scale, DisableRemediation: true})
+	without, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: seed, DomainsPerDay: scale, DisableRemediation: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,11 +13,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -126,7 +128,9 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // ObservabilityMux returns a mux serving the full operational surface:
 // GET /metrics (with a fresh runtime sample per scrape), the probe
 // endpoints /healthz and /readyz, the human-readable /statusz, and the
-// pprof handlers under /debug/pprof/.
+// pprof handlers under /debug/pprof/ — which answer ?seconds=N with a
+// delta profile (heap, allocs, mutex, block, goroutine) and
+// /debug/pprof/profile?seconds=N with a CPU profile.
 func (a *App) ObservabilityMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	metrics := a.Reg.Handler()
@@ -142,8 +146,22 @@ func (a *App) ObservabilityMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /debug/prof/delta", obsprof.DeltaHandler())
+	mux.HandleFunc("/debug/pprof/mutex", mutexProfile)
 	return mux
+}
+
+// mutexProfile guards the stdlib's mutex profile handler. While mutex
+// sampling is off the runtime hands back an empty profile, which reads
+// as "no contention"; say 412 in the v1 error envelope instead, so an
+// operator learns the daemon was started without -prof-mutex-fraction.
+func mutexProfile(w http.ResponseWriter, r *http.Request) {
+	if runtime.SetMutexProfileFraction(-1) > 0 {
+		pprof.Handler("mutex").ServeHTTP(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusPreconditionFailed)
+	_, _ = io.WriteString(w, `{"error":{"code":"profiling_disabled","message":"mutex profiling is off; start the daemon with -prof-mutex-fraction > 0"}}`+"\n")
 }
 
 // HTTPServer wraps handler in a server with the repository's standard

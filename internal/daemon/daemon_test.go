@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +41,60 @@ func TestObservabilityMux(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof cmdline = %d", resp.StatusCode)
+	}
+}
+
+// TestDeltaProfiles pins the runbook's profile step on the mux every
+// daemon serves: the stdlib's ?seconds=N delta profiles answer there,
+// and the mutex one is refused while sampling is off — an empty profile
+// would read as "no contention".
+func TestDeltaProfiles(t *testing.T) {
+	app := New("testd", false)
+	t.Cleanup(app.Close)
+	ts := httptest.NewServer(app.ObservabilityMux())
+	t.Cleanup(ts.Close)
+	get := func(path string) (int, http.Header, []byte) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, body
+	}
+	// runtime/pprof writes every profile gzip-framed.
+	isProfile := func(body []byte) bool { return len(body) > 2 && body[0] == 0x1f && body[1] == 0x8b }
+
+	code, _, body := get("/debug/pprof/heap?seconds=1")
+	if code != 200 || !isProfile(body) {
+		t.Fatalf("heap delta = %d, %d bytes, want 200 with a gzip-framed profile", code, len(body))
+	}
+
+	prev := runtime.SetMutexProfileFraction(0)
+	defer runtime.SetMutexProfileFraction(prev)
+	code, hdr, body := get("/debug/pprof/mutex?seconds=1")
+	if code != http.StatusPreconditionFailed {
+		t.Fatalf("mutex delta with sampling off = %d, want 412", code)
+	}
+	if ct := hdr.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("body is not the v1 error envelope: %v\n%s", err, body)
+	}
+	if env.Error.Code != "profiling_disabled" || !strings.Contains(env.Error.Message, "-prof-mutex-fraction") {
+		t.Errorf("envelope = %+v", env.Error)
+	}
+
+	runtime.SetMutexProfileFraction(1)
+	if code, _, body := get("/debug/pprof/mutex"); code != 200 || !isProfile(body) {
+		t.Errorf("mutex profile with sampling on = %d, %d bytes, want 200 with a profile", code, len(body))
 	}
 }
 

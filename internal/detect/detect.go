@@ -98,11 +98,11 @@ type Config struct {
 	// SkipMining skips the (purely reporting) substring-mining stage.
 	SkipMining bool
 	// Workers parallelizes the candidate-extraction stage (static
-	// resolvability over every nameserver, the dominant cost) and the
-	// classify stage, both sharded the same way. Zero or one runs
-	// sequentially. Extraction workers use private resolver memos and
-	// classify verdicts are applied in candidate order, so results are
-	// byte-identical regardless of worker count.
+	// resolvability over every nameserver, the dominant cost). Zero or
+	// one runs sequentially. Extraction workers use private resolver
+	// memos and the candidates are sorted before anything reads them,
+	// so results are byte-identical regardless of worker count.
+	// Classification is always serial.
 	Workers int
 }
 
@@ -113,7 +113,7 @@ type Result struct {
 	Sacrificial []Sacrificial
 
 	// Stats holds the run's stage timings (nil for results assembled
-	// via NewResult rather than produced by Detector.Run).
+	// via NewResult rather than produced by Detector.RunContext).
 	Stats *RunStats
 
 	// byNS indexes Sacrificial by nameserver name.
@@ -257,15 +257,6 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 	return total, candidates, busy
 }
 
-// Run executes the full methodology.
-//
-// Deprecated: use RunContext, which carries cancellation and trace
-// context through the pipeline stages. Run is equivalent to
-// RunContext(context.Background()).
-func (d *Detector) Run() *Result {
-	return d.RunContext(context.Background())
-}
-
 // RunContext executes the full methodology with each pipeline stage
 // running as a child span of the trace carried by ctx (see
 // internal/obs/trace). The run reads the DB's published View, pinned at
@@ -305,44 +296,9 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 		})
 	}
 
-	d.stage(ctx, stats, StageClassify, func(ctx context.Context) int {
-		// Classification of each candidate is a pure function of the
-		// pinned view, so it shards across workers exactly like
-		// extraction: worker w owns candidates w, w+workers, ... and
-		// writes its verdicts into a position-indexed slice. The verdicts
-		// are then applied serially in candidate order, so funnel counts,
-		// match-method stats, and the emitted Sacrificial records are
-		// byte-identical to a sequential run.
-		outs := make([]outcome, len(candidates))
-		workers := d.Cfg.Workers
-		if workers > 1 && len(candidates) > 0 {
-			var wg sync.WaitGroup
-			stats.ClassifyBusy = make([]time.Duration, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					_, wsp := trace.Start(ctx, "detect.classify.worker")
-					wsp.SetAttrInt("worker", w)
-					t0 := now()
-					n := 0
-					for i := w; i < len(candidates); i += workers {
-						outs[i] = d.classifyOne(zd, candidates[i])
-						n++
-					}
-					stats.ClassifyBusy[w] = now().Sub(t0)
-					wsp.SetAttrInt("items", n)
-					wsp.End()
-				}(w)
-			}
-			wg.Wait()
-		} else {
-			for i, c := range candidates {
-				outs[i] = d.classifyOne(zd, c)
-			}
-		}
-		for i, c := range candidates {
-			switch o := outs[i]; o.kind {
+	d.stage(ctx, stats, StageClassify, func(context.Context) int {
+		for _, c := range candidates {
+			switch o := d.classifyOne(zd, c); o.kind {
 			case outTest:
 				res.Funnel.TestNameservers++
 			case outSingleRepo:
@@ -365,29 +321,23 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	return res
 }
 
-// recordPools mirrors the run's per-worker stage measurements into the
-// shared pool_* metric families (one EndRound per Run), so detect's
-// parallel stages report utilization and efficiency the same way the
+// recordPools mirrors the extraction workers' measurements into the
+// shared pool_* metric families (one EndRound per run), so detect's
+// parallel stage reports utilization and efficiency the same way the
 // zonedb ingest pool does.
 func (d *Detector) recordPools(stats *RunStats) {
-	if d.Obs == nil {
+	busy, extract := stats.WorkerBusy, stats.Stage(StageExtract)
+	if d.Obs == nil || len(busy) == 0 || extract.Duration <= 0 {
 		return
 	}
-	record := func(pool string, busy []time.Duration, items int, wall time.Duration) {
-		if len(busy) == 0 || wall <= 0 {
-			return
-		}
-		p := d.Obs.NewPoolStats(pool, len(busy))
-		for i, b := range busy {
-			w := p.Worker(i)
-			w.ObserveBusy(b)
-			// Stride sharding: worker i owns items i, i+n, ...
-			w.AddItems((items + len(busy) - 1 - i) / len(busy))
-		}
-		p.EndRound(wall)
+	p := d.Obs.NewPoolStats("detect_extract", len(busy))
+	for i, b := range busy {
+		w := p.Worker(i)
+		w.ObserveBusy(b)
+		// Stride sharding: worker i owns items i, i+n, ...
+		w.AddItems((extract.Items + len(busy) - 1 - i) / len(busy))
 	}
-	record("detect_extract", stats.WorkerBusy, stats.Stage(StageExtract).Items, stats.Stage(StageExtract).Duration)
-	record("detect_classify", stats.ClassifyBusy, stats.Stage(StageClassify).Items, stats.Stage(StageClassify).Duration)
+	p.EndRound(extract.Duration)
 }
 
 // recordFunnel mirrors the funnel counts into the obs registry.
@@ -408,8 +358,8 @@ func (d *Detector) recordFunnel(stats *RunStats) {
 }
 
 // outcome is one candidate's classification verdict — the pure product
-// of classifyOne, applied to the Result serially so parallel and
-// sequential runs emit identical output.
+// of classifyOne, which RunContext applies to the Result in candidate
+// order.
 type outcome struct {
 	kind      int
 	idiom     *idioms.Idiom
@@ -427,8 +377,7 @@ const (
 
 // classifyOne runs stages 2b–4 for one candidate against the pinned
 // view. It only reads zd, the WHOIS history, the registry directory, and
-// the idiom catalog — all immutable during a run — so it is safe to call
-// from many workers at once.
+// the idiom catalog — all immutable during a run.
 func (d *Detector) classifyOne(zd *zonedb.View, c candidate) outcome {
 	// Stage 2b: remove registry test nameservers.
 	if idioms.IsTestNameserver(c.ns) {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dates"
@@ -121,7 +122,7 @@ func runDetector(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	db, who, dir := fixture()
 	det := &Detector{DB: db, WHOIS: who, Dir: dir, Cfg: cfg}
-	return det.Run()
+	return det.RunContext(context.Background())
 }
 
 func TestOriginalMatching(t *testing.T) {
@@ -335,14 +336,14 @@ func TestNeverClosedDBDetectsNothing(t *testing.T) {
 	db.DomainAdded("net", "whitecounty.net", d(10))
 	db.DelegationAdded("net", "whitecounty.net", "ns2.internetemc1aj2kdy.biz", d(100))
 	_, who, dir := fixture()
-	res := (&Detector{DB: db, WHOIS: who, Dir: dir}).Run()
+	res := (&Detector{DB: db, WHOIS: who, Dir: dir}).RunContext(context.Background())
 	if res.Funnel != (Funnel{}) || len(res.Sacrificial) != 0 || len(res.Patterns) != 0 {
 		t.Fatalf("unsealed database produced funnel %+v, %d sacrificial, %d patterns",
 			res.Funnel, len(res.Sacrificial), len(res.Patterns))
 	}
 	// The same events, sealed, are a candidate.
 	db.Close(d(1000))
-	if res := (&Detector{DB: db, WHOIS: who, Dir: dir}).Run(); res.Funnel.TotalNameservers != 1 {
+	if res := (&Detector{DB: db, WHOIS: who, Dir: dir}).RunContext(context.Background()); res.Funnel.TotalNameservers != 1 {
 		t.Fatalf("sealed: funnel %+v, want one nameserver seen", res.Funnel)
 	}
 }

@@ -24,7 +24,7 @@ func NewDetector(db *zonedb.DB, wh *whois.History, dir *registry.Directory, opts
 	return d
 }
 
-// WithWorkers shards the extraction and classify stages across n
+// WithWorkers shards the candidate-extraction stage across n
 // goroutines. n <= 1 runs sequentially; output is identical either way.
 func WithWorkers(n int) Option {
 	return func(d *Detector) { d.Cfg.Workers = n }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -24,11 +25,11 @@ func comparableResult(t *testing.T, r *Result) []byte {
 	return b
 }
 
-// TestClassifyWorkersByteIdentical pins the parallel-classify contract:
-// an 8-worker run emits a Result byte-identical to the serial one, not
+// TestParallelExtractByteIdentical pins the worker contract: an
+// 8-worker run emits a Result byte-identical to the serial one, not
 // merely one with matching counts. (TestParallelWorkersIdentical checks
 // the funnel across several worker counts; this is the strong form.)
-func TestClassifyWorkersByteIdentical(t *testing.T) {
+func TestParallelExtractByteIdentical(t *testing.T) {
 	seq := comparableResult(t, runDetector(t, Config{}))
 	par := comparableResult(t, runDetector(t, Config{Workers: 8}))
 	if !bytes.Equal(seq, par) {
@@ -50,7 +51,7 @@ func TestNewDetectorOptions(t *testing.T) {
 	if !det.Cfg.SkipMining || det.Cfg.Workers != 4 {
 		t.Fatalf("options not applied: %+v", det.Cfg)
 	}
-	res := det.Run()
+	res := det.RunContext(context.Background())
 	if res.Funnel.Sacrificial == 0 {
 		t.Fatal("options-built detector found nothing")
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Stage names recorded by Detector.Run, reused as the obs span stage
+// Stage names recorded by Detector.RunContext, reused as the obs span stage
 // labels.
 const (
 	StageExtract  = "detect.extract"
@@ -47,7 +47,7 @@ func (t StageTiming) Rate() float64 {
 	return float64(t.Items) / t.Duration.Seconds()
 }
 
-// RunStats is the timing side of one Detector.Run: what `-stats`
+// RunStats is the timing side of one Detector.RunContext: what `-stats`
 // reports and later perf PRs measure themselves against.
 type RunStats struct {
 	Wall   time.Duration `json:"wall_nanoseconds"`
@@ -57,10 +57,6 @@ type RunStats struct {
 	// WorkerBusy holds each extraction worker's busy time; with one
 	// worker it equals the extract stage duration.
 	WorkerBusy []time.Duration `json:"worker_busy_nanoseconds"`
-	// ClassifyBusy holds each classification worker's busy time — the
-	// companion measurement to WorkerBusy for the stage the ROADMAP
-	// flags as slower parallel than serial.
-	ClassifyBusy []time.Duration `json:"classify_busy_nanoseconds,omitempty"`
 	// MatchesByMethod counts classifications by match method (sink,
 	// marker, original).
 	MatchesByMethod map[string]int `json:"matches_by_method"`
@@ -81,34 +77,21 @@ func (s *RunStats) Stage(name string) StageTiming {
 // extraction stage: 1.0 means every worker was busy the whole stage,
 // lower values mean shard imbalance or spawn overhead.
 func (s *RunStats) WorkerUtilization() float64 {
-	return utilization(s.Stage(StageExtract).Duration, s.WorkerBusy)
-}
-
-// ClassifyUtilization returns the same busy-fraction for the
-// classification stage (0 when classification ran serially).
-func (s *RunStats) ClassifyUtilization() float64 {
-	return utilization(s.Stage(StageClassify).Duration, s.ClassifyBusy)
-}
-
-func utilization(wall time.Duration, busy []time.Duration) float64 {
-	if wall <= 0 || len(busy) == 0 {
+	wall := s.Stage(StageExtract).Duration
+	if wall <= 0 || len(s.WorkerBusy) == 0 {
 		return 0
 	}
 	var total time.Duration
-	for _, d := range busy {
+	for _, d := range s.WorkerBusy {
 		total += d
 	}
-	return total.Seconds() / (wall.Seconds() * float64(len(busy)))
+	return total.Seconds() / (wall.Seconds() * float64(len(s.WorkerBusy)))
 }
 
 // WriteReport prints the human-readable stage-timing report.
 func (s *RunStats) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "detection pipeline: %s wall, %d workers, %.1f%% worker utilization\n",
 		s.Wall.Round(time.Microsecond), s.Workers, 100*s.WorkerUtilization())
-	if len(s.ClassifyBusy) > 0 {
-		fmt.Fprintf(w, "  classify utilization: %.1f%% across %d workers\n",
-			100*s.ClassifyUtilization(), len(s.ClassifyBusy))
-	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  stage\ttime\titems\titems/s")
 	for _, st := range s.Stages {

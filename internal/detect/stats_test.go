@@ -2,6 +2,7 @@ package detect
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync/atomic"
@@ -73,7 +74,7 @@ func TestRunRecordsObs(t *testing.T) {
 	}
 	RegisterMetrics(reg)
 	det := &Detector{DB: db, WHOIS: who, Dir: dir, Cfg: Config{Workers: 2}, Obs: reg}
-	res := det.Run()
+	res := det.RunContext(context.Background())
 
 	if got := reg.Counter(MetricScanned, "").Value(); got != uint64(res.Funnel.TotalNameservers) {
 		t.Errorf("scanned counter = %d, want %d", got, res.Funnel.TotalNameservers)

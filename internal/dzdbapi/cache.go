@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -34,15 +33,12 @@ const (
 // it is recomputed from (epoch, key), which is also what makes 304
 // evaluation possible without touching the cache at all. enc records
 // the body's Content-Encoding ("" = identity); the encoding is part of
-// the cache key, so one key never serves mixed encodings. hits counts
-// lookups that found this entry — the heat signal the Adopt-time
-// warmer uses to pick which keys to re-render into the next epoch.
+// the cache key, so one key never serves mixed encodings.
 type cacheEntry struct {
 	key   string
 	ctype string
 	enc   string
 	body  []byte
-	hits  uint64
 }
 
 // respCache is the in-process response cache. Every entry belongs to
@@ -99,9 +95,7 @@ func (c *respCache) get(epoch uint64, key string) (cacheEntry, bool) {
 	}
 	c.order.MoveToFront(el)
 	c.hits++
-	e := el.Value.(*cacheEntry)
-	e.hits++
-	return *e, true
+	return *el.Value.(*cacheEntry), true
 }
 
 // put stores a 200 body for key under epoch, evicting least-recently
@@ -140,46 +134,6 @@ func (c *respCache) put(epoch uint64, key, ctype, enc string, body []byte) {
 		c.bytes -= int64(len(e.body))
 		c.evictions++
 	}
-}
-
-// hottest returns up to k cache keys of the current epoch ordered by
-// hit count, ties broken most-recently-used first. Keys that were
-// filled but never hit again are skipped — re-rendering them would be
-// speculation, not warming.
-func (c *respCache) hottest(k int) []string {
-	if k <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	type heat struct {
-		key  string
-		hits uint64
-		pos  int
-	}
-	rows := make([]heat, 0, len(c.entries))
-	pos := 0
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.hits > 0 {
-			rows = append(rows, heat{key: e.key, hits: e.hits, pos: pos})
-		}
-		pos++
-	}
-	c.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].hits != rows[j].hits {
-			return rows[i].hits > rows[j].hits
-		}
-		return rows[i].pos < rows[j].pos
-	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.key
-	}
-	return out
 }
 
 // bump retires the working set when a newer epoch publishes; puts and

@@ -46,13 +46,6 @@ type Client struct {
 	// calls fail fast with faults.ErrOpen instead of hammering a dead
 	// server.
 	Breaker *faults.Breaker
-	// Conditional, when set, makes every JSON GET a conditional
-	// request: the cache stores the ETag and raw body per canonical
-	// path, sends If-None-Match, and decodes the cached body again on
-	// 304 — so a caught-up poller revalidates for free instead of
-	// re-downloading identical representations. Create with
-	// NewCondCache.
-	Conditional *CondCache
 	// Tracer, when set, opens a client span per call. Whether or not it
 	// is set, the active trace context in ctx is injected into every
 	// request as a traceparent header, so server-side logs and metrics
@@ -65,8 +58,8 @@ type APIError struct {
 	Status int
 	Msg    string
 	// Code is the machine-readable error code from the v1 envelope
-	// ("not_found", "invalid_cursor", ...); empty when the server spoke
-	// the legacy string envelope.
+	// ("not_found", "invalid_cursor", ...); empty when the body was not
+	// one.
 	Code string
 	// Body is a truncated snippet of a non-JSON error payload (an HTML
 	// error page from a proxy, a panic trace), kept for diagnostics.
@@ -146,23 +139,15 @@ func drain(body io.ReadCloser) {
 	body.Close()
 }
 
-// errorFromResponse reads a bounded amount of a non-200 body. v1 servers
-// answer {"error":{"code","message"}}; pre-v1 servers answered
-// {"error":"message"}, still accepted so the client can talk to either
-// for one release. Anything else (a proxy's HTML page) is preserved as a
-// truncated snippet.
+// errorFromResponse reads a bounded amount of a non-200 body. Servers
+// answer {"error":{"code","message"}}; anything else (a proxy's HTML
+// page) is preserved as a truncated snippet.
 func errorFromResponse(resp *http.Response) error {
 	retryAfter := parseRetryAfter(resp)
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
 	var ae apiError
 	if err := json.Unmarshal(raw, &ae); err == nil && ae.Error.Message != "" {
 		return &APIError{Status: resp.StatusCode, Msg: ae.Error.Message, Code: ae.Error.Code, RetryAfter: retryAfter}
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &legacy); err == nil && legacy.Error != "" {
-		return &APIError{Status: resp.StatusCode, Msg: legacy.Error, RetryAfter: retryAfter}
 	}
 	s := strings.TrimSpace(string(raw))
 	if len(s) > errSnippet {
@@ -194,10 +179,7 @@ func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
 }
 
 // getJSONClient is getJSON with an explicit http.Client, which the
-// long-poll path uses to outlive the default 2s request timeout. When
-// a CondCache is attached the request goes out conditional: the cached
-// ETag rides If-None-Match, and a 304 decodes the cached raw body
-// instead of a fresh download.
+// long-poll path uses to outlive the default 2s request timeout.
 func (c *Client) getJSONClient(ctx context.Context, op, path string, out any, hc *http.Client) (err error) {
 	ctx, sp := c.Tracer.Start(ctx, "dzdbapi.client."+op)
 	defer func() { sp.SetError(err); sp.End() }()
@@ -210,36 +192,13 @@ func (c *Client) getJSONClient(ctx context.Context, op, path string, out any, hc
 			return faults.Permanent(err)
 		}
 		trace.Inject(ctx, req.Header)
-		var etag string
-		var cached []byte
-		if c.Conditional != nil {
-			if e, body, ok := c.Conditional.lookup(path); ok {
-				etag, cached = e, body
-				req.Header.Set("If-None-Match", e)
-			}
-		}
 		resp, err := hc.Do(req)
 		if err != nil {
 			return err
 		}
 		defer drain(resp.Body)
-		if resp.StatusCode == http.StatusNotModified && etag != "" {
-			c.Conditional.note(true)
-			return json.Unmarshal(cached, out)
-		}
 		if resp.StatusCode != http.StatusOK {
 			return errorFromResponse(resp)
-		}
-		if c.Conditional != nil {
-			c.Conditional.note(false)
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, maxJSONBody))
-			if err != nil {
-				return err
-			}
-			if tag := resp.Header.Get("ETag"); tag != "" {
-				c.Conditional.store(path, tag, raw)
-			}
-			return json.Unmarshal(raw, out)
 		}
 		return json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(out)
 	})

@@ -37,7 +37,7 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		http.Error(w, `{"error":"no such domain"}`, http.StatusNotFound)
+		writeError(w, http.StatusNotFound, CodeNotFound, "no such domain")
 	}))
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 5, BaseDelay: -1}}

@@ -174,11 +174,6 @@ type Server struct {
 	signal *EpochSignal
 	epoch  *EpochRoutes // /v1/stats, /v1/zones, /v1/top/nameservers, /v1/deltas
 
-	// Adopt-time cache warming (see SetWarmKeys / warm).
-	warmKeys    int
-	warmKeysSet bool
-	cacheWarmed *obs.Counter
-
 	// Protection: per-client token buckets and the concurrency cap.
 	limits      *limiter
 	maxInflight int64
@@ -236,7 +231,6 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	s.cacheEntries = reg.Gauge(MetricCacheEntries, "Response cache resident entries.")
 	s.cacheBytes = reg.Gauge(MetricCacheBytes, "Response cache resident body bytes.")
 	s.cacheRatio = reg.FloatGauge(MetricCacheHitRatio, "Response cache hit ratio since start.")
-	s.cacheWarmed = reg.Counter(MetricCacheWarmed, "Cache entries re-rendered into a fresh epoch at publish time.")
 	s.shedTotal = reg.CounterVec(MetricShed,
 		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
@@ -264,22 +258,14 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 
 // onPublish is the zonedb publish hook: compute the new epoch's state
 // and start serving it, retire the response cache's old working set,
-// re-render the retiring epoch's hottest keys into the new one, and
-// only then wake every parked push connection — so by the time
-// consumers see the new epoch, its hot set is already cached. It runs
-// on the publishing goroutine (Close/Adopt caller), outside the DB's
-// write lock; until it stores the new state, requests keep reading the
-// previous epoch whole.
+// and only then wake every parked push connection. The new epoch's
+// cache is filled by traffic alone. It runs on the publishing goroutine
+// (Close/Adopt caller), outside the DB's write lock; until it stores
+// the new state, requests keep reading the previous epoch whole.
 func (s *Server) onPublish(v *zonedb.View) {
-	var hot []string
-	if s.cache != nil {
-		// Snapshot the heat ranking before the flush erases it.
-		hot = s.cache.hottest(s.warmCount())
-	}
 	s.state.Store(computeState(v))
 	if s.cache != nil {
 		s.cache.bump(v.Epoch())
-		s.warm(hot)
 		s.updateCacheGauges()
 	}
 	s.signal.Broadcast()
@@ -386,13 +372,6 @@ type handlerFunc func(w http.ResponseWriter, r *http.Request, st *EpochState)
 // one starts a fresh root span.
 func (s *Server) handle(pattern, route string, handler handlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if isWarmRequest(r) {
-			// Self-inflicted warm replay: fill the cache, but keep it
-			// out of the traffic metrics, logs, and traces.
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			s.serve(sw, r, route, false, handler)
-			return
-		}
 		start := s.obs.Now()
 		ctx := r.Context()
 		remote, hasRemote := trace.Extract(r.Header)
@@ -437,13 +416,11 @@ func (s *Server) handle(pattern, route string, handler handlerFunc) {
 // come out of the LRU without recompute. Push connections bypass the
 // cache (a stream is not a representation).
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isPush bool, handler handlerFunc) {
-	if !isWarmRequest(r) {
-		release, ok := s.admit(w, r, route, isPush)
-		if !ok {
-			return
-		}
-		defer release()
+	release, ok := s.admit(w, r, route, isPush)
+	if !ok {
+		return
 	}
+	defer release()
 	st := s.state.Load()
 	if isPush {
 		handler(w, r, st)
@@ -493,11 +470,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 		s.updateCacheGauges()
 		return
 	}
-	outcome := "miss"
-	if isWarmRequest(r) {
-		outcome = "warm"
-	}
-	s.cacheReqs.With(route, outcome).Inc()
+	s.cacheReqs.With(route, "miss").Inc()
 	w.Header().Set("X-Cache", "miss")
 	rec := &recordingWriter{ResponseWriter: w, etag: etag}
 	s.runHandler(rec, r, st, enc, handler)

@@ -109,66 +109,6 @@ func TestGzipDeltasAndQValues(t *testing.T) {
 	}
 }
 
-// TestAdoptWarmsHottestKeys pins the warming satellite: after an Adopt
-// the hottest keys of the retiring epoch are already rendered into the
-// new epoch (including a gzip variant), the warmed counter moves, and
-// cold keys still miss.
-func TestAdoptWarmsHottestKeys(t *testing.T) {
-	db := testDB()
-	srv := New(db)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	hotURL := ts.URL + "/v1/zones?limit=1"
-	coldURL := ts.URL + "/v1/zones?limit=2"
-	gzURL := ts.URL + "/v1/deltas?limit=3"
-	get(t, hotURL)
-	get(t, hotURL) // one hit => hot
-	get(t, gzURL, "Accept-Encoding", "gzip")
-	get(t, gzURL, "Accept-Encoding", "gzip") // the gzip variant is hot
-	get(t, coldURL)                          // filled but never hit => cold
-
-	db.Adopt(testDB2())
-
-	if got := srv.Metrics().Counter(MetricCacheWarmed, "").Value(); got < 2 {
-		t.Fatalf("warmed counter = %d, want >= 2", got)
-	}
-	if got := get(t, hotURL).Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("hot key post-adopt X-Cache = %q, want hit", got)
-	}
-	gz := get(t, gzURL, "Accept-Encoding", "gzip")
-	if got := gz.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("hot gzip key post-adopt X-Cache = %q, want hit", got)
-	}
-	if got := gz.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Errorf("warmed gzip variant Content-Encoding = %q", got)
-	}
-	if got := get(t, coldURL).Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("cold key post-adopt X-Cache = %q, want miss", got)
-	}
-}
-
-// TestWarmDisabled: SetWarmKeys(0) turns warming off and every key
-// starts cold after Adopt.
-func TestWarmDisabled(t *testing.T) {
-	db := testDB()
-	srv := New(db)
-	srv.SetWarmKeys(0)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	url := ts.URL + "/v1/stats"
-	get(t, url)
-	get(t, url)
-	db.Adopt(testDB2())
-	if got := srv.Metrics().Counter(MetricCacheWarmed, "").Value(); got != 0 {
-		t.Fatalf("warmed counter = %d, want 0", got)
-	}
-	if got := get(t, url).Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("post-adopt X-Cache = %q, want miss with warming disabled", got)
-	}
-}
-
 // TestShardInternalEndpoints covers the shard-to-coordinator surface:
 // shard-info identity/epoch/readiness and the paginated exposure table.
 func TestShardInternalEndpoints(t *testing.T) {

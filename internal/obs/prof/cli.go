@@ -65,3 +65,14 @@ func (f *CLIFlags) Start() (stop func()) {
 		}
 	}
 }
+
+// WriteCLIProfile is the shared exit-path helper behind the batch CLIs'
+// -memprofile/-mutexprofile flags: it snapshots the named runtime
+// profile to path. (CPU profiles need start/stop bracketing — see
+// Start.)
+func WriteCLIProfile(path, name string) error {
+	if name == "heap" {
+		runtime.GC() // fold garbage out of the in-use numbers
+	}
+	return writeLookup(path, name)
+}

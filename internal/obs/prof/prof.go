@@ -1,8 +1,10 @@
 // Package prof is the continuous-profiling subsystem: it periodically
 // captures heap/CPU/mutex/block/goroutine profiles into a rotating
-// on-disk directory, serves delta profiles over HTTP (the change in a
-// profile across a window, not the process-lifetime cumulative view),
-// and summarizes the top contended lock sites for /statusz.
+// on-disk directory and summarizes the top contended lock sites for
+// /statusz. Delta profiles (the change in a profile across a window,
+// not the process-lifetime cumulative view) need nothing from here:
+// net/http/pprof, which the daemons mount at /debug/pprof/, answers
+// ?seconds=N with one.
 //
 // Mutex and block profiling are off by default — they tax every lock
 // operation — and are enabled per daemon via Config. The capture
@@ -29,7 +31,7 @@ import (
 // nothing; Start applies the defaults documented per field.
 type Config struct {
 	// Dir is the capture directory. Empty disables periodic capture
-	// (delta endpoints and the contention summary still work).
+	// (the contention summary still works).
 	Dir string
 	// Interval between capture sets. Default 60s.
 	Interval time.Duration
@@ -238,8 +240,8 @@ func writeLookup(path, name string) error {
 }
 
 // writeCPU records a CPUSeconds-long CPU profile to path. Skipped
-// silently when another CPU profile (e.g. a delta endpoint request) is
-// already running — only one can be active per process.
+// silently when another CPU profile (e.g. a /debug/pprof/profile
+// request) is already running — only one can be active per process.
 func (p *Profiler) writeCPU(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -319,7 +321,7 @@ func TopContended(n int) []ContendedSite {
 	if frac <= 0 {
 		return nil
 	}
-	recs := blockRecords(true)
+	recs := mutexRecords()
 	agg := make(map[string]*ContendedSite)
 	for i := range recs {
 		r := &recs[i]
@@ -341,6 +343,20 @@ func TopContended(n int) []ContendedSite {
 		out = out[:n]
 	}
 	return out
+}
+
+// mutexRecords snapshots the runtime's mutex contention profile. The
+// profile can grow between sizing and reading it, hence the loop.
+func mutexRecords() []runtime.BlockProfileRecord {
+	n, _ := runtime.MutexProfile(nil)
+	for {
+		recs := make([]runtime.BlockProfileRecord, n+64)
+		var ok bool
+		n, ok = runtime.MutexProfile(recs)
+		if ok {
+			return recs[:n]
+		}
+	}
 }
 
 // siteLabel names a contention stack by its first frame outside the

@@ -3,427 +3,16 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"io"
-	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// ---- minimal pprof decoder ----
-//
-// The hermetic half of "go tool pprof accepts it": ungzip, walk the
-// protobuf wire format, and check the structural invariants pprof
-// enforces (sample value arity matches sample_type, location/function
-// references resolve, string indices are in range).
-
-type decodedProfile struct {
-	sampleTypes int
-	samples     []decodedSample
-	locations   map[uint64]bool
-	functions   map[uint64]bool
-	strings     int
-	locFuncRefs []uint64
-	period      int64
-}
-
-type decodedSample struct {
-	locIDs []uint64
-	values []int64
-}
-
-func readVarint(data []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("bad varint")
-	}
-	return v, n, nil
-}
-
-// walkFields calls fn(field, wire, varintVal, payload) for each field
-// of one protobuf message.
-func walkFields(data []byte, fn func(field int, wire int, v uint64, payload []byte) error) error {
-	for len(data) > 0 {
-		key, n, err := readVarint(data)
-		if err != nil {
-			return err
-		}
-		data = data[n:]
-		field, wire := int(key>>3), int(key&7)
-		switch wire {
-		case 0:
-			v, n, err := readVarint(data)
-			if err != nil {
-				return err
-			}
-			data = data[n:]
-			if err := fn(field, wire, v, nil); err != nil {
-				return err
-			}
-		case 2:
-			l, n, err := readVarint(data)
-			if err != nil {
-				return err
-			}
-			data = data[n:]
-			if uint64(len(data)) < l {
-				return fmt.Errorf("truncated length-delimited field %d", field)
-			}
-			if err := fn(field, wire, 0, data[:l]); err != nil {
-				return err
-			}
-			data = data[l:]
-		default:
-			return fmt.Errorf("unexpected wire type %d for field %d", wire, field)
-		}
-	}
-	return nil
-}
-
-func packedUints(payload []byte) ([]uint64, error) {
-	var out []uint64
-	for len(payload) > 0 {
-		v, n, err := readVarint(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		payload = payload[n:]
-	}
-	return out, nil
-}
-
-func decodePprof(t *testing.T, raw []byte) *decodedProfile {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("profile is not gzipped: %v", err)
-	}
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatalf("gunzip: %v", err)
-	}
-	p := &decodedProfile{
-		locations: make(map[uint64]bool),
-		functions: make(map[uint64]bool),
-	}
-	err = walkFields(data, func(field, wire int, v uint64, payload []byte) error {
-		switch field {
-		case 1: // sample_type
-			p.sampleTypes++
-		case 2: // sample
-			var s decodedSample
-			err := walkFields(payload, func(f, w int, v uint64, pl []byte) error {
-				switch f {
-				case 1:
-					ids, err := packedUints(pl)
-					if err != nil {
-						return err
-					}
-					s.locIDs = append(s.locIDs, ids...)
-				case 2:
-					vals, err := packedUints(pl)
-					if err != nil {
-						return err
-					}
-					for _, u := range vals {
-						s.values = append(s.values, int64(u))
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			p.samples = append(p.samples, s)
-		case 4: // location
-			var id uint64
-			err := walkFields(payload, func(f, w int, v uint64, pl []byte) error {
-				switch f {
-				case 1:
-					id = v
-				case 4: // line
-					return walkFields(pl, func(lf, lw int, lv uint64, lpl []byte) error {
-						if lf == 1 {
-							p.locFuncRefs = append(p.locFuncRefs, lv)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			p.locations[id] = true
-		case 5: // function
-			return walkFields(payload, func(f, w int, v uint64, pl []byte) error {
-				if f == 1 {
-					p.functions[v] = true
-				}
-				return nil
-			})
-		case 6: // string_table
-			p.strings++
-		case 12: // period
-			p.period = int64(v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("decode profile: %v", err)
-	}
-	return p
-}
-
-// checkProfile asserts the invariants go tool pprof checks on load.
-func checkProfile(t *testing.T, p *decodedProfile, wantSampleTypes int) {
-	t.Helper()
-	if p.sampleTypes != wantSampleTypes {
-		t.Errorf("sample_type count = %d, want %d", p.sampleTypes, wantSampleTypes)
-	}
-	if p.strings < 1 {
-		t.Error("no string table")
-	}
-	for _, s := range p.samples {
-		if len(s.values) != wantSampleTypes {
-			t.Errorf("sample has %d values, want %d", len(s.values), wantSampleTypes)
-		}
-		for _, id := range s.locIDs {
-			if !p.locations[id] {
-				t.Errorf("sample references unknown location %d", id)
-			}
-		}
-	}
-	for _, fid := range p.locFuncRefs {
-		if !p.functions[fid] {
-			t.Errorf("location references unknown function %d", fid)
-		}
-	}
-}
-
-// pprofToolCheck runs `go tool pprof -top` on the profile when a go
-// toolchain is available — the authoritative version of "accepts it".
-func pprofToolCheck(t *testing.T, raw []byte) {
-	t.Helper()
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go binary not on PATH; structural check already passed")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.pprof")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(goBin, "tool", "pprof", "-top", "-nodecount=5", path)
-	cmd.Env = append(os.Environ(), "HOME="+dir, "PPROF_TMPDIR="+dir)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go tool pprof rejected profile: %v\n%s", err, out)
-	}
-}
-
-// ---- encoder tests ----
-
-func TestEncodeProfileRoundTrip(t *testing.T) {
-	pcs := make([]uintptr, 8)
-	n := runtime.Callers(1, pcs)
-	samples := []sampleRec{
-		{stack: pcs[:n], values: []int64{3, 4096}},
-		{stack: pcs[:1], values: []int64{1, 128}},
-	}
-	raw := encodeProfile(
-		[]valueType{{"alloc_objects", "count"}, {"alloc_space", "bytes"}},
-		valueType{"space", "bytes"}, 512*1024, time.Second, samples)
-
-	p := decodePprof(t, raw)
-	checkProfile(t, p, 2)
-	if len(p.samples) != 2 {
-		t.Fatalf("decoded %d samples, want 2", len(p.samples))
-	}
-	if p.period != 512*1024 {
-		t.Errorf("period = %d, want %d", p.period, 512*1024)
-	}
-	pprofToolCheck(t, raw)
-}
-
-func TestEncodeProfileEmpty(t *testing.T) {
-	raw := encodeProfile([]valueType{{"contentions", "count"}, {"delay", "cycles"}},
-		valueType{"contentions", "count"}, 1, time.Second, nil)
-	p := decodePprof(t, raw)
-	checkProfile(t, p, 2)
-	if len(p.samples) != 0 {
-		t.Fatalf("decoded %d samples from empty profile", len(p.samples))
-	}
-}
-
-// ---- delta endpoint tests ----
-
-func TestDeltaHeapEndpoint(t *testing.T) {
-	h := DeltaHandler()
-	// Allocate between the two snapshots so the delta has content.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sink := make([][]byte, 0, 512)
-		deadline := time.Now().Add(1200 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			sink = append(sink, make([]byte, 64*1024))
-			if len(sink) > 256 {
-				sink = sink[:0]
-			}
-		}
-		runtime.KeepAlive(sink)
-	}()
-
-	req := httptest.NewRequest("GET", "/debug/prof/delta?type=heap&seconds=1", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	<-done
-
-	if rec.Code != 200 {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
-	}
-	p := decodePprof(t, rec.Body.Bytes())
-	checkProfile(t, p, 4) // alloc_objects, alloc_space, inuse_objects, inuse_space
-	if len(p.samples) == 0 {
-		t.Fatal("heap delta has no samples despite allocation churn")
-	}
-	pprofToolCheck(t, rec.Body.Bytes())
-}
-
-func TestDeltaMutexEndpoint(t *testing.T) {
-	prev := runtime.SetMutexProfileFraction(1)
-	defer runtime.SetMutexProfileFraction(prev)
-
-	h := DeltaHandler()
-	done := make(chan struct{})
-	go func() {
-		// Generate real contention during the window.
-		defer close(done)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		stop := time.Now().Add(1200 * time.Millisecond)
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(stop) {
-					mu.Lock()
-					time.Sleep(time.Millisecond)
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}()
-
-	req := httptest.NewRequest("GET", "/debug/prof/delta?type=mutex&seconds=1", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	<-done
-
-	if rec.Code != 200 {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
-	}
-	p := decodePprof(t, rec.Body.Bytes())
-	checkProfile(t, p, 2)
-	if len(p.samples) == 0 {
-		t.Fatal("mutex delta has no samples despite contention")
-	}
-	pprofToolCheck(t, rec.Body.Bytes())
-}
-
-func TestDeltaGoroutineEndpoint(t *testing.T) {
-	h := DeltaHandler()
-	req := httptest.NewRequest("GET", "/debug/prof/delta?type=goroutine", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	// runtime/pprof wrote this one; just confirm it is a gzipped proto
-	// with at least one goroutine sample.
-	p := decodePprof(t, rec.Body.Bytes())
-	if len(p.samples) == 0 {
-		t.Fatal("goroutine profile has no samples")
-	}
-}
-
-func TestDeltaUnknownTypeEnvelope(t *testing.T) {
-	h := DeltaHandler()
-	req := httptest.NewRequest("GET", "/debug/prof/delta?type=nonsense", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 400 {
-		t.Fatalf("status = %d, want 400", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q, want application/json", ct)
-	}
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("body is not the v1 error envelope: %v\n%s", err, rec.Body.String())
-	}
-	if env.Error.Code != "invalid_type" {
-		t.Errorf("code = %q, want invalid_type", env.Error.Code)
-	}
-	if !strings.Contains(env.Error.Message, "nonsense") {
-		t.Errorf("message does not echo the bad type: %q", env.Error.Message)
-	}
-}
-
-func TestDeltaBadSecondsEnvelope(t *testing.T) {
-	h := DeltaHandler()
-	for _, bad := range []string{"0", "-5", "abc"} {
-		req := httptest.NewRequest("GET", "/debug/prof/delta?type=heap&seconds="+bad, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 400 {
-			t.Errorf("seconds=%s: status = %d, want 400", bad, rec.Code)
-		}
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_seconds" {
-			t.Errorf("seconds=%s: body %s", bad, rec.Body.String())
-		}
-	}
-}
-
-func TestDeltaMutexDisabled(t *testing.T) {
-	prev := runtime.SetMutexProfileFraction(0)
-	defer runtime.SetMutexProfileFraction(prev)
-	h := DeltaHandler()
-	req := httptest.NewRequest("GET", "/debug/prof/delta?type=mutex&seconds=1", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 412 {
-		t.Fatalf("status = %d, want 412", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "profiling_disabled") {
-		t.Errorf("body = %s", rec.Body.String())
-	}
-}
-
-// ---- capture rotation tests ----
 
 func TestCaptureRotationKeepN(t *testing.T) {
 	dir := t.TempDir()
@@ -457,13 +46,20 @@ func TestCaptureRotationKeepN(t *testing.T) {
 			t.Errorf("sets[%d] = %s, want %s", i, filepath.Base(sets[i]), want)
 		}
 	}
-	// Every surviving set carries a parseable heap profile.
+	// Every surviving set carries a whole heap profile: runtime/pprof
+	// writes them gzip-framed, so a torn one fails to inflate.
 	for _, set := range sets {
 		raw, err := os.ReadFile(filepath.Join(set, "heap.pprof"))
 		if err != nil {
 			t.Fatalf("read %s: %v", set, err)
 		}
-		decodePprof(t, raw)
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: heap profile is not gzipped: %v", set, err)
+		}
+		if _, err := io.ReadAll(zr); err != nil {
+			t.Fatalf("%s: heap profile does not inflate: %v", set, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 )
@@ -98,48 +97,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}{TraceEvents: events, DisplayTimeUnit: "ms"}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Rollup aggregates the journal per span name: how often a stage ran,
-// for how long in total, over how many items.
-type Rollup struct {
-	Name  string        `json:"name"`
-	Count int           `json:"count"`
-	Total time.Duration `json:"total_ns"`
-	// Items sums the numeric "items" attribute over the rolled-up
-	// spans, when present.
-	Items int `json:"items,omitempty"`
-}
-
-// Rollups returns per-name aggregates sorted by total time,
-// descending.
-func (t *Tracer) Rollups() []Rollup {
-	byName := make(map[string]*Rollup)
-	var order []string
-	for _, rec := range t.Records() {
-		r, ok := byName[rec.Name]
-		if !ok {
-			r = &Rollup{Name: rec.Name}
-			byName[rec.Name] = r
-			order = append(order, rec.Name)
-		}
-		r.Count++
-		r.Total += rec.Duration
-		if v := rec.Attr("items"); v != "" {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-				r.Items += n
-			}
-		}
-	}
-	out := make([]Rollup, 0, len(byName))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Total > out[j-1].Total; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRootAndChildSpans(t *testing.T) {
@@ -230,31 +229,6 @@ func TestMaxSpansBoundsJournal(t *testing.T) {
 	}
 	if tr.Len() != 2 || tr.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-}
-
-func TestRollups(t *testing.T) {
-	tr := New()
-	tr.Now = func() time.Time { return time.Unix(0, 0) }
-	for i := 0; i < 3; i++ {
-		_, sp := tr.Start(context.Background(), "a")
-		sp.SetAttrInt("items", 10)
-		sp.End()
-	}
-	_, sp := tr.Start(context.Background(), "b")
-	sp.End()
-	rolls := tr.Rollups()
-	if len(rolls) != 2 {
-		t.Fatalf("rollups: %+v", rolls)
-	}
-	var a Rollup
-	for _, r := range rolls {
-		if r.Name == "a" {
-			a = r
-		}
-	}
-	if a.Count != 3 || a.Items != 30 {
-		t.Fatalf("rollup a: %+v", a)
 	}
 }
 

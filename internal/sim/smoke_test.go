@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/detect"
@@ -24,7 +25,7 @@ func TestSmokeEndToEnd(t *testing.T) {
 		len(tr.Renames), len(tr.HijackableSet()), len(tr.Hijacks), len(tr.TestNS), len(tr.AccidentNS))
 
 	det := &detect.Detector{DB: w.ZoneDB(), WHOIS: w.WHOIS(), Dir: w.Directory()}
-	res := det.Run()
+	res := det.RunContext(context.Background())
 	t.Logf("funnel: %+v", res.Funnel)
 	perIdiom := map[idioms.ID]int{}
 	hijacked := 0

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dates"
@@ -109,7 +110,7 @@ func TestDemotionAndHijack(t *testing.T) {
 
 	// And the converged state equals the batch verdict on the same DB.
 	batch := (&detect.Detector{DB: db, WHOIS: wh, Dir: dir,
-		Cfg: detect.Config{SkipMining: true}}).Run()
+		Cfg: detect.Config{SkipMining: true}}).RunContext(context.Background())
 	diffResults(t, batch, e.Result())
 	got := e.Result().Lookup(acmeSac)
 	if got == nil || !got.Hijacked() || got.HijackedOn != hijack {

@@ -2,6 +2,7 @@ package watch
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestReplayEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w, v, idx := buildWorld(t, 2, seed)
 			batch := (&detect.Detector{DB: w.ZoneDB(), WHOIS: w.WHOIS(), Dir: w.Directory(),
-				Cfg: detect.Config{SkipMining: true}}).Run()
+				Cfg: detect.Config{SkipMining: true}}).RunContext(context.Background())
 
 			e := New(w.WHOIS(), w.Directory())
 			alerts := replay(t, e, idx, idx.First(), idx.Last())

@@ -31,16 +31,11 @@ import (
 // The final sum line is an integrity trailer: the CRC32C and byte count
 // of everything before it (the magic line included). A "dzdb 2" archive
 // missing its trailer was truncated; a mismatching trailer means bit-rot
-// or a torn write. Legacy "dzdb 1" archives carry no trailer and still
-// load, with no integrity verification — the fallback for files written
-// before the trailer existed.
+// or a torn write. No other version is read: the trailer-less "dzdb 1"
+// could only be loaded unverified.
 
-const (
-	// archiveMagicV1 marks legacy archives without an integrity trailer.
-	archiveMagicV1 = "dzdb 1"
-	// archiveMagic marks archives that end with a checksummed trailer.
-	archiveMagic = "dzdb 2"
-)
+// archiveMagic marks archives that end with a checksummed trailer.
+const archiveMagic = "dzdb 2"
 
 // archiveCRCTable is the CRC32C polynomial used by the trailer (shared
 // with the segment store's framing).
@@ -139,8 +134,8 @@ func ReadFrom(r io.Reader) (*DB, error) {
 	}
 	lineNo++
 	magic := sc.Text()
-	if magic != archiveMagic && magic != archiveMagicV1 {
-		return nil, fmt.Errorf("zonedb: bad magic %q", magic)
+	if magic != archiveMagic {
+		return nil, fmt.Errorf("zonedb: unsupported archive version %q (want %q)", magic, archiveMagic)
 	}
 	// Reconstruct the byte stream the writer checksummed (each line plus
 	// its newline) so the trailer can be verified without a second pass.
@@ -265,7 +260,7 @@ func ReadFrom(r io.Reader) (*DB, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if magic == archiveMagic && !sawSum {
+	if !sawSum {
 		return nil, fmt.Errorf("zonedb: archive corrupt: missing integrity trailer (truncated)")
 	}
 	if closeDay == dates.None {

@@ -2,6 +2,8 @@ package zonedb
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -66,20 +68,27 @@ func TestArchiveRequiresClosedDB(t *testing.T) {
 	}
 }
 
+// trailed appends the integrity trailer WriteArchive would, so a
+// hand-written archive fails for the defect in its records and not for
+// a missing trailer.
+func trailed(body string) string {
+	return fmt.Sprintf("%ssum %08x %d\n", body, crc32.Checksum([]byte(body), archiveCRCTable), len(body))
+}
+
 func TestArchiveErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"wrong magic\n",
-		"dzdb 1\n", // missing close
-		"dzdb 1\nclose not-a-date\n",
-		"dzdb 1\nclose 2020-01-01\nD onlytwo 2020-01-01\n",
-		"dzdb 1\nclose 2020-01-01\nE a.com ns.b.com 2020-01-01\n",
-		"dzdb 1\nclose 2020-01-01\nQ what 2020-01-01 2020-01-02\n",
-		"dzdb 1\nclose 2020-01-01\nD -bad-.com 2020-01-01 2020-01-02\n",
+	cases := []struct{ in, want string }{
+		{"", "empty archive"},
+		{"wrong magic\n", "unsupported archive version"},
+		{trailed("dzdb 2\n"), "missing close record"},
+		{trailed("dzdb 2\nclose not-a-date\n"), "line 2"},
+		{trailed("dzdb 2\nclose 2020-01-01\nD onlytwo 2020-01-01\n"), "malformed span"},
+		{trailed("dzdb 2\nclose 2020-01-01\nE a.com ns.b.com 2020-01-01\n"), "malformed edge span"},
+		{trailed("dzdb 2\nclose 2020-01-01\nQ what 2020-01-01 2020-01-02\n"), "unknown record kind"},
+		{trailed("dzdb 2\nclose 2020-01-01\nD -bad-.com 2020-01-01 2020-01-02\n"), "line 3"},
 	}
-	for _, in := range cases {
-		if _, err := ReadFrom(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadFrom(%q) should fail", in)
+	for _, tc := range cases {
+		if _, err := ReadFrom(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadFrom(%q) = %v, want an error mentioning %q", tc.in, err, tc.want)
 		}
 	}
 }
@@ -144,15 +153,15 @@ func TestArchiveTrailerDetectsBitFlip(t *testing.T) {
 	}
 }
 
-func TestArchiveLegacyV1StillLoads(t *testing.T) {
-	// A v1 archive has no trailer and must load without verification.
+func TestArchiveLegacyV1Refused(t *testing.T) {
+	// A v1 archive has no trailer, so it could only load unverified: it
+	// is refused by version, with or without a trailer of its own.
 	legacy := "dzdb 1\nclose 2020-01-01\nZ com\nD foo.com 2019-01-01 2019-06-01\n"
-	db, err := ReadFrom(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy archive rejected: %v", err)
-	}
-	if n := db.View().NumDomains(); n != 1 {
-		t.Fatalf("NumDomains = %d", n)
+	for _, in := range []string{legacy, trailed(legacy)} {
+		_, err := ReadFrom(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), `unsupported archive version "dzdb 1"`) {
+			t.Errorf("ReadFrom(%q) = %v, want an unsupported-version error", in, err)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@
 //
 // A minimal end-to-end run:
 //
-//	study, err := riskybiz.Run(riskybiz.Options{DomainsPerDay: 10})
+//	study, err := riskybiz.RunContext(ctx, riskybiz.Options{DomainsPerDay: 10})
 //	if err != nil { ... }
 //	t3 := study.Analysis.Table3()
 //	fmt.Printf("%.1f%% of hijackable domains were hijacked\n",
@@ -102,18 +102,10 @@ type Study struct {
 	Window dates.Range
 }
 
-// Run simulates the ecosystem, runs detection, and prepares the analyses.
-//
-// Deprecated: use RunContext (or the functional-options RunStudy), which
-// carries cancellation and trace context through the pipeline phases.
-// Run is equivalent to RunContext(context.Background(), opts).
-func Run(opts Options) (*Study, error) {
-	return RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with the pipeline's phases (world build, simulate,
-// re-ingest, detect, analysis) journaled as child spans of the trace
-// carried by ctx; with no trace in ctx it behaves exactly like Run.
+// RunContext simulates the ecosystem, runs detection, and prepares the
+// analyses. The pipeline's phases (world build, simulate, re-ingest,
+// detect, analysis) are journaled as child spans of the trace carried
+// by ctx, if any.
 func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	if opts.DomainsPerDay <= 0 {
 		opts.DomainsPerDay = 10
@@ -147,8 +139,8 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	db := world.ZoneDB()
 	var quarantine zonedb.QuarantineReport
 	if opts.Reingest {
-		rctx, rsp := trace.Start(ctx, "zonedb.reingest")
-		reingested, report, err := reingest(rctx, world, opts)
+		_, rsp := trace.Start(ctx, "zonedb.reingest")
+		reingested, report, err := reingest(world, opts)
 		rsp.SetError(err)
 		rsp.End()
 		if err != nil {
@@ -178,45 +170,20 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 
 // reingest exports the world's daily zone snapshots and rebuilds the
 // database through the snapshot differ, honouring the fault-tolerance
-// options. Each zone's snapshot stream gets its own child span (the
-// differ only requires per-zone chronology, so the zone-outer order is
-// equivalent to the day-outer one).
-func reingest(ctx context.Context, world *sim.World, opts Options) (*zonedb.DB, zonedb.QuarantineReport, error) {
+// options. IngestWorkers <= 1 is the ingester's serial path.
+func reingest(world *sim.World, opts Options) (*zonedb.DB, zonedb.QuarantineReport, error) {
 	src := world.ZoneDB().View()
 	ing := zonedb.NewIngester()
 	ing.Degraded = !opts.StrictIngest
 	ing.MaxQuarantine = opts.MaxQuarantine
 	ing.Obs = opts.Obs
+	ing.Workers = opts.IngestWorkers
 	cfg := world.Config()
-	if opts.IngestWorkers > 1 {
-		ing.Workers = opts.IngestWorkers
-		_, psp := trace.Start(ctx, "zonedb.ingest.parallel")
-		psp.SetAttrInt("workers", opts.IngestWorkers)
-		err := ing.IngestAll(&snapshotWalker{
-			view: src, zones: src.Zones(), start: cfg.Start, end: cfg.End,
-		})
-		psp.SetError(err)
-		psp.End()
-		if err != nil {
-			return nil, zonedb.QuarantineReport{}, fmt.Errorf("riskybiz: reingest: %w", err)
-		}
-		return ing.Finish(), ing.Quarantine(), nil
-	}
-	for _, zone := range src.Zones() {
-		_, zsp := trace.Start(ctx, "zonedb.ingest.zone")
-		zsp.SetAttr("zone", string(zone))
-		days := 0
-		for day := cfg.Start; day <= cfg.End; day++ {
-			if err := ing.AddSnapshot(src.SnapshotOn(zone, day)); err != nil {
-				err = fmt.Errorf("riskybiz: reingest %s@%s: %w", zone, day, err)
-				zsp.SetError(err)
-				zsp.End()
-				return nil, zonedb.QuarantineReport{}, err
-			}
-			days++
-		}
-		zsp.SetAttrInt("items", days)
-		zsp.End()
+	err := ing.IngestAll(&snapshotWalker{
+		view: src, zones: src.Zones(), start: cfg.Start, end: cfg.End,
+	})
+	if err != nil {
+		return nil, zonedb.QuarantineReport{}, fmt.Errorf("riskybiz: reingest: %w", err)
 	}
 	return ing.Finish(), ing.Quarantine(), nil
 }

@@ -5,6 +5,7 @@
 package riskybiz
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ var (
 func sharedStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		study, studyErr = Run(Options{Seed: 1, DomainsPerDay: 8})
+		study, studyErr = RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 8})
 	})
 	if studyErr != nil {
 		t.Fatalf("study: %v", studyErr)
@@ -286,11 +287,11 @@ func TestPartialExposure(t *testing.T) {
 
 func TestSelectivityAblation(t *testing.T) {
 	// With uniform hijackers, the domain/NS capture asymmetry collapses.
-	uniform, err := Run(Options{Seed: 1, DomainsPerDay: 5, UniformHijackers: true})
+	uniform, err := RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 5, UniformHijackers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	selective, err := Run(Options{Seed: 1, DomainsPerDay: 5})
+	selective, err := RunContext(context.Background(), Options{Seed: 1, DomainsPerDay: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestSelectivityAblation(t *testing.T) {
 }
 
 func TestRunOptionDefaults(t *testing.T) {
-	st, err := Run(Options{Seed: 3, DomainsPerDay: 1})
+	st, err := RunContext(context.Background(), Options{Seed: 3, DomainsPerDay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +344,38 @@ func TestRunOptionDefaults(t *testing.T) {
 	}
 	if st.World == nil || st.Result == nil || st.Analysis == nil {
 		t.Error("incomplete study")
+	}
+}
+
+// TestRunContextParallelMatchesSerial drives the facade's one re-ingest
+// path at both ends of its worker setting: a study re-ingested by four
+// zone-affine workers and extracted by eight must carry the detection
+// funnel and sacrificial set of the serial one, exactly. (A tenth of a
+// domain a day: a re-ingest rebuilds every zone-day's snapshot from the
+// whole database, ~40 s a study at one domain a day.)
+func TestRunContextParallelMatchesSerial(t *testing.T) {
+	opts := Options{Seed: 1, DomainsPerDay: 0.1, Reingest: true, StrictIngest: true}
+	serial, err := RunContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.IngestWorkers = 4
+	opts.Detector.Workers = 8
+	par, err := RunContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Result.Funnel.Sacrificial == 0 {
+		t.Fatal("serial study detected nothing")
+	}
+	if par.Result.Funnel != serial.Result.Funnel {
+		t.Fatalf("funnel differs: %+v vs %+v", par.Result.Funnel, serial.Result.Funnel)
+	}
+	for i, s := range serial.Result.Sacrificial {
+		p := par.Result.Sacrificial[i]
+		if p.NS != s.NS || p.Idiom != s.Idiom || p.HijackedOn != s.HijackedOn {
+			t.Fatalf("record %d differs: %+v vs %+v", i, p, s)
+		}
 	}
 }
 
