@@ -32,6 +32,26 @@ func FromRanges(ranges ...dates.Range) Set {
 	return s
 }
 
+// FromNormalized adopts spans as a Set without copying or re-inserting:
+// the slice must already be in normal form — every range non-empty,
+// sorted by First, no two overlapping or adjacent — and FromNormalized
+// verifies exactly that, reporting the first violation. The set owns
+// spans afterwards. It exists for decoders that carve many sets out of
+// one allocation; cap the slice (s[i:j:j]) so a later Add reallocates
+// instead of growing into a neighbour.
+func FromNormalized(spans []dates.Range) (Set, error) {
+	for i, r := range spans {
+		if r.Empty() {
+			return Set{}, fmt.Errorf("interval: span %d %s is empty", i, r)
+		}
+		// Widened so Last+1 cannot wrap at the top of the Day range.
+		if i > 0 && int64(r.First) <= int64(spans[i-1].Last)+1 {
+			return Set{}, fmt.Errorf("interval: span %d %s overlaps, touches or precedes span %d %s", i, r, i-1, spans[i-1])
+		}
+	}
+	return Set{spans: spans}, nil
+}
+
 // Add inserts the inclusive range r, merging with existing spans where they
 // overlap or touch. Adding an empty range is a no-op.
 func (s *Set) Add(r dates.Range) {

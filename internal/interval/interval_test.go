@@ -198,3 +198,64 @@ func TestClone(t *testing.T) {
 		t.Error("Clone shares storage with original")
 	}
 }
+
+func TestFromNormalized(t *testing.T) {
+	// Whatever Add builds is in normal form and is adopted as is, sharing
+	// the slice it was given.
+	built := FromRanges(r(20, 30), r(0, 10), r(40, 40))
+	spans := append([]dates.Range(nil), built.Spans()...)
+	s, err := FromNormalized(spans)
+	if err != nil {
+		t.Fatalf("FromNormalized(%v): %v", spans, err)
+	}
+	if s.String() != built.String() {
+		t.Fatalf("adopted %v, want %v", s.String(), built.String())
+	}
+	if &s.Spans()[0] != &spans[0] {
+		t.Error("FromNormalized copied the slice")
+	}
+	if s, err := FromNormalized(nil); err != nil || !s.Empty() {
+		t.Errorf("FromNormalized(nil) = %v, %v; want the empty set", s.String(), err)
+	}
+
+	top := dates.Day(1<<31 - 1)
+	for _, tc := range []struct {
+		name  string
+		spans []dates.Range
+	}{
+		{"inverted", []dates.Range{r(5, 4)}},
+		{"inverted later span", []dates.Range{r(0, 1), r(9, 3)}},
+		{"overlapping", []dates.Range{r(0, 10), r(10, 20)}},
+		{"adjacent", []dates.Range{r(0, 10), r(11, 20)}},
+		{"descending", []dates.Range{r(20, 30), r(0, 10)}},
+		{"duplicate", []dates.Range{r(0, 10), r(0, 10)}},
+		{"adjacent across the top of the day range", []dates.Range{dates.NewRange(0, top), dates.NewRange(-1<<31, -5)}},
+	} {
+		if s, err := FromNormalized(tc.spans); err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, s.String())
+		}
+	}
+}
+
+// TestFromNormalizedCappedSliceDoesNotGrowIntoNeighbour is the contract a
+// slab-carving decoder relies on: with the slice capped at its length, a
+// mutation of one set leaves the next set's spans alone.
+func TestFromNormalizedCappedSliceDoesNotGrowIntoNeighbour(t *testing.T) {
+	slab := []dates.Range{r(0, 1), r(10, 11), r(20, 21)}
+	a, err := FromNormalized(slab[0:1:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FromNormalized(slab[1:3:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Add(r(5, 6))
+	a.Add(r(30, 31))
+	if got, want := b.String(), FromRanges(r(10, 11), r(20, 21)); got != want.String() {
+		t.Fatalf("neighbour changed to %v", got)
+	}
+	if got, want := a.String(), FromRanges(r(0, 1), r(5, 6), r(30, 31)); got != want.String() {
+		t.Fatalf("grown set = %v", got)
+	}
+}

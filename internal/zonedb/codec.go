@@ -2,6 +2,7 @@ package zonedb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,6 +14,18 @@ import (
 	"repro/internal/dnsname"
 )
 
+// A sealed view has two encodings. The archive below is the interchange
+// format: text a person can grep and diff, what -save-data writes and
+// -load, zonedump and riskydetect read, and what equality between
+// databases is checked by. It costs a parse to read — a name validated
+// and two dates decoded per line, a set grown span by span — which is
+// the wrong price for the segment store, whose files are loaded on every
+// warm boot and catch-up and looked at by nobody; the store's payload is
+// the binary encoding in segcodec.go, which carries exactly the facts
+// the archive does, in the same canonical order, and loads as a
+// bounds-checked copy. Neither reads the other; a database read from
+// either archives to the same bytes.
+//
 // The archive format is line-oriented text, one fact-span per line:
 //
 //	dzdb 2
@@ -156,6 +169,11 @@ func ReadFrom(r io.Reader) (*DB, error) {
 		last, err := dates.Parse(b)
 		if err != nil {
 			return dates.Range{}, err
+		}
+		// Add would drop an inverted span silently, after the caller had
+		// already created its key and index entries.
+		if last < first {
+			return dates.Range{}, errors.New("empty span")
 		}
 		return dates.NewRange(first, last), nil
 	}

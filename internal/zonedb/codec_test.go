@@ -85,6 +85,11 @@ func TestArchiveErrors(t *testing.T) {
 		{trailed("dzdb 2\nclose 2020-01-01\nE a.com ns.b.com 2020-01-01\n"), "malformed edge span"},
 		{trailed("dzdb 2\nclose 2020-01-01\nQ what 2020-01-01 2020-01-02\n"), "unknown record kind"},
 		{trailed("dzdb 2\nclose 2020-01-01\nD -bad-.com 2020-01-01 2020-01-02\n"), "line 3"},
+		// An inverted span names a key with no days: Add would drop the span
+		// and leave the key (and an edge's index entries) behind.
+		{trailed("dzdb 2\nclose 2020-01-01\nD foo.com 2016-01-02 2016-01-01\n"), "line 3: empty span"},
+		{trailed("dzdb 2\nclose 2020-01-01\nG ns1.foo.com 2016-01-02 2016-01-01\n"), "line 3: empty span"},
+		{trailed("dzdb 2\nclose 2020-01-01\nD foo.com 2016-01-01 2016-01-02\nE foo.com ns1.x.net 2016-01-02 2016-01-01\n"), "line 4: empty span"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadFrom(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,0 +1,462 @@
+package zonedb
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"slices"
+
+	"repro/internal/dates"
+	"repro/internal/dnsname"
+	"repro/internal/interval"
+)
+
+// The segment payload is the binary twin of the text archive: the same
+// sealed facts, canonically ordered, laid out so that loading them is a
+// bounds-checked copy instead of a parse. Every integer is a big-endian
+// 32-bit word (the segment framing's byte order); days are int32 days
+// since 2000-01-01, as dates.Day holds them.
+//
+//	header   closeDay | nNames | nameBytes | nZones
+//	         | domainKeys | domainSpans | glueKeys | glueSpans
+//	         | edgeKeys | edgeSpans                      10 words
+//	names    nNames length bytes, then nameBytes of name text: every
+//	         name any record refers to, once, strictly ascending
+//	zones    nZones name ids, strictly ascending
+//	domains  domainKeys × (nameID, nSpans), nameID strictly ascending,
+//	         then domainSpans × (first, last)
+//	glue     as domains
+//	edges    edgeKeys × (domainID, nsID, nSpans), strictly ascending by
+//	         (domainID, nsID), then edgeSpans × (first, last)
+//
+// A key's spans are the next nSpans entries of its section's span array,
+// in normal form (non-empty, ascending, neither overlapping nor
+// adjacent). A key with no spans is not written, as the text archive
+// writes no line for it, and a name nothing refers to is not in the
+// table: the same facts encode to the same bytes, and any payload
+// ReadSegment accepts re-encodes to itself.
+
+// segHeaderLen is the fixed header: ten 32-bit words.
+const segHeaderLen = 40
+
+// minSegDay and maxSegDay bound every day in a payload to what the text
+// archive can print (a four-digit year), so a database loaded from a
+// segment always archives and reads back; dates.None lies outside them.
+var (
+	minSegDay = dates.FromYMD(0, 1, 1)
+	maxSegDay = dates.FromYMD(9999, 12, 31)
+)
+
+func segDayOK(d dates.Day) bool { return d >= minSegDay && d <= maxSegDay }
+
+// segSpansOK reports whether a normal-form set lies within the bounds:
+// its spans ascend, so its ends speak for all of them.
+func segSpansOK(s *interval.Set) bool { return segDayOK(s.First()) && segDayOK(s.Last()) }
+
+// segNameOK reports whether s is a name in the form the rest of the
+// pipeline compares byte-wise: what dnsname.Parse would return for it.
+func segNameOK(s string) bool {
+	n, err := dnsname.Parse(s)
+	return err == nil && string(n) == s
+}
+
+// segEdges is the edge section's position among the three (domains,
+// glue, edges): the one whose keys carry two name ids.
+const segEdges = 2
+
+// segEntry is one key of a section on its way out: its names, their ids
+// packed for sorting (domainID<<32 | nsID for an edge), and its spans.
+type segEntry struct {
+	name, ns dnsname.Name
+	key      uint64
+	set      *interval.Set
+}
+
+// WriteSegment writes the view in the segment payload encoding. Like
+// WriteArchive it needs a closed view. It refuses what ReadSegment would
+// refuse — a name that is not canonical, a day no archive can print —
+// so a sealed epoch is one that loads.
+func (v *View) WriteSegment(w io.Writer) error { return v.tables.writeSegment(w) }
+
+func (t *tables) writeSegment(w io.Writer) error {
+	if !t.closed {
+		return fmt.Errorf("zonedb: segment requires a closed database")
+	}
+	if !segDayOK(t.closeDay) {
+		return fmt.Errorf("zonedb: segment: close day %s out of range", t.closeDay)
+	}
+
+	// Pass one: the keys that have spans, and the names they mention.
+	ids := make(map[dnsname.Name]uint32, len(t.zones)+len(t.domains)+len(t.byNS))
+	names := make([]dnsname.Name, 0, len(t.zones)+len(t.domains)+len(t.byNS))
+	nameBytes := 0
+	note := func(n dnsname.Name) {
+		if _, seen := ids[n]; !seen {
+			ids[n] = 0
+			names = append(names, n)
+			nameBytes += len(n)
+		}
+	}
+	for z := range t.zones {
+		note(z)
+	}
+	collect := func(m map[dnsname.Name]*interval.Set) []segEntry {
+		out := make([]segEntry, 0, len(m))
+		for n, s := range m {
+			if !s.Empty() {
+				note(n)
+				out = append(out, segEntry{name: n, set: s})
+			}
+		}
+		return out
+	}
+	domains, glue := collect(t.domains), collect(t.glue)
+	edges := make([]segEntry, 0, len(t.edges))
+	for e, s := range t.edges {
+		if !s.Empty() {
+			note(e.Domain)
+			note(e.NS)
+			edges = append(edges, segEntry{name: e.Domain, ns: e.NS, set: s})
+		}
+	}
+
+	// Pass two: ids are ranks in the sorted name table, so sorting keys by
+	// id is the text archive's sort by name.
+	slices.Sort(names)
+	for i, n := range names {
+		if !segNameOK(string(n)) {
+			return fmt.Errorf("zonedb: segment: name %q is not canonical", n)
+		}
+		ids[n] = uint32(i)
+	}
+	zones := make([]uint32, 0, len(t.zones))
+	for z := range t.zones {
+		zones = append(zones, ids[z])
+	}
+	slices.Sort(zones)
+	sections := [3][]segEntry{domains, glue, edges}
+	nSpans := [3]int{}
+	for i, sec := range sections {
+		for j := range sec {
+			e := &sec[j]
+			if !segSpansOK(e.set) {
+				return fmt.Errorf("zonedb: segment: spans %s of %s out of range", e.set, e.name)
+			}
+			e.key = uint64(ids[e.name])
+			if i == segEdges {
+				e.key = e.key<<32 | uint64(ids[e.ns])
+			}
+			nSpans[i] += e.set.Len()
+		}
+		slices.SortFunc(sec, func(a, b segEntry) int { return cmp.Compare(a.key, b.key) })
+	}
+
+	size := segHeaderLen + len(names) + nameBytes + 4*len(zones) +
+		8*(len(domains)+nSpans[0]+len(glue)+nSpans[1]+nSpans[2]) + 12*len(edges)
+	buf := make([]byte, 0, size)
+	u32 := func(v int) { buf = binary.BigEndian.AppendUint32(buf, uint32(v)) }
+	u32(int(t.closeDay))
+	u32(len(names))
+	u32(nameBytes)
+	u32(len(zones))
+	for i, sec := range sections {
+		u32(len(sec))
+		u32(nSpans[i])
+	}
+	for _, n := range names {
+		buf = append(buf, byte(len(n))) // Parse capped it at 253
+	}
+	for _, n := range names {
+		buf = append(buf, n...)
+	}
+	for _, z := range zones {
+		u32(int(z))
+	}
+	for i, sec := range sections {
+		for _, e := range sec {
+			if i == segEdges {
+				u32(int(e.key >> 32))
+			}
+			u32(int(uint32(e.key)))
+			u32(e.set.Len())
+		}
+		for _, e := range sec {
+			for _, r := range e.set.Spans() {
+				u32(int(r.First))
+				u32(int(r.Last))
+			}
+		}
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// ReadSegment decodes a payload written by WriteSegment into a fresh,
+// closed DB. The payload is untrusted: the header's counts must account
+// for its length exactly before anything is allocated, every name is
+// validated, every id bounds-checked, keys must ascend strictly and
+// spans be in normal form. It keeps no reference to p.
+//
+// The loaded DB is built from a handful of allocations: one string that
+// every name is a substring of, and one slab each for the interval sets,
+// their spans and the byNS/byDomain index slices. Each carved slice is
+// capped at its length, so a later append (a writer extending an index
+// after thaw, an Add on an absorbed set) reallocates rather than
+// growing into its neighbour.
+func ReadSegment(p []byte) (*DB, error) {
+	fail := func(format string, args ...any) (*DB, error) {
+		return nil, fmt.Errorf("zonedb: segment payload: "+format, args...)
+	}
+	if len(p) < segHeaderLen {
+		return fail("%d bytes is shorter than the header", len(p))
+	}
+	var hdr [segHeaderLen / 4]uint64
+	for i := range hdr {
+		hdr[i] = uint64(binary.BigEndian.Uint32(p[4*i:]))
+	}
+	nNames, nameBytes, nZones := hdr[1], hdr[2], hdr[3]
+	keys, spans := [3]uint64{hdr[4], hdr[6], hdr[8]}, [3]uint64{hdr[5], hdr[7], hdr[9]}
+	want := segHeaderLen + nNames + nameBytes + 4*nZones +
+		8*(keys[0]+spans[0]+keys[1]+spans[1]+spans[2]) + 12*keys[2]
+	if want != uint64(len(p)) {
+		return fail("header counts describe %d bytes, payload has %d", want, len(p))
+	}
+	closeDay := dates.Day(int32(hdr[0]))
+	if closeDay == dates.None {
+		return fail("missing close day")
+	}
+	if !segDayOK(closeDay) {
+		return fail("close day %d out of range", closeDay)
+	}
+
+	// From here every count is bounded by len(p), and reads cannot overrun.
+	d := &segDecoder{rest: p[segHeaderLen:]}
+	if err := d.readNames(int(nNames), int(nameBytes)); err != nil {
+		return fail("%v", err)
+	}
+	t := tables{
+		edges:       make(map[Edge]*interval.Set, keys[2]),
+		openEdges:   make(map[Edge]dates.Day),
+		domains:     make(map[dnsname.Name]*interval.Set, keys[0]),
+		openDomains: make(map[dnsname.Name]dates.Day),
+		glue:        make(map[dnsname.Name]*interval.Set, keys[1]),
+		openGlue:    make(map[dnsname.Name]dates.Day),
+		zones:       make(map[dnsname.Name]bool, nZones),
+		closed:      true,
+		closeDay:    closeDay,
+	}
+	prev := -1
+	for range nZones {
+		id, err := d.nameID()
+		if err != nil {
+			return fail("zone: %v", err)
+		}
+		if int(id) <= prev {
+			return fail("zone %q out of order", d.names[id])
+		}
+		prev = int(id)
+		t.zones[d.names[id]] = true
+	}
+
+	d.sets = make([]interval.Set, keys[0]+keys[1]+keys[2])
+	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
+	for i, into := range []map[dnsname.Name]*interval.Set{t.domains, t.glue} {
+		err := d.section(int(keys[i]), int(spans[i]), false, func(_ int, id, _ uint32, s *interval.Set) {
+			into[d.names[id]] = s
+		})
+		if err != nil {
+			return fail("%s: %v", [2]string{"domains", "glue"}[i], err)
+		}
+	}
+	if err := d.readEdges(&t, int(keys[segEdges]), int(spans[segEdges])); err != nil {
+		return fail("edges: %v", err)
+	}
+	for id, used := range d.used {
+		if !used {
+			return fail("name %q is referred to by nothing", d.names[id])
+		}
+	}
+
+	// Published the way ReadFrom publishes: an empty epoch, then the load.
+	db := New()
+	db.mu.Lock()
+	db.gen = &generation{tables: t}
+	db.publishLocked()
+	db.mu.Unlock()
+	return db, nil
+}
+
+// segDecoder walks a payload whose total length ReadSegment has already
+// reconciled with the header, handing out the slabs as it goes.
+type segDecoder struct {
+	rest  []byte
+	names []dnsname.Name
+	used  []bool // per name id: some record refers to it
+
+	sets  []interval.Set // unclaimed tail of the set slab
+	spans []dates.Range  // unclaimed tail of the span slab
+}
+
+func (d *segDecoder) take(n int) []byte {
+	b := d.rest[:n]
+	d.rest = d.rest[n:]
+	return b
+}
+
+func (d *segDecoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
+
+// nameID reads one name id, bounds-checks it and marks the name used.
+func (d *segDecoder) nameID() (uint32, error) {
+	id := d.u32()
+	if uint64(id) >= uint64(len(d.names)) {
+		return 0, fmt.Errorf("name id %d out of range (%d names)", id, len(d.names))
+	}
+	d.used[id] = true
+	return id, nil
+}
+
+// readNames decodes the name table. The text is copied once, into the
+// string every name of the loaded DB is a substring of.
+func (d *segDecoder) readNames(nNames, nameBytes int) error {
+	lens := d.take(nNames)
+	text := string(d.take(nameBytes))
+	d.names = make([]dnsname.Name, nNames)
+	d.used = make([]bool, nNames)
+	off := 0
+	for i, l := range lens {
+		end := off + int(l)
+		if end > len(text) {
+			return fmt.Errorf("name %d runs past the name bytes", i)
+		}
+		s := text[off:end]
+		if !segNameOK(s) {
+			return fmt.Errorf("name %d %q is not canonical", i, s)
+		}
+		if i > 0 && string(d.names[i-1]) >= s {
+			return fmt.Errorf("name %d %q does not sort after %q", i, s, d.names[i-1])
+		}
+		d.names[i], off = dnsname.Name(s), end
+	}
+	if off != len(text) {
+		return fmt.Errorf("%d name bytes belong to no name", len(text)-off)
+	}
+	return nil
+}
+
+// readEdges decodes the edge section into t.edges and builds both
+// traversal indexes from it. Edges arrive sorted by (domain, ns), so
+// byDomain's slices are runs of the key table and byNS's a stable
+// counting sort of it by ns: both in the order ReadFrom's appends produce
+// from the text archive.
+func (d *segDecoder) readEdges(t *tables, nEdges, nSpans int) error {
+	index := make([]Edge, 2*nEdges)
+	byDomain, byNS := index[:nEdges], index[nEdges:]
+	nsOf := make([]uint32, nEdges)
+	nsEnd := make([]uint32, len(d.names)) // per ns id: edge count, then end offset in byNS
+	nDomains, lastDomain := 0, -1
+	err := d.section(nEdges, nSpans, true, func(k int, dom, ns uint32, s *interval.Set) {
+		e := Edge{Domain: d.names[dom], NS: d.names[ns]}
+		t.edges[e] = s
+		byDomain[k], nsOf[k] = e, ns
+		nsEnd[ns]++
+		if int(dom) != lastDomain {
+			nDomains, lastDomain = nDomains+1, int(dom)
+		}
+	})
+	if err != nil {
+		return err
+	}
+
+	t.byDomain = make(map[dnsname.Name][]Edge, nDomains)
+	for i := 0; i < nEdges; {
+		j := i + 1
+		for j < nEdges && byDomain[j].Domain == byDomain[i].Domain {
+			j++
+		}
+		t.byDomain[byDomain[i].Domain] = byDomain[i:j:j]
+		i = j
+	}
+
+	nNS, end := 0, uint32(0)
+	for id, n := range nsEnd {
+		if n > 0 {
+			nNS++
+		}
+		end += n
+		nsEnd[id] = end - n // start offset; the fill below advances it to the end
+	}
+	for k, ns := range nsOf {
+		byNS[nsEnd[ns]] = byDomain[k]
+		nsEnd[ns]++
+	}
+	t.byNS = make(map[dnsname.Name][]Edge, nNS)
+	start := uint32(0)
+	for id, end := range nsEnd {
+		if end > start {
+			t.byNS[d.names[id]] = byNS[start:end:end]
+		}
+		start = end
+	}
+	return nil
+}
+
+// section decodes one key table and the span array behind it, calling
+// place with each key's position, ids and verified set. An edge key has
+// two name ids, the others one (ns is then zero).
+func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id, ns uint32, s *interval.Set)) error {
+	keyLen := 8
+	if edge {
+		keyLen = 12
+	}
+	// The key table gets a cursor of its own; d moves on to the spans.
+	keys := segDecoder{rest: d.take(keyLen * nKeys), names: d.names, used: d.used}
+	raw := d.take(8 * nSpans)
+	spans := d.spans[:nSpans]
+	d.spans = d.spans[nSpans:]
+	for i := range spans {
+		spans[i] = dates.Range{
+			First: dates.Day(int32(binary.BigEndian.Uint32(raw[8*i:]))),
+			Last:  dates.Day(int32(binary.BigEndian.Uint32(raw[8*i+4:]))),
+		}
+	}
+	var prev uint64
+	for k := 0; k < nKeys; k++ {
+		id, err := keys.nameID()
+		if err != nil {
+			return fmt.Errorf("key %d: %v", k, err)
+		}
+		key, ns := uint64(id), uint32(0)
+		if edge {
+			if ns, err = keys.nameID(); err != nil {
+				return fmt.Errorf("key %d: %v", k, err)
+			}
+			key = key<<32 | uint64(ns)
+		}
+		if k > 0 && key <= prev {
+			return fmt.Errorf("key %d (%s) repeats or sorts before its predecessor", k, d.names[id])
+		}
+		prev = key
+		claimed := keys.u32()
+		if claimed == 0 {
+			return fmt.Errorf("key %d (%s) has no spans", k, d.names[id])
+		}
+		if uint64(claimed) > uint64(len(spans)) {
+			return fmt.Errorf("key %d (%s) claims %d spans, %d remain", k, d.names[id], claimed, len(spans))
+		}
+		n := int(claimed)
+		set := &d.sets[0]
+		if *set, err = interval.FromNormalized(spans[:n:n]); err != nil {
+			return fmt.Errorf("key %d (%s): %v", k, d.names[id], err)
+		}
+		if !segSpansOK(set) {
+			return fmt.Errorf("key %d (%s): spans %s out of range", k, d.names[id], set)
+		}
+		place(k, id, ns, set)
+		d.sets, spans = d.sets[1:], spans[n:]
+	}
+	if len(spans) != 0 {
+		return fmt.Errorf("%d spans belong to no key", len(spans))
+	}
+	return nil
+}

@@ -2,12 +2,20 @@
 // store of immutable, per-epoch segment files plus an atomically
 // replaced MANIFEST naming the sealed set.
 //
-// A segment file is the canonical archive encoding of one sealed epoch
-// (the sorted zonedb.WriteArchive bytes), framed into length-prefixed
-// blocks that each carry a CRC32C, with a trailer block checksumming the
-// whole payload. Torn writes, truncation, and bit-rot are therefore
-// detectable at any byte: a block either decodes exactly as written or
-// the segment is rejected.
+// A segment file is the canonical binary encoding of one sealed epoch
+// (zonedb's View.WriteSegment: a sorted name table, then fixed-width key
+// and span records, so the same facts are the same bytes), framed into
+// length-prefixed blocks that each carry a CRC32C, with a trailer block
+// checksumming the whole payload. Torn writes, truncation, and bit-rot
+// are therefore detectable at any byte: a block either decodes exactly
+// as written or the segment is rejected. Loading one is de-framing into
+// a single buffer and zonedb.ReadSegment's bounds-checked copy out of
+// it; the text archive (zonedb.WriteArchive) is the interchange format
+// and is not on this path.
+//
+// There is one format. A file under an older magic fails Load like any
+// other undecodable segment — quarantined, reported — and the caller
+// rebuilds that epoch from source and reseals it.
 //
 // The MANIFEST is the commit point. It lists every sealed segment with
 // its size and whole-file checksum, carries its own trailing checksum,
@@ -32,7 +40,7 @@ import (
 )
 
 // segMagic begins every segment file.
-const segMagic = "dzdbseg 1\n"
+const segMagic = "dzdbseg 2\n"
 
 // blockSize is the writer's framing granularity. Readers accept any
 // block length up to maxBlockLen.
@@ -138,12 +146,16 @@ func writeSegment(w io.Writer, encode func(io.Writer) error) error {
 	return bw.Finish()
 }
 
-// decodeSegment reads and verifies a segment stream, returning the
-// payload bytes. Every defect — bad magic, truncated header or data,
-// per-block checksum mismatch, oversized length, missing or wrong
-// trailer, trailing garbage — yields an error wrapping ErrCorrupt. It
-// never panics, whatever the input (FuzzDecodeSegment holds it to that).
-func decodeSegment(r io.Reader) ([]byte, error) {
+// decodeSegment reads and verifies a segment stream of at most size
+// bytes — the file length the manifest recorded — returning the payload
+// bytes. Every defect — bad magic, truncated header or data, per-block
+// checksum mismatch, oversized length, more payload than a file of that
+// size can frame, missing or wrong trailer, trailing garbage — yields an
+// error wrapping ErrCorrupt. Blocks are read straight into one buffer
+// allocated up front from size, so the input cannot make it allocate
+// more; it never panics, whatever the input (FuzzDecodeSegment holds it
+// to both).
+func decodeSegment(r io.Reader, size int64) ([]byte, error) {
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
@@ -151,8 +163,15 @@ func decodeSegment(r io.Reader) ([]byte, error) {
 	if string(magic) != segMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
 	}
-	var payload []byte
 	var head [8]byte
+	// room is what size leaves for blocks once the magic and the trailer
+	// are paid for; each block spends its header and its data from it, so
+	// the payload can never outgrow the buffer.
+	room := size - int64(len(segMagic)+len(head))
+	if room < 0 {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold a trailer", ErrCorrupt, size)
+	}
+	payload := make([]byte, 0, room)
 	for {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated block header: %v", ErrCorrupt, err)
@@ -173,13 +192,16 @@ func decodeSegment(r io.Reader) ([]byte, error) {
 		if length > maxBlockLen {
 			return nil, fmt.Errorf("%w: block length %d exceeds limit", ErrCorrupt, length)
 		}
-		data := make([]byte, length)
+		if room -= int64(len(head)) + int64(length); room < 0 {
+			return nil, fmt.Errorf("%w: blocks exceed what a %d-byte segment can hold", ErrCorrupt, size)
+		}
+		data := payload[len(payload) : len(payload)+int(length)]
 		if _, err := io.ReadFull(r, data); err != nil {
 			return nil, fmt.Errorf("%w: truncated block: %v", ErrCorrupt, err)
 		}
 		if got := crc32.Checksum(data, castagnoli); got != sum {
 			return nil, fmt.Errorf("%w: block checksum %08x, header says %08x", ErrCorrupt, got, sum)
 		}
-		payload = append(payload, data...)
+		payload = payload[:len(payload)+int(length)]
 	}
 }

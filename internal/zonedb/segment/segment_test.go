@@ -32,30 +32,41 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	for _, p := range payloads {
 		enc := buildSegment(t, p)
-		got, err := decodeSegment(bytes.NewReader(enc))
+		got, err := decodeSegment(bytes.NewReader(enc), int64(len(enc)))
 		if err != nil {
 			t.Fatalf("decode(%d bytes): %v", len(p), err)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("payload mismatch for %d bytes", len(p))
 		}
+		// The buffer comes from the size the caller allows, block count or no.
+		if cap(got) > len(enc) {
+			t.Fatalf("%d-byte payload buffer for a %d-byte segment", cap(got), len(enc))
+		}
 	}
 }
 
 func TestDecodeSegmentRejectsDefects(t *testing.T) {
 	enc := buildSegment(t, []byte("some payload worth protecting"))
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"bad-magic", []byte("notaseg 1\nxxxxxxx")},
-		{"magic-only", []byte(segMagic)},
-		{"truncated-header", enc[:len(segMagic)+3]},
-		{"truncated-data", enc[:len(segMagic)+10]},
-		{"missing-trailer", enc[:len(enc)-8]},
-		{"partial-trailer", enc[:len(enc)-3]},
-		{"trailing-garbage", append(append([]byte(nil), enc...), 0)},
+	// A case is a stream and the segment size the caller allows it: the
+	// stream's own length unless the case says less.
+	type defect struct {
+		name  string
+		data  []byte
+		under int64
+	}
+	cases := []defect{
+		{name: "empty"},
+		{name: "bad-magic", data: []byte("notaseg 1\nxxxxxxx")},
+		{name: "magic-only", data: []byte(segMagic)},
+		{name: "truncated-header", data: enc[:len(segMagic)+3]},
+		{name: "truncated-data", data: enc[:len(segMagic)+10]},
+		{name: "missing-trailer", data: enc[:len(enc)-8]},
+		{name: "partial-trailer", data: enc[:len(enc)-3]},
+		{name: "trailing-garbage", data: append(append([]byte(nil), enc...), 0)},
+		// A sound segment, but one byte more payload than a file of the
+		// size the manifest recorded could frame.
+		{name: "payload-over-allowed-size", data: enc, under: 1},
 	}
 	flip := func(at int) []byte {
 		out := append([]byte(nil), enc...)
@@ -63,31 +74,19 @@ func TestDecodeSegmentRejectsDefects(t *testing.T) {
 		return out
 	}
 	cases = append(cases,
-		struct {
-			name string
-			data []byte
-		}{"flipped-data", flip(len(segMagic) + 8)},
-		struct {
-			name string
-			data []byte
-		}{"flipped-block-crc", flip(len(segMagic) + 5)},
-		struct {
-			name string
-			data []byte
-		}{"flipped-trailer-crc", flip(len(enc) - 1)},
+		defect{name: "flipped-data", data: flip(len(segMagic) + 8)},
+		defect{name: "flipped-block-crc", data: flip(len(segMagic) + 5)},
+		defect{name: "flipped-trailer-crc", data: flip(len(enc) - 1)},
 	)
 	// An oversized length prefix must be rejected before allocation.
 	huge := []byte(segMagic)
 	huge = binary.BigEndian.AppendUint32(huge, maxBlockLen+1)
 	huge = binary.BigEndian.AppendUint32(huge, 0)
-	cases = append(cases, struct {
-		name string
-		data []byte
-	}{"oversized-length", huge})
+	cases = append(cases, defect{name: "oversized-length", data: huge})
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := decodeSegment(bytes.NewReader(tc.data)); !errors.Is(err, ErrCorrupt) {
+			if _, err := decodeSegment(bytes.NewReader(tc.data), int64(len(tc.data))-tc.under); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
 		})
@@ -96,7 +95,8 @@ func TestDecodeSegmentRejectsDefects(t *testing.T) {
 
 // FuzzDecodeSegment holds decodeSegment to its contract: arbitrary input
 // either decodes (and then re-encodes to an equivalent segment) or fails
-// with ErrCorrupt — never a panic, never an unbounded allocation.
+// with ErrCorrupt — never a panic, never an allocation beyond the size
+// the caller allows (here the input's own length).
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
@@ -110,21 +110,29 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(multi[:len(multi)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := decodeSegment(bytes.NewReader(data))
+		payload, err := decodeSegment(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("non-corrupt error %v", err)
 			}
 			return
 		}
+		if cap(payload) > len(data) {
+			t.Fatalf("%d-byte payload buffer for %d bytes of input", cap(payload), len(data))
+		}
 		// Accepted input must be a faithful framing: re-framing the payload
 		// and decoding again yields the same bytes.
-		again, err := decodeSegment(bytes.NewReader(buildSegment(t, payload)))
+		enc := buildSegment(t, payload)
+		again, err := decodeSegment(bytes.NewReader(enc), int64(len(enc)))
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("re-encode round trip failed: %v", err)
 		}
 		if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(data[len(data)-4:]) {
 			t.Fatal("accepted segment whose trailer CRC does not cover its payload")
+		}
+		// What takes len(data) bytes does not fit in one fewer.
+		if _, err := decodeSegment(bytes.NewReader(data), int64(len(data))-1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("segment accepted under a smaller size: %v", err)
 		}
 	})
 }

@@ -57,7 +57,7 @@ type Info struct {
 	// Open verifies before an epoch is considered adoptable.
 	Size int64
 	CRC  uint32
-	// CloseDay is the epoch's seal day (the archive's close record).
+	// CloseDay is the epoch's seal day (the payload's close day).
 	CloseDay dates.Day
 	// SourceTag is an opaque provenance tag recorded by the sealer —
 	// dzdbd stores a checksum of the source archive here so a SIGHUP can
@@ -255,7 +255,7 @@ func (s *Store) Load(info Info) (*zonedb.DB, error) {
 		s.dropSegment(info, "decode", err)
 		return nil, err
 	}
-	db, err := zonedb.ReadFrom(bytes.NewReader(payload))
+	db, err := zonedb.ReadSegment(payload)
 	if err != nil {
 		err = fmt.Errorf("%w: %s: %v", ErrCorrupt, info.Name, err)
 		s.dropSegment(info, "decode", err)
@@ -287,15 +287,15 @@ func (s *Store) readPayload(info Info) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, info.Name, err)
 	}
 	defer f.Close()
-	payload, err := decodeSegment(bufio.NewReaderSize(f, 1<<16))
+	payload, err := decodeSegment(bufio.NewReaderSize(f, 1<<16), info.Size)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", info.Name, err)
 	}
 	return payload, nil
 }
 
-// Seal archives the sealed view as a new segment and commits it with a
-// manifest swap. The view must be closed (WriteArchive requires it).
+// Seal encodes the sealed view as a new segment and commits it with a
+// manifest swap. The view must be closed (WriteSegment requires it).
 // sourceTag is recorded verbatim for provenance checks. On any error the
 // store's sealed state is unchanged — the previous manifest still names
 // exactly the previous segments.
@@ -308,7 +308,7 @@ func (s *Store) Seal(v *zonedb.View, sourceTag string) (Info, error) {
 	}
 	name := fmt.Sprintf("epoch-%06d%s", seq, segSuffix)
 	size, crc, err := s.writeFile(name, func(w io.Writer) error {
-		return writeSegment(w, v.WriteArchive)
+		return writeSegment(w, v.WriteSegment)
 	})
 	if err != nil {
 		return Info{}, fmt.Errorf("segment: sealing %s: %w", name, err)
@@ -370,8 +370,8 @@ func (s *Store) verifySegment(info Info) (string, error) {
 }
 
 // quarantine moves a file into the quarantine/ subdirectory (when it
-// exists on disk) and records the event. Callers must not hold s.mu? —
-// it takes the lock itself only for the record, the move is idempotent.
+// exists on disk) and records the event. It takes s.mu itself to append
+// the record, so callers must not hold it; the move is idempotent.
 func (s *Store) quarantine(name, reason string, err error) {
 	src := filepath.Join(s.dir, name)
 	if _, statErr := os.Stat(src); statErr == nil {

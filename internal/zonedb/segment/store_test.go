@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -198,6 +199,18 @@ func TestTornSegmentMatrix(t *testing.T) {
 	// each region.
 	cuts := []int{0, 1, len(segMagic) - 1, len(segMagic), len(segMagic) + 4, len(segMagic) + 8,
 		len(segMagic) + 9, len(raw) / 2, len(raw) - 9, len(raw) - 8, len(raw) - 4, len(raw) - 1}
+	// A probe in the framing at the head of the file is named by its
+	// offset; one placed against the middle or the end by that, so its name
+	// does not move when the payload's size does.
+	where := func(at int) string {
+		switch mid := len(raw) / 2; {
+		case at == mid:
+			return "mid"
+		case at > mid:
+			return fmt.Sprintf("end-%d", len(raw)-at)
+		}
+		return fmt.Sprint(at)
+	}
 	type tear struct {
 		name   string
 		mutate func([]byte) []byte
@@ -208,12 +221,12 @@ func TestTornSegmentMatrix(t *testing.T) {
 			continue
 		}
 		cut := cut
-		tears = append(tears, tear{fmt.Sprintf("truncate@%d", cut), func(b []byte) []byte { return b[:cut] }})
+		tears = append(tears, tear{"truncate@" + where(cut), func(b []byte) []byte { return b[:cut] }})
 	}
 	flips := []int{len(segMagic) - 2, len(segMagic) + 2, len(segMagic) + 6, len(segMagic) + 20, len(raw) - 2}
 	for _, at := range flips {
 		at := at
-		tears = append(tears, tear{fmt.Sprintf("bitflip@%d", at), func(b []byte) []byte {
+		tears = append(tears, tear{"bitflip@" + where(at), func(b []byte) []byte {
 			out := append([]byte(nil), b...)
 			out[at] ^= 0x40
 			return out
@@ -476,4 +489,106 @@ func TestStoreMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestOldFormatSegmentRefusedOnce: a segment written before the binary
+// payload — the text archive framed under the "dzdbseg 1" magic — is a
+// sound file as far as the manifest can tell, so Open admits it; Load
+// refuses it as corrupt, once: it is quarantined and counted, and the
+// store goes on with the next-newest epoch (or none, and the caller
+// rebuilds from source and reseals).
+func TestOldFormatSegmentRefusedOnce(t *testing.T) {
+	var old bytes.Buffer
+	old.WriteString("dzdbseg 1\n")
+	bw := newBlockWriter(&old)
+	if err := testDB(t, 200).WriteArchive(bw); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// plant commits the old-format file as the newest epoch of dir.
+	plant := func(t *testing.T, dir string, older []Info) {
+		t.Helper()
+		info := Info{Seq: 9, Name: "epoch-000009.seg", Size: int64(old.Len()),
+			CRC: crc32.Checksum(old.Bytes(), castagnoli), CloseDay: 200, SourceTag: "old"}
+		if err := os.WriteFile(filepath.Join(dir, info.Name), old.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var manifest bytes.Buffer
+		if err := encodeManifest(&manifest, append(older, info)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// refused asserts the store admitted the file at Open, and that the
+	// first load moved it aside and counted it.
+	refused := func(t *testing.T, dir string, load func(*Store)) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		st, err := Open(dir, WithObs(reg))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if q := st.Quarantined(); len(q) != 0 {
+			t.Fatalf("Open quarantined %+v: size and checksum match the manifest", q)
+		}
+		if latest, ok := st.Latest(); !ok || latest.Seq != 9 {
+			t.Fatalf("latest = %+v, want the planted epoch", latest)
+		}
+		load(st)
+		q := st.Quarantined()
+		if len(q) != 1 || q[0].Name != "epoch-000009.seg" || q[0].Reason != "decode" || !errors.Is(q[0].Err, ErrCorrupt) {
+			t.Fatalf("quarantine = %+v", q)
+		}
+		if _, err := os.Stat(filepath.Join(dir, quarantineDir, "epoch-000009.seg")); err != nil {
+			t.Errorf("old-format segment not moved aside: %v", err)
+		}
+		var metrics bytes.Buffer
+		if _, err := reg.WriteTo(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if want := MetricQuarantined + `{reason="decode"} 1`; !strings.Contains(metrics.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics.String())
+		}
+		// The refusal is durable: the next open does not meet the file again.
+		if st2 := reopen(t, dir); len(st2.Quarantined()) != 0 {
+			t.Errorf("second open quarantined %+v", st2.Quarantined())
+		}
+	}
+
+	t.Run("only epoch", func(t *testing.T) {
+		dir := t.TempDir()
+		plant(t, dir, nil)
+		refused(t, dir, func(st *Store) {
+			if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
+				t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
+			}
+		})
+	})
+	t.Run("newer than a current epoch", func(t *testing.T) {
+		dir := sealEpochs(t, 100)
+		plant(t, dir, reopen(t, dir).Segments())
+		refused(t, dir, func(st *Store) {
+			db, info, err := st.LoadLatest()
+			if err != nil || info.Seq != 1 {
+				t.Fatalf("LoadLatest = %+v, %v; want epoch 1", info, err)
+			}
+			if !bytes.Equal(archiveBytes(t, db), archiveBytes(t, testDB(t, 100))) {
+				t.Error("fallback epoch bytes differ")
+			}
+		})
+	})
+	t.Run("loaded by name", func(t *testing.T) {
+		dir := t.TempDir()
+		plant(t, dir, nil)
+		refused(t, dir, func(st *Store) {
+			info, _ := st.Latest()
+			if _, err := st.Load(info); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("Load = %v, want ErrCorrupt for the magic", err)
+			}
+		})
+	})
 }
