@@ -3,6 +3,7 @@ package zonedb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -85,11 +86,24 @@ type Ingester struct {
 	parallelEff float64
 }
 
+// snapState is what the ingester keeps of a zone between two days: the
+// last snapshot flattened into its three fact tables, each sorted and free
+// of duplicates, so the next day's diff is a merge walk with no map. The
+// names still point into that snapshot's parse arena.
 type snapState struct {
-	date  dates.Day
-	edges map[Edge]bool
-	glue  map[dnsname.Name]bool
-	doms  map[dnsname.Name]bool
+	zone dnsname.Name // the ingester's own copy, the one the DB is given
+	date dates.Day
+	factTables
+	// spare holds the tables of the day before, emptied: the buffers the
+	// next day is flattened into.
+	spare factTables
+}
+
+// factTables are a snapshot's facts in Snapshot.Sort order.
+type factTables struct {
+	edges []Edge         // by domain, then nameserver
+	doms  []dnsname.Name // every delegated domain, with or without nameservers
+	glue  []dnsname.Name // glue hosts
 }
 
 // NewIngester returns an Ingester writing into a fresh DB.
@@ -241,8 +255,8 @@ func (ing *Ingester) reject(zone dnsname.Name, date dates.Day, source string, er
 	return nil
 }
 
-// validate checks a snapshot against the zone's ingest history without
-// touching the DB.
+// validate checks a snapshot against the zone's ingest history, and its
+// records against its zone, without touching the DB.
 func (ing *Ingester) validate(snap *dnszone.Snapshot) error {
 	if snap.Date == dates.None {
 		return fmt.Errorf("%w: zone %s", ErrSnapshotUndated, snap.Zone)
@@ -255,14 +269,29 @@ func (ing *Ingester) validate(snap *dnszone.Snapshot) error {
 			return fmt.Errorf("%w: %s jumps %s -> %s", ErrSnapshotGap, snap.Zone, prev.date, snap.Date)
 		}
 	}
+	// The DB seals a fact on the last day of the zone its name ends in. A
+	// record filed under another zone — a header that disagrees with the
+	// file's $ORIGIN — would be published with no days at all.
+	for i := range snap.Delegations {
+		if d := snap.Delegations[i].Domain; d.TLD() != snap.Zone {
+			return fmt.Errorf("%w: %s snapshot for %s delegates %q", ErrSnapshotCorrupt, snap.Zone, snap.Date, d)
+		}
+	}
+	for i := range snap.Glue {
+		if h := snap.Glue[i].Host; h.TLD() != snap.Zone {
+			return fmt.Errorf("%w: %s snapshot for %s has glue for %q", ErrSnapshotCorrupt, snap.Zone, snap.Date, h)
+		}
+	}
 	return nil
 }
 
 // AddSnapshot ingests one zone's snapshot for one day. Snapshots for a
 // given zone must arrive in chronological order; a gap of more than one
 // day is rejected (interval semantics would silently differ from daily
-// collection otherwise). In degraded mode invalid snapshots are
-// quarantined instead, and AddSnapshot reports success.
+// collection otherwise), and so is a snapshot holding a delegation or glue
+// record outside its zone. In degraded mode invalid snapshots are
+// quarantined instead, and AddSnapshot reports success. The snapshot is
+// not retained: the caller may change or drop it afterwards.
 func (ing *Ingester) AddSnapshot(snap *dnszone.Snapshot) error {
 	return ing.addSnapshot(snap, "")
 }
@@ -271,63 +300,129 @@ func (ing *Ingester) addSnapshot(snap *dnszone.Snapshot, source string) error {
 	if err := ing.validate(snap); err != nil {
 		return ing.reject(snap.Zone, snap.Date, source, err)
 	}
-	cur := &snapState{
-		date:  snap.Date,
-		edges: make(map[Edge]bool),
-		glue:  make(map[dnsname.Name]bool),
-		doms:  make(map[dnsname.Name]bool),
+	st := ing.prev[snap.Zone]
+	if st == nil {
+		st = &snapState{zone: cloneName(snap.Zone)}
+		ing.prev[st.zone] = st
 	}
-	for _, d := range snap.Delegations {
-		cur.doms[d.Domain] = true
-		for _, ns := range d.Nameservers {
-			cur.edges[Edge{Domain: d.Domain, NS: ns}] = true
-		}
-	}
-	for _, g := range snap.Glue {
-		cur.glue[g.Host] = true
-	}
+	cur := flatten(snap, st.spare)
 
-	prev := ing.prev[snap.Zone]
-	// New facts open intervals; vanished facts close them.
-	for e := range cur.edges {
-		if prev == nil || !prev.edges[e] {
-			ing.db.DelegationAdded(snap.Zone, e.Domain, e.NS, snap.Date)
-		}
+	// New facts open intervals; vanished facts close them. A name is
+	// copied out of the snapshot's arena as it enters the DB, so that the
+	// DB's few new facts a day do not keep every day's arena alive.
+	zone, day := st.zone, snap.Date
+	addedEdges, removedEdges := diffSorted(st.edges, cur.edges, compareEdges)
+	addedDoms, removedDoms := diffSorted(st.doms, cur.doms, dnsname.Compare)
+	addedGlue, removedGlue := diffSorted(st.glue, cur.glue, dnsname.Compare)
+	for _, e := range addedEdges {
+		ing.db.DelegationAdded(zone, cloneName(e.Domain), cloneName(e.NS), day)
 	}
-	for d := range cur.doms {
-		if prev == nil || !prev.doms[d] {
-			ing.db.DomainAdded(snap.Zone, d, snap.Date)
-		}
+	for _, d := range addedDoms {
+		ing.db.DomainAdded(zone, cloneName(d), day)
 	}
-	for h := range cur.glue {
-		if prev == nil || !prev.glue[h] {
-			ing.db.GlueAdded(snap.Zone, h, snap.Date)
-		}
+	for _, h := range addedGlue {
+		ing.db.GlueAdded(zone, cloneName(h), day)
 	}
-	if prev != nil {
-		for e := range prev.edges {
-			if !cur.edges[e] {
-				ing.db.DelegationRemoved(snap.Zone, e.Domain, e.NS, snap.Date)
-			}
-		}
-		for d := range prev.doms {
-			if !cur.doms[d] {
-				ing.db.DomainRemoved(snap.Zone, d, snap.Date)
-			}
-		}
-		for h := range prev.glue {
-			if !cur.glue[h] {
-				ing.db.GlueRemoved(snap.Zone, h, snap.Date)
-			}
-		}
+	for _, e := range removedEdges {
+		ing.db.DelegationRemoved(zone, e.Domain, e.NS, day)
+	}
+	for _, d := range removedDoms {
+		ing.db.DomainRemoved(zone, d, day)
+	}
+	for _, h := range removedGlue {
+		ing.db.GlueRemoved(zone, h, day)
 	}
 	// The zone header marks the zone as observed even when empty.
-	ing.db.markZone(snap.Zone)
-	ing.prev[snap.Zone] = cur
-	if snap.Date > ing.last || ing.last == dates.None {
-		ing.last = snap.Date
+	ing.db.markZone(zone)
+
+	// Yesterday's tables become the buffers for tomorrow; cleared, so they
+	// do not hold yesterday's arena until they are overwritten.
+	clear(st.edges)
+	clear(st.doms)
+	clear(st.glue)
+	st.spare = factTables{st.edges[:0], st.doms[:0], st.glue[:0]}
+	st.factTables, st.date = cur, day
+	if day > ing.last || ing.last == dates.None {
+		ing.last = day
 	}
 	return nil
+}
+
+func cloneName(n dnsname.Name) dnsname.Name { return dnsname.Name(strings.Clone(string(n))) }
+
+func compareEdges(a, b Edge) int {
+	if c := dnsname.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	return dnsname.Compare(a.NS, b.NS)
+}
+
+// flatten lays snap out as fact tables, reusing buf's storage. It checks
+// for Snapshot.Sort order as it goes — files written by Snapshot.Write,
+// View.SnapshotOn and the zone-file fixtures are in it — dropping repeated
+// facts; a table found out of order is sorted and compacted afterwards.
+func flatten(snap *dnszone.Snapshot, buf factTables) factTables {
+	t := factTables{buf.edges[:0], buf.doms[:0], buf.glue[:0]}
+	edgesOrdered, domsOrdered, glueOrdered := true, true, true
+	for i := range snap.Delegations {
+		d := &snap.Delegations[i]
+		t.doms = appendFact(t.doms, d.Domain, dnsname.Compare, &domsOrdered)
+		for _, ns := range d.Nameservers {
+			t.edges = appendFact(t.edges, Edge{Domain: d.Domain, NS: ns}, compareEdges, &edgesOrdered)
+		}
+	}
+	for i := range snap.Glue {
+		t.glue = appendFact(t.glue, snap.Glue[i].Host, dnsname.Compare, &glueOrdered)
+	}
+	if !edgesOrdered {
+		slices.SortFunc(t.edges, compareEdges)
+		t.edges = slices.Compact(t.edges)
+	}
+	if !domsOrdered {
+		slices.Sort(t.doms)
+		t.doms = slices.Compact(t.doms)
+	}
+	if !glueOrdered {
+		slices.Sort(t.glue)
+		t.glue = slices.Compact(t.glue)
+	}
+	return t
+}
+
+// appendFact appends v to facts unless it repeats the last one, and clears
+// *ordered when v sorts before it.
+func appendFact[T any](facts []T, v T, cmp func(a, b T) int, ordered *bool) []T {
+	if n := len(facts); n > 0 {
+		c := cmp(facts[n-1], v)
+		if c == 0 {
+			return facts
+		}
+		*ordered = *ordered && c < 0
+	}
+	return append(facts, v)
+}
+
+// diffSorted walks two sorted, duplicate-free slices in step and returns
+// the elements only in cur and those only in prev, both in order.
+func diffSorted[T any](prev, cur []T, cmp func(a, b T) int) (added, removed []T) {
+	if len(prev) == 0 {
+		return cur, nil // a zone's first day: every fact, uncopied
+	}
+	i, j := 0, 0
+	for i < len(prev) && j < len(cur) {
+		switch c := cmp(prev[i], cur[j]); {
+		case c == 0:
+			i++
+			j++
+		case c < 0:
+			removed = append(removed, prev[i])
+			i++
+		default:
+			added = append(added, cur[j])
+			j++
+		}
+	}
+	return append(added, cur[j:]...), append(removed, prev[i:]...)
 }
 
 // Finish closes the DB and returns it. Each zone's still-open facts are
