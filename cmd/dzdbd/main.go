@@ -220,10 +220,18 @@ func main() {
 		return rows
 	})
 
+	published := api.Metrics().CounterVec(dzdbapi.MetricEpochPublish, "", "how")
+	hook := api.Metrics().Histogram(dzdbapi.MetricPublishHookSeconds, "", nil)
 	app.StatusSection("serving", func() []daemon.KV {
 		cs := api.CacheStats()
 		ss := api.ServeStats()
+		hookMean := 0.0
+		if n := hook.Count(); n > 0 {
+			hookMean = 1e3 * hook.Sum() / float64(n)
+		}
 		return []daemon.KV{
+			{K: "epochs_published", V: fmt.Sprintf("%d advanced, %d rebuilt (publish hook mean %.2f ms)",
+				published.With("advance").Value(), published.With("rebuild").Value(), hookMean)},
 			{K: "cache_entries", V: fmt.Sprintf("%d", cs.Entries)},
 			{K: "cache_bytes", V: fmt.Sprintf("%d of %d", cs.Bytes, cs.Capacity)},
 			{K: "cache_hit_ratio", V: fmt.Sprintf("%.3f", cs.HitRatio())},

@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dates"
@@ -107,25 +108,43 @@ type Feed interface {
 // indexFeed is a node's Feed: the delta index of one sealed view. The
 // index is built by the first request that needs it, not by the publish
 // hook — an epoch no feed consumer asks about never pays the
-// O(total spans) walk, and a publish stays as short as its aggregates —
-// and then lives as long as the epoch's state.
+// O(total spans) walk — and then lives as long as the epoch's state.
+// The one index a publish does make is the cheap one: when the view is a
+// dated advance of the epoch before it and that epoch's index was built,
+// the hook extends it by the new days (extended), so a consumer that
+// follows every epoch pays for each day once. A feed holds its own view
+// and index and nothing of its predecessor, so epochs nobody reads cost
+// nothing and chain nothing.
 type indexFeed struct {
 	view *zonedb.View
-	once sync.Once
-	idx  *delta.Index
+	once sync.Once // guards the one store into idx
+	idx  atomic.Pointer[delta.Index]
 }
 
 func (f *indexFeed) index() *delta.Index {
 	f.once.Do(func() {
 		idx, err := delta.Build(f.view)
 		if err != nil {
-			// Build refuses only an unsealed view, and computeState
-			// makes a feed only for a sealed one.
+			// Build refuses only an unsealed view, and a state is given a
+			// feed only for a sealed one.
 			panic(err)
 		}
-		f.idx = idx
+		f.idx.Store(idx)
 	})
-	return f.idx
+	return f.idx.Load()
+}
+
+// extended returns the feed of v, the view published after f's. If f's
+// index was built and v is an advance of f's view the new feed starts
+// with that index extended; otherwise it starts empty, like any other.
+func (f *indexFeed) extended(v *zonedb.View) *indexFeed {
+	next := &indexFeed{view: v}
+	if prev := f.idx.Load(); prev != nil {
+		if idx, err := delta.Extend(prev, v); err == nil {
+			next.once.Do(func() { next.idx.Store(idx) })
+		}
+	}
+	return next
 }
 
 func (f *indexFeed) Window() (first, last dates.Day) {

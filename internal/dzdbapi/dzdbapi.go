@@ -75,6 +75,15 @@ const (
 	MetricRequestSeconds = "dzdb_http_request_seconds"
 )
 
+// Metric names recorded by the publish hook. The histogram is the
+// benchmark's dzdbapi.publish_hook stage; the counter's "how" label says
+// which way each epoch's state was made: "advance" (extended from the
+// epoch before it) or "rebuild" (walked from the view).
+const (
+	MetricPublishHookSeconds = "dzdbapi_publish_hook_seconds"
+	MetricEpochPublish       = "dzdb_epoch_publish_total"
+)
+
 // Span is one presence interval in API form.
 type Span struct {
 	First string `json:"first"`
@@ -195,6 +204,8 @@ type Server struct {
 	shedTotal     *obs.CounterVec // MetricShed{route,code}
 	inflightGauge *obs.Gauge
 	pushActive    *obs.Gauge
+	hookSeconds   *obs.Histogram  // MetricPublishHookSeconds
+	published     *obs.CounterVec // MetricEpochPublish{how}
 
 	// Log, when non-nil, receives one structured record per request,
 	// carrying the request's trace ID when the client sent a
@@ -235,6 +246,10 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
 	s.pushActive = reg.Gauge(MetricPushActive, "Open SSE and long-poll delta connections.")
+	s.hookSeconds = reg.Histogram(MetricPublishHookSeconds,
+		"Time the publish hook took to make and install an epoch's state.", nil)
+	s.published = reg.CounterVec(MetricEpochPublish,
+		"Epochs installed by the publish hook, by how their state was made (advance, rebuild).", "how")
 
 	s.cache = newRespCache(defaultCacheBytes)
 	s.signal = NewEpochSignal()
@@ -256,19 +271,29 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	return s
 }
 
-// onPublish is the zonedb publish hook: compute the new epoch's state
-// and start serving it, retire the response cache's old working set,
-// and only then wake every parked push connection. The new epoch's
-// cache is filled by traffic alone. It runs on the publishing goroutine
-// (Close/Adopt caller), outside the DB's write lock; until it stores
-// the new state, requests keep reading the previous epoch whole.
+// onPublish is the zonedb publish hook: make the new epoch's state and
+// start serving it, retire the response cache's old working set, and
+// only then wake every parked push connection. When the view is a plain
+// dated advance of the one being served the state is extended from it,
+// for the cost of the day; otherwise it is computed from the view, for
+// the cost of the world. The new epoch's cache is filled by traffic
+// alone. It runs on the publishing goroutine (Close/Adopt caller),
+// outside the DB's write lock; until it stores the new state, requests
+// keep reading the previous epoch whole.
 func (s *Server) onPublish(v *zonedb.View) {
-	s.state.Store(computeState(v))
+	start := s.obs.Now()
+	st, how := advanceState(s.state.Load(), v), "advance"
+	if st == nil {
+		st, how = computeState(v), "rebuild"
+	}
+	s.state.Store(st)
 	if s.cache != nil {
 		s.cache.bump(v.Epoch())
 		s.updateCacheGauges()
 	}
 	s.signal.Broadcast()
+	s.published.With(how).Inc()
+	s.hookSeconds.ObserveDuration(s.obs.Now().Sub(start))
 }
 
 // nodeSource is the Source of a single node: the state its publish

@@ -3,11 +3,15 @@ package dzdbapi
 import (
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
+	"repro/internal/dates"
 	"repro/internal/dnsname"
+	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/zonedb"
 )
@@ -57,12 +61,40 @@ type EpochState struct {
 	// view is what a node's per-name routes read; a coordinator's state
 	// has none.
 	view *zonedb.View
+	// exposure is a node's row for every nameserver, sorted by name: the
+	// table /v1/internal/ns-exposure pages through and TopNS is selected
+	// from. open[i] counts the edges of exposure[i] present on the view's
+	// close day, which is what lets the next dated advance add its days
+	// to the row without visiting them.
+	exposure []TopNameserver
+	open     []int
 }
 
 // computeState walks v once — O(nameservers + edges), what one uncached
-// /v1/stats request used to pay — and builds its state. The feed is not
-// built here: see indexFeed.
+// /v1/stats request used to pay — and builds its state. It is what a
+// server starts from and what every epoch that is not a plain dated
+// advance of the one served costs; advanceState is the other way to the
+// same state. The feed is not built here: see indexFeed.
 func computeState(v *zonedb.View) *EpochState {
+	st := newState(v)
+	names := make([]dnsname.Name, 0, v.NumNameservers())
+	v.Nameservers(func(ns dnsname.Name) bool {
+		names = append(names, ns)
+		return true
+	})
+	slices.Sort(names)
+	st.exposure = make([]TopNameserver, len(names))
+	st.open = make([]int, len(names))
+	for i, ns := range names {
+		st.exposure[i], st.open[i] = exposureOf(v, ns)
+	}
+	st.TopNS = RankNameservers(st.exposure)
+	return st
+}
+
+// newState returns v's state less its exposure table: the parts that
+// cost nothing to read off the view.
+func newState(v *zonedb.View) *EpochState {
 	zones := v.Zones()
 	zs := make([]string, len(zones))
 	for i, z := range zones {
@@ -73,48 +105,156 @@ func computeState(v *zonedb.View) *EpochState {
 		Stats: StatsResponse{Domains: v.NumDomains(), Nameservers: v.NumNameservers(), Zones: zs},
 		view:  v,
 	}
-	var rows []TopNameserver
-	v.Nameservers(func(ns dnsname.Name) bool {
-		rows = append(rows, exposureOf(v, ns))
-		return true
-	})
-	st.TopNS = RankNameservers(rows)
 	if v.Closed() {
 		st.Feed = &indexFeed{view: v}
 	}
 	return st
 }
 
-// exposureOf counts the domains that ever delegated to ns in v, and
-// their domain-days.
-func exposureOf(v *zonedb.View, ns dnsname.Name) TopNameserver {
-	row := TopNameserver{Nameserver: string(ns)}
+// exposureOf counts the domains that ever delegated to ns in v and their
+// domain-days, and how many of those edges are present on v's close day.
+func exposureOf(v *zonedb.View, ns dnsname.Name) (row TopNameserver, open int) {
+	row.Nameserver = string(ns)
+	closeDay := v.CloseDay()
 	for _, e := range v.EdgesOf(ns) {
+		days, isOpen := spanExposure(v.EdgeSpans(e.Domain, ns), closeDay)
 		row.Domains++
-		if sp := v.EdgeSpans(e.Domain, ns); sp != nil {
-			row.DomainDays += sp.TotalDays()
-		}
+		row.DomainDays += days
+		open += isOpen
 	}
-	return row
+	return row, open
 }
 
-// RankNameservers orders rows into the exposure leaderboard — by
-// delegated-domain count, domain-days breaking ties, then by name — and
-// keeps the rows /v1/top/nameservers can serve. It sorts rows in place.
-func RankNameservers(rows []TopNameserver) []TopNameserver {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Domains != rows[j].Domains {
-			return rows[i].Domains > rows[j].Domains
-		}
-		if rows[i].DomainDays != rows[j].DomainDays {
-			return rows[i].DomainDays > rows[j].DomainDays
-		}
-		return rows[i].Nameserver < rows[j].Nameserver
-	})
-	if len(rows) > topNSKeep {
-		rows = rows[:topNSKeep]
+// spanExposure returns the days in an edge's spans (nil: the view does
+// not hold the edge) and 1 if the last of them is closeDay, else 0.
+func spanExposure(sp *interval.Set, closeDay dates.Day) (days, open int) {
+	if sp == nil || sp.Empty() {
+		return 0, 0
 	}
-	return rows
+	if sp.Last() == closeDay {
+		open = 1
+	}
+	return sp.TotalDays(), open
+}
+
+// advanceState returns the state of v, a plain dated advance of the view
+// prev describes (zonedb.View.Advance), without walking it: every edge
+// present on the parent's close day gains the days the close day moved
+// by, which is its nameserver's open count times that; each edge the
+// epoch wrote is then corrected from its spans in the two views; and the
+// leaderboard is selected again, since the added days reorder ties among
+// rows nobody touched. O(nameservers + edges written). It returns nil —
+// and the caller walks v — when v is not an advance of prev's view.
+func advanceState(prev *EpochState, v *zonedb.View) *EpochState {
+	ch := v.Advance()
+	if ch == nil || prev == nil || prev.view == nil ||
+		prev.Epoch+1 != v.Epoch() || prev.view.CloseDay() != ch.ParentClose {
+		return nil
+	}
+	st := newState(v)
+	if f, ok := prev.Feed.(*indexFeed); ok {
+		st.Feed = f.extended(v)
+	}
+
+	// Rows of nameservers first delegated to in this epoch, merged into
+	// the parent's table in name order.
+	var fresh []string
+	for _, e := range ch.Edges {
+		if _, ok := findRow(prev.exposure, string(e.NS)); !ok {
+			fresh = append(fresh, string(e.NS))
+		}
+	}
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	n := len(prev.exposure) + len(fresh)
+	st.exposure, st.open = make([]TopNameserver, 0, n), make([]int, 0, n)
+	k := v.CloseDay().Sub(ch.ParentClose)
+	for i, row := range prev.exposure {
+		for len(fresh) > 0 && fresh[0] < row.Nameserver {
+			st.exposure, st.open = append(st.exposure, TopNameserver{Nameserver: fresh[0]}), append(st.open, 0)
+			fresh = fresh[1:]
+		}
+		row.DomainDays += k * prev.open[i]
+		st.exposure, st.open = append(st.exposure, row), append(st.open, prev.open[i])
+	}
+	for _, ns := range fresh {
+		st.exposure, st.open = append(st.exposure, TopNameserver{Nameserver: ns}), append(st.open, 0)
+	}
+
+	for _, e := range ch.Edges {
+		i, _ := findRow(st.exposure, string(e.NS))
+		was := prev.view.EdgeSpans(e.Domain, e.NS)
+		wasDays, wasOpen := spanExposure(was, ch.ParentClose)
+		days, open := spanExposure(v.EdgeSpans(e.Domain, e.NS), v.CloseDay())
+		if was == nil {
+			st.exposure[i].Domains++
+		}
+		st.exposure[i].DomainDays += days - wasDays - k*wasOpen
+		st.open[i] += open - wasOpen
+	}
+	st.TopNS = RankNameservers(st.exposure)
+	return st
+}
+
+// findRow finds ns in rows, which are sorted by name.
+func findRow(rows []TopNameserver, ns string) (int, bool) {
+	return slices.BinarySearchFunc(rows, ns, func(r TopNameserver, ns string) int {
+		return strings.Compare(r.Nameserver, ns)
+	})
+}
+
+// outranks is the leaderboard's order: by delegated-domain count,
+// domain-days breaking ties, then by name.
+func outranks(a, b TopNameserver) bool {
+	if a.Domains != b.Domains {
+		return a.Domains > b.Domains
+	}
+	if a.DomainDays != b.DomainDays {
+		return a.DomainDays > b.DomainDays
+	}
+	return a.Nameserver < b.Nameserver
+}
+
+// lowestFirst is a binary heap of rows with the lowest-ranked at its
+// root.
+type lowestFirst []TopNameserver
+
+// down restores the heap below i.
+func (h lowestFirst) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && outranks(h[c], h[c+1]) {
+			c++
+		}
+		if !outranks(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// RankNameservers returns the exposure leaderboard of rows: the rows
+// /v1/top/nameservers can serve, in rank order. It selects them in one
+// pass — a row that does not outrank the lowest kept so far costs one
+// comparison — and leaves rows as it found them.
+func RankNameservers(rows []TopNameserver) []TopNameserver {
+	keep := min(len(rows), topNSKeep)
+	top := append(make(lowestFirst, 0, keep), rows[:keep]...)
+	for i := keep/2 - 1; i >= 0; i-- {
+		top.down(i)
+	}
+	for _, row := range rows[keep:] {
+		if outranks(row, top[0]) {
+			top[0] = row
+			top.down(0)
+		}
+	}
+	sort.Slice(top, func(i, j int) bool { return outranks(top[i], top[j]) })
+	return top
 }
 
 // Source is where the epoch-wide routes get what they render. A Server

@@ -4,10 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
-
-	"repro/internal/dnsname"
 )
 
 // The /v1/internal/ routes are the shard-to-coordinator surface: they
@@ -70,21 +67,12 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *Epo
 }
 
 func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	var names []dnsname.Name
-	st.view.Nameservers(func(ns dnsname.Name) bool {
-		names = append(names, ns)
-		return true
-	})
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	start, end, next, ok := pageWindow(w, r, len(names), func(i int) string { return string(names[i]) })
+	rows := st.exposure
+	start, end, next, ok := pageWindow(w, r, len(rows), func(i int) string { return rows[i].Nameserver })
 	if !ok {
 		return
 	}
-	rows := make([]TopNameserver, 0, end-start)
-	for _, ns := range names[start:end] {
-		rows = append(rows, exposureOf(st.view, ns))
-	}
-	writeJSON(w, http.StatusOK, NSExposureResponse{Rows: rows, NextCursor: next})
+	writeJSON(w, http.StatusOK, NSExposureResponse{Rows: rows[start:end], NextCursor: next})
 }
 
 // ShardInfo fetches the shard's heartbeat payload.

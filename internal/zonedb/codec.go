@@ -286,6 +286,7 @@ func ReadFrom(r io.Reader) (*DB, error) {
 	}
 	g.closed = true
 	g.closeDay = closeDay
-	db.publishLocked()
+	g.horizon = unknownDay
+	db.publishLocked(nil)
 	return db, nil
 }

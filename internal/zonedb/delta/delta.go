@@ -19,6 +19,7 @@ package delta
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/dates"
@@ -95,14 +96,86 @@ func Build(v *zonedb.View) (*Index, error) {
 		return true
 	})
 	for _, d := range idx.days {
-		sortEdges(d.EdgesAdded)
-		sortEdges(d.EdgesRemoved)
-		sortNames(d.DomainsAdded)
-		sortNames(d.DomainsRemoved)
-		sortNames(d.GlueAdded)
-		sortNames(d.GlueRemoved)
+		d.sort()
 	}
 	return idx, nil
+}
+
+// sort puts each of the day's lists into the order DayDelta documents.
+func (d *DayDelta) sort() {
+	sortEdges(d.EdgesAdded)
+	sortEdges(d.EdgesRemoved)
+	sortNames(d.DomainsAdded)
+	sortNames(d.DomainsRemoved)
+	sortNames(d.GlueAdded)
+	sortNames(d.GlueRemoved)
+}
+
+// Extend returns the index of v given prev, the index of the epoch
+// before it, when v is a plain dated advance of that epoch
+// (zonedb.View.Advance): every day prev holds is shared with it, not
+// copied and never written, and the days after prev.Last() are derived
+// from the sealed spans of the facts v says it wrote, by Build's rule and
+// in Build's order. An untouched fact has no boundary there — its spans
+// are the parent's, at most extended through the new close day — so the
+// result equals Build(v) day for day, for the cost of the change. It
+// returns an error, and the caller builds from scratch, when v is not an
+// advance or prev is not the index of its parent.
+func Extend(prev *Index, v *zonedb.View) (*Index, error) {
+	ch := v.Advance()
+	if ch == nil {
+		return nil, fmt.Errorf("delta: view (epoch %d) is not an advance of the epoch before it", v.Epoch())
+	}
+	if prev.epoch+1 != v.Epoch() || prev.last != ch.ParentClose {
+		return nil, fmt.Errorf("delta: index of epoch %d closed %s is not the parent of epoch %d (parent closed %s)",
+			prev.epoch, prev.last, v.Epoch(), ch.ParentClose)
+	}
+	idx := &Index{
+		epoch: v.Epoch(),
+		first: prev.first,
+		last:  v.CloseDay(),
+		days:  maps.Clone(prev.days),
+	}
+	for _, e := range ch.Edges {
+		idx.spreadAfter(prev.last, v.EdgeSpans(e.Domain, e.NS),
+			func(d *DayDelta) { d.EdgesAdded = append(d.EdgesAdded, e) },
+			func(d *DayDelta) { d.EdgesRemoved = append(d.EdgesRemoved, e) })
+	}
+	for _, domain := range ch.Domains {
+		idx.spreadAfter(prev.last, v.DomainSpans(domain),
+			func(d *DayDelta) { d.DomainsAdded = append(d.DomainsAdded, domain) },
+			func(d *DayDelta) { d.DomainsRemoved = append(d.DomainsRemoved, domain) })
+	}
+	for _, host := range ch.Glue {
+		idx.spreadAfter(prev.last, v.GlueSpans(host),
+			func(d *DayDelta) { d.GlueAdded = append(d.GlueAdded, host) },
+			func(d *DayDelta) { d.GlueRemoved = append(d.GlueRemoved, host) })
+	}
+	for day := prev.last + 1; day <= idx.last; day++ {
+		if d, ok := idx.days[day]; ok {
+			d.sort()
+		}
+	}
+	return idx, nil
+}
+
+// spreadAfter is spread restricted to the boundaries that fall after day
+// parent: the only ones an advance can have added. Every DayDelta it
+// writes is one it made, since the parent's index holds no later day.
+func (idx *Index) spreadAfter(parent dates.Day, spans *interval.Set, add, remove func(*DayDelta)) {
+	all := spans.Spans()
+	for i := len(all) - 1; i >= 0 && all[i].Last >= parent; i-- {
+		r := all[i]
+		if r.First > parent {
+			add(idx.at(r.First))
+			if idx.first == dates.None || r.First < idx.first {
+				idx.first = r.First
+			}
+		}
+		if end := r.Last + 1; end <= idx.last {
+			remove(idx.at(end))
+		}
+	}
 }
 
 // spread records one fact's spans into the day buckets: an add on each

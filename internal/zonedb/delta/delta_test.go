@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dates"
@@ -189,4 +190,209 @@ func TestCumulativeReconstruction(t *testing.T) {
 	if integral != totalView {
 		t.Errorf("domain-days: feed integral %d, view %d", integral, totalView)
 	}
+}
+
+// replay plays a simulated history into a live database through the
+// event API, the way a registry feeds one: every day up to a start day
+// in bulk, sealed by one Close, and from there an epoch at a time.
+type replay struct {
+	hist *Index // the whole history: the writer's script
+	live *zonedb.DB
+	day  dates.Day // the live database's close day
+}
+
+// history simulates a world and returns the index of its whole history.
+func history(tb testing.TB, scale float64, seed int64) *Index {
+	tb.Helper()
+	cfg := sim.DefaultConfig(scale)
+	cfg.Seed = seed
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		tb.Fatalf("NewWorld: %v", err)
+	}
+	if err := w.Run(); err != nil {
+		tb.Fatalf("Run: %v", err)
+	}
+	hist, err := Build(w.ZoneDB().View())
+	if err != nil {
+		tb.Fatalf("Build: %v", err)
+	}
+	return hist
+}
+
+// newReplay returns a live database holding hist up to back days before
+// its end, and that database's index.
+func newReplay(tb testing.TB, hist *Index, back int) (*replay, *Index) {
+	tb.Helper()
+	r := &replay{hist: hist, live: zonedb.New(), day: hist.Last() - dates.Day(back)}
+	for d := hist.First(); d <= r.day; d++ {
+		r.apply(d)
+	}
+	r.live.Close(r.day)
+	idx, err := Build(r.live.View())
+	if err != nil {
+		tb.Fatalf("Build: %v", err)
+	}
+	return r, idx
+}
+
+func (r *replay) apply(day dates.Day) {
+	dd := r.hist.Day(day)
+	for _, e := range dd.EdgesRemoved {
+		r.live.DelegationRemoved(e.Domain.TLD(), e.Domain, e.NS, day)
+	}
+	for _, d := range dd.DomainsRemoved {
+		r.live.DomainRemoved(d.TLD(), d, day)
+	}
+	for _, h := range dd.GlueRemoved {
+		r.live.GlueRemoved(h.TLD(), h, day)
+	}
+	for _, d := range dd.DomainsAdded {
+		r.live.DomainAdded(d.TLD(), d, day)
+	}
+	for _, h := range dd.GlueAdded {
+		r.live.GlueAdded(h.TLD(), h, day)
+	}
+	for _, e := range dd.EdgesAdded {
+		r.live.DelegationAdded(e.Domain.TLD(), e.Domain, e.NS, day)
+	}
+}
+
+// advance plays the next n days and publishes them as one epoch.
+func (r *replay) advance(n int) *zonedb.View {
+	for i := 0; i < n; i++ {
+		r.day++
+		r.apply(r.day)
+	}
+	r.live.Close(r.day)
+	return r.live.View()
+}
+
+// sameIndex fails unless got answers every question the way want does.
+func sameIndex(t *testing.T, got, want *Index) {
+	t.Helper()
+	if got.Epoch() != want.Epoch() || got.First() != want.First() || got.Last() != want.Last() || got.Days() != want.Days() {
+		t.Fatalf("index (epoch %d, %s..%s, %d days), want (epoch %d, %s..%s, %d days)",
+			got.Epoch(), got.First(), got.Last(), got.Days(), want.Epoch(), want.First(), want.Last(), want.Days())
+	}
+	if want.First() == dates.None {
+		return
+	}
+	for d := want.First() - 1; d <= want.Last()+1; d++ {
+		if g, w := got.Day(d), want.Day(d); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: delta %+v, want %+v", d, g, w)
+		}
+	}
+}
+
+// TestExtendEqualsBuild replays the tail of a simulated history an epoch
+// at a time — one day, or several under one Close — and holds the index
+// extended from the epoch before to the index built from the view.
+func TestExtendEqualsBuild(t *testing.T) {
+	r, idx := newReplay(t, history(t, 1, 7), 60)
+	changes := 0
+	for i := 0; r.day+3 <= r.hist.Last(); i++ {
+		v := r.advance(1 + i%3)
+		if v.Advance() == nil {
+			t.Fatalf("epoch %d closed %s is not an advance", v.Epoch(), v.CloseDay())
+		}
+		ext, err := Extend(idx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameIndex(t, ext, want)
+		for d := idx.Last() + 1; d <= ext.Last(); d++ {
+			changes += ext.Day(d).Changes()
+		}
+		idx = ext
+	}
+	if changes == 0 {
+		t.Fatal("the replayed days changed nothing")
+	}
+}
+
+// TestExtendRefuses: Extend answers only for the epoch after prev's, and
+// only when that epoch is an advance; otherwise the caller is told to
+// build.
+func TestExtendRefuses(t *testing.T) {
+	db := zonedb.New()
+	ex := dnsname.MustParse("example.com")
+	db.DomainAdded(com, ex, day("2020-01-01"))
+	db.Close(day("2020-01-05"))
+	first, err := Build(db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Extend(first, db.View()); err == nil {
+		t.Error("Extend onto a view that is not an advance: want error")
+	}
+	db.DomainRemoved(com, ex, day("2020-01-06"))
+	db.Close(day("2020-01-06"))
+	second := db.View()
+	ext, err := Extend(first, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ext.Day(day("2020-01-06")); len(d.DomainsRemoved) != 1 {
+		t.Errorf("2020-01-06: want the removal, got %+v", d)
+	}
+	db.Close(day("2020-01-07"))
+	if _, err := Extend(first, db.View()); err == nil {
+		t.Error("Extend from the index of two epochs back: want error")
+	}
+	// A back-dated event makes the epoch a rebuild.
+	db.DomainAdded(com, ex, day("2020-01-03"))
+	db.Close(day("2020-01-08"))
+	prev, err := Build(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Extend(prev, db.View()); err == nil {
+		t.Error("Extend onto an epoch with a back-dated event: want error")
+	}
+}
+
+var benchIndex *Index
+
+// BenchmarkBuild derives the whole index of a scale-3 world from its
+// spans: what a feed's first request costs after a rebuild.
+func BenchmarkBuild(b *testing.B) {
+	r, _ := newReplay(b, history(b, 3, 1), 0)
+	v := r.live.View()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := Build(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchIndex = idx
+	}
+}
+
+// BenchmarkExtendDay extends the index of a scale-3 world by one
+// replayed day: what a feed costs per epoch on a dated advance. Each
+// epoch's events and Close run outside the timer.
+func BenchmarkExtendDay(b *testing.B) {
+	hist := history(b, 3, 1)
+	r, idx := newReplay(b, hist, 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if r.day == hist.Last() {
+			r, idx = newReplay(b, hist, 400)
+		}
+		v := r.advance(1)
+		b.StartTimer()
+		var err error
+		if idx, err = Extend(idx, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchIndex = idx
 }

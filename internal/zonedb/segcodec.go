@@ -281,8 +281,8 @@ func ReadSegment(p []byte) (*DB, error) {
 	// Published the way ReadFrom publishes: an empty epoch, then the load.
 	db := New()
 	db.mu.Lock()
-	db.gen = &generation{tables: t}
-	db.publishLocked()
+	db.gen = &generation{tables: t, horizon: unknownDay}
+	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db, nil
 }

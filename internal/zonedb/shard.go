@@ -73,9 +73,9 @@ func (v *View) FilterZones(keep func(zone dnsname.Name) bool) *DB {
 	}
 	t.closed = v.closed
 	t.closeDay = v.closeDay
-	db := &DB{gen: &generation{tables: t, frozen: true}}
+	db := &DB{gen: &generation{tables: t, frozen: true, horizon: unknownDay}}
 	db.mu.Lock()
-	db.publishLocked()
+	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db
 }

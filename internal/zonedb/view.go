@@ -58,7 +58,8 @@ func newTables() tables {
 // without locking.
 type View struct {
 	tables
-	epoch uint64
+	epoch  uint64
+	change *Change // see Advance
 }
 
 // Epoch returns the view's publication sequence number. Epochs increase
@@ -79,6 +80,15 @@ func (v *View) CloseDay() dates.Day {
 	}
 	return v.closeDay
 }
+
+// Advance returns what the view changed from the epoch before it, when it
+// is a plain dated advance of that epoch (see Change), and nil otherwise:
+// the first view of a database, one published by CloseZones or Adopt, one
+// whose parent was not sealed through a single day, or one that recorded
+// a back- or future-dated event. A consumer holding epoch-1's answer can
+// extend it from the listed facts alone; given nil it derives its answer
+// from the whole view, as it would for any view.
+func (v *View) Advance() *Change { return v.change }
 
 // EdgeSpans returns the presence intervals of a delegation edge, or nil.
 func (t *tables) EdgeSpans(domain, ns dnsname.Name) *interval.Set {

@@ -33,6 +33,7 @@ package zonedb
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,6 +66,51 @@ type generation struct {
 	// place. nil means every set is owned (the generation has never been
 	// published).
 	owned map[*interval.Set]bool
+
+	// change, when non-nil, collects the keys the Recorder methods write
+	// while this generation is still a candidate advance of the last
+	// published View: that view was sealed through change.ParentClose for
+	// every fact, and no event since was dated on or before it. Anything
+	// else that writes the tables drops it, and bulk ingest into a fresh
+	// DB never has one.
+	change *Change
+	// horizon is the latest day an event of this generation's lineage was
+	// dated, unknownDay when its tables were not built by events alone.
+	// Close compares it with its day: a fact recorded past the close day
+	// means the view is not sealed through it.
+	horizon dates.Day
+}
+
+// unknownDay is the horizon of tables loaded from bytes or projected from
+// another view: no Close day is late enough to vouch for them.
+const unknownDay = dates.Day(1<<31 - 1)
+
+// Change says what a View that is a plain dated advance of the epoch
+// before it changed: the database was sealed through ParentClose for
+// every fact at epoch-1, Close moved it to a later day, and every event
+// in between was dated after ParentClose and no later than the new close
+// day. The keys are the facts those events wrote, sorted and
+// duplicate-free; every other fact's spans are the parent's, extended
+// through the new close day where they reached ParentClose. It is
+// read-only, and holds nothing of the parent but its close day.
+type Change struct {
+	ParentClose dates.Day
+	Edges       []Edge
+	Domains     []dnsname.Name
+	Glue        []dnsname.Name
+}
+
+// saw notes an event dated day that changed the tables, and returns the
+// lists to record its key in — nil when the epoch is not tracked, which a
+// back-dated event makes it.
+func (g *generation) saw(day dates.Day) *Change {
+	if day > g.horizon {
+		g.horizon = day
+	}
+	if g.change != nil && day <= g.change.ParentClose {
+		g.change = nil
+	}
+	return g.change
 }
 
 // newSetAt allocates an empty set under key k, registering ownership.
@@ -141,9 +187,9 @@ type DB struct {
 
 // New returns an empty DB with an empty View published.
 func New() *DB {
-	db := &DB{gen: &generation{tables: newTables()}}
+	db := &DB{gen: &generation{tables: newTables(), horizon: dates.None}}
 	db.mu.Lock()
-	db.publishLocked()
+	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db
 }
@@ -185,14 +231,17 @@ func (db *DB) writable() *generation {
 	return db.gen
 }
 
-// publishLocked seals map ownership and flips the published view pointer.
-// Callers must hold db.mu.
-func (db *DB) publishLocked() {
+// publishLocked seals map ownership and flips the published view pointer;
+// advance is what the view reports as its change from the epoch before,
+// nil unless Close found it a plain dated advance. Callers must hold
+// db.mu.
+func (db *DB) publishLocked(advance *Change) {
 	g := db.gen
 	db.epoch++
-	v := &View{tables: g.tables, epoch: db.epoch}
+	v := &View{tables: g.tables, epoch: db.epoch, change: advance}
 	g.frozen = true
 	g.owned = nil
+	g.change = nil
 	db.cur.Store(v)
 }
 
@@ -205,14 +254,20 @@ func (db *DB) publishLocked() {
 func (db *DB) Adopt(other *DB) {
 	other.mu.Lock()
 	og := other.gen
+	// other's tables are sealed through one day for every fact exactly
+	// when its last Close left it tracking and nothing was written since.
+	sealed := og.frozen && og.change != nil
 	og.frozen = true
 	og.owned = nil
-	t := og.tables
+	t, horizon := og.tables, og.horizon
 	other.mu.Unlock()
 
 	db.mu.Lock()
-	db.gen = &generation{tables: t, frozen: true}
-	db.publishLocked()
+	db.gen = &generation{tables: t, frozen: true, horizon: horizon}
+	db.publishLocked(nil)
+	if sealed {
+		db.gen.change = &Change{ParentClose: t.closeDay}
+	}
 	v := db.cur.Load()
 	db.mu.Unlock()
 	db.firePublish(v)
@@ -230,6 +285,8 @@ func (db *DB) absorb(other *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	g := db.writable()
+	g.change = nil
+	g.horizon = dates.Max(g.horizon, og.horizon)
 	claim := func(s *interval.Set) {
 		if g.owned != nil {
 			g.owned[s] = true
@@ -291,6 +348,9 @@ func (db *DB) DelegationAdded(zone, domain, ns dnsname.Name, day dates.Day) {
 		g.byDomain[domain] = append(g.byDomain[domain], e)
 	}
 	g.openEdges[e] = day
+	if c := g.saw(day); c != nil {
+		c.Edges = append(c.Edges, e)
+	}
 }
 
 // DelegationRemoved implements registry.Recorder. The edge was last
@@ -308,6 +368,9 @@ func (db *DB) DelegationRemoved(zone, domain, ns dnsname.Name, day dates.Day) {
 	if day-1 >= start {
 		mutableSet(g, g.edges, e).Add(dates.NewRange(start, day-1))
 	}
+	if c := g.saw(day); c != nil {
+		c.Edges = append(c.Edges, e)
+	}
 }
 
 // DomainAdded implements registry.Recorder.
@@ -323,6 +386,9 @@ func (db *DB) DomainAdded(zone, domain dnsname.Name, day dates.Day) {
 		newSetAt(g, g.domains, domain)
 	}
 	g.openDomains[domain] = day
+	if c := g.saw(day); c != nil {
+		c.Domains = append(c.Domains, domain)
+	}
 }
 
 // DomainRemoved implements registry.Recorder.
@@ -337,6 +403,9 @@ func (db *DB) DomainRemoved(zone, domain dnsname.Name, day dates.Day) {
 	delete(g.openDomains, domain)
 	if day-1 >= start {
 		mutableSet(g, g.domains, domain).Add(dates.NewRange(start, day-1))
+	}
+	if c := g.saw(day); c != nil {
+		c.Domains = append(c.Domains, domain)
 	}
 }
 
@@ -353,6 +422,9 @@ func (db *DB) GlueAdded(zone, host dnsname.Name, day dates.Day) {
 		newSetAt(g, g.glue, host)
 	}
 	g.openGlue[host] = day
+	if c := g.saw(day); c != nil {
+		c.Glue = append(c.Glue, host)
+	}
 }
 
 // GlueRemoved implements registry.Recorder.
@@ -368,54 +440,96 @@ func (db *DB) GlueRemoved(zone, host dnsname.Name, day dates.Day) {
 	if day-1 >= start {
 		mutableSet(g, g.glue, host).Add(dates.NewRange(start, day-1))
 	}
+	if c := g.saw(day); c != nil {
+		c.Glue = append(c.Glue, host)
+	}
 }
 
 // sealLocked closes every still-open fact at lastFor(zone-of-fact); a
-// dates.None result leaves the fact open. Callers must hold db.mu and
+// dates.None result leaves the fact open. It reports whether every open
+// fact now stands sealed through its zone's last day — false when one
+// was left open, or opened after that day. Callers must hold db.mu and
 // have thawed the generation.
-func (db *DB) sealLocked(lastFor func(zone dnsname.Name) dates.Day) {
+func (db *DB) sealLocked(lastFor func(zone dnsname.Name) dates.Day) bool {
 	g := db.gen
+	all := true
 	for e, start := range g.openEdges {
-		if last := lastFor(e.Domain.TLD()); last != dates.None && last >= start {
-			mutableSet(g, g.edges, e).Add(dates.NewRange(start, last))
-			g.openEdges[e] = last + 1
+		if sealOne(g, g.edges, g.openEdges, e, start, lastFor(e.Domain.TLD())) {
+			all = false
 		}
 	}
 	for d, start := range g.openDomains {
-		if last := lastFor(d.TLD()); last != dates.None && last >= start {
-			mutableSet(g, g.domains, d).Add(dates.NewRange(start, last))
-			g.openDomains[d] = last + 1
+		if sealOne(g, g.domains, g.openDomains, d, start, lastFor(d.TLD())) {
+			all = false
 		}
 	}
 	for h, start := range g.openGlue {
-		if last := lastFor(h.TLD()); last != dates.None && last >= start {
-			mutableSet(g, g.glue, h).Add(dates.NewRange(start, last))
-			g.openGlue[h] = last + 1
+		if sealOne(g, g.glue, g.openGlue, h, start, lastFor(h.TLD())) {
+			all = false
 		}
 	}
+	return all
+}
+
+// sealOne extends one open fact through last and reports whether it was
+// instead left behind: no last day for its zone, or opened after it.
+func sealOne[K comparable](g *generation, sets map[K]*interval.Set, open map[K]dates.Day, k K, start, last dates.Day) (left bool) {
+	if last == dates.None {
+		return true
+	}
+	if last >= start {
+		mutableSet(g, sets, k).Add(dates.NewRange(start, last))
+		open[k] = last + 1
+	}
+	return start > last+1
 }
 
 // Close ends observation on lastDay: every still-open fact is recorded as
 // present through lastDay. The sealed generation is published, so View()
 // reflects it afterwards. Close may be called again with a later day
 // after further events.
+//
+// When the view published before this one was itself sealed through one
+// day for every fact, lastDay is later, and every event in between was
+// dated after that day and no later than lastDay, the new view is an
+// advance of it (View.Advance) and says which facts it wrote.
 func (db *DB) Close(lastDay dates.Day) {
 	db.mu.Lock()
-	db.writable()
-	db.sealLocked(func(dnsname.Name) dates.Day { return lastDay })
-	db.gen.closed = true
-	db.gen.closeDay = lastDay
-	db.publishLocked()
+	g := db.writable()
+	sealed := db.sealLocked(func(dnsname.Name) dates.Day { return lastDay }) && g.horizon <= lastDay
+	g.closed = true
+	g.closeDay = lastDay
+	advance := g.change
+	if advance != nil && (!sealed || lastDay <= advance.ParentClose) {
+		advance = nil
+	}
+	if advance != nil {
+		advance.Edges = sortedSet(advance.Edges, compareEdges)
+		advance.Domains = sortedSet(advance.Domains, dnsname.Compare)
+		advance.Glue = sortedSet(advance.Glue, dnsname.Compare)
+	}
+	db.publishLocked(advance)
+	if sealed {
+		g.change = &Change{ParentClose: lastDay}
+	}
 	v := db.cur.Load()
 	db.mu.Unlock()
 	db.firePublish(v)
+}
+
+// sortedSet sorts s and drops its repeats, in place.
+func sortedSet[T comparable](s []T, cmp func(a, b T) int) []T {
+	slices.SortFunc(s, cmp)
+	return slices.Compact(s)
 }
 
 // CloseZones is Close with a per-zone last observation day — the shape a
 // snapshot ingest needs when zones end on different days (a zone whose
 // series went dark mid-study must not have its facts extended through
 // other zones' later days). Facts in zones absent from last are left
-// open. The database's close day becomes the latest day in last.
+// open. The database's close day becomes the latest day in last. The
+// view is never an advance, nor a parent of one: zones end on their own
+// days.
 func (db *DB) CloseZones(last map[dnsname.Name]dates.Day) {
 	db.mu.Lock()
 	db.writable()
@@ -433,7 +547,7 @@ func (db *DB) CloseZones(last map[dnsname.Name]dates.Day) {
 	}
 	db.gen.closed = true
 	db.gen.closeDay = max
-	db.publishLocked()
+	db.publishLocked(nil)
 	v := db.cur.Load()
 	db.mu.Unlock()
 	db.firePublish(v)
