@@ -7,6 +7,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/dnsname"
 	"repro/internal/idioms"
+	"repro/internal/interval"
 )
 
 // IdiomRow is one row of Table 1 or Table 2.
@@ -170,7 +171,7 @@ func (a *Analysis) Table4(top int) []HijackerRow {
 		// Variants like protectdelegation.{ca,eu,com} group by their
 		// second-level label, as the paper presents them.
 		controllers := make(map[dnsname.Name]bool)
-		for ns, spans := range a.db.NSHistory(s.RegDomain) {
+		a.db.EachNSOf(s.RegDomain, func(ns dnsname.Name, spans *interval.Set) bool {
 			if spans.Last() >= s.HijackedOn {
 				if reg, ok := dnsname.RegisteredDomain(ns); ok {
 					key := reg
@@ -180,7 +181,8 @@ func (a *Analysis) Table4(top int) []HijackerRow {
 					controllers[key] = true
 				}
 			}
-		}
+			return true
+		})
 		for c := range controllers {
 			g := groups[c]
 			if g == nil {

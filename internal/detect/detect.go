@@ -98,10 +98,10 @@ type Config struct {
 	// SkipMining skips the (purely reporting) substring-mining stage.
 	SkipMining bool
 	// Workers parallelizes the candidate-extraction stage (static
-	// resolvability over every nameserver, the dominant cost). Zero or
-	// one runs sequentially. Extraction workers use private resolver
-	// memos and the candidates are sorted before anything reads them,
-	// so results are byte-identical regardless of worker count.
+	// resolvability over every nameserver). Zero or one runs
+	// sequentially. Extraction workers use private resolvers and the
+	// candidates are sorted before anything reads them, so results are
+	// byte-identical regardless of worker count.
 	// Classification is always serial.
 	Workers int
 }
@@ -221,9 +221,8 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 		}
 		busy = []time.Duration{now().Sub(t0)}
 	} else {
-		// Shard the nameserver list; each worker owns a resolver (the
-		// memo is not concurrency-safe, and sharing one would not help:
-		// resolution chains rarely cross shards).
+		// Shard the nameserver list; each worker owns a resolver (its
+		// scratch space serves one query at a time).
 		var wg sync.WaitGroup
 		results := make([][]candidate, workers)
 		busy = make([]time.Duration, workers)
@@ -440,23 +439,17 @@ func (d *Detector) matchOriginal(zd *zonedb.View, ns dnsname.Name, first dates.D
 		if spans == nil || spans.First() != first {
 			continue
 		}
-		for prevNS, prevSpans := range zd.NSHistory(e.Domain) {
-			if prevNS == ns || !endsOn(prevSpans, first-1) {
-				continue
+		zd.EachNSOf(e.Domain, func(prevNS dnsname.Name, prevSpans *interval.Set) bool {
+			if prevNS == ns || !endsOn(prevSpans, first-1) || !idioms.MatchesOriginal(ns, prevNS) {
+				return true
 			}
-			if !idioms.MatchesOriginal(ns, prevNS) {
-				continue
+			if reg, ok := dnsname.RegisteredDomain(prevNS); ok {
+				if rr := d.WHOIS.RegistrarOn(reg, first-1); rr != "" {
+					matches = append(matches, match{rr, prevNS})
+				}
 			}
-			reg, ok := dnsname.RegisteredDomain(prevNS)
-			if !ok {
-				continue
-			}
-			rr := d.WHOIS.RegistrarOn(reg, first-1)
-			if rr == "" {
-				continue
-			}
-			matches = append(matches, match{rr, prevNS})
-		}
+			return true
+		})
 	}
 	sort.Slice(matches, func(i, j int) bool {
 		if matches[i].rr != matches[j].rr {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // comparable renders everything deterministic about a Result — the
@@ -54,5 +56,33 @@ func TestNewDetectorOptions(t *testing.T) {
 	res := det.RunContext(context.Background())
 	if res.Funnel.Sacrificial == 0 {
 		t.Fatal("options-built detector found nothing")
+	}
+}
+
+var benchCandidates []candidate
+
+// BenchmarkExtractCandidates runs stage 1 alone, serially, over the
+// scale-8 world the bench's detect-cold workload detects on: one
+// first-reference lookup and one point resolvability query per
+// nameserver.
+func BenchmarkExtractCandidates(b *testing.B) {
+	cfg := sim.DefaultConfig(8)
+	cfg.Seed = 1
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		b.Fatal(err)
+	}
+	det := NewDetector(w.ZoneDB(), nil, nil)
+	v := w.ZoneDB().View()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, benchCandidates, _ = det.extractCandidates(context.Background(), v)
+	}
+	if len(benchCandidates) == 0 {
+		b.Fatal("no candidates")
 	}
 }

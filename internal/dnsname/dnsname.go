@@ -202,23 +202,25 @@ var publicSuffixes = map[Name]bool{
 // "a.b.co.uk" -> "b.co.uk"). A name that is itself a public suffix (or a
 // bare TLD) is returned unchanged with ok=false.
 func RegisteredDomain(n Name) (Name, bool) {
-	labels := n.Labels()
-	if len(labels) <= 1 {
+	s := string(n)
+	tld := strings.LastIndexByte(s, '.')
+	if tld < 0 {
 		return n, false
 	}
-	// Find the longest public suffix that is a proper suffix of n.
-	suffixLabels := 1
-	for i := len(labels) - 2; i >= 0; i-- {
-		candidate := Name(strings.Join(labels[i:], "."))
-		if publicSuffixes[candidate] {
-			suffixLabels = len(labels) - i
+	// suffix is where the longest public suffix of n starts: the final
+	// label, unless a longer suffix at a label boundary is listed. Every
+	// probe is a substring of n, so none allocates.
+	suffix := tld + 1
+	for dot := tld; dot >= 0; {
+		dot = strings.LastIndexByte(s[:dot], '.')
+		if publicSuffixes[n[dot+1:]] {
+			suffix = dot + 1
 		}
 	}
-	if len(labels) == suffixLabels {
+	if suffix == 0 {
 		return n, false // n is itself a public suffix
 	}
-	start := len(labels) - suffixLabels - 1
-	return Name(strings.Join(labels[start:], ".")), true
+	return n[strings.LastIndexByte(s[:suffix-1], '.')+1:], true
 }
 
 // SecondLevelLabel returns the label immediately below the public suffix:

@@ -92,6 +92,26 @@ func TestSubdomainRelations(t *testing.T) {
 	}
 }
 
+// registeredDomainReference is RegisteredDomain as it was first written,
+// one strings.Join per label suffix: the oracle for the table and the
+// fuzz differential below.
+func registeredDomainReference(n Name) (Name, bool) {
+	labels := n.Labels()
+	if len(labels) <= 1 {
+		return n, false
+	}
+	suffixLabels := 1
+	for i := len(labels) - 2; i >= 0; i-- {
+		if publicSuffixes[Name(strings.Join(labels[i:], "."))] {
+			suffixLabels = len(labels) - i
+		}
+	}
+	if len(labels) == suffixLabels {
+		return n, false
+	}
+	return Name(strings.Join(labels[len(labels)-suffixLabels-1:], ".")), true
+}
+
 func TestRegisteredDomain(t *testing.T) {
 	cases := []struct {
 		in   Name
@@ -102,17 +122,68 @@ func TestRegisteredDomain(t *testing.T) {
 		{"foo.com", "foo.com", true},
 		{"a.b.c.foo.com", "foo.com", true},
 		{"a.b.co.uk", "b.co.uk", true},
+		{"b.co.uk", "b.co.uk", true},
 		{"co.uk", "co.uk", false},
 		{"com", "com", false},
+		{"uk", "uk", false},
+		{"", "", false},
 		{"x.empty.as112.arpa", "empty.as112.arpa", true},
 		{"as112.arpa", "as112.arpa", false},
+		{"in-addr.arpa", "in-addr.arpa", false},
+		{"1.0.0.127.in-addr.arpa", "127.in-addr.arpa", true},
+		{"co.uk.com", "uk.com", true},
 	}
 	for _, c := range cases {
 		got, ok := RegisteredDomain(c.in)
 		if got != c.want || ok != c.ok {
 			t.Errorf("RegisteredDomain(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
 		}
+		if ref, refOK := registeredDomainReference(c.in); got != ref || ok != refOK {
+			t.Errorf("RegisteredDomain(%q) = %q, %v; reference %q, %v", c.in, got, ok, ref, refOK)
+		}
 	}
+}
+
+func TestRegisteredDomainDoesNotAllocate(t *testing.T) {
+	names := []Name{"ns1.foo.com", "a.b.co.uk", "co.uk", "com", "1.0.0.127.in-addr.arpa"}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			RegisteredDomain(name)
+		}
+	}); n != 0 {
+		t.Errorf("RegisteredDomain allocates: %v per run", n)
+	}
+}
+
+// FuzzRegisteredDomain holds RegisteredDomain to the reference on any
+// string at all: a Name is not validated on the way in.
+func FuzzRegisteredDomain(f *testing.F) {
+	for _, s := range []string{"", "com", "co.uk", "a.b.co.uk", "ns1.foo.com", "in-addr.arpa", ".", "a..uk", ".co.uk", "co.uk."} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := RegisteredDomain(Name(s))
+		if want, wantOK := registeredDomainReference(Name(s)); got != want || ok != wantOK {
+			t.Errorf("RegisteredDomain(%q) = %q, %v; reference %q, %v", s, got, ok, want, wantOK)
+		}
+	})
+}
+
+// FuzzParse: Parse never panics, and a name it accepts is canonical —
+// it parses again to itself.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"", "Example.COM.", "-bad-.com", "a..b", "_dmarc.example.org", "xn--bcher-kva.example", strings.Repeat("a", 64) + ".com"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if again, err := Parse(string(n)); err != nil || again != n {
+			t.Errorf("Parse(%q) = %q, which parses to %q, %v", s, n, again, err)
+		}
+	})
 }
 
 func TestSecondLevelLabel(t *testing.T) {

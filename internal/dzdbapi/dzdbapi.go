@@ -676,10 +676,10 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request, st *EpochS
 	db := st.view
 	resp := DomainResponse{Name: string(name)}
 	resp.Registered = spansOf(db.DomainSpans(name))
-	hist := db.NSHistory(name)
-	for ns, sp := range hist {
+	db.EachNSOf(name, func(ns dnsname.Name, sp *interval.Set) bool {
 		resp.NSHistory = append(resp.NSHistory, NSHistory{Nameserver: string(ns), Spans: spansOf(sp)})
-	}
+		return true
+	})
 	sort.Slice(resp.NSHistory, func(i, j int) bool {
 		return resp.NSHistory[i].Nameserver < resp.NSHistory[j].Nameserver
 	})

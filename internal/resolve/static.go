@@ -1,11 +1,12 @@
 // Package resolve determines nameserver resolvability.
 //
 // The static half implements the simplified static-resolution methodology
-// of the paper's §3.2.1 (after Akiwate et al. 2020): from zone snapshots
-// alone, derive the day ranges during which a nameserver name has a valid
-// resolution path. A nameserver resolves on a day when it has glue in its
-// zone, or when its registered domain is delegated to nameservers that
-// themselves (recursively, to a small depth) resolve.
+// of the paper's §3.2.1 (after Akiwate et al. 2020) as the point question
+// the paper asks: from zone snapshots alone, does a nameserver name have
+// a valid resolution path on one given day. It does when it has glue in
+// its zone that day, or when its registered domain is that day delegated
+// to a nameserver that itself (recursively, to a small depth) resolves
+// that day.
 //
 // The live half (client.go) is a stub resolver used by the controlled
 // experiment to query the in-process authoritative server over UDP.
@@ -18,81 +19,76 @@ import (
 	"repro/internal/zonedb"
 )
 
-// maxDepth bounds the delegation chase during static resolution. Chains
-// deeper than this are treated as unresolvable, matching the conservative
-// stance of the methodology.
+// maxDepth bounds the delegation chase during static resolution: glue is
+// read on the queried name and on names up to maxDepth-1 delegations
+// away from it. Longer chains are treated as unresolvable, matching the
+// conservative stance of the methodology.
 const maxDepth = 4
 
-// Static computes static resolvability against one published view of the
+// Static answers static resolvability against one published view of the
 // longitudinal zone database, so every lookup is lock-free and pinned to
-// one generation. It memoizes per-nameserver results, so one instance
-// should be reused across the whole detection run.
+// one generation. An answer depends on the view, the name and the day
+// alone; the fields below are scratch space one query reuses from the
+// last, so a Static serves one goroutine at a time.
 type Static struct {
-	db    *zonedb.View
-	memo  map[dnsname.Name]*interval.Set
-	inRun map[dnsname.Name]bool
+	db       *zonedb.View
+	frontier []dnsname.Name
+	next     []dnsname.Name
+	seen     map[dnsname.Name]struct{}
 }
 
 // NewStatic returns a Static resolver over v, which must be sealed
 // (zonedb.DB.Close) to resolve anything.
 func NewStatic(v *zonedb.View) *Static {
-	return &Static{
-		db:    v,
-		memo:  make(map[dnsname.Name]*interval.Set),
-		inRun: make(map[dnsname.Name]bool),
-	}
+	return &Static{db: v, seen: make(map[dnsname.Name]struct{})}
 }
 
-// ResolvableSpans returns the set of days on which ns has a valid static
-// resolution path. The returned set is owned by the resolver; callers
-// must not modify it.
-func (s *Static) ResolvableSpans(ns dnsname.Name) *interval.Set {
-	return s.spans(ns, 0)
-}
-
-func (s *Static) spans(ns dnsname.Name, depth int) *interval.Set {
-	if cached, ok := s.memo[ns]; ok {
-		return cached
+// ResolvableOn reports whether ns statically resolves on day: whether a
+// name with glue on day lies within maxDepth-1 delegations of ns, each
+// followed from a name to the nameservers its registered domain is
+// delegated to on day. The chase is breadth-first and visits a name once,
+// at its least distance, so a delegation back to a name already seen
+// (itself included) bootstraps nothing, and a query over k names that all
+// delegate to each other reads k names and k*k edges, not k^maxDepth.
+func (s *Static) ResolvableOn(ns dnsname.Name, day dates.Day) bool {
+	if s.glueOn(ns, day) {
+		return true
 	}
-	if depth >= maxDepth || s.inRun[ns] {
-		empty := &interval.Set{}
-		return empty
-	}
-	s.inRun[ns] = true
-	defer delete(s.inRun, ns)
-
-	result := &interval.Set{}
-	// Path 1: in-zone glue.
-	if g := s.db.GlueSpans(ns); g != nil {
-		*result = g.Clone()
-	}
-	// Path 2: the registered domain of ns is delegated to nameservers
-	// that themselves resolve: ns resolves on days when both hold.
-	reg, ok := dnsname.RegisteredDomain(ns)
-	if ok {
-		for parentNS, edgeSpans := range s.db.NSHistory(reg) {
-			if parentNS == ns {
-				continue // self-delegation without glue cannot bootstrap
+	clear(s.seen)
+	s.seen[ns] = struct{}{}
+	s.frontier = append(s.frontier[:0], ns)
+	for hop := 1; hop < maxDepth && len(s.frontier) > 0; hop++ {
+		s.next = s.next[:0]
+		for _, name := range s.frontier {
+			reg, ok := dnsname.RegisteredDomain(name)
+			if !ok {
+				continue
 			}
-			parentResolvable := s.spans(parentNS, depth+1)
-			usable := edgeSpans.Intersect(parentResolvable)
-			if !usable.Empty() {
-				merged := result.Union(&usable)
-				*result = merged
+			found := false
+			s.db.EachNSOf(reg, func(parent dnsname.Name, edge *interval.Set) bool {
+				if _, dup := s.seen[parent]; dup || !edge.Contains(day) {
+					return true
+				}
+				if s.glueOn(parent, day) {
+					found = true
+					return false
+				}
+				s.seen[parent] = struct{}{}
+				s.next = append(s.next, parent)
+				return true
+			})
+			if found {
+				return true
 			}
 		}
+		s.frontier, s.next = s.next, s.frontier
 	}
-	// Memoize only top-level results: deeper calls are depth-truncated
-	// views that would poison the cache.
-	if depth == 0 {
-		s.memo[ns] = result
-	}
-	return result
+	return false
 }
 
-// ResolvableOn reports whether ns statically resolves on day.
-func (s *Static) ResolvableOn(ns dnsname.Name, day dates.Day) bool {
-	return s.ResolvableSpans(ns).Contains(day)
+func (s *Static) glueOn(ns dnsname.Name, day dates.Day) bool {
+	g := s.db.GlueSpans(ns)
+	return g != nil && g.Contains(day)
 }
 
 // UnresolvableAtFirstReference reports whether ns was unresolvable on the

@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dates"
@@ -108,12 +109,87 @@ func TestSelfHostedWithGlue(t *testing.T) {
 	}
 }
 
-func TestMemoizationConsistency(t *testing.T) {
-	s := NewStatic(buildDB().View())
-	a := s.ResolvableSpans("ns.child.org").TotalDays()
-	b := s.ResolvableSpans("ns.child.org").TotalDays()
-	if a != b {
-		t.Errorf("memoized call changed answer: %d vs %d", a, b)
+// TestRepeatableAcrossQueries: a query leaves nothing behind that a later
+// one can read — the same question gets the same answer whatever was asked
+// in between, on a resolver that has seen the whole table and on a fresh
+// one.
+func TestRepeatableAcrossQueries(t *testing.T) {
+	v := buildDB().View()
+	names := []dnsname.Name{"ns.child.org", "dropthishost-1.biz", "ns1.provider.com", "never-seen.biz"}
+	days := []dates.Day{d(10), d(60), d(150)}
+	s := NewStatic(v)
+	for round := 0; round < 2; round++ {
+		for _, ns := range names {
+			for _, day := range days {
+				if got, want := s.ResolvableOn(ns, day), NewStatic(v).ResolvableOn(ns, day); got != want {
+					t.Errorf("round %d: ResolvableOn(%s, %s) = %v on a used resolver, %v on a fresh one", round, ns, day, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStrictDepthWhateverTheOrder: six glueless nameservers in a chain
+// that ends in one with glue, and a glueless three-cycle. A name at most
+// three delegations from the glue resolves, one four or more away does
+// not, no member of the cycle does, and none of it depends on which end
+// of the chain is asked first or on the order Go walks its maps in.
+func TestStrictDepthWhateverTheOrder(t *testing.T) {
+	chain := []string{"a.com", "b.org", "c.net", "d.info", "e.biz", "f.us", "g.xyz"}
+	cycle := []string{"p.com", "q.org", "r.net"}
+	db := zonedb.New()
+	for i, n := range chain {
+		db.DomainAdded("x", dn(n), d(0))
+		if i+1 < len(chain) {
+			db.DelegationAdded("x", dn(n), dn("ns."+chain[i+1]), d(0))
+		}
+	}
+	glued := len(chain) - 1
+	db.GlueAdded("x", dn("ns."+chain[glued]), d(0))
+	for i, n := range cycle {
+		db.DomainAdded("x", dn(n), d(0))
+		db.DelegationAdded("x", dn(n), dn("ns."+cycle[(i+1)%len(cycle)]), d(0))
+	}
+	db.Close(d(10))
+	v := db.View()
+
+	check := func(s *Static, i int) {
+		t.Helper()
+		want := glued-i < maxDepth
+		if got := s.ResolvableOn(dn("ns."+chain[i]), d(5)); got != want {
+			t.Errorf("ns.%s, %d delegations from the glue: resolvable = %v, want %v", chain[i], glued-i, got, want)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		up, down := NewStatic(v), NewStatic(v)
+		for i := range chain {
+			check(up, i)
+			check(down, len(chain)-1-i)
+		}
+		for _, n := range cycle {
+			if up.ResolvableOn(dn("ns."+n), d(5)) {
+				t.Errorf("ns.%s sits on a glueless cycle and resolves", n)
+			}
+		}
+	}
+}
+
+// TestMeshCostIsBounded: k glueless nameservers whose domains all
+// delegate to all of them. A chase that walked every path would make
+// k^maxDepth visits (2.5e9 here); visiting a name once makes k.
+func TestMeshCostIsBounded(t *testing.T) {
+	const k = 224
+	db := zonedb.New()
+	for i := 0; i < k; i++ {
+		dom := dn(fmt.Sprintf("m%d.com", i))
+		db.DomainAdded("com", dom, d(0))
+		for j := 0; j < k; j++ {
+			db.DelegationAdded("com", dom, dn(fmt.Sprintf("ns.m%d.com", j)), d(0))
+		}
+	}
+	db.Close(d(10))
+	if NewStatic(db.View()).ResolvableOn("ns.m0.com", d(5)) {
+		t.Error("a glueless mesh resolves")
 	}
 }
 

@@ -117,3 +117,49 @@ func TestDemotionAndHijack(t *testing.T) {
 		t.Fatalf("acme sacrificial: %+v", got)
 	}
 }
+
+// TestStrictDepthWhateverTheOrder is resolve's test of the same name asked
+// of the engine: six glueless nameservers in a chain that ends in one
+// with glue, and a glueless three-cycle, all first seen on one day. A
+// name at most three delegations from the glue resolves, one four or more
+// away does not, no member of the cycle does, and none of it depends on
+// which end of the chain is asked first or on the order Go walks its maps
+// in.
+func TestStrictDepthWhateverTheOrder(t *testing.T) {
+	// The engine classifies a day's new names in name order: the glued
+	// end sorts first, so the far end is asked after everything near it.
+	chain := []string{"g.xyz", "f.us", "e.biz", "d.info", "c.net", "b.org", "a.com"}
+	cycle := []string{"p.com", "q.org", "r.net"}
+	glued := len(chain) - 1
+	day := dates.FromYMD(2020, 1, 1)
+	dd := &delta.DayDelta{Day: day, GlueAdded: []dnsname.Name{dnsname.Name("ns." + chain[glued])}}
+	for i := 0; i < glued; i++ {
+		dd.EdgesAdded = append(dd.EdgesAdded, zonedb.Edge{Domain: dnsname.Name(chain[i]), NS: dnsname.Name("ns." + chain[i+1])})
+	}
+	for i, n := range cycle {
+		dd.EdgesAdded = append(dd.EdgesAdded, zonedb.Edge{Domain: dnsname.Name(n), NS: dnsname.Name("ns." + cycle[(i+1)%len(cycle)])})
+	}
+	for run := 0; run < 20; run++ {
+		e := New(whois.New(), sim.StandardDirectory())
+		if _, err := e.ApplyDay(dd); err != nil {
+			t.Fatal(err)
+		}
+		// ns.f.us and ns.e.biz are too far from the glue; the cycle has none.
+		if got := e.Funnel().Candidates; got != 2+len(cycle) {
+			t.Errorf("candidates = %d, want %d", got, 2+len(cycle))
+		}
+		for i := range chain {
+			for _, j := range []int{i, glued - i} {
+				want := glued-j < maxDepth
+				if got := e.resolvableToday(dnsname.Name("ns." + chain[j])); got != want {
+					t.Errorf("ns.%s, %d delegations from the glue: resolvable = %v, want %v", chain[j], glued-j, got, want)
+				}
+			}
+		}
+		for _, n := range cycle {
+			if e.resolvableToday(dnsname.Name("ns." + n)) {
+				t.Errorf("ns.%s sits on a glueless cycle and resolves", n)
+			}
+		}
+	}
+}

@@ -41,8 +41,8 @@ import (
 )
 
 // maxDepth mirrors resolve.Static's delegation-chase bound. The per-day
-// resolver below must prune exactly where the batch resolver prunes or
-// the candidate sets diverge.
+// resolver below must stop exactly where the batch resolver stops or the
+// candidate sets diverge.
 const maxDepth = 4
 
 // ErrStale is returned by ApplyDay for a day at or before the engine's
@@ -283,12 +283,11 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// 5. Classify nameservers first delegated to today, in name order
 	// (the batch pipeline sorts candidates the same way). Resolvability
 	// is evaluated against today's active state, which is exactly
-	// ResolvableSpans(ns).Contains(today) on the sealed view: every set
-	// operation in the static resolver distributes pointwise over days.
+	// resolve.Static.ResolvableOn(ns, today) on the sealed view: the same
+	// rule read off the day's facts instead of their spans.
 	sort.Slice(newNS, func(i, j int) bool { return newNS[i] < newNS[j] })
-	memo := make(map[dnsname.Name]bool)
 	for _, ns := range newNS {
-		if e.resolvableToday(ns, 0, memo, make(map[dnsname.Name]bool)) {
+		if e.resolvableToday(ns) {
 			continue
 		}
 		e.funnel.Candidates++
@@ -479,38 +478,39 @@ func (e *Engine) violatesSingleRepo(st *nsState) bool {
 	return false
 }
 
-// resolvableToday mirrors resolve.Static pointwise on the current day:
-// glue, or an active delegation of the registered domain to a parent
-// that itself resolves, chased to the same depth bound with the same
-// cycle guard and the same memo-before-prune order.
-func (e *Engine) resolvableToday(ns dnsname.Name, depth int, memo map[dnsname.Name]bool, inRun map[dnsname.Name]bool) bool {
-	if v, ok := memo[ns]; ok {
-		return v
+// resolvableToday is resolve.Static.ResolvableOn asked of the current
+// day's state: glue, or a name with glue within maxDepth-1 active
+// delegations, each followed from a name to the nameservers its
+// registered domain is delegated to today. Like the batch resolver it
+// goes breadth-first and visits a name once, at its least distance, so
+// the answer depends on today's state and ns alone.
+func (e *Engine) resolvableToday(ns dnsname.Name) bool {
+	if e.glue[ns] {
+		return true
 	}
-	if depth >= maxDepth || inRun[ns] {
-		return false
-	}
-	inRun[ns] = true
-	defer delete(inRun, ns)
-
-	res := e.glue[ns]
-	if !res {
-		if reg, ok := dnsname.RegisteredDomain(ns); ok {
-			for parentNS := range e.active[reg] {
-				if parentNS == ns {
+	seen := map[dnsname.Name]bool{ns: true}
+	frontier := []dnsname.Name{ns}
+	for hop := 1; hop < maxDepth && len(frontier) > 0; hop++ {
+		var next []dnsname.Name
+		for _, name := range frontier {
+			reg, ok := dnsname.RegisteredDomain(name)
+			if !ok {
+				continue
+			}
+			for parent := range e.active[reg] {
+				if seen[parent] {
 					continue
 				}
-				if e.resolvableToday(parentNS, depth+1, memo, inRun) {
-					res = true
-					break
+				if e.glue[parent] {
+					return true
 				}
+				seen[parent] = true
+				next = append(next, parent)
 			}
 		}
+		frontier = next
 	}
-	if depth == 0 {
-		memo[ns] = res
-	}
-	return res
+	return false
 }
 
 // unwatch removes a demoted candidate from its registration watch.

@@ -3,11 +3,14 @@
 // The epoch store records longitudinal facts as interval sets: each
 // delegation edge, domain registration, and glue record carries the
 // spans of days on which it was present. A streaming consumer wants the
-// opposite projection — "what changed on day d" — so this package walks
-// the sealed interval sets once and buckets every interval boundary by
+// opposite projection — "what changed on day d" — so this package
+// buckets every boundary of the sealed interval sets by
 // day: a span [a, b] contributes an add event on day a and a remove
-// event on day b+1 (the first day the fact is absent). The whole index
-// is built in O(total spans) and answers per-day queries in O(1).
+// event on day b+1 (the first day the fact is absent). The boundaries
+// are counted per day and list, then written into one slab of edges and
+// one of names, so the whole index costs O(total spans) time, the memory
+// of what it returns, and a handful of allocations however many facts
+// the view holds.
 //
 // Deltas are derived exclusively from sealed intervals — the same facts
 // the batch detector sees — so replaying every DayDelta from First()
@@ -18,9 +21,9 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -60,11 +63,11 @@ func (d *DayDelta) Changes() int {
 		len(d.GlueAdded) + len(d.GlueRemoved)
 }
 
-// Index holds the per-day deltas of one sealed view, keyed by day.
+// Index holds the per-day deltas of one sealed view.
 type Index struct {
 	epoch       uint64
 	first, last dates.Day
-	days        map[dates.Day]*DayDelta
+	days        []*DayDelta // the non-quiet days, in day order
 }
 
 // Build computes the delta index of a sealed view. It returns an error
@@ -74,41 +77,27 @@ func Build(v *zonedb.View) (*Index, error) {
 	if !v.Closed() {
 		return nil, fmt.Errorf("delta: view (epoch %d) is not closed", v.Epoch())
 	}
-	idx := &Index{
-		epoch: v.Epoch(),
-		first: dates.None,
-		last:  v.CloseDay(),
-		days:  make(map[dates.Day]*DayDelta),
+	var b buckets
+	edge := func(e zonedb.Edge, spans *interval.Set) bool {
+		visit(&b, b.edges, edgesAdded, e, spans)
+		return true
 	}
-	v.EachEdgeSpans(func(e zonedb.Edge, spans *interval.Set) bool {
-		idx.spread(spans, func(d *DayDelta) { d.EdgesAdded = append(d.EdgesAdded, e) },
-			func(d *DayDelta) { d.EdgesRemoved = append(d.EdgesRemoved, e) })
+	domain := func(d dnsname.Name, spans *interval.Set) bool {
+		visit(&b, b.names, domainsAdded, d, spans)
 		return true
-	})
-	v.EachDomainSpans(func(domain dnsname.Name, spans *interval.Set) bool {
-		idx.spread(spans, func(d *DayDelta) { d.DomainsAdded = append(d.DomainsAdded, domain) },
-			func(d *DayDelta) { d.DomainsRemoved = append(d.DomainsRemoved, domain) })
-		return true
-	})
-	v.EachGlueSpans(func(host dnsname.Name, spans *interval.Set) bool {
-		idx.spread(spans, func(d *DayDelta) { d.GlueAdded = append(d.GlueAdded, host) },
-			func(d *DayDelta) { d.GlueRemoved = append(d.GlueRemoved, host) })
-		return true
-	})
-	for _, d := range idx.days {
-		d.sort()
 	}
-	return idx, nil
-}
-
-// sort puts each of the day's lists into the order DayDelta documents.
-func (d *DayDelta) sort() {
-	sortEdges(d.EdgesAdded)
-	sortEdges(d.EdgesRemoved)
-	sortNames(d.DomainsAdded)
-	sortNames(d.DomainsRemoved)
-	sortNames(d.GlueAdded)
-	sortNames(d.GlueRemoved)
+	glue := func(h dnsname.Name, spans *interval.Set) bool {
+		visit(&b, b.names, glueAdded, h, spans)
+		return true
+	}
+	// The view holds at least a registration per domain and an edge per
+	// nameserver: that many facts, if not more, are walked.
+	fresh, first := b.fill(dates.None, v.CloseDay(), v.NumDomains()+v.NumNameservers(), func() {
+		v.EachEdgeSpans(edge)
+		v.EachDomainSpans(domain)
+		v.EachGlueSpans(glue)
+	})
+	return &Index{epoch: v.Epoch(), first: first, last: v.CloseDay(), days: pointers(nil, fresh)}, nil
 }
 
 // Extend returns the index of v given prev, the index of the epoch
@@ -118,9 +107,10 @@ func (d *DayDelta) sort() {
 // from the sealed spans of the facts v says it wrote, by Build's rule and
 // in Build's order. An untouched fact has no boundary there — its spans
 // are the parent's, at most extended through the new close day — so the
-// result equals Build(v) day for day, for the cost of the change. It
-// returns an error, and the caller builds from scratch, when v is not an
-// advance or prev is not the index of its parent.
+// result equals Build(v) day for day, for the cost of the change and one
+// pointer per day of history. It returns an error, and the caller builds
+// from scratch, when v is not an advance or prev is not the index of its
+// parent.
 func Extend(prev *Index, v *zonedb.View) (*Index, error) {
 	ch := v.Advance()
 	if ch == nil {
@@ -130,77 +120,261 @@ func Extend(prev *Index, v *zonedb.View) (*Index, error) {
 		return nil, fmt.Errorf("delta: index of epoch %d closed %s is not the parent of epoch %d (parent closed %s)",
 			prev.epoch, prev.last, v.Epoch(), ch.ParentClose)
 	}
-	idx := &Index{
-		epoch: v.Epoch(),
-		first: prev.first,
-		last:  v.CloseDay(),
-		days:  maps.Clone(prev.days),
-	}
-	for _, e := range ch.Edges {
-		idx.spreadAfter(prev.last, v.EdgeSpans(e.Domain, e.NS),
-			func(d *DayDelta) { d.EdgesAdded = append(d.EdgesAdded, e) },
-			func(d *DayDelta) { d.EdgesRemoved = append(d.EdgesRemoved, e) })
-	}
-	for _, domain := range ch.Domains {
-		idx.spreadAfter(prev.last, v.DomainSpans(domain),
-			func(d *DayDelta) { d.DomainsAdded = append(d.DomainsAdded, domain) },
-			func(d *DayDelta) { d.DomainsRemoved = append(d.DomainsRemoved, domain) })
-	}
-	for _, host := range ch.Glue {
-		idx.spreadAfter(prev.last, v.GlueSpans(host),
-			func(d *DayDelta) { d.GlueAdded = append(d.GlueAdded, host) },
-			func(d *DayDelta) { d.GlueRemoved = append(d.GlueRemoved, host) })
-	}
-	for day := prev.last + 1; day <= idx.last; day++ {
-		if d, ok := idx.days[day]; ok {
-			d.sort()
+	var b buckets
+	fresh, first := b.fill(prev.last, v.CloseDay(), len(ch.Edges)+len(ch.Domains)+len(ch.Glue), func() {
+		for _, e := range ch.Edges {
+			visit(&b, b.edges, edgesAdded, e, v.EdgeSpans(e.Domain, e.NS))
 		}
+		for _, d := range ch.Domains {
+			visit(&b, b.names, domainsAdded, d, v.DomainSpans(d))
+		}
+		for _, h := range ch.Glue {
+			visit(&b, b.names, glueAdded, h, v.GlueSpans(h))
+		}
+	})
+	if prev.first != dates.None && (first == dates.None || prev.first < first) {
+		first = prev.first
 	}
-	return idx, nil
+	return &Index{epoch: v.Epoch(), first: first, last: v.CloseDay(), days: pointers(prev.days, fresh)}, nil
 }
 
-// spreadAfter is spread restricted to the boundaries that fall after day
-// parent: the only ones an advance can have added. Every DayDelta it
-// writes is one it made, since the parent's index holds no later day.
-func (idx *Index) spreadAfter(parent dates.Day, spans *interval.Set, add, remove func(*DayDelta)) {
+// pointers returns older followed by a pointer to each of fresh, in a
+// slice of its own.
+func pointers(older []*DayDelta, fresh []DayDelta) []*DayDelta {
+	out := make([]*DayDelta, len(older), len(older)+len(fresh))
+	copy(out, older)
+	for i := range fresh {
+		out = append(out, &fresh[i])
+	}
+	return out
+}
+
+// A DayDelta's lists, in the order a day's boundaries are laid out: the
+// edge lists in one slab, the name lists in another. The list a fact's
+// removals go to follows the one its additions go to.
+const (
+	edgesAdded = iota
+	edgesRemoved
+	domainsAdded
+	domainsRemoved
+	glueAdded
+	glueRemoved
+	lists
+)
+
+// denseFactor bounds the table buckets counts in: one slot for every day
+// from the earliest boundary to the latest, while that is at most
+// denseFactor days per fact walked — so the table stays within a constant
+// multiple of the slabs it sizes (48 bytes a day against 16 or 32 a
+// boundary). Past that there is one slot per day that has a boundary,
+// found by search: a view holding two facts a million days apart pays for
+// two days.
+const denseFactor = 4
+
+// buckets sorts the span boundaries of a set of facts into days by
+// counting: the walk over the facts is made once to count the boundaries
+// per day and list, and once more to write each into its place in a slab
+// sized by the counts. pass says which; visit is what the walk calls for
+// each fact.
+type buckets struct {
+	// An addition is recorded when its day is later than after, a removal
+	// when its day is also no later than last: a span that starts past
+	// the close day is on the record, an end there is not yet observable.
+	after, last dates.Day
+	pass        int
+	first       dates.Day // the earliest addition, dates.None without one
+
+	// cursor[slot*lists+list] counts a day's list, then holds where in
+	// its slab the list's next entry goes. Slot s is day base+s, and the
+	// table widens as the counting pass meets days outside it, up to room
+	// days; a walk that needs more sets wide and is made again to gather
+	// the days into sparse, where slot s is day sparse[s].
+	cursor []int
+	base   int
+	room   int
+	wide   bool
+	sparse []dates.Day
+
+	edges []zonedb.Edge
+	names []dnsname.Name
+}
+
+const (
+	counting = iota
+	gathering
+	writing
+)
+
+// visit handles the boundaries of one fact: x is an edge or a name, slab
+// the one its kind is written to, and added the list its additions go to.
+func visit[T any](b *buckets, slab []T, added int, x T, spans *interval.Set) {
 	all := spans.Spans()
-	for i := len(all) - 1; i >= 0 && all[i].Last >= parent; i-- {
+	for i := len(all) - 1; i >= 0 && all[i].Last >= b.after; i-- {
 		r := all[i]
-		if r.First > parent {
-			add(idx.at(r.First))
-			if idx.first == dates.None || r.First < idx.first {
-				idx.first = r.First
+		if r.First > b.after {
+			if at := b.mark(r.First, added); at >= 0 {
+				slab[at] = x
+			}
+			if b.first == dates.None || r.First < b.first {
+				b.first = r.First
 			}
 		}
-		if end := r.Last + 1; end <= idx.last {
-			remove(idx.at(end))
+		if end := r.Last + 1; end <= b.last {
+			if at := b.mark(end, added+1); at >= 0 {
+				slab[at] = x
+			}
 		}
 	}
 }
 
-// spread records one fact's spans into the day buckets: an add on each
-// span's first day, a remove on the day after each span's last day —
-// unless that falls past the close day, where absence is not yet
-// observable.
-func (idx *Index) spread(spans *interval.Set, add, remove func(*DayDelta)) {
-	for _, r := range spans.Spans() {
-		add(idx.at(r.First))
-		if idx.first == dates.None || r.First < idx.first {
-			idx.first = r.First
+// mark notes one boundary as the pass requires, and in the writing pass
+// returns where in its slab it goes (-1 in the others).
+func (b *buckets) mark(day dates.Day, list int) int {
+	switch b.pass {
+	case counting:
+		if b.sparse != nil || b.cover(day) {
+			b.cursor[b.slot(day)*lists+list]++
 		}
-		if end := r.Last + 1; end <= idx.last {
-			remove(idx.at(end))
-		}
+	case gathering:
+		b.sparse = append(b.sparse, day)
+	case writing:
+		k := b.slot(day)*lists + list
+		b.cursor[k]++
+		return b.cursor[k] - 1
 	}
+	return -1
 }
 
-func (idx *Index) at(day dates.Day) *DayDelta {
-	d, ok := idx.days[day]
-	if !ok {
-		d = &DayDelta{Day: day}
-		idx.days[day] = d
+func (b *buckets) slot(day dates.Day) int {
+	if b.sparse == nil {
+		return int(day) - b.base
 	}
-	return d
+	i, _ := slices.BinarySearch(b.sparse, day)
+	return i
+}
+
+// cover makes sure the dense table has a slot for day, widening it by as
+// much again on the side day fell off so that the walk's first few
+// hundred facts, in whatever order, settle its extent. It reports false,
+// for good, once the table would pass room days.
+func (b *buckets) cover(day dates.Day) bool {
+	d := int(day)
+	lo, hi := b.base, b.base+len(b.cursor)/lists-1 // hi < lo: no table yet
+	switch {
+	case d >= lo && d <= hi:
+		return true
+	case b.wide:
+		return false
+	case hi < lo:
+		lo, hi = d, d
+	default:
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	need := hi - lo + 1
+	if need > b.room {
+		b.wide = true
+		return false
+	}
+	if spare := min(need, b.room-need); d == lo {
+		lo -= spare
+	} else {
+		hi += spare
+	}
+	wider := make([]int, (hi-lo+1)*lists)
+	if len(b.cursor) > 0 {
+		copy(wider[(b.base-lo)*lists:], b.cursor)
+	}
+	b.base, b.cursor = lo, wider
+	return true
+}
+
+// fill runs walk through the passes — it must call visit for the same
+// facts each time, at least facts of them — and returns the non-quiet
+// days in day order, their lists sorted and capacity-clipped sub-slices
+// of two slabs, and the earliest addition.
+func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelta, dates.Day) {
+	*b = buckets{after: after, last: last, first: dates.None, room: denseFactor * facts}
+	walk()
+	if b.wide {
+		b.pass = gathering
+		walk()
+		slices.Sort(b.sparse)
+		b.sparse = slices.Compact(b.sparse)
+		b.pass, b.cursor = counting, make([]int, len(b.sparse)*lists)
+		walk()
+	}
+	slots := len(b.cursor) / lists
+
+	// Counts become slab offsets: a day's edge lists sit side by side in
+	// the edge slab, its name lists in the name slab, days in order.
+	var nEdges, nNames, nDays int
+	for s := 0; s < slots; s++ {
+		day := b.cursor[s*lists : (s+1)*lists]
+		quiet := true
+		for list, c := range day {
+			if c > 0 {
+				quiet = false
+			}
+			if list <= edgesRemoved {
+				day[list], nEdges = nEdges, nEdges+c
+			} else {
+				day[list], nNames = nNames, nNames+c
+			}
+		}
+		if !quiet {
+			nDays++
+		}
+	}
+	b.pass, b.edges, b.names = writing, make([]zonedb.Edge, nEdges), make([]dnsname.Name, nNames)
+	walk()
+
+	// Each cursor now stands at the end of its list, which is where the
+	// next list of its slab starts.
+	out := make([]DayDelta, 0, nDays)
+	edgeAt, nameAt := 0, 0
+	edgeList := func(end int) []zonedb.Edge {
+		l := cut(b.edges, edgeAt, end)
+		edgeAt = end
+		slices.SortFunc(l, compareEdges)
+		return l
+	}
+	nameList := func(end int) []dnsname.Name {
+		l := cut(b.names, nameAt, end)
+		nameAt = end
+		slices.Sort(l)
+		return l
+	}
+	for s := 0; s < slots; s++ {
+		end := b.cursor[s*lists : (s+1)*lists]
+		if end[edgesRemoved] == edgeAt && end[glueRemoved] == nameAt {
+			continue // a quiet day
+		}
+		d := DayDelta{Day: dates.Day(b.base + s)}
+		if b.sparse != nil {
+			d.Day = b.sparse[s]
+		}
+		d.EdgesAdded, d.EdgesRemoved = edgeList(end[edgesAdded]), edgeList(end[edgesRemoved])
+		d.DomainsAdded, d.DomainsRemoved = nameList(end[domainsAdded]), nameList(end[domainsRemoved])
+		d.GlueAdded, d.GlueRemoved = nameList(end[glueAdded]), nameList(end[glueRemoved])
+		out = append(out, d)
+	}
+	return out, b.first
+}
+
+// cut returns slab[from:to] with no room to grow into its neighbour, and
+// nil when it is empty: a list nothing was appended to.
+func cut[T any](slab []T, from, to int) []T {
+	if from == to {
+		return nil
+	}
+	return slab[from:to:to]
+}
+
+func compareEdges(a, b zonedb.Edge) int {
+	if c := dnsname.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	return dnsname.Compare(a.NS, b.NS)
 }
 
 // Epoch returns the epoch of the view the index was built from.
@@ -218,24 +392,14 @@ func (idx *Index) Last() dates.Day { return idx.last }
 // (and any day, for that matter) yield an empty non-nil delta, so a
 // consumer can apply every day of the window uniformly.
 func (idx *Index) Day(day dates.Day) *DayDelta {
-	if d, ok := idx.days[day]; ok {
-		return d
+	i, ok := slices.BinarySearchFunc(idx.days, day, func(d *DayDelta, day dates.Day) int {
+		return cmp.Compare(d.Day, day)
+	})
+	if ok {
+		return idx.days[i]
 	}
 	return &DayDelta{Day: day}
 }
 
 // Days returns the number of non-quiet days in the index.
 func (idx *Index) Days() int { return len(idx.days) }
-
-func sortEdges(es []zonedb.Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Domain != es[j].Domain {
-			return es[i].Domain < es[j].Domain
-		}
-		return es[i].NS < es[j].NS
-	})
-}
-
-func sortNames(ns []dnsname.Name) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-}

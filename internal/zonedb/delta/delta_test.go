@@ -1,11 +1,15 @@
 package delta
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
+	"repro/internal/interval"
 	"repro/internal/sim"
 	"repro/internal/zonedb"
 )
@@ -102,16 +106,7 @@ func TestBuildHandCrafted(t *testing.T) {
 // queries on sampled days — the delta feed and the interval store must
 // describe the same history.
 func TestCumulativeReconstruction(t *testing.T) {
-	cfg := sim.DefaultConfig(1)
-	cfg.Seed = 7
-	w, err := sim.NewWorld(cfg)
-	if err != nil {
-		t.Fatalf("NewWorld: %v", err)
-	}
-	if err := w.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	v := w.ZoneDB().View()
+	v := world(t, 1, 7)
 	idx, err := Build(v)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -201,8 +196,8 @@ type replay struct {
 	day  dates.Day // the live database's close day
 }
 
-// history simulates a world and returns the index of its whole history.
-func history(tb testing.TB, scale float64, seed int64) *Index {
+// world simulates a world and returns its sealed view.
+func world(tb testing.TB, scale float64, seed int64) *zonedb.View {
 	tb.Helper()
 	cfg := sim.DefaultConfig(scale)
 	cfg.Seed = seed
@@ -213,7 +208,13 @@ func history(tb testing.TB, scale float64, seed int64) *Index {
 	if err := w.Run(); err != nil {
 		tb.Fatalf("Run: %v", err)
 	}
-	hist, err := Build(w.ZoneDB().View())
+	return w.ZoneDB().View()
+}
+
+// history simulates a world and returns the index of its whole history.
+func history(tb testing.TB, scale float64, seed int64) *Index {
+	tb.Helper()
+	hist, err := Build(world(tb, scale, seed))
 	if err != nil {
 		tb.Fatalf("Build: %v", err)
 	}
@@ -356,21 +357,230 @@ func TestExtendRefuses(t *testing.T) {
 	}
 }
 
-var benchIndex *Index
+// referenceBuild is Build as it was first written — a map of days, an
+// append per boundary, a sort of each day's lists — and the oracle the
+// counting Build is held to. It returns the non-quiet days and the
+// earliest addition.
+func referenceBuild(v *zonedb.View) (map[dates.Day]*DayDelta, dates.Day) {
+	days := make(map[dates.Day]*DayDelta)
+	first, last := dates.None, v.CloseDay()
+	at := func(day dates.Day) *DayDelta {
+		d, ok := days[day]
+		if !ok {
+			d = &DayDelta{Day: day}
+			days[day] = d
+		}
+		return d
+	}
+	spread := func(spans *interval.Set, add, remove func(*DayDelta)) {
+		for _, r := range spans.Spans() {
+			add(at(r.First))
+			if first == dates.None || r.First < first {
+				first = r.First
+			}
+			if end := r.Last + 1; end <= last {
+				remove(at(end))
+			}
+		}
+	}
+	v.EachEdgeSpans(func(e zonedb.Edge, spans *interval.Set) bool {
+		spread(spans, func(d *DayDelta) { d.EdgesAdded = append(d.EdgesAdded, e) },
+			func(d *DayDelta) { d.EdgesRemoved = append(d.EdgesRemoved, e) })
+		return true
+	})
+	v.EachDomainSpans(func(domain dnsname.Name, spans *interval.Set) bool {
+		spread(spans, func(d *DayDelta) { d.DomainsAdded = append(d.DomainsAdded, domain) },
+			func(d *DayDelta) { d.DomainsRemoved = append(d.DomainsRemoved, domain) })
+		return true
+	})
+	v.EachGlueSpans(func(host dnsname.Name, spans *interval.Set) bool {
+		spread(spans, func(d *DayDelta) { d.GlueAdded = append(d.GlueAdded, host) },
+			func(d *DayDelta) { d.GlueRemoved = append(d.GlueRemoved, host) })
+		return true
+	})
+	sortEdges := func(es []zonedb.Edge) {
+		sort.Slice(es, func(i, j int) bool {
+			if es[i].Domain != es[j].Domain {
+				return es[i].Domain < es[j].Domain
+			}
+			return es[i].NS < es[j].NS
+		})
+	}
+	sortNames := func(ns []dnsname.Name) {
+		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	}
+	for _, d := range days {
+		sortEdges(d.EdgesAdded)
+		sortEdges(d.EdgesRemoved)
+		sortNames(d.DomainsAdded)
+		sortNames(d.DomainsRemoved)
+		sortNames(d.GlueAdded)
+		sortNames(d.GlueRemoved)
+	}
+	return days, first
+}
 
-// BenchmarkBuild derives the whole index of a scale-3 world from its
-// spans: what a feed's first request costs after a rebuild.
-func BenchmarkBuild(b *testing.B) {
-	r, _ := newReplay(b, history(b, 3, 1), 0)
-	v := r.live.View()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// sparseView holds two facts a million days apart.
+func sparseView() *zonedb.View {
+	db := zonedb.New()
+	db.DomainAdded(com, "early.com", 10)
+	db.DomainRemoved(com, "early.com", 20)
+	db.DomainAdded(com, "late.com", 1_000_000)
+	db.DelegationAdded(com, "late.com", "ns.late.com", 1_000_000)
+	db.Close(1_000_050)
+	return db.View()
+}
+
+// TestBuildEqualsReference holds Build to referenceBuild day for day:
+// over simulated worlds whole and sharded, and over the views that leave
+// the dense day axis — none, a span past the close day, two facts a
+// million days apart.
+func TestBuildEqualsReference(t *testing.T) {
+	views := map[string]*zonedb.View{"sparse": sparseView()}
+	for seed := int64(1); seed <= 3; seed++ {
+		v := world(t, 1, seed)
+		views[fmt.Sprintf("seed %d", seed)] = v
+		views[fmt.Sprintf("seed %d shard 0/2", seed)] = v.FilterShard(0, 2).View()
+		views[fmt.Sprintf("seed %d shard 1/2", seed)] = v.FilterShard(1, 2).View()
+	}
+	empty := zonedb.New()
+	empty.Close(day("2020-01-01"))
+	views["empty"] = empty.View()
+	// A delegation made and withdrawn after the day the view closes on:
+	// the span's start is on the record, its end is not.
+	late := zonedb.New()
+	late.DomainAdded(com, "example.com", day("2020-01-01"))
+	late.DelegationAdded(com, "example.com", "ns1.example.com", day("2020-01-05"))
+	late.DelegationRemoved(com, "example.com", "ns1.example.com", day("2020-01-10"))
+	late.Close(day("2020-01-03"))
+	views["span past the close day"] = late.View()
+
+	for name, v := range views {
 		idx, err := Build(v)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		benchIndex = idx
+		want, first := referenceBuild(v)
+		if idx.First() != first || idx.Last() != v.CloseDay() || idx.Days() != len(want) {
+			t.Errorf("%s: index (%s..%s, %d days), reference (%s..%s, %d days)",
+				name, idx.First(), idx.Last(), idx.Days(), first, v.CloseDay(), len(want))
+		}
+		for d, w := range want {
+			if g := idx.Day(d); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s, %s: delta %+v, reference %+v", name, d, g, w)
+			}
+		}
+		// Every other day is quiet, the days either side of the record too.
+		if first != dates.None {
+			for d := first - 1; d <= v.CloseDay()+1 && d <= first+20_000; d++ {
+				if g := idx.Day(d); want[d] == nil && (g.Day != d || !g.Empty()) {
+					t.Fatalf("%s, %s: delta %+v on a quiet day", name, d, g)
+				}
+			}
+		}
+	}
+	if got := len(views["span past the close day"].EdgeSpans("example.com", "ns1.example.com").Spans()); got != 1 {
+		t.Fatalf("the late view holds %d spans of its edge, want 1", got)
+	}
+}
+
+// TestExtendAcrossAGap: an epoch that closes a million days on, with two
+// events either end of the gap, extends to what Build makes of it — and
+// does not count the days between.
+func TestExtendAcrossAGap(t *testing.T) {
+	db := zonedb.New()
+	db.DomainAdded(com, "early.com", 10)
+	db.Close(20)
+	prev, err := Build(db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.DomainRemoved(com, "early.com", 30)
+	db.DomainAdded(com, "late.com", 1_000_000)
+	db.Close(1_000_050)
+	ext, err := Extend(prev, db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.First() != 10 || ext.Days() != 3 || !reflect.DeepEqual(ext.days, want.days) {
+		t.Errorf("extended index (%s.., %d days) %+v, built %+v", ext.First(), ext.Days(), ext.days, want.days)
+	}
+}
+
+// TestBuildListsDoNotAlias: a day's lists are cut from shared slabs, so
+// growing one must copy it out rather than write over its neighbour.
+func TestBuildListsDoNotAlias(t *testing.T) {
+	idx := history(t, 1, 7)
+	var prev *DayDelta
+	for d := idx.First(); d <= idx.Last(); d++ {
+		dd := idx.Day(d)
+		if len(dd.EdgesAdded) == 0 || len(dd.DomainsAdded) == 0 {
+			continue
+		}
+		if prev != nil {
+			nextEdge, nextName := dd.EdgesAdded[0], dd.DomainsAdded[0]
+			_ = append(prev.EdgesRemoved, zonedb.Edge{Domain: "x", NS: "y"})
+			_ = append(prev.EdgesAdded, zonedb.Edge{Domain: "x", NS: "y"})
+			_ = append(prev.GlueRemoved, "x")
+			_ = append(prev.DomainsAdded, "x")
+			if dd.EdgesAdded[0] != nextEdge || dd.DomainsAdded[0] != nextName {
+				t.Fatalf("%s: appending to the lists of %s wrote into them", d, prev.Day)
+			}
+		}
+		prev = dd
+	}
+	if prev == nil {
+		t.Fatal("no day adds both an edge and a domain")
+	}
+}
+
+// TestBuildAllocations: Build allocates its tables and slabs, not per
+// fact or per day — the same handful at twice the facts — and a view
+// whose facts are a million days apart does not pay per day between.
+func TestBuildAllocations(t *testing.T) {
+	for _, scale := range []float64{2, 4} {
+		v := world(t, scale, 1)
+		if n := testing.AllocsPerRun(3, func() { Build(v) }); n > 64 {
+			t.Errorf("scale %g: Build makes %v allocations, want at most 64", scale, n)
+		}
+	}
+	v := sparseView()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	idx, err := Build(v)
+	runtime.ReadMemStats(&after)
+	if err != nil || idx.Days() != 3 {
+		t.Fatalf("sparse view: %d days, %v", idx.Days(), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("sparse view: Build allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+var benchIndex *Index
+
+// BenchmarkBuild derives the whole index of a world from its spans: what
+// a feed's first request costs after a rebuild. Scale 8 is the world of
+// the bench's detect-cold workload.
+func BenchmarkBuild(b *testing.B) {
+	for _, scale := range []float64{3, 8} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			r, _ := newReplay(b, history(b, scale, 1), 0)
+			v := r.live.View()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := Build(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchIndex = idx
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/dnszone"
+	"repro/internal/interval"
 )
 
 var glueAddr = netip.MustParseAddr("192.0.2.5")
@@ -170,9 +171,10 @@ func TestIngestRejectsRecordsOutsideZone(t *testing.T) {
 			if got := archive(t, db); got != want {
 				t.Errorf("%s, workers=%d: the rejected snapshot changed the database:\n%s", name, workers, got)
 			}
-			if len(db.View().NSHistory("foo.net")) != 0 {
+			db.View().EachNSOf("foo.net", func(dnsname.Name, *interval.Set) bool {
 				t.Errorf("%s, workers=%d: foo.net was published", name, workers)
-			}
+				return false
+			})
 
 			capped := NewIngester()
 			capped.Degraded, capped.Workers, capped.MaxQuarantine = true, workers, 1

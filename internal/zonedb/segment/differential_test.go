@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dnsname"
+	"repro/internal/interval"
 	"repro/internal/sim"
 	"repro/internal/zonedb"
 )
@@ -95,12 +96,22 @@ func TestSegmentAndArchiveLoadTheSameDatabase(t *testing.T) {
 				return true
 			})
 			b.Domains(func(d dnsname.Name) bool {
-				if !reflect.DeepEqual(a.NSHistory(d), b.NSHistory(d)) {
-					t.Errorf("NSHistory(%s): segment %v, archive %v", d, a.NSHistory(d), b.NSHistory(d))
+				if !reflect.DeepEqual(nsHistory(a, d), nsHistory(b, d)) {
+					t.Errorf("EachNSOf(%s): segment %v, archive %v", d, nsHistory(a, d), nsHistory(b, d))
 					return false
 				}
 				return true
 			})
 		})
 	}
+}
+
+// nsHistory collects what EachNSOf says of one domain.
+func nsHistory(v *zonedb.View, domain dnsname.Name) map[dnsname.Name]*interval.Set {
+	out := make(map[dnsname.Name]*interval.Set)
+	v.EachNSOf(domain, func(ns dnsname.Name, spans *interval.Set) bool {
+		out[ns] = spans
+		return true
+	})
+	return out
 }

@@ -159,14 +159,15 @@ func (t *tables) DomainsOf(ns dnsname.Name) []dnsname.Name {
 // by the store and must not be modified.
 func (t *tables) EdgesOf(ns dnsname.Name) []Edge { return t.byNS[ns] }
 
-// NSHistory returns every nameserver domain ever delegated to, with the
-// presence intervals of each edge.
-func (t *tables) NSHistory(domain dnsname.Name) map[dnsname.Name]*interval.Set {
-	out := make(map[dnsname.Name]*interval.Set)
+// EachNSOf calls fn for every nameserver domain ever delegated to, with
+// the presence intervals of that edge, in unspecified order, stopping if
+// fn returns false. It allocates nothing.
+func (t *tables) EachNSOf(domain dnsname.Name, fn func(ns dnsname.Name, spans *interval.Set) bool) {
 	for _, e := range t.byDomain[domain] {
-		out[e.NS] = t.edges[e]
+		if !fn(e.NS, t.edges[e]) {
+			return
+		}
 	}
-	return out
 }
 
 // NSOn returns the nameserver set of domain on day, sorted.

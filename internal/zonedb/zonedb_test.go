@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
+	"repro/internal/interval"
 )
 
 func d(n int) dates.Day { return dates.Day(n) }
@@ -96,9 +97,13 @@ func TestNSQueries(t *testing.T) {
 	if got := v.NSOn("a.com", d(25)); !reflect.DeepEqual(got, []dnsname.Name{"ns2.p.com"}) {
 		t.Fatalf("NSOn(25) = %v", got)
 	}
-	hist := v.NSHistory("a.com")
+	hist := make(map[dnsname.Name]*interval.Set)
+	v.EachNSOf("a.com", func(ns dnsname.Name, spans *interval.Set) bool {
+		hist[ns] = spans
+		return true
+	})
 	if len(hist) != 2 || hist["ns1.p.com"].Last() != d(19) {
-		t.Fatalf("NSHistory = %v", hist)
+		t.Fatalf("EachNSOf = %v", hist)
 	}
 }
 
