@@ -3,30 +3,33 @@ package riskybiz
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/detect"
 	"repro/internal/sim"
 	"repro/internal/whois"
-	"repro/internal/zonedb"
+	"repro/internal/zonedb/segment"
 )
 
-// TestDetectionFromArchivedDataset archives the zone database and WHOIS
-// history, reloads them, and re-runs detection with the public registry
-// directory — the "work from saved data" path must yield exactly the
-// same funnel and classification as the in-memory run.
+// TestDetectionFromArchivedDataset saves the zone database (a segment
+// file, as riskybiz -save-data writes it) and WHOIS history, reloads
+// them, and re-runs detection with the public registry directory — the
+// "work from saved data" path must yield exactly the same funnel and
+// classification as the in-memory run.
 func TestDetectionFromArchivedDataset(t *testing.T) {
 	st := sharedStudy(t)
 
-	var zbuf, wbuf bytes.Buffer
-	if err := st.World.ZoneDB().WriteArchive(&zbuf); err != nil {
+	path := filepath.Join(t.TempDir(), "dataset.dzdb")
+	if err := segment.WriteFile(path, st.World.ZoneDB().View()); err != nil {
 		t.Fatal(err)
 	}
+	var wbuf bytes.Buffer
 	if err := st.World.WHOIS().WriteArchive(&wbuf); err != nil {
 		t.Fatal(err)
 	}
-	db, err := zonedb.ReadFrom(&zbuf)
+	db, err := segment.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Command dzdbd serves the longitudinal zone database over HTTP — the
 // study's equivalent of CAIDA's DZDB research-access API. The database
-// comes either from a fresh simulation or from an archive produced by
-// `riskybiz -save-data`.
+// comes either from a fresh simulation or from the segment file
+// `riskybiz -save-data` writes (PREFIX.dzdb).
 //
 // Usage:
 //
@@ -85,7 +85,7 @@ func main() {
 	addr := flag.String("addr", ":8053", "HTTP listen address")
 	scale := flag.Float64("scale", 6, "mean new registrations per day (ignored with -load)")
 	seed := flag.Int64("seed", 1, "random seed (ignored with -load)")
-	load := flag.String("load", "", "load a zone-database archive instead of simulating")
+	load := flag.String("load", "", "load the zone DB from a segment file (riskybiz -save-data's PREFIX.dzdb) instead of simulating")
 	dataDir := flag.String("data-dir", "", "segment-store directory; sealed epochs persist here and warm-boot the next start")
 	runDetect := flag.Bool("detect", true, "run the detection pipeline once at startup so /metrics reports stage timings")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before the listener closes on shutdown")
@@ -348,7 +348,7 @@ func main() {
 					"domains", v.NumDomains(), "nameservers", v.NumNameservers())
 				continue
 			}
-			fresh, err := loadArchive(*load)
+			fresh, err := segment.ReadFile(*load)
 			if err != nil {
 				logger.Error("reload failed; still serving the previous epoch", "err", err)
 				continue
@@ -385,7 +385,7 @@ func main() {
 // a freshly simulated world.
 func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zonedb.DB, *whois.History, error) {
 	if load != "" {
-		db, err := loadArchive(load)
+		db, err := segment.ReadFile(load)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -406,16 +406,6 @@ func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zone
 	v := world.ZoneDB().View()
 	logger.Info("simulation complete", "domains", v.NumDomains(), "nameservers", v.NumNameservers())
 	return world.ZoneDB(), world.WHOIS(), nil
-}
-
-// loadArchive reads a zone-database archive written by riskybiz -save-data.
-func loadArchive(path string) (*zonedb.DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return zonedb.ReadFrom(f)
 }
 
 // sourceTag fingerprints the configured data source. Epochs sealed under

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-csv]
-//	         [-save-data PREFIX] [-save-segments DIR] [-save-snapshots DIR]
+//	         [-save-data PREFIX] [-save-snapshots DIR]
 //	         [-figures-csv DIR]
 //	         [-reingest [-strict] [-max-quarantine N] [-ingest-workers N]]
 //	         [-workers N] [-stats] [-stats-json FILE]
@@ -46,8 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	only := flag.String("only", "", "comma-separated subset: funnel,patterns,table1..table6,figure3..figure7,accident,partial")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-	saveData := flag.String("save-data", "", "after simulating, archive the dataset to PREFIX.dzdb / PREFIX.whois / PREFIX.exclude")
-	saveSegments := flag.String("save-segments", "", "after simulating, seal the zone DB into a segment store at this directory (dzdbd -data-dir warm-boots from it)")
+	saveData := flag.String("save-data", "", "after simulating, save the dataset: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
 	figuresCSV := flag.String("figures-csv", "", "write per-figure CSV data files into this directory")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON instead of text artifacts")
 	stats := flag.Bool("stats", false, "print a detection stage-timing report to stderr")
@@ -113,14 +112,7 @@ func main() {
 		if err := saveDataset(study, *saveData); err != nil {
 			fatalf("saving dataset: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "dataset archived under %s.{dzdb,whois,exclude}\n", *saveData)
-	}
-	if *saveSegments != "" {
-		info, err := sealSegments(study, *saveSegments, *seed, *scale)
-		if err != nil {
-			fatalf("saving -save-segments: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "epoch sealed to %s/%s (%d bytes)\n", *saveSegments, info.Name, info.Size)
+		fmt.Fprintf(os.Stderr, "dataset saved under %s.{dzdb,whois,exclude}\n", *saveData)
 	}
 	if *figuresCSV != "" {
 		if err := writeFigureCSVs(study, *figuresCSV); err != nil {
@@ -291,26 +283,15 @@ func writeSnapshots(study *riskybiz.Study, dir string) (int, error) {
 	return n, nil
 }
 
-// sealSegments seals the simulated zone database into a segment store.
-// The source tag matches what dzdbd computes for the same -seed/-scale,
-// so `dzdbd -data-dir DIR -scale N -seed S` warm-boots from this seal
-// instead of re-simulating.
-func sealSegments(study *riskybiz.Study, dir string, seed int64, scale float64) (segment.Info, error) {
-	st, err := segment.Open(dir)
-	if err != nil {
-		return segment.Info{}, err
-	}
-	for _, q := range st.Quarantined() {
-		logger.Warn("segment quarantined", "name", q.Name, "reason", q.Reason)
-	}
-	tag := fmt.Sprintf("sim seed=%d scale=%g", seed, scale)
-	return st.Seal(study.World.ZoneDB().View(), tag)
-}
-
-// saveDataset archives the zone database, WHOIS history, and the
-// accident-NS exclusion list so detection can be re-run without
-// simulating (riskydetect, dzdbd -load).
+// saveDataset saves the zone database as a segment file, and the WHOIS
+// history and the accident-NS exclusion list as text, so detection can be
+// re-run without simulating (riskydetect, riskywatchd -archive, zonedump
+// -load, dzdbd -load). The segment replaces PREFIX.dzdb atomically: a
+// riskywatchd tailing it never reads a half-written file.
 func saveDataset(study *riskybiz.Study, prefix string) error {
+	if err := segment.WriteFile(prefix+".dzdb", study.World.ZoneDB().View()); err != nil {
+		return err
+	}
 	write := func(suffix string, fn func(*bufio.Writer) error) error {
 		f, err := os.Create(prefix + suffix)
 		if err != nil {
@@ -326,11 +307,6 @@ func saveDataset(study *riskybiz.Study, prefix string) error {
 			return err
 		}
 		return f.Close()
-	}
-	if err := write(".dzdb", func(w *bufio.Writer) error {
-		return study.World.ZoneDB().WriteArchive(w)
-	}); err != nil {
-		return err
 	}
 	if err := write(".whois", func(w *bufio.Writer) error {
 		return study.World.WHOIS().WriteArchive(w)

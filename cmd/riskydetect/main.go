@@ -42,6 +42,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/whois"
 	"repro/internal/zonedb"
+	"repro/internal/zonedb/segment"
 )
 
 var logger = obs.NewLogger("riskydetect")
@@ -54,7 +55,7 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	data := flag.String("data", "dataset", "archive prefix (PREFIX.dzdb, PREFIX.whois, optional PREFIX.exclude)")
+	data := flag.String("data", "dataset", "riskybiz -save-data prefix (segment file PREFIX.dzdb, PREFIX.whois, optional PREFIX.exclude)")
 	only := flag.String("only", "", "comma-separated artifact subset")
 	csv := flag.Bool("csv", false, "emit tables as CSV")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON")
@@ -207,7 +208,7 @@ func loadDataset(ctx context.Context, prefix, snapshots string, strict bool, max
 		sp.End()
 	} else {
 		_, sp := trace.Start(ctx, "load.archive")
-		db, err = loadArchive(prefix)
+		db, err = segment.ReadFile(prefix + ".dzdb")
 		sp.SetError(err)
 		sp.End()
 	}
@@ -249,16 +250,6 @@ func loadDataset(ctx context.Context, prefix, snapshots string, strict bool, max
 		}
 	}
 	return db, who, exclude, nil
-}
-
-// loadArchive reads the binary zone-DB archive riskybiz -save-data wrote.
-func loadArchive(prefix string) (*zonedb.DB, error) {
-	zf, err := os.Open(prefix + ".dzdb")
-	if err != nil {
-		return nil, err
-	}
-	defer zf.Close()
-	return zonedb.ReadFrom(bufio.NewReader(zf))
 }
 
 // osFS exposes the host filesystem to the snapshot FileSource.

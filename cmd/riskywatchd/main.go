@@ -59,12 +59,12 @@ import (
 	"repro/internal/sim"
 	"repro/internal/watch"
 	"repro/internal/whois"
-	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
+	"repro/internal/zonedb/segment"
 )
 
 func main() {
-	archive := flag.String("archive", "", "riskybiz -save-data prefix (PREFIX.dzdb, PREFIX.whois); replayed, then tailed for rewrites")
+	archive := flag.String("archive", "", "riskybiz -save-data prefix (segment file PREFIX.dzdb, PREFIX.whois); replayed, then tailed for rewrites")
 	feed := flag.String("feed", "", "base URL of a dzdbd /v1/deltas feed to follow")
 	whoisPath := flag.String("whois", "", "WHOIS archive for registrar attribution (default PREFIX.whois in archive mode)")
 	alertsPath := flag.String("alerts", "-", "JSONL alert sink (\"-\" = stdout)")
@@ -446,10 +446,11 @@ func (w *watcher) runFeed(ctx context.Context, base string, page int, poll time.
 	return f.Run(ctx)
 }
 
-// runArchive replays PREFIX.dzdb through the engine, then tails the
-// file: when it is rewritten (riskybiz appending days and re-archiving)
-// the new epoch is loaded and only the days past the engine's position
-// are applied.
+// runArchive replays the segment file PREFIX.dzdb through the engine,
+// then tails it: when it is replaced (riskybiz -save-data writing a later
+// world; the replace is atomic, so a reload never meets a half-written
+// file) the new epoch is loaded and only the days past the engine's
+// position are applied.
 func (w *watcher) runArchive(ctx context.Context, prefix string, poll time.Duration, once bool) error {
 	path := prefix + ".dzdb"
 	var lastMod time.Time
@@ -480,12 +481,7 @@ func (w *watcher) runArchive(ctx context.Context, prefix string, poll time.Durat
 }
 
 func (w *watcher) replayArchive(ctx context.Context, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	db, err := zonedb.ReadFrom(f)
-	f.Close()
+	db, err := segment.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", path, err)
 	}

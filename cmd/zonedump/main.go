@@ -6,6 +6,7 @@
 // Usage:
 //
 //	zonedump -zone biz -date 2016-07-15 [-scale 6] [-seed 1] [-grep dropthishost]
+//	zonedump -load dataset.dzdb -zone biz -date 2016-07-15
 //
 // With -diff, it instead prints what changed on DAY relative to the day
 // before — every delegation, registration, and glue record that
@@ -29,6 +30,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
+	"repro/internal/zonedb/segment"
 )
 
 func main() {
@@ -38,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (ignored with -load)")
 	grep := flag.String("grep", "", "only lines containing this substring")
 	diff := flag.String("diff", "", "print the change set for this day (YYYY-MM-DD) instead of a snapshot")
-	load := flag.String("load", "", "read a zone-database archive instead of simulating")
+	load := flag.String("load", "", "read the zone DB from a segment file (riskybiz -save-data's PREFIX.dzdb) instead of simulating")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *version {
@@ -56,13 +58,7 @@ func main() {
 	}
 	var db *zonedb.DB
 	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-		db, err = zonedb.ReadFrom(bufio.NewReader(f))
-		f.Close()
-		if err != nil {
+		if db, err = segment.ReadFile(*load); err != nil {
 			log.Fatalf("zonedump: %v", err)
 		}
 	} else {

@@ -184,16 +184,16 @@ func (s *script) step() {
 		s.check("CloseZones with ragged ends", no)
 		s.events(s.day + 1)
 		s.close("Close after CloseZones", s.day+1, true)
-	case k == 5: // the served view through its archive: tables from bytes
+	case k == 5: // the served view through its segment: tables from bytes
 		var buf bytes.Buffer
-		if err := s.db.View().WriteArchive(&buf); err != nil {
+		if err := s.db.View().WriteSegment(&buf); err != nil {
 			s.t.Fatal(err)
 		}
-		other, err := zonedb.ReadFrom(&buf)
+		other, err := zonedb.ReadSegment(buf.Bytes())
 		if err != nil {
 			s.t.Fatal(err)
 		}
-		s.adopt("Adopt of ReadFrom", other, false, no)
+		s.adopt("Adopt of ReadSegment", other, false, no)
 	case k == 6 && len(s.db.View().Zones()) > 0: // two days of the served view re-ingested in parallel: absorb
 		ing := zonedb.NewIngester()
 		ing.Workers = 2
@@ -368,7 +368,7 @@ func TestAdvanceEquivalence(t *testing.T) {
 	for _, kind := range []string{
 		"advance", "rebuild", "plain", "skipped closes", "empty epoch", "first facts after an empty sealed DB",
 		"back-dated event", "future-dated event", "Close with the same day", "Close with an earlier day",
-		"CloseZones with ragged ends", "Close after CloseZones", "Adopt of a sealed database", "Adopt of ReadFrom",
+		"CloseZones with ragged ends", "Close after CloseZones", "Adopt of a sealed database", "Adopt of ReadSegment",
 		"Adopt of a parallel ingest", "Adopt of a shard projection",
 	} {
 		if drawn[kind] == 0 {

@@ -100,11 +100,7 @@ func corpus(t *testing.T) (fsys fstest.MapFS, all, clean []string) {
 
 func archive(t *testing.T, db *DB) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return archiveView(t, db.View())
 }
 
 func TestStrictIngestAbortsOnFirstInvalid(t *testing.T) {

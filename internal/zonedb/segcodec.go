@@ -42,7 +42,7 @@ const segHeaderLen = 40
 
 // minSegDay and maxSegDay bound every day in a payload to what the text
 // archive can print (a four-digit year), so a database loaded from a
-// segment always archives and reads back; dates.None lies outside them.
+// segment always archives; dates.None lies outside them.
 var (
 	minSegDay = dates.FromYMD(0, 1, 1)
 	maxSegDay = dates.FromYMD(9999, 12, 31)
@@ -278,7 +278,8 @@ func ReadSegment(p []byte) (*DB, error) {
 		}
 	}
 
-	// Published the way ReadFrom publishes: an empty epoch, then the load.
+	// Published as a fresh DB's second epoch (its first is the empty one),
+	// with no horizon: nothing says how far its facts were sealed.
 	db := New()
 	db.mu.Lock()
 	db.gen = &generation{tables: t, horizon: unknownDay}
@@ -347,8 +348,8 @@ func (d *segDecoder) readNames(nNames, nameBytes int) error {
 // readEdges decodes the edge section into t.edges and builds both
 // traversal indexes from it. Edges arrive sorted by (domain, ns), so
 // byDomain's slices are runs of the key table and byNS's a stable
-// counting sort of it by ns: both in the order ReadFrom's appends produce
-// from the text archive.
+// counting sort of it by ns: both in the order appending each edge, in
+// archive order, to its two index slices produces.
 func (d *segDecoder) readEdges(t *tables, nEdges, nSpans int) error {
 	index := make([]Edge, 2*nEdges)
 	byDomain, byNS := index[:nEdges], index[nEdges:]

@@ -60,10 +60,11 @@ func emptyClosedDB() *DB {
 	return db
 }
 
-// TestSegmentMatchesArchive: the two encodings carry the same facts, so
-// a database read from either is the same database — every table, and
-// the order of every index slice — and each archives to the source
-// view's own bytes. Encoding is canonical: event order does not show.
+// TestSegmentMatchesArchive: the segment carries the archive's facts, so
+// the database decoded from it is the one the reference text parser
+// makes of the archive — every table, and the order of every index
+// slice — and it archives to the source view's own bytes. Encoding is
+// canonical: event order does not show.
 func TestSegmentMatchesArchive(t *testing.T) {
 	for name, db := range map[string]*DB{"rich": richDB(), "empty": emptyClosedDB(), "seed": seedDB()} {
 		t.Run(name, func(t *testing.T) {
@@ -73,9 +74,9 @@ func TestSegmentMatchesArchive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadSegment: %v", err)
 			}
-			fromText, err := ReadFrom(strings.NewReader(archiveView(t, v)))
+			fromText, err := readArchive(archiveView(t, v))
 			if err != nil {
-				t.Fatalf("ReadFrom: %v", err)
+				t.Fatalf("readArchive: %v", err)
 			}
 			if got, want := archiveView(t, fromSeg.View()), archiveView(t, v); got != want {
 				t.Errorf("loaded segment archives to\n%s\nwant\n%s", got, want)
@@ -377,9 +378,9 @@ func FuzzReadSegment(f *testing.F) {
 		if again := segmentBytes(t, db.View()); !bytes.Equal(again, data) {
 			t.Fatalf("accepted payload is not canonical:\n in %x\nout %x", data, again)
 		}
-		viaText, err := ReadFrom(strings.NewReader(archiveView(t, db.View())))
+		viaText, err := readArchive(archiveView(t, db.View()))
 		if err != nil {
-			t.Fatalf("the loaded database's archive does not read back: %v", err)
+			t.Fatalf("the loaded database's archive does not parse: %v", err)
 		}
 		if again := segmentBytes(t, viaText.View()); !bytes.Equal(again, data) {
 			t.Fatalf("payload changed on its way through the text archive:\n in %x\nout %x", data, again)
@@ -400,10 +401,10 @@ func TestLoadedViewImmutableUnderWrites(t *testing.T) {
 		}
 		return db
 	}
-	// The text reader allocates every set and index slice on its own: what
-	// it does under the same writes is what the slabs must do.
+	// The reference text parser allocates every set and index slice on its
+	// own: what it does under the same writes is what the slabs must do.
 	loadText := func() *DB {
-		db, err := ReadFrom(strings.NewReader(archiveView(t, richDB().View())))
+		db, err := readArchive(archiveView(t, richDB().View()))
 		if err != nil {
 			t.Fatal(err)
 		}

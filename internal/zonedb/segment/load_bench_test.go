@@ -1,6 +1,10 @@
 package segment
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // BenchmarkOpenLoadLatest is the cold start the detect-cold workload, a
 // riskywatchd catch-up and a dzdbd warm boot all begin with — verify the
@@ -27,6 +31,29 @@ func BenchmarkOpenLoadLatest(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, _, err := st.LoadLatest(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadFile is what riskydetect, riskywatchd -archive, zonedump
+// -load and dzdbd -load pay to load saved data: ReadFile of the file
+// riskybiz -save-data writes for the same world as
+// BenchmarkOpenLoadLatest, with no manifest and no whole-file CRC pass.
+func BenchmarkReadFile(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "world.dzdb")
+	if err := WriteFile(path, simView(b, 8, 1)); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

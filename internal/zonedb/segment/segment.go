@@ -1,6 +1,7 @@
-// Package segment is the zone database's durability layer: an on-disk
-// store of immutable, per-epoch segment files plus an atomically
-// replaced MANIFEST naming the sealed set.
+// Package segment is the zone database's on-disk format and durability
+// layer: one self-checking file per sealed database, and a store of them
+// — immutable, per-epoch segment files plus an atomically replaced
+// MANIFEST naming the sealed set.
 //
 // A segment file is the canonical binary encoding of one sealed epoch
 // (zonedb's View.WriteSegment: a sorted name table, then fixed-width key
@@ -10,12 +11,15 @@
 // are therefore detectable at any byte: a block either decodes exactly
 // as written or the segment is rejected. Loading one is de-framing into
 // a single buffer and zonedb.ReadSegment's bounds-checked copy out of
-// it; the text archive (zonedb.WriteArchive) is the interchange format
-// and is not on this path.
+// it.
 //
-// There is one format. A file under an older magic fails Load like any
-// other undecodable segment — quarantined, reported — and the caller
-// rebuilds that epoch from source and reseals it.
+// There is one format, and it is what saved data is: WriteFile and
+// ReadFile are the single-file form (riskybiz -save-data writes it, and
+// riskydetect, riskywatchd, zonedump and dzdbd -load read it), Seal and
+// Load the store's. A file under any other magic — an older segment, or
+// the text archive View.WriteArchive prints for people and diffs — is
+// refused as corrupt; in a store it is quarantined and reported, and the
+// caller rebuilds that epoch from source and reseals it.
 //
 // The MANIFEST is the commit point. It lists every sealed segment with
 // its size and whole-file checksum, carries its own trailing checksum,
@@ -32,11 +36,15 @@
 package segment
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"os"
+
+	"repro/internal/zonedb"
 )
 
 // segMagic begins every segment file.
@@ -146,8 +154,58 @@ func writeSegment(w io.Writer, encode func(io.Writer) error) error {
 	return bw.Finish()
 }
 
+// WriteFile durably writes the closed view v to path as one segment
+// file. The file checks itself, so it needs no manifest. It replaces
+// path atomically, as Seal does a store's files: a reader sees the
+// previous file or the new one, never a torn one, and a write that fails
+// leaves the previous file as it was.
+func WriteFile(path string, v *zonedb.View) error {
+	_, _, err := writeFile(path, Hooks{}, func(w io.Writer) error {
+		return writeSegment(w, v.WriteSegment)
+	})
+	return err
+}
+
+// ReadFile loads the segment file at path, as WriteFile wrote it, into a
+// fresh, closed database. Any defect in the file's bytes — a file in
+// another format included — yields an error wrapping ErrCorrupt, and the
+// file's own size bounds what the decoder allocates.
+func ReadFile(path string) (*zonedb.DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	// The size of the file this handle holds, not of whatever a concurrent
+	// WriteFile renames over path meanwhile.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	db, err := readSegment(f, fi.Size())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return db, nil
+}
+
+// readSegment de-frames a segment of at most size bytes and decodes its
+// payload into a fresh, closed database. Every defect wraps ErrCorrupt.
+func readSegment(r io.Reader, size int64) (*zonedb.DB, error) {
+	payload, err := decodeSegment(bufio.NewReaderSize(r, 1<<16), size)
+	if err != nil {
+		return nil, err
+	}
+	db, err := zonedb.ReadSegment(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return db, nil
+}
+
 // decodeSegment reads and verifies a segment stream of at most size
-// bytes — the file length the manifest recorded — returning the payload
+// bytes — the file length the manifest recorded, or the file's own for
+// ReadFile — returning the payload
 // bytes. Every defect — bad magic, truncated header or data, per-block
 // checksum mismatch, oversized length, more payload than a file of that
 // size can frame, missing or wrong trailer, trailing garbage — yields an

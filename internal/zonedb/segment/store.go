@@ -250,18 +250,23 @@ func (s *Store) Quarantined() []Quarantine {
 // since, or a Load of a stale Info), it is quarantined and the error
 // wraps ErrCorrupt.
 func (s *Store) Load(info Info) (*zonedb.DB, error) {
-	payload, err := s.readPayload(info)
+	db, err := s.load(info)
 	if err != nil {
-		s.dropSegment(info, "decode", err)
-		return nil, err
-	}
-	db, err := zonedb.ReadSegment(payload)
-	if err != nil {
-		err = fmt.Errorf("%w: %s: %v", ErrCorrupt, info.Name, err)
+		err = fmt.Errorf("%s: %w", info.Name, err)
 		s.dropSegment(info, "decode", err)
 		return nil, err
 	}
 	return db, nil
+}
+
+// load decodes one segment under the size its manifest entry recorded.
+func (s *Store) load(info Info) (*zonedb.DB, error) {
+	f, err := os.Open(filepath.Join(s.dir, info.Name))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	defer f.Close()
+	return readSegment(f, info.Size)
 }
 
 // LoadLatest loads the newest sealed epoch, falling back to older ones
@@ -280,20 +285,6 @@ func (s *Store) LoadLatest() (*zonedb.DB, Info, error) {
 	}
 }
 
-// readPayload opens, structurally verifies, and de-frames one segment.
-func (s *Store) readPayload(info Info) ([]byte, error) {
-	f, err := os.Open(filepath.Join(s.dir, info.Name))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, info.Name, err)
-	}
-	defer f.Close()
-	payload, err := decodeSegment(bufio.NewReaderSize(f, 1<<16), info.Size)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", info.Name, err)
-	}
-	return payload, nil
-}
-
 // Seal encodes the sealed view as a new segment and commits it with a
 // manifest swap. The view must be closed (WriteSegment requires it).
 // sourceTag is recorded verbatim for provenance checks. On any error the
@@ -307,7 +298,7 @@ func (s *Store) Seal(v *zonedb.View, sourceTag string) (Info, error) {
 		seq = s.segs[n-1].Seq + 1
 	}
 	name := fmt.Sprintf("epoch-%06d%s", seq, segSuffix)
-	size, crc, err := s.writeFile(name, func(w io.Writer) error {
+	size, crc, err := writeFile(filepath.Join(s.dir, name), s.hooks, func(w io.Writer) error {
 		return writeSegment(w, v.WriteSegment)
 	})
 	if err != nil {
@@ -421,27 +412,24 @@ func (s *Store) updateMetricsLocked() {
 	s.obs.Gauge(MetricSegmentBytes, "Total bytes of sealed epoch segments.").Set(bytes)
 }
 
-// rename performs the hookable atomic swap.
-func (s *Store) rename(oldpath, newpath string) error {
-	if s.hooks.Rename != nil {
-		return s.hooks.Rename(oldpath, newpath)
-	}
-	return os.Rename(oldpath, newpath)
-}
-
-// writeFile durably writes one store file: temp file, encode, flush,
+// writeFile durably writes the file at path: temp file, encode, flush,
 // fsync, close, rename into place, fsync the directory. It returns the
-// final file's length and whole-file CRC32C. On error nothing named
-// `name` was disturbed and the temp file is removed.
-func (s *Store) writeFile(name string, encode func(io.Writer) error) (int64, uint32, error) {
-	tmp := filepath.Join(s.dir, name+tmpSuffix)
+// final file's length and whole-file CRC32C. On error nothing at path
+// was disturbed and the temp file is removed. hooks intercept the file
+// and the rename; the zero value means direct OS calls.
+func writeFile(path string, hooks Hooks, encode func(io.Writer) error) (int64, uint32, error) {
+	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, 0, err
 	}
 	var w io.WriteCloser = f
-	if s.hooks.WrapFile != nil {
-		w = s.hooks.WrapFile(name, f)
+	if hooks.WrapFile != nil {
+		w = hooks.WrapFile(filepath.Base(path), f)
+	}
+	rename := os.Rename
+	if hooks.Rename != nil {
+		rename = hooks.Rename
 	}
 	cw := &crcWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
@@ -463,11 +451,11 @@ func (s *Store) writeFile(name string, encode func(io.Writer) error) (int64, uin
 		os.Remove(tmp)
 		return 0, 0, err
 	}
-	if err := s.rename(tmp, filepath.Join(s.dir, name)); err != nil {
+	if err := rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return 0, 0, err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return 0, 0, err
 	}
 	return cw.n, cw.crc, nil
@@ -475,7 +463,7 @@ func (s *Store) writeFile(name string, encode func(io.Writer) error) (int64, uin
 
 // writeManifestLocked durably replaces the manifest to name exactly segs.
 func (s *Store) writeManifestLocked(segs []Info) error {
-	_, _, err := s.writeFile(manifestName, func(w io.Writer) error {
+	_, _, err := writeFile(filepath.Join(s.dir, manifestName), s.hooks, func(w io.Writer) error {
 		return encodeManifest(w, segs)
 	})
 	return err

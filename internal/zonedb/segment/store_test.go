@@ -35,7 +35,7 @@ func testDB(t *testing.T, closeDay dates.Day) *zonedb.DB {
 func archiveBytes(t *testing.T, db *zonedb.DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.WriteArchive(&buf); err != nil {
+	if err := db.View().WriteArchive(&buf); err != nil {
 		t.Fatalf("WriteArchive: %v", err)
 	}
 	return buf.Bytes()
@@ -501,7 +501,7 @@ func TestOldFormatSegmentRefusedOnce(t *testing.T) {
 	var old bytes.Buffer
 	old.WriteString("dzdbseg 1\n")
 	bw := newBlockWriter(&old)
-	if err := testDB(t, 200).WriteArchive(bw); err != nil {
+	if err := testDB(t, 200).View().WriteArchive(bw); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Finish(); err != nil {
