@@ -50,9 +50,7 @@ func main() {
 	app := daemon.New("dzdbcoord", *version)
 	defer app.Close()
 	logger, fatal := app.Log, app.Fatal
-	if err := app.StartProfiler(profFlags); err != nil {
-		fatal("starting profiler", err)
-	}
+	app.StartProfiler(profFlags)
 
 	var urls []string
 	for _, u := range strings.Split(*shards, ",") {

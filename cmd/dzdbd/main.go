@@ -23,12 +23,10 @@
 //	go tool pprof http://localhost:8053/debug/pprof/profile
 //	curl 'http://localhost:8053/debug/pprof/heap?seconds=30' > delta.pprof
 //
-// The -prof-* flags opt into continuous profiling: -prof-dir starts
-// periodic heap/CPU/goroutine captures into a rotating directory, and
 // -prof-mutex-fraction/-prof-block-rate enable contention profiling
-// (off by default; it taxes every lock), which also lights up the
-// /statusz contention table and /debug/pprof/mutex (412
-// profiling_disabled while the fraction is 0).
+// (off by default; it taxes every lock), which lights up the /statusz
+// contention table and /debug/pprof/mutex (412 profiling_disabled while
+// the fraction is 0).
 //
 // The listener comes up immediately: probes and /statusz answer while
 // the archive loads (or the world simulates) in the background, with
@@ -104,9 +102,7 @@ func main() {
 		fatal("validating shard flags",
 			fmt.Errorf("-shard-id %d out of range for -shard-count %d", *shardID, *shardCount))
 	}
-	if err := app.StartProfiler(profFlags); err != nil {
-		fatal("starting profiler", err)
-	}
+	app.StartProfiler(profFlags)
 	detect.RegisterMetrics(reg)
 
 	// The DB starts empty and adopts the real data once built, so the

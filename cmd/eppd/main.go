@@ -47,9 +47,7 @@ func main() {
 	app := daemon.New("eppd", *version)
 	defer app.Close()
 	logger, fatal := app.Log, app.Fatal
-	if err := app.StartProfiler(profFlags); err != nil {
-		fatal("starting profiler", err)
-	}
+	app.StartProfiler(profFlags)
 
 	day, err := dates.Parse(*date)
 	if err != nil {

@@ -94,9 +94,7 @@ func main() {
 	default:
 		app.Fatal("flags", fmt.Errorf("-feed-mode must be poll, longpoll, or sse (got %q)", *feedMode))
 	}
-	if err := app.StartProfiler(profFlags); err != nil {
-		app.Fatal("starting profiler", err)
-	}
+	app.StartProfiler(profFlags)
 
 	w := &watcher{
 		app:      app,
@@ -439,7 +437,6 @@ func (w *watcher) runFeed(ctx context.Context, base string, page int, poll time.
 		Once:      once,
 		Mode:      w.feedMode,
 		Wait:      w.feedWait,
-		Obs:       w.app.Reg,
 		Log:       w.app.Log,
 	}
 	w.app.Log.Info("following feed", "url", base, "from", w.engine.LastDay().String())

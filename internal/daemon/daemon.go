@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/health"
-	obsprof "repro/internal/obs/prof"
 	obsruntime "repro/internal/obs/runtime"
 	"repro/internal/obs/slo"
 )
@@ -45,13 +44,12 @@ type App struct {
 	// SLO evaluates latency objectives registered via TrackSLO into
 	// slo_* gauges and the /statusz SLO block.
 	SLO *slo.Tracker
-	// Prof is the continuous profiler, set by StartProfiler (nil when
-	// the daemon does not opt in).
-	Prof *obsprof.Profiler
 
 	start   time.Time
 	statusz statusz
 	sloLoop bool
+	// restoreProf undoes StartProfiler's runtime rates (nil until then).
+	restoreProf func()
 }
 
 // New builds the app: named logger on the default registry with build
@@ -106,8 +104,9 @@ func (a *App) BeginShutdown(grace time.Duration) {
 func (a *App) Close() {
 	a.Runtime.Stop()
 	a.SLO.Stop()
-	if a.Prof != nil {
-		a.Prof.Stop()
+	if a.restoreProf != nil {
+		a.restoreProf()
+		a.restoreProf = nil
 	}
 }
 

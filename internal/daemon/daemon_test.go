@@ -2,9 +2,11 @@ package daemon
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -96,6 +98,40 @@ func TestDeltaProfiles(t *testing.T) {
 	if code, _, body := get("/debug/pprof/mutex"); code != 200 || !isProfile(body) {
 		t.Errorf("mutex profile with sampling on = %d, %d bytes, want 200 with a profile", code, len(body))
 	}
+}
+
+// TestContentionRatesRestored: the -prof-* flags set the runtime's
+// mutex sampling and /statusz reports it; Close puts back the rate the
+// process had before, so a daemon embedded in a test leaks nothing.
+func TestContentionRatesRestored(t *testing.T) {
+	before := runtime.SetMutexProfileFraction(0)
+	defer runtime.SetMutexProfileFraction(before)
+
+	fs := flag.NewFlagSet("testd", flag.ContinueOnError)
+	f := RegisterProfFlags(fs)
+	if err := fs.Parse([]string{"-prof-mutex-fraction", "1", "-prof-block-rate", "1000"}); err != nil {
+		t.Fatal(err)
+	}
+	app := New("testd", false)
+	app.StartProfiler(f)
+	if got := runtime.SetMutexProfileFraction(-1); got != 1 {
+		t.Errorf("mutex fraction after StartProfiler = %d, want 1", got)
+	}
+	var sb strings.Builder
+	app.renderStatus(&sb)
+	for _, want := range []string{"[profiling]", "mutex_fraction", "block_rate_ns"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("statusz missing %q:\n%s", want, sb.String())
+		}
+	}
+	if !regexp.MustCompile(`mutex_fraction\s+1\n`).MatchString(sb.String()) {
+		t.Errorf("statusz does not show mutex_fraction 1:\n%s", sb.String())
+	}
+	app.Close()
+	if got := runtime.SetMutexProfileFraction(-1); got != 0 {
+		t.Errorf("mutex fraction after Close = %d, want the earlier 0", got)
+	}
+	app.Close() // a second Close is harmless
 }
 
 func TestProbeEndpoints(t *testing.T) {

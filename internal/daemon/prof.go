@@ -3,19 +3,15 @@ package daemon
 import (
 	"flag"
 	"fmt"
-	"time"
+	"runtime"
 
 	"repro/internal/obs/prof"
 )
 
-// ProfFlags is the daemons' shared continuous-profiler flag block.
+// ProfFlags is the daemons' shared contention-profiling flag block.
 // Contention profiling stays off unless -prof-mutex-fraction /
-// -prof-block-rate are set — it taxes every lock operation — and
-// periodic capture stays off unless -prof-dir names a directory.
+// -prof-block-rate are set — it taxes every lock operation.
 type ProfFlags struct {
-	Dir           string
-	Interval      time.Duration
-	Keep          int
 	MutexFraction int
 	BlockRate     int
 }
@@ -23,33 +19,33 @@ type ProfFlags struct {
 // RegisterProfFlags installs the -prof-* flags on fs.
 func RegisterProfFlags(fs *flag.FlagSet) *ProfFlags {
 	var f ProfFlags
-	fs.StringVar(&f.Dir, "prof-dir", "", "continuous-profile capture `directory` (empty = no periodic capture)")
-	fs.DurationVar(&f.Interval, "prof-interval", time.Minute, "interval between profile capture sets")
-	fs.IntVar(&f.Keep, "prof-keep", 10, "profile capture sets to retain")
 	fs.IntVar(&f.MutexFraction, "prof-mutex-fraction", 0, "mutex profile sampling fraction (0 = off, 1 = every contention event)")
 	fs.IntVar(&f.BlockRate, "prof-block-rate", 0, "block profile rate in ns of blocking per sample (0 = off)")
 	return &f
 }
 
-// StartProfiler starts the continuous profiler from the parsed flags,
-// stores it on the App (Close stops it), and registers the /statusz
-// profiling section — config plus, when mutex profiling is on, the top
+// StartProfiler applies the parsed contention-profiling rates (Close
+// restores the previous ones) and registers the /statusz profiling
+// section — the rates plus, when mutex profiling is on, the top
 // contended lock sites. Call once, after New and flag parsing.
-func (a *App) StartProfiler(f *ProfFlags) error {
-	p, err := prof.Start(prof.Config{
-		Dir:           f.Dir,
-		Interval:      f.Interval,
-		Keep:          f.Keep,
-		MutexFraction: f.MutexFraction,
-		BlockRate:     f.BlockRate,
-	}, a.Reg, a.Log)
-	if err != nil {
-		return err
+func (a *App) StartProfiler(f *ProfFlags) {
+	prevMutex := runtime.SetMutexProfileFraction(-1)
+	if f.MutexFraction > 0 {
+		runtime.SetMutexProfileFraction(f.MutexFraction)
 	}
-	a.Prof = p
+	if f.BlockRate > 0 {
+		runtime.SetBlockProfileRate(f.BlockRate)
+	}
+	a.restoreProf = func() {
+		if f.MutexFraction > 0 {
+			runtime.SetMutexProfileFraction(prevMutex)
+		}
+		if f.BlockRate > 0 {
+			runtime.SetBlockProfileRate(0) // the runtime has no getter; off is its default
+		}
+	}
 	a.StatusSection("profiling", func() []KV {
 		rows := []KV{
-			{"capture_dir", orDash(f.Dir)},
 			{"mutex_fraction", fmt.Sprintf("%d", f.MutexFraction)},
 			{"block_rate_ns", fmt.Sprintf("%d", f.BlockRate)},
 		}
@@ -70,12 +66,4 @@ func (a *App) StartProfiler(f *ProfFlags) error {
 		}
 		return rows
 	})
-	return nil
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "—"
-	}
-	return s
 }

@@ -316,27 +316,7 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	stats.Funnel = res.Funnel
 	res.Stats = stats
 	d.recordFunnel(stats)
-	d.recordPools(stats)
 	return res
-}
-
-// recordPools mirrors the extraction workers' measurements into the
-// shared pool_* metric families (one EndRound per run), so detect's
-// parallel stage reports utilization and efficiency the same way the
-// zonedb ingest pool does.
-func (d *Detector) recordPools(stats *RunStats) {
-	busy, extract := stats.WorkerBusy, stats.Stage(StageExtract)
-	if d.Obs == nil || len(busy) == 0 || extract.Duration <= 0 {
-		return
-	}
-	p := d.Obs.NewPoolStats("detect_extract", len(busy))
-	for i, b := range busy {
-		w := p.Worker(i)
-		w.ObserveBusy(b)
-		// Stride sharding: worker i owns items i, i+n, ...
-		w.AddItems((extract.Items + len(busy) - 1 - i) / len(busy))
-	}
-	p.EndRound(extract.Duration)
 }
 
 // recordFunnel mirrors the funnel counts into the obs registry.

@@ -74,5 +74,17 @@ func WriteCLIProfile(path, name string) error {
 	if name == "heap" {
 		runtime.GC() // fold garbage out of the in-use numbers
 	}
-	return writeLookup(path, name)
+	prof := pprof.Lookup(name)
+	if prof == nil {
+		return fmt.Errorf("prof: no %s profile", name)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := prof.WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

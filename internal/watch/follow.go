@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/dzdbapi"
-	"repro/internal/obs"
 	"repro/internal/zonedb/delta"
 )
 
@@ -55,18 +54,11 @@ type Follower struct {
 	// connection and applies events as the server pushes them.
 	Mode string
 	// Wait is the long-poll hold sent as ?wait= (default 30s; only
-	// meaningful in ModeLongPoll).
+	// meaningful in ModeLongPoll). A Once pass never sends it: a
+	// caught-up Once follower returns instead of parking for Wait.
 	Wait time.Duration
 
-	// Obs, when set, instruments the apply loop as the one-worker
-	// "watch_apply" pool: busy time per applied day, days applied, and
-	// per-pass efficiency (apply time ÷ pass wall — the fraction of a
-	// pass spent applying rather than fetching or idle).
-	Obs *obs.Registry
-
 	Log *slog.Logger
-
-	pool *obs.PoolStats
 }
 
 // Feed transport modes for Follower.Mode.
@@ -105,9 +97,6 @@ func (f *Follower) wait() time.Duration {
 // up). Transport errors that survive the client's own retry policy are
 // logged and retried at the poll cadence; in Once mode they abort.
 func (f *Follower) Run(ctx context.Context) error {
-	if f.Obs != nil && f.pool == nil {
-		f.pool = f.Obs.NewPoolStats("watch_apply", 1)
-	}
 	if f.Mode == ModeSSE {
 		return f.runSSE(ctx)
 	}
@@ -116,9 +105,6 @@ func (f *Follower) Run(ctx context.Context) error {
 		before := f.Engine.LastDay()
 		caughtUp, closeDay, err := f.sync(ctx)
 		passDur := time.Since(passStart)
-		if f.pool != nil {
-			f.pool.EndRound(passDur)
-		}
 		if f.OnPass != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			f.OnPass(f.Engine.LastDay(), closeDay, err)
 		}
@@ -221,7 +207,7 @@ func (f *Follower) sync(ctx context.Context) (bool, dates.Day, error) {
 	for {
 		var resp *dzdbapi.DeltasResponse
 		var err error
-		if f.Mode == ModeLongPoll {
+		if f.Mode == ModeLongPoll && !f.Once {
 			resp, err = f.Client.DeltasPoll(ctx, from, cursor, f.pageSize(), f.wait())
 		} else {
 			resp, err = f.Client.Deltas(ctx, from, cursor, f.pageSize())
@@ -261,13 +247,7 @@ func (f *Follower) apply(dd *delta.DayDelta, closeDay dates.Day) error {
 	if last := f.Engine.LastDay(); last != dates.None && dd.Day <= last {
 		return nil // overlap from a retried or rewound page; already applied
 	}
-	start := time.Now()
 	alerts, err := f.Engine.ApplyDay(dd)
-	if f.pool != nil {
-		w := f.pool.Worker(0)
-		w.ObserveBusy(time.Since(start))
-		w.AddItems(1)
-	}
 	if err != nil {
 		if errors.Is(err, ErrStale) {
 			return nil

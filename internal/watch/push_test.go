@@ -161,3 +161,30 @@ func TestFollowerLongPollOnce(t *testing.T) {
 		t.Errorf("caught up to %s, want day 10", e.LastDay())
 	}
 }
+
+// TestFollowerLongPollOnceCaughtUp: a Once pass never asks the server
+// to park. A follower that is already caught up (a restored checkpoint,
+// an empty feed) must return at once, not after the full Wait.
+func TestFollowerLongPollOnceCaughtUp(t *testing.T) {
+	db := feedDB(10)
+	ts := httptest.NewServer(dzdbapi.New(db))
+	t.Cleanup(ts.Close)
+
+	e := pushEngine()
+	client := &dzdbapi.Client{BaseURL: ts.URL}
+	if err := (&Follower{Client: client, Engine: e, Once: true}).Run(context.Background()); err != nil {
+		t.Fatalf("catch-up: %v", err)
+	}
+	const wait = 5 * time.Second
+	f := &Follower{Client: client, Engine: e, Mode: ModeLongPoll, Wait: wait, Once: true}
+	start := time.Now()
+	if err := f.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if took := time.Since(start); took >= wait/2 {
+		t.Errorf("caught-up Once long-poll took %v, want < %v", took, wait/2)
+	}
+	if e.LastDay() != 10 {
+		t.Errorf("last day %s, want day 10", e.LastDay())
+	}
+}

@@ -82,7 +82,7 @@ type Ingester struct {
 	// MaxQuarantine budget is global, not per worker.
 	sharedQ *int64
 	// parallelEff is the last parallel round's efficiency (see
-	// ParallelEfficiency), recorded when Obs is set.
+	// ParallelEfficiency).
 	parallelEff float64
 }
 
@@ -204,7 +204,8 @@ func (ing *Ingester) Quarantine() QuarantineReport {
 // ParallelEfficiency reports the last parallel IngestAll round's
 // efficiency — Σ worker-busy time ÷ (wall × workers), so 1.0 is linear
 // scaling and 1/workers is a serial run wearing a parallel costume.
-// Zero until a parallel ingest with Obs set has completed.
+// Zero until a parallel IngestAll (Workers > 1) has completed; set
+// whether or not Obs is.
 func (ing *Ingester) ParallelEfficiency() float64 { return ing.parallelEff }
 
 // reason maps a validation error onto its metric/report label.

@@ -207,6 +207,28 @@ func TestParallelIngestMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelEfficiencyWithoutObs: the efficiency figure is measured by
+// the pool itself, so an ingester with no registry still reports it.
+func TestParallelEfficiencyWithoutObs(t *testing.T) {
+	var snaps []*dnszone.Snapshot
+	for _, zone := range []dnsname.Name{"com", "net", "org"} {
+		snaps = append(snaps, series(zone, 4, map[dnsname.Name][]dnsname.Name{
+			dnsname.Name("a." + string(zone)): {"ns1.host.com"},
+		})...)
+	}
+	ing := NewIngester()
+	ing.Workers = 2
+	if ing.Obs != nil {
+		t.Fatal("NewIngester set Obs")
+	}
+	if err := ing.IngestAll(&SliceSource{Snaps: snaps, Name: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if eff := ing.ParallelEfficiency(); eff <= 0 || eff > 1 {
+		t.Errorf("ParallelEfficiency() = %v, want in (0, 1]", eff)
+	}
+}
+
 // TestQuarantineMidSeriesKeepsPerZoneEnds is the gap-cascade regression
 // test: when one zone's series dies mid-study (a quarantined middle day
 // cascades into gaps for the rest of its files), Finish must close that

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/dnszone"
-	"repro/internal/obs"
 )
 
 // SnapshotSource yields snapshots in the order they should be ingested.
@@ -127,13 +126,10 @@ func zoneWorker(zone dnsname.Name, workers int) int {
 
 // ingestParallel shards src across a zone-affine worker pool. The parent
 // ingester ends up holding the merged database, per-zone history, and
-// quarantine report, exactly as if it had ingested serially.
-//
-// When Obs is set, the pool records into the pool_* worker families as
-// "zonedb_ingest": per-worker busy time (the wall time inside
-// addSnapshot, excluding channel waits), items and queue depth per
-// worker, and the round's parallel efficiency — the observable that
-// shows whether these workers compute or wait.
+// quarantine report, exactly as if it had ingested serially. Each
+// worker adds the wall time it spends inside addSnapshot (channel waits
+// excluded) to its own busy slot; the round's Σbusy ÷ (wall × workers)
+// becomes ParallelEfficiency.
 func (ing *Ingester) ingestParallel(src SnapshotSource, workers int) error {
 	type item struct {
 		snap *dnszone.Snapshot
@@ -143,11 +139,8 @@ func (ing *Ingester) ingestParallel(src SnapshotSource, workers int) error {
 	ing.sharedQ = &qn
 	defer func() { ing.sharedQ = nil }()
 
-	var pool *obs.PoolStats
-	if ing.Obs != nil {
-		pool = ing.Obs.NewPoolStats("zonedb_ingest", workers)
-	}
 	roundStart := time.Now()
+	busy := make([]time.Duration, workers)
 
 	children := make([]*Ingester, workers)
 	chans := make([]chan item, workers)
@@ -171,11 +164,7 @@ func (ing *Ingester) ingestParallel(src SnapshotSource, workers int) error {
 				}
 				start := time.Now()
 				err := children[i].addSnapshot(it.snap, it.name)
-				if pool != nil {
-					w := pool.Worker(i)
-					w.ObserveBusy(time.Since(start))
-					w.AddItems(1)
-				}
+				busy[i] += time.Since(start)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s: %w", it.name, err)
 					failed.Store(true)
@@ -200,16 +189,17 @@ func (ing *Ingester) ingestParallel(src SnapshotSource, workers int) error {
 		}
 		w := zoneWorker(snap.Zone, workers)
 		chans[w] <- item{snap: snap, name: name}
-		if pool != nil {
-			pool.SetQueueDepth(w, len(chans[w]))
-		}
 	}
 	for _, ch := range chans {
 		close(ch)
 	}
 	wg.Wait()
-	if pool != nil {
-		ing.parallelEff = pool.EndRound(time.Since(roundStart))
+	var total time.Duration
+	for _, b := range busy {
+		total += b
+	}
+	if wall := time.Since(roundStart); wall > 0 {
+		ing.parallelEff = float64(total) / float64(wall) / float64(workers)
 	}
 
 	if dispatchErr != nil {
