@@ -7,6 +7,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/dnsname"
 	"repro/internal/idioms"
+	"repro/internal/interval"
 	"repro/internal/resolve"
 )
 
@@ -107,18 +108,18 @@ func (a *Analysis) Accident(accidentNS []dnsname.Name, endOfData dates.Day) *Acc
 	after := make(map[dnsname.Name]bool)
 	residual := make(map[dnsname.Name]bool)
 	for _, ns := range accidentNS {
-		for _, e := range a.db.EdgesOf(ns) {
-			spans := a.db.EdgeSpans(e.Domain, ns)
+		a.db.EachDomainOf(ns, func(domain dnsname.Name, spans *interval.Set) bool {
 			if spans.Contains(rep.Day) {
-				peak[e.Domain] = true
+				peak[domain] = true
 			}
 			if spans.Contains(rep.Day.Add(3)) {
-				after[e.Domain] = true
+				after[domain] = true
 			}
 			if spans.Contains(endOfData) {
-				residual[e.Domain] = true
+				residual[domain] = true
 			}
-		}
+			return true
+		})
 	}
 	rep.PeakDomains = len(peak)
 	rep.AfterThreeDays = len(after)

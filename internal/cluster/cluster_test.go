@@ -203,6 +203,12 @@ func TestScatterGatherEquivalence(t *testing.T) {
 		wantSame(t, single.URL, ts.URL,
 			fmt.Sprintf("/v1/zones/%s/snapshot?date=%s", zone, v.CloseDay()))
 	}
+	// A day past the close day was not observed, through a node or the fleet.
+	past := fmt.Sprintf("/v1/zones/%s/snapshot?date=%s", v.Zones()[0], v.CloseDay()+1)
+	wantSame(t, single.URL, ts.URL, past)
+	if status, _ := fetch(t, ts.URL+past); status != http.StatusNotFound {
+		t.Errorf("%s through the coordinator: status %d, want 404", past, status)
+	}
 
 	// Unknown names answer identically too.
 	wantSame(t, single.URL, ts.URL, "/v1/domains/never-registered.com")

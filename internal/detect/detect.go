@@ -414,12 +414,11 @@ func (d *Detector) matchOriginal(zd *zonedb.View, ns dnsname.Name, first dates.D
 		prev dnsname.Name
 	}
 	var matches []match
-	for _, e := range zd.EdgesOf(ns) {
-		spans := zd.EdgeSpans(e.Domain, ns)
-		if spans == nil || spans.First() != first {
-			continue
+	zd.EachDomainOf(ns, func(domain dnsname.Name, spans *interval.Set) bool {
+		if spans.First() != first {
+			return true
 		}
-		zd.EachNSOf(e.Domain, func(prevNS dnsname.Name, prevSpans *interval.Set) bool {
+		zd.EachNSOf(domain, func(prevNS dnsname.Name, prevSpans *interval.Set) bool {
 			if prevNS == ns || !endsOn(prevSpans, first-1) || !idioms.MatchesOriginal(ns, prevNS) {
 				return true
 			}
@@ -430,7 +429,8 @@ func (d *Detector) matchOriginal(zd *zonedb.View, ns dnsname.Name, first dates.D
 			}
 			return true
 		})
-	}
+		return true
+	})
 	sort.Slice(matches, func(i, j int) bool {
 		if matches[i].rr != matches[j].rr {
 			return matches[i].rr < matches[j].rr
@@ -514,9 +514,10 @@ func (d *Detector) emit(zd *zonedb.View, res *Result, ns dnsname.Name, first dat
 	if reg, ok := dnsname.RegisteredDomain(ns); ok {
 		s.RegDomain = reg
 	}
-	for _, e := range zd.EdgesOf(ns) {
-		s.Domains = append(s.Domains, AffectedDomain{Name: e.Domain, Spans: zd.EdgeSpans(e.Domain, ns)})
-	}
+	zd.EachDomainOf(ns, func(domain dnsname.Name, spans *interval.Set) bool {
+		s.Domains = append(s.Domains, AffectedDomain{Name: domain, Spans: spans})
+		return true
+	})
 	sort.Slice(s.Domains, func(i, j int) bool { return s.Domains[i].Name < s.Domains[j].Name })
 	if s.Class == idioms.Hijackable && s.RegDomain != "" {
 		if zd.DomainRegisteredOn(s.RegDomain, first) {

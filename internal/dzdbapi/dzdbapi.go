@@ -710,12 +710,12 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 	if first != dates.None {
 		resp.FirstSeen = first.String()
 	}
-	for _, e := range db.EdgesOf(name) {
-		sp := db.EdgeSpans(e.Domain, name)
-		resp.Domains = append(resp.Domains, DomainOfNS{Domain: string(e.Domain), Spans: spansOf(sp)})
+	db.EachDomainOf(name, func(domain dnsname.Name, sp *interval.Set) bool {
+		resp.Domains = append(resp.Domains, DomainOfNS{Domain: string(domain), Spans: spansOf(sp)})
 		resp.Summary.Domains++
 		resp.Summary.DomainDays += sp.TotalDays()
-	}
+		return true
+	})
 	WriteNameserverPage(w, r, &resp)
 }
 
@@ -756,6 +756,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *Epoc
 	}
 	if !found {
 		writeError(w, http.StatusNotFound, CodeNotFound, "zone %s not observed", zone)
+		return
+	}
+	if day > db.CloseDay() {
+		writeError(w, http.StatusNotFound, CodeNotFound, "zone %s not observed on %s", zone, day)
 		return
 	}
 	snap := db.SnapshotOn(zone, day)

@@ -85,9 +85,23 @@ func computeState(v *zonedb.View) *EpochState {
 	slices.Sort(names)
 	st.exposure = make([]TopNameserver, len(names))
 	st.open = make([]int, len(names))
+	rows := make(map[dnsname.Name]int, len(names))
 	for i, ns := range names {
-		st.exposure[i], st.open[i] = exposureOf(v, ns)
+		st.exposure[i].Nameserver = string(ns)
+		rows[ns] = i
 	}
+	// One walk over the edges counts, for each nameserver, the domains
+	// that ever delegated to it and their domain-days, and how many of
+	// those edges are present on v's close day.
+	closeDay := v.CloseDay()
+	v.EachEdgeSpans(func(e zonedb.Edge, spans *interval.Set) bool {
+		i := rows[e.NS]
+		days, open := spanExposure(spans, closeDay)
+		st.exposure[i].Domains++
+		st.exposure[i].DomainDays += days
+		st.open[i] += open
+		return true
+	})
 	st.TopNS = RankNameservers(st.exposure)
 	return st
 }
@@ -109,20 +123,6 @@ func newState(v *zonedb.View) *EpochState {
 		st.Feed = &indexFeed{view: v}
 	}
 	return st
-}
-
-// exposureOf counts the domains that ever delegated to ns in v and their
-// domain-days, and how many of those edges are present on v's close day.
-func exposureOf(v *zonedb.View, ns dnsname.Name) (row TopNameserver, open int) {
-	row.Nameserver = string(ns)
-	closeDay := v.CloseDay()
-	for _, e := range v.EdgesOf(ns) {
-		days, isOpen := spanExposure(v.EdgeSpans(e.Domain, ns), closeDay)
-		row.Domains++
-		row.DomainDays += days
-		open += isOpen
-	}
-	return row, open
 }
 
 // spanExposure returns the days in an edge's spans (nil: the view does

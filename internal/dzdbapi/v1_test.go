@@ -114,6 +114,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"/v1/domains/ghost.com", 404, "not_found"},
 		{"/v1/zones/com/snapshot?date=nope", 400, "invalid_date"},
 		{"/v1/zones/xyz/snapshot?date=2016-07-15", 404, "not_found"},
+		{"/v1/zones/com/snapshot?date=" + d(201).String(), 404, "not_found"}, // past the close day
 	} {
 		status, ae := rawError(t, ts.URL, tc.path)
 		if status != tc.status || ae.Error.Code != tc.code {

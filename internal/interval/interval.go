@@ -157,6 +157,16 @@ func (s *Set) Clone() Set {
 	return out
 }
 
+// Plus returns the union of s and r laid out in buf's backing array, which
+// must have room for s.Len()+1 spans; s is unchanged. Like FromNormalized
+// it lets a reader carve many sets out of one allocation: pass buf[:0:n]
+// so the result cannot grow into a neighbour.
+func (s *Set) Plus(r dates.Range, buf []dates.Range) Set {
+	out := Set{spans: append(buf[:0], s.spans...)}
+	out.Add(r)
+	return out
+}
+
 // Intersect returns the set of days present in both s and other.
 func (s *Set) Intersect(other *Set) Set {
 	var out Set

@@ -15,7 +15,6 @@ package resolve
 import (
 	"repro/internal/dates"
 	"repro/internal/dnsname"
-	"repro/internal/interval"
 	"repro/internal/zonedb"
 )
 
@@ -51,7 +50,7 @@ func NewStatic(v *zonedb.View) *Static {
 // (itself included) bootstraps nothing, and a query over k names that all
 // delegate to each other reads k names and k*k edges, not k^maxDepth.
 func (s *Static) ResolvableOn(ns dnsname.Name, day dates.Day) bool {
-	if s.glueOn(ns, day) {
+	if s.db.GlueOn(ns, day) {
 		return true
 	}
 	clear(s.seen)
@@ -65,11 +64,11 @@ func (s *Static) ResolvableOn(ns dnsname.Name, day dates.Day) bool {
 				continue
 			}
 			found := false
-			s.db.EachNSOf(reg, func(parent dnsname.Name, edge *interval.Set) bool {
-				if _, dup := s.seen[parent]; dup || !edge.Contains(day) {
+			s.db.EachNSOn(reg, day, func(parent dnsname.Name) bool {
+				if _, dup := s.seen[parent]; dup {
 					return true
 				}
-				if s.glueOn(parent, day) {
+				if s.db.GlueOn(parent, day) {
 					found = true
 					return false
 				}
@@ -84,11 +83,6 @@ func (s *Static) ResolvableOn(ns dnsname.Name, day dates.Day) bool {
 		s.frontier, s.next = s.next, s.frontier
 	}
 	return false
-}
-
-func (s *Static) glueOn(ns dnsname.Name, day dates.Day) bool {
-	g := s.db.GlueSpans(ns)
-	return g != nil && g.Contains(day)
 }
 
 // UnresolvableAtFirstReference reports whether ns was unresolvable on the

@@ -69,8 +69,8 @@ func sortedKeys[K ~string, V any](m map[K]V) []K {
 	return keys
 }
 
-// WriteArchive archives the view. The view's generation must have been
-// sealed by Close so every span is materialized.
+// WriteArchive archives the view, which must have been sealed by Close or
+// CloseZones: an open fact is written with the span its zone's seal shows.
 func (v *View) WriteArchive(w io.Writer) error {
 	return v.tables.writeArchive(w)
 }
@@ -85,13 +85,15 @@ func (t *tables) writeArchive(w io.Writer) error {
 	for _, z := range t.Zones() {
 		fmt.Fprintf(sw, "Z %s\n", z)
 	}
+	a := slab{facts: len(t.domains)}
 	for _, d := range sortedKeys(t.domains) {
-		for _, r := range t.domains[d].Spans() {
+		for _, r := range t.spansOf(t.domains[d], d).set(&a).Spans() {
 			fmt.Fprintf(sw, "D %s %s %s\n", d, r.First, r.Last)
 		}
 	}
+	a = slab{facts: len(t.glue)}
 	for _, h := range sortedKeys(t.glue) {
-		for _, r := range t.glue[h].Spans() {
+		for _, r := range t.spansOf(t.glue[h], h).set(&a).Spans() {
 			fmt.Fprintf(sw, "G %s %s %s\n", h, r.First, r.Last)
 		}
 	}
@@ -105,8 +107,9 @@ func (t *tables) writeArchive(w io.Writer) error {
 		}
 		return edges[i].NS < edges[j].NS
 	})
+	a = slab{facts: len(t.edges)}
 	for _, e := range edges {
-		for _, r := range t.edges[e].Spans() {
+		for _, r := range t.spansOf(t.edges[e], e.Domain).set(&a).Spans() {
 			fmt.Fprintf(sw, "E %s %s %s %s\n", e.Domain, e.NS, r.First, r.Last)
 		}
 	}

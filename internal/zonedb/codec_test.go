@@ -121,19 +121,19 @@ func readArchive(archive string) (*DB, error) {
 		case len(f) == 4 && (f[0] == "D" || f[0] == "G"):
 			var r dates.Range
 			if r, err = span(f[2], f[3]); f[0] == "D" {
-				mutableSet(g, g.domains, dnsname.Name(f[1])).Add(r)
+				addEnded(g, g.domains, dnsname.Name(f[1]), r)
 			} else {
-				mutableSet(g, g.glue, dnsname.Name(f[1])).Add(r)
+				addEnded(g, g.glue, dnsname.Name(f[1]), r)
 			}
 		case len(f) == 5 && f[0] == "E":
 			e := Edge{Domain: dnsname.Name(f[1]), NS: dnsname.Name(f[2])}
-			if g.edges[e] == nil {
+			if _, seen := g.edges[e]; !seen {
 				g.byNS[e.NS] = append(g.byNS[e.NS], e)
 				g.byDomain[e.Domain] = append(g.byDomain[e.Domain], e)
 			}
 			var r dates.Range
 			r, err = span(f[3], f[4])
-			mutableSet(g, g.edges, e).Add(r)
+			addEnded(g, g.edges, e, r)
 		default:
 			err = errors.New("unknown record")
 		}
@@ -145,4 +145,11 @@ func readArchive(archive string) (*DB, error) {
 	g.horizon = unknownDay
 	db.publishLocked(nil)
 	return db, nil
+}
+
+// addEnded adds r to the ended spans of m[k].
+func addEnded[K comparable](g *generation, m map[K]fact, k K, r dates.Range) {
+	f := m[k]
+	f.spans = g.own(f.spans, r)
+	m[k] = f
 }

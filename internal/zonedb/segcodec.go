@@ -101,10 +101,11 @@ func (t *tables) writeSegment(w io.Writer) error {
 	for z := range t.zones {
 		note(z)
 	}
-	collect := func(m map[dnsname.Name]*interval.Set) []segEntry {
+	collect := func(m map[dnsname.Name]fact) []segEntry {
 		out := make([]segEntry, 0, len(m))
-		for n, s := range m {
-			if !s.Empty() {
+		a := slab{facts: len(m)}
+		for n, f := range m {
+			if s := t.spansOf(f, n).set(&a); !s.Empty() {
 				note(n)
 				out = append(out, segEntry{name: n, set: s})
 			}
@@ -113,8 +114,9 @@ func (t *tables) writeSegment(w io.Writer) error {
 	}
 	domains, glue := collect(t.domains), collect(t.glue)
 	edges := make([]segEntry, 0, len(t.edges))
-	for e, s := range t.edges {
-		if !s.Empty() {
+	a := slab{facts: len(t.edges)}
+	for e, f := range t.edges {
+		if s := t.spansOf(f, e.Domain).set(&a); !s.Empty() {
 			note(e.Domain)
 			note(e.NS)
 			edges = append(edges, segEntry{name: e.Domain, ns: e.NS, set: s})
@@ -236,15 +238,13 @@ func ReadSegment(p []byte) (*DB, error) {
 		return fail("%v", err)
 	}
 	t := tables{
-		edges:       make(map[Edge]*interval.Set, keys[2]),
-		openEdges:   make(map[Edge]dates.Day),
-		domains:     make(map[dnsname.Name]*interval.Set, keys[0]),
-		openDomains: make(map[dnsname.Name]dates.Day),
-		glue:        make(map[dnsname.Name]*interval.Set, keys[1]),
-		openGlue:    make(map[dnsname.Name]dates.Day),
-		zones:       make(map[dnsname.Name]bool, nZones),
-		closed:      true,
-		closeDay:    closeDay,
+		edges:    make(map[Edge]fact, keys[2]),
+		domains:  make(map[dnsname.Name]fact, keys[0]),
+		glue:     make(map[dnsname.Name]fact, keys[1]),
+		zones:    make(map[dnsname.Name]bool, nZones),
+		closed:   true,
+		closeDay: closeDay,
+		sealAll:  dates.None,
 	}
 	prev := -1
 	for range nZones {
@@ -261,9 +261,9 @@ func ReadSegment(p []byte) (*DB, error) {
 
 	d.sets = make([]interval.Set, keys[0]+keys[1]+keys[2])
 	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
-	for i, into := range []map[dnsname.Name]*interval.Set{t.domains, t.glue} {
+	for i, into := range []map[dnsname.Name]fact{t.domains, t.glue} {
 		err := d.section(int(keys[i]), int(spans[i]), false, func(_ int, id, _ uint32, s *interval.Set) {
-			into[d.names[id]] = s
+			into[d.names[id]] = fact{spans: s}
 		})
 		if err != nil {
 			return fail("%s: %v", [2]string{"domains", "glue"}[i], err)
@@ -358,7 +358,7 @@ func (d *segDecoder) readEdges(t *tables, nEdges, nSpans int) error {
 	nDomains, lastDomain := 0, -1
 	err := d.section(nEdges, nSpans, true, func(k int, dom, ns uint32, s *interval.Set) {
 		e := Edge{Domain: d.names[dom], NS: d.names[ns]}
-		t.edges[e] = s
+		t.edges[e] = fact{spans: s}
 		byDomain[k], nsOf[k] = e, ns
 		nsEnd[ns]++
 		if int(dom) != lastDomain {

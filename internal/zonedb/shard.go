@@ -19,14 +19,14 @@ func ShardOf(zone dnsname.Name, n int) int {
 }
 
 // FilterZones projects the view onto the zones for which keep returns
-// true, returning a fresh DB holding exactly those facts. Edges, open
-// facts, domains, and glue follow their zone (the TLD of the fact's
-// name); the traversal indexes are rebuilt from the kept edges.
+// true, returning a fresh DB holding exactly those facts. Edges, domains
+// and glue follow their zone (the TLD of the fact's name); the traversal
+// indexes are rebuilt from the kept edges.
 //
-// The projection preserves the source view's closed flag and close day
-// VERBATIM — it does not re-derive a close day from the kept zones.
-// That is load-bearing for the delta feed: a shard whose own zones all
-// went quiet before the global close day must still record remove
+// The projection preserves the source view's closed flag, close day and
+// seal days VERBATIM — it does not re-derive a close day from the kept
+// zones. That is load-bearing for the delta feed: a shard whose own zones
+// all went quiet before the global close day must still record remove
 // events at zoneLast+1 exactly as the unsharded database does, or the
 // merged per-shard feeds would diverge from a single node's. Interval
 // sets are shared with the source view (they are immutable once
@@ -34,50 +34,39 @@ func ShardOf(zone dnsname.Name, n int) int {
 // post-publish generation.
 func (v *View) FilterZones(keep func(zone dnsname.Name) bool) *DB {
 	t := newTables()
-	for e, s := range v.edges {
-		if keep(e.Domain.TLD()) {
-			t.edges[e] = s
+	for e, f := range v.edges {
+		if keep(e.zone()) {
+			t.edges[e] = f
 			t.byNS[e.NS] = append(t.byNS[e.NS], e)
 			t.byDomain[e.Domain] = append(t.byDomain[e.Domain], e)
+			book(&t, &t.eager.edges, e, e.zone(), f, 1)
 		}
 	}
-	for e, d := range v.openEdges {
-		if keep(e.Domain.TLD()) {
-			t.openEdges[e] = d
-		}
-	}
-	for d, s := range v.domains {
-		if keep(d.TLD()) {
-			t.domains[d] = s
-		}
-	}
-	for d, day := range v.openDomains {
-		if keep(d.TLD()) {
-			t.openDomains[d] = day
-		}
-	}
-	for h, s := range v.glue {
-		if keep(h.TLD()) {
-			t.glue[h] = s
-		}
-	}
-	for h, day := range v.openGlue {
-		if keep(h.TLD()) {
-			t.openGlue[h] = day
-		}
-	}
+	filterFacts(&t, t.domains, v.domains, &t.eager.domains, keep)
+	filterFacts(&t, t.glue, v.glue, &t.eager.glue, keep)
 	for z := range v.zones {
 		if keep(z) {
 			t.zones[z] = true
 		}
 	}
-	t.closed = v.closed
-	t.closeDay = v.closeDay
+	t.closed, t.closeDay = v.closed, v.closeDay
+	t.sealAll, t.sealZone = v.sealAll, v.sealZone
 	db := &DB{gen: &generation{tables: t, frozen: true, horizon: unknownDay}}
 	db.mu.Lock()
 	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db
+}
+
+// filterFacts copies the facts of src whose zone keep keeps into dst, one
+// of t's tables, whose eager keys are keys.
+func filterFacts(t *tables, dst, src map[dnsname.Name]fact, keys *map[dnsname.Name]bool, keep func(zone dnsname.Name) bool) {
+	for n, f := range src {
+		if keep(n.TLD()) {
+			dst[n] = f
+			book(t, keys, n, n.TLD(), f, 1)
+		}
+	}
 }
 
 // FilterShard is FilterZones specialised to the ShardOf partition:

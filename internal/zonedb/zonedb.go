@@ -9,6 +9,13 @@
 // daily snapshots at one-day granularity, at event cost instead of
 // snapshot cost. View.SnapshotOn reconstructs any single day's zone file.
 //
+// A fact still present is stored as the day its span opened; the tables
+// carry the day each zone is sealed through, and readers see an open
+// span through its zone's day. Sealing therefore costs the zones, not
+// the facts: Close moves one day, CloseZones one per zone. Only a fact
+// opened inside days already sealed (a back-dated event) is sealed fact
+// by fact, and the tables list those facts so a seal visits no other.
+//
 // # Snapshot isolation
 //
 // The DB is an epoch store. Writers — the registry.Recorder mutators and
@@ -32,6 +39,7 @@
 package zonedb
 
 import (
+	"maps"
 	"net/netip"
 	"slices"
 	"sync"
@@ -113,51 +121,66 @@ func (g *generation) saw(day dates.Day) *Change {
 	return g.change
 }
 
-// newSetAt allocates an empty set under key k, registering ownership.
-func newSetAt[K comparable](g *generation, m map[K]*interval.Set, k K) *interval.Set {
-	s := &interval.Set{}
-	m[k] = s
-	if g.owned != nil {
-		g.owned[s] = true
+// own returns s with r added: s itself when this generation allocated or
+// cloned it since the last publish, else a copy that it now owns (and a
+// new set when s is nil), so a published View never sees the write.
+func (g *generation) own(s *interval.Set, r dates.Range) *interval.Set {
+	if s == nil || g.owned != nil && !g.owned[s] {
+		var c interval.Set
+		if s != nil {
+			c = s.Clone()
+		}
+		s = &c
+		if g.owned != nil {
+			g.owned[s] = true
+		}
 	}
+	s.Add(r)
 	return s
 }
 
-// mutableSet returns m[k] ready for in-place mutation, cloning it first
-// when the stored set is shared with a published View (and allocating it
-// when absent).
-func mutableSet[K comparable](g *generation, m map[K]*interval.Set, k K) *interval.Set {
-	s := m[k]
-	if s == nil {
-		return newSetAt(g, m, k)
+// opened returns f, keyed k in zone, with an open span starting on day:
+// eager when zone is already sealed through day. keys is its table's set
+// of eager keys.
+func opened[K comparable](g *generation, keys *map[K]bool, k K, zone dnsname.Name, f fact, day dates.Day) fact {
+	f.start, f.open, f.eager = day, true, day <= g.sealedThrough(zone)
+	book(&g.tables, keys, k, zone, f, 1)
+	return f
+}
+
+// ended returns f, keyed k in zone, with its open span ended on day-1, or
+// on the day zone is sealed through if that is later: a seal already
+// showed those days. An eager fact's spans already hold what seals showed
+// of it.
+func ended[K comparable](g *generation, keys *map[K]bool, k K, zone dnsname.Name, f fact, day dates.Day) fact {
+	book(&g.tables, keys, k, zone, f, -1)
+	last := day - 1
+	if !f.eager {
+		last = dates.Max(last, g.sealedThrough(zone))
 	}
-	if g.owned == nil || g.owned[s] {
-		return s
+	if last >= f.start {
+		f.spans = g.own(f.spans, dates.NewRange(f.start, last))
 	}
-	c := s.Clone()
-	p := &c
-	m[k] = p
-	g.owned[p] = true
-	return p
+	f.open, f.eager = false, false
+	return f
 }
 
 // thaw clones the generation's top-level maps so mutations stop being
 // visible to the last published View. Interval sets and index slices are
-// still shared; sets are cloned lazily by mutableSet, and index slices
-// are only ever appended to (readers never see past their own length).
+// still shared; sets are cloned lazily by own, and index slices are only
+// ever appended to (readers never see past their own length).
 func (g *generation) thaw() {
 	if !g.frozen {
 		return
 	}
 	g.edges = cloneMap(g.edges)
-	g.openEdges = cloneMap(g.openEdges)
 	g.domains = cloneMap(g.domains)
-	g.openDomains = cloneMap(g.openDomains)
 	g.glue = cloneMap(g.glue)
-	g.openGlue = cloneMap(g.openGlue)
 	g.byNS = cloneMap(g.byNS)
 	g.byDomain = cloneMap(g.byDomain)
 	g.zones = cloneMap(g.zones)
+	g.eager = g.eager.clone()
+	g.shown = maps.Clone(g.shown)
 	g.owned = make(map[*interval.Set]bool)
 	g.frozen = false
 }
@@ -287,32 +310,10 @@ func (db *DB) absorb(other *DB) {
 	g := db.writable()
 	g.change = nil
 	g.horizon = dates.Max(g.horizon, og.horizon)
-	claim := func(s *interval.Set) {
-		if g.owned != nil {
-			g.owned[s] = true
-		}
-	}
-	for e, s := range og.edges {
-		g.edges[e] = s
-		claim(s)
-	}
-	for e, d := range og.openEdges {
-		g.openEdges[e] = d
-	}
-	for k, s := range og.domains {
-		g.domains[k] = s
-		claim(s)
-	}
-	for k, d := range og.openDomains {
-		g.openDomains[k] = d
-	}
-	for k, s := range og.glue {
-		g.glue[k] = s
-		claim(s)
-	}
-	for k, d := range og.openGlue {
-		g.openGlue[k] = d
-	}
+	g.sealZone = maps.Clone(g.sealZone) // absorbFacts may raise a zone's day
+	absorbFacts(g, &og.tables, g.edges, og.edges, &g.eager.edges, Edge.zone)
+	absorbFacts(g, &og.tables, g.domains, og.domains, &g.eager.domains, dnsname.Name.TLD)
+	absorbFacts(g, &og.tables, g.glue, og.glue, &g.eager.glue, dnsname.Name.TLD)
 	for ns, es := range og.byNS {
 		g.byNS[ns] = append(g.byNS[ns], es...)
 	}
@@ -321,6 +322,34 @@ func (db *DB) absorb(other *DB) {
 	}
 	for z := range og.zones {
 		g.zones[z] = true
+	}
+}
+
+// absorbFacts copies from's facts into dst; keys is dst's set of eager
+// keys. An open fact's zone takes from's sealed-through day where that is
+// later than g's: the zone is from's alone, so no fact of g's reads it.
+// Where g's day is later, the fact is first put as from's seal left it:
+// the open span it showed is written into its spans, it reopens the day
+// after, and it is eager if g's zone is sealed through that day.
+func absorbFacts[K comparable](g *generation, from *tables, dst, src map[K]fact, keys *map[K]bool, zone func(K) dnsname.Name) {
+	for k, f := range src {
+		z := zone(k)
+		if s := from.sealedThrough(z); f.open && s > g.sealedThrough(z) {
+			if g.sealZone == nil {
+				g.sealZone = make(map[dnsname.Name]dates.Day)
+			}
+			g.sealZone[z] = s
+		} else if f.open && s < g.sealedThrough(z) {
+			if tail := from.spansOf(f, z).tail; !tail.Empty() {
+				f.spans, f.start = g.own(f.spans, tail), tail.Last+1
+			}
+			f.eager = f.start <= g.sealedThrough(z)
+		}
+		book(&g.tables, keys, k, z, f, 1)
+		if f.spans != nil && g.owned != nil {
+			g.owned[f.spans] = true
+		}
+		dst[k] = f
 	}
 }
 
@@ -339,15 +368,15 @@ func (db *DB) DelegationAdded(zone, domain, ns dnsname.Name, day dates.Day) {
 	g := db.writable()
 	g.zones[zone] = true
 	e := Edge{Domain: domain, NS: ns}
-	if _, open := g.openEdges[e]; open {
+	f, seen := g.edges[e]
+	if f.open {
 		return // duplicate add; ignore
 	}
-	if _, seen := g.edges[e]; !seen {
-		newSetAt(g, g.edges, e)
+	if !seen {
 		g.byNS[ns] = append(g.byNS[ns], e)
 		g.byDomain[domain] = append(g.byDomain[domain], e)
 	}
-	g.openEdges[e] = day
+	g.edges[e] = opened(g, &g.eager.edges, e, domain.TLD(), f, day)
 	if c := g.saw(day); c != nil {
 		c.Edges = append(c.Edges, e)
 	}
@@ -359,15 +388,12 @@ func (db *DB) DelegationRemoved(zone, domain, ns dnsname.Name, day dates.Day) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	g := db.writable()
-	e := Edge{Domain: domain, NS: ns}
-	start, open := g.openEdges[e]
-	if !open {
+	e, seen := g.storedEdge(domain, ns)
+	f := g.edges[e]
+	if !seen || !f.open {
 		return
 	}
-	delete(g.openEdges, e)
-	if day-1 >= start {
-		mutableSet(g, g.edges, e).Add(dates.NewRange(start, day-1))
-	}
+	g.edges[e] = ended(g, &g.eager.edges, e, domain.TLD(), f, day)
 	if c := g.saw(day); c != nil {
 		c.Edges = append(c.Edges, e)
 	}
@@ -379,15 +405,10 @@ func (db *DB) DomainAdded(zone, domain dnsname.Name, day dates.Day) {
 	defer db.mu.Unlock()
 	g := db.writable()
 	g.zones[zone] = true
-	if _, open := g.openDomains[domain]; open {
-		return
-	}
-	if _, seen := g.domains[domain]; !seen {
-		newSetAt(g, g.domains, domain)
-	}
-	g.openDomains[domain] = day
-	if c := g.saw(day); c != nil {
-		c.Domains = append(c.Domains, domain)
+	if add(g, g.domains, &g.eager.domains, domain, day) {
+		if c := g.saw(day); c != nil {
+			c.Domains = append(c.Domains, domain)
+		}
 	}
 }
 
@@ -396,16 +417,10 @@ func (db *DB) DomainRemoved(zone, domain dnsname.Name, day dates.Day) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	g := db.writable()
-	start, open := g.openDomains[domain]
-	if !open {
-		return
-	}
-	delete(g.openDomains, domain)
-	if day-1 >= start {
-		mutableSet(g, g.domains, domain).Add(dates.NewRange(start, day-1))
-	}
-	if c := g.saw(day); c != nil {
-		c.Domains = append(c.Domains, domain)
+	if remove(g, g.domains, &g.eager.domains, domain, day) {
+		if c := g.saw(day); c != nil {
+			c.Domains = append(c.Domains, domain)
+		}
 	}
 }
 
@@ -415,15 +430,10 @@ func (db *DB) GlueAdded(zone, host dnsname.Name, day dates.Day) {
 	defer db.mu.Unlock()
 	g := db.writable()
 	g.zones[zone] = true
-	if _, open := g.openGlue[host]; open {
-		return
-	}
-	if _, seen := g.glue[host]; !seen {
-		newSetAt(g, g.glue, host)
-	}
-	g.openGlue[host] = day
-	if c := g.saw(day); c != nil {
-		c.Glue = append(c.Glue, host)
+	if add(g, g.glue, &g.eager.glue, host, day) {
+		if c := g.saw(day); c != nil {
+			c.Glue = append(c.Glue, host)
+		}
 	}
 }
 
@@ -432,62 +442,93 @@ func (db *DB) GlueRemoved(zone, host dnsname.Name, day dates.Day) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	g := db.writable()
-	start, open := g.openGlue[host]
-	if !open {
-		return
-	}
-	delete(g.openGlue, host)
-	if day-1 >= start {
-		mutableSet(g, g.glue, host).Add(dates.NewRange(start, day-1))
-	}
-	if c := g.saw(day); c != nil {
-		c.Glue = append(c.Glue, host)
+	if remove(g, g.glue, &g.eager.glue, host, day) {
+		if c := g.saw(day); c != nil {
+			c.Glue = append(c.Glue, host)
+		}
 	}
 }
 
-// sealLocked closes every still-open fact at lastFor(zone-of-fact); a
-// dates.None result leaves the fact open. It reports whether every open
-// fact now stands sealed through its zone's last day — false when one
-// was left open, or opened after that day. Callers must hold db.mu and
-// have thawed the generation.
-func (db *DB) sealLocked(lastFor func(zone dnsname.Name) dates.Day) bool {
-	g := db.gen
-	all := true
-	for e, start := range g.openEdges {
-		if sealOne(g, g.edges, g.openEdges, e, start, lastFor(e.Domain.TLD())) {
-			all = false
-		}
+// add opens name's span in m (whose eager keys are keys) on day and
+// reports whether it was not open already.
+func add(g *generation, m map[dnsname.Name]fact, keys *map[dnsname.Name]bool, name dnsname.Name, day dates.Day) bool {
+	f := m[name]
+	if f.open {
+		return false
 	}
-	for d, start := range g.openDomains {
-		if sealOne(g, g.domains, g.openDomains, d, start, lastFor(d.TLD())) {
-			all = false
-		}
-	}
-	for h, start := range g.openGlue {
-		if sealOne(g, g.glue, g.openGlue, h, start, lastFor(h.TLD())) {
-			all = false
-		}
-	}
-	return all
+	m[name] = opened(g, keys, name, name.TLD(), f, day)
+	return true
 }
 
-// sealOne extends one open fact through last and reports whether it was
-// instead left behind: no last day for its zone, or opened after it.
-func sealOne[K comparable](g *generation, sets map[K]*interval.Set, open map[K]dates.Day, k K, start, last dates.Day) (left bool) {
-	if last == dates.None {
-		return true
+// remove ends name's open span in m (whose eager keys are keys) on day-1
+// and reports whether it had one. The entry is written under a copy of
+// name: writing a map entry stores its key anew, and the caller's string
+// may pin more than itself (the ingester's is a slice of the day's zone
+// file).
+func remove(g *generation, m map[dnsname.Name]fact, keys *map[dnsname.Name]bool, name dnsname.Name, day dates.Day) bool {
+	f := m[name]
+	if !f.open {
+		return false
 	}
-	if last >= start {
-		mutableSet(g, sets, k).Add(dates.NewRange(start, last))
-		open[k] = last + 1
+	name = cloneName(name)
+	m[name] = ended(g, keys, name, name.TLD(), f, day)
+	return true
+}
+
+// storedEdge returns edge (domain, ns) made of the strings the tables hold
+// it by, for writing its entry without storing the caller's (see remove).
+func (t *tables) storedEdge(domain, ns dnsname.Name) (Edge, bool) {
+	for _, e := range t.byDomain[domain] {
+		if e.NS == ns {
+			return e, true
+		}
 	}
-	return start > last+1
+	return Edge{}, false
+}
+
+// sealEager seals each eager fact through lastFor(its zone): the days
+// from its open day through lastFor are written into its spans and it
+// reopens the day after — unless lastFor reaches its zone's sealed-through
+// day, when it stops being eager and its open span shows like any other.
+// A zone lastFor gives no day (dates.None) is left as it is. It visits the
+// eager keys only, and must run before the seal days move.
+// Callers hold db.mu and have thawed the generation.
+func (g *generation) sealEager(lastFor func(zone dnsname.Name) dates.Day) {
+	sealEagerIn(g, g.edges, g.eager.edges, Edge.zone, lastFor)
+	sealEagerIn(g, g.domains, g.eager.domains, dnsname.Name.TLD, lastFor)
+	sealEagerIn(g, g.glue, g.eager.glue, dnsname.Name.TLD, lastFor)
+}
+
+func sealEagerIn[K comparable](g *generation, m map[K]fact, keys map[K]bool, zone func(K) dnsname.Name, lastFor func(dnsname.Name) dates.Day) {
+	for k := range keys {
+		f, z := m[k], zone(k)
+		switch last := lastFor(z); {
+		case last == dates.None:
+			continue
+		case last >= g.sealedThrough(z):
+			book(&g.tables, &keys, k, z, f, -1)
+			f.eager = false
+			book(&g.tables, &keys, k, z, f, 1)
+		case last >= f.start:
+			f.spans, f.start = g.own(f.spans, dates.NewRange(f.start, last)), last+1
+		}
+		m[k] = f
+	}
 }
 
 // Close ends observation on lastDay: every still-open fact is recorded as
-// present through lastDay. The sealed generation is published, so View()
-// reflects it afterwards. Close may be called again with a later day
-// after further events.
+// present through lastDay, or through the later day an earlier Close
+// sealed it through. It costs the zones and the change, not the database:
+// the seal moves the day every zone is sealed through, and readers show
+// an open fact's span through its zone's day (see fact). A Close with no
+// write since the last publish publishes the same tables under the new
+// day. The exception is an eager fact (an event back-dated into sealed
+// days, or absorbed from a database sealed through an earlier day): while
+// one is open, Close also writes the days it seals into each eager fact —
+// O(zones + change + eager facts) — and, with nothing written since the
+// last publish, first clones the fact maps, which costs the database. The
+// sealed generation is published, so View() reflects it afterwards. Close
+// may be called again with a later day after further events.
 //
 // When the view published before this one was itself sealed through one
 // day for every fact, lastDay is later, and every event in between was
@@ -495,8 +536,12 @@ func sealOne[K comparable](g *generation, sets map[K]*interval.Set, open map[K]d
 // advance of it (View.Advance) and says which facts it wrote.
 func (db *DB) Close(lastDay dates.Day) {
 	db.mu.Lock()
-	g := db.writable()
-	sealed := db.sealLocked(func(dnsname.Name) dates.Day { return lastDay }) && g.horizon <= lastDay
+	g := db.gen
+	if g.eager.any() {
+		db.writable().sealEager(func(dnsname.Name) dates.Day { return lastDay })
+	}
+	g.sealAll = dates.Max(g.sealAll, lastDay)
+	sealed := g.horizon <= lastDay && !g.openPast(lastDay)
 	g.closed = true
 	g.closeDay = lastDay
 	advance := g.change
@@ -527,26 +572,35 @@ func sortedSet[T comparable](s []T, cmp func(a, b T) int) []T {
 // snapshot ingest needs when zones end on different days (a zone whose
 // series went dark mid-study must not have its facts extended through
 // other zones' later days). Facts in zones absent from last are left
-// open. The database's close day becomes the latest day in last. The
-// view is never an advance, nor a parent of one: zones end on their own
-// days.
+// open. The database's close day becomes the latest day in last. Like
+// Close it costs the zones, not the facts, save the eager facts it seals
+// (see Close). The view is never an advance, nor a parent of one: zones
+// end on their own days.
 func (db *DB) CloseZones(last map[dnsname.Name]dates.Day) {
 	db.mu.Lock()
-	db.writable()
-	db.sealLocked(func(zone dnsname.Name) dates.Day {
-		if d, ok := last[zone]; ok {
-			return d
-		}
-		return dates.None
-	})
-	max := dates.None
-	for _, d := range last {
-		if max == dates.None || d > max {
-			max = d
-		}
+	g := db.gen
+	if g.eager.any() {
+		db.writable().sealEager(func(zone dnsname.Name) dates.Day {
+			if d, ok := last[zone]; ok {
+				return d
+			}
+			return dates.None
+		})
 	}
-	db.gen.closed = true
-	db.gen.closeDay = max
+	sealZone := maps.Clone(g.sealZone)
+	if sealZone == nil {
+		sealZone = make(map[dnsname.Name]dates.Day, len(last))
+	}
+	latest := dates.None
+	for zone, d := range last {
+		if was, ok := sealZone[zone]; !ok || d > was {
+			sealZone[zone] = d
+		}
+		latest = dates.Max(latest, d)
+	}
+	g.sealZone = sealZone
+	g.closed = true
+	g.closeDay = latest
 	db.publishLocked(nil)
 	v := db.cur.Load()
 	db.mu.Unlock()

@@ -2,7 +2,10 @@ package zonedb
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -178,5 +181,63 @@ func TestSnapshotOn(t *testing.T) {
 	// Zone filter: nothing from .com shows in .biz.
 	if v.SnapshotOn("biz", d(11)).NumDomains() != 0 {
 		t.Error("zone filter broken")
+	}
+}
+
+// TestSnapshotPastSealedDay: a delegation's open span ends on the day its
+// zone is sealed through, as its glue's does, so a day past that — after
+// the close day, or in a zone CloseZones left unsealed — shows neither
+// the delegation nor its glue, never one without the other.
+func TestSnapshotPastSealedDay(t *testing.T) {
+	db := New()
+	db.DelegationAdded("net", "x.net", "ns1.x.net", d(1))
+	db.GlueAdded("net", "ns1.x.net", d(1))
+	db.Close(d(10))
+	v := db.View()
+	if snap := v.SnapshotOn("net", d(10)); snap.NumDomains() != 1 || len(snap.Glue) != 1 {
+		t.Fatalf("close day: %d delegations, glue %v; want the delegation and its glue", snap.NumDomains(), snap.Glue)
+	}
+	for _, day := range []dates.Day{d(11), d(500)} {
+		if snap := v.SnapshotOn("net", day); snap.NumDomains() != 0 || len(snap.Glue) != 0 {
+			t.Errorf("%s, past the close day: %d delegations, glue %v; want neither", day, snap.NumDomains(), snap.Glue)
+		}
+	}
+
+	ragged := New()
+	ragged.DelegationAdded("net", "x.net", "ns1.x.net", d(1))
+	ragged.GlueAdded("net", "ns1.x.net", d(1))
+	ragged.DomainAdded("com", "a.com", d(1))
+	ragged.CloseZones(map[dnsname.Name]dates.Day{"com": d(10)})
+	if snap := ragged.View().SnapshotOn("net", d(5)); snap.NumDomains() != 0 || len(snap.Glue) != 0 {
+		t.Errorf("unsealed zone: %d delegations, glue %v; want neither", snap.NumDomains(), snap.Glue)
+	}
+}
+
+// TestRemovalKeepsNoCallerString: a removal writes its fact's entry under
+// the strings the tables already hold, so the buffer the caller's names
+// were cut from — for the ingester, a day's zone file — is not kept alive
+// by the database.
+func TestRemovalKeepsNoCallerString(t *testing.T) {
+	db := New()
+	db.DelegationAdded("com", "a.com", "ns1.a.com", d(1))
+	db.DomainAdded("com", "a.com", d(1))
+	db.GlueAdded("com", "ns1.a.com", d(1))
+	file := func() weak.Pointer[byte] {
+		buf := make([]byte, 1<<16)
+		n := copy(buf, "a.com ns1.a.com")
+		text := unsafe.String(&buf[0], n)
+		domain, host := dnsname.Name(text[:5]), dnsname.Name(text[6:])
+		db.DelegationRemoved("com", domain, host, d(5))
+		db.DomainRemoved("com", domain, d(5))
+		db.GlueRemoved("com", host, d(5))
+		return weak.Make(&buf[0])
+	}()
+	runtime.GC()
+	if file.Value() != nil {
+		t.Error("the database keeps the buffer a removal's names were cut from")
+	}
+	db.Close(d(10))
+	if got := db.View().EdgeSpans("a.com", "ns1.a.com").String(); got != "{[2000-01-02, 2000-01-05]}" {
+		t.Errorf("edge spans %s", got)
 	}
 }
