@@ -75,8 +75,8 @@ func main() {
 	once := flag.Bool("once", false, "exit after the first full catch-up instead of tailing")
 	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
 	page := flag.Int("page", 365, "days per feed page")
-	feedMode := flag.String("feed-mode", watch.ModePoll, "feed transport: poll, longpoll, or sse")
-	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (feed-mode=longpoll)")
+	feedMode := flag.String("feed-mode", watch.ModePoll, "feed transport: poll or longpoll")
+	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (feed-mode=longpoll; at most the server's 1m cap)")
 	maxLag := flag.Int("max-lag-days", 2, "readiness threshold: max days the engine may trail the feed's close day")
 	maxCkptAge := flag.Duration("max-checkpoint-age", 5*time.Minute, "readiness threshold: max checkpoint age (with -checkpoint)")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
@@ -90,9 +90,9 @@ func main() {
 		app.Fatal("flags", errors.New("exactly one of -archive or -feed is required"))
 	}
 	switch *feedMode {
-	case watch.ModePoll, watch.ModeLongPoll, watch.ModeSSE:
+	case watch.ModePoll, watch.ModeLongPoll:
 	default:
-		app.Fatal("flags", fmt.Errorf("-feed-mode must be poll, longpoll, or sse (got %q)", *feedMode))
+		app.Fatal("flags", fmt.Errorf("-feed-mode must be poll or longpoll (got %q)", *feedMode))
 	}
 	app.StartProfiler(profFlags)
 

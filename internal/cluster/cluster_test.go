@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/obs/health"
 	"repro/internal/sim"
 	"repro/internal/watch"
+	"repro/internal/whois"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
 )
@@ -51,10 +54,13 @@ func testWorld(t *testing.T) *sim.World {
 
 // shardProc is one fleet member with a kill switch: down, it answers
 // 502 to everything, which is what a crashed process behind a load
-// balancer looks like to the coordinator.
+// balancer looks like to the coordinator. db is the shard's database, to
+// publish into; requests counts what the shard was asked.
 type shardProc struct {
-	srv  *httptest.Server
-	down atomic.Bool
+	srv      *httptest.Server
+	db       *zonedb.DB
+	down     atomic.Bool
+	requests atomic.Int64
 }
 
 func startFleet(t *testing.T, db *zonedb.DB, n int) ([]string, []*shardProc) {
@@ -62,10 +68,11 @@ func startFleet(t *testing.T, db *zonedb.DB, n int) ([]string, []*shardProc) {
 	urls := make([]string, n)
 	procs := make([]*shardProc, n)
 	for i := 0; i < n; i++ {
-		api := dzdbapi.New(db.View().FilterShard(i, n))
+		p := &shardProc{db: db.View().FilterShard(i, n)}
+		api := dzdbapi.New(p.db)
 		api.SetShardIdentity(i, n)
-		p := &shardProc{}
 		p.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			p.requests.Add(1)
 			if p.down.Load() {
 				http.Error(w, "shard killed", http.StatusBadGateway)
 				return
@@ -250,19 +257,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // response loses glue_spans (the defect bench/serve.go's body check
 // found at scale 3 seed 20).
 func TestNameserverGlueFromAnotherShard(t *testing.T) {
-	// Two zones the partition puts on different shards.
-	var zoneA, zoneB dnsname.Name
-	for _, z := range []dnsname.Name{"com", "net", "org", "biz", "info", "us"} {
-		switch {
-		case zonedb.ShardOf(z, 2) == 0 && zoneA == "":
-			zoneA = z
-		case zonedb.ShardOf(z, 2) == 1 && zoneB == "":
-			zoneB = z
-		}
-	}
-	if zoneA == "" || zoneB == "" {
-		t.Fatal("no candidate zones on both sides of the partition")
-	}
+	zoneA, zoneB := partitionZones(t)
 	host := dnsname.Name("ns1.hoster." + string(zoneA))
 	spare := dnsname.Name("ns2.hoster." + string(zoneA))
 	db := zonedb.New()
@@ -296,6 +291,160 @@ func TestNameserverGlueFromAnotherShard(t *testing.T) {
 		t.Errorf("unobserved nameserver on the single node: status %d, want 404", status)
 	}
 	wantSame(t, single.URL, ts.URL, "/v1/nameservers/ns3.hoster."+string(zoneA))
+}
+
+// partitionZones returns a zone on each side of a 2-way partition:
+// zoneA on shard 0, zoneB on shard 1.
+func partitionZones(t *testing.T) (zoneA, zoneB dnsname.Name) {
+	t.Helper()
+	for _, z := range []dnsname.Name{"com", "net", "org", "biz", "info", "us"} {
+		switch {
+		case zonedb.ShardOf(z, 2) == 0 && zoneA == "":
+			zoneA = z
+		case zonedb.ShardOf(z, 2) == 1 && zoneB == "":
+			zoneB = z
+		}
+	}
+	if zoneA == "" || zoneB == "" {
+		t.Fatal("no candidate zones on both sides of the partition")
+	}
+	return zoneA, zoneB
+}
+
+// smallFleetDB is a history sealed at last with facts on both shards of
+// a 2-way partition: a hoster in zoneA whose nameserver customers in
+// zoneB delegate to, and from day 3 on one new zoneB domain a day.
+func smallFleetDB(t *testing.T, last dates.Day) *zonedb.DB {
+	t.Helper()
+	zoneA, zoneB := partitionZones(t)
+	host := dnsname.Name("ns1.hoster." + string(zoneA))
+	db := zonedb.New()
+	db.DomainAdded(zoneA, dnsname.Name("hoster."+string(zoneA)), 0)
+	db.GlueAdded(zoneA, host, 0)
+	db.DelegationAdded(zoneA, dnsname.Name("hoster."+string(zoneA)), host, 0)
+	for _, cust := range []string{"alpha.", "beta."} {
+		name := dnsname.Name(cust + string(zoneB))
+		db.DomainAdded(zoneB, name, 1)
+		db.DelegationAdded(zoneB, name, host, 1)
+	}
+	for d := dates.Day(3); d <= last; d++ {
+		db.DomainAdded(zoneB, dnsname.Name(fmt.Sprintf("day%d.%s", d, zoneB)), d)
+	}
+	db.Close(last)
+	return db
+}
+
+// TestNameserverBadPageAsksNoShard: a malformed ?cursor= or ?limit= is
+// refused before the scatter — no shard is asked, and on a degraded
+// fleet nothing is counted as a partial answer.
+func TestNameserverBadPageAsksNoShard(t *testing.T) {
+	zoneA, _ := partitionZones(t)
+	host := "ns1.hoster." + string(zoneA)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	partial := coord.Metrics().Counter(cluster.MetricPartial, "")
+	shardRequests := func() int64 { return procs[0].requests.Load() + procs[1].requests.Load() }
+
+	check := func(path, code string) {
+		t.Helper()
+		asked, marked := shardRequests(), partial.Value()
+		status, body := fetch(t, ts.URL+path)
+		var ae struct {
+			Error dzdbapi.ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(body, &ae); err != nil || status != http.StatusBadRequest || ae.Error.Code != code {
+			t.Errorf("%s: %d %s, want 400 %s", path, status, body, code)
+		}
+		if n := shardRequests() - asked; n != 0 {
+			t.Errorf("%s: %d shard requests, want 0", path, n)
+		}
+		if n := partial.Value() - marked; n != 0 {
+			t.Errorf("%s: partial counter moved by %d, want 0", path, n)
+		}
+	}
+	check("/v1/nameservers/"+host+"?cursor=%21%21", dzdbapi.CodeInvalidCursor)
+	check("/v1/nameservers/"+host+"?limit=-1", dzdbapi.CodeInvalidLimit)
+
+	// With a shard down the same requests still ask nothing, while a
+	// well-formed one is answered partial.
+	procs[0].down.Store(true)
+	if err := coord.SyncNow(t.Context()); err == nil {
+		t.Fatal("SyncNow should report the dead shard")
+	}
+	check("/v1/nameservers/"+host+"?cursor=%21%21", dzdbapi.CodeInvalidCursor)
+	check("/v1/nameservers/"+host+"?limit=x", dzdbapi.CodeInvalidLimit)
+	marked := partial.Value()
+	if status, _ := fetch(t, ts.URL+"/v1/nameservers/"+host+"?limit=1"); status != http.StatusOK {
+		t.Errorf("well-formed request on a degraded fleet: status %d", status)
+	}
+	if partial.Value() != marked+1 {
+		t.Error("a well-formed request on a degraded fleet must count as partial")
+	}
+}
+
+// TestFollowerLongPollThroughCoordinator parks a caught-up follower on
+// the coordinator's merged feed: the shards publish a new day, the next
+// fleet sync releases the parked request with it, and the whole run
+// costs a bounded number of feed requests — no poll-cadence loop.
+func TestFollowerLongPollThroughCoordinator(t *testing.T) {
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
+	var feedRequests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/deltas" {
+			feedRequests.Add(1)
+		}
+		coord.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	var lastDay atomic.Int64
+	f := &watch.Follower{
+		Client:    &dzdbapi.Client{BaseURL: ts.URL},
+		Engine:    watch.New(whois.New(), sim.StandardDirectory()),
+		Mode:      watch.ModeLongPoll,
+		Wait:      20 * time.Second,
+		Poll:      20 * time.Second, // a poll-cadence fallback would stall the test
+		OnApplied: func(day, _ dates.Day, _ int) { lastDay.Store(int64(day)) },
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- f.Run(ctx) }()
+
+	waitFor(t, "catch-up", func() bool { return lastDay.Load() == 10 })
+	next := smallFleetDB(t, 11)
+	for i, p := range procs {
+		p.db.Adopt(next.View().FilterShard(i, 2))
+	}
+	if err := coord.SyncNow(t.Context()); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	waitFor(t, "the long-polled day", func() bool { return lastDay.Load() == 11 })
+
+	// The catch-up pass, the parked request the sync released, and at
+	// most the next park.
+	if got := feedRequests.Load(); got > 4 {
+		t.Errorf("feed requests = %d, want <= 4 (one parked request per fleet epoch)", got)
+	}
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("Run = %v, want context.Canceled", err)
+	}
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // replayDirect applies the world's full delta index straight into a
@@ -373,7 +522,7 @@ func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 	ts := httptest.NewServer(coord)
 	t.Cleanup(ts.Close)
 
-	// Healthy fleet: the paged walk and the SSE stream both reproduce
+	// Healthy fleet: the paged walk, polled and long-polled, reproduces
 	// the direct replay alert for alert.
 	got, e := follow(t, w, ts.URL, watch.ModePoll)
 	if e.LastDay() != wantEngine.LastDay() {
@@ -385,9 +534,9 @@ func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 	if e.Funnel() != wantEngine.Funnel() {
 		t.Fatalf("funnel diverges:\n merged %+v\n direct %+v", e.Funnel(), wantEngine.Funnel())
 	}
-	gotSSE, _ := follow(t, w, ts.URL, watch.ModeSSE)
-	if !reflect.DeepEqual(gotSSE, want) {
-		t.Fatalf("SSE feed alerts diverge: got %d, want %d", len(gotSSE), len(want))
+	gotLong, _ := follow(t, w, ts.URL, watch.ModeLongPoll)
+	if !reflect.DeepEqual(gotLong, want) {
+		t.Fatalf("long-polled feed alerts diverge: got %d, want %d", len(gotLong), len(want))
 	}
 
 	// Kill shard 0. The coordinator marks the fleet degraded (readiness

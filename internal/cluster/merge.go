@@ -117,7 +117,7 @@ func (c *Coordinator) pull(ctx context.Context, sh *shard) (*shardPull, error) {
 		}
 		cursor = page.NextCursor
 	}
-	if p.deltas, err = sh.data.Deltas(ctx, dates.None, "", 0); err != nil {
+	if p.deltas, err = sh.data.Deltas(ctx, dates.None, "", 0, 0); err != nil {
 		return nil, fmt.Errorf("deltas: %w", err)
 	}
 	if p.deltas.NextCursor != "" {

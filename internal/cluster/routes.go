@@ -14,10 +14,10 @@ import (
 func (c *Coordinator) routes() {
 	// The fleet-wide routes are the node's own handlers, rendering the
 	// last complete sync instead of a view: pagination, limits, the
-	// long-poll and SSE loops and every byte of the envelopes are
-	// dzdbapi's. They are mounted bare — the coordinator has no response
-	// cache, ETags or gzip of its own yet.
-	epoch := dzdbapi.NewEpochRoutes(fleetSource{c}, c.reg, c.log)
+	// long-poll and every byte of the envelopes are dzdbapi's. They are
+	// mounted bare — the coordinator has no response cache, ETags or gzip
+	// of its own yet.
+	epoch := dzdbapi.NewEpochRoutes(fleetSource{c})
 	c.mux.HandleFunc("GET /v1/stats", c.synced(epoch.Stats))
 	c.mux.HandleFunc("GET /v1/zones", c.synced(epoch.Zones))
 	c.mux.HandleFunc("GET /v1/top/nameservers", c.synced(epoch.TopNameservers))
@@ -88,9 +88,15 @@ func (c *Coordinator) retryLater(w http.ResponseWriter, code, format string, arg
 // single shard owns the answer. Shard answers are disjoint (each
 // domain lives on exactly one shard), so lists concatenate and
 // summaries sum exactly. A shard that cannot answer degrades the
-// response to partial: true rather than failing the whole query.
+// response to partial: true rather than failing the whole query. The
+// name and the page are parsed first: a malformed request asks no shard
+// and marks nothing partial.
 func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
 	name, ok := dzdbapi.ParseName(w, r.PathValue("name"))
+	if !ok {
+		return
+	}
+	page, ok := dzdbapi.ParsePage(w, r)
 	if !ok {
 		return
 	}
@@ -148,7 +154,7 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
 		resp.Partial = true
 		c.partialN.Inc()
 	}
-	dzdbapi.WriteNameserverPage(w, r, &resp)
+	dzdbapi.WriteNameserverPage(w, page, &resp)
 }
 
 // handleDomain routes a domain lookup to the shard owning the

@@ -236,9 +236,6 @@ type recordingWriter struct {
 	started bool
 }
 
-// Unwrap exposes the wrapped writer to http.ResponseController.
-func (w *recordingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 func (w *recordingWriter) WriteHeader(status int) {
 	if !w.started {
 		w.started = true

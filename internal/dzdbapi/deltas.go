@@ -10,66 +10,17 @@ import (
 	"time"
 
 	"repro/internal/dates"
-	"repro/internal/dnsname"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
 )
 
-// DeltaEdge is one delegation edge on the wire.
-type DeltaEdge struct {
-	Domain dnsname.Name `json:"domain"`
-	NS     dnsname.Name `json:"ns"`
-}
-
-// DayDeltaJSON is one day's change set on the wire. Day-less lists are
-// omitted, so quiet days serialize as just {"day":...,"changes":0} —
-// the feed includes every day of the window to make gap detection
-// trivial for consumers.
+// DayDeltaJSON is one day of the feed on the wire: the delta package's
+// day, whose empty lists are omitted, plus its change count. Quiet days
+// serialize as just {"day":...,"changes":0} — the feed includes every
+// day of the window to make gap detection trivial for consumers.
 type DayDeltaJSON struct {
-	Day            dates.Day      `json:"day"`
-	EdgesAdded     []DeltaEdge    `json:"edges_added,omitempty"`
-	EdgesRemoved   []DeltaEdge    `json:"edges_removed,omitempty"`
-	DomainsAdded   []dnsname.Name `json:"domains_added,omitempty"`
-	DomainsRemoved []dnsname.Name `json:"domains_removed,omitempty"`
-	GlueAdded      []dnsname.Name `json:"glue_added,omitempty"`
-	GlueRemoved    []dnsname.Name `json:"glue_removed,omitempty"`
-	Changes        int            `json:"changes"`
-}
-
-// Delta converts the wire form back to the delta package's type.
-func (d *DayDeltaJSON) Delta() *delta.DayDelta {
-	out := &delta.DayDelta{
-		Day:            d.Day,
-		DomainsAdded:   d.DomainsAdded,
-		DomainsRemoved: d.DomainsRemoved,
-		GlueAdded:      d.GlueAdded,
-		GlueRemoved:    d.GlueRemoved,
-	}
-	for _, e := range d.EdgesAdded {
-		out.EdgesAdded = append(out.EdgesAdded, zonedb.Edge{Domain: e.Domain, NS: e.NS})
-	}
-	for _, e := range d.EdgesRemoved {
-		out.EdgesRemoved = append(out.EdgesRemoved, zonedb.Edge{Domain: e.Domain, NS: e.NS})
-	}
-	return out
-}
-
-func dayDeltaJSON(d *delta.DayDelta) DayDeltaJSON {
-	out := DayDeltaJSON{
-		Day:            d.Day,
-		DomainsAdded:   d.DomainsAdded,
-		DomainsRemoved: d.DomainsRemoved,
-		GlueAdded:      d.GlueAdded,
-		GlueRemoved:    d.GlueRemoved,
-		Changes:        d.Changes(),
-	}
-	for _, e := range d.EdgesAdded {
-		out.EdgesAdded = append(out.EdgesAdded, DeltaEdge{Domain: e.Domain, NS: e.NS})
-	}
-	for _, e := range d.EdgesRemoved {
-		out.EdgesRemoved = append(out.EdgesRemoved, DeltaEdge{Domain: e.Domain, NS: e.NS})
-	}
-	return out
+	delta.DayDelta
+	Changes int `json:"changes"`
 }
 
 // DeltasResponse is one page of the /v1/deltas feed. Deltas covers a
@@ -84,25 +35,19 @@ type DeltasResponse struct {
 	CloseDay   dates.Day      `json:"close_day"`
 	Deltas     []DayDeltaJSON `json:"deltas"`
 	NextCursor string         `json:"next_cursor,omitempty"`
-	// Partial marks a degraded coordinator answer (see
-	// NameserverResponse.Partial). The merged feed never serves partial
-	// pages — a day is either complete or withheld — so coordinators
-	// leave it false; it exists for forward compatibility of the
-	// envelope.
-	Partial bool `json:"partial,omitempty"`
 }
 
-// Feed is one epoch's day window, in wire form. A node converts days out
-// of its delta index as they are asked for; a coordinator slices the
-// days it merged at sync time.
+// Feed is one epoch's day window. A node reads days out of its delta
+// index as they are asked for; a coordinator out of the days it merged at
+// sync time.
 type Feed interface {
 	// Window returns the first day with any change (dates.None when the
 	// epoch recorded no facts at all) and the close day, the last day
 	// for which the feed is complete.
 	Window() (first, last dates.Day)
-	// Days returns the n consecutive days starting at from, all inside
-	// the window; n == 0 yields an empty, non-nil list.
-	Days(from dates.Day, n int) []DayDeltaJSON
+	// Day returns the change set of one day inside the window, an empty
+	// one for a quiet day. The caller must not modify it.
+	Day(d dates.Day) *delta.DayDelta
 }
 
 // indexFeed is a node's Feed: the delta index of one sealed view. The
@@ -152,13 +97,40 @@ func (f *indexFeed) Window() (first, last dates.Day) {
 	return idx.First(), idx.Last()
 }
 
-func (f *indexFeed) Days(from dates.Day, n int) []DayDeltaJSON {
-	idx := f.index()
-	out := make([]DayDeltaJSON, 0, n)
-	for d := from; d < from+dates.Day(n); d++ {
-		out = append(out, dayDeltaJSON(idx.Day(d)))
+func (f *indexFeed) Day(d dates.Day) *delta.DayDelta { return f.index().Day(d) }
+
+// deltasQuery is a /v1/deltas request's parameters, parsed before any
+// work is done for it.
+type deltasQuery struct {
+	from dates.Day // dates.None: from the first changed day
+	page Page
+	wait time.Duration // 0: answer at once; else the long-poll hold, capped
+}
+
+// parseDeltasQuery parses ?wait=, ?from= and the page window; ok=false
+// means the 400 has been written.
+func parseDeltasQuery(w http.ResponseWriter, r *http.Request) (q deltasQuery, ok bool) {
+	v := r.URL.Query()
+	if raw := v.Get("wait"); raw != "" {
+		wait, err := time.ParseDuration(raw)
+		if err != nil || wait < 0 {
+			writeError(w, http.StatusBadRequest, CodeInvalidWait,
+				"invalid wait %q (want a duration like 30s)", raw)
+			return q, false
+		}
+		q.wait = min(wait, MaxLongPollWait)
 	}
-	return out
+	q.from = dates.None
+	if raw := v.Get("from"); raw != "" {
+		d, err := dates.Parse(raw)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, CodeInvalidDate, "invalid from %q (want YYYY-MM-DD)", raw)
+			return q, false
+		}
+		q.from = d
+	}
+	q.page, ok = ParsePage(w, r)
+	return q, ok
 }
 
 // Deltas serves the per-day change feed, /v1/deltas. Without a close
@@ -168,72 +140,54 @@ func (f *indexFeed) Days(from dates.Day, n int) []DayDeltaJSON {
 //
 // Parameters: ?from=YYYY-MM-DD starts the window (clamped to the first
 // changed day); ?cursor= resumes a paginated walk; ?limit= caps the
-// number of days per page (0 = the whole remaining window). Two push
-// modes replace polling: Accept: text/event-stream upgrades to an SSE
-// stream, and ?wait=30s long-polls an empty window until a publish.
+// number of days per page (0 = the whole remaining window); ?wait=30s
+// long-polls an empty window until a publish (see deltasLongPoll).
 func (e *EpochRoutes) Deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	if wantsSSE(r) {
-		e.deltasSSE(w, r)
-		return
-	}
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		wait, err := time.ParseDuration(raw)
-		if err != nil || wait < 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidWait,
-				"invalid wait %q (want a duration like 30s)", raw)
-			return
-		}
-		e.deltasLongPoll(w, r, wait)
-		return
-	}
-	if st == nil || st.Feed == nil {
+	q, ok := parseDeltasQuery(w, r)
+	switch {
+	case !ok:
+	case q.wait > 0:
+		e.deltasLongPoll(w, r, q)
+	case st == nil || st.Feed == nil:
 		e.src.Unavailable(w)
-		return
+	default:
+		writeJSON(w, http.StatusOK, deltaPage(st, q))
 	}
-	resp, ok := deltaPage(w, r, st)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// deltaPage resolves one page of st's feed. ok=false means an error
-// response has already been written.
-func deltaPage(w http.ResponseWriter, r *http.Request, st *EpochState) (*DeltasResponse, bool) {
+// deltaPage is the page q selects from st's feed.
+func deltaPage(st *EpochState, q deltasQuery) *DeltasResponse {
 	first, last := st.Feed.Window()
-	resp := &DeltasResponse{Epoch: st.Epoch, FirstDay: first, CloseDay: last}
-	from := first
-	if raw := r.URL.Query().Get("from"); raw != "" {
-		d, err := dates.Parse(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidDate, "invalid from %q (want YYYY-MM-DD)", raw)
-			return nil, false
-		}
-		if d > from {
-			from = d
-		}
-	}
+	resp := &DeltasResponse{Epoch: st.Epoch, FirstDay: first, CloseDay: last, Deltas: []DayDeltaJSON{}}
+	from := max(first, q.from)
 	if from == dates.None || from > last {
 		// Nothing (or nothing yet) in the window: an empty final page.
-		resp.Deltas = []DayDeltaJSON{}
-		return resp, true
+		return resp
 	}
-	n := int(last-from) + 1
-	start, end, next, ok := pageWindow(w, r, n, func(i int) string { return (from + dates.Day(i)).String() })
-	if !ok {
-		return nil, false
+	start, end, next := q.page.window(int(last-from)+1, func(i int) string { return (from + dates.Day(i)).String() })
+	resp.Deltas = make([]DayDeltaJSON, 0, end-start)
+	for d := from + dates.Day(start); d < from+dates.Day(end); d++ {
+		dd := st.Feed.Day(d)
+		resp.Deltas = append(resp.Deltas, DayDeltaJSON{DayDelta: *dd, Changes: dd.Changes()})
 	}
-	resp.Deltas = st.Feed.Days(from+dates.Day(start), end-start)
 	resp.NextCursor = next
-	return resp, true
+	return resp
 }
+
+// longPollMargin pads the per-call HTTP timeout past the server-side
+// hold so a request parked for the full wait still completes cleanly.
+const longPollMargin = 10 * time.Second
 
 // Deltas fetches one page of the per-day change feed. from bounds the
 // window start (dates.None starts at the first changed day); cursor ""
 // starts the walk, limit 0 fetches the whole remaining window in one
 // page. The returned NextCursor resumes the walk and is empty on the
-// final page.
-func (c *Client) Deltas(ctx context.Context, from dates.Day, cursor string, limit int) (*DeltasResponse, error) {
+// final page. wait > 0 long-polls: when the requested window is empty
+// the server holds the request up to wait (at most MaxLongPollWait) and
+// answers the moment a new epoch publishes, or with an empty final page
+// on timeout; the call's HTTP timeout then stretches to wait+10s so the
+// default 2s never kills a parked request.
+func (c *Client) Deltas(ctx context.Context, from dates.Day, cursor string, limit int, wait time.Duration) (*DeltasResponse, error) {
 	q := url.Values{}
 	if from != dates.None {
 		q.Set("from", from.String())
@@ -244,12 +198,21 @@ func (c *Client) Deltas(ctx context.Context, from dates.Day, cursor string, limi
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
+	if wait > 0 {
+		q.Set("wait", wait.String())
+	}
 	path := "/v1/deltas"
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
+	hc := c.httpClient()
+	if wait > 0 && hc.Timeout > 0 && hc.Timeout < wait+longPollMargin {
+		clone := *hc
+		clone.Timeout = wait + longPollMargin
+		hc = &clone
+	}
 	var out DeltasResponse
-	if err := c.getJSON(ctx, "deltas", path, &out); err != nil {
+	if err := c.getJSONClient(ctx, "deltas", path, &out, hc); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -2,8 +2,12 @@ package dzdbapi
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
+	"time"
 
 	"repro/internal/dates"
 	"repro/internal/zonedb"
@@ -17,7 +21,7 @@ func TestDeltasFeed(t *testing.T) {
 	c := startAPI(t)
 	ctx := context.Background()
 
-	all, err := c.Deltas(ctx, dates.None, "", 0)
+	all, err := c.Deltas(ctx, dates.None, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestDeltasFeed(t *testing.T) {
 	}
 
 	// The wire round-trip preserves the change set.
-	dd := day100.Delta()
+	dd := day100.DayDelta
 	if dd.Day != d(100) || dd.Changes() != day100.Changes || len(dd.EdgesRemoved) != 2 {
 		t.Errorf("round-trip = %+v", dd)
 	}
@@ -64,7 +68,7 @@ func TestDeltasPagination(t *testing.T) {
 	c := startAPI(t)
 	ctx := context.Background()
 
-	all, err := c.Deltas(ctx, dates.None, "", 0)
+	all, err := c.Deltas(ctx, dates.None, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestDeltasPagination(t *testing.T) {
 	var paged []DayDeltaJSON
 	cursor := ""
 	for page := 0; ; page++ {
-		resp, err := c.Deltas(ctx, dates.None, cursor, 90)
+		resp, err := c.Deltas(ctx, dates.None, cursor, 90, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +105,7 @@ func TestDeltasPagination(t *testing.T) {
 	}
 
 	// A ?from= mid-window shrinks the page but not the advertised window.
-	mid, err := c.Deltas(ctx, d(100), "", 0)
+	mid, err := c.Deltas(ctx, d(100), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestDeltasEmptyFinalPage(t *testing.T) {
 	c := startAPI(t)
 	ctx := context.Background()
 
-	resp, err := c.Deltas(ctx, d(201), "", 0)
+	resp, err := c.Deltas(ctx, d(201), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,7 @@ func TestDeltasEmptyFinalPage(t *testing.T) {
 		t.Errorf("past-close window = %+v", resp)
 	}
 	// Exactly the close day still yields the (quiet) final day.
-	at, err := c.Deltas(ctx, d(200), "", 0)
+	at, err := c.Deltas(ctx, d(200), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +173,12 @@ func TestDeltasErrors(t *testing.T) {
 
 	// The same failures surface through the typed client with the
 	// machine-readable code intact.
-	if _, err := c.Deltas(ctx, d(0), "!!not-base64!!", 0); err == nil {
+	if _, err := c.Deltas(ctx, d(0), "!!not-base64!!", 0, 0); err == nil {
 		t.Error("bad cursor: want error")
 	} else if ae, ok := err.(*APIError); !ok || ae.Status != 400 || ae.Code != CodeInvalidCursor {
 		t.Errorf("bad cursor err = %v", err)
 	}
-	if _, err := c.Deltas(ctx, d(0), "", -1); err != nil {
+	if _, err := c.Deltas(ctx, d(0), "", -1, 0); err != nil {
 		// limit<=0 is omitted by the client; only the raw path can send it.
 		t.Errorf("negative limit should be dropped client-side: %v", err)
 	}
@@ -183,7 +187,7 @@ func TestDeltasErrors(t *testing.T) {
 	open := httptest.NewServer(New(zonedb.New()))
 	t.Cleanup(open.Close)
 	oc := &Client{BaseURL: open.URL}
-	if _, err := oc.Deltas(ctx, dates.None, "", 0); err == nil {
+	if _, err := oc.Deltas(ctx, dates.None, "", 0, 0); err == nil {
 		t.Error("unclosed DB: want error")
 	} else if ae, ok := err.(*APIError); !ok || ae.Status != 404 || ae.Code != CodeNotFound {
 		t.Errorf("unclosed DB err = %v", err)
@@ -209,4 +213,50 @@ func TestErrorCodeThroughClient(t *testing.T) {
 	} else if ae, ok := err.(*APIError); !ok || ae.Code != CodeInvalidCursor {
 		t.Errorf("invalid cursor err = %v", err)
 	}
+}
+
+// FuzzDeltasQuery drives /v1/deltas with arbitrary ?from=, ?cursor=,
+// ?limit= and ?wait= (a wait that parses is held to a few milliseconds)
+// against a small sealed node. No input panics or answers 5xx, and every
+// 200 is a page of consecutive days inside [first_day, close_day].
+func FuzzDeltasQuery(f *testing.F) {
+	srv := New(testDB())
+	f.Add("", "", "", "")
+	f.Add(d(100).String(), "", "10", "")
+	f.Add("", encodeCursor(d(50).String()), "60", "")
+	f.Add(d(201).String(), "", "", "1ms")
+	f.Add("", "!!", "", "")
+	f.Add("", encodeCursor(d(5).String()), "9223372036854775807", "")
+	f.Add("1999-13-40", "", "-1", "soon")
+	f.Fuzz(func(t *testing.T, from, cursor, limit, wait string) {
+		if w, err := time.ParseDuration(wait); err == nil && w > 2*time.Millisecond {
+			wait = "2ms"
+		}
+		q := url.Values{}
+		for k, v := range map[string]string{"from": from, "cursor": cursor, "limit": limit, "wait": wait} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/deltas?"+q.Encode(), nil))
+		if rec.Code >= 500 {
+			t.Fatalf("%s: status %d: %s", q.Encode(), rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var page DeltasResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("%s: 200 does not decode: %v", q.Encode(), err)
+		}
+		for i, dd := range page.Deltas {
+			if dd.Day < page.FirstDay || dd.Day > page.CloseDay {
+				t.Fatalf("%s: day %s outside [%s, %s]", q.Encode(), dd.Day, page.FirstDay, page.CloseDay)
+			}
+			if i > 0 && dd.Day != page.Deltas[i-1].Day+1 {
+				t.Fatalf("%s: day %s follows %s", q.Encode(), dd.Day, page.Deltas[i-1].Day)
+			}
+		}
+	})
 }

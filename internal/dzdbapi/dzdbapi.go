@@ -12,7 +12,7 @@
 //	                                   first-seen + delegated domains (paginated)
 //	GET /v1/top/nameservers?limit=     precomputed exposure leaderboard
 //	GET /v1/zones/{zone}/snapshot?date=YYYY-MM-DD   master-file snapshot
-//	GET /v1/deltas?from=&cursor=&limit=             per-day change feed (paginated)
+//	GET /v1/deltas?from=&cursor=&limit=&wait=       per-day change feed (paginated, long-polled)
 //
 // # Serving layer
 //
@@ -24,11 +24,11 @@
 // invalidates the cache wholesale and refreshes precomputed hot
 // aggregates (stats, zone list, top-nameserver table).
 //
-// The delta feed pushes: GET /v1/deltas with Accept: text/event-stream
-// streams "deltas" SSE events as epochs publish, and ?wait=30s
-// long-polls — an empty window parks until a publish or the wait
-// expires. Per-client token-bucket rate limits and a concurrency cap
-// shed excess load with the v1 error envelope plus Retry-After.
+// The delta feed pushes by long-poll: GET /v1/deltas?wait=30s on an
+// empty window parks until a publish or the wait expires, and answers
+// with the ordinary page. Per-client token-bucket rate limits and a
+// concurrency cap shed excess load with the v1 error envelope plus
+// Retry-After.
 //
 // Pagination: list endpoints accept ?limit= (page size; absent or 0
 // returns everything) and ?cursor= (opaque
@@ -59,7 +59,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -216,10 +215,6 @@ type Server struct {
 	// (a malformed or absent header starts a fresh root). Set before
 	// serving.
 	Tracer *trace.Tracer
-	// PushWriteTimeout bounds how long one SSE event write may block on
-	// a slow consumer before the connection is shed (default 5s). Set
-	// before serving.
-	PushWriteTimeout time.Duration
 }
 
 // New builds the API server for db with its own private metrics
@@ -245,7 +240,7 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	s.shedTotal = reg.CounterVec(MetricShed,
 		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
-	s.pushActive = reg.Gauge(MetricPushActive, "Open SSE and long-poll delta connections.")
+	s.pushActive = reg.Gauge(MetricPushActive, "Parked long-poll delta requests.")
 	s.hookSeconds = reg.Histogram(MetricPublishHookSeconds,
 		"Time the publish hook took to make and install an epoch's state.", nil)
 	s.published = reg.CounterVec(MetricEpochPublish,
@@ -255,7 +250,7 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	s.signal = NewEpochSignal()
 	s.state.Store(computeState(db.View()))
 	db.OnPublish(s.onPublish)
-	s.epoch = NewEpochRoutes(nodeSource{s}, reg, nil)
+	s.epoch = NewEpochRoutes(nodeSource{s})
 
 	s.handle("GET /v1/stats", "/v1/stats", s.epoch.Stats)
 	s.handle("GET /v1/zones", "/v1/zones", s.epoch.Zones)
@@ -263,7 +258,7 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	s.handle("GET /v1/nameservers/{name}", "/v1/nameservers/{name}", s.handleNameserver)
 	s.handle("GET /v1/top/nameservers", "/v1/top/nameservers", s.epoch.TopNameservers)
 	s.handle("GET /v1/zones/{zone}/snapshot", "/v1/zones/{zone}/snapshot", s.handleSnapshot)
-	s.handle("GET /v1/deltas", "/v1/deltas", s.handleDeltas)
+	s.handle("GET /v1/deltas", "/v1/deltas", s.epoch.Deltas)
 
 	// Internal shard-to-coordinator surface (not part of the public API).
 	s.handle("GET /v1/internal/shard-info", "/v1/internal/shard-info", s.handleShardInfo)
@@ -313,15 +308,6 @@ func (nodeSource) Partial() bool { return false }
 func (nodeSource) Unavailable(w http.ResponseWriter) {
 	writeError(w, http.StatusNotFound, CodeNotFound,
 		"delta feed requires a sealed database (no Close recorded)")
-}
-
-// handleDeltas mounts the feed handler with the push settings current
-// at request time: Log and PushWriteTimeout are fields the embedder
-// sets after New.
-func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	e := *s.epoch
-	e.log, e.pushTimeout = s.Log, s.PushWriteTimeout
-	e.Deltas(w, r, st)
 }
 
 // SetCacheBytes resizes the response cache budget (default 64 MiB);
@@ -404,7 +390,7 @@ func (s *Server) handle(pattern, route string, handler handlerFunc) {
 			ctx = trace.ContextWithRemote(ctx, remote)
 		}
 		ctx, sp := s.Tracer.Start(ctx, "dzdbapi."+route)
-		isPush := route == "/v1/deltas" && (wantsSSE(r) || r.URL.Query().Get("wait") != "")
+		isPush := route == "/v1/deltas" && r.URL.Query().Get("wait") != ""
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		s.serve(sw, r.WithContext(ctx), route, isPush, handler)
 		elapsed := s.obs.Now().Sub(start)
@@ -415,8 +401,8 @@ func (s *Server) handle(pattern, route string, handler handlerFunc) {
 		}
 		s.requests.With(route, statusClass(sw.status)).Inc()
 		if !isPush {
-			// Push connections live as long as the consumer; their
-			// lifetime is not request latency and would wreck the p99.
+			// A parked long-poll lasts until a publish or its wait; that
+			// is not request latency and would wreck the p99.
 			s.latency.With(route).ObserveExemplar(elapsed.Seconds(), traceID)
 		}
 		if sp != nil {
@@ -438,8 +424,9 @@ func (s *Server) handle(pattern, route string, handler handlerFunc) {
 // serve runs the protection and cache layers around handler. The state
 // is pinned exactly once and makes the response epoch-addressable:
 // If-None-Match is answered 304 from the epoch alone, and hot bodies
-// come out of the LRU without recompute. Push connections bypass the
-// cache (a stream is not a representation).
+// come out of the LRU without recompute. Long-polls bypass the cache:
+// what they answer depends on when a publish lands, not on the epoch
+// pinned here.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isPush bool, handler handlerFunc) {
 	release, ok := s.admit(w, r, route, isPush)
 	if !ok {
@@ -530,10 +517,6 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
-
-// Unwrap lets http.ResponseController reach the underlying writer's
-// flush and deadline controls — the SSE path depends on both.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // statusClass buckets a status code ("2xx", "4xx", ...).
 func statusClass(status int) string {
@@ -632,40 +615,54 @@ func decodeCursor(raw string) (string, error) {
 	return string(b), nil
 }
 
-// pageWindow resolves ?cursor=&limit= against a sorted list of n keys.
-// It returns the [start, end) window and the next cursor ("" when the
-// window reaches the end). limit == 0 means no pagination. The bool is
-// false if the request was malformed (an error response has been
-// written).
-func pageWindow(w http.ResponseWriter, r *http.Request, n int, keyAt func(int) string) (int, int, string, bool) {
+// Page is the window a request's ?cursor=&limit= select from a sorted
+// list of keys. Handlers parse it before doing any work, so a malformed
+// request costs nothing but its 400.
+type Page struct {
+	limit int    // 0: no pagination
+	after string // the key of the previous page's last item; "" starts
+}
+
+// ParsePage parses ?limit= and ?cursor=. The bool is false if either is
+// malformed, and the invalid_limit or invalid_cursor response has been
+// written. Exported for the cluster coordinator, which must refuse a
+// malformed page before it asks any shard.
+func ParsePage(w http.ResponseWriter, r *http.Request) (Page, bool) {
 	q := r.URL.Query()
-	limit := 0
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		v, err := strconv.Atoi(rawLimit)
+	var p Page
+	if raw := q.Get("limit"); raw != "" {
+		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidLimit, "invalid limit %q", rawLimit)
-			return 0, 0, "", false
+			writeError(w, http.StatusBadRequest, CodeInvalidLimit, "invalid limit %q", raw)
+			return Page{}, false
 		}
-		limit = v
+		p.limit = v
 	}
-	start := 0
-	if rawCursor := q.Get("cursor"); rawCursor != "" {
-		key, err := decodeCursor(rawCursor)
+	if raw := q.Get("cursor"); raw != "" {
+		key, err := decodeCursor(raw)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidCursor, "invalid cursor %q", rawCursor)
-			return 0, 0, "", false
+			writeError(w, http.StatusBadRequest, CodeInvalidCursor, "invalid cursor %q", raw)
+			return Page{}, false
 		}
-		start = sort.Search(n, func(i int) bool { return keyAt(i) > key })
+		p.after = key
 	}
-	end := n
-	if limit > 0 && start+limit < n {
-		end = start + limit
+	return p, true
+}
+
+// window resolves p against a sorted list of n keys: the [start, end)
+// window and the next cursor ("" when the window reaches the end).
+func (p Page) window(n int, keyAt func(int) string) (start, end int, next string) {
+	if p.after != "" {
+		start = sort.Search(n, func(i int) bool { return keyAt(i) > p.after })
 	}
-	next := ""
+	end = n
+	if p.limit > 0 && p.limit < n-start {
+		end = start + p.limit
+	}
 	if end < n {
 		next = encodeCursor(keyAt(end - 1))
 	}
-	return start, end, next, true
+	return start, end, next
 }
 
 func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request, st *EpochState) {
@@ -699,6 +696,10 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 	if !ok {
 		return
 	}
+	p, ok := ParsePage(w, r)
+	if !ok {
+		return
+	}
 	db := st.view
 	first := db.NSFirstSeen(name)
 	glue := db.GlueSpans(name)
@@ -716,21 +717,18 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 		resp.Summary.DomainDays += sp.TotalDays()
 		return true
 	})
-	WriteNameserverPage(w, r, &resp)
+	WriteNameserverPage(w, p, &resp)
 }
 
 // WriteNameserverPage finishes a /v1/nameservers/{name} answer whose
 // Domains hold the nameserver's whole exposure in any order: it sorts
-// them, windows the list by ?cursor=&limit=, and renders. A node calls
-// it with the edges of its view, the cluster coordinator with the
-// disjoint union of its shards' answers, so the two page and render
-// alike and their cursors are interchangeable.
-func WriteNameserverPage(w http.ResponseWriter, r *http.Request, resp *NameserverResponse) {
+// them, windows the list by p, and renders. A node calls it with the
+// edges of its view, the cluster coordinator with the disjoint union of
+// its shards' answers, so the two page and render alike and their
+// cursors are interchangeable.
+func WriteNameserverPage(w http.ResponseWriter, p Page, resp *NameserverResponse) {
 	sort.Slice(resp.Domains, func(i, j int) bool { return resp.Domains[i].Domain < resp.Domains[j].Domain })
-	start, end, next, ok := pageWindow(w, r, len(resp.Domains), func(i int) string { return resp.Domains[i].Domain })
-	if !ok {
-		return
-	}
+	start, end, next := p.window(len(resp.Domains), func(i int) string { return resp.Domains[i].Domain })
 	resp.Domains = resp.Domains[start:end]
 	resp.NextCursor = next
 	writeJSON(w, http.StatusOK, resp)

@@ -1,18 +1,15 @@
 package dzdbapi
 
 import (
-	"log/slog"
 	"net/http"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/interval"
-	"repro/internal/obs"
 	"repro/internal/zonedb"
 )
 
@@ -281,27 +278,15 @@ type Source interface {
 // cache and ETag layers; the cluster coordinator mounts the same
 // handlers over its merged state, so a fleet's answers are a node's by
 // construction. Each handler takes the state pinned for the request;
-// only the feed's push modes, which outlive an epoch, go back to the
+// only the feed's long-poll, which outlives an epoch, goes back to the
 // Source for the next one.
 type EpochRoutes struct {
 	src Source
-	// log, when non-nil, hears about a writer that cannot bound a slow
-	// consumer; pushTimeout overrides defaultPushWriteTimeout.
-	log         *slog.Logger
-	pushTimeout time.Duration
-	events      *obs.Counter // MetricPushEvents
-	dropped     *obs.Counter // MetricPushDropped
 }
 
-// NewEpochRoutes returns the epoch-wide handlers over src, counting
-// pushed events and shed consumers in reg.
-func NewEpochRoutes(src Source, reg *obs.Registry, log *slog.Logger) *EpochRoutes {
-	return &EpochRoutes{
-		src:     src,
-		log:     log,
-		events:  reg.Counter(MetricPushEvents, "SSE delta events delivered."),
-		dropped: reg.Counter(MetricPushDropped, "Push connections dropped for backpressure."),
-	}
+// NewEpochRoutes returns the epoch-wide handlers over src.
+func NewEpochRoutes(src Source) *EpochRoutes {
+	return &EpochRoutes{src: src}
 }
 
 // Stats serves /v1/stats.
@@ -317,15 +302,16 @@ func (e *EpochRoutes) Stats(w http.ResponseWriter, r *http.Request, st *EpochSta
 
 // Zones serves /v1/zones.
 func (e *EpochRoutes) Zones(w http.ResponseWriter, r *http.Request, st *EpochState) {
+	p, ok := ParsePage(w, r)
+	if !ok {
+		return
+	}
 	if st == nil {
 		e.src.Unavailable(w)
 		return
 	}
 	zones := st.Stats.Zones
-	start, end, next, ok := pageWindow(w, r, len(zones), func(i int) string { return zones[i] })
-	if !ok {
-		return
-	}
+	start, end, next := p.window(len(zones), func(i int) string { return zones[i] })
 	writeJSON(w, http.StatusOK, ZonesResponse{Zones: zones[start:end], NextCursor: next, Partial: e.src.Partial()})
 }
 

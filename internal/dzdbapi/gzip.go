@@ -17,8 +17,8 @@ const gzipKeySuffix = "#gzip"
 // negotiating compression for. Only the two large-body routes opt in:
 // a full-zone snapshot and a plain delta-feed page can run to
 // megabytes, while the other v1 payloads are small enough that gzip
-// overhead beats the transfer savings. Push modes (SSE, long-poll)
-// never reach this — they bypass the cache layer entirely.
+// overhead beats the transfer savings. A long-poll never reaches this —
+// it bypasses the cache layer entirely.
 func compressibleRoute(route string) bool {
 	return route == "/v1/zones/{zone}/snapshot" || route == "/v1/deltas"
 }
@@ -61,9 +61,6 @@ type gzipWriter struct {
 func newGzipWriter(w http.ResponseWriter) *gzipWriter {
 	return &gzipWriter{ResponseWriter: w, gz: gzip.NewWriter(w)}
 }
-
-// Unwrap exposes the wrapped writer to http.ResponseController.
-func (w *gzipWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *gzipWriter) WriteHeader(status int) {
 	if !w.started {

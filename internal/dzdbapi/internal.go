@@ -67,11 +67,12 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *Epo
 }
 
 func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	rows := st.exposure
-	start, end, next, ok := pageWindow(w, r, len(rows), func(i int) string { return rows[i].Nameserver })
+	p, ok := ParsePage(w, r)
 	if !ok {
 		return
 	}
+	rows := st.exposure
+	start, end, next := p.window(len(rows), func(i int) string { return rows[i].Nameserver })
 	writeJSON(w, http.StatusOK, NSExposureResponse{Rows: rows[start:end], NextCursor: next})
 }
 

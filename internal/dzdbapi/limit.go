@@ -116,8 +116,8 @@ func (s *Server) SetRateLimit(rate float64, burst int) {
 
 // SetMaxInflight caps concurrently served requests; past the cap
 // requests are shed with 503 + Retry-After rather than queued. n <= 0
-// disables the cap. Push connections (SSE, long-poll) are tracked
-// separately and do not consume the cap. Call before serving.
+// disables the cap. Parked long-polls are tracked separately and do not
+// consume the cap. Call before serving.
 func (s *Server) SetMaxInflight(n int) {
 	if n < 0 {
 		n = 0
@@ -132,7 +132,7 @@ type ServeStats struct {
 	MaxInflight int64
 	RateLimited uint64
 	Overloaded  uint64
-	// ActiveStreams counts open SSE and long-poll connections.
+	// ActiveStreams counts parked long-poll requests.
 	ActiveStreams int64
 }
 
@@ -166,8 +166,8 @@ func (s *Server) shed(w http.ResponseWriter, route string, status int, code stri
 // admit applies rate limiting and the inflight cap to a request. The
 // returned release func is non-nil when the request was admitted and
 // must run when it finishes; ok=false means an error response has
-// been written. isPush connections skip the inflight cap (they are
-// long-lived by design) but still pay the rate limit on connect.
+// been written. A long-poll (isPush) skips the inflight cap (it parks
+// by design) but still pays the rate limit.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, isPush bool) (func(), bool) {
 	if s.limits != nil {
 		if ok, wait := s.limits.allow(clientKey(r)); !ok {

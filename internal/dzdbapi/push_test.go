@@ -3,16 +3,11 @@ package dzdbapi
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/dates"
 )
 
 // TestLongPollReturnsOnPublish parks a caught-up long-poll past the
@@ -93,11 +88,11 @@ func TestLongPollInvalidWait(t *testing.T) {
 	}
 }
 
-// TestSSEStreamsAcrossEpochs holds one StreamDeltas connection over an
-// Adopt: the sealed history arrives as the first event, the new
-// epoch's day is pushed without any further request — the ≤1 request
-// per epoch acceptance, measured at the transport.
-func TestSSEStreamsAcrossEpochs(t *testing.T) {
+// TestLongPollClientAcrossEpochs parks one Client.Deltas call past the
+// close day and publishes the next epoch: the call answers with the new
+// day, in one feed request, although it outlived the client's own
+// timeout — a wait stretches the call's timeout past the hold.
+func TestLongPollClientAcrossEpochs(t *testing.T) {
 	db := testDB()
 	srv := New(db)
 	var deltaRequests atomic.Int64
@@ -109,116 +104,19 @@ func TestSSEStreamsAcrossEpochs(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	c := &Client{BaseURL: ts.URL}
-	stop := errors.New("done")
-	var adoptOnce sync.Once
-	var batches []DeltasResponse
-	err := c.StreamDeltas(context.Background(), dates.None, func(resp *DeltasResponse) error {
-		batches = append(batches, *resp)
-		if resp.CloseDay >= d(201) {
-			return stop
-		}
-		// After the sealed history lands, publish the next epoch from
-		// this side of the stream; the server must push it unprompted.
-		adoptOnce.Do(func() { db.Adopt(testDB2()) })
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("StreamDeltas = %v, want sentinel", err)
+	c := &Client{BaseURL: ts.URL, HTTPClient: &http.Client{Timeout: 100 * time.Millisecond}}
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		db.Adopt(testDB2())
+	}()
+	resp, err := c.Deltas(context.Background(), d(201), "", 0, 20*time.Second)
+	if err != nil {
+		t.Fatalf("Deltas with wait: %v", err)
 	}
-	if len(batches) < 2 {
-		t.Fatalf("got %d batches, want sealed history + pushed epoch", len(batches))
-	}
-	first, last := batches[0], batches[len(batches)-1]
-	if first.FirstDay != d(0) || first.CloseDay != d(200) || len(first.Deltas) != 201 {
-		t.Errorf("first batch = epoch %d window [%s, %s] with %d days",
-			first.Epoch, first.FirstDay, first.CloseDay, len(first.Deltas))
-	}
-	if last.Epoch <= first.Epoch {
-		t.Errorf("epoch did not advance: %d then %d", first.Epoch, last.Epoch)
-	}
-	if n := len(last.Deltas); n == 0 || last.Deltas[n-1].Day != d(201) {
-		t.Errorf("pushed batch = %+v", last.Deltas)
+	if resp.CloseDay != d(201) || len(resp.Deltas) != 1 || resp.Deltas[0].Day != d(201) {
+		t.Errorf("long-polled page = %+v", resp)
 	}
 	if got := deltaRequests.Load(); got != 1 {
-		t.Errorf("feed requests across 2 epochs = %d, want 1", got)
-	}
-	// The server counts an event after writing it, so the client can
-	// have read the second one before the counter moves: wait for it.
-	events := srv.Metrics().Counter(MetricPushEvents, "")
-	for deadline := time.Now().Add(5 * time.Second); events.Value() < 2 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if got := events.Value(); got < 2 {
-		t.Errorf("push events = %d, want >= 2", got)
-	}
-}
-
-// stallWriter simulates a consumer that stops draining: every body
-// write fails. The embedded recorder supplies Header/WriteHeader/Flush
-// so the SSE handshake itself succeeds.
-type stallWriter struct {
-	*httptest.ResponseRecorder
-}
-
-func (w *stallWriter) Write(p []byte) (int, error) {
-	return 0, errors.New("consumer stalled")
-}
-
-// TestSSESlowConsumerDropped: a consumer that cannot take the first
-// event is disconnected and accounted as a backpressure drop, and the
-// stream gauge returns to zero.
-func TestSSESlowConsumerDropped(t *testing.T) {
-	srv := New(testDB())
-	srv.PushWriteTimeout = 10 * time.Millisecond
-	req := httptest.NewRequest(http.MethodGet, "/v1/deltas", nil)
-	req.Header.Set("Accept", "text/event-stream")
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeHTTP(&stallWriter{httptest.NewRecorder()}, req)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stalled SSE connection was never dropped")
-	}
-	if got := srv.Metrics().Counter(MetricPushDropped, "").Value(); got != 1 {
-		t.Errorf("push dropped = %d, want 1", got)
-	}
-	if got := srv.ServeStats().ActiveStreams; got != 0 {
-		t.Errorf("active streams = %d, want 0 after drop", got)
-	}
-}
-
-// TestSSEHandshake checks the raw wire shape: content type, immediate
-// header flush, and the event framing a non-Go consumer would parse.
-func TestSSEHandshake(t *testing.T) {
-	srv := New(testDB())
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/deltas", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
-		t.Errorf("Cache-Control = %q", cc)
-	}
-	buf := make([]byte, len("event: deltas"))
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "event: deltas" {
-		t.Fatalf("stream starts %q", buf)
+		t.Errorf("feed requests = %d, want 1", got)
 	}
 }

@@ -40,8 +40,8 @@ type Follower struct {
 	// PageSize is the number of days requested per page (default 365).
 	PageSize int
 	// Poll is the delay between catch-up passes once the feed is
-	// exhausted (default 2s). In long-poll and SSE modes it is the
-	// reconnect backoff after a transport failure.
+	// exhausted (default 2s). In long-poll mode it is the backoff after
+	// a transport failure.
 	Poll time.Duration
 	// Once stops after the first pass that reaches the feed's close day
 	// instead of polling forever.
@@ -50,12 +50,12 @@ type Follower struct {
 	// Mode selects the feed transport: ModePoll (default) re-requests
 	// at the Poll cadence; ModeLongPoll parks one request server-side
 	// (?wait=) so a caught-up follower costs one outstanding request
-	// per epoch instead of a poll loop; ModeSSE holds one streaming
-	// connection and applies events as the server pushes them.
+	// per epoch instead of a poll loop.
 	Mode string
-	// Wait is the long-poll hold sent as ?wait= (default 30s; only
-	// meaningful in ModeLongPoll). A Once pass never sends it: a
-	// caught-up Once follower returns instead of parking for Wait.
+	// Wait is the long-poll hold sent as ?wait= (default 30s, at most
+	// dzdbapi.MaxLongPollWait; only meaningful in ModeLongPoll). A Once
+	// pass never sends it: a caught-up Once follower returns instead of
+	// parking for Wait.
 	Wait time.Duration
 
 	Log *slog.Logger
@@ -65,12 +65,7 @@ type Follower struct {
 const (
 	ModePoll     = "poll"
 	ModeLongPoll = "longpoll"
-	ModeSSE      = "sse"
 )
-
-// errStopFollow stops the SSE consumer from inside the event callback
-// once Once-mode catch-up completes.
-var errStopFollow = errors.New("watch: follower caught up")
 
 func (f *Follower) pageSize() int {
 	if f.PageSize > 0 {
@@ -86,9 +81,12 @@ func (f *Follower) poll() time.Duration {
 	return 2 * time.Second
 }
 
+// wait is the hold to ask for: the server answers a longer one empty at
+// its cap, which a follower could not tell from a server that ignores
+// ?wait=.
 func (f *Follower) wait() time.Duration {
 	if f.Wait > 0 {
-		return f.Wait
+		return min(f.Wait, dzdbapi.MaxLongPollWait)
 	}
 	return 30 * time.Second
 }
@@ -97,9 +95,6 @@ func (f *Follower) wait() time.Duration {
 // up). Transport errors that survive the client's own retry policy are
 // logged and retried at the poll cadence; in Once mode they abort.
 func (f *Follower) Run(ctx context.Context) error {
-	if f.Mode == ModeSSE {
-		return f.runSSE(ctx)
-	}
 	for {
 		passStart := time.Now()
 		before := f.Engine.LastDay()
@@ -140,58 +135,6 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// runSSE consumes the feed's push stream: one connection delivers
-// every sealed day and then each new epoch's days as the server
-// publishes them — a caught-up follower issues zero additional
-// requests per epoch. Dropped streams (including backpressure sheds)
-// reconnect from the engine's position after the poll backoff;
-// exactly-once application is preserved by the same day-dedup the
-// poll path uses.
-func (f *Follower) runSSE(ctx context.Context) error {
-	for {
-		from := dates.None
-		if last := f.Engine.LastDay(); last != dates.None {
-			from = last + 1
-		}
-		err := f.Client.StreamDeltas(ctx, from, func(resp *dzdbapi.DeltasResponse) error {
-			for i := range resp.Deltas {
-				if err := f.apply(resp.Deltas[i].Delta(), resp.CloseDay); err != nil {
-					return err
-				}
-			}
-			if f.OnPass != nil {
-				f.OnPass(f.Engine.LastDay(), resp.CloseDay, nil)
-			}
-			if f.Once && resp.CloseDay != dates.None && f.Engine.LastDay() >= resp.CloseDay {
-				return errStopFollow
-			}
-			return nil
-		})
-		switch {
-		case errors.Is(err, errStopFollow):
-			return nil
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return err
-		case ctx.Err() != nil:
-			return ctx.Err()
-		}
-		if f.OnPass != nil && err != nil {
-			f.OnPass(f.Engine.LastDay(), dates.None, err)
-		}
-		if err != nil && f.Once {
-			return err
-		}
-		if f.Log != nil && err != nil {
-			f.Log.Warn("delta stream failed; reconnecting", "err", err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(f.poll()):
-		}
-	}
-}
-
 // sync performs one catch-up pass: request days after the engine's last
 // applied day and walk the cursor chain until the page window is
 // exhausted. It reports whether the engine reached the feed's close
@@ -204,14 +147,12 @@ func (f *Follower) sync(ctx context.Context) (bool, dates.Day, error) {
 	cursor := ""
 	epoch := uint64(0)
 	closeDay := dates.None
+	wait := time.Duration(0)
+	if f.Mode == ModeLongPoll && !f.Once {
+		wait = f.wait()
+	}
 	for {
-		var resp *dzdbapi.DeltasResponse
-		var err error
-		if f.Mode == ModeLongPoll && !f.Once {
-			resp, err = f.Client.DeltasPoll(ctx, from, cursor, f.pageSize(), f.wait())
-		} else {
-			resp, err = f.Client.Deltas(ctx, from, cursor, f.pageSize())
-		}
+		resp, err := f.Client.Deltas(ctx, from, cursor, f.pageSize(), wait)
 		if err != nil {
 			return false, closeDay, err
 		}
@@ -231,8 +172,7 @@ func (f *Follower) sync(ctx context.Context) (bool, dates.Day, error) {
 			return true, closeDay, nil // sealed but empty database
 		}
 		for i := range resp.Deltas {
-			dd := resp.Deltas[i].Delta()
-			if err := f.apply(dd, resp.CloseDay); err != nil {
+			if err := f.apply(&resp.Deltas[i].DayDelta, resp.CloseDay); err != nil {
 				return false, closeDay, err
 			}
 		}

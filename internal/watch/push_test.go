@@ -52,48 +52,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestFollowerSSE is the acceptance criterion end to end: a follower in
-// SSE mode catches up and then observes a newly adopted epoch's days
-// over the same connection — one feed request across two epochs.
-func TestFollowerSSE(t *testing.T) {
-	db := feedDB(10)
-	srv := dzdbapi.New(db)
-	var feedRequests atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/deltas" {
-			feedRequests.Add(1)
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	// The engine is owned by the follower goroutine; mirror its position
-	// through OnApplied (as riskywatchd does) for concurrent assertions.
-	var lastDay atomic.Int64
-	f := &Follower{
-		Client:    &dzdbapi.Client{BaseURL: ts.URL},
-		Engine:    pushEngine(),
-		Mode:      ModeSSE,
-		OnApplied: func(day, _ dates.Day, _ int) { lastDay.Store(int64(day)) },
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runErr := make(chan error, 1)
-	go func() { runErr <- f.Run(ctx) }()
-
-	waitFor(t, "SSE catch-up", func() bool { return lastDay.Load() == 10 })
-	db.Adopt(feedDB(11))
-	waitFor(t, "pushed epoch", func() bool { return lastDay.Load() == 11 })
-
-	if got := feedRequests.Load(); got != 1 {
-		t.Errorf("feed requests across 2 epochs = %d, want 1", got)
-	}
-	cancel()
-	if err := <-runErr; !errors.Is(err, context.Canceled) {
-		t.Errorf("Run = %v, want context.Canceled", err)
-	}
-}
-
 // TestFollowerLongPoll: in long-poll mode the follower parks one
 // request server-side and applies a new epoch's days the moment it
 // publishes, with a bounded request count — no poll-cadence loop.
@@ -186,5 +144,48 @@ func TestFollowerLongPollOnceCaughtUp(t *testing.T) {
 	}
 	if e.LastDay() != 10 {
 		t.Errorf("last day %s, want day 10", e.LastDay())
+	}
+}
+
+// TestFollowerLongPollClampsWait: a hold above the server's cap is asked
+// for at the cap. Asked for as is, each parked request would come back
+// empty at the cap — under half the hold — and the follower would take
+// the server for one that ignores ?wait= and fall back to polling.
+func TestFollowerLongPollClampsWait(t *testing.T) {
+	srv := dzdbapi.New(feedDB(10))
+	waits := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if wait := r.URL.Query().Get("wait"); wait != "" {
+			select {
+			case waits <- wait:
+			default:
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	f := &Follower{
+		Client: &dzdbapi.Client{BaseURL: ts.URL},
+		Engine: pushEngine(),
+		Mode:   ModeLongPoll,
+		Wait:   5 * time.Minute,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- f.Run(ctx) }()
+
+	select {
+	case got := <-waits:
+		if want := dzdbapi.MaxLongPollWait.String(); got != want {
+			t.Errorf("?wait=%s, want the server's cap %s", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower sent no long-poll request")
+	}
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("Run = %v, want context.Canceled", err)
 	}
 }

@@ -335,13 +335,11 @@ func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelt
 	edgeList := func(end int) []zonedb.Edge {
 		l := cut(b.edges, edgeAt, end)
 		edgeAt = end
-		slices.SortFunc(l, compareEdges)
 		return l
 	}
 	nameList := func(end int) []dnsname.Name {
 		l := cut(b.names, nameAt, end)
 		nameAt = end
-		slices.Sort(l)
 		return l
 	}
 	for s := 0; s < slots; s++ {
@@ -356,6 +354,7 @@ func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelt
 		d.EdgesAdded, d.EdgesRemoved = edgeList(end[edgesAdded]), edgeList(end[edgesRemoved])
 		d.DomainsAdded, d.DomainsRemoved = nameList(end[domainsAdded]), nameList(end[domainsRemoved])
 		d.GlueAdded, d.GlueRemoved = nameList(end[glueAdded]), nameList(end[glueRemoved])
+		d.Sort()
 		out = append(out, d)
 	}
 	return out, b.first
@@ -368,6 +367,19 @@ func cut[T any](slab []T, from, to int) []T {
 		return nil
 	}
 	return slab[from:to:to]
+}
+
+// Sort puts d's lists in the order Build and Extend emit them: edges by
+// domain then nameserver, names lexically. The disjoint union of days
+// that were each in that order is in it again once sorted, which is how
+// a fleet's merged feed reads as one node's.
+func (d *DayDelta) Sort() {
+	slices.SortFunc(d.EdgesAdded, compareEdges)
+	slices.SortFunc(d.EdgesRemoved, compareEdges)
+	slices.Sort(d.DomainsAdded)
+	slices.Sort(d.DomainsRemoved)
+	slices.Sort(d.GlueAdded)
+	slices.Sort(d.GlueRemoved)
 }
 
 func compareEdges(a, b zonedb.Edge) int {

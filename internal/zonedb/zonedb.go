@@ -50,10 +50,11 @@ import (
 	"repro/internal/interval"
 )
 
-// Edge identifies a delegation edge in a zone.
+// Edge identifies a delegation edge in a zone. The tags are its form in
+// the /v1/deltas feed.
 type Edge struct {
-	Domain dnsname.Name
-	NS     dnsname.Name
+	Domain dnsname.Name `json:"domain"`
+	NS     dnsname.Name `json:"ns"`
 }
 
 // docAddr stands in for glue addresses in reconstructed snapshots; the DB
