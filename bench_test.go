@@ -448,19 +448,6 @@ func BenchmarkObsCounterVec(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSpan measures a full start/end span cycle: two clock reads
-// plus a histogram observation and two counter increments.
-func BenchmarkObsSpan(b *testing.B) {
-	reg := obs.NewRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := reg.StartSpan("bench.stage")
-		sp.AddItems(1)
-		sp.End()
-	}
-}
-
 // BenchmarkDetectionWorkers measures candidate extraction across worker
 // counts (stage 1 dominates detection cost). Results are identical at
 // every worker count (TestParallelWorkersIdentical); speedups require

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dzdbd [-addr :8053] [-scale 6] [-seed 1] [-detect] [-drain 2s]
+//	dzdbd [-addr :8053] [-scale 6] [-seed 1] [-drain 2s]
 //	dzdbd [-addr :8053] -load dataset.dzdb
 //	dzdbd [-addr :8053] -load dataset.dzdb -data-dir /var/lib/dzdb
 //
@@ -69,12 +69,10 @@ import (
 	"time"
 
 	"repro/internal/daemon"
-	"repro/internal/detect"
 	"repro/internal/dzdbapi"
 	"repro/internal/obs/health"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
-	"repro/internal/whois"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/segment"
 )
@@ -85,7 +83,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (ignored with -load)")
 	load := flag.String("load", "", "load the zone DB from a segment file (riskybiz -save-data's PREFIX.dzdb) instead of simulating")
 	dataDir := flag.String("data-dir", "", "segment-store directory; sealed epochs persist here and warm-boot the next start")
-	runDetect := flag.Bool("detect", true, "run the detection pipeline once at startup so /metrics reports stage timings")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before the listener closes on shutdown")
 	cacheSize := flag.Int("cache-size", 64, "response cache budget in MiB (0 disables body caching; ETag/304 stays on)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client token-bucket rate limit in req/s (0 disables)")
@@ -103,7 +100,6 @@ func main() {
 			fmt.Errorf("-shard-id %d out of range for -shard-count %d", *shardID, *shardCount))
 	}
 	app.StartProfiler(profFlags)
-	detect.RegisterMetrics(reg)
 
 	// The DB starts empty and adopts the real data once built, so the
 	// listener (and the probe endpoints on it) can come up immediately.
@@ -278,10 +274,10 @@ func main() {
 			fatal("fingerprinting source", err)
 		}
 		tag = shardTag(tag)
-		fresh, who := warmBoot(logger, st, tag)
+		fresh := loadSealed(logger, st, tag)
 		warm := fresh != nil
 		if !warm {
-			fresh, who, err = buildDB(logger, *load, *scale, *seed)
+			fresh, err = buildDB(logger, *load, *scale, *seed)
 			if err != nil {
 				storeCheck.Fail(err.Error())
 				fatal("building database", err)
@@ -299,15 +295,6 @@ func main() {
 			sealEpoch(logger, st, segCheck, v, tag)
 		} else if segCheck != nil {
 			segCheck.OK()
-		}
-		if *runDetect {
-			det := detect.NewDetector(db, who, sim.StandardDirectory(),
-				detect.WithConfig(detect.Config{SkipMining: true}),
-				detect.WithObs(reg))
-			res := det.RunContext(context.Background())
-			logger.Info("detection pipeline primed",
-				"sacrificial", res.Funnel.Sacrificial,
-				"wall", res.Stats.Wall.Round(time.Millisecond).String())
 		}
 	}()
 
@@ -379,29 +366,29 @@ func main() {
 
 // buildDB produces the database to serve: an archive read from disk, or
 // a freshly simulated world.
-func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zonedb.DB, *whois.History, error) {
+func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zonedb.DB, error) {
 	if load != "" {
 		db, err := segment.ReadFile(load)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		logger.Info("archive loaded", "path", load,
 			"domains", db.View().NumDomains(), "nameservers", db.View().NumNameservers())
-		return db, whois.New(), nil
+		return db, nil
 	}
 	cfg := sim.DefaultConfig(scale)
 	cfg.Seed = seed
 	world, err := sim.NewWorld(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	logger.Info("simulating", "start", cfg.Start.String(), "end", cfg.End.String(), "scale", scale)
 	if err := world.Run(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v := world.ZoneDB().View()
 	logger.Info("simulation complete", "domains", v.NumDomains(), "nameservers", v.NumNameservers())
-	return world.ZoneDB(), world.WHOIS(), nil
+	return world.ZoneDB(), nil
 }
 
 // sourceTag fingerprints the configured data source. Epochs sealed under
@@ -431,20 +418,10 @@ func archiveTag(path string) (string, error) {
 	return fmt.Sprintf("archive crc32c:%08x size:%d", h.Sum32(), n), nil
 }
 
-// warmBoot adopts the newest sealed epoch when its source fingerprint
+// loadSealed adopts the newest sealed epoch when its source fingerprint
 // matches the configured source. It returns nil when the store is
 // absent, empty, stale, or corrupt — any of which mean a cold build.
-func warmBoot(logger *slog.Logger, st *segment.Store, tag string) (*zonedb.DB, *whois.History) {
-	fresh := loadSealed(logger, st, tag)
-	if fresh == nil {
-		return nil, nil
-	}
-	return fresh, whois.New()
-}
-
-// loadSealed loads the newest sealed epoch if its source tag matches.
-// Verification failure quarantines the segment inside Load; the caller
-// falls back to a source ingest either way.
+// Verification failure quarantines the segment inside Load.
 func loadSealed(logger *slog.Logger, st *segment.Store, tag string) *zonedb.DB {
 	if st == nil {
 		return nil

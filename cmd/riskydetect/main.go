@@ -107,7 +107,7 @@ func main() {
 	}
 
 	det := &detect.Detector{DB: db, WHOIS: who, Dir: sim.StandardDirectory(),
-		Cfg: detect.Config{Workers: *workers}, Obs: obs.Default}
+		Cfg: detect.Config{Workers: *workers}}
 	res := det.RunContext(ctx)
 	if *stats {
 		res.Stats.WriteReport(os.Stderr)

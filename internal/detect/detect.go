@@ -10,7 +10,6 @@ import (
 	"repro/internal/dnsname"
 	"repro/internal/idioms"
 	"repro/internal/interval"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/registry"
 	"repro/internal/resolve"
@@ -144,48 +143,18 @@ type Detector struct {
 	WHOIS *whois.History
 	Dir   *registry.Directory
 	Cfg   Config
-	// Obs, when non-nil, receives stage spans and funnel counters
-	// (RegisterMetrics pre-creates the families). Stage timings are
-	// collected in Result.Stats either way.
-	Obs *obs.Registry
-
-	// now, when set (WithClock), overrides the time source.
-	now func() time.Time
 }
 
-// clock returns the time source: WithClock's when set, else the obs
-// registry's (overridable in tests) when present, else the wall clock.
-// Timings never influence detection results, so determinism of the
-// methodology is preserved.
-func (d *Detector) clock() func() time.Time {
-	if d.now != nil {
-		return d.now
-	}
-	if d.Obs != nil && d.Obs.Now != nil {
-		return d.Obs.Now
-	}
-	return time.Now
-}
-
-// stage runs fn as one named pipeline stage: it times it, records an
-// obs span (when a registry is wired) and a trace child span (when ctx
-// carries one), and appends a StageTiming. fn receives the stage's
-// trace context — extraction parents its worker spans on it — and
-// returns the number of items the stage processed.
+// stage runs fn as one named pipeline stage: it times it, records a
+// trace child span (when ctx carries one), and appends a StageTiming.
+// fn receives the stage's trace context — extraction parents its worker
+// spans on it — and returns the number of items the stage processed.
+// Timings never influence detection results.
 func (d *Detector) stage(ctx context.Context, stats *RunStats, name string, fn func(ctx context.Context) int) {
-	now := d.clock()
-	var sp *obs.Span
-	if d.Obs != nil {
-		sp = d.Obs.StartSpan(name)
-	}
 	ctx, tsp := trace.Start(ctx, name)
-	t0 := now()
+	t0 := time.Now()
 	n := fn(ctx)
-	dur := now().Sub(t0)
-	if sp != nil {
-		sp.AddItems(n)
-		sp.End()
-	}
+	dur := time.Since(t0)
 	tsp.SetAttrInt("items", n)
 	tsp.End()
 	stats.Stages = append(stats.Stages, StageTiming{Stage: name, Duration: dur, Items: n})
@@ -203,7 +172,6 @@ type candidate struct {
 // parallel worker runs as a child span of ctx so shard imbalance is
 // visible in the trace.
 func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (total int, candidates []candidate, busy []time.Duration) {
-	now := d.clock()
 	var all []dnsname.Name
 	zd.Nameservers(func(ns dnsname.Name) bool {
 		all = append(all, ns)
@@ -212,14 +180,14 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 	total = len(all)
 	workers := d.Cfg.Workers
 	if workers <= 1 {
-		t0 := now()
+		t0 := time.Now()
 		static := resolve.NewStatic(zd)
 		for _, ns := range all {
 			if bad, first := static.UnresolvableAtFirstReference(ns); bad {
 				candidates = append(candidates, candidate{ns, first})
 			}
 		}
-		busy = []time.Duration{now().Sub(t0)}
+		busy = []time.Duration{time.Since(t0)}
 	} else {
 		// Shard the nameserver list; each worker owns a resolver (its
 		// scratch space serves one query at a time).
@@ -232,7 +200,7 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 				defer wg.Done()
 				_, wsp := trace.Start(ctx, "detect.extract.worker")
 				wsp.SetAttrInt("worker", w)
-				t0 := now()
+				t0 := time.Now()
 				static := resolve.NewStatic(zd)
 				var mine []candidate
 				for i := w; i < len(all); i += workers {
@@ -242,7 +210,7 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 					}
 				}
 				results[w] = mine
-				busy[w] = now().Sub(t0)
+				busy[w] = time.Since(t0)
 				wsp.SetAttrInt("items", (len(all)+workers-1-w)/workers)
 				wsp.End()
 			}(w)
@@ -263,8 +231,7 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 func (d *Detector) RunContext(ctx context.Context) *Result {
 	ctx, rsp := trace.Start(ctx, "detect.run")
 	defer rsp.End()
-	now := d.clock()
-	start := now()
+	start := time.Now()
 	zd := d.DB.View()
 	res := &Result{byNS: make(map[dnsname.Name]int)}
 	stats := &RunStats{Workers: 1, MatchesByMethod: make(map[string]int)}
@@ -296,15 +263,17 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	}
 
 	d.stage(ctx, stats, StageClassify, func(context.Context) int {
+		rules := Rules{WHOIS: d.WHOIS, Dir: d.Dir}
 		for _, c := range candidates {
-			switch o := d.classifyOne(zd, c); o.kind {
-			case outTest:
+			ev := &viewEvidence{zd: zd, dir: d.Dir, ns: c.ns, first: c.first, skipSingleRepo: d.Cfg.SkipSingleRepoCheck}
+			switch v := rules.Classify(c.ns, c.first, ev); v.Outcome {
+			case OutTest:
 				res.Funnel.TestNameservers++
-			case outSingleRepo:
+			case OutSingleRepo:
 				res.Funnel.SingleRepoViolations++
-			case outSacrificial:
-				d.emit(zd, res, c.ns, c.first, o.idiom, o.registrar, o.orig)
-				stats.MatchesByMethod[o.method]++
+			case OutSacrificial:
+				d.emit(zd, res, c, v)
+				stats.MatchesByMethod[v.Method]++
 			default:
 				res.Funnel.Unclassified++
 			}
@@ -312,154 +281,54 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 		return len(candidates)
 	})
 	res.Funnel.Sacrificial = len(res.Sacrificial)
-	stats.Wall = now().Sub(start)
+	stats.Wall = time.Since(start)
 	stats.Funnel = res.Funnel
 	res.Stats = stats
-	d.recordFunnel(stats)
 	return res
 }
 
-// recordFunnel mirrors the funnel counts into the obs registry.
-func (d *Detector) recordFunnel(stats *RunStats) {
-	if d.Obs == nil {
-		return
-	}
-	f := stats.Funnel
-	d.Obs.Counter(MetricScanned, "").Add(f.TotalNameservers)
-	d.Obs.Counter(MetricCandidates, "").Add(f.Candidates)
-	d.Obs.Counter(MetricTestNS, "").Add(f.TestNameservers)
-	d.Obs.Counter(MetricSingleRepo, "").Add(f.SingleRepoViolations)
-	d.Obs.Counter(MetricUnclass, "").Add(f.Unclassified)
-	d.Obs.Counter(MetricSacrificial, "").Add(f.Sacrificial)
-	for method, n := range stats.MatchesByMethod {
-		d.Obs.CounterVec(MetricIdiom, "", "method").With(method).Add(n)
-	}
+// viewEvidence reads one candidate's Evidence off the pinned view.
+type viewEvidence struct {
+	zd    *zonedb.View
+	dir   *registry.Directory
+	ns    dnsname.Name
+	first dates.Day
+	// skipSingleRepo hands the rules an empty operator set
+	// (Config.SkipSingleRepoCheck).
+	skipSingleRepo bool
 }
 
-// outcome is one candidate's classification verdict — the pure product
-// of classifyOne, which RunContext applies to the Result in candidate
-// order.
-type outcome struct {
-	kind      int
-	idiom     *idioms.Idiom
-	registrar string
-	orig      dnsname.Name
-	method    string
-}
-
-const (
-	outUnclassified = iota
-	outTest
-	outSingleRepo
-	outSacrificial
-)
-
-// classifyOne runs stages 2b–4 for one candidate against the pinned
-// view. It only reads zd, the WHOIS history, the registry directory, and
-// the idiom catalog — all immutable during a run.
-func (d *Detector) classifyOne(zd *zonedb.View, c candidate) outcome {
-	// Stage 2b: remove registry test nameservers.
-	if idioms.IsTestNameserver(c.ns) {
-		return outcome{kind: outTest}
+// Operators collects the operators of every domain that ever delegated
+// to the candidate.
+func (e *viewEvidence) Operators() map[string]bool {
+	if e.skipSingleRepo {
+		return nil
 	}
-	// Sink and marker idioms classify directly.
-	if idiom, ok := idioms.RecognizeSink(c.ns); ok {
-		return outcome{kind: outSacrificial, idiom: idiom, registrar: idiom.Registrar, method: "sink"}
-	}
-	if idiom, ok := idioms.RecognizeMarker(c.ns); ok {
-		return outcome{kind: outSacrificial, idiom: idiom, registrar: idiom.Registrar, method: "marker"}
-	}
-	// Stage 3: single-repository property.
-	if !d.Cfg.SkipSingleRepoCheck && d.violatesSingleRepo(zd, c.ns) {
-		return outcome{kind: outSingleRepo}
-	}
-	// Stage 4: original-nameserver history match.
-	if idiom, registrarName, orig, ok := d.matchOriginal(zd, c.ns, c.first); ok {
-		return outcome{kind: outSacrificial, idiom: idiom, registrar: registrarName, orig: orig, method: "original"}
-	}
-	return outcome{kind: outUnclassified}
-}
-
-// violatesSingleRepo applies property 3 of §3.1: the candidate cannot be
-// a rename product if its affected domains span registry operators, or if
-// the candidate itself lives under the same operator as its affected
-// domains (a rename target is always external to the repository that
-// performed it).
-func (d *Detector) violatesSingleRepo(zd *zonedb.View, ns dnsname.Name) bool {
 	operators := make(map[string]bool)
-	for _, e := range zd.EdgesOf(ns) {
-		if op := d.Dir.OperatorOf(e.Domain.TLD()); op != "" {
+	for _, ed := range e.zd.EdgesOf(e.ns) {
+		if op := e.dir.OperatorOf(ed.Domain.TLD()); op != "" {
 			operators[op] = true
 		}
 	}
-	if len(operators) > 1 {
-		return true
-	}
-	if nsOp := d.Dir.OperatorOf(ns.TLD()); nsOp != "" && operators[nsOp] {
-		return true
-	}
-	return false
+	return operators
 }
 
-// matchOriginal implements §3.2.3. For each domain whose delegation to
-// the candidate began on the candidate's first day, it looks at the
-// nameservers that domain used through the previous day. If one of them
-// satisfies the registered-domain substring criterion, the rename is
-// attributed to the registrar WHOIS reports for the original nameserver's
-// domain at that time, and mapped to that registrar's original-based
-// idiom.
-func (d *Detector) matchOriginal(zd *zonedb.View, ns dnsname.Name, first dates.Day) (*idioms.Idiom, string, dnsname.Name, bool) {
-	type match struct {
-		rr   string
-		prev dnsname.Name
-	}
-	var matches []match
-	zd.EachDomainOf(ns, func(domain dnsname.Name, spans *interval.Set) bool {
-		if spans.First() != first {
+// EachDropped walks the domains whose delegation to the candidate began
+// on its first day, and each other nameserver of theirs whose delegation
+// span ends the day before.
+func (e *viewEvidence) EachDropped(fn func(prev dnsname.Name)) {
+	e.zd.EachDomainOf(e.ns, func(domain dnsname.Name, spans *interval.Set) bool {
+		if spans.First() != e.first {
 			return true
 		}
-		zd.EachNSOf(domain, func(prevNS dnsname.Name, prevSpans *interval.Set) bool {
-			if prevNS == ns || !endsOn(prevSpans, first-1) || !idioms.MatchesOriginal(ns, prevNS) {
-				return true
-			}
-			if reg, ok := dnsname.RegisteredDomain(prevNS); ok {
-				if rr := d.WHOIS.RegistrarOn(reg, first-1); rr != "" {
-					matches = append(matches, match{rr, prevNS})
-				}
+		e.zd.EachNSOf(domain, func(prev dnsname.Name, prevSpans *interval.Set) bool {
+			if endsOn(prevSpans, e.first-1) {
+				fn(prev)
 			}
 			return true
 		})
 		return true
 	})
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].rr != matches[j].rr {
-			return matches[i].rr < matches[j].rr
-		}
-		return matches[i].prev < matches[j].prev
-	})
-	votes := make(map[string]int)
-	originals := make(map[string]dnsname.Name)
-	for _, m := range matches {
-		votes[m.rr]++
-		if _, have := originals[m.rr]; !have {
-			originals[m.rr] = m.prev
-		}
-	}
-	if len(votes) == 0 {
-		return nil, "", "", false
-	}
-	// Majority registrar wins; ties break deterministically by name.
-	var best string
-	for rr := range votes {
-		if best == "" || votes[rr] > votes[best] || (votes[rr] == votes[best] && rr < best) {
-			best = rr
-		}
-	}
-	idiom := OriginalIdiomFor(best, ns, originals[best])
-	if idiom == nil {
-		return nil, "", "", false
-	}
-	return idiom, best, originals[best], true
 }
 
 // endsOn reports whether any span in the set ends exactly on day.
@@ -472,44 +341,16 @@ func endsOn(s *interval.Set, day dates.Day) bool {
 	return false
 }
 
-// OriginalIdiomFor maps an attributed registrar to its original-based
-// renaming idiom, distinguishing Enom's 123.BIZ era from its random-name
-// era by shape. Unknown registrars yield nil: the methodology is
-// conservative and only classifies confirmed idioms (§3.3). Exported so
-// the incremental watch engine attributes renames identically.
-func OriginalIdiomFor(registrarName string, ns, orig dnsname.Name) *idioms.Idiom {
-	switch registrarName {
-	case "Enom":
-		ssld, _ := dnsname.SecondLevelLabel(ns)
-		osld, _ := dnsname.SecondLevelLabel(orig)
-		if ns.TLD() == "biz" && ssld == osld+"123" {
-			return idioms.Lookup(idioms.Enom123)
-		}
-		return idioms.Lookup(idioms.EnomRandom)
-	case "GoDaddy":
-		// GoDaddy's original-based idiom carries the marker and is
-		// classified earlier; reaching here means the shape is unknown.
-		return idioms.Lookup(idioms.PleaseDropThisHost)
-	case "DomainPeople":
-		return idioms.Lookup(idioms.DomainPeopleRandom)
-	case "Fabulous.com":
-		return idioms.Lookup(idioms.FabulousRandom)
-	case "Register.com":
-		return idioms.Lookup(idioms.RegisterComRandom)
-	default:
-		return nil
-	}
-}
-
 // emit records a classified sacrificial nameserver.
-func (d *Detector) emit(zd *zonedb.View, res *Result, ns dnsname.Name, first dates.Day, idiom *idioms.Idiom, registrarName string, orig dnsname.Name) {
+func (d *Detector) emit(zd *zonedb.View, res *Result, c candidate, v Verdict) {
+	ns, first := c.ns, c.first
 	s := Sacrificial{
 		NS:        ns,
 		Created:   first,
-		Idiom:     idiom.ID,
-		Class:     idiom.Class,
-		Registrar: registrarName,
-		Original:  orig,
+		Idiom:     v.Idiom.ID,
+		Class:     v.Idiom.Class,
+		Registrar: v.Registrar,
+		Original:  v.Original,
 	}
 	if reg, ok := dnsname.RegisteredDomain(ns); ok {
 		s.RegDomain = reg

@@ -1,9 +1,6 @@
 package detect
 
 import (
-	"time"
-
-	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/whois"
 	"repro/internal/zonedb"
@@ -28,19 +25,6 @@ func NewDetector(db *zonedb.DB, wh *whois.History, dir *registry.Directory, opts
 // goroutines. n <= 1 runs sequentially; output is identical either way.
 func WithWorkers(n int) Option {
 	return func(d *Detector) { d.Cfg.Workers = n }
-}
-
-// WithClock overrides the detector's time source for stage timings.
-// Timings never influence detection results; this exists so tests and
-// benchmarks get deterministic stats.
-func WithClock(now func() time.Time) Option {
-	return func(d *Detector) { d.now = now }
-}
-
-// WithObs wires an observability registry for stage spans and funnel
-// counters.
-func WithObs(r *obs.Registry) Option {
-	return func(d *Detector) { d.Obs = r }
 }
 
 // WithConfig replaces the whole Config (miner tuning, ablation switches).

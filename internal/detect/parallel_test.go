@@ -33,7 +33,11 @@ func comparableResult(t *testing.T, r *Result) []byte {
 // the funnel across several worker counts; this is the strong form.)
 func TestParallelExtractByteIdentical(t *testing.T) {
 	seq := comparableResult(t, runDetector(t, Config{}))
-	par := comparableResult(t, runDetector(t, Config{Workers: 8}))
+	res := runDetector(t, Config{Workers: 8})
+	if res.Stats.Workers != 8 || len(res.Stats.WorkerBusy) != 8 {
+		t.Errorf("workers = %d busy = %v, want 8", res.Stats.Workers, res.Stats.WorkerBusy)
+	}
+	par := comparableResult(t, res)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("8-worker result differs from serial:\nserial: %s\nworkers: %s", seq, par)
 	}

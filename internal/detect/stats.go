@@ -7,28 +7,14 @@ import (
 	"sort"
 	"text/tabwriter"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// Stage names recorded by Detector.RunContext, reused as the obs span stage
-// labels.
+// Stage names recorded by Detector.RunContext, reused as its trace span
+// names.
 const (
 	StageExtract  = "detect.extract"
 	StageMine     = "detect.mine"
 	StageClassify = "detect.classify"
-)
-
-// Detector counter metric names (registered on the detector's obs
-// registry; see RegisterMetrics).
-const (
-	MetricCandidates  = "detect_candidates_total"
-	MetricScanned     = "detect_nameservers_scanned_total"
-	MetricTestNS      = "detect_test_ns_eliminations_total"
-	MetricSingleRepo  = "detect_single_repo_eliminations_total"
-	MetricIdiom       = "detect_idiom_matches_total"
-	MetricUnclass     = "detect_unclassified_total"
-	MetricSacrificial = "detect_sacrificial_total"
 )
 
 // StageTiming is one pipeline stage's wall time and throughput.
@@ -121,18 +107,4 @@ func (s *RunStats) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// RegisterMetrics pre-creates the detector's metric families (and the
-// shared span families) on reg, so a /metrics scrape announces the
-// schema even before a detection run has executed.
-func RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterSpanFamilies()
-	reg.Counter(MetricScanned, "Nameservers scanned by candidate extraction.")
-	reg.Counter(MetricCandidates, "Unresolvable-at-first-reference candidates.")
-	reg.Counter(MetricTestNS, "Candidates eliminated as registry test nameservers.")
-	reg.Counter(MetricSingleRepo, "Candidates eliminated by the single-repository check.")
-	reg.CounterVec(MetricIdiom, "Sacrificial nameservers classified, by match method.", "method")
-	reg.Counter(MetricUnclass, "Candidates left unclassified.")
-	reg.Counter(MetricSacrificial, "Sacrificial nameservers detected.")
 }

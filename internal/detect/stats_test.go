@@ -2,18 +2,13 @@ package detect
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // TestRunStatsCollected: every Run carries stage timings, the worker
-// busy vector, and the funnel mirror, with no obs registry wired.
+// busy vector, and the funnel mirror.
 func TestRunStatsCollected(t *testing.T) {
 	res := runDetector(t, Config{})
 	st := res.Stats
@@ -59,47 +54,5 @@ func TestRunStatsCollected(t *testing.T) {
 	}
 	if decoded.Funnel != st.Funnel {
 		t.Errorf("JSON funnel = %+v, want %+v", decoded.Funnel, st.Funnel)
-	}
-}
-
-// TestRunRecordsObs wires a registry with a fake clock and checks the
-// span histograms and funnel counters land in it.
-func TestRunRecordsObs(t *testing.T) {
-	db, who, dir := fixture()
-	reg := obs.NewRegistry()
-	base := time.Unix(1000, 0)
-	var tick atomic.Int64 // advancing fake clock, safe across workers
-	reg.Now = func() time.Time {
-		return base.Add(time.Duration(tick.Add(1)) * time.Millisecond)
-	}
-	RegisterMetrics(reg)
-	det := &Detector{DB: db, WHOIS: who, Dir: dir, Cfg: Config{Workers: 2}, Obs: reg}
-	res := det.RunContext(context.Background())
-
-	if got := reg.Counter(MetricScanned, "").Value(); got != uint64(res.Funnel.TotalNameservers) {
-		t.Errorf("scanned counter = %d, want %d", got, res.Funnel.TotalNameservers)
-	}
-	if got := reg.Counter(MetricSacrificial, "").Value(); got != uint64(res.Funnel.Sacrificial) {
-		t.Errorf("sacrificial counter = %d, want %d", got, res.Funnel.Sacrificial)
-	}
-	h := reg.HistogramVec(obs.SpanSecondsMetric, "", nil, "stage").With(StageExtract)
-	if h.Count() != 1 {
-		t.Errorf("extract span count = %d, want 1", h.Count())
-	}
-	if res.Stats.Workers != 2 || len(res.Stats.WorkerBusy) != 2 {
-		t.Errorf("workers = %d busy = %v, want 2", res.Stats.Workers, res.Stats.WorkerBusy)
-	}
-	var buf bytes.Buffer
-	if _, err := reg.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{
-		"detect_candidates_total",
-		`pipeline_stage_runs_total{stage="detect.classify"} 1`,
-		`detect_idiom_matches_total{method="marker"}`,
-	} {
-		if !strings.Contains(buf.String(), frag) {
-			t.Errorf("exposition missing %q", frag)
-		}
 	}
 }

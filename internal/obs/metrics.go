@@ -28,7 +28,7 @@ import (
 )
 
 // Default is the process-wide registry. The daemons expose it over
-// /metrics; package-level helpers (StartSpan) record into it.
+// /metrics.
 var Default = NewRegistry()
 
 // DefBuckets are the default latency histogram bounds in seconds,
@@ -277,8 +277,8 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	// Now supplies the clock for spans; overridable in tests. Defaults
-	// to time.Now.
+	// Now supplies the clock for timed instrumentation; overridable in
+	// tests. Defaults to time.Now.
 	Now func() time.Time
 }
 

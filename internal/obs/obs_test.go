@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentCounters hammers one counter, one gauge, and one
@@ -123,51 +122,19 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestSpan drives a span against a fake clock and checks all three
-// families record under the stage label.
-func TestSpan(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(100, 0)
-	r.Now = func() time.Time { return now }
-
-	sp := r.StartSpan("detect.extract")
-	sp.AddItems(42)
-	now = now.Add(30 * time.Millisecond)
-	if d := sp.End(); d != 30*time.Millisecond {
-		t.Errorf("duration = %v, want 30ms", d)
-	}
-	if d := sp.End(); d != 0 {
-		t.Errorf("second End = %v, want 0", d)
-	}
-
-	h := r.HistogramVec(SpanSecondsMetric, "", nil, "stage").With("detect.extract")
-	if h.Count() != 1 {
-		t.Errorf("span histogram count = %d, want 1", h.Count())
-	}
-	if got := h.Sum(); got < 0.029 || got > 0.031 {
-		t.Errorf("span histogram sum = %g, want ~0.03", got)
-	}
-	if got := r.CounterVec(SpanRunsMetric, "", "stage").With("detect.extract").Value(); got != 1 {
-		t.Errorf("span runs = %d, want 1", got)
-	}
-	if got := r.CounterVec(SpanItemsMetric, "", "stage").With("detect.extract").Value(); got != 42 {
-		t.Errorf("span items = %d, want 42", got)
-	}
-}
-
 // TestEmptyFamilyAnnounced: a vec with no children still emits its
 // HELP/TYPE header so scrapes see the schema before first use.
 func TestEmptyFamilyAnnounced(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterSpanFamilies()
+	r.HistogramVec("stage_seconds", "Stage wall time.", nil, "stage")
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "# TYPE pipeline_stage_seconds histogram") {
-		t.Errorf("span family header missing:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "# TYPE stage_seconds histogram") {
+		t.Errorf("family header missing:\n%s", buf.String())
 	}
-	if strings.Contains(buf.String(), "pipeline_stage_seconds_bucket") {
+	if strings.Contains(buf.String(), "stage_seconds_bucket") {
 		t.Errorf("empty family should have no samples:\n%s", buf.String())
 	}
 }

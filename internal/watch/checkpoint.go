@@ -101,7 +101,10 @@ func (e *Engine) Save(w io.Writer) error { return e.Checkpoint().Save(w) }
 
 // Restore rebuilds an engine from a saved checkpoint, wiring the same
 // side inputs New takes. The registration-watch index is reconstructed
-// from the candidate records.
+// from the candidate records, so a checkpoint that names no candidate,
+// names one twice, gives one a phase outside the four the engine uses,
+// or a null span set is refused: any of them would crash the engine or
+// let one registration raise two hijack alerts.
 func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, error) {
 	var cp Checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
@@ -131,9 +134,22 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 	for _, s := range cp.Seen {
 		e.seen[s.NS] = s.First
 	}
-	for _, st := range cp.Cands {
+	for i, st := range cp.Cands {
+		switch {
+		case st == nil || st.NS == "":
+			return nil, fmt.Errorf("watch: checkpoint candidate %d has no name", i)
+		case e.cand[st.NS] != nil:
+			return nil, fmt.Errorf("watch: checkpoint lists candidate %s twice", st.NS)
+		case st.Phase < detect.OutUnclassified || st.Phase > detect.OutSacrificial:
+			return nil, fmt.Errorf("watch: checkpoint candidate %s has unknown phase %d", st.NS, st.Phase)
+		}
+		for dom, spans := range st.Domains {
+			if spans == nil {
+				return nil, fmt.Errorf("watch: checkpoint candidate %s has no spans for %s", st.NS, dom)
+			}
+		}
 		e.cand[st.NS] = st
-		if st.Phase == phaseSacrificial && st.Class == idioms.Hijackable &&
+		if st.Phase == detect.OutSacrificial && st.Class == idioms.Hijackable &&
 			!st.Collision && st.RegDomain != "" && st.HijackedOn == dates.None {
 			e.regWatch[st.RegDomain] = append(e.regWatch[st.RegDomain], st.NS)
 		}

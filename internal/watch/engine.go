@@ -1,16 +1,18 @@
-// Package watch re-implements the detection methodology incrementally.
+// Package watch runs the detection methodology one day at a time.
 //
 // The batch Detector (internal/detect) answers "which nameservers were
-// sacrificial" by scanning a complete longitudinal database. This
-// package answers the same question one day at a time: an Engine
-// consumes per-day deltas (internal/zonedb/delta) and advances a
-// per-nameserver state machine — first-delegation resolvability check,
-// idiom match, hijackable classification, registration watch, hijack
-// event — touching only the names that changed. Replaying the full
-// history through an Engine yields the same funnel and the same
-// sacrificial records as a batch run over the same sealed view (proven
-// in the equivalence tests); the per-day cost is O(changes), not
-// O(database).
+// sacrificial" over a complete longitudinal database. An Engine answers
+// the same question as the days arrive: it consumes per-day deltas
+// (internal/zonedb/delta), keeps the day's glue, registrations and
+// delegations, and gathers for each nameserver first delegated to that
+// day the evidence detect's rules read — whether it resolves that day
+// (resolve.Chase over today's state), the registry operators of its
+// domains, and the nameservers those domains dropped the day before.
+// The rules themselves (detect.Rules) are the batch detector's own, so
+// the two agree by construction; what the engine adds is a
+// per-nameserver state machine (registration watch, hijack event,
+// retraction) touching only the names that changed, so a day costs
+// O(changes), not O(database).
 //
 // Streaming can do one thing batch cannot — alert the day a sacrificial
 // name appears — and cannot do one thing batch can: see the future. A
@@ -36,28 +38,16 @@ import (
 	"repro/internal/idioms"
 	"repro/internal/interval"
 	"repro/internal/registry"
+	"repro/internal/resolve"
 	"repro/internal/whois"
 	"repro/internal/zonedb/delta"
 )
-
-// maxDepth mirrors resolve.Static's delegation-chase bound. The per-day
-// resolver below must stop exactly where the batch resolver stops or the
-// candidate sets diverge.
-const maxDepth = 4
 
 // ErrStale is returned by ApplyDay for a day at or before the engine's
 // last applied day. Deltas are idempotent at the feed level precisely
 // because the engine refuses replays: a resumed consumer can re-request
 // an overlapping window and drop the overlap by this error.
 var ErrStale = errors.New("watch: delta day already applied")
-
-// Alert phases of a tracked nameserver. The zero value is unclassified.
-const (
-	phaseUnclassified = iota
-	phaseTest
-	phaseSingleRepo
-	phaseSacrificial
-)
 
 // Alert types.
 const (
@@ -87,9 +77,9 @@ type Alert struct {
 // nsState is the per-candidate state machine record. Fields are
 // exported for the JSON checkpoint; the type itself stays private.
 type nsState struct {
-	NS    dnsname.Name `json:"ns"`
-	First dates.Day    `json:"first"`
-	Phase int          `json:"phase"`
+	NS    dnsname.Name   `json:"ns"`
+	First dates.Day      `json:"first"`
+	Phase detect.Outcome `json:"phase"`
 
 	Method    string       `json:"method,omitempty"`
 	Idiom     idioms.ID    `json:"idiom,omitempty"`
@@ -114,7 +104,7 @@ type nsState struct {
 // tracked reports whether the phase still accumulates span/operator
 // state (terminal test/single-repo candidates are frozen).
 func (st *nsState) tracked() bool {
-	return st.Phase == phaseUnclassified || st.Phase == phaseSacrificial
+	return st.Phase == detect.OutUnclassified || st.Phase == detect.OutSacrificial
 }
 
 // numDomains counts the distinct affected domains known so far (sealed
@@ -132,16 +122,16 @@ func (st *nsState) numDomains() int {
 // Engine is the incremental detector. It is not safe for concurrent
 // use; one goroutine owns it (the daemon's apply loop).
 type Engine struct {
-	whois *whois.History
-	dir   *registry.Directory
+	rules detect.Rules
+	chase resolve.Chase
 
 	// Day-d active state, maintained by applying adds and removes.
-	glue   map[dnsname.Name]bool                   // hosts with glue today
-	doms   map[dnsname.Name]bool                   // domains registered today
-	active map[dnsname.Name]map[dnsname.Name]bool  // domain -> active NS set
+	glue   map[dnsname.Name]bool                  // hosts with glue today
+	doms   map[dnsname.Name]bool                  // domains registered today
+	active map[dnsname.Name]map[dnsname.Name]bool // domain -> active NS set
 
-	seen     map[dnsname.Name]dates.Day    // every NS ever delegated to -> first day
-	cand     map[dnsname.Name]*nsState     // unresolvable-at-first-reference candidates
+	seen     map[dnsname.Name]dates.Day      // every NS ever delegated to -> first day
+	cand     map[dnsname.Name]*nsState       // unresolvable-at-first-reference candidates
 	regWatch map[dnsname.Name][]dnsname.Name // registrable domain -> hijackable NS watching it
 
 	funnel detect.Funnel
@@ -153,8 +143,7 @@ type Engine struct {
 // the WHOIS registrar history and the registry-operator directory.
 func New(wh *whois.History, dir *registry.Directory) *Engine {
 	return &Engine{
-		whois:    wh,
-		dir:      dir,
+		rules:    detect.Rules{WHOIS: wh, Dir: dir},
 		glue:     make(map[dnsname.Name]bool),
 		doms:     make(map[dnsname.Name]bool),
 		active:   make(map[dnsname.Name]map[dnsname.Name]bool),
@@ -238,7 +227,7 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 				st.Open = make(map[dnsname.Name]dates.Day)
 			}
 			st.Open[ed.Domain] = day
-			if op := e.dir.OperatorOf(ed.Domain.TLD()); op != "" {
+			if op := e.rules.Dir.OperatorOf(ed.Domain.TLD()); op != "" {
 				if st.Operators == nil {
 					st.Operators = make(map[string]bool)
 				}
@@ -282,12 +271,11 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 
 	// 5. Classify nameservers first delegated to today, in name order
 	// (the batch pipeline sorts candidates the same way). Resolvability
-	// is evaluated against today's active state, which is exactly
-	// resolve.Static.ResolvableOn(ns, today) on the sealed view: the same
-	// rule read off the day's facts instead of their spans.
+	// is the chase resolve.Static.ResolvableOn(ns, today) runs on the
+	// sealed view, read off today's state instead of the view's spans.
 	sort.Slice(newNS, func(i, j int) bool { return newNS[i] < newNS[j] })
 	for _, ns := range newNS {
-		if e.resolvableToday(ns) {
+		if e.chase.Resolvable((*today)(e), ns) {
 			continue
 		}
 		e.funnel.Candidates++
@@ -307,10 +295,10 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 		}
 		prev = ns
 		st := e.cand[ns]
-		if !st.tracked() || !e.violatesSingleRepo(st) {
+		if !st.tracked() || !e.rules.ViolatesSingleRepo(ns, st.Operators) {
 			continue
 		}
-		if st.Phase == phaseSacrificial {
+		if st.Phase == detect.OutSacrificial {
 			if st.Method != "original" {
 				continue // sink/marker idioms classify before the single-repo stage
 			}
@@ -326,7 +314,7 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 			e.funnel.Unclassified--
 		}
 		e.funnel.SingleRepoViolations++
-		st.Phase = phaseSingleRepo
+		st.Phase = detect.OutSingleRepo
 		st.Operators, st.Domains, st.Open = nil, nil, nil
 	}
 
@@ -334,58 +322,42 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	return alerts, nil
 }
 
-// classify runs the batch pipeline's per-candidate stages (test filter,
-// sink/marker idioms, single-repository property, original-nameserver
-// match) against first-day state.
+// classify gathers a new candidate's first-day evidence, runs detect's
+// rules on it, and starts the candidate's state machine from the
+// verdict.
 func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name, removedToday map[dnsname.Name][]dnsname.Name, alerts []Alert) []Alert {
-	st := &nsState{NS: ns, First: day, HijackedOn: dates.None}
+	ev := &firstDay{dir: e.rules.Dir, domains: domains}
+	for _, dom := range domains {
+		ev.dropped = append(ev.dropped, removedToday[dom]...)
+	}
+	v := e.rules.Classify(ns, day, ev)
+	st := &nsState{NS: ns, First: day, Phase: v.Outcome, HijackedOn: dates.None}
 	e.cand[ns] = st
-
-	if idioms.IsTestNameserver(ns) {
-		st.Phase = phaseTest
+	switch v.Outcome {
+	case detect.OutTest:
 		e.funnel.TestNameservers++
+		return alerts
+	case detect.OutSingleRepo:
+		e.funnel.SingleRepoViolations++
 		return alerts
 	}
 
-	var idiom *idioms.Idiom
-	if id, ok := idioms.RecognizeSink(ns); ok {
-		idiom, st.Method, st.Registrar = id, "sink", id.Registrar
-	} else if id, ok := idioms.RecognizeMarker(ns); ok {
-		idiom, st.Method, st.Registrar = id, "marker", id.Registrar
-	}
-
-	// Track spans and operators from the first-day delegations; needed
-	// for every non-terminal outcome below.
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
+	// Every other verdict tracks the candidate's delegations, which its
+	// alerts and Result report, and their operators, by which a later
+	// edge can still demote it.
+	st.Operators = ev.Operators()
 	st.Domains = make(map[dnsname.Name]*interval.Set)
-	st.Open = make(map[dnsname.Name]dates.Day)
-	st.Operators = make(map[string]bool)
+	st.Open = make(map[dnsname.Name]dates.Day, len(domains))
 	for _, dom := range domains {
 		st.Open[dom] = day
-		if op := e.dir.OperatorOf(dom.TLD()); op != "" {
-			st.Operators[op] = true
-		}
+	}
+	if v.Outcome == detect.OutUnclassified {
+		e.funnel.Unclassified++
+		return alerts
 	}
 
-	if idiom == nil {
-		// Single-repository property, then the §3.2.3 history match.
-		if e.violatesSingleRepo(st) {
-			st.Phase = phaseSingleRepo
-			e.funnel.SingleRepoViolations++
-			st.Operators, st.Domains, st.Open = nil, nil, nil
-			return alerts
-		}
-		var orig dnsname.Name
-		idiom, st.Registrar, orig = e.matchOriginal(ns, day, domains, removedToday)
-		if idiom == nil {
-			e.funnel.Unclassified++
-			return alerts // stays unclassified (tracked for demotion)
-		}
-		st.Method, st.Original = "original", orig
-	}
-
-	st.Phase = phaseSacrificial
-	st.Idiom, st.Class = idiom.ID, idiom.Class
+	st.Method, st.Registrar, st.Original = v.Method, v.Registrar, v.Original
+	st.Idiom, st.Class = v.Idiom.ID, v.Idiom.Class
 	e.funnel.Sacrificial++
 	if reg, ok := dnsname.RegisteredDomain(ns); ok {
 		st.RegDomain = reg
@@ -408,109 +380,49 @@ func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name
 	}))
 }
 
-// matchOriginal is the incremental §3.2.3 match. The batch version
-// looks for previous nameservers of the candidate's first-day domains
-// whose delegation span ends exactly the day before — which, seen from
-// the stream, is precisely the set of edges removed today (a span
-// ending on day-1 exists iff the delta feed emitted its removal today).
-func (e *Engine) matchOriginal(ns dnsname.Name, day dates.Day, domains []dnsname.Name, removedToday map[dnsname.Name][]dnsname.Name) (*idioms.Idiom, string, dnsname.Name) {
-	type match struct {
-		rr   string
-		prev dnsname.Name
-	}
-	var matches []match
-	for _, dom := range domains {
-		for _, prevNS := range removedToday[dom] {
-			if prevNS == ns || !idioms.MatchesOriginal(ns, prevNS) {
-				continue
-			}
-			reg, ok := dnsname.RegisteredDomain(prevNS)
-			if !ok {
-				continue
-			}
-			rr := e.whois.RegistrarOn(reg, day-1)
-			if rr == "" {
-				continue
-			}
-			matches = append(matches, match{rr, prevNS})
-		}
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].rr != matches[j].rr {
-			return matches[i].rr < matches[j].rr
-		}
-		return matches[i].prev < matches[j].prev
-	})
-	votes := make(map[string]int)
-	originals := make(map[string]dnsname.Name)
-	for _, m := range matches {
-		votes[m.rr]++
-		if _, have := originals[m.rr]; !have {
-			originals[m.rr] = m.prev
-		}
-	}
-	if len(votes) == 0 {
-		return nil, "", ""
-	}
-	var best string
-	for rr := range votes {
-		if best == "" || votes[rr] > votes[best] || (votes[rr] == votes[best] && rr < best) {
-			best = rr
-		}
-	}
-	idiom := detect.OriginalIdiomFor(best, ns, originals[best])
-	if idiom == nil {
-		return nil, "", ""
-	}
-	return idiom, best, originals[best]
+// firstDay is a new candidate's detect.Evidence, read off the engine on
+// the candidate's first day. A span ending the day before, which the
+// batch rules look for on the view, is from the stream precisely an
+// edge removed today, so dropped holds today's removals from the
+// candidate's domains. (Copied out rather than read through the day's
+// map, which would then escape to the heap every day.)
+type firstDay struct {
+	dir     *registry.Directory
+	domains []dnsname.Name
+	dropped []dnsname.Name
+	ops     map[string]bool
 }
 
-// violatesSingleRepo applies property 3 of §3.1 over the accumulated
-// operator set: more than one repository, or the candidate living under
-// the same operator as its affected domains.
-func (e *Engine) violatesSingleRepo(st *nsState) bool {
-	if len(st.Operators) > 1 {
-		return true
-	}
-	if op := e.dir.OperatorOf(st.NS.TLD()); op != "" && st.Operators[op] {
-		return true
-	}
-	return false
-}
-
-// resolvableToday is resolve.Static.ResolvableOn asked of the current
-// day's state: glue, or a name with glue within maxDepth-1 active
-// delegations, each followed from a name to the nameservers its
-// registered domain is delegated to today. Like the batch resolver it
-// goes breadth-first and visits a name once, at its least distance, so
-// the answer depends on today's state and ns alone.
-func (e *Engine) resolvableToday(ns dnsname.Name) bool {
-	if e.glue[ns] {
-		return true
-	}
-	seen := map[dnsname.Name]bool{ns: true}
-	frontier := []dnsname.Name{ns}
-	for hop := 1; hop < maxDepth && len(frontier) > 0; hop++ {
-		var next []dnsname.Name
-		for _, name := range frontier {
-			reg, ok := dnsname.RegisteredDomain(name)
-			if !ok {
-				continue
-			}
-			for parent := range e.active[reg] {
-				if seen[parent] {
-					continue
-				}
-				if e.glue[parent] {
-					return true
-				}
-				seen[parent] = true
-				next = append(next, parent)
+// Operators is built on first use: test names and sink or marker idioms
+// classify without it.
+func (f *firstDay) Operators() map[string]bool {
+	if f.ops == nil {
+		f.ops = make(map[string]bool)
+		for _, dom := range f.domains {
+			if op := f.dir.OperatorOf(dom.TLD()); op != "" {
+				f.ops[op] = true
 			}
 		}
-		frontier = next
 	}
-	return false
+	return f.ops
+}
+
+func (f *firstDay) EachDropped(fn func(prev dnsname.Name)) {
+	for _, prev := range f.dropped {
+		fn(prev)
+	}
+}
+
+// today is the engine's day state as the resolver chase reads it.
+type today Engine
+
+func (t *today) Glue(name dnsname.Name) bool { return t.glue[name] }
+
+func (t *today) AppendNS(buf []dnsname.Name, reg dnsname.Name) []dnsname.Name {
+	for ns := range t.active[reg] {
+		buf = append(buf, ns)
+	}
+	return buf
 }
 
 // unwatch removes a demoted candidate from its registration watch.
@@ -561,7 +473,7 @@ func (st *nsState) span(dom dnsname.Name) *interval.Set {
 func (e *Engine) Result() *detect.Result {
 	var sacs []detect.Sacrificial
 	for _, st := range e.cand {
-		if st.Phase != phaseSacrificial {
+		if st.Phase != detect.OutSacrificial {
 			continue
 		}
 		s := detect.Sacrificial{
