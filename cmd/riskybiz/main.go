@@ -1,19 +1,27 @@
-// Command riskybiz runs the full reproduction pipeline — ecosystem
-// simulation, sacrificial-nameserver detection, and every table and
-// figure of the paper's evaluation — and prints the results.
+// Command riskybiz runs the full reproduction pipeline — sacrificial-
+// nameserver detection and every table and figure of the paper's
+// evaluation — and prints the results. By default it simulates the
+// ecosystem; with -data it reads a saved dataset instead, the workflow a
+// researcher with real zone-file and WHOIS archives would use.
 //
 // Usage:
 //
-//	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-csv]
+//	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-csv] [-json]
 //	         [-save-data PREFIX] [-save-snapshots DIR]
-//	         [-figures-csv DIR]
-//	         [-reingest [-strict] [-max-quarantine N] [-ingest-workers N]]
-//	         [-workers N] [-stats] [-stats-json FILE]
+//	         [-figures-csv DIR] [-stats] [-stats-json FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-mutexprofile FILE]
+//	riskybiz -data PREFIX [same output flags]
+//
+// With -data, the zone database can also be rebuilt from master-file
+// snapshots (-save-snapshots) instead of PREFIX.dzdb, with degraded-mode
+// quarantining of corrupt or gap-violating files:
+//
+//	riskybiz -scale 12 -save-data dataset -save-snapshots snaps
+//	riskybiz -data dataset -snapshots 'snaps/*.zone' [-strict]
+//	         [-max-quarantine N] [-ingest-workers N]
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -29,7 +37,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/zonedb/segment"
+	"repro/internal/zonedb"
 )
 
 var logger = obs.NewLogger("riskybiz")
@@ -42,21 +50,21 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	scale := flag.Float64("scale", 12, "mean new domain registrations per simulated day")
-	seed := flag.Int64("seed", 1, "random seed")
+	scale := flag.Float64("scale", 12, "mean new domain registrations per simulated day (ignored with -data)")
+	seed := flag.Int64("seed", 1, "random seed (ignored with -data)")
+	data := flag.String("data", "", "instead of simulating, read the dataset -save-data wrote: segment file PREFIX.dzdb, PREFIX.whois, optional PREFIX.exclude")
+	snapshots := flag.String("snapshots", "", "with -data, build the zone DB by ingesting master-file snapshots matching this glob instead of PREFIX.dzdb")
+	strict := flag.Bool("strict", false, "with -snapshots, abort on the first invalid snapshot instead of quarantining it")
+	maxQuarantine := flag.Int("max-quarantine", 0, "with -snapshots, abort after quarantining this many snapshots (0 = unlimited)")
+	ingestWorkers := flag.Int("ingest-workers", 0, "with -snapshots, zone-affine ingest workers (0 = sequential)")
 	only := flag.String("only", "", "comma-separated subset: funnel,patterns,table1..table6,figure3..figure7,accident,partial")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-	saveData := flag.String("save-data", "", "after simulating, save the dataset: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
+	saveData := flag.String("save-data", "", "save the dataset the study ran on: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
+	saveSnapshots := flag.String("save-snapshots", "", "after simulating, write each zone's daily master-file snapshots into this directory")
 	figuresCSV := flag.String("figures-csv", "", "write per-figure CSV data files into this directory")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON instead of text artifacts")
 	stats := flag.Bool("stats", false, "print a detection stage-timing report to stderr")
 	statsJSON := flag.String("stats-json", "", "also dump the stage timings as JSON to this file (\"-\" = stderr)")
-	reingest := flag.Bool("reingest", false, "rebuild the zone DB from daily snapshots through the ingester before detection")
-	strict := flag.Bool("strict", false, "with -reingest, abort on the first invalid snapshot instead of quarantining it")
-	maxQuarantine := flag.Int("max-quarantine", 0, "with -reingest, abort after quarantining this many snapshots (0 = unlimited)")
-	workers := flag.Int("workers", 0, "candidate-extraction workers (0 = sequential; output is identical either way)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "with -reingest, zone-affine ingest workers (0 = sequential)")
-	saveSnapshots := flag.String("save-snapshots", "", "after simulating, write each zone's daily master-file snapshots into this directory")
 	traceOut := flag.String("trace", "", "write a JSONL trace journal of the run to this file (\"-\" = stderr)")
 	traceChrome := flag.String("trace-chrome", "", "write the run's trace in Chrome trace_event format (load in Perfetto) to this file")
 	version := flag.Bool("version", false, "print build information and exit")
@@ -66,6 +74,12 @@ func main() {
 		fmt.Println(obs.Version())
 		return
 	}
+	if *snapshots != "" && *data == "" {
+		fatalf("-snapshots needs -data: the WHOIS history and exclusion list come from PREFIX.whois and PREFIX.exclude")
+	}
+	if *saveSnapshots != "" && *data != "" {
+		fatalf("-save-snapshots needs a simulated world: a loaded dataset does not record the day its data began")
+	}
 	stopProfiles := profFlags.Start()
 	defer stopProfiles()
 
@@ -74,14 +88,13 @@ func main() {
 		tracer = trace.New()
 	}
 	ctx, root := tracer.Start(context.Background(), "riskybiz")
-
-	study, err := riskybiz.RunContext(ctx, riskybiz.Options{
-		Seed: *seed, DomainsPerDay: *scale,
-		Detector: detect.Config{Workers: *workers},
-		Reingest: *reingest, StrictIngest: *strict, MaxQuarantine: *maxQuarantine,
-		IngestWorkers: *ingestWorkers,
-		Obs:           obs.Default,
-	})
+	var study *riskybiz.Study
+	var err error
+	if *data != "" {
+		study, err = load(ctx, *data, *snapshots, *strict, *maxQuarantine, *ingestWorkers)
+	} else {
+		study, err = riskybiz.RunContext(ctx, riskybiz.Options{Seed: *seed, DomainsPerDay: *scale})
+	}
 	root.SetError(err)
 	root.End()
 	if terr := exportTraces(tracer, *traceOut, *traceChrome); terr != nil {
@@ -90,11 +103,8 @@ func main() {
 	if err != nil {
 		fatalf("run: %v", err)
 	}
-	if *reingest {
-		logger.Info("reingest complete", "quarantine", study.Quarantine.String())
-	}
 	if *saveSnapshots != "" {
-		n, err := writeSnapshots(study, *saveSnapshots)
+		n, err := riskybiz.SaveSnapshots(study, *saveSnapshots)
 		if err != nil {
 			fatalf("writing -save-snapshots: %v", err)
 		}
@@ -109,7 +119,7 @@ func main() {
 		}
 	}
 	if *saveData != "" {
-		if err := saveDataset(study, *saveData); err != nil {
+		if err := riskybiz.SaveData(study, *saveData); err != nil {
 			fatalf("saving dataset: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "dataset saved under %s.{dzdb,whois,exclude}\n", *saveData)
@@ -127,17 +137,37 @@ func main() {
 		}
 		return
 	}
-	opts := report.ArtifactOptions{
-		CSV:             *csv,
-		NotificationDay: sim.NotificationDay,
-		FollowupDay:     sim.FollowupDay,
-		AccidentNS:      study.World.Truth().AccidentNS,
-		EndOfData:       study.World.Config().End,
-	}
+	var subset []string
 	if *only != "" {
-		opts.Only = strings.Split(*only, ",")
+		subset = strings.Split(*only, ",")
 	}
-	report.PrintArtifacts(os.Stdout, study.Analysis, study.Result, opts)
+	study.PrintArtifacts(os.Stdout, subset, *csv)
+}
+
+// load runs the study over the dataset saved under prefix, its zone DB
+// ingested from the snapshot files matching glob when one is given.
+func load(ctx context.Context, prefix, glob string, strict bool, maxQuarantine, ingestWorkers int) (*riskybiz.Study, error) {
+	var db *zonedb.DB
+	if glob != "" {
+		ing := zonedb.NewIngester()
+		ing.Degraded = !strict
+		ing.MaxQuarantine = maxQuarantine
+		ing.Workers = ingestWorkers
+		var err error
+		if db, err = riskybiz.IngestSnapshots(ctx, glob, ing); err != nil {
+			return nil, err
+		}
+		q := ing.Quarantine()
+		logger.Info("snapshots ingested", "quarantine", q.String())
+	}
+	study, err := riskybiz.LoadContext(ctx, prefix, db)
+	if err != nil {
+		return nil, err
+	}
+	v := study.DB.View()
+	logger.Info("dataset loaded", "prefix", prefix,
+		"domains", v.NumDomains(), "nameservers", v.NumNameservers(), "excluded_ns", len(study.Exclude))
+	return study, nil
 }
 
 // writeStatsJSON dumps stage timings to path ("-" selects stderr).
@@ -250,73 +280,4 @@ func writeFigureCSVs(study *riskybiz.Study, dir string) error {
 		return err
 	}
 	return cdf("figure7_hijacked_days.csv", hijacked)
-}
-
-// writeSnapshots dumps every zone-day snapshot as a master-file text
-// file named <zone>-<date>.zone — the input format riskydetect
-// -snapshots ingests.
-func writeSnapshots(study *riskybiz.Study, dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	v := study.World.ZoneDB().View()
-	cfg := study.World.Config()
-	zones := v.Zones()
-	n := 0
-	for day := cfg.Start; day <= cfg.End; day++ {
-		for _, zone := range zones {
-			snap := v.SnapshotOn(zone, day)
-			f, err := os.Create(fmt.Sprintf("%s/%s-%s.zone", dir, zone, day))
-			if err != nil {
-				return n, err
-			}
-			if err := snap.Write(f); err != nil {
-				f.Close()
-				return n, err
-			}
-			if err := f.Close(); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
-}
-
-// saveDataset saves the zone database as a segment file, and the WHOIS
-// history and the accident-NS exclusion list as text, so detection can be
-// re-run without simulating (riskydetect, riskywatchd -archive, zonedump
-// -load, dzdbd -load). The segment replaces PREFIX.dzdb atomically: a
-// riskywatchd tailing it never reads a half-written file.
-func saveDataset(study *riskybiz.Study, prefix string) error {
-	if err := segment.WriteFile(prefix+".dzdb", study.World.ZoneDB().View()); err != nil {
-		return err
-	}
-	write := func(suffix string, fn func(*bufio.Writer) error) error {
-		f, err := os.Create(prefix + suffix)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		if err := fn(bw); err != nil {
-			f.Close()
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(".whois", func(w *bufio.Writer) error {
-		return study.World.WHOIS().WriteArchive(w)
-	}); err != nil {
-		return err
-	}
-	return write(".exclude", func(w *bufio.Writer) error {
-		for _, ns := range study.World.Truth().AccidentNS {
-			fmt.Fprintln(w, ns)
-		}
-		return nil
-	})
 }

@@ -1,4 +1,4 @@
-// Command riskywatchd is the streaming counterpart of riskydetect: it
+// Command riskywatchd is the streaming counterpart of riskybiz -data: it
 // watches zone history as it grows and raises an alert the day a
 // sacrificial nameserver appears, is retracted, or gets hijacked,
 // instead of re-running batch detection over the whole archive.

@@ -8,9 +8,9 @@ import (
 	"runtime/pprof"
 )
 
-// CLIFlags carries the batch CLIs' profiling trio. The daemons profile
-// over HTTP; riskybiz and riskydetect run to completion, so they write
-// profile files bracketing the whole run instead.
+// CLIFlags carries the batch CLI's profiling trio. The daemons profile
+// over HTTP; riskybiz runs to completion, so it writes profile files
+// bracketing the whole run instead.
 type CLIFlags struct {
 	CPUProfile   string
 	MemProfile   string
@@ -66,7 +66,7 @@ func (f *CLIFlags) Start() (stop func()) {
 	}
 }
 
-// WriteCLIProfile is the shared exit-path helper behind the batch CLIs'
+// WriteCLIProfile is the exit-path helper behind the batch CLI's
 // -memprofile/-mutexprofile flags: it snapshots the named runtime
 // profile to path. (CPU profiles need start/stop bracketing — see
 // Start.)

@@ -1,5 +1,5 @@
 // Package prof summarizes the top contended lock sites for /statusz and
-// carries the batch CLIs' profile-file flags. Delta profiles (the change
+// carries the batch CLI's profile-file flags. Delta profiles (the change
 // in a profile across a window, not the process-lifetime cumulative
 // view) need nothing from here: net/http/pprof, which the daemons mount
 // at /debug/pprof/, answers ?seconds=N with one.

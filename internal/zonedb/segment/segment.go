@@ -15,7 +15,7 @@
 //
 // There is one format, and it is what saved data is: WriteFile and
 // ReadFile are the single-file form (riskybiz -save-data writes it, and
-// riskydetect, riskywatchd, zonedump and dzdbd -load read it), Seal and
+// riskybiz -data, riskywatchd, zonedump and dzdbd -load read it), Seal and
 // Load the store's. A file under any other magic — an older segment, or
 // the text archive View.WriteArchive prints for people and diffs — is
 // refused as corrupt; in a store it is quarantined and reported, and the

@@ -24,6 +24,11 @@
 //	t3 := study.Analysis.Table3()
 //	fmt.Printf("%.1f%% of hijackable domains were hijacked\n",
 //		100*t3.DomainFraction())
+//
+// SaveData writes the data a study ran on to disk, and LoadContext runs
+// the same detection and analyses over such a dataset instead of a
+// simulation; SaveSnapshots and IngestSnapshots do the same for the
+// world's daily zone files.
 package riskybiz
 
 import (
@@ -35,10 +40,11 @@ import (
 	"repro/internal/dates"
 	"repro/internal/detect"
 	"repro/internal/dnsname"
-	"repro/internal/dnszone"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/registry"
+	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/whois"
 	"repro/internal/zonedb"
 )
 
@@ -69,43 +75,31 @@ type Options struct {
 	// KeepAccidentNS includes the Namecheap-accident nameservers in the
 	// analyses instead of excluding them as the paper does.
 	KeepAccidentNS bool
-	// Reingest rebuilds the zone database by exporting the simulated
-	// world's daily snapshots and feeding them back through the
-	// snapshot differ before detection — the exact pipeline a
-	// zone-file-based deployment runs.
-	Reingest bool
-	// StrictIngest aborts the re-ingest on the first invalid snapshot;
-	// by default invalid snapshots are quarantined (degraded mode) and
-	// reported in Study.Quarantine.
-	StrictIngest bool
-	// MaxQuarantine bounds degraded-mode quarantining (0 = unlimited).
-	MaxQuarantine int
-	// IngestWorkers, when > 1, shards the re-ingest across that many
-	// zone-affine workers (zonedb.Ingester.Workers). The resulting
-	// database is identical to a serial re-ingest.
-	IngestWorkers int
-	// Obs, when set, receives ingest metrics from the re-ingest.
-	Obs *obs.Registry
 }
 
-// Study bundles the outcome of a full pipeline run.
+// Study bundles the outcome of a full pipeline run, over simulated or
+// loaded data alike.
 type Study struct {
-	World    *sim.World
+	// World is the simulated ecosystem, or nil when the data was loaded
+	// (LoadContext).
+	World *sim.World
+	// DB, WHOIS and Exclude are the data the analysis ran on: the zone
+	// database, the WHOIS history, and the nameservers left out of the
+	// analyses (the Namecheap-accident nameservers, unless
+	// Options.KeepAccidentNS).
+	DB       *zonedb.DB
+	WHOIS    *whois.History
+	Exclude  []dnsname.Name
 	Result   *detect.Result
 	Analysis *analysis.Analysis
-	// DB is the zone database detection ran over: the world's live DB,
-	// or the re-ingested one when Options.Reingest was set.
-	DB *zonedb.DB
-	// Quarantine reports snapshots skipped by a degraded re-ingest.
-	Quarantine zonedb.QuarantineReport
 	// Window is the paper's measurement window (Apr 2011 - Sep 2020).
 	Window dates.Range
 }
 
 // RunContext simulates the ecosystem, runs detection, and prepares the
-// analyses. The pipeline's phases (world build, simulate, re-ingest,
-// detect, analysis) are journaled as child spans of the trace carried
-// by ctx, if any.
+// analyses. The pipeline's phases (world build, simulate, detect,
+// analysis) are journaled as child spans of the trace carried by ctx, if
+// any.
 func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	if opts.DomainsPerDay <= 0 {
 		opts.DomainsPerDay = 10
@@ -136,88 +130,36 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("riskybiz: simulating: %w", err)
 	}
-	db := world.ZoneDB()
-	var quarantine zonedb.QuarantineReport
-	if opts.Reingest {
-		_, rsp := trace.Start(ctx, "zonedb.reingest")
-		reingested, report, err := reingest(world, opts)
-		rsp.SetError(err)
-		rsp.End()
-		if err != nil {
-			return nil, err
-		}
-		db, quarantine = reingested, report
+	st := &Study{World: world, DB: world.ZoneDB(), WHOIS: world.WHOIS()}
+	if !opts.KeepAccidentNS {
+		st.Exclude = world.Truth().AccidentNS
 	}
-	det := &detect.Detector{
-		DB:    db,
-		WHOIS: world.WHOIS(),
-		Dir:   world.Directory(),
-		Cfg:   opts.Detector,
-	}
-	result := det.RunContext(ctx)
+	st.analyze(ctx, world.Directory(), opts.Detector)
+	return st, nil
+}
 
-	window := dates.NewRange(sim.WindowStart, sim.WindowEnd)
-	excludeNS := world.Truth().AccidentNS
-	if opts.KeepAccidentNS {
-		excludeNS = nil
-	}
+// analyze runs detection over the study's data and prepares the
+// analyses over the paper's window.
+func (st *Study) analyze(ctx context.Context, dir *registry.Directory, cfg detect.Config) {
+	det := &detect.Detector{DB: st.DB, WHOIS: st.WHOIS, Dir: dir, Cfg: cfg}
+	st.Result = det.RunContext(ctx)
+	st.Window = dates.NewRange(sim.WindowStart, sim.WindowEnd)
 	_, asp := trace.Start(ctx, "analysis.build")
-	an := analysis.New(result, db, window, excludeNS).WithWHOIS(world.WHOIS())
+	st.Analysis = analysis.New(st.Result, st.DB, st.Window, st.Exclude).WithWHOIS(st.WHOIS)
 	asp.End()
-	return &Study{World: world, Result: result, Analysis: an,
-		DB: db, Quarantine: quarantine, Window: window}, nil
 }
 
-// reingest exports the world's daily zone snapshots and rebuilds the
-// database through the snapshot differ, honouring the fault-tolerance
-// options. IngestWorkers <= 1 is the ingester's serial path.
-func reingest(world *sim.World, opts Options) (*zonedb.DB, zonedb.QuarantineReport, error) {
-	src := world.ZoneDB().View()
-	ing := zonedb.NewIngester()
-	ing.Degraded = !opts.StrictIngest
-	ing.MaxQuarantine = opts.MaxQuarantine
-	ing.Obs = opts.Obs
-	ing.Workers = opts.IngestWorkers
-	cfg := world.Config()
-	err := ing.IngestAll(&snapshotWalker{
-		view: src, zones: src.Zones(), start: cfg.Start, end: cfg.End,
+// PrintArtifacts renders the tables and figures named in only (every one
+// when only is empty) to w, as CSV when csv is set. The §4 accident
+// report counts the study's excluded nameservers, and "residual at end
+// of data" is read on the day the zone data was sealed.
+func (st *Study) PrintArtifacts(w io.Writer, only []string, csv bool) {
+	report.PrintArtifacts(w, st.Analysis, st.Result, report.ArtifactOptions{
+		Only:            only,
+		CSV:             csv,
+		NotificationDay: sim.NotificationDay,
+		FollowupDay:     sim.FollowupDay,
+		AccidentNS:      st.Exclude,
+		EndOfData:       st.DB.View().CloseDay(),
 	})
-	if err != nil {
-		return nil, zonedb.QuarantineReport{}, fmt.Errorf("riskybiz: reingest: %w", err)
-	}
-	return ing.Finish(), ing.Quarantine(), nil
-}
-
-// snapshotWalker streams a simulated world's daily snapshots zone-outer,
-// day-inner (the differ only needs per-zone chronology) without
-// materializing them all up front.
-type snapshotWalker struct {
-	view       *zonedb.View
-	zones      []dnsname.Name
-	start, end dates.Day
-
-	started bool
-	zi      int
-	day     dates.Day
-}
-
-// Next implements zonedb.SnapshotSource.
-func (s *snapshotWalker) Next() (*dnszone.Snapshot, string, error) {
-	if !s.started {
-		s.started = true
-		s.day = s.start
-	}
-	for {
-		if s.zi >= len(s.zones) {
-			return nil, "", io.EOF
-		}
-		if s.day > s.end {
-			s.zi++
-			s.day = s.start
-			continue
-		}
-		zone, day := s.zones[s.zi], s.day
-		s.day++
-		return s.view.SnapshotOn(zone, day), fmt.Sprintf("%s@%s", zone, day), nil
-	}
 }

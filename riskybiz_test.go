@@ -347,38 +347,6 @@ func TestRunOptionDefaults(t *testing.T) {
 	}
 }
 
-// TestRunContextParallelMatchesSerial drives the facade's one re-ingest
-// path at both ends of its worker setting: a study re-ingested by four
-// zone-affine workers and extracted by eight must carry the detection
-// funnel and sacrificial set of the serial one, exactly. (A tenth of a
-// domain a day: a re-ingest rebuilds every zone-day's snapshot from the
-// whole database, ~40 s a study at one domain a day.)
-func TestRunContextParallelMatchesSerial(t *testing.T) {
-	opts := Options{Seed: 1, DomainsPerDay: 0.1, Reingest: true, StrictIngest: true}
-	serial, err := RunContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.IngestWorkers = 4
-	opts.Detector.Workers = 8
-	par, err := RunContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Result.Funnel.Sacrificial == 0 {
-		t.Fatal("serial study detected nothing")
-	}
-	if par.Result.Funnel != serial.Result.Funnel {
-		t.Fatalf("funnel differs: %+v vs %+v", par.Result.Funnel, serial.Result.Funnel)
-	}
-	for i, s := range serial.Result.Sacrificial {
-		p := par.Result.Sacrificial[i]
-		if p.NS != s.NS || p.Idiom != s.Idiom || p.HijackedOn != s.HijackedOn {
-			t.Fatalf("record %d differs: %+v vs %+v", i, p, s)
-		}
-	}
-}
-
 func TestRemediationAttribution(t *testing.T) {
 	rows := sharedStudy(t).Analysis.RemediationAttribution(sim.NotificationDay, sim.FollowupDay)
 	if len(rows) == 0 {
