@@ -382,8 +382,10 @@ func (w *watcher) onApplied(ctx context.Context, day, closeDay dates.Day, alerts
 	}
 }
 
-// checkpoint writes the engine state atomically (temp file + rename).
-// Unless forced it is a no-op before the interval has elapsed.
+// checkpoint writes the engine state durably and atomically (temp file,
+// fsync, rename, directory fsync), so a crash leaves the previous
+// checkpoint or the new one, never an empty file the next start cannot
+// restore. Unless forced it is a no-op before the interval has elapsed.
 func (w *watcher) checkpoint(force bool) error {
 	if w.ckptPath == "" {
 		return nil
@@ -392,21 +394,7 @@ func (w *watcher) checkpoint(force bool) error {
 	if !force && time.Since(last) < w.ckptIvl {
 		return nil
 	}
-	tmp := w.ckptPath + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := w.engine.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.ckptPath); err != nil {
+	if err := segment.WriteAtomic(w.ckptPath, w.engine.Save); err != nil {
 		return err
 	}
 	w.lastCkpt.Store(time.Now().UnixNano())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -157,13 +158,22 @@ func errorFromResponse(resp *http.Response) error {
 }
 
 // parseRetryAfter reads backoff guidance from a Retry-After header,
-// in either delta-seconds or HTTP-date form.
+// in either delta-seconds or HTTP-date form. A number of seconds past
+// what a Duration holds saturates rather than wrapping negative, which
+// would read as no guidance at all; the caller caps the wait anyway.
 func parseRetryAfter(resp *http.Response) time.Duration {
 	raw := resp.Header.Get("Retry-After")
 	if raw == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(raw); err == nil && secs >= 0 {
+	secs, err := strconv.ParseInt(raw, 10, 64)
+	if errors.Is(err, strconv.ErrRange) && secs > 0 {
+		err = nil // ParseInt saturated at MaxInt64
+	}
+	if err == nil && secs >= 0 {
+		if secs > int64(math.MaxInt64/time.Second) {
+			return math.MaxInt64
+		}
 		return time.Duration(secs) * time.Second
 	}
 	if t, err := http.ParseTime(raw); err == nil {

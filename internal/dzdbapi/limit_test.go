@@ -2,6 +2,7 @@ package dzdbapi
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -217,6 +218,30 @@ func TestParseRetryAfter(t *testing.T) {
 	if got := parseRetryAfter(mk("garbage")); got != 0 {
 		t.Errorf("garbage = %s", got)
 	}
+	// Seconds past what a Duration holds saturate instead of wrapping:
+	// 9223372037 s once read as -2562047h, 18446744073 s as -709ms.
+	for _, v := range []string{"9223372037", "18446744073", "99999999999999999999999"} {
+		if got := parseRetryAfter(mk(v)); got != math.MaxInt64 {
+			t.Errorf("%s seconds = %s, want the largest Duration", v, got)
+		}
+	}
+	if got := parseRetryAfter(mk("-5")); got != 0 {
+		t.Errorf("negative = %s", got)
+	}
+}
+
+// FuzzParseRetryAfter: no header value yields a negative wait.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, v := range []string{"7", "", "garbage", "-1", "9223372037", "18446744073",
+		"99999999999999999999", "Wed, 21 Oct 2015 07:28:00 GMT", "Fri, 31 Dec 9999 23:59:59 GMT"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		resp := &http.Response{Header: http.Header{"Retry-After": {v}}}
+		if got := parseRetryAfter(resp); got < 0 {
+			t.Fatalf("Retry-After %q = %s", v, got)
+		}
+	})
 }
 
 // TestPushExemptFromInflightCap: a long-poll connection does not

@@ -49,6 +49,31 @@ func get(t *testing.T, url string, hdr ...string) *http.Response {
 	return resp
 }
 
+// FuzzETagMatch: no If-None-Match value makes etagMatch panic, and one
+// that lists the validator — strong or weak, anywhere in the list —
+// always matches it.
+func FuzzETagMatch(f *testing.F) {
+	f.Add(uint64(1), "/v1/stats", "")
+	f.Add(uint64(7), "/v1/zones?limit=1", `"e6-0000000000000000", W/"x"`)
+	f.Add(uint64(0), "", `*`)
+	f.Add(uint64(1<<63), "k", `,, W/ ,"`)
+	f.Fuzz(func(t *testing.T, epoch uint64, key, other string) {
+		etag := makeETag(epoch, key)
+		etagMatch(other, etag)
+		for _, header := range []string{
+			etag,
+			"W/" + etag,
+			other + "," + etag,
+			etag + " , " + other,
+			other + ", W/" + etag + "," + other,
+		} {
+			if !etagMatch(header, etag) {
+				t.Fatalf("If-None-Match %q does not match %s", header, etag)
+			}
+		}
+	})
+}
+
 // TestETagStableWithinEpoch pins the validator's determinism: the same
 // (epoch, route, params) always yields the same strong ETag, parameter
 // order does not split it, and different params get different tags.

@@ -232,13 +232,13 @@ func (k kind) String() string {
 // family is one named metric with a fixed label schema and one child
 // per label-value combination.
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	labels  []string
-	bounds  []float64 // histograms only
-	mu      sync.RWMutex
-	child   map[string]any // joined label values -> *Counter/*Gauge/*Histogram
+	name   string
+	help   string
+	kind   kind
+	labels []string
+	bounds []float64 // histograms only
+	mu     sync.RWMutex
+	child  map[string]any // joined label values -> *Counter/*Gauge/*Histogram
 }
 
 func (f *family) get(values []string) any {

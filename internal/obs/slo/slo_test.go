@@ -79,11 +79,11 @@ func TestGoodCount(t *testing.T) {
 		threshold float64
 		want      uint64
 	}{
-		{0.25, 8},  // exact bound: buckets <= 0.25
-		{0.5, 10},  // straddles (0.25,1]: whole bucket rounds up to good
-		{0.05, 5},  // straddles (0,0.1]
-		{2, 10},    // all finite buckets good; overflow is always bad
-		{0.1, 5},   // exact first bound
+		{0.25, 8}, // exact bound: buckets <= 0.25
+		{0.5, 10}, // straddles (0.25,1]: whole bucket rounds up to good
+		{0.05, 5}, // straddles (0,0.1]
+		{2, 10},   // all finite buckets good; overflow is always bad
+		{0.1, 5},  // exact first bound
 	} {
 		if got := GoodCount(s, tc.threshold); got != tc.want {
 			t.Errorf("GoodCount(%v) = %d, want %d", tc.threshold, got, tc.want)

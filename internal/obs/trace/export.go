@@ -86,8 +86,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		events = append(events, chromeEvent{
 			Name: rec.Name, Ph: "X", PID: 1, TID: tid,
-			TS:  float64(rec.Start.UnixNano()) / 1e3,
-			Dur: float64(rec.Duration.Nanoseconds()) / 1e3,
+			TS:   float64(rec.Start.UnixNano()) / 1e3,
+			Dur:  float64(rec.Duration.Nanoseconds()) / 1e3,
 			Args: args,
 		})
 	}

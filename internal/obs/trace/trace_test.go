@@ -119,7 +119,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"",
 		"garbage",
 		"00-abc-def-01",
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // version ff forbidden
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // version ff forbidden
 		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace ID
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span ID
 		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01", // uppercase (spec: lowercase)

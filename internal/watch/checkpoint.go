@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/dates"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/registry"
 	"repro/internal/whois"
+	"repro/internal/zonedb"
 )
 
 // checkpointVersion guards the serialized layout. Bump on any change to
@@ -65,25 +67,29 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		Seq:     e.seq,
 		Funnel:  e.funnel,
 	}
-	cp.Glue = sortedNames(e.glue)
-	cp.Domains = sortedNames(e.doms)
-	for dom, set := range e.active {
-		for ns := range set {
-			cp.Edges = append(cp.Edges, edgeRec{Domain: dom, NS: ns})
+	for i := range e.recs {
+		r := &e.recs[i]
+		if r.glue {
+			cp.Glue = append(cp.Glue, r.name)
+		}
+		if r.reg {
+			cp.Domains = append(cp.Domains, r.name)
+		}
+		for _, ns := range r.ns {
+			cp.Edges = append(cp.Edges, edgeRec{Domain: r.name, NS: e.recs[ns].name})
+		}
+		if r.first != dates.None {
+			cp.Seen = append(cp.Seen, seenRec{NS: r.name, First: r.first})
 		}
 	}
-	sort.Slice(cp.Edges, func(i, j int) bool {
-		if cp.Edges[i].Domain != cp.Edges[j].Domain {
-			return cp.Edges[i].Domain < cp.Edges[j].Domain
-		}
-		return cp.Edges[i].NS < cp.Edges[j].NS
+	slices.Sort(cp.Glue)
+	slices.Sort(cp.Domains)
+	slices.SortFunc(cp.Edges, func(a, b edgeRec) int {
+		return zonedb.CompareEdges(zonedb.Edge(a), zonedb.Edge(b))
 	})
-	for ns, first := range e.seen {
-		cp.Seen = append(cp.Seen, seenRec{NS: ns, First: first})
-	}
-	sort.Slice(cp.Seen, func(i, j int) bool { return cp.Seen[i].NS < cp.Seen[j].NS })
-	for _, st := range e.cand {
-		cp.Cands = append(cp.Cands, st.clone())
+	slices.SortFunc(cp.Seen, func(a, b seenRec) int { return dnsname.Compare(a.NS, b.NS) })
+	for _, id := range e.cands {
+		cp.Cands = append(cp.Cands, e.recs[id].cand.clone())
 	}
 	sort.Slice(cp.Cands, func(i, j int) bool { return cp.Cands[i].NS < cp.Cands[j].NS })
 	return cp
@@ -104,7 +110,12 @@ func (e *Engine) Save(w io.Writer) error { return e.Checkpoint().Save(w) }
 // from the candidate records, so a checkpoint that names no candidate,
 // names one twice, gives one a phase outside the four the engine uses,
 // or a null span set is refused: any of them would crash the engine or
-// let one registration raise two hijack alerts.
+// let one registration raise two hijack alerts. The engine keeps one
+// record per name, so a glue host, domain, edge or seen nameserver listed
+// twice is refused too, as are a seen nameserver with no first day and
+// an edge to a nameserver never seen: no engine saves those, and the last
+// would let a nameserver's id be recycled while a domain still delegates
+// to it.
 func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, error) {
 	var cp Checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
@@ -118,27 +129,46 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 	e.seq = cp.Seq
 	e.funnel = cp.Funnel
 	for _, h := range cp.Glue {
-		e.glue[h] = true
+		id := e.intern(h)
+		if e.recs[id].glue {
+			return nil, fmt.Errorf("watch: checkpoint lists glue for %s twice", h)
+		}
+		e.recs[id].glue = true
 	}
 	for _, d := range cp.Domains {
-		e.doms[d] = true
-	}
-	for _, ed := range cp.Edges {
-		set := e.active[ed.Domain]
-		if set == nil {
-			set = make(map[dnsname.Name]bool)
-			e.active[ed.Domain] = set
+		id := e.intern(d)
+		if e.recs[id].reg {
+			return nil, fmt.Errorf("watch: checkpoint lists domain %s twice", d)
 		}
-		set[ed.NS] = true
+		e.recs[id].reg = true
 	}
 	for _, s := range cp.Seen {
-		e.seen[s.NS] = s.First
+		if s.First == dates.None {
+			return nil, fmt.Errorf("watch: checkpoint has no first day for nameserver %s", s.NS)
+		}
+		id := e.intern(s.NS)
+		if e.recs[id].first != dates.None {
+			return nil, fmt.Errorf("watch: checkpoint lists nameserver %s as seen twice", s.NS)
+		}
+		e.recs[id].first = s.First
+	}
+	for _, ed := range cp.Edges {
+		nsID, ns := e.lookup(ed.NS)
+		if ns == nil || ns.first == dates.None {
+			return nil, fmt.Errorf("watch: checkpoint delegates %s to %s, a nameserver it never saw", ed.Domain, ed.NS)
+		}
+		domID := e.intern(ed.Domain)
+		dom := &e.recs[domID]
+		if slices.Contains(dom.ns, nsID) {
+			return nil, fmt.Errorf("watch: checkpoint lists edge %s -> %s twice", ed.Domain, ed.NS)
+		}
+		dom.ns = append(dom.ns, nsID)
 	}
 	for i, st := range cp.Cands {
 		switch {
 		case st == nil || st.NS == "":
 			return nil, fmt.Errorf("watch: checkpoint candidate %d has no name", i)
-		case e.cand[st.NS] != nil:
+		case e.candidate(st.NS) != nil:
 			return nil, fmt.Errorf("watch: checkpoint lists candidate %s twice", st.NS)
 		case st.Phase < detect.OutUnclassified || st.Phase > detect.OutSacrificial:
 			return nil, fmt.Errorf("watch: checkpoint candidate %s has unknown phase %d", st.NS, st.Phase)
@@ -148,7 +178,9 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 				return nil, fmt.Errorf("watch: checkpoint candidate %s has no spans for %s", st.NS, dom)
 			}
 		}
-		e.cand[st.NS] = st
+		id := e.intern(st.NS)
+		e.recs[id].cand = st
+		e.cands = append(e.cands, id)
 		if st.Phase == detect.OutSacrificial && st.Class == idioms.Hijackable &&
 			!st.Collision && st.RegDomain != "" && st.HijackedOn == dates.None {
 			e.regWatch[st.RegDomain] = append(e.regWatch[st.RegDomain], st.NS)
@@ -180,16 +212,4 @@ func (st *nsState) clone() *nsState {
 		}
 	}
 	return &out
-}
-
-func sortedNames(m map[dnsname.Name]bool) []dnsname.Name {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]dnsname.Name, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -3,6 +3,7 @@ package watch
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,18 +70,25 @@ func TestRestoreRefusals(t *testing.T) {
 	if err := json.Unmarshal(good, &cp); err != nil {
 		t.Fatal(err)
 	}
-	edit := func(fn func(cands []*nsState) []*nsState) []byte {
+	editState := func(fn func(c *Checkpoint)) []byte {
 		c := cp
-		var cands []*nsState
+		c.Glue = slices.Clone(cp.Glue)
+		c.Domains = slices.Clone(cp.Domains)
+		c.Edges = slices.Clone(cp.Edges)
+		c.Seen = slices.Clone(cp.Seen)
+		c.Cands = nil
 		for _, st := range cp.Cands {
-			cands = append(cands, st.clone())
+			c.Cands = append(c.Cands, st.clone())
 		}
-		c.Cands = fn(cands)
+		fn(&c)
 		var buf bytes.Buffer
 		if err := c.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
+	}
+	edit := func(fn func(cands []*nsState) []*nsState) []byte {
+		return editState(func(c *Checkpoint) { c.Cands = fn(c.Cands) })
 	}
 	sacrificial := func(cands []*nsState) *nsState {
 		for _, st := range cands {
@@ -114,6 +122,26 @@ func TestRestoreRefusals(t *testing.T) {
 			sacrificial(c).span("shop.org")
 			return c
 		})), `"shop.org": []`, `"shop.org": null`, 1))},
+		// The engine keeps one record per name, where the checkpoint's
+		// lists used to fill maps that collapsed a repeat silently.
+		{"duplicate glue", "glue for ns1.victim.com twice", editState(func(c *Checkpoint) {
+			c.Glue = append(c.Glue, "ns1.victim.com", "ns1.victim.com")
+		})},
+		{"duplicate domain", "domain shop.org twice", editState(func(c *Checkpoint) {
+			c.Domains = append(c.Domains, c.Domains...)
+		})},
+		{"duplicate edge", "edge shop.org -> ns1.victim123.biz twice", editState(func(c *Checkpoint) {
+			c.Edges = append(c.Edges, c.Edges...)
+		})},
+		{"duplicate seen", "seen twice", editState(func(c *Checkpoint) {
+			c.Seen = append(c.Seen, c.Seen[0])
+		})},
+		{"seen with no day", "no first day", editState(func(c *Checkpoint) {
+			c.Seen[0].First = dates.None
+		})},
+		{"edge to a nameserver never seen", "never saw", editState(func(c *Checkpoint) {
+			c.Seen = nil
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Restore(bytes.NewReader(tc.ckpt), wh, dir)

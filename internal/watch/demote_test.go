@@ -34,9 +34,9 @@ func TestDemotionAndHijack(t *testing.T) {
 	acmeSac := dnsname.MustParse("ns1.acme123.biz")
 
 	d0 := dates.FromYMD(2020, 1, 1)
-	rename := d0.Add(9)    // both domains renamed away on day 10
-	violate := d0.Add(19)  // victim's sacrificial gains a .us delegation
-	hijack := d0.Add(29)   // acme's sacrificial domain gets registered
+	rename := d0.Add(9)   // both domains renamed away on day 10
+	violate := d0.Add(19) // victim's sacrificial gains a .us delegation
+	hijack := d0.Add(29)  // acme's sacrificial domain gets registered
 	closeAt := d0.Add(39)
 
 	db := zonedb.New()

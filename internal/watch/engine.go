@@ -22,6 +22,11 @@
 // candidates when the violating edge arrives and emits a "retracted"
 // alert, so the final state still converges to the batch verdict.
 //
+// The day state is kept on interned ids — one table from name to id and
+// one record per name — and a name's id is recycled once it carries no
+// state, so the engine's memory is bounded by the names live today, plus
+// every nameserver ever seen, plus the candidates.
+//
 // The engine's state is serializable: Checkpoint/Restore round-trips
 // the whole machine through JSON so a killed watcher resumes exactly
 // where it stopped, without replaying history.
@@ -30,6 +35,7 @@ package watch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dates"
@@ -40,6 +46,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/resolve"
 	"repro/internal/whois"
+	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
 )
 
@@ -121,22 +128,57 @@ func (st *nsState) numDomains() int {
 
 // Engine is the incremental detector. It is not safe for concurrent
 // use; one goroutine owns it (the daemon's apply loop).
+//
+// ids maps each name that carries state to its record in recs, and a
+// record gives its id to free the moment it carries none (the package
+// comment states the memory bound this gives). A day's delta costs one
+// hash per name it mentions and allocates no maps.
 type Engine struct {
 	rules detect.Rules
 	chase resolve.Chase
 
-	// Day-d active state, maintained by applying adds and removes.
-	glue   map[dnsname.Name]bool                  // hosts with glue today
-	doms   map[dnsname.Name]bool                  // domains registered today
-	active map[dnsname.Name]map[dnsname.Name]bool // domain -> active NS set
+	ids   map[dnsname.Name]int32
+	recs  []rec
+	free  []int32
+	cands []int32 // every id with a candidate record, so Result is O(candidates)
 
-	seen     map[dnsname.Name]dates.Day      // every NS ever delegated to -> first day
-	cand     map[dnsname.Name]*nsState       // unresolvable-at-first-reference candidates
 	regWatch map[dnsname.Name][]dnsname.Name // registrable domain -> hijackable NS watching it
+
+	// Scratch reused across days: the first-day delegations of new
+	// nameservers, the candidates a day extended, and the evidence handed
+	// to the rules.
+	fresh   []dayEdge
+	touched []int32
+	ev      firstDay
 
 	funnel detect.Funnel
 	last   dates.Day
 	seq    uint64
+}
+
+// rec is everything the engine knows about one name on the current day.
+// A name can play every role at once (a registered domain that is also a
+// nameserver with glue), so the roles share one record.
+type rec struct {
+	name  dnsname.Name
+	ns    []int32   // nameservers this domain delegates to today
+	cand  *nsState  // the candidate record, for a name classified on its first day
+	first dates.Day // first day delegated to as a nameserver; dates.None if never
+	glue  bool      // host with glue today
+	reg   bool      // domain registered today
+}
+
+// idle reports whether the record carries no state, so its id can go.
+// Every active delegation's nameserver has a first day, so an idle
+// record is referenced from no other record either.
+func (r *rec) idle() bool {
+	return r.first == dates.None && r.cand == nil && !r.glue && !r.reg && len(r.ns) == 0
+}
+
+// dayEdge is a delegation added on its nameserver's first day.
+type dayEdge struct {
+	id      int32
+	ns, dom dnsname.Name
 }
 
 // New returns an empty engine sharing the batch detector's side inputs:
@@ -144,14 +186,57 @@ type Engine struct {
 func New(wh *whois.History, dir *registry.Directory) *Engine {
 	return &Engine{
 		rules:    detect.Rules{WHOIS: wh, Dir: dir},
-		glue:     make(map[dnsname.Name]bool),
-		doms:     make(map[dnsname.Name]bool),
-		active:   make(map[dnsname.Name]map[dnsname.Name]bool),
-		seen:     make(map[dnsname.Name]dates.Day),
-		cand:     make(map[dnsname.Name]*nsState),
+		ids:      make(map[dnsname.Name]int32),
 		regWatch: make(map[dnsname.Name][]dnsname.Name),
 		last:     dates.None,
 	}
+}
+
+// intern returns name's id, giving it a record if it has none.
+func (e *Engine) intern(name dnsname.Name) int32 {
+	if id, ok := e.ids[name]; ok {
+		return id
+	}
+	var id int32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.recs[id].name = name
+	} else {
+		id = int32(len(e.recs))
+		e.recs = append(e.recs, rec{name: name, first: dates.None})
+	}
+	e.ids[name] = id
+	return id
+}
+
+// lookup returns name's record, or nil if it carries no state.
+func (e *Engine) lookup(name dnsname.Name) (int32, *rec) {
+	id, ok := e.ids[name]
+	if !ok {
+		return -1, nil
+	}
+	return id, &e.recs[id]
+}
+
+// candidate returns name's candidate record, or nil.
+func (e *Engine) candidate(name dnsname.Name) *nsState {
+	if _, r := e.lookup(name); r != nil {
+		return r.cand
+	}
+	return nil
+}
+
+// release recycles id if its record no longer carries any state. The
+// record keeps its delegation slice's capacity for the next name.
+func (e *Engine) release(id int32) {
+	r := &e.recs[id]
+	if !r.idle() {
+		return
+	}
+	delete(e.ids, r.name)
+	*r = rec{ns: r.ns[:0], first: dates.None}
+	e.free = append(e.free, id)
 }
 
 // LastDay returns the last applied day, or dates.None before the first
@@ -168,7 +253,11 @@ func (e *Engine) Funnel() detect.Funnel { return e.funnel }
 // ApplyDay advances the engine by one day. Days must be applied in
 // strictly increasing order; gaps are fine (a skipped day is implicitly
 // quiet). A day at or before LastDay returns ErrStale and changes
-// nothing, which is what makes restart-and-rewind safe.
+// nothing, which is what makes restart-and-rewind safe. A day whose
+// EdgesRemoved is not in DayDelta.Sort order is refused the same way:
+// the original-nameserver evidence is found in it by binary search, and
+// the day may be shared with other readers, so the engine will not sort
+// it in place.
 func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	day := dd.Day
 	if day == dates.None {
@@ -177,21 +266,35 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	if e.last != dates.None && day <= e.last {
 		return nil, fmt.Errorf("%w: day %s, engine at %s", ErrStale, day, e.last)
 	}
+	if !slices.IsSortedFunc(dd.EdgesRemoved, zonedb.CompareEdges) {
+		return nil, fmt.Errorf("watch: day %s: removed edges not sorted by domain, then nameserver", day)
+	}
 	var alerts []Alert
 
-	// 1. Delegation removals: update the active sets, seal open spans of
-	// tracked candidates, and remember which edges ended yesterday — the
-	// original-nameserver match below needs exactly those.
-	removedToday := make(map[dnsname.Name][]dnsname.Name)
-	for _, ed := range dd.EdgesRemoved {
-		if set := e.active[ed.Domain]; set != nil {
-			delete(set, ed.NS)
-			if len(set) == 0 {
-				delete(e.active, ed.Domain)
+	// 1. Delegation removals: update the active sets and seal open spans
+	// of tracked candidates. The edges removed today stay in dd, where
+	// the original-nameserver match below looks them up. A domain's
+	// edges are adjacent, so it is looked up once for all of them (a
+	// record released meanwhile has no delegations left to remove).
+	domID := int32(-1)
+	for i, ed := range dd.EdgesRemoved {
+		if i == 0 || ed.Domain != dd.EdgesRemoved[i-1].Domain {
+			domID, _ = e.lookup(ed.Domain)
+		}
+		nsID, ns := e.lookup(ed.NS)
+		if ns == nil {
+			continue // never delegated to: neither active nor a candidate
+		}
+		if domID >= 0 {
+			dom := &e.recs[domID]
+			if j := slices.Index(dom.ns, nsID); j >= 0 {
+				last := len(dom.ns) - 1
+				dom.ns[j] = dom.ns[last]
+				dom.ns = dom.ns[:last]
+				e.release(domID)
 			}
 		}
-		removedToday[ed.Domain] = append(removedToday[ed.Domain], ed.NS)
-		if st := e.cand[ed.NS]; st != nil && st.tracked() {
+		if st := e.recs[nsID].cand; st != nil && st.tracked() {
 			if open, ok := st.Open[ed.Domain]; ok {
 				st.span(ed.Domain).Add(dates.NewRange(open, day-1))
 				delete(st.Open, ed.Domain)
@@ -202,27 +305,26 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// 2. Delegation additions: update active sets, note first
 	// appearances, and extend tracked candidates (new operators may
 	// trigger a single-repo demotion in step 6).
-	var newNS []dnsname.Name
-	newEdges := make(map[dnsname.Name][]dnsname.Name) // new NS -> today's domains
-	var touched []dnsname.Name
-	for _, ed := range dd.EdgesAdded {
-		set := e.active[ed.Domain]
-		if set == nil {
-			set = make(map[dnsname.Name]bool)
-			e.active[ed.Domain] = set
+	e.fresh, e.touched = e.fresh[:0], e.touched[:0]
+	for i, ed := range dd.EdgesAdded {
+		if i == 0 || ed.Domain != dd.EdgesAdded[i-1].Domain {
+			domID = e.intern(ed.Domain)
 		}
-		set[ed.NS] = true
-		if _, ok := e.seen[ed.NS]; !ok {
-			e.seen[ed.NS] = day
+		nsID := e.intern(ed.NS)
+		if dom := &e.recs[domID]; !slices.Contains(dom.ns, nsID) {
+			dom.ns = append(dom.ns, nsID)
+		}
+		ns := &e.recs[nsID]
+		if ns.first == dates.None {
+			ns.first = day
 			e.funnel.TotalNameservers++
-			newNS = append(newNS, ed.NS)
 		}
-		if e.seen[ed.NS] == day {
+		if ns.first == day {
 			// First-day delegations feed classification in step 5.
-			newEdges[ed.NS] = append(newEdges[ed.NS], ed.Domain)
+			e.fresh = append(e.fresh, dayEdge{id: nsID, ns: ed.NS, dom: ed.Domain})
 			continue
 		}
-		if st := e.cand[ed.NS]; st != nil && st.tracked() {
+		if st := ns.cand; st != nil && st.tracked() {
 			if st.Open == nil {
 				st.Open = make(map[dnsname.Name]dates.Day)
 			}
@@ -233,7 +335,7 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 				}
 				st.Operators[op] = true
 			}
-			touched = append(touched, ed.NS)
+			e.touched = append(e.touched, nsID)
 		}
 	}
 
@@ -242,10 +344,11 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// watchers were all registered on earlier days (a same-day
 	// registration is a collision, handled at classification).
 	for _, dom := range dd.DomainsAdded {
-		e.doms[dom] = true
+		id := e.intern(dom) // may grow recs: index it afterwards
+		e.recs[id].reg = true
 		if watchers := e.regWatch[dom]; len(watchers) > 0 {
 			for _, ns := range watchers {
-				st := e.cand[ns]
+				st := e.candidate(ns)
 				st.HijackedOn = day
 				alerts = append(alerts, e.alert(Alert{
 					Type: AlertHijacked, Day: day, NS: ns,
@@ -258,28 +361,48 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 		}
 	}
 	for _, dom := range dd.DomainsRemoved {
-		delete(e.doms, dom)
+		if id, r := e.lookup(dom); r != nil {
+			r.reg = false
+			e.release(id)
+		}
 	}
 
 	// 4. Glue churn.
 	for _, h := range dd.GlueAdded {
-		e.glue[h] = true
+		id := e.intern(h)
+		e.recs[id].glue = true
 	}
 	for _, h := range dd.GlueRemoved {
-		delete(e.glue, h)
+		if id, r := e.lookup(h); r != nil {
+			r.glue = false
+			e.release(id)
+		}
 	}
 
 	// 5. Classify nameservers first delegated to today, in name order
 	// (the batch pipeline sorts candidates the same way). Resolvability
 	// is the chase resolve.Static.ResolvableOn(ns, today) runs on the
 	// sealed view, read off today's state instead of the view's spans.
-	sort.Slice(newNS, func(i, j int) bool { return newNS[i] < newNS[j] })
-	for _, ns := range newNS {
-		if e.chase.Resolvable((*today)(e), ns) {
+	// No verdict depends on the order of a nameserver's domains; sorting
+	// them too only makes the pass deterministic.
+	slices.SortFunc(e.fresh, func(a, b dayEdge) int {
+		if c := dnsname.Compare(a.ns, b.ns); c != 0 {
+			return c
+		}
+		return dnsname.Compare(a.dom, b.dom)
+	})
+	for i := 0; i < len(e.fresh); {
+		j := i + 1
+		for j < len(e.fresh) && e.fresh[j].id == e.fresh[i].id {
+			j++
+		}
+		edges := e.fresh[i:j]
+		i = j
+		if e.chase.Resolvable((*today)(e), edges[0].ns) {
 			continue
 		}
 		e.funnel.Candidates++
-		alerts = e.classify(ns, day, newEdges[ns], removedToday, alerts)
+		alerts = e.classify(edges, day, dd.EdgesRemoved, alerts)
 	}
 
 	// 6. Re-check the single-repository property of candidates that
@@ -287,14 +410,14 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// set only grows), and in the batch pipeline it is tested before the
 	// original-nameserver match — so an unclassified or original-matched
 	// candidate that now violates must demote to match the batch verdict.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	var prev dnsname.Name
-	for _, ns := range touched {
-		if ns == prev {
+	slices.SortFunc(e.touched, func(a, b int32) int { return dnsname.Compare(e.recs[a].name, e.recs[b].name) })
+	prev := int32(-1)
+	for _, id := range e.touched {
+		if id == prev {
 			continue
 		}
-		prev = ns
-		st := e.cand[ns]
+		prev = id
+		ns, st := e.recs[id].name, e.recs[id].cand
 		if !st.tracked() || !e.rules.ViolatesSingleRepo(ns, st.Operators) {
 			continue
 		}
@@ -322,17 +445,21 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	return alerts, nil
 }
 
-// classify gathers a new candidate's first-day evidence, runs detect's
-// rules on it, and starts the candidate's state machine from the
-// verdict.
-func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name, removedToday map[dnsname.Name][]dnsname.Name, alerts []Alert) []Alert {
-	ev := &firstDay{dir: e.rules.Dir, domains: domains}
-	for _, dom := range domains {
-		ev.dropped = append(ev.dropped, removedToday[dom]...)
-	}
-	v := e.rules.Classify(ns, day, ev)
+// classify gathers a new candidate's first-day evidence — its first-day
+// delegations, all to one nameserver, and the day's removed edges — runs
+// detect's rules on it, and starts the candidate's state machine from
+// the verdict.
+func (e *Engine) classify(edges []dayEdge, day dates.Day, removed []zonedb.Edge, alerts []Alert) []Alert {
+	id, ns := edges[0].id, edges[0].ns
+	e.ev = firstDay{dir: e.rules.Dir, edges: edges, removed: removed}
+	v := e.rules.Classify(ns, day, &e.ev)
+	ops := e.ev.ops
+	e.ev = firstDay{} // hold no reference to the day
 	st := &nsState{NS: ns, First: day, Phase: v.Outcome, HijackedOn: dates.None}
-	e.cand[ns] = st
+	if e.recs[id].cand == nil {
+		e.cands = append(e.cands, id)
+	}
+	e.recs[id].cand = st
 	switch v.Outcome {
 	case detect.OutTest:
 		e.funnel.TestNameservers++
@@ -345,11 +472,14 @@ func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name
 	// Every other verdict tracks the candidate's delegations, which its
 	// alerts and Result report, and their operators, by which a later
 	// edge can still demote it.
-	st.Operators = ev.Operators()
+	if ops == nil {
+		ops = operators(e.rules.Dir, edges)
+	}
+	st.Operators = ops
 	st.Domains = make(map[dnsname.Name]*interval.Set)
-	st.Open = make(map[dnsname.Name]dates.Day, len(domains))
-	for _, dom := range domains {
-		st.Open[dom] = day
+	st.Open = make(map[dnsname.Name]dates.Day, len(edges))
+	for _, ed := range edges {
+		st.Open[ed.dom] = day
 	}
 	if v.Outcome == detect.OutUnclassified {
 		e.funnel.Unclassified++
@@ -364,7 +494,7 @@ func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name
 	}
 	hijackable := false
 	if st.Class == idioms.Hijackable && st.RegDomain != "" {
-		if e.doms[st.RegDomain] {
+		if _, r := e.lookup(st.RegDomain); r != nil && r.reg {
 			st.Collision = true // already registered the day the name appeared
 		} else {
 			hijackable = true
@@ -383,13 +513,12 @@ func (e *Engine) classify(ns dnsname.Name, day dates.Day, domains []dnsname.Name
 // firstDay is a new candidate's detect.Evidence, read off the engine on
 // the candidate's first day. A span ending the day before, which the
 // batch rules look for on the view, is from the stream precisely an
-// edge removed today, so dropped holds today's removals from the
-// candidate's domains. (Copied out rather than read through the day's
-// map, which would then escape to the heap every day.)
+// edge removed today, so the nameservers a first-day domain dropped are
+// its run in the day's removed edges, which are sorted by domain.
 type firstDay struct {
 	dir     *registry.Directory
-	domains []dnsname.Name
-	dropped []dnsname.Name
+	edges   []dayEdge
+	removed []zonedb.Edge
 	ops     map[string]bool
 }
 
@@ -397,30 +526,45 @@ type firstDay struct {
 // classify without it.
 func (f *firstDay) Operators() map[string]bool {
 	if f.ops == nil {
-		f.ops = make(map[string]bool)
-		for _, dom := range f.domains {
-			if op := f.dir.OperatorOf(dom.TLD()); op != "" {
-				f.ops[op] = true
-			}
-		}
+		f.ops = operators(f.dir, f.edges)
 	}
 	return f.ops
 }
 
+func operators(dir *registry.Directory, edges []dayEdge) map[string]bool {
+	ops := make(map[string]bool)
+	for _, ed := range edges {
+		if op := dir.OperatorOf(ed.dom.TLD()); op != "" {
+			ops[op] = true
+		}
+	}
+	return ops
+}
+
 func (f *firstDay) EachDropped(fn func(prev dnsname.Name)) {
-	for _, prev := range f.dropped {
-		fn(prev)
+	for _, ed := range f.edges {
+		i, _ := slices.BinarySearchFunc(f.removed, ed.dom, func(r zonedb.Edge, dom dnsname.Name) int {
+			return dnsname.Compare(r.Domain, dom)
+		})
+		for ; i < len(f.removed) && f.removed[i].Domain == ed.dom; i++ {
+			fn(f.removed[i].NS)
+		}
 	}
 }
 
 // today is the engine's day state as the resolver chase reads it.
 type today Engine
 
-func (t *today) Glue(name dnsname.Name) bool { return t.glue[name] }
+func (t *today) Glue(name dnsname.Name) bool {
+	id, ok := t.ids[name]
+	return ok && t.recs[id].glue
+}
 
 func (t *today) AppendNS(buf []dnsname.Name, reg dnsname.Name) []dnsname.Name {
-	for ns := range t.active[reg] {
-		buf = append(buf, ns)
+	if id, ok := t.ids[reg]; ok {
+		for _, ns := range t.recs[id].ns {
+			buf = append(buf, t.recs[ns].name)
+		}
 	}
 	return buf
 }
@@ -472,7 +616,8 @@ func (st *nsState) span(dom dnsname.Name) *interval.Set {
 // view.
 func (e *Engine) Result() *detect.Result {
 	var sacs []detect.Sacrificial
-	for _, st := range e.cand {
+	for _, id := range e.cands {
+		st := e.recs[id].cand
 		if st.Phase != detect.OutSacrificial {
 			continue
 		}

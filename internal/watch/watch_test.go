@@ -3,6 +3,8 @@ package watch
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 
 // buildWorld simulates the standard ecosystem and returns it with its
 // sealed view and delta index.
-func buildWorld(t *testing.T, scale float64, seed int64) (*sim.World, *zonedb.View, *delta.Index) {
+func buildWorld(t testing.TB, scale float64, seed int64) (*sim.World, *zonedb.View, *delta.Index) {
 	t.Helper()
 	cfg := sim.DefaultConfig(scale)
 	cfg.Seed = seed
@@ -88,9 +90,27 @@ func diffResults(t *testing.T, batch, inc *detect.Result) {
 	}
 }
 
+// finalCheckpoints holds the SHA-256 of each seed's final Save bytes
+// after TestReplayEquivalence's full replay (scale 2). Result covers only
+// the candidates; these pin the rest of the engine's state too — glue,
+// registrations, active delegations and first-seen days — and the
+// checkpoint's byte layout. Any change to them is a change of verdict or
+// of format.
+var finalCheckpoints = map[int64]string{
+	1: "f9af28e6319bfcf4357071a1933d929bbc4e4e722ffdc46293e7b745ff7620c5",
+	2: "68dc4ded375e03266f3afe47e9cd59708985ffb72affd6786315c87263d5d003",
+	3: "8145be9f6e69ca706a0fb6ebf9fa3f55688cf42902b77604c64d91c5e471683b",
+	4: "8384dedf391d7d6d2a599bb38d27ca6ae32442422ea712dcdde3172ae350533b",
+	5: "237581a4a9da3c55e33429d1250d58d4025a21e8ebd0a96def78854d1aeed265",
+	6: "ba00c8ce74020b6d33a8255d77a65a1d9feb561808de77da2134fcd9eea13f73",
+	7: "895789f5ae04fecee97698ce4486de9f4f942d8171de016d171aaf33475c846c",
+	8: "e3823d415d0ac59f8cc8fcf46267ee9ed66bb4ace1bf88eb50b1a74237f5352e",
+}
+
 // TestReplayEquivalence replays the full simulated history through the
 // incremental engine and demands the exact batch Detector output: same
-// funnel, same sacrificial records, same per-domain delegation spans.
+// funnel, same sacrificial records, same per-domain delegation spans —
+// and a final checkpoint whose bytes hash to finalCheckpoints.
 // The sweep must draw every outcome the rules can reach — sink, marker
 // and original matches, test and single-repository eliminations,
 // unclassified candidates, hijacks — or it proves nothing about them.
@@ -111,6 +131,13 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Fatalf("engine at %s, close day %s", e.LastDay(), v.CloseDay())
 			}
 			diffResults(t, batch, e.Result())
+			var ckpt bytes.Buffer
+			if err := e.Save(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(ckpt.Bytes()); hex.EncodeToString(sum[:]) != finalCheckpoints[seed] {
+				t.Errorf("final checkpoint (%d bytes) sha256 %x, want %s", ckpt.Len(), sum, finalCheckpoints[seed])
+			}
 
 			// Alert-stream bookkeeping must reconcile with the funnel.
 			counts := map[string]int{}
@@ -193,11 +220,21 @@ func TestCheckpointRestoreMidHistory(t *testing.T) {
 	}
 	diffResults(t, full.Result(), e2.Result())
 
-	// A second checkpoint cycle at the very end must also round-trip.
+	// The restored-then-finished engine holds the uninterrupted one's
+	// whole state, not only its verdicts: the two save the same bytes.
+	var want bytes.Buffer
+	if err := full.Save(&want); err != nil {
+		t.Fatalf("Save(full): %v", err)
+	}
 	buf.Reset()
 	if err := e2.Save(&buf); err != nil {
 		t.Fatalf("Save(final): %v", err)
 	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Errorf("restored engine saves %d bytes, uninterrupted %d: checkpoints differ", buf.Len(), want.Len())
+	}
+
+	// A second checkpoint cycle at the very end must also round-trip.
 	e3, err := Restore(bytes.NewReader(buf.Bytes()), w.WHOIS(), w.Directory())
 	if err != nil {
 		t.Fatalf("Restore(final): %v", err)

@@ -374,19 +374,12 @@ func cut[T any](slab []T, from, to int) []T {
 // that were each in that order is in it again once sorted, which is how
 // a fleet's merged feed reads as one node's.
 func (d *DayDelta) Sort() {
-	slices.SortFunc(d.EdgesAdded, compareEdges)
-	slices.SortFunc(d.EdgesRemoved, compareEdges)
+	slices.SortFunc(d.EdgesAdded, zonedb.CompareEdges)
+	slices.SortFunc(d.EdgesRemoved, zonedb.CompareEdges)
 	slices.Sort(d.DomainsAdded)
 	slices.Sort(d.DomainsRemoved)
 	slices.Sort(d.GlueAdded)
 	slices.Sort(d.GlueRemoved)
-}
-
-func compareEdges(a, b zonedb.Edge) int {
-	if c := dnsname.Compare(a.Domain, b.Domain); c != 0 {
-		return c
-	}
-	return dnsname.Compare(a.NS, b.NS)
 }
 
 // Epoch returns the epoch of the view the index was built from.

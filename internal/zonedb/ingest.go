@@ -312,7 +312,7 @@ func (ing *Ingester) addSnapshot(snap *dnszone.Snapshot, source string) error {
 	// copied out of the snapshot's arena as it enters the DB, so that the
 	// DB's few new facts a day do not keep every day's arena alive.
 	zone, day := st.zone, snap.Date
-	addedEdges, removedEdges := diffSorted(st.edges, cur.edges, compareEdges)
+	addedEdges, removedEdges := diffSorted(st.edges, cur.edges, CompareEdges)
 	addedDoms, removedDoms := diffSorted(st.doms, cur.doms, dnsname.Compare)
 	addedGlue, removedGlue := diffSorted(st.glue, cur.glue, dnsname.Compare)
 	for _, e := range addedEdges {
@@ -351,7 +351,9 @@ func (ing *Ingester) addSnapshot(snap *dnszone.Snapshot, source string) error {
 
 func cloneName(n dnsname.Name) dnsname.Name { return dnsname.Name(strings.Clone(string(n))) }
 
-func compareEdges(a, b Edge) int {
+// CompareEdges orders edges by domain, then nameserver: the order of
+// every sorted edge list in the zone DB, its snapshots and its deltas.
+func CompareEdges(a, b Edge) int {
 	if c := dnsname.Compare(a.Domain, b.Domain); c != 0 {
 		return c
 	}
@@ -369,14 +371,14 @@ func flatten(snap *dnszone.Snapshot, buf factTables) factTables {
 		d := &snap.Delegations[i]
 		t.doms = appendFact(t.doms, d.Domain, dnsname.Compare, &domsOrdered)
 		for _, ns := range d.Nameservers {
-			t.edges = appendFact(t.edges, Edge{Domain: d.Domain, NS: ns}, compareEdges, &edgesOrdered)
+			t.edges = appendFact(t.edges, Edge{Domain: d.Domain, NS: ns}, CompareEdges, &edgesOrdered)
 		}
 	}
 	for i := range snap.Glue {
 		t.glue = appendFact(t.glue, snap.Glue[i].Host, dnsname.Compare, &glueOrdered)
 	}
 	if !edgesOrdered {
-		slices.SortFunc(t.edges, compareEdges)
+		slices.SortFunc(t.edges, CompareEdges)
 		t.edges = slices.Compact(t.edges)
 	}
 	if !domsOrdered {

@@ -157,7 +157,7 @@ func (r *refDB) close(last dates.Day) {
 		advance = nil
 	}
 	if advance != nil {
-		advance.Edges = sortedSet(advance.Edges, compareEdges)
+		advance.Edges = sortedSet(advance.Edges, zonedb.CompareEdges)
 		advance.Domains = sortedSet(advance.Domains, dnsname.Compare)
 		advance.Glue = sortedSet(advance.Glue, dnsname.Compare)
 	}
@@ -210,13 +210,6 @@ func (r *refDB) view() *zonedb.View {
 func sortedSet[T comparable](s []T, cmp func(a, b T) int) []T {
 	slices.SortFunc(s, cmp)
 	return slices.Compact(s)
-}
-
-func compareEdges(a, b zonedb.Edge) int {
-	if c := dnsname.Compare(a.Domain, b.Domain); c != 0 {
-		return c
-	}
-	return dnsname.Compare(a.NS, b.NS)
 }
 
 // sealScript plays one random sequence of operations into a database and
@@ -633,7 +626,7 @@ func (s *sealScript) dump(v *zonedb.View, days []dates.Day) string {
 	}
 	for _, h := range hosts {
 		edges := slices.Clone(v.EdgesOf(h))
-		slices.SortFunc(edges, compareEdges)
+		slices.SortFunc(edges, zonedb.CompareEdges)
 		add("host %s first %s glue %v edges %v domains %v", h, v.NSFirstSeen(h), v.GlueSpans(h), edges, v.DomainsOf(h))
 		for _, e := range edges {
 			add("  edge %s %v", e.Domain, v.EdgeSpans(e.Domain, h))

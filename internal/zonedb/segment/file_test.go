@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -101,6 +102,40 @@ func TestWriteFileIsAtomic(t *testing.T) {
 			t.Fatalf("reader: %v", err)
 		}
 	})
+}
+
+// TestWriteAtomicFailedEncode: an encode that fails after writing part
+// of its output leaves the previous file intact and no temp file behind.
+func TestWriteAtomicFailedEncode(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.ckpt")
+	if err := WriteAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "previous")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	errEncode := errors.New("encode failed")
+	err := WriteAtomic(path, func(w io.Writer) error {
+		// Past the write buffer, so part of it reaches the temp file.
+		if _, err := w.Write(bytes.Repeat([]byte("x"), 1<<17)); err != nil {
+			return err
+		}
+		return errEncode
+	})
+	if !errors.Is(err, errEncode) {
+		t.Fatalf("WriteAtomic = %v, want the encode error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Errorf("file after the failed write: %q (read err %v)", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries, want the file alone", len(entries))
+	}
 }
 
 // TestReadFileRefusals: whatever is wrong with the file, ReadFile says it

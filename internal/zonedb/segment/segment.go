@@ -160,9 +160,18 @@ func writeSegment(w io.Writer, encode func(io.Writer) error) error {
 // previous file or the new one, never a torn one, and a write that fails
 // leaves the previous file as it was.
 func WriteFile(path string, v *zonedb.View) error {
-	_, _, err := writeFile(path, Hooks{}, func(w io.Writer) error {
+	return WriteAtomic(path, func(w io.Writer) error {
 		return writeSegment(w, v.WriteSegment)
 	})
+}
+
+// WriteAtomic durably replaces the file at path with what encode writes,
+// by the routine the store writes its own files with: temp file, fsync,
+// rename, directory fsync. A crash leaves the previous file or the new
+// one, and an encode that fails leaves the previous file as it was and
+// no temp file behind.
+func WriteAtomic(path string, encode func(io.Writer) error) error {
+	_, _, err := writeFile(path, Hooks{}, encode)
 	return err
 }
 

@@ -550,7 +550,7 @@ func (db *DB) Close(lastDay dates.Day) {
 		advance = nil
 	}
 	if advance != nil {
-		advance.Edges = sortedSet(advance.Edges, compareEdges)
+		advance.Edges = sortedSet(advance.Edges, CompareEdges)
 		advance.Domains = sortedSet(advance.Domains, dnsname.Compare)
 		advance.Glue = sortedSet(advance.Glue, dnsname.Compare)
 	}
