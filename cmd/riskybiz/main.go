@@ -56,7 +56,7 @@ func main() {
 	snapshots := flag.String("snapshots", "", "with -data, build the zone DB by ingesting master-file snapshots matching this glob instead of PREFIX.dzdb")
 	strict := flag.Bool("strict", false, "with -snapshots, abort on the first invalid snapshot instead of quarantining it")
 	maxQuarantine := flag.Int("max-quarantine", 0, "with -snapshots, abort after quarantining this many snapshots (0 = unlimited)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "with -snapshots, zone-affine ingest workers (0 = sequential)")
+	ingestWorkers := flag.Int("ingest-workers", 0, "with -snapshots, zone-affine workers that shard the diff; files are parsed ahead on GOMAXPROCS goroutines either way (0 = diff on one)")
 	only := flag.String("only", "", "comma-separated subset: funnel,patterns,table1..table6,figure3..figure7,accident,partial")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	saveData := flag.String("save-data", "", "save the dataset the study ran on: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")

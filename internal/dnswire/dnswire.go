@@ -8,6 +8,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -196,6 +197,7 @@ var (
 	ErrTruncated       = errors.New("dnswire: message truncated")
 	ErrBadPointer      = errors.New("dnswire: bad compression pointer")
 	ErrNameTooLong     = errors.New("dnswire: encoded name too long")
+	ErrDotInLabel      = errors.New("dnswire: label contains a dot")
 	ErrTooManyRecords  = errors.New("dnswire: section count exceeds message size")
 	ErrUnsupportedType = errors.New("dnswire: unsupported RR type")
 )
@@ -458,10 +460,16 @@ func (d *decoder) name() (dnsname.Name, error) {
 			if pos+1+n > len(d.buf) {
 				return "", ErrTruncated
 			}
+			label := d.buf[pos+1 : pos+1+n]
+			// A name is its labels joined by dots, so a dot inside a
+			// label would make it a different name.
+			if bytes.IndexByte(label, '.') >= 0 {
+				return "", ErrDotInLabel
+			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')
 			}
-			sb.Write(d.buf[pos+1 : pos+1+n])
+			sb.Write(label)
 			pos += 1 + n
 			if sb.Len() > dnsname.MaxNameLength {
 				return "", ErrNameTooLong

@@ -215,3 +215,45 @@ func TestNameEncodingTooLongLabel(t *testing.T) {
 		t.Fatal("over-long label should fail to encode")
 	}
 }
+
+// FuzzDecode feeds the decoder untrusted bytes, as a DNS server reads
+// them off UDP and TCP. It must never panic, and any message it decodes
+// that Encode accepts must survive another round trip unchanged.
+func FuzzDecode(f *testing.F) {
+	m := sampleMessage()
+	wire, _ := Encode(m)
+	f.Add(wire)
+	m.AddOPT(1232)
+	wire, _ = Encode(m)
+	f.Add(wire)
+	big := &Message{Header: Header{ID: 9, Response: true},
+		Questions: []Question{{Name: "big.example.com", Type: TypeTXT, Class: ClassIN}}}
+	for i := 0; i < 30; i++ {
+		big.Answers = append(big.Answers, Record{Name: "big.example.com", Type: TypeTXT,
+			Class: ClassIN, TTL: 60, Text: []string{strings.Repeat("x", 100)}})
+	}
+	wire, _ = EncodeUDP(big)
+	f.Add(wire)
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12, 0, 1, 0, 1})         // pointer loop
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 14, 0, 1, 0, 1})         // forward pointer
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7}) // impossible count
+	f.Add([]byte{0, 1, 0x80, 0, 0, 0, 0, 1, 0, 0, 0, 0, 3, 'f', 'o', 'o', 0,
+		0, 99, 0, 1, 0, 0, 0, 60, 0, 4, 1, 2, 3, 4}) // unknown RR type
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m, err := Decode(in)
+		if err != nil {
+			return
+		}
+		wire, err := Encode(m)
+		if err != nil {
+			return
+		}
+		back, err := Decode(wire)
+		if err != nil {
+			t.Fatalf("re-decoding the encoding of a decoded message: %v\nmessage %+v", err, m)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", back, m)
+		}
+	})
+}

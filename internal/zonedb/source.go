@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,16 @@ type SnapshotSource interface {
 // path order. Paths should be sorted so each zone's snapshots arrive
 // chronologically — the date-stamped naming scheme (zone-YYYY-MM-DD)
 // makes lexical order chronological.
+//
+// Next reads ahead: it keeps the next GOMAXPROCS files in flight, each
+// parsed on a goroutine of its own, and hands the results back in path
+// order, so the caller diffs one file while the following ones parse.
+// Files are opened, and Wrap is applied to them, on the caller's
+// goroutine in path order; the readers Wrap returns are then read
+// concurrently with one another, so they must not share state. At most
+// GOMAXPROCS files are open, and as many parsed snapshots held, ahead of
+// the consumer. A source abandoned part-way needs no Close: each
+// read-ahead goroutine finishes its parse, closes its file and exits.
 type FileSource struct {
 	FS    fs.FS
 	Paths []string
@@ -34,7 +45,14 @@ type FileSource struct {
 	// tests use to inject mid-file read failures.
 	Wrap func(io.Reader) io.Reader
 
-	next int
+	next  int             // index of the path Next returns next
+	ahead []chan fileRead // one slot per path in [next, next+len(ahead))
+}
+
+// fileRead is one file's parse, delivered into that file's slot.
+type fileRead struct {
+	snap *dnszone.Snapshot
+	err  error
 }
 
 // Next implements SnapshotSource.
@@ -42,22 +60,36 @@ func (f *FileSource) Next() (*dnszone.Snapshot, string, error) {
 	if f.next >= len(f.Paths) {
 		return nil, "", io.EOF
 	}
+	window := runtime.GOMAXPROCS(0)
+	for len(f.ahead) < window && f.next+len(f.ahead) < len(f.Paths) {
+		f.ahead = append(f.ahead, f.start(f.Paths[f.next+len(f.ahead)]))
+	}
+	r := <-f.ahead[0]
+	f.ahead = f.ahead[1:]
 	path := f.Paths[f.next]
 	f.next++
+	return r.snap, path, r.err
+}
+
+// start opens path and parses it on a goroutine of its own, returning
+// the slot its result arrives in.
+func (f *FileSource) start(path string) chan fileRead {
+	slot := make(chan fileRead, 1)
 	file, err := f.FS.Open(path)
 	if err != nil {
-		return nil, path, err
+		slot <- fileRead{err: err}
+		return slot
 	}
-	defer file.Close()
 	var r io.Reader = file
 	if f.Wrap != nil {
 		r = f.Wrap(file)
 	}
-	snap, err := dnszone.Read(r)
-	if err != nil {
-		return nil, path, err
-	}
-	return snap, path, nil
+	go func() {
+		snap, err := dnszone.Read(r)
+		file.Close()
+		slot <- fileRead{snap, err}
+	}()
+	return slot
 }
 
 // SliceSource yields an in-memory snapshot slice in order — the test and
