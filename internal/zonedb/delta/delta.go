@@ -8,9 +8,10 @@
 // day: a span [a, b] contributes an add event on day a and a remove
 // event on day b+1 (the first day the fact is absent). The boundaries
 // are counted per day and list, then written into one slab of edges and
-// one of names, so the whole index costs O(total spans) time, the memory
-// of what it returns, and a handful of allocations however many facts
-// the view holds.
+// one of names — the edges on one goroutine, the names on another —
+// and each day's lists are sorted on GOMAXPROCS goroutines, so the whole
+// index costs O(total spans) time, the memory of what it returns, and a
+// few dozen allocations however many facts the view holds.
 //
 // Deltas are derived exclusively from sealed intervals — the same facts
 // the batch detector sees — so replaying every DayDelta from First()
@@ -23,7 +24,10 @@ package delta
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -73,15 +77,30 @@ type Index struct {
 // Build computes the delta index of a sealed view. It returns an error
 // if the view was never sealed by Close/CloseZones: without a close day
 // there is no boundary distinguishing "removed" from "not yet sealed".
+//
+// The edges and the names are bucketed apart, the edges on a goroutine
+// of their own, and their days merged; then the days' lists are sorted
+// on GOMAXPROCS goroutines. No goroutine outlives the call.
 func Build(v *zonedb.View) (*Index, error) {
 	if !v.Closed() {
 		return nil, fmt.Errorf("delta: view (epoch %d) is not closed", v.Epoch())
 	}
+	// The view holds at least an edge per nameserver and a registration
+	// per domain: that many facts, if not more, are walked.
+	var edgeDays []DayDelta
+	var edgeFirst dates.Day
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var b buckets
+		edgeDays, edgeFirst = b.fill(dates.None, v.CloseDay(), v.NumNameservers(), func() {
+			v.EachEdgeSpans(func(e zonedb.Edge, spans *interval.Set) bool {
+				visit(&b, b.edges, edgesAdded, e, spans)
+				return true
+			})
+		})
+	}()
 	var b buckets
-	edge := func(e zonedb.Edge, spans *interval.Set) bool {
-		visit(&b, b.edges, edgesAdded, e, spans)
-		return true
-	}
 	domain := func(d dnsname.Name, spans *interval.Set) bool {
 		visit(&b, b.names, domainsAdded, d, spans)
 		return true
@@ -90,14 +109,77 @@ func Build(v *zonedb.View) (*Index, error) {
 		visit(&b, b.names, glueAdded, h, spans)
 		return true
 	}
-	// The view holds at least a registration per domain and an edge per
-	// nameserver: that many facts, if not more, are walked.
-	fresh, first := b.fill(dates.None, v.CloseDay(), v.NumDomains()+v.NumNameservers(), func() {
-		v.EachEdgeSpans(edge)
+	nameDays, first := b.fill(dates.None, v.CloseDay(), v.NumDomains(), func() {
 		v.EachDomainSpans(domain)
 		v.EachGlueSpans(glue)
 	})
-	return &Index{epoch: v.Epoch(), first: first, last: v.CloseDay(), days: pointers(nil, fresh)}, nil
+	<-done
+	days := merge(edgeDays, nameDays)
+	sortDays(days)
+	return &Index{epoch: v.Epoch(), first: earliest(first, edgeFirst), last: v.CloseDay(), days: pointers(nil, days)}, nil
+}
+
+// earliest returns the earlier of two days, either of which may be
+// dates.None: none only when both are.
+func earliest(a, b dates.Day) dates.Day {
+	if a == dates.None || b != dates.None && b < a {
+		return b
+	}
+	return a
+}
+
+// merge returns the days of edges, which hold edge lists only, and of
+// names, which hold name lists only, in day order: a day both hold is
+// one day with the lists of both.
+func merge(edges, names []DayDelta) []DayDelta {
+	both := 0
+	for i, j := 0, 0; i < len(edges) && j < len(names); {
+		switch c := cmp.Compare(edges[i].Day, names[j].Day); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			i, j, both = i+1, j+1, both+1
+		}
+	}
+	out := make([]DayDelta, 0, len(edges)+len(names)-both)
+	for len(edges) > 0 && len(names) > 0 {
+		switch c := cmp.Compare(edges[0].Day, names[0].Day); {
+		case c < 0:
+			out, edges = append(out, edges[0]), edges[1:]
+		case c > 0:
+			out, names = append(out, names[0]), names[1:]
+		default:
+			d, n := edges[0], &names[0]
+			d.DomainsAdded, d.DomainsRemoved, d.GlueAdded, d.GlueRemoved = n.DomainsAdded, n.DomainsRemoved, n.GlueAdded, n.GlueRemoved
+			out, edges, names = append(out, d), edges[1:], names[1:]
+		}
+	}
+	out = append(out, edges...)
+	return append(out, names...)
+}
+
+// sortDays sorts the lists of every day on GOMAXPROCS goroutines, the
+// caller's one of them, each taking the next unsorted day until none is
+// left.
+func sortDays(days []DayDelta) {
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(days)); i = next.Add(1) - 1 {
+			days[i].Sort()
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(days)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Extend returns the index of v given prev, the index of the epoch
@@ -132,10 +214,10 @@ func Extend(prev *Index, v *zonedb.View) (*Index, error) {
 			visit(&b, b.names, glueAdded, h, v.GlueSpans(h))
 		}
 	})
-	if prev.first != dates.None && (first == dates.None || prev.first < first) {
-		first = prev.first
+	for i := range fresh {
+		fresh[i].Sort()
 	}
-	return &Index{epoch: v.Epoch(), first: first, last: v.CloseDay(), days: pointers(prev.days, fresh)}, nil
+	return &Index{epoch: v.Epoch(), first: earliest(first, prev.first), last: v.CloseDay(), days: pointers(prev.days, fresh)}, nil
 }
 
 // pointers returns older followed by a pointer to each of fresh, in a
@@ -290,8 +372,9 @@ func (b *buckets) cover(day dates.Day) bool {
 
 // fill runs walk through the passes — it must call visit for the same
 // facts each time, at least facts of them — and returns the non-quiet
-// days in day order, their lists sorted and capacity-clipped sub-slices
-// of two slabs, and the earliest addition.
+// days in day order, their lists capacity-clipped sub-slices of two slabs
+// in the order the last walk met them, and the earliest addition. The
+// caller sorts them.
 func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelta, dates.Day) {
 	*b = buckets{after: after, last: last, first: dates.None, room: denseFactor * facts}
 	walk()
@@ -354,7 +437,6 @@ func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelt
 		d.EdgesAdded, d.EdgesRemoved = edgeList(end[edgesAdded]), edgeList(end[edgesRemoved])
 		d.DomainsAdded, d.DomainsRemoved = nameList(end[domainsAdded]), nameList(end[domainsRemoved])
 		d.GlueAdded, d.GlueRemoved = nameList(end[glueAdded]), nameList(end[glueRemoved])
-		d.Sort()
 		out = append(out, d)
 	}
 	return out, b.first

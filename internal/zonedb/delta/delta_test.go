@@ -1,11 +1,13 @@
 package delta
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -431,6 +433,34 @@ func sparseView() *zonedb.View {
 	return db.View()
 }
 
+// buildsReference fails unless Build makes of v what referenceBuild does,
+// day for day.
+func buildsReference(t *testing.T, name string, v *zonedb.View) {
+	t.Helper()
+	idx, err := Build(v)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, first := referenceBuild(v)
+	if idx.First() != first || idx.Last() != v.CloseDay() || idx.Days() != len(want) {
+		t.Errorf("%s: index (%s..%s, %d days), reference (%s..%s, %d days)",
+			name, idx.First(), idx.Last(), idx.Days(), first, v.CloseDay(), len(want))
+	}
+	for d, w := range want {
+		if g := idx.Day(d); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s, %s: delta %+v, reference %+v", name, d, g, w)
+		}
+	}
+	// Every other day is quiet, the days either side of the record too.
+	if first != dates.None {
+		for d := first - 1; d <= v.CloseDay()+1 && d <= first+20_000; d++ {
+			if g := idx.Day(d); want[d] == nil && (g.Day != d || !g.Empty()) {
+				t.Fatalf("%s, %s: delta %+v on a quiet day", name, d, g)
+			}
+		}
+	}
+}
+
 // TestBuildEqualsReference holds Build to referenceBuild day for day:
 // over simulated worlds whole and sharded, and over the views that leave
 // the dense day axis — none, a span past the close day, two facts a
@@ -456,31 +486,37 @@ func TestBuildEqualsReference(t *testing.T) {
 	views["span past the close day"] = late.View()
 
 	for name, v := range views {
-		idx, err := Build(v)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, first := referenceBuild(v)
-		if idx.First() != first || idx.Last() != v.CloseDay() || idx.Days() != len(want) {
-			t.Errorf("%s: index (%s..%s, %d days), reference (%s..%s, %d days)",
-				name, idx.First(), idx.Last(), idx.Days(), first, v.CloseDay(), len(want))
-		}
-		for d, w := range want {
-			if g := idx.Day(d); !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s, %s: delta %+v, reference %+v", name, d, g, w)
-			}
-		}
-		// Every other day is quiet, the days either side of the record too.
-		if first != dates.None {
-			for d := first - 1; d <= v.CloseDay()+1 && d <= first+20_000; d++ {
-				if g := idx.Day(d); want[d] == nil && (g.Day != d || !g.Empty()) {
-					t.Fatalf("%s, %s: delta %+v on a quiet day", name, d, g)
-				}
-			}
-		}
+		buildsReference(t, name, v)
 	}
 	if got := len(views["span past the close day"].EdgeSpans("example.com", "ns1.example.com").Spans()); got != 1 {
 		t.Fatalf("the late view holds %d spans of its edge, want 1", got)
+	}
+}
+
+// TestBuildAcrossProcs: Build buckets edges and names on goroutines of
+// their own and sorts on GOMAXPROCS of them, and what it makes does not
+// depend on how many cores it had. At GOMAXPROCS 1, 2 and 8 it equals
+// referenceBuild on a scale-2 world, replayed and loaded from its
+// segment, and on the sparse view, and leaves no goroutine behind.
+func TestBuildAcrossProcs(t *testing.T) {
+	v := world(t, 2, 1)
+	views := []struct {
+		name string
+		v    *zonedb.View
+	}{{"scale 2", v}, {"scale 2 loaded", loaded(t, v)}, {"sparse", sparseView()}}
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, c := range views {
+				base := runtime.NumGoroutine()
+				buildsReference(t, fmt.Sprintf("GOMAXPROCS=%d, %s", procs, c.name), c.v)
+				for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("GOMAXPROCS=%d, %s: %d goroutines after Build, %d before", procs, c.name, runtime.NumGoroutine(), base)
+					}
+				}
+			}
+		}()
 	}
 }
 
@@ -565,12 +601,29 @@ var benchIndex *Index
 
 // BenchmarkBuild derives the whole index of a world from its spans: what
 // a feed's first request costs after a rebuild. Scale 8 is the world of
-// the bench's detect-cold workload.
+// the bench's detect-cold workload, which builds over a view loaded from
+// its segment (scale=8/loaded): the same facts as the replayed view, in
+// other maps and slabs.
 func BenchmarkBuild(b *testing.B) {
-	for _, scale := range []float64{3, 8} {
-		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
-			r, _ := newReplay(b, history(b, scale, 1), 0)
-			v := r.live.View()
+	replayed := map[float64]*zonedb.View{}
+	for _, c := range []struct {
+		scale  float64
+		loaded bool
+	}{{3, false}, {8, false}, {8, true}} {
+		name := fmt.Sprintf("scale=%g", c.scale)
+		if c.loaded {
+			name += "/loaded"
+		}
+		b.Run(name, func(b *testing.B) {
+			v := replayed[c.scale]
+			if v == nil {
+				r, _ := newReplay(b, history(b, c.scale, 1), 0)
+				v = r.live.View()
+				replayed[c.scale] = v
+			}
+			if c.loaded {
+				v = loaded(b, v)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -582,6 +635,20 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// loaded returns v after a round trip through its segment encoding.
+func loaded(tb testing.TB, v *zonedb.View) *zonedb.View {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := v.WriteSegment(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	db, err := zonedb.ReadSegment(buf.Bytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db.View()
 }
 
 // BenchmarkExtendDay extends the index of a scale-3 world by one

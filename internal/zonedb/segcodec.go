@@ -200,12 +200,18 @@ func (t *tables) writeSegment(w io.Writer) error {
 // validated, every id bounds-checked, keys must ascend strictly and
 // spans be in normal form. It keeps no reference to p.
 //
-// The loaded DB is built from a handful of allocations: one string that
-// every name is a substring of, and one slab each for the interval sets,
-// their spans and the byNS/byDomain index slices. Each carved slice is
-// capped at its length, so a later append (a writer extending an index
-// after thaw, an Add on an absorbed set) reallocates rather than
-// growing into its neighbour.
+// Every check runs first, on the caller, in payload order, so a refused
+// payload starts no goroutine. Only an accepted one fills the tables:
+// the edge map on a goroutine of its own while the caller fills the
+// other maps and both traversal indexes, joined before the DB is
+// published.
+//
+// The loaded DB's facts are built from a handful of allocations: one
+// string that every name is a substring of, and one slab each for the
+// interval sets, their spans and the byNS/byDomain index slices. Each
+// carved slice is capped at its length, so a later append (a writer
+// extending an index after thaw, an Add on an absorbed set) reallocates
+// rather than growing into its neighbour.
 func ReadSegment(p []byte) (*DB, error) {
 	fail := func(format string, args ...any) (*DB, error) {
 		return nil, fmt.Errorf("zonedb: segment payload: "+format, args...)
@@ -238,9 +244,6 @@ func ReadSegment(p []byte) (*DB, error) {
 		return fail("%v", err)
 	}
 	t := tables{
-		edges:    make(map[Edge]fact, keys[2]),
-		domains:  make(map[dnsname.Name]fact, keys[0]),
-		glue:     make(map[dnsname.Name]fact, keys[1]),
 		zones:    make(map[dnsname.Name]bool, nZones),
 		closed:   true,
 		closeDay: closeDay,
@@ -261,15 +264,17 @@ func ReadSegment(p []byte) (*DB, error) {
 
 	d.sets = make([]interval.Set, keys[0]+keys[1]+keys[2])
 	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
-	for i, into := range []map[dnsname.Name]fact{t.domains, t.glue} {
-		err := d.section(int(keys[i]), int(spans[i]), false, func(_ int, id, _ uint32, s *interval.Set) {
-			into[d.names[id]] = fact{spans: s}
-		})
+	var named [2]segNamed
+	for i, name := range [2]string{"domains", "glue"} {
+		ids := make([]uint32, keys[i])
+		sets, err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) { ids[k] = id })
 		if err != nil {
-			return fail("%s: %v", [2]string{"domains", "glue"}[i], err)
+			return fail("%s: %v", name, err)
 		}
+		named[i] = segNamed{ids: ids, sets: sets}
 	}
-	if err := d.readEdges(&t, int(keys[segEdges]), int(spans[segEdges])); err != nil {
+	edges, err := d.readEdges(int(keys[segEdges]), int(spans[segEdges]))
+	if err != nil {
 		return fail("edges: %v", err)
 	}
 	for id, used := range d.used {
@@ -277,6 +282,17 @@ func ReadSegment(p []byte) (*DB, error) {
 			return fail("name %q is referred to by nothing", d.names[id])
 		}
 	}
+
+	// The payload is accepted. The edge map, the largest, fills beside
+	// the rest; no two writers share a table.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t.edges = edges.facts()
+	}()
+	t.domains, t.glue = named[0].facts(d.names), named[1].facts(d.names)
+	t.byDomain, t.byNS = edges.index(d.names)
+	<-done
 
 	// Published as a fresh DB's second epoch (its first is the empty one),
 	// with no horizon: nothing says how far its facts were sealed.
@@ -286,6 +302,33 @@ func ReadSegment(p []byte) (*DB, error) {
 	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db, nil
+}
+
+// segNamed is a decoded domain or glue section: each key's name id and
+// set, in payload order.
+type segNamed struct {
+	ids  []uint32
+	sets []interval.Set
+}
+
+func (s segNamed) facts(names []dnsname.Name) map[dnsname.Name]fact {
+	m := make(map[dnsname.Name]fact, len(s.ids))
+	for k, id := range s.ids {
+		m[names[id]] = fact{spans: &s.sets[k]}
+	}
+	return m
+}
+
+// segEdgeKeys is the decoded edge section, in payload order — sorted by
+// (domain, ns) — with what indexing it needs: each key's edge, set and
+// ns id, the number of edges per ns id, and the number of domains.
+type segEdgeKeys struct {
+	keyed    []Edge // each key's edge: byDomain's slab
+	sorted   []Edge // byNS's slab, filled by index
+	sets     []interval.Set
+	nsOf     []uint32
+	perNS    []uint32
+	nDomains int
 }
 
 // segDecoder walks a payload whose total length ReadSegment has already
@@ -345,40 +388,56 @@ func (d *segDecoder) readNames(nNames, nameBytes int) error {
 	return nil
 }
 
-// readEdges decodes the edge section into t.edges and builds both
-// traversal indexes from it. Edges arrive sorted by (domain, ns), so
-// byDomain's slices are runs of the key table and byNS's a stable
-// counting sort of it by ns: both in the order appending each edge, in
-// archive order, to its two index slices produces.
-func (d *segDecoder) readEdges(t *tables, nEdges, nSpans int) error {
-	index := make([]Edge, 2*nEdges)
-	byDomain, byNS := index[:nEdges], index[nEdges:]
-	nsOf := make([]uint32, nEdges)
-	nsEnd := make([]uint32, len(d.names)) // per ns id: edge count, then end offset in byNS
-	nDomains, lastDomain := 0, -1
-	err := d.section(nEdges, nSpans, true, func(k int, dom, ns uint32, s *interval.Set) {
-		e := Edge{Domain: d.names[dom], NS: d.names[ns]}
-		t.edges[e] = fact{spans: s}
-		byDomain[k], nsOf[k] = e, ns
-		nsEnd[ns]++
+// readEdges decodes and checks the edge section, and records what facts
+// and index need; it fills no table.
+func (d *segDecoder) readEdges(nEdges, nSpans int) (segEdgeKeys, error) {
+	slab := make([]Edge, 2*nEdges)
+	k := segEdgeKeys{
+		keyed:  slab[:nEdges:nEdges],
+		sorted: slab[nEdges:],
+		nsOf:   make([]uint32, nEdges),
+		perNS:  make([]uint32, len(d.names)),
+	}
+	lastDomain := -1
+	var err error
+	k.sets, err = d.section(nEdges, nSpans, true, func(i int, dom, ns uint32) {
+		k.keyed[i], k.nsOf[i] = Edge{Domain: d.names[dom], NS: d.names[ns]}, ns
+		k.perNS[ns]++
 		if int(dom) != lastDomain {
-			nDomains, lastDomain = nDomains+1, int(dom)
+			k.nDomains, lastDomain = k.nDomains+1, int(dom)
 		}
 	})
-	if err != nil {
-		return err
-	}
+	return k, err
+}
 
-	t.byDomain = make(map[dnsname.Name][]Edge, nDomains)
+// facts returns the edge table.
+func (k segEdgeKeys) facts() map[Edge]fact {
+	m := make(map[Edge]fact, len(k.keyed))
+	for i, e := range k.keyed {
+		m[e] = fact{spans: &k.sets[i]}
+	}
+	return m
+}
+
+// index builds both traversal indexes. Edges arrive sorted by (domain,
+// ns), so byDomain's slices are runs of the key table and byNS's a
+// stable counting sort of it by ns: both in the order appending each
+// edge, in archive order, to its two index slices produces. It writes
+// only the byNS half of the slab and perNS, so it may run beside facts.
+func (k segEdgeKeys) index(names []dnsname.Name) (byDomain, byNS map[dnsname.Name][]Edge) {
+	keyed, sorted := k.keyed, k.sorted
+	nEdges := len(keyed)
+	byDomain = make(map[dnsname.Name][]Edge, k.nDomains)
 	for i := 0; i < nEdges; {
 		j := i + 1
-		for j < nEdges && byDomain[j].Domain == byDomain[i].Domain {
+		for j < nEdges && keyed[j].Domain == keyed[i].Domain {
 			j++
 		}
-		t.byDomain[byDomain[i].Domain] = byDomain[i:j:j]
+		byDomain[keyed[i].Domain] = keyed[i:j:j]
 		i = j
 	}
 
+	nsEnd := k.perNS // per ns id: edge count, then end offset in sorted
 	nNS, end := 0, uint32(0)
 	for id, n := range nsEnd {
 		if n > 0 {
@@ -387,25 +446,26 @@ func (d *segDecoder) readEdges(t *tables, nEdges, nSpans int) error {
 		end += n
 		nsEnd[id] = end - n // start offset; the fill below advances it to the end
 	}
-	for k, ns := range nsOf {
-		byNS[nsEnd[ns]] = byDomain[k]
+	for i, ns := range k.nsOf {
+		sorted[nsEnd[ns]] = keyed[i]
 		nsEnd[ns]++
 	}
-	t.byNS = make(map[dnsname.Name][]Edge, nNS)
+	byNS = make(map[dnsname.Name][]Edge, nNS)
 	start := uint32(0)
 	for id, end := range nsEnd {
 		if end > start {
-			t.byNS[d.names[id]] = byNS[start:end:end]
+			byNS[names[id]] = sorted[start:end:end]
 		}
 		start = end
 	}
-	return nil
+	return byDomain, byNS
 }
 
 // section decodes one key table and the span array behind it, calling
-// place with each key's position, ids and verified set. An edge key has
-// two name ids, the others one (ns is then zero).
-func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id, ns uint32, s *interval.Set)) error {
+// place with each key's position and ids, and returns the keys' verified
+// sets, key k's at k. An edge key has two name ids, the others one (ns
+// is then zero).
+func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id, ns uint32)) ([]interval.Set, error) {
 	keyLen := 8
 	if edge {
 		keyLen = 12
@@ -413,6 +473,8 @@ func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id,
 	// The key table gets a cursor of its own; d moves on to the spans.
 	keys := segDecoder{rest: d.take(keyLen * nKeys), names: d.names, used: d.used}
 	raw := d.take(8 * nSpans)
+	sets := d.sets[:nKeys:nKeys]
+	d.sets = d.sets[nKeys:]
 	spans := d.spans[:nSpans]
 	d.spans = d.spans[nSpans:]
 	for i := range spans {
@@ -425,39 +487,39 @@ func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id,
 	for k := 0; k < nKeys; k++ {
 		id, err := keys.nameID()
 		if err != nil {
-			return fmt.Errorf("key %d: %v", k, err)
+			return nil, fmt.Errorf("key %d: %v", k, err)
 		}
 		key, ns := uint64(id), uint32(0)
 		if edge {
 			if ns, err = keys.nameID(); err != nil {
-				return fmt.Errorf("key %d: %v", k, err)
+				return nil, fmt.Errorf("key %d: %v", k, err)
 			}
 			key = key<<32 | uint64(ns)
 		}
 		if k > 0 && key <= prev {
-			return fmt.Errorf("key %d (%s) repeats or sorts before its predecessor", k, d.names[id])
+			return nil, fmt.Errorf("key %d (%s) repeats or sorts before its predecessor", k, d.names[id])
 		}
 		prev = key
 		claimed := keys.u32()
 		if claimed == 0 {
-			return fmt.Errorf("key %d (%s) has no spans", k, d.names[id])
+			return nil, fmt.Errorf("key %d (%s) has no spans", k, d.names[id])
 		}
 		if uint64(claimed) > uint64(len(spans)) {
-			return fmt.Errorf("key %d (%s) claims %d spans, %d remain", k, d.names[id], claimed, len(spans))
+			return nil, fmt.Errorf("key %d (%s) claims %d spans, %d remain", k, d.names[id], claimed, len(spans))
 		}
 		n := int(claimed)
-		set := &d.sets[0]
+		set := &sets[k]
 		if *set, err = interval.FromNormalized(spans[:n:n]); err != nil {
-			return fmt.Errorf("key %d (%s): %v", k, d.names[id], err)
+			return nil, fmt.Errorf("key %d (%s): %v", k, d.names[id], err)
 		}
 		if !segSpansOK(set) {
-			return fmt.Errorf("key %d (%s): spans %s out of range", k, d.names[id], set)
+			return nil, fmt.Errorf("key %d (%s): spans %s out of range", k, d.names[id], set)
 		}
-		place(k, id, ns, set)
-		d.sets, spans = d.sets[1:], spans[n:]
+		place(k, id, ns)
+		spans = spans[n:]
 	}
 	if len(spans) != 0 {
-		return fmt.Errorf("%d spans belong to no key", len(spans))
+		return nil, fmt.Errorf("%d spans belong to no key", len(spans))
 	}
-	return nil
+	return sets, nil
 }

@@ -235,6 +235,9 @@ func TestReadSegmentAcceptsHandBuiltPayload(t *testing.T) {
 	}
 }
 
+// TestReadSegmentRefusals breaks a sound payload one way at a time: each
+// is refused with its own error, by the checks that run before any
+// goroutine starts.
 func TestReadSegmentRefusals(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -293,7 +296,11 @@ func TestReadSegmentRefusals(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := soundSegment()
 			tc.mutate(&r)
+			base := runtime.NumGoroutine()
 			db, err := ReadSegment(r.bytes())
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("refusing started goroutines: %d, %d before", n, base)
+			}
 			if err == nil {
 				t.Fatalf("accepted; archives as\n%s", archiveView(t, db.View()))
 			}

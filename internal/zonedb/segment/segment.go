@@ -10,8 +10,8 @@
 // checksumming the whole payload. Torn writes, truncation, and bit-rot
 // are therefore detectable at any byte: a block either decodes exactly
 // as written or the segment is rejected. Loading one is de-framing into
-// a single buffer and zonedb.ReadSegment's bounds-checked copy out of
-// it.
+// a single buffer and zonedb.ReadSegment's decode out of it: every check
+// first, on the caller, then the tables filled on two goroutines.
 //
 // There is one format, and it is what saved data is: WriteFile and
 // ReadFile are the single-file form (riskybiz -save-data writes it, and

@@ -72,9 +72,6 @@ type Options struct {
 	EPPCascadeFix bool
 	// Detector tunes the detection stage.
 	Detector detect.Config
-	// KeepAccidentNS includes the Namecheap-accident nameservers in the
-	// analyses instead of excluding them as the paper does.
-	KeepAccidentNS bool
 }
 
 // Study bundles the outcome of a full pipeline run, over simulated or
@@ -85,8 +82,9 @@ type Study struct {
 	World *sim.World
 	// DB, WHOIS and Exclude are the data the analysis ran on: the zone
 	// database, the WHOIS history, and the nameservers left out of the
-	// analyses (the Namecheap-accident nameservers, unless
-	// Options.KeepAccidentNS).
+	// analyses as the paper leaves them out — the Namecheap-accident
+	// nameservers, which the §4 accident report counts (loaded data reads
+	// them from PREFIX.exclude).
 	DB       *zonedb.DB
 	WHOIS    *whois.History
 	Exclude  []dnsname.Name
@@ -130,10 +128,7 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("riskybiz: simulating: %w", err)
 	}
-	st := &Study{World: world, DB: world.ZoneDB(), WHOIS: world.WHOIS()}
-	if !opts.KeepAccidentNS {
-		st.Exclude = world.Truth().AccidentNS
-	}
+	st := &Study{World: world, DB: world.ZoneDB(), WHOIS: world.WHOIS(), Exclude: world.Truth().AccidentNS}
 	st.analyze(ctx, world.Directory(), opts.Detector)
 	return st, nil
 }
