@@ -437,7 +437,7 @@ func BenchmarkObsCounter(b *testing.B) {
 }
 
 // BenchmarkObsCounterVec measures the labeled variant, including the
-// child lookup that the HTTP middleware and EPP server perform per event.
+// child lookup that the HTTP middleware performs per event.
 func BenchmarkObsCounterVec(b *testing.B) {
 	reg := obs.NewRegistry()
 	vec := reg.CounterVec("bench_labeled_total", "benchmark labeled counter", "route", "class")

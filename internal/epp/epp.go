@@ -44,8 +44,6 @@ type ResultCode int
 
 // EPP result codes used by this repository.
 const (
-	CodeSuccess              ResultCode = 1000
-	CodeUnimplemented        ResultCode = 2101
 	CodeAuthorizationError   ResultCode = 2201
 	CodeObjectExists         ResultCode = 2302
 	CodeObjectDoesNotExist   ResultCode = 2303
@@ -82,10 +80,7 @@ type Domain struct {
 	Sponsor RegistrarID
 	Created dates.Day
 	Expiry  dates.Day
-	// AuthInfo is the transfer-authorization password (RFC 5731 §3.2.1);
-	// empty means transfers are impossible.
-	AuthInfo string
-	nsHosts  []ROID // delegation targets, by host object
+	nsHosts []ROID // delegation targets, by host object
 }
 
 // Host is a host object (RFC 5732). Superordinate is the ROID of the
@@ -107,8 +102,7 @@ func (h *Host) External() bool { return h.Superordinate == "" }
 // The zero value is not usable; call NewRepository.
 //
 // Repository is not safe for concurrent use; the simulation drives each
-// repository from a single goroutine, and the EPP server serializes
-// commands per repository.
+// repository from a single goroutine.
 type Repository struct {
 	id   string
 	tlds map[dnsname.Name]bool
@@ -122,12 +116,6 @@ type Repository struct {
 	linkedDomains map[ROID]map[dnsname.Name]bool
 	// subordinates[domainROID] is the set of host objects under the domain.
 	subordinates map[ROID]map[ROID]bool
-
-	// transfers tracks pending registrar-to-registrar transfers;
-	// pollQueues holds per-registrar service messages (transfer.go).
-	transfers  map[dnsname.Name]pendingTransfer
-	pollQueues map[RegistrarID][]PollMessage
-	nextPollID int
 
 	nextROID int
 }
@@ -341,9 +329,6 @@ func (r *Repository) RenameHost(registrar RegistrarID, oldName, newName dnsname.
 	if _, exists := r.hosts[newName]; exists {
 		return errf(CodeObjectExists, "host %s already exists", newName)
 	}
-	if oldName == newName {
-		return nil
-	}
 	// Validate the destination fully before mutating anything: a failed
 	// rename must leave the host object untouched.
 	var newSuper *Domain
@@ -398,7 +383,6 @@ func (r *Repository) DeleteDomain(registrar RegistrarID, name dnsname.Name) erro
 	delete(r.domains, name)
 	delete(r.domainsByROID, d.ROID)
 	delete(r.subordinates, d.ROID)
-	delete(r.transfers, name)
 	return nil
 }
 
@@ -454,7 +438,6 @@ func (r *Repository) CascadeDeleteDomain(registrar RegistrarID, name dnsname.Nam
 	delete(affected, name) // the dying domain's own trimmed delegation is moot
 	delete(r.domains, name)
 	delete(r.domainsByROID, d.ROID)
-	delete(r.transfers, name)
 	return affected, nil
 }
 
@@ -576,6 +559,3 @@ func (r *Repository) Hosts(fn func(*Host) bool) {
 
 // NumDomains returns the number of domain objects.
 func (r *Repository) NumDomains() int { return len(r.domains) }
-
-// NumHosts returns the number of host objects.
-func (r *Repository) NumHosts() int { return len(r.hosts) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/dates"
@@ -288,12 +289,16 @@ func TestErrorTypeAndCodeOf(t *testing.T) {
 	}
 }
 
-// TestInvariantUnderRandomOps drives random operations and checks the
-// repository's referential invariants throughout:
+// TestInvariantUnderRandomOps drives random operations, the §7.3 cascade
+// delete among them, and checks the repository's referential invariants
+// after every step:
 //
 //   - every linked domain exists and its delegation contains the host;
+//   - every delegation names a live host whose link set holds the domain;
 //   - every internal host's superordinate domain exists;
-//   - subordinate listings agree with host superordinate fields.
+//   - subordinate listings agree with host superordinate fields;
+//   - the by-name and by-ROID indexes hold the same objects;
+//   - no link set or subordinate set outlives its host or domain.
 func TestInvariantUnderRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	r := verisign()
@@ -306,9 +311,10 @@ func TestInvariantUnderRandomOps(t *testing.T) {
 		}
 		return names[rng.Intn(len(names))]
 	}
+	foreignTrims := 0
 	for i := 0; i < 3000; i++ {
 		rr := registrars[rng.Intn(len(registrars))]
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0:
 			name := dnsname.Name(randWord(rng) + ".com")
 			if _, err := r.CreateDomain(rr, name, day0, expiry); err == nil {
@@ -334,40 +340,73 @@ func TestInvariantUnderRandomOps(t *testing.T) {
 			}
 		case 6:
 			_ = r.SetDomainNS(rr, pick(domains))
+		case 7:
+			// Cascade a host's parent, so the delete has hosts to take.
+			parent, _ := dnsname.RegisteredDomain(pick(hosts))
+			if affected, err := r.CascadeDeleteDomain(rr, parent); err == nil && len(affected) > 0 {
+				foreignTrims++
+			}
 		}
+		domains = slices.DeleteFunc(domains, func(n dnsname.Name) bool { return !r.DomainExists(n) })
+		hosts = slices.DeleteFunc(hosts, func(n dnsname.Name) bool { return !r.HostExists(n) })
+		checkInvariants(t, r, i)
 	}
-	// Invariant check.
+	t.Logf("%d cascades trimmed a foreign delegation", foreignTrims)
+	if foreignTrims == 0 {
+		t.Fatal("no cascade delete trimmed another domain's delegation")
+	}
+}
+
+func checkInvariants(t *testing.T, r *Repository, step int) {
+	t.Helper()
 	r.Hosts(func(h *Host) bool {
 		for _, d := range r.LinkedDomains(h.Name) {
 			dom, err := r.DomainInfo(d)
 			if err != nil {
-				t.Fatalf("linked domain %s of %s does not exist", d, h.Name)
+				t.Fatalf("step %d: linked domain %s of %s does not exist", step, d, h.Name)
 			}
-			found := false
-			for _, ns := range r.NSNames(dom) {
-				if ns == h.Name {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("link set of %s contains %s but delegation does not", h.Name, d)
+			if !slices.Contains(r.NSNames(dom), h.Name) {
+				t.Fatalf("step %d: link set of %s contains %s but delegation does not", step, h.Name, d)
 			}
 		}
 		if !h.External() {
 			if _, ok := r.domainsByROID[h.Superordinate]; !ok {
-				t.Fatalf("internal host %s has dangling superordinate", h.Name)
+				t.Fatalf("step %d: internal host %s has dangling superordinate", step, h.Name)
 			}
 		}
 		return true
 	})
 	r.Domains(func(d *Domain) bool {
+		for _, roid := range d.nsHosts {
+			h := r.hostsByROID[roid]
+			if h == nil {
+				t.Fatalf("step %d: %s delegates to deleted host %s", step, d.Name, roid)
+			}
+			if !r.linkedDomains[roid][d.Name] {
+				t.Fatalf("step %d: %s delegates to %s but its link set lacks the domain", step, d.Name, h.Name)
+			}
+		}
 		for _, sub := range r.SubordinateHosts(d.Name) {
 			if sub.Superordinate != d.ROID {
-				t.Fatalf("subordinate listing inconsistent for %s", d.Name)
+				t.Fatalf("step %d: subordinate listing inconsistent for %s", step, d.Name)
 			}
 		}
 		return true
 	})
+	if len(r.hosts) != len(r.hostsByROID) || len(r.domains) != len(r.domainsByROID) {
+		t.Fatalf("step %d: %d hosts by name, %d by ROID; %d domains by name, %d by ROID",
+			step, len(r.hosts), len(r.hostsByROID), len(r.domains), len(r.domainsByROID))
+	}
+	for roid := range r.linkedDomains {
+		if r.hostsByROID[roid] == nil {
+			t.Fatalf("step %d: link set kept for deleted host %s", step, roid)
+		}
+	}
+	for roid := range r.subordinates {
+		if r.domainsByROID[roid] == nil {
+			t.Fatalf("step %d: subordinate set kept for deleted domain %s", step, roid)
+		}
+	}
 }
 
 func randWord(rng *rand.Rand) string {

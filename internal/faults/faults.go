@@ -5,8 +5,8 @@
 // failing io.Reader driven by seeded schedules) used by the chaos tests.
 //
 // The package is stdlib-only and deliberately small: every external edge
-// of the system (EPP sessions, DNS exchanges, dzdbapi HTTP calls, zone
-// snapshot ingest) routes its failure handling through here so that
+// of the system (DNS exchanges, dzdbapi HTTP calls, zone snapshot
+// ingest) routes its failure handling through here so that
 // backoff behaviour, error classification, and breaker state are
 // uniform and observable.
 //

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -34,15 +33,4 @@ func NewLogger(component string) *slog.Logger {
 func NewLoggerAt(w io.Writer, level slog.Level, component string) *slog.Logger {
 	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})
 	return slog.New(h).With("component", component)
-}
-
-// Logf adapts a structured logger to the legacy printf-style hooks
-// (eppserver.Server.Logf and friends): the formatted line becomes the
-// message of an info-level record.
-func Logf(l *slog.Logger) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		if l != nil {
-			l.Info(fmt.Sprintf(format, args...))
-		}
-	}
 }

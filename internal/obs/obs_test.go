@@ -152,20 +152,12 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestLogger checks component tagging and the printf adapter.
+// TestLogger checks component tagging.
 func TestLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLoggerAt(&buf, slog.LevelInfo, "eppd")
+	l := NewLoggerAt(&buf, slog.LevelInfo, "dzdbd")
 	l.Info("session open", "client", "NC")
-	if !strings.Contains(buf.String(), "component=eppd") || !strings.Contains(buf.String(), "client=NC") {
+	if !strings.Contains(buf.String(), "component=dzdbd") || !strings.Contains(buf.String(), "client=NC") {
 		t.Errorf("log line missing attrs: %q", buf.String())
 	}
-	buf.Reset()
-	logf := Logf(NewLoggerAt(&buf, slog.LevelInfo, "epp"))
-	logf("verb %s from %q", "login", "NC")
-	if !strings.Contains(buf.String(), `verb login from \"NC\"`) && !strings.Contains(buf.String(), `verb login from "NC"`) {
-		t.Errorf("logf adapter output: %q", buf.String())
-	}
-	// A nil logger must be safe.
-	Logf(nil)("dropped %d", 1)
 }

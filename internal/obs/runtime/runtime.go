@@ -4,7 +4,7 @@
 // before a scrape) and publishes goroutine counts, heap/GC statistics,
 // GC CPU fraction, uptime, and the open file-descriptor count.
 //
-// The collector is started by internal/daemon, so dzdbd, eppd, and
+// The collector is started by internal/daemon, so dzdbd, dzdbcoord, and
 // riskywatchd all report the same families without per-daemon wiring.
 // A wedged daemon whose collector stops updating is itself a signal:
 // process_uptime_seconds freezes while the scrape succeeds.

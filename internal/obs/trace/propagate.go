@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"encoding/hex"
-	"fmt"
 	"net/http"
 	"strings"
 )
@@ -85,41 +84,4 @@ func Extract(h http.Header) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	return ParseTraceparent(v)
-}
-
-// ClTRID encodes the span context into an EPP client transaction
-// identifier ("CL-<trace>-<span>-<seq>"), the channel by which an EPP
-// command carries its trace across the wire: RFC 5730 lets the client
-// choose any clTRID and obliges the server to echo it. seq keeps the
-// identifier unique per session as RFC 5730 §2.5 suggests.
-func (sc SpanContext) ClTRID(seq int) string {
-	if !sc.Valid() {
-		return fmt.Sprintf("CL-%d", seq)
-	}
-	return fmt.Sprintf("CL-%s-%s-%d", sc.TraceID, sc.SpanID, seq)
-}
-
-// ParseClTRID recovers a span context from a clTRID produced by
-// SpanContext.ClTRID. Plain identifiers (including the legacy "CL-<n>"
-// form) return false; the server then runs the command as a fresh
-// root.
-func ParseClTRID(s string) (SpanContext, bool) {
-	if !strings.HasPrefix(s, "CL-") {
-		return SpanContext{}, false
-	}
-	parts := strings.Split(s[len("CL-"):], "-")
-	if len(parts) != 3 || len(parts[0]) != 32 || len(parts[1]) != 16 {
-		return SpanContext{}, false
-	}
-	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(parts[0])); err != nil {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(parts[1])); err != nil {
-		return SpanContext{}, false
-	}
-	if !sc.Valid() {
-		return SpanContext{}, false
-	}
-	return sc, true
 }

@@ -8,10 +8,8 @@
 // The package is nil-tolerant by design: every method on a nil *Tracer
 // or nil *Span is a no-op, so call sites can wire tracing
 // unconditionally and pay nothing when no tracer is configured. Spans
-// cross process boundaries two ways: HTTP requests carry a
-// `traceparent` header (Inject/Extract), and EPP commands carry the
-// trace context inside the client transaction identifier
-// (SpanContext.ClTRID / ParseClTRID).
+// cross process boundaries in HTTP requests, which carry a
+// `traceparent` header (Inject/Extract).
 //
 // Like the rest of obs, tracing reads the wall clock and never feeds
 // back into methodology results.
@@ -164,7 +162,7 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // ContextWithRemote returns ctx carrying an extracted remote parent
-// (from a traceparent header or a clTRID). A subsequent Tracer.Start
+// (from a traceparent header). A subsequent Tracer.Start
 // joins the remote trace instead of opening a new one. Invalid span
 // contexts are ignored.
 func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -131,28 +130,6 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 	if _, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"); !ok {
 		t.Error("valid traceparent rejected")
-	}
-}
-
-func TestClTRIDRoundTrip(t *testing.T) {
-	tr := New()
-	_, sp := tr.Start(context.Background(), "cmd")
-	id := sp.Context().ClTRID(7)
-	if !strings.HasSuffix(id, "-7") || !strings.HasPrefix(id, "CL-") {
-		t.Fatalf("clTRID = %q", id)
-	}
-	sc, ok := ParseClTRID(id)
-	if !ok || sc != sp.Context() {
-		t.Fatalf("ParseClTRID(%q) = %+v ok=%v", id, sc, ok)
-	}
-	for _, s := range []string{"CL-42", "CL-", "", "T1", "CL-xyz-abc-1"} {
-		if _, ok := ParseClTRID(s); ok {
-			t.Errorf("ParseClTRID(%q) accepted", s)
-		}
-	}
-	// The invalid span context falls back to the legacy form.
-	if got := (SpanContext{}).ClTRID(3); got != "CL-3" {
-		t.Fatalf("zero-context clTRID = %q", got)
 	}
 }
 

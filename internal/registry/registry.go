@@ -85,8 +85,7 @@ func New(name string, rec Recorder, tlds ...dnsname.Name) *Registry {
 // Name returns the registry operator name.
 func (r *Registry) Name() string { return r.name }
 
-// Repository exposes the backing EPP repository for read-only inspection
-// and for the EPP protocol server.
+// Repository exposes the backing EPP repository for read-only inspection.
 func (r *Registry) Repository() *epp.Repository { return r.repo }
 
 // TLDs returns the TLDs this registry operates.
