@@ -42,7 +42,6 @@ func main() {
 	addr := flag.String("addr", ":8053", "HTTP listen address")
 	shards := flag.String("shards", "", "comma-separated shard base URLs, in shard-id order (required)")
 	heartbeat := flag.Duration("heartbeat", 2*time.Second, "shard membership poll interval")
-	syncTimeout := flag.Duration("sync-timeout", 30*time.Second, "bound on one full fleet sync")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before the listener closes on shutdown")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := daemon.RegisterProfFlags(flag.CommandLine)
@@ -59,10 +58,9 @@ func main() {
 		}
 	}
 	coord, err := cluster.NewWithRegistry(cluster.Config{
-		Shards:      urls,
-		Heartbeat:   *heartbeat,
-		SyncTimeout: *syncTimeout,
-		Log:         logger,
+		Shards:    urls,
+		Heartbeat: *heartbeat,
+		Log:       logger,
 	}, app.Reg)
 	if err != nil {
 		fatal("configuring cluster", err)

@@ -1,12 +1,11 @@
 // Command dzdbd serves the longitudinal zone database over HTTP — the
 // study's equivalent of CAIDA's DZDB research-access API. The database
-// comes either from a fresh simulation or from the segment file
-// `riskybiz -save-data` writes (PREFIX.dzdb).
+// is the segment file `riskybiz -save-data` writes (PREFIX.dzdb).
 //
 // Usage:
 //
-//	dzdbd [-addr :8053] [-scale 6] [-seed 1] [-drain 2s]
-//	dzdbd [-addr :8053] -load dataset.dzdb
+//	riskybiz -scale 6 -seed 1 -only funnel -save-data dataset
+//	dzdbd [-addr :8053] [-drain 2s] -load dataset.dzdb
 //	dzdbd [-addr :8053] -load dataset.dzdb -data-dir /var/lib/dzdb
 //
 // Then:
@@ -17,7 +16,7 @@
 //	curl 'http://localhost:8053/v1/nameservers/ns2.internetemc.com?limit=100'
 //	curl 'http://localhost:8053/v1/zones/com/snapshot?date=2016-07-15'
 //	curl http://localhost:8053/metrics            # Prometheus exposition
-//	curl http://localhost:8053/healthz            # liveness probe
+//	curl http://localhost:8053/healthz            # 200 while the process answers
 //	curl http://localhost:8053/readyz             # readiness probe
 //	curl http://localhost:8053/statusz            # human-readable status
 //	go tool pprof http://localhost:8053/debug/pprof/profile
@@ -29,12 +28,12 @@
 // the fraction is 0).
 //
 // The listener comes up immediately: probes and /statusz answer while
-// the archive loads (or the world simulates) in the background, with
+// the archive loads in the background, with
 // /readyz reporting 503 until the store is populated and a sealed epoch
 // is adoptable. On SIGTERM readiness flips to 503 first, the process
 // waits -drain for load balancers to notice, then the listener drains.
 //
-// With -load, SIGHUP re-reads the archive and atomically swaps it in:
+// SIGHUP re-reads the archive and atomically swaps it in:
 // requests in flight keep the snapshot they started on, new requests see
 // the new epoch, and reads never block behind the reload. The archive is
 // fingerprinted first: an unchanged file is never re-ingested.
@@ -42,11 +41,11 @@
 // With -shard-id/-shard-count, the process serves only its zone-hash
 // slice of the database as one member of a dzdbcoord fleet (see
 // cmd/dzdbcoord): the database is projected with FilterShard after
-// build or load, and /v1/internal/shard-info reports the identity so
+// load, and /v1/internal/shard-info reports the identity so
 // the coordinator can verify the partition config.
 //
 // With -data-dir, sealed epochs persist in a segment store (see
-// internal/zonedb/segment): every successful build or reload is sealed
+// internal/zonedb/segment): every successful load or reload is sealed
 // to disk, and the next boot adopts the newest sealed epoch whose source
 // fingerprint still matches — warm start, no re-ingest. Corrupt or torn
 // segment files are quarantined at open, reported on /statusz and the
@@ -72,16 +71,13 @@ import (
 	"repro/internal/dzdbapi"
 	"repro/internal/obs/health"
 	"repro/internal/obs/slo"
-	"repro/internal/sim"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/segment"
 )
 
 func main() {
 	addr := flag.String("addr", ":8053", "HTTP listen address")
-	scale := flag.Float64("scale", 6, "mean new registrations per day (ignored with -load)")
-	seed := flag.Int64("seed", 1, "random seed (ignored with -load)")
-	load := flag.String("load", "", "load the zone DB from a segment file (riskybiz -save-data's PREFIX.dzdb) instead of simulating")
+	load := flag.String("load", "", "the zone DB to serve: a segment file (riskybiz -save-data's PREFIX.dzdb); required")
 	dataDir := flag.String("data-dir", "", "segment-store directory; sealed epochs persist here and warm-boot the next start")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before the listener closes on shutdown")
 	cacheSize := flag.Int("cache-size", 64, "response cache budget in MiB (0 disables body caching; ETag/304 stays on)")
@@ -95,6 +91,9 @@ func main() {
 	app := daemon.New("dzdbd", *version)
 	defer app.Close()
 	logger, fatal, reg := app.Log, app.Fatal, app.Reg
+	if *load == "" {
+		fatal("flags", errors.New("-load is required (write one with riskybiz -save-data PREFIX)"))
+	}
 	if *shardCount < 1 || *shardID < 0 || *shardID >= *shardCount {
 		fatal("validating shard flags",
 			fmt.Errorf("-shard-id %d out of range for -shard-count %d", *shardID, *shardCount))
@@ -104,9 +103,9 @@ func main() {
 	// The DB starts empty and adopts the real data once built, so the
 	// listener (and the probe endpoints on it) can come up immediately.
 	db := zonedb.New()
-	storeCheck := app.Health.Register("store", health.Readiness, 0)
+	storeCheck := app.Health.Register("store", 0)
 	storeCheck.Fail("loading")
-	app.Health.RegisterFunc("epoch", health.Readiness, func() error {
+	app.Health.RegisterFunc("epoch", func() error {
 		if !db.View().Closed() {
 			return errors.New("no sealed epoch published yet")
 		}
@@ -120,7 +119,7 @@ func main() {
 	var st *segment.Store
 	var segCheck *health.Check
 	if *dataDir != "" {
-		segCheck = app.Health.Register("segments", health.Readiness, 0)
+		segCheck = app.Health.Register("segments", 0)
 		var err error
 		st, err = segment.Open(*dataDir, segment.WithObs(reg))
 		if err != nil {
@@ -147,7 +146,7 @@ func main() {
 	// shardTag suffixes the source fingerprint with the partition slice,
 	// so a shard's sealed segments never stand in for another shard's
 	// (or for the full database) on a shared -data-dir. project reduces
-	// a freshly built database to this process's slice of the zone-hash
+	// a freshly loaded database to this process's slice of the zone-hash
 	// partition; sealed segments are written post-projection, so a warm
 	// boot adopts an already projected epoch.
 	shardTag := func(tag string) string {
@@ -176,7 +175,7 @@ func main() {
 	// traffic; readiness flips so a balancer drains around it while
 	// the shed path keeps answering 503+Retry-After.
 	if *maxInflight > 0 {
-		app.Health.RegisterFunc("overload", health.Readiness, func() error {
+		app.Health.RegisterFunc("overload", func() error {
 			ss := api.ServeStats()
 			if ss.Inflight >= ss.MaxInflight {
 				return fmt.Errorf("at concurrency cap (%d inflight)", ss.Inflight)
@@ -189,7 +188,7 @@ func main() {
 	// burn windows across every versioned route's latency histogram.
 	app.TrackSLO(
 		slo.Objective{Name: "v1_latency", Target: 0.99, Threshold: 0.25},
-		nil, api.LatencyHistograms(dzdbapi.V1Routes()...)...)
+		api.LatencyHistograms(dzdbapi.V1Routes()...)...)
 
 	app.StatusSection("store", func() []daemon.KV {
 		v := db.View()
@@ -206,9 +205,7 @@ func main() {
 		if *shardCount > 1 {
 			rows = append(rows, daemon.KV{K: "shard", V: fmt.Sprintf("%d of %d", *shardID, *shardCount)})
 		}
-		if *load != "" {
-			rows = append(rows, daemon.KV{K: "archive", V: *load})
-		}
+		rows = append(rows, daemon.KV{K: "archive", V: *load})
 		return rows
 	})
 
@@ -262,13 +259,13 @@ func main() {
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving", "addr", *addr, "ready", false)
 
-	// Build or load the database behind the live listener; readiness
-	// holds at 503 until the swap lands. With a segment store, a sealed
-	// epoch whose source fingerprint still matches is adopted directly —
-	// warm boot, no re-ingest — and a cold build seals its result so the
-	// next boot is warm.
+	// Load the database behind the live listener; readiness holds at
+	// 503 until the swap lands. With a segment store, a sealed epoch
+	// whose source fingerprint still matches is adopted directly — warm
+	// boot, no re-ingest — and a cold load seals its result so the next
+	// boot is warm.
 	go func() {
-		tag, err := sourceTag(*load, *scale, *seed)
+		tag, err := archiveTag(*load)
 		if err != nil {
 			storeCheck.Fail(err.Error())
 			fatal("fingerprinting source", err)
@@ -277,11 +274,13 @@ func main() {
 		fresh := loadSealed(logger, st, tag)
 		warm := fresh != nil
 		if !warm {
-			fresh, err = buildDB(logger, *load, *scale, *seed)
+			fresh, err = segment.ReadFile(*load)
 			if err != nil {
 				storeCheck.Fail(err.Error())
-				fatal("building database", err)
+				fatal("loading archive", err)
 			}
+			logger.Info("archive loaded", "path", *load,
+				"domains", fresh.View().NumDomains(), "nameservers", fresh.View().NumNameservers())
 			fresh = project(fresh)
 		}
 		db.Adopt(fresh)
@@ -298,7 +297,7 @@ func main() {
 		}
 	}()
 
-	// SIGHUP re-reads the archive (when serving one) and Adopts it: one
+	// SIGHUP re-reads the archive and Adopts it: one
 	// atomic epoch flip, so reads racing the reload stay on the snapshot
 	// they started with and never observe a half-loaded database. The
 	// archive is fingerprinted first: an unchanged file is a no-op, and a
@@ -308,10 +307,6 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if *load == "" {
-				logger.Warn("SIGHUP ignored: serving a simulated database, not an archive")
-				continue
-			}
 			tag, err := archiveTag(*load)
 			if err != nil {
 				logger.Error("reload failed: fingerprinting archive", "err", err)
@@ -362,43 +357,6 @@ func main() {
 		}
 		logger.Info("stopped")
 	}
-}
-
-// buildDB produces the database to serve: an archive read from disk, or
-// a freshly simulated world.
-func buildDB(logger *slog.Logger, load string, scale float64, seed int64) (*zonedb.DB, error) {
-	if load != "" {
-		db, err := segment.ReadFile(load)
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("archive loaded", "path", load,
-			"domains", db.View().NumDomains(), "nameservers", db.View().NumNameservers())
-		return db, nil
-	}
-	cfg := sim.DefaultConfig(scale)
-	cfg.Seed = seed
-	world, err := sim.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	logger.Info("simulating", "start", cfg.Start.String(), "end", cfg.End.String(), "scale", scale)
-	if err := world.Run(); err != nil {
-		return nil, err
-	}
-	v := world.ZoneDB().View()
-	logger.Info("simulation complete", "domains", v.NumDomains(), "nameservers", v.NumNameservers())
-	return world.ZoneDB(), nil
-}
-
-// sourceTag fingerprints the configured data source. Epochs sealed under
-// the same tag hold the same facts, so a matching tag means a sealed
-// segment can stand in for a fresh ingest.
-func sourceTag(load string, scale float64, seed int64) (string, error) {
-	if load == "" {
-		return fmt.Sprintf("sim seed=%d scale=%g", seed, scale), nil
-	}
-	return archiveTag(load)
 }
 
 // archiveTag fingerprints an archive file by checksum and length —

@@ -18,7 +18,7 @@
 //
 //	riskybiz -scale 12 -save-data dataset -save-snapshots snaps
 //	riskybiz -data dataset -snapshots 'snaps/*.zone' [-strict]
-//	         [-max-quarantine N] [-ingest-workers N]
+//	         [-max-quarantine N]
 package main
 
 import (
@@ -56,7 +56,6 @@ func main() {
 	snapshots := flag.String("snapshots", "", "with -data, build the zone DB by ingesting master-file snapshots matching this glob instead of PREFIX.dzdb")
 	strict := flag.Bool("strict", false, "with -snapshots, abort on the first invalid snapshot instead of quarantining it")
 	maxQuarantine := flag.Int("max-quarantine", 0, "with -snapshots, abort after quarantining this many snapshots (0 = unlimited)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "with -snapshots, zone-affine workers that shard the diff; files are parsed ahead on GOMAXPROCS goroutines either way (0 = diff on one)")
 	only := flag.String("only", "", "comma-separated subset: funnel,patterns,table1..table6,figure3..figure7,accident,partial")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	saveData := flag.String("save-data", "", "save the dataset the study ran on: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
@@ -91,7 +90,7 @@ func main() {
 	var study *riskybiz.Study
 	var err error
 	if *data != "" {
-		study, err = load(ctx, *data, *snapshots, *strict, *maxQuarantine, *ingestWorkers)
+		study, err = load(ctx, *data, *snapshots, *strict, *maxQuarantine)
 	} else {
 		study, err = riskybiz.RunContext(ctx, riskybiz.Options{Seed: *seed, DomainsPerDay: *scale})
 	}
@@ -146,13 +145,12 @@ func main() {
 
 // load runs the study over the dataset saved under prefix, its zone DB
 // ingested from the snapshot files matching glob when one is given.
-func load(ctx context.Context, prefix, glob string, strict bool, maxQuarantine, ingestWorkers int) (*riskybiz.Study, error) {
+func load(ctx context.Context, prefix, glob string, strict bool, maxQuarantine int) (*riskybiz.Study, error) {
 	var db *zonedb.DB
 	if glob != "" {
 		ing := zonedb.NewIngester()
 		ing.Degraded = !strict
 		ing.MaxQuarantine = maxQuarantine
-		ing.Workers = ingestWorkers
 		var err error
 		if db, err = riskybiz.IngestSnapshots(ctx, glob, ing); err != nil {
 			return nil, err

@@ -6,7 +6,7 @@
 // It consumes per-day zone deltas from one of two sources:
 //
 //	riskywatchd -archive PREFIX            # PREFIX.dzdb (+ PREFIX.whois), tailed on mtime
-//	riskywatchd -feed http://host:8053     # a dzdbd /v1/deltas feed, polled
+//	riskywatchd -feed http://host:8053     # a dzdbd /v1/deltas feed, long-polled
 //
 // Alerts are emitted as JSON Lines on stdout or -alerts FILE, and
 // optionally POSTed to a -webhook URL. The engine state checkpoints to
@@ -28,8 +28,9 @@
 // lag is within -max-lag-days, and the checkpoint is younger than
 // -max-checkpoint-age — a watcher that is silently behind is missed
 // hijack windows, so it reports not-ready rather than limping quietly.
-// The lag gauge updates on every poll, empty pages included, so a
-// stalled feed shows as growing lag instead of a frozen gauge.
+// The lag gauge updates on every pass (an archive re-stat, or a
+// long-poll answered, empty pages included), so a stalled feed shows as
+// growing lag instead of a frozen gauge.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: readiness flips
 // to 503 first, the -drain window elapses, and a final checkpoint is
@@ -71,12 +72,10 @@ func main() {
 	webhook := flag.String("webhook", "", "POST each alert as JSON to this URL")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: restored at start when present, rewritten on interval and shutdown")
 	ckptEvery := flag.Duration("checkpoint-interval", time.Minute, "how often to checkpoint while applying")
-	poll := flag.Duration("poll", 2*time.Second, "feed poll / archive re-stat cadence")
+	poll := flag.Duration("poll", 2*time.Second, "archive re-stat cadence; with -feed, the backoff after a failed request")
 	once := flag.Bool("once", false, "exit after the first full catch-up instead of tailing")
 	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
-	page := flag.Int("page", 365, "days per feed page")
-	feedMode := flag.String("feed-mode", watch.ModePoll, "feed transport: poll or longpoll")
-	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (feed-mode=longpoll; at most the server's 1m cap)")
+	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (at most the server's 1m cap)")
 	maxLag := flag.Int("max-lag-days", 2, "readiness threshold: max days the engine may trail the feed's close day")
 	maxCkptAge := flag.Duration("max-checkpoint-age", 5*time.Minute, "readiness threshold: max checkpoint age (with -checkpoint)")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
@@ -89,10 +88,8 @@ func main() {
 	if (*archive == "") == (*feed == "") {
 		app.Fatal("flags", errors.New("exactly one of -archive or -feed is required"))
 	}
-	switch *feedMode {
-	case watch.ModePoll, watch.ModeLongPoll:
-	default:
-		app.Fatal("flags", fmt.Errorf("-feed-mode must be poll or longpoll (got %q)", *feedMode))
+	if *feedWait <= 0 {
+		app.Fatal("flags", fmt.Errorf("-feed-wait must be positive (got %s)", *feedWait))
 	}
 	app.StartProfiler(profFlags)
 
@@ -104,7 +101,6 @@ func main() {
 		ckptPath: *ckptPath,
 		ckptIvl:  *ckptEvery,
 		maxLag:   *maxLag,
-		feedMode: *feedMode,
 		feedWait: *feedWait,
 
 		lag:     app.Reg.Gauge("watch_feed_lag_days", "Days between the feed's close day and the last day applied."),
@@ -121,19 +117,19 @@ func main() {
 	// error), the engine must be within -max-lag-days of the feed's
 	// close, and the checkpoint must be young enough to bound replay
 	// after a crash.
-	feedTTL := 3 * *poll
-	if feedTTL < 10*time.Second {
-		feedTTL = 10 * time.Second
+	park := time.Duration(0)
+	if *feed != "" {
+		park = min(*feedWait, dzdbapi.MaxLongPollWait)
 	}
-	w.feedCheck = app.Health.Register("feed", health.Readiness, feedTTL)
-	app.Health.RegisterFunc("lag", health.Readiness, func() error {
+	w.feedCheck = app.Health.Register("feed", feedTTL(*poll, park))
+	app.Health.RegisterFunc("lag", func() error {
 		if lag := w.lag.Value(); lag > int64(*maxLag) {
 			return fmt.Errorf("%d days behind the feed (max %d)", lag, *maxLag)
 		}
 		return nil
 	})
 	if *ckptPath != "" {
-		app.Health.RegisterFunc("checkpoint", health.Readiness, func() error {
+		app.Health.RegisterFunc("checkpoint", func() error {
 			age := time.Since(time.Unix(0, w.lastCkpt.Load()))
 			if age > *maxCkptAge {
 				return fmt.Errorf("checkpoint %s old (max %s)", age.Round(time.Second), *maxCkptAge)
@@ -157,9 +153,7 @@ func main() {
 			rows = append(rows, daemon.KV{K: "feed_close_day", V: cd.String()})
 		}
 		if w.breaker != nil {
-			rows = append(rows,
-				daemon.KV{K: "feed_mode", V: w.feedMode},
-				daemon.KV{K: "feed_breaker", V: w.breaker.State().String()})
+			rows = append(rows, daemon.KV{K: "feed_breaker", V: w.breaker.State().String()})
 		}
 		if w.ckptPath != "" {
 			rows = append(rows,
@@ -227,7 +221,7 @@ func main() {
 	if *archive != "" {
 		err = w.runArchive(ctx, *archive, *poll, *once)
 	} else {
-		err = w.runFeed(ctx, *feed, *page, *poll, *once)
+		err = w.runFeed(ctx, *feed, *poll, *once)
 	}
 	close(ageDone)
 	switch {
@@ -245,6 +239,15 @@ func main() {
 	}
 	daemon.Shutdown(metricsSrv, 5*time.Second)
 	app.Log.Info("stopped")
+}
+
+// feedTTL is how long the feed check may go without a pass before
+// /readyz calls it stale. A caught-up follower's pass is one parked
+// long-poll, answered empty after park (zero in archive mode), so the
+// TTL covers one park plus a margin of three poll intervals, at least
+// 10 s.
+func feedTTL(poll, park time.Duration) time.Duration {
+	return park + max(3*poll, 10*time.Second)
 }
 
 // loadWHOIS reads the registrar history: -whois when given, else the
@@ -282,7 +285,6 @@ type watcher struct {
 	ckptIvl  time.Duration
 	lastCkpt atomic.Int64 // unix nanos of the last checkpoint write
 	maxLag   int
-	feedMode string        // feed transport (watch.Mode*)
 	feedWait time.Duration // long-poll hold
 
 	// lastDay/seq/closeDay mirror engine and feed state for concurrent
@@ -406,7 +408,7 @@ func (w *watcher) checkpoint(force bool) error {
 // client: retries absorb transient failures, the breaker stops
 // hammering a down server, and the follower protocol guarantees no
 // alert is lost or duplicated across either.
-func (w *watcher) runFeed(ctx context.Context, base string, page int, poll time.Duration, once bool) error {
+func (w *watcher) runFeed(ctx context.Context, base string, poll time.Duration, once bool) error {
 	w.breaker = &faults.Breaker{Name: "dzdb_feed"}
 	w.breaker.Instrument(w.app.Reg)
 	f := &watch.Follower{
@@ -420,10 +422,9 @@ func (w *watcher) runFeed(ctx context.Context, base string, page int, poll time.
 		OnAlert:   w.emit,
 		OnApplied: func(day, closeDay dates.Day, n int) { w.onApplied(ctx, day, closeDay, n) },
 		OnPass:    w.passed,
-		PageSize:  page,
 		Poll:      poll,
 		Once:      once,
-		Mode:      w.feedMode,
+		Mode:      watch.ModeLongPoll,
 		Wait:      w.feedWait,
 		Log:       w.app.Log,
 	}

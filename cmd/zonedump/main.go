@@ -1,11 +1,11 @@
-// Command zonedump runs the ecosystem simulation and writes the
-// reconstructed zone file of one TLD on one day in master-file format —
-// the equivalent of pulling a daily snapshot out of the longitudinal
-// zone database.
+// Command zonedump writes the reconstructed zone file of one TLD on one
+// day in master-file format — the equivalent of pulling a daily
+// snapshot out of the longitudinal zone database. The database is the
+// segment file `riskybiz -save-data` writes (PREFIX.dzdb).
 //
 // Usage:
 //
-//	zonedump -zone biz -date 2016-07-15 [-scale 6] [-seed 1] [-grep dropthishost]
+//	riskybiz -scale 6 -seed 1 -only funnel -save-data dataset
 //	zonedump -load dataset.dzdb -zone biz -date 2016-07-15
 //
 // With -diff, it instead prints what changed on DAY relative to the day
@@ -13,7 +13,7 @@
 // appeared or vanished — using the same per-day delta feed riskywatchd
 // consumes:
 //
-//	zonedump -diff 2016-07-15 [-grep 123.biz]
+//	zonedump -load dataset.dzdb -diff 2016-07-15
 package main
 
 import (
@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
 	"repro/internal/zonedb/segment"
@@ -36,11 +34,8 @@ import (
 func main() {
 	zone := flag.String("zone", "com", "TLD zone to dump")
 	date := flag.String("date", "2016-07-15", "snapshot date (YYYY-MM-DD)")
-	scale := flag.Float64("scale", 6, "mean new registrations per day (ignored with -load)")
-	seed := flag.Int64("seed", 1, "random seed (ignored with -load)")
-	grep := flag.String("grep", "", "only lines containing this substring")
 	diff := flag.String("diff", "", "print the change set for this day (YYYY-MM-DD) instead of a snapshot")
-	load := flag.String("load", "", "read the zone DB from a segment file (riskybiz -save-data's PREFIX.dzdb) instead of simulating")
+	load := flag.String("load", "", "the zone DB to read: a segment file (riskybiz -save-data's PREFIX.dzdb); required")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *version {
@@ -48,6 +43,9 @@ func main() {
 		return
 	}
 
+	if *load == "" {
+		log.Fatal("zonedump: -load is required (write one with riskybiz -save-data PREFIX)")
+	}
 	day, err := dates.Parse(*date)
 	if err != nil {
 		log.Fatalf("zonedump: %v", err)
@@ -56,52 +54,24 @@ func main() {
 	if err != nil {
 		log.Fatalf("zonedump: %v", err)
 	}
-	var db *zonedb.DB
-	if *load != "" {
-		if db, err = segment.ReadFile(*load); err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-	} else {
-		cfg := sim.DefaultConfig(*scale)
-		cfg.Seed = *seed
-		world, err := sim.NewWorld(cfg)
-		if err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-		if err := world.Run(); err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-		db = world.ZoneDB()
-	}
-	if *diff != "" {
-		if err := printDiff(db, *diff, *grep); err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-		return
-	}
-	snap := db.View().SnapshotOn(z, day)
-	if *grep == "" {
-		if err := snap.Write(os.Stdout); err != nil {
-			log.Fatalf("zonedump: %v", err)
-		}
-		return
-	}
-	var sb strings.Builder
-	if err := snap.Write(&sb); err != nil {
+	db, err := segment.ReadFile(*load)
+	if err != nil {
 		log.Fatalf("zonedump: %v", err)
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.Contains(line, *grep) {
-			fmt.Fprintln(w, line)
+	if *diff != "" {
+		if err := printDiff(db, *diff); err != nil {
+			log.Fatalf("zonedump: %v", err)
 		}
+		return
+	}
+	if err := db.View().SnapshotOn(z, day).Write(os.Stdout); err != nil {
+		log.Fatalf("zonedump: %v", err)
 	}
 }
 
 // printDiff emits the day's change set, one event per line, in the
 // order the watch engine applies them: removals first, then additions.
-func printDiff(db *zonedb.DB, date, grep string) error {
+func printDiff(db *zonedb.DB, date string) error {
 	day, err := dates.Parse(date)
 	if err != nil {
 		return err
@@ -116,10 +86,7 @@ func printDiff(db *zonedb.DB, date, grep string) error {
 	fmt.Fprintf(w, "; delta for %s (history %s .. %s, %d changes)\n",
 		day, idx.First(), idx.Last(), dd.Changes())
 	emit := func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		if grep == "" || strings.Contains(line, grep) {
-			fmt.Fprintln(w, line)
-		}
+		fmt.Fprintf(w, format+"\n", args...)
 	}
 	for _, e := range dd.EdgesRemoved {
 		emit("-ns\t%s\t%s", e.Domain, e.NS)

@@ -36,15 +36,10 @@ import (
 	"repro/internal/obs/health"
 )
 
-// Metric names exported by the coordinator.
-const (
-	MetricShardUp           = "cluster_shard_up"
-	MetricHeartbeatFailures = "cluster_heartbeat_failures_total"
-	MetricResyncs           = "cluster_resyncs_total"
-	MetricFleetEpoch        = "cluster_fleet_epoch"
-	MetricPartial           = "cluster_partial_responses_total"
-	MetricProxied           = "cluster_proxy_requests_total"
-)
+// MetricPartial counts responses the coordinator served with
+// "partial": true. Shard membership and the fleet epoch are read from
+// /statusz [cluster] and /v1/cluster/shards.
+const MetricPartial = "cluster_partial_responses_total"
 
 // Error codes the coordinator adds to the v1 envelope vocabulary.
 const (
@@ -57,8 +52,10 @@ const (
 )
 
 const (
-	defaultHeartbeat   = 2 * time.Second
-	defaultSyncTimeout = 30 * time.Second
+	defaultHeartbeat = 2 * time.Second
+	// syncTimeout bounds one fleet sync — the full scatter pull of
+	// stats, exposure tables, and delta feeds.
+	syncTimeout = 30 * time.Second
 	// heartbeatTimeout bounds one probe so a hung shard cannot stall
 	// the round past the next tick.
 	heartbeatTimeout = 2 * time.Second
@@ -72,9 +69,6 @@ type Config struct {
 	// Heartbeat is the membership poll interval (default 2s). Shard
 	// health TTLs and Retry-After hints derive from it.
 	Heartbeat time.Duration
-	// SyncTimeout bounds one fleet sync — the full scatter pull of
-	// stats, exposure tables, and delta feeds (default 30s).
-	SyncTimeout time.Duration
 	// Log receives coordinator events when set.
 	Log *slog.Logger
 }
@@ -84,13 +78,6 @@ func (c Config) heartbeat() time.Duration {
 		return c.Heartbeat
 	}
 	return defaultHeartbeat
-}
-
-func (c Config) syncTimeout() time.Duration {
-	if c.SyncTimeout > 0 {
-		return c.SyncTimeout
-	}
-	return defaultSyncTimeout
 }
 
 // shard is the coordinator's view of one fleet member.
@@ -169,12 +156,7 @@ type Coordinator struct {
 	syncMu  sync.Mutex           // one fleet sync at a time
 	syncing atomic.Bool          // a background sync is in flight (tick dedup)
 
-	shardUp    *obs.GaugeVec   // MetricShardUp{shard}
-	hbFailures *obs.CounterVec // MetricHeartbeatFailures{shard}
-	resyncs    *obs.Counter
-	fleetGauge *obs.Gauge
-	partialN   *obs.Counter
-	proxied    *obs.CounterVec // MetricProxied{route,outcome}
+	partialN *obs.Counter // MetricPartial
 }
 
 // New builds a coordinator for the given fleet with a private metrics
@@ -195,12 +177,7 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		signal: dzdbapi.NewEpochSignal(),
 		mux:    http.NewServeMux(),
 
-		shardUp:    reg.GaugeVec(MetricShardUp, "1 when the shard answers heartbeats", "shard"),
-		hbFailures: reg.CounterVec(MetricHeartbeatFailures, "heartbeat probes that failed", "shard"),
-		resyncs:    reg.Counter(MetricResyncs, "completed fleet syncs"),
-		fleetGauge: reg.Gauge(MetricFleetEpoch, "current fleet epoch (0 before the first sync)"),
-		partialN:   reg.Counter(MetricPartial, "responses served with partial: true"),
-		proxied:    reg.CounterVec(MetricProxied, "single-zone requests proxied to shards", "route", "outcome"),
+		partialN: reg.Counter(MetricPartial, "responses served with partial: true"),
 	}
 	for i, url := range cfg.Shards {
 		br := &faults.Breaker{
@@ -228,14 +205,13 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 				BaseURL: url,
 				// Sync pulls move whole exposure tables and delta feeds,
 				// far past the client's default 2s budget.
-				HTTPClient: &http.Client{Timeout: cfg.syncTimeout()},
+				HTTPClient: &http.Client{Timeout: syncTimeout},
 				Breaker:    br,
 				Retry:      &faults.Policy{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond},
 			},
 			proxy: &http.Client{Timeout: 30 * time.Second},
 		}
 		c.shards = append(c.shards, sh)
-		c.shardUp.With(fmt.Sprintf("%d", i)).Set(0)
 	}
 	c.routes()
 	return c, nil
@@ -252,10 +228,10 @@ func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
 // a healthy one.
 func (c *Coordinator) RegisterHealth(h *health.Registry) {
 	for _, sh := range c.shards {
-		sh.check = h.Register(fmt.Sprintf("shard%d", sh.id), health.Readiness, 3*c.cfg.heartbeat())
+		sh.check = h.Register(fmt.Sprintf("shard%d", sh.id), 3*c.cfg.heartbeat())
 		sh.check.Fail("no heartbeat yet")
 	}
-	h.RegisterFunc("fleet", health.Readiness, func() error {
+	h.RegisterFunc("fleet", func() error {
 		if c.fleet.Load() == nil {
 			return errors.New("fleet never synced")
 		}
@@ -364,9 +340,7 @@ func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 	up, ready, errStr := sh.up, sh.ready, sh.lastErr
 	sh.mu.Unlock()
 
-	label := fmt.Sprintf("%d", sh.id)
 	if up && ready {
-		c.shardUp.With(label).Set(1)
 		if sh.check != nil {
 			sh.check.OK()
 		}
@@ -375,8 +349,6 @@ func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 		}
 		return
 	}
-	c.shardUp.With(label).Set(0)
-	c.hbFailures.With(label).Inc()
 	if sh.check != nil {
 		sh.check.Fail(errStr)
 	}

@@ -41,7 +41,7 @@ type shardPull struct {
 func (c *Coordinator) sync(ctx context.Context) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.syncTimeout())
+	ctx, cancel := context.WithTimeout(ctx, syncTimeout)
 	defer cancel()
 
 	epochs := make([]uint64, len(c.shards))
@@ -85,8 +85,6 @@ func (c *Coordinator) sync(ctx context.Context) error {
 	}
 	fs.Epoch = c.epochN.Add(1)
 	c.fleet.Store(fs)
-	c.fleetGauge.Set(int64(fs.Epoch))
-	c.resyncs.Inc()
 	c.signal.Broadcast()
 	if c.log != nil {
 		_, closeDay := fs.Feed.Window()

@@ -164,7 +164,7 @@ func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c.proxyTo(w, r, "/v1/domains/{name}", c.shards[zonedb.ShardOf(name.TLD(), len(c.shards))])
+	c.proxyTo(w, r, c.shards[zonedb.ShardOf(name.TLD(), len(c.shards))])
 }
 
 // handleSnapshot routes a zone snapshot to the owning shard.
@@ -173,7 +173,7 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c.proxyTo(w, r, "/v1/zones/{zone}/snapshot", c.shards[zonedb.ShardOf(zone, len(c.shards))])
+	c.proxyTo(w, r, c.shards[zonedb.ShardOf(zone, len(c.shards))])
 }
 
 // proxyTo relays one request to its owning shard byte-for-byte:
@@ -181,16 +181,14 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // shard's status, headers (ETag included), and body come back
 // untouched — so single-zone responses through the coordinator are
 // the bytes the shard produced.
-func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, route string, sh *shard) {
+func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, sh *shard) {
 	if !sh.isUp() {
 		c.retryLater(w, CodeShardUnavailable, "shard %d owning this zone is unavailable", sh.id)
-		c.proxied.With(route, "unavailable").Inc()
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, sh.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		dzdbapi.WriteError(w, http.StatusInternalServerError, dzdbapi.CodeInternal, "building shard request: %v", err)
-		c.proxied.With(route, "error").Inc()
 		return
 	}
 	// Setting Accept-Encoding explicitly (identity when the client sent
@@ -207,11 +205,9 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, route stri
 	resp, err := sh.proxy.Do(req)
 	if err != nil {
 		if r.Context().Err() != nil {
-			c.proxied.With(route, "canceled").Inc()
 			return
 		}
 		c.retryLater(w, CodeShardUnavailable, "shard %d unreachable: %v", sh.id, err)
-		c.proxied.With(route, "error").Inc()
 		return
 	}
 	defer resp.Body.Close()
@@ -226,7 +222,6 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, route stri
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-	c.proxied.With(route, strconv.Itoa(resp.StatusCode)).Inc()
 }
 
 // handleShards is the cluster introspection route: per-shard

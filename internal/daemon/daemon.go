@@ -3,7 +3,7 @@
 // logger, build-info registration, a signal-bound context, and the
 // observability endpoint — /metrics + pprof plus the operational-health
 // surface (/healthz, /readyz, /statusz), the go_*/process_* runtime
-// collector, and the slo_* burn-rate tracker. Keeping it in one place
+// gauges, and the slo_* burn-rate tracker. Keeping it in one place
 // means dzdbd, dzdbcoord, and riskywatchd cannot drift apart on process
 // hygiene: every daemon answers the same probes with the same
 // semantics, and only the readiness conditions differ.
@@ -34,12 +34,12 @@ type App struct {
 	Name string
 	Log  *slog.Logger
 	Reg  *obs.Registry
-	// Health is the probe registry behind /healthz and /readyz. Daemons
-	// register their readiness conditions on it; BeginShutdown flips
-	// readiness before listeners close.
+	// Health is the probe registry behind /readyz. Daemons register
+	// their readiness conditions on it; BeginShutdown flips readiness
+	// before listeners close.
 	Health *health.Registry
-	// Runtime is the background go_*/process_* gauge collector, started
-	// by New and resampled before every /metrics scrape.
+	// Runtime publishes the go_*/process_* gauges, sampled as each
+	// /metrics scrape and /statusz render answers.
 	Runtime *obsruntime.Collector
 	// SLO evaluates latency objectives registered via TrackSLO into
 	// slo_* gauges and the /statusz SLO block.
@@ -53,8 +53,8 @@ type App struct {
 }
 
 // New builds the app: named logger on the default registry with build
-// info registered, the runtime collector running, and empty health and
-// SLO registries. If version is true (the -version flag), it prints
+// info and the runtime gauges registered, and empty health and SLO
+// registries. If version is true (the -version flag), it prints
 // build information and exits — callers invoke it right after
 // flag.Parse and never see it return in that case.
 func New(name string, version bool) *App {
@@ -71,23 +71,23 @@ func New(name string, version bool) *App {
 	}
 	a.Reg.RegisterBuildInfo()
 	a.Health.Instrument(a.Reg)
-	a.Runtime = obsruntime.Start(a.Reg, 0)
+	a.Runtime = obsruntime.New(a.Reg)
 	a.SLO = slo.NewTracker(a.Reg)
 	return a
 }
 
 // TrackSLO registers a latency objective over histograms and (on first
 // use) starts the background evaluation loop.
-func (a *App) TrackSLO(obj slo.Objective, windows []time.Duration, hists ...*obs.Histogram) {
-	a.SLO.Track(obj, windows, hists...)
+func (a *App) TrackSLO(obj slo.Objective, hists ...*obs.Histogram) {
+	a.SLO.Track(obj, hists...)
 	if !a.sloLoop {
 		a.sloLoop = true
-		a.SLO.Start(0)
+		a.SLO.Start()
 	}
 	a.SLO.Evaluate()
 }
 
-// BeginShutdown fails readiness (liveness is untouched) so load
+// BeginShutdown fails readiness (/healthz is untouched) so load
 // balancers stop routing here, logs the drain, and sleeps for the grace
 // period — the window in which probes observe not-ready while the
 // listeners still answer. Call on SIGTERM, before closing servers.
@@ -99,10 +99,9 @@ func (a *App) BeginShutdown(grace time.Duration) {
 	}
 }
 
-// Close stops the background collectors. Safe to call more than once;
-// the daemons defer it, tests use it for cleanup.
+// Close stops the SLO loop and restores the profiling rates. Safe to
+// call more than once; the daemons defer it, tests use it for cleanup.
 func (a *App) Close() {
-	a.Runtime.Stop()
 	a.SLO.Stop()
 	if a.restoreProf != nil {
 		a.restoreProf()
@@ -125,11 +124,11 @@ func SignalContext() (context.Context, context.CancelFunc) {
 }
 
 // ObservabilityMux returns a mux serving the full operational surface:
-// GET /metrics (with a fresh runtime sample per scrape), the probe
-// endpoints /healthz and /readyz, the human-readable /statusz, and the
-// pprof handlers under /debug/pprof/ — which answer ?seconds=N with a
-// delta profile (heap, allocs, mutex, block, goroutine) and
-// /debug/pprof/profile?seconds=N with a CPU profile.
+// GET /metrics (with a fresh runtime sample per scrape), /healthz (200
+// while the process answers at all), /readyz, the human-readable
+// /statusz, and the pprof handlers under /debug/pprof/ — which answer
+// ?seconds=N with a delta profile (heap, allocs, mutex, block,
+// goroutine) and /debug/pprof/profile?seconds=N with a CPU profile.
 func (a *App) ObservabilityMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	metrics := a.Reg.Handler()
@@ -137,7 +136,10 @@ func (a *App) ObservabilityMux() *http.ServeMux {
 		a.Runtime.Sample()
 		metrics.ServeHTTP(w, r)
 	}))
-	mux.Handle("GET /healthz", a.Health.LivenessHandler())
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = io.WriteString(w, "ok\n")
+	})
 	mux.Handle("GET /readyz", a.Health.ReadinessHandler())
 	mux.Handle("GET /statusz", a.StatusHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -8,11 +9,12 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/obs/health"
 )
 
 func TestObservabilityMux(t *testing.T) {
@@ -137,7 +139,7 @@ func TestContentionRatesRestored(t *testing.T) {
 func TestProbeEndpoints(t *testing.T) {
 	app := New("testd", false)
 	t.Cleanup(app.Close)
-	store := app.Health.Register("store", health.Readiness, 0)
+	store := app.Health.Register("store", 0)
 	app.StatusSection("custom", func() []KV {
 		return []KV{{K: "hello", V: "world"}}
 	})
@@ -154,7 +156,8 @@ func TestProbeEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// Not ready until the store check reports; liveness is independent.
+	// Not ready until the store check reports; /healthz answers 200
+	// throughout.
 	if code, _ := get("/healthz"); code != 200 {
 		t.Errorf("healthz = %d, want 200", code)
 	}
@@ -178,18 +181,69 @@ func TestProbeEndpoints(t *testing.T) {
 	}
 
 	// go_* runtime gauges are exported on /metrics via the collector
-	// started by New.
+	// New registers.
 	if _, body := get("/metrics"); !strings.Contains(body, "go_goroutines") {
 		t.Errorf("metrics missing go_goroutines")
 	}
 
-	// BeginShutdown flips readiness but not liveness.
+	// BeginShutdown flips readiness but not /healthz.
 	app.BeginShutdown(0)
 	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "shutting down") {
 		t.Errorf("readyz while draining = %d %q", code, body)
 	}
 	if code, _ := get("/healthz"); code != 200 {
 		t.Errorf("healthz while draining = %d, want 200", code)
+	}
+}
+
+// TestMetricsSampleOnScrape: /metrics reads the runtime as it answers.
+// Nothing samples in the background, so a change made between two
+// scrapes shows in the second one, and no goroutine runs in the
+// runtime collector.
+func TestMetricsSampleOnScrape(t *testing.T) {
+	app := New("testd", false)
+	t.Cleanup(app.Close)
+	ts := httptest.NewServer(app.ObservabilityMux())
+	t.Cleanup(ts.Close)
+	goroutines := func() int {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		m := regexp.MustCompile(`(?m)^go_goroutines (\d+)$`).FindSubmatch(body)
+		if m == nil {
+			t.Fatalf("no go_goroutines sample in\n%s", body)
+		}
+		n, _ := strconv.Atoi(string(m[1]))
+		return n
+	}
+
+	before := goroutines()
+	const parked = 50
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	after := goroutines()
+	close(release)
+	wg.Wait()
+	if after < before+parked-10 {
+		t.Errorf("go_goroutines %d after parking %d goroutines, was %d", after, parked, before)
+	}
+
+	var stacks bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stacks.String(), "repro/internal/obs/runtime.") {
+		t.Errorf("a goroutine runs in the runtime collector:\n%s", stacks.String())
 	}
 }
 

@@ -85,11 +85,7 @@ func (a *App) renderStatus(sb *strings.Builder) {
 
 	// Health block: every check with its probe-time verdict.
 	ready, sts := a.Health.Readiness()
-	live, _ := a.Health.Liveness()
-	rows := []KV{
-		{"live", fmt.Sprintf("%v", live)},
-		{"ready", fmt.Sprintf("%v", ready)},
-	}
+	rows := []KV{{"ready", fmt.Sprintf("%v", ready)}}
 	for _, st := range sts {
 		v := "ok"
 		if !st.OK {
@@ -101,7 +97,7 @@ func (a *App) renderStatus(sb *strings.Builder) {
 		if st.OK && st.Age > 0 {
 			v += fmt.Sprintf(" (updated %s ago)", st.Age.Round(time.Millisecond))
 		}
-		rows = append(rows, KV{fmt.Sprintf("%s [%s]", st.Name, st.Kind), v})
+		rows = append(rows, KV{st.Name, v})
 	}
 	writeSection(sb, "health", rows)
 

@@ -16,16 +16,7 @@ import (
 
 	"repro/internal/dnsname"
 	"repro/internal/dnswire"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
-)
-
-// Metric names recorded when the server is instrumented.
-const (
-	MetricQueries   = "dns_queries_total"
-	MetricResponses = "dns_responses_total"
-	MetricDropped   = "dns_dropped_total"
-	MetricErrors    = "dns_errors_total"
 )
 
 // Policy decides whether a query may be answered. Queries it rejects
@@ -74,21 +65,6 @@ type Server struct {
 	// (DNS has no trace-context carrier, so query spans are always
 	// roots, tagged with name, type, and outcome). Set before Serve.
 	Tracer *trace.Tracer
-
-	// obs metric handles, nil until Instrument is called.
-	mQueries   *obs.Counter
-	mDropped   *obs.Counter
-	mErrors    *obs.Counter
-	mResponses *obs.CounterVec // by response code
-}
-
-// Instrument mirrors the server's activity counters into reg, with
-// responses broken down by DNS response code. Call before Serve.
-func (s *Server) Instrument(reg *obs.Registry) {
-	s.mQueries = reg.Counter(MetricQueries, "DNS queries received.")
-	s.mDropped = reg.Counter(MetricDropped, "Queries dropped by the answer policy.")
-	s.mErrors = reg.Counter(MetricErrors, "Malformed queries and send failures.")
-	s.mResponses = reg.CounterVec(MetricResponses, "DNS responses sent, by response code.", "rcode")
 }
 
 type recordKey struct {
@@ -200,7 +176,7 @@ func (s *Server) Serve(pc net.PacketConn) error {
 		resp := s.handleWire(buf[:n], addrPortOf(from), true)
 		if resp != nil {
 			if _, err := pc.WriteTo(resp, from); err != nil {
-				s.countError()
+				s.Stats.Errors.Add(1)
 			}
 		}
 	}
@@ -306,16 +282,13 @@ func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
 	}()
 	msg, err := dnswire.Decode(wire)
 	if err != nil || msg.Header.Response || len(msg.Questions) != 1 {
-		s.countError()
+		s.Stats.Errors.Add(1)
 		return nil
 	}
 	q := msg.Questions[0]
 	sp.SetAttr("name", string(q.Name))
 	sp.SetAttr("type", q.Type.String())
 	s.Stats.Queries.Add(1)
-	if s.mQueries != nil {
-		s.mQueries.Inc()
-	}
 	if s.QueryLog != nil {
 		s.QueryLog(q, from)
 	}
@@ -325,9 +298,6 @@ func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
 	s.mu.RUnlock()
 	if !policy(q, from) {
 		s.Stats.Dropped.Add(1)
-		if s.mDropped != nil {
-			s.mDropped.Inc()
-		}
 		outcome = "dropped"
 		return nil
 	}
@@ -371,23 +341,12 @@ func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
 		out, err = dnswire.Encode(resp)
 	}
 	if err != nil {
-		s.countError()
+		s.Stats.Errors.Add(1)
 		return nil
 	}
 	s.Stats.Answered.Add(1)
-	if s.mResponses != nil {
-		s.mResponses.With(resp.Header.RCode.String()).Inc()
-	}
 	outcome = resp.Header.RCode.String()
 	return out
-}
-
-// countError bumps both the legacy stats block and the obs counter.
-func (s *Server) countError() {
-	s.Stats.Errors.Add(1)
-	if s.mErrors != nil {
-		s.mErrors.Inc()
-	}
 }
 
 // nameExistsLocked reports whether any record type exists at name.

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dnsname"
 	"repro/internal/dnswire"
-	"repro/internal/obs"
 	"repro/internal/resolve"
 )
 
@@ -306,12 +305,11 @@ func TestEDNS0LargeUDPAnswer(t *testing.T) {
 	}
 }
 
-// TestInstrumentedCounters checks the obs mirror of the stats block,
-// including the per-rcode response breakdown.
-func TestInstrumentedCounters(t *testing.T) {
-	reg := obs.NewRegistry()
+// TestStatsCounters checks the server's activity counters: an answered
+// name and an NXDOMAIN each count as a query answered, and a query the
+// policy refuses counts as dropped.
+func TestStatsCounters(t *testing.T) {
 	srv := New(nil)
-	srv.Instrument(reg)
 	srv.AddZone("victim.edu")
 	if err := srv.AddA("victim.edu", netip.MustParseAddr("198.51.100.99")); err != nil {
 		t.Fatal(err)
@@ -330,14 +328,24 @@ func TestInstrumentedCounters(t *testing.T) {
 	if _, err := stub.LookupA(ctx(t), "ghost.victim.edu"); err == nil {
 		t.Fatal("expected NXDOMAIN")
 	}
-	if got := reg.Counter(MetricQueries, "").Value(); got != 2 {
+	if got := srv.Stats.Queries.Load(); got != 2 {
 		t.Errorf("queries = %d, want 2", got)
 	}
-	responses := reg.CounterVec(MetricResponses, "", "rcode")
-	if got := responses.With("NOERROR").Value(); got != 1 {
-		t.Errorf("NOERROR responses = %d, want 1", got)
+	if got := srv.Stats.Answered.Load(); got != 2 {
+		t.Errorf("answered = %d, want 2 (NOERROR and NXDOMAIN)", got)
 	}
-	if got := responses.With("NXDOMAIN").Value(); got != 1 {
-		t.Errorf("NXDOMAIN responses = %d, want 1", got)
+
+	srv.SetPolicy(func(dnswire.Question, netip.AddrPort) bool { return false })
+	if _, err := stub.LookupA(ctx(t), "victim.edu"); err == nil {
+		t.Fatal("a dropped query was answered")
+	}
+	if got := srv.Stats.Dropped.Load(); got < 1 {
+		t.Errorf("dropped = %d, want at least 1", got)
+	}
+	if got := srv.Stats.Queries.Load(); got != 2+srv.Stats.Dropped.Load() {
+		t.Errorf("queries = %d, want 2 plus %d dropped", got, srv.Stats.Dropped.Load())
+	}
+	if got := srv.Stats.Errors.Load(); got != 0 {
+		t.Errorf("errors = %d, want 0", got)
 	}
 }

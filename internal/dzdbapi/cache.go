@@ -10,14 +10,10 @@ import (
 	"sync"
 )
 
-// Metric names recorded by the response cache.
-const (
-	MetricCacheRequests  = "dzdb_cache_requests_total"
-	MetricCacheEvictions = "dzdb_cache_evictions_total"
-	MetricCacheEntries   = "dzdb_cache_entries"
-	MetricCacheBytes     = "dzdb_cache_bytes"
-	MetricCacheHitRatio  = "dzdb_cache_hit_ratio"
-)
+// MetricCacheRequests counts response cache lookups by route and
+// outcome. The cache's size and hit ratio are read from CacheStats
+// (/statusz [serving]), not exported as gauges.
+const MetricCacheRequests = "dzdb_cache_requests_total"
 
 const (
 	// defaultCacheBytes is the response cache budget when the embedder

@@ -196,10 +196,6 @@ type Server struct {
 	shardCount int
 
 	cacheReqs     *obs.CounterVec // MetricCacheRequests{route,outcome}
-	cacheEvict    *obs.Counter
-	cacheEntries  *obs.Gauge
-	cacheBytes    *obs.Gauge
-	cacheRatio    *obs.FloatGauge
 	shedTotal     *obs.CounterVec // MetricShed{route,code}
 	inflightGauge *obs.Gauge
 	pushActive    *obs.Gauge
@@ -233,10 +229,6 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 		"API request latency by route.", nil, "route")
 	s.cacheReqs = reg.CounterVec(MetricCacheRequests,
 		"Response cache lookups by route and outcome (hit, miss, revalidated).", "route", "outcome")
-	s.cacheEvict = reg.Counter(MetricCacheEvictions, "Response cache LRU evictions.")
-	s.cacheEntries = reg.Gauge(MetricCacheEntries, "Response cache resident entries.")
-	s.cacheBytes = reg.Gauge(MetricCacheBytes, "Response cache resident body bytes.")
-	s.cacheRatio = reg.FloatGauge(MetricCacheHitRatio, "Response cache hit ratio since start.")
 	s.shedTotal = reg.CounterVec(MetricShed,
 		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
@@ -284,7 +276,6 @@ func (s *Server) onPublish(v *zonedb.View) {
 	s.state.Store(st)
 	if s.cache != nil {
 		s.cache.bump(v.Epoch())
-		s.updateCacheGauges()
 	}
 	s.signal.Broadcast()
 	s.published.With(how).Inc()
@@ -328,19 +319,6 @@ func (s *Server) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return s.cache.stats()
-}
-
-func (s *Server) updateCacheGauges() {
-	if s.cache == nil {
-		return
-	}
-	st := s.cache.stats()
-	s.cacheEntries.Set(int64(st.Entries))
-	s.cacheBytes.Set(st.Bytes)
-	if d := st.Evictions - s.cacheEvict.Value(); d > 0 {
-		s.cacheEvict.Add(int(d))
-	}
-	s.cacheRatio.Set(st.HitRatio())
 }
 
 // Metrics returns the registry the request middleware records into.
@@ -479,7 +457,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(e.body)
 		s.cacheReqs.With(route, "hit").Inc()
-		s.updateCacheGauges()
 		return
 	}
 	s.cacheReqs.With(route, "miss").Inc()
@@ -490,7 +467,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isP
 		s.cache.put(st.Epoch, key, rec.Header().Get("Content-Type"), enc,
 			append([]byte(nil), rec.buf.Bytes()...))
 	}
-	s.updateCacheGauges()
 }
 
 // runHandler invokes handler, interposing a gzip compressor when the

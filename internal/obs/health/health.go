@@ -1,13 +1,12 @@
 // Package health is the probe half of the observability layer: a
-// registry of named checks with Kubernetes-style liveness/readiness
-// semantics, exposed as GET /healthz and GET /readyz on each daemon's
-// observability mux.
+// registry of named readiness checks, exposed as GET /readyz on each
+// daemon's observability mux.
 //
-// Liveness answers "is the process wedged?" — failing it invites a
-// restart, so only conditions a restart would cure belong there.
 // Readiness answers "should traffic be routed here right now?" — it
-// additionally fails while the daemon is catching up, lagging past its
-// thresholds, or draining for shutdown.
+// fails while the daemon is loading or catching up, lagging past its
+// thresholds, or draining for shutdown. Every check is a readiness
+// check: no condition here is one a restart would cure, so the
+// daemon's /healthz answers 200 whenever the process can answer at all.
 //
 // Checks come in two flavours. A *Check is push-style: the owning code
 // calls OK/Fail as its state changes, and a TTL guards against the
@@ -33,29 +32,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Kind classifies a check.
-type Kind int
-
-const (
-	// Liveness checks gate /healthz (and, like all checks, /readyz): a
-	// failure means the process should be restarted.
-	Liveness Kind = iota
-	// Readiness checks gate only /readyz: a failure means "stop routing
-	// traffic here", not "restart me".
-	Readiness
-)
-
-func (k Kind) String() string {
-	if k == Liveness {
-		return "liveness"
-	}
-	return "readiness"
-}
-
 // Status is one check's state at probe time.
 type Status struct {
 	Name   string
-	Kind   Kind
 	OK     bool
 	Detail string // failure reason, "stale (...)", or "" when passing
 	Age    time.Duration
@@ -65,7 +44,6 @@ type Status struct {
 // until the first OK or Fail.
 type Check struct {
 	name string
-	kind Kind
 	ttl  time.Duration
 	reg  *Registry
 
@@ -94,7 +72,7 @@ func (c *Check) Fail(reason string) {
 func (c *Check) status(now time.Time) Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Status{Name: c.name, Kind: c.kind, OK: c.ok, Detail: c.detail}
+	st := Status{Name: c.name, OK: c.ok, Detail: c.detail}
 	switch {
 	case !c.set:
 		st.OK, st.Detail = false, "pending (never reported)"
@@ -111,7 +89,6 @@ func (c *Check) status(now time.Time) Status {
 // funcCheck is a pull-style check evaluated at probe time.
 type funcCheck struct {
 	name string
-	kind Kind
 	fn   func() error
 }
 
@@ -126,9 +103,7 @@ type Registry struct {
 	fns      []funcCheck
 	draining atomic.Bool
 
-	checkOK *obs.GaugeVec // health_check_ok{check}
-	ready   *obs.Gauge    // health_ready
-	live    *obs.Gauge    // health_live
+	ready *obs.Gauge // health_ready
 }
 
 // NewRegistry creates an empty check registry.
@@ -141,22 +116,19 @@ func (r *Registry) now() time.Time {
 	return time.Now()
 }
 
-// Instrument exports probe outcomes into reg: health_check_ok{check}
-// per check plus the health_live / health_ready rollups, updated on
-// every probe evaluation.
+// Instrument exports the readiness verdict into reg as health_ready,
+// updated on every readiness evaluation.
 func (r *Registry) Instrument(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.checkOK = reg.GaugeVec("health_check_ok", "Health check outcome at last probe (1 ok, 0 failing).", "check")
-	r.live = reg.Gauge("health_live", "Liveness at last probe (1 live, 0 not).")
 	r.ready = reg.Gauge("health_ready", "Readiness at last probe (1 ready, 0 not).")
 }
 
 // Register adds a push-style check. ttl == 0 disables staleness; with
 // ttl > 0 the check fails unless refreshed within ttl. The check starts
 // pending (failing) until its first OK/Fail.
-func (r *Registry) Register(name string, kind Kind, ttl time.Duration) *Check {
-	c := &Check{name: name, kind: kind, ttl: ttl, reg: r}
+func (r *Registry) Register(name string, ttl time.Duration) *Check {
+	c := &Check{name: name, ttl: ttl, reg: r}
 	r.mu.Lock()
 	r.checks = append(r.checks, c)
 	r.mu.Unlock()
@@ -166,93 +138,58 @@ func (r *Registry) Register(name string, kind Kind, ttl time.Duration) *Check {
 // RegisterFunc adds a pull-style check evaluated at probe time: a nil
 // error is passing, a non-nil error is failing with the error text as
 // detail. fn must be cheap and safe for concurrent use.
-func (r *Registry) RegisterFunc(name string, kind Kind, fn func() error) {
+func (r *Registry) RegisterFunc(name string, fn func() error) {
 	r.mu.Lock()
-	r.fns = append(r.fns, funcCheck{name: name, kind: kind, fn: fn})
+	r.fns = append(r.fns, funcCheck{name: name, fn: fn})
 	r.mu.Unlock()
 }
 
 // BeginShutdown permanently fails readiness with "shutting down".
-// Liveness is unaffected: a draining process is healthy, just no longer
+// /healthz is unaffected: a draining process is healthy, just no longer
 // accepting work. Call on SIGTERM, before closing listeners.
 func (r *Registry) BeginShutdown() { r.draining.Store(true) }
 
 // Draining reports whether BeginShutdown was called.
 func (r *Registry) Draining() bool { return r.draining.Load() }
 
-// evaluate runs every check (optionally restricted to one kind; pass -1
-// for all) and reports the aggregate.
-func (r *Registry) evaluate(only Kind) (bool, []Status) {
+// Readiness evaluates every check plus the drain state.
+func (r *Registry) Readiness() (bool, []Status) {
 	now := r.now()
 	r.mu.Lock()
 	checks := append([]*Check(nil), r.checks...)
 	fns := append([]funcCheck(nil), r.fns...)
-	checkOK := r.checkOK
 	r.mu.Unlock()
 
-	all := true
-	var out []Status
+	ready := true
+	out := make([]Status, 0, len(checks)+len(fns)+1)
 	for _, c := range checks {
 		st := c.status(now)
-		if checkOK != nil {
-			checkOK.With(st.Name).Set(b2i(st.OK))
-		}
-		if only >= 0 && st.Kind != only {
-			continue
-		}
-		all = all && st.OK
+		ready = ready && st.OK
 		out = append(out, st)
 	}
 	for _, fc := range fns {
-		st := Status{Name: fc.name, Kind: fc.kind, OK: true}
+		st := Status{Name: fc.name, OK: true}
 		if err := fc.fn(); err != nil {
 			st.OK, st.Detail = false, err.Error()
 		}
-		if checkOK != nil {
-			checkOK.With(st.Name).Set(b2i(st.OK))
-		}
-		if only >= 0 && st.Kind != only {
-			continue
-		}
-		all = all && st.OK
+		ready = ready && st.OK
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return all, out
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Liveness evaluates the liveness checks only.
-func (r *Registry) Liveness() (bool, []Status) {
-	live, sts := r.evaluate(Liveness)
-	r.mu.Lock()
-	if r.live != nil {
-		r.live.Set(b2i(live))
-	}
-	r.mu.Unlock()
-	return live, sts
-}
-
-// Readiness evaluates every check (a dead process is not ready either)
-// plus the drain state.
-func (r *Registry) Readiness() (bool, []Status) {
-	ready, sts := r.evaluate(-1)
 	if r.draining.Load() {
 		ready = false
-		sts = append(sts, Status{Name: "shutdown", Kind: Readiness, OK: false, Detail: "shutting down"})
+		out = append(out, Status{Name: "shutdown", OK: false, Detail: "shutting down"})
 	}
 	r.mu.Lock()
 	if r.ready != nil {
-		r.ready.Set(b2i(ready))
+		if ready {
+			r.ready.Set(1)
+		} else {
+			r.ready.Set(0)
+		}
 	}
 	r.mu.Unlock()
-	return ready, sts
+	return ready, out
 }
 
 // writeProbe renders a probe result: 200 "ok" or 503 with one line per
@@ -273,7 +210,7 @@ func writeProbe(w http.ResponseWriter, req *http.Request, ok bool, sts []Status)
 		if !st.OK {
 			mark = "-"
 		}
-		fmt.Fprintf(w, "[%s] %s (%s)", mark, st.Name, st.Kind)
+		fmt.Fprintf(w, "[%s] %s", mark, st.Name)
 		if st.Detail != "" {
 			fmt.Fprintf(w, ": %s", st.Detail)
 		}
@@ -282,14 +219,6 @@ func writeProbe(w http.ResponseWriter, req *http.Request, ok bool, sts []Status)
 	if ok {
 		fmt.Fprintln(w, "ok")
 	}
-}
-
-// LivenessHandler serves GET /healthz.
-func (r *Registry) LivenessHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		ok, sts := r.Liveness()
-		writeProbe(w, req, ok, sts)
-	})
 }
 
 // ReadinessHandler serves GET /readyz.

@@ -39,7 +39,7 @@ func newTestRegistry() (*Registry, *fakeClock) {
 
 func TestCheckLifecycle(t *testing.T) {
 	r, _ := newTestRegistry()
-	c := r.Register("store", Readiness, 0)
+	c := r.Register("store", 0)
 
 	// A check starts pending: registered but never reported.
 	ready, sts := r.Readiness()
@@ -64,7 +64,7 @@ func TestCheckLifecycle(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	r, clk := newTestRegistry()
-	c := r.Register("feed", Readiness, 10*time.Second)
+	c := r.Register("feed", 10*time.Second)
 	c.OK()
 
 	if ready, _ := r.Readiness(); !ready {
@@ -92,37 +92,10 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestLivenessVsReadiness(t *testing.T) {
-	r, _ := newTestRegistry()
-	live := r.Register("loop", Liveness, 0)
-	live.OK()
-	readyCheck := r.Register("store", Readiness, 0)
-	readyCheck.Fail("loading")
-
-	// A failing readiness check must not fail liveness: restarting the
-	// process would not cure "still loading".
-	if ok, _ := r.Liveness(); !ok {
-		t.Error("readiness failure should not affect liveness")
-	}
-	if ok, _ := r.Readiness(); ok {
-		t.Error("failing readiness check should fail readiness")
-	}
-
-	// A failing liveness check fails both: a dead process is not ready.
-	readyCheck.OK()
-	live.Fail("wedged")
-	if ok, _ := r.Liveness(); ok {
-		t.Error("failing liveness check should fail liveness")
-	}
-	if ok, _ := r.Readiness(); ok {
-		t.Error("failing liveness check should fail readiness too")
-	}
-}
-
 func TestFuncCheck(t *testing.T) {
 	r, _ := newTestRegistry()
 	var err error
-	r.RegisterFunc("epoch", Readiness, func() error { return err })
+	r.RegisterFunc("epoch", func() error { return err })
 
 	if ok, _ := r.Readiness(); !ok {
 		t.Error("nil-error func check should pass")
@@ -136,8 +109,7 @@ func TestFuncCheck(t *testing.T) {
 
 func TestBeginShutdown(t *testing.T) {
 	r, _ := newTestRegistry()
-	r.Register("store", Readiness, 0).OK()
-	r.Register("loop", Liveness, 0).OK()
+	r.Register("store", 0).OK()
 
 	r.BeginShutdown()
 	if !r.Draining() {
@@ -156,15 +128,11 @@ func TestBeginShutdown(t *testing.T) {
 	if !found {
 		t.Errorf("no shutdown status in %+v", sts)
 	}
-	// Liveness is unaffected: a draining process is healthy.
-	if ok, _ := r.Liveness(); !ok {
-		t.Error("draining should not fail liveness")
-	}
 }
 
 func TestProbeHandlers(t *testing.T) {
 	r, _ := newTestRegistry()
-	c := r.Register("store", Readiness, 0)
+	c := r.Register("store", 0)
 
 	get := func(h http.Handler, path string) (int, string) {
 		ts := httptest.NewServer(h)
@@ -181,9 +149,6 @@ func TestProbeHandlers(t *testing.T) {
 	if code, body := get(r.ReadinessHandler(), "/"); code != 503 || !strings.Contains(body, "[-] store") {
 		t.Errorf("pending readyz = %d %q", code, body)
 	}
-	if code, _ := get(r.LivenessHandler(), "/"); code != 200 {
-		t.Errorf("healthz with no liveness checks = %d, want 200", code)
-	}
 	c.OK()
 	if code, body := get(r.ReadinessHandler(), "/"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("ready readyz = %d %q", code, body)
@@ -198,8 +163,8 @@ func TestProbeHandlers(t *testing.T) {
 // freedom is asserted, not outcomes.
 func TestConcurrentProbes(t *testing.T) {
 	r, clk := newTestRegistry()
-	c := r.Register("feed", Readiness, 10*time.Second)
-	r.RegisterFunc("epoch", Readiness, func() error { return nil })
+	c := r.Register("feed", 10*time.Second)
+	r.RegisterFunc("epoch", func() error { return nil })
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -212,11 +177,9 @@ func TestConcurrentProbes(t *testing.T) {
 					c.OK()
 				case w == 1:
 					c.Fail("flap")
-				case w == 2:
+				default:
 					clk.Advance(time.Second)
 					r.Readiness()
-				default:
-					r.Liveness()
 				}
 			}
 		}(w)

@@ -25,7 +25,6 @@ package slo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -203,11 +202,18 @@ type timedSnapshot struct {
 
 // tracked is one objective under observation.
 type tracked struct {
-	obj     Objective
-	windows []time.Duration
-	hists   []*obs.Histogram
-	ring    []timedSnapshot
+	obj   Objective
+	hists []*obs.Histogram
+	ring  []timedSnapshot
 }
+
+// windows are the rolling evaluation windows every objective is judged
+// over, shortest first: the short one catches fast burns, the long one
+// slow leaks.
+var windows = [...]time.Duration{5 * time.Minute, time.Hour}
+
+// interval is the cadence of the background loop Start runs.
+const interval = 15 * time.Second
 
 // Tracker evaluates objectives over histograms on a cadence. Create
 // with NewTracker, add objectives with Track, then either call Evaluate
@@ -245,14 +251,9 @@ func NewTracker(reg *obs.Registry) *Tracker {
 }
 
 // Track registers an objective over one or more histograms (their
-// snapshots are summed; they must share a bucket layout). windows are
-// the rolling evaluation windows, e.g. {5m, 1h}; nil selects {5m, 1h}.
-func (t *Tracker) Track(obj Objective, windows []time.Duration, hists ...*obs.Histogram) {
-	if len(windows) == 0 {
-		windows = []time.Duration{5 * time.Minute, time.Hour}
-	}
-	ws := append([]time.Duration(nil), windows...)
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
+// snapshots are summed; they must share a bucket layout), evaluated
+// over 5 m and 1 h windows.
+func (t *Tracker) Track(obj Objective, hists ...*obs.Histogram) {
 	// Seed the ring with the histograms' current state so the first
 	// Evaluate reports observations since Track, not an empty diff.
 	snaps := make([]obs.BucketSnapshot, len(hists))
@@ -261,7 +262,7 @@ func (t *Tracker) Track(obj Objective, windows []time.Duration, hists ...*obs.Hi
 	}
 	seed := timedSnapshot{at: t.now(), s: merge(snaps)}
 	t.mu.Lock()
-	t.tracked = append(t.tracked, &tracked{obj: obj, windows: ws, hists: hists, ring: []timedSnapshot{seed}})
+	t.tracked = append(t.tracked, &tracked{obj: obj, hists: hists, ring: []timedSnapshot{seed}})
 	t.mu.Unlock()
 }
 
@@ -279,7 +280,7 @@ func (t *Tracker) Evaluate() []Report {
 			snaps[i] = h.Snapshot()
 		}
 		cur := timedSnapshot{at: now, s: merge(snaps)}
-		maxW := tr.windows[len(tr.windows)-1]
+		maxW := windows[len(windows)-1]
 		tr.ring = append(tr.ring, cur)
 		// Prune samples older than the longest window (keeping one beyond
 		// the boundary so a full window is always diffable).
@@ -289,7 +290,7 @@ func (t *Tracker) Evaluate() []Report {
 
 		rep := Report{Objective: tr.obj, Met: true}
 		budget := tr.obj.Budget()
-		for _, w := range tr.windows {
+		for _, w := range windows {
 			old := oldestWithin(tr.ring, now, w)
 			d := sub(cur.s, old.s)
 			wr := WindowReport{Window: w, Covered: now.Sub(old.at), Count: d.Count, Met: true}
@@ -361,11 +362,8 @@ func (t *Tracker) now() time.Time {
 	return time.Now()
 }
 
-// Start evaluates on an interval until Stop. interval <= 0 selects 15s.
-func (t *Tracker) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
+// Start evaluates every 15 s until Stop.
+func (t *Tracker) Start() {
 	go func() {
 		tick := time.NewTicker(interval)
 		defer tick.Stop()

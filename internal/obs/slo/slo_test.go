@@ -100,12 +100,15 @@ func TestTrackerBurnRate(t *testing.T) {
 
 	// 90% under 250ms: the error budget is 10%.
 	obj := Objective{Name: "latency", Target: 0.9, Threshold: 0.25}
-	tr.Track(obj, []time.Duration{5 * time.Minute}, h)
+	tr.Track(obj, h)
 
 	// Baseline: no traffic yet.
 	reps := tr.Evaluate()
-	if len(reps) != 1 || len(reps[0].Windows) != 1 {
+	if len(reps) != 1 || len(reps[0].Windows) != 2 {
 		t.Fatalf("reports = %+v", reps)
+	}
+	if w := reps[0].Windows; w[0].Window != 5*time.Minute || w[1].Window != time.Hour {
+		t.Fatalf("windows = %v and %v, want 5m and 1h", w[0].Window, w[1].Window)
 	}
 	if w := reps[0].Windows[0]; w.Count != 0 || !w.Met {
 		t.Errorf("empty window = %+v, want count 0, met", w)
@@ -147,8 +150,9 @@ func TestTrackerBurnRate(t *testing.T) {
 		t.Errorf("burn %v should violate the objective", w.BurnRate)
 	}
 
-	// Advance past the window with no traffic: the old errors age out
-	// and the burn rate resets.
+	// Advance past the short window with no traffic: the old errors age
+	// out of it and its burn rate resets, while the hour still holds
+	// them.
 	now = now.Add(6 * time.Minute)
 	tr.Evaluate()
 	now = now.Add(6 * time.Minute)
@@ -156,6 +160,9 @@ func TestTrackerBurnRate(t *testing.T) {
 	w = reps[0].Windows[0]
 	if w.Count != 0 || !w.Met {
 		t.Errorf("after idle window: %+v, want empty and met", w)
+	}
+	if long := reps[0].Windows[1]; long.Count != 120 || long.Met || reps[0].Met {
+		t.Errorf("hour window after 14 idle minutes: %+v, want 120 observations, burning", long)
 	}
 
 	if got := tr.Reports(); len(got) != 1 {
@@ -169,7 +176,7 @@ func TestTrackerQuantiles(t *testing.T) {
 	tr := NewTracker(reg)
 	now := time.Unix(2000, 0)
 	tr.Now = func() time.Time { return now }
-	tr.Track(Objective{Name: "q", Target: 0.99, Threshold: 0.5}, nil, h)
+	tr.Track(Objective{Name: "q", Target: 0.99, Threshold: 0.5}, h)
 
 	for i := 0; i < 100; i++ {
 		h.Observe(0.05) // all in the first bucket

@@ -35,10 +35,6 @@ const (
 const (
 	// MetricSegments gauges the number of sealed segments in the manifest.
 	MetricSegments = "zonedb_segments"
-	// MetricSegmentBytes gauges the total bytes of sealed segments.
-	MetricSegmentBytes = "zonedb_segment_bytes"
-	// MetricSeals counts successful Seal operations.
-	MetricSeals = "zonedb_segment_seals_total"
 	// MetricQuarantined counts segments (and manifests) quarantined,
 	// labeled by reason.
 	MetricQuarantined = "zonedb_segments_quarantined_total"
@@ -131,6 +127,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{dir: dir, keep: defaultKeep}
 	for _, o := range opts {
 		o(s)
+	}
+	if s.obs != nil {
+		s.quarantinedVec() // announced at zero, before any quarantine
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -321,9 +320,6 @@ func (s *Store) Seal(v *zonedb.View, sourceTag string) (Info, error) {
 	for _, p := range pruned {
 		os.Remove(filepath.Join(s.dir, p.Name))
 	}
-	if s.obs != nil {
-		s.obs.Counter(MetricSeals, "Epoch segments sealed.").Inc()
-	}
 	s.updateMetricsLocked()
 	return info, nil
 }
@@ -372,9 +368,12 @@ func (s *Store) quarantine(name, reason string, err error) {
 	s.quarantined = append(s.quarantined, Quarantine{Name: name, Reason: reason, Err: err})
 	s.mu.Unlock()
 	if s.obs != nil {
-		s.obs.CounterVec(MetricQuarantined,
-			"Segment files quarantined by verification.", "reason").With(reason).Inc()
+		s.quarantinedVec().With(reason).Inc()
 	}
+}
+
+func (s *Store) quarantinedVec() *obs.CounterVec {
+	return s.obs.CounterVec(MetricQuarantined, "Segment files quarantined by verification.", "reason")
 }
 
 // dropSegment quarantines a segment discovered corrupt after Open and
@@ -404,12 +403,7 @@ func (s *Store) updateMetricsLocked() {
 	if s.obs == nil {
 		return
 	}
-	var bytes int64
-	for _, sg := range s.segs {
-		bytes += sg.Size
-	}
 	s.obs.Gauge(MetricSegments, "Sealed epoch segments in the manifest.").Set(int64(len(s.segs)))
-	s.obs.Gauge(MetricSegmentBytes, "Total bytes of sealed epoch segments.").Set(bytes)
 }
 
 // writeFile durably writes the file at path: temp file, encode, flush,
