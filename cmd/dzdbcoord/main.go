@@ -20,9 +20,12 @@
 // The coordinator heartbeats every shard at -heartbeat, admits the
 // fleet once all shards are ready on a consistent partition config,
 // and re-syncs its merged state whenever any shard adopts a new epoch.
-// Losing a shard flips readiness to 503 and marks fleet-wide answers
-// with "partial": true; the shard is re-admitted automatically when
-// its heartbeats recover.
+// It serves through dzdbd's own serving layer keyed by that fleet
+// epoch: ETags with 304, the response cache and gzip, on every route,
+// whenever the fleet is settled on its last sync. Losing a shard flips
+// readiness to 503 and marks fleet-wide answers with "partial": true,
+// served live; the shard is re-admitted automatically when its
+// heartbeats recover.
 package main
 
 import (
@@ -71,9 +74,12 @@ func main() {
 	mux.Handle("/", coord)
 
 	app.StatusSection("cluster", func() []daemon.KV {
+		cs := coord.CacheStats()
 		rows := []daemon.KV{
 			{K: "fleet_epoch", V: fmt.Sprintf("%d", coord.FleetEpoch())},
 			{K: "shards", V: fmt.Sprintf("%d", len(urls))},
+			{K: "cache_hit_ratio", V: fmt.Sprintf("%.3f", cs.HitRatio())},
+			{K: "cache_bytes", V: fmt.Sprintf("%d of %d", cs.Bytes, cs.Capacity)},
 		}
 		for _, sh := range coord.Shards() {
 			state := "down"

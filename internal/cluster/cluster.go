@@ -18,6 +18,19 @@
 // Point queries that must touch a dead shard fail with 503
 // shard_unavailable and a Retry-After hint instead of silently
 // answering from half a fleet.
+//
+// Every /v1 route is served by dzdbapi's serving layer (dzdbapi.Front)
+// over the fleet epoch — the number of the last complete sync — which
+// keys the ETags and the response cache of the proxied and
+// scatter-gathered routes as much as of the synced ones. Only a settled
+// fleet answers as its epoch: every shard up, ready, and on the epoch
+// vector of the last complete sync (a shard's epoch and the instance of
+// its process, since epochs are numbered per process), decided at the
+// end of each heartbeat round and each sync. A settled fleet answers 304 to its validators
+// and serves and fills its cache; any other request (a degraded fleet's
+// "partial": true answers, or one between a shard's publish and the
+// sync that follows it) is rendered live, without an ETag. A shard's
+// publish therefore reaches every route within one heartbeat.
 package cluster
 
 import (
@@ -120,10 +133,23 @@ func (s *shard) isReady() bool {
 	return s.up && s.ready
 }
 
-func (s *shard) epoch() uint64 {
+// generation names what a shard serves: its epoch and the instance of
+// the process serving it. Epochs are numbered per process, so a shard
+// restarted on another archive can come back on its old epoch number;
+// the instance tells the two apart.
+type generation struct {
+	instance string
+	epoch    uint64
+}
+
+func generationOf(info *dzdbapi.ShardInfoResponse) generation {
+	return generation{info.Instance, info.Epoch}
+}
+
+func (s *shard) generation() generation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.info.Epoch
+	return generationOf(&s.info)
 }
 
 // ShardStatus is one shard's membership row, for /statusz and the
@@ -142,19 +168,27 @@ type ShardStatus struct {
 }
 
 // Coordinator fronts the fleet. It is an http.Handler serving the same
-// /v1 surface as a single dzdbd, plus /v1/cluster/shards.
+// /v1 surface as a single dzdbd, through the same serving layer, plus
+// /v1/cluster/shards.
 type Coordinator struct {
+	*dzdbapi.Front
+
 	cfg    Config
 	shards []*shard
 	mux    *http.ServeMux
 	log    *slog.Logger
-	reg    *obs.Registry
 
 	fleet   atomic.Pointer[fleetState]
 	epochN  atomic.Uint64        // last assigned fleet epoch
 	signal  *dzdbapi.EpochSignal // broadcast on every completed sync
 	syncMu  sync.Mutex           // one fleet sync at a time
 	syncing atomic.Bool          // a background sync is in flight (tick dedup)
+
+	// settled is what a settled fleet serves from — a copy of the last
+	// sync's state, fresh each time the fleet settles — or nil when it is
+	// not settled. settleMu orders the decisions.
+	settleMu sync.Mutex
+	settled  atomic.Pointer[dzdbapi.EpochState]
 
 	partialN *obs.Counter // MetricPartial
 }
@@ -173,7 +207,6 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		log:    cfg.Log,
-		reg:    reg,
 		signal: dzdbapi.NewEpochSignal(),
 		mux:    http.NewServeMux(),
 
@@ -213,12 +246,9 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, sh)
 	}
-	c.routes()
+	c.routes(reg)
 	return c, nil
 }
-
-// Metrics exposes the coordinator's registry.
-func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
 
 // RegisterHealth wires the fleet into a probe registry: one push check
 // per shard (TTL three heartbeats, so a wedged heartbeat loop degrades
@@ -298,7 +328,8 @@ func (c *Coordinator) SyncNow(ctx context.Context) error {
 	return nil
 }
 
-// heartbeatOnce probes every shard concurrently and settles membership.
+// heartbeatOnce probes every shard concurrently, settles membership and
+// decides whether the fleet is settled.
 func (c *Coordinator) heartbeatOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, sh := range c.shards {
@@ -309,12 +340,18 @@ func (c *Coordinator) heartbeatOnce(ctx context.Context) {
 		}(sh)
 	}
 	wg.Wait()
+	c.settle()
 }
 
 func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 	ctx, cancel := context.WithTimeout(ctx, heartbeatTimeout)
 	defer cancel()
 	info, err := sh.hb.ShardInfo(ctx)
+	if err != nil || !info.Ready || info.ShardID != sh.id || info.ShardCount != len(c.shards) || generationOf(info) != sh.generation() {
+		// Unsettle before anything (readiness, a partial mark) can show
+		// the change; only the end of the round settles again.
+		c.unsettle()
+	}
 	sh.mu.Lock()
 	wasReady := sh.up && sh.ready
 	switch {
@@ -357,24 +394,53 @@ func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 	}
 }
 
+// vector reports whether every shard is ready and, if so, whether each
+// is on the generation fs synced (false for no sync).
+func (c *Coordinator) vector(fs *fleetState) (ready, synced bool) {
+	synced = fs != nil
+	for i, sh := range c.shards {
+		if !sh.isReady() {
+			return false, false
+		}
+		if synced && sh.generation() != fs.generations[i] {
+			synced = false
+		}
+	}
+	return true, synced
+}
+
 // needSync reports whether every shard is ready and the fleet's epoch
 // vector moved past the last completed sync.
 func (c *Coordinator) needSync() bool {
-	for _, sh := range c.shards {
-		if !sh.isReady() {
-			return false
-		}
-	}
+	ready, synced := c.vector(c.fleet.Load())
+	return ready && !synced
+}
+
+// settle decides whether the fleet is settled on the last complete sync
+// — every shard ready on its epoch vector — and stores the answer for
+// fleetSource.Pin. A fleet that stays settled keeps its state pointer;
+// one that settles again after anything unsettled it gets a new one.
+func (c *Coordinator) settle() {
+	c.settleMu.Lock()
+	defer c.settleMu.Unlock()
 	fs := c.fleet.Load()
-	if fs == nil {
-		return true
+	if ready, synced := c.vector(fs); !ready || !synced {
+		c.settled.Store(nil)
+		return
 	}
-	for i, sh := range c.shards {
-		if sh.epoch() != fs.shardEpochs[i] {
-			return true
-		}
+	if cur := c.settled.Load(); cur == nil || cur.Epoch != fs.Epoch {
+		st := fs.EpochState
+		c.settled.Store(&st)
 	}
-	return false
+}
+
+// unsettle serves everything live until the next decision: a request
+// saw the fleet degraded before the heartbeat round that will say so
+// had ended.
+func (c *Coordinator) unsettle() {
+	c.settleMu.Lock()
+	c.settled.Store(nil)
+	c.settleMu.Unlock()
 }
 
 // degradedReason is "" when every shard is up and ready, else one

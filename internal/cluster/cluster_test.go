@@ -1,11 +1,14 @@
 package cluster_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/dzdbapi"
 	"repro/internal/faults"
 	"repro/internal/obs/health"
+	"repro/internal/obs/trace"
 	"repro/internal/sim"
 	"repro/internal/watch"
 	"repro/internal/whois"
@@ -55,12 +59,26 @@ func testWorld(t *testing.T) *sim.World {
 // shardProc is one fleet member with a kill switch: down, it answers
 // 502 to everything, which is what a crashed process behind a load
 // balancer looks like to the coordinator. db is the shard's database, to
-// publish into; requests counts what the shard was asked.
+// publish into, and api the server in front of it, which restart
+// replaces; requests counts what the shard was asked, and traceparent
+// holds the last traceparent header a request carried.
 type shardProc struct {
-	srv      *httptest.Server
-	db       *zonedb.DB
-	down     atomic.Bool
-	requests atomic.Int64
+	srv         *httptest.Server
+	db          *zonedb.DB
+	api         atomic.Pointer[dzdbapi.Server]
+	down        atomic.Bool
+	requests    atomic.Int64
+	traceparent atomic.Value
+}
+
+// restart replaces shard i of n with a new process over db, at the same
+// URL: what an operator's restart on another archive looks like to the
+// coordinator.
+func (p *shardProc) restart(db *zonedb.DB, i, n int) {
+	api := dzdbapi.New(db)
+	api.SetShardIdentity(i, n)
+	p.db = db
+	p.api.Store(api)
 }
 
 func startFleet(t *testing.T, db *zonedb.DB, n int) ([]string, []*shardProc) {
@@ -68,16 +86,18 @@ func startFleet(t *testing.T, db *zonedb.DB, n int) ([]string, []*shardProc) {
 	urls := make([]string, n)
 	procs := make([]*shardProc, n)
 	for i := 0; i < n; i++ {
-		p := &shardProc{db: db.View().FilterShard(i, n)}
-		api := dzdbapi.New(p.db)
-		api.SetShardIdentity(i, n)
+		p := &shardProc{}
+		p.restart(db.View().FilterShard(i, n), i, n)
 		p.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			p.requests.Add(1)
+			if tp := r.Header.Get("traceparent"); tp != "" {
+				p.traceparent.Store(tp)
+			}
 			if p.down.Load() {
 				http.Error(w, "shard killed", http.StatusBadGateway)
 				return
 			}
-			api.ServeHTTP(w, r)
+			p.api.Load().ServeHTTP(w, r)
 		}))
 		t.Cleanup(p.srv.Close)
 		urls[i] = p.srv.URL
@@ -100,13 +120,24 @@ func newCoord(t *testing.T, urls []string) *cluster.Coordinator {
 
 func fetch(t *testing.T, url string) (int, []byte) {
 	t.Helper()
+	status, _, body := fetchHeader(t, url)
+	return status, body
+}
+
+// fetchHeader GETs url with the given header name/value pairs and
+// returns the status, the response headers and the raw body. Unless the
+// pairs set Accept-Encoding it asks for identity, so transparent
+// transport gzip cannot make two equivalent servers look byte-different.
+func fetchHeader(t *testing.T, url string, hdr ...string) (int, http.Header, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}
-	// Pin identity so transparent transport gzip cannot make two
-	// equivalent servers look byte-different.
 	req.Header.Set("Accept-Encoding", "identity")
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
@@ -116,7 +147,7 @@ func fetch(t *testing.T, url string) (int, []byte) {
 	if err != nil {
 		t.Fatalf("reading %s: %v", url, err)
 	}
-	return resp.StatusCode, body
+	return resp.StatusCode, resp.Header, body
 }
 
 // wantSame fails unless both servers answer the path with identical
@@ -210,6 +241,11 @@ func TestScatterGatherEquivalence(t *testing.T) {
 		wantSame(t, single.URL, ts.URL,
 			fmt.Sprintf("/v1/zones/%s/snapshot?date=%s", zone, v.CloseDay()))
 	}
+	// Compressed, too: the coordinator negotiates gzip itself, over the
+	// identity bytes the shard sent it, into the node's bytes.
+	for _, zone := range v.Zones()[:2] {
+		wantSameGzip(t, single.URL, ts.URL, fmt.Sprintf("/v1/zones/%s/snapshot?date=%s", zone, v.CloseDay()))
+	}
 	// A day past the close day was not observed, through a node or the fleet.
 	past := fmt.Sprintf("/v1/zones/%s/snapshot?date=%s", v.Zones()[0], v.CloseDay()+1)
 	wantSame(t, single.URL, ts.URL, past)
@@ -221,33 +257,82 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	wantSame(t, single.URL, ts.URL, "/v1/domains/never-registered.com")
 	wantSame(t, single.URL, ts.URL, "/v1/nameservers/ns1.never-registered.com")
 
-	// The merged delta feed matches the single-node feed day for day;
-	// only the epoch legitimately differs (the coordinator stamps its
-	// fleet epoch), so compare decoded pages with epochs normalized.
+	// The merged delta feed matches the single-node feed day for day, in
+	// both encodings; only the epoch legitimately differs (the
+	// coordinator stamps its fleet epoch), so compare decoded pages with
+	// epochs normalized.
 	cursor = ""
 	for {
 		q := "?limit=40"
 		if cursor != "" {
 			q += "&cursor=" + cursor
 		}
-		_, sb := fetch(t, single.URL+"/v1/deltas"+q)
-		_, cb := fetch(t, ts.URL+"/v1/deltas"+q)
-		var sr, cr dzdbapi.DeltasResponse
-		if err := json.Unmarshal(sb, &sr); err != nil {
-			t.Fatalf("decoding single feed: %v", err)
-		}
-		if err := json.Unmarshal(cb, &cr); err != nil {
-			t.Fatalf("decoding merged feed: %v", err)
-		}
-		sr.Epoch, cr.Epoch = 0, 0
-		if !reflect.DeepEqual(sr, cr) {
-			t.Fatalf("delta page diverges at cursor %q:\n single %+v\n merged %+v", cursor, sr, cr)
+		var sr dzdbapi.DeltasResponse
+		for _, gz := range []bool{false, true} {
+			sb, cb := fetchBoth(t, single.URL, ts.URL, "/v1/deltas"+q, gz)
+			var cr dzdbapi.DeltasResponse
+			sr = dzdbapi.DeltasResponse{}
+			if err := json.Unmarshal(sb, &sr); err != nil {
+				t.Fatalf("decoding single feed: %v", err)
+			}
+			if err := json.Unmarshal(cb, &cr); err != nil {
+				t.Fatalf("decoding merged feed: %v", err)
+			}
+			sr.Epoch, cr.Epoch = 0, 0
+			if !reflect.DeepEqual(sr, cr) {
+				t.Fatalf("delta page (gzip %v) diverges at cursor %q:\n single %+v\n merged %+v", gz, cursor, sr, cr)
+			}
 		}
 		if sr.NextCursor == "" {
 			break
 		}
 		cursor = sr.NextCursor
 	}
+}
+
+// wantSameGzip fails unless both servers answer the path gzip-encoded,
+// with identical compressed bytes.
+func wantSameGzip(t *testing.T, singleURL, coordURL, path string) {
+	t.Helper()
+	ss, sh, sb := fetchHeader(t, singleURL+path, "Accept-Encoding", "gzip")
+	cs, ch, cb := fetchHeader(t, coordURL+path, "Accept-Encoding", "gzip")
+	if ss != http.StatusOK || cs != ss {
+		t.Fatalf("%s gzip: single status %d, coordinator %d", path, ss, cs)
+	}
+	if sh.Get("Content-Encoding") != "gzip" || ch.Get("Content-Encoding") != "gzip" {
+		t.Fatalf("%s: Content-Encoding single %q, coordinator %q; want gzip on both",
+			path, sh.Get("Content-Encoding"), ch.Get("Content-Encoding"))
+	}
+	if !bytes.Equal(sb, cb) {
+		t.Errorf("%s: gzip bodies diverge (%d vs %d bytes)", path, len(sb), len(cb))
+	}
+}
+
+// fetchBoth returns the single node's and the coordinator's bodies for
+// path: identity, or when gz is set both gzip-encoded and then inflated.
+func fetchBoth(t *testing.T, singleURL, coordURL, path string, gz bool) (single, coord []byte) {
+	t.Helper()
+	if !gz {
+		_, single = fetch(t, singleURL+path)
+		_, coord = fetch(t, coordURL+path)
+		return single, coord
+	}
+	inflate := func(url string) []byte {
+		_, h, body := fetchHeader(t, url+path, "Accept-Encoding", "gzip")
+		if h.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("%s%s: Content-Encoding %q, want gzip", url, path, h.Get("Content-Encoding"))
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s%s: %v", url, path, err)
+		}
+		out, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("%s%s: %v", url, path, err)
+		}
+		return out
+	}
+	return inflate(singleURL), inflate(coordURL)
 }
 
 // TestNameserverGlueFromAnotherShard: glue lives in the host's own
@@ -655,6 +740,276 @@ func TestNotSyncedBeforeFirstFleetSync(t *testing.T) {
 		status, _ := fetch(t, ts.URL+path)
 		if status != http.StatusServiceUnavailable {
 			t.Errorf("%s before sync: status %d, want 503", path, status)
+		}
+	}
+}
+
+// TestFleetEpochServesWithoutShards: on a settled fleet a repeated
+// proxied, scatter-gathered or merged request comes out of the
+// coordinator's cache, and its fleet ETag revalidates to 304, without a
+// shard being asked.
+func TestFleetEpochServesWithoutShards(t *testing.T) {
+	zoneA, zoneB := partitionZones(t)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	ts := httptest.NewServer(newCoord(t, urls))
+	t.Cleanup(ts.Close)
+	shardRequests := func() int64 { return procs[0].requests.Load() + procs[1].requests.Load() }
+
+	for _, path := range []string{
+		"/v1/domains/alpha." + string(zoneB),
+		"/v1/nameservers/ns1.hoster." + string(zoneA),
+		"/v1/deltas?limit=3",
+	} {
+		status, h, first := fetchHeader(t, ts.URL+path)
+		etag := h.Get("ETag")
+		if status != http.StatusOK || etag == "" {
+			t.Fatalf("%s: status %d, ETag %q", path, status, etag)
+		}
+		asked := shardRequests()
+		status, h, again := fetchHeader(t, ts.URL+path)
+		if status != http.StatusOK || h.Get("X-Cache") != "hit" || !bytes.Equal(again, first) {
+			t.Errorf("%s repeated: status %d, X-Cache %q, same body %v", path, status, h.Get("X-Cache"), bytes.Equal(again, first))
+		}
+		status, h, body := fetchHeader(t, ts.URL+path, "If-None-Match", etag)
+		if status != http.StatusNotModified || h.Get("ETag") != etag || len(body) != 0 {
+			t.Errorf("%s revalidated: status %d, ETag %q, %d body bytes; want 304 %s", path, status, h.Get("ETag"), len(body), etag)
+		}
+		if n := shardRequests() - asked; n != 0 {
+			t.Errorf("%s: the hit and the 304 asked %d shard requests, want 0", path, n)
+		}
+	}
+}
+
+// cachedETags fetches each path from the coordinator at base until it
+// is served from the cache, and returns the validators it was served
+// under.
+func cachedETags(t *testing.T, base string, paths []string) map[string]string {
+	t.Helper()
+	etags := make(map[string]string)
+	for _, path := range paths {
+		fetchHeader(t, base+path) // fill the cache
+		_, h, _ := fetchHeader(t, base+path)
+		if h.Get("X-Cache") != "hit" {
+			t.Fatalf("%s: X-Cache %q, want hit", path, h.Get("X-Cache"))
+		}
+		etags[path] = h.Get("ETag")
+	}
+	return etags
+}
+
+// wantMovedOn fails unless the coordinator at base serves each path as
+// the reference at ref does, under a new validator, and answers the old
+// one with the new bytes.
+func wantMovedOn(t *testing.T, base, ref string, etags map[string]string, when string) {
+	t.Helper()
+	for path, old := range etags {
+		status, h, body := fetchHeader(t, base+path)
+		_, want := fetch(t, ref+path)
+		if status != http.StatusOK || !bytes.Equal(body, want) {
+			t.Errorf("%s %s: status %d, body %s; want %s", path, when, status, body, want)
+		}
+		if etag := h.Get("ETag"); etag == "" || etag == old {
+			t.Errorf("%s %s: ETag %q, want a new one (was %q)", path, when, etag, old)
+		}
+		if status, _, _ := fetchHeader(t, base+path, "If-None-Match", old); status != http.StatusOK {
+			t.Errorf("%s %s: the old validator got %d, want 200", path, when, status)
+		}
+	}
+}
+
+// TestShardPublishWithinOneHeartbeat pins the freshness bound: after a
+// shard publishes, the coordinator's next heartbeat serves the new bytes
+// live, and the sync that follows moves the ETag to the new fleet epoch.
+func TestShardPublishWithinOneHeartbeat(t *testing.T) {
+	_, zoneB := partitionZones(t)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	next := smallFleetDB(t, 11)
+	ref := httptest.NewServer(dzdbapi.New(next))
+	t.Cleanup(ref.Close)
+	path := "/v1/domains/day5." + string(zoneB)
+	etags := cachedETags(t, ts.URL, []string{path, "/v1/stats"})
+
+	for i, p := range procs {
+		p.db.Adopt(next.View().FilterShard(i, 2))
+	}
+	coord.HeartbeatOnce(t.Context())
+	status, h, body := fetchHeader(t, ts.URL+path)
+	_, want := fetch(t, ref.URL+path)
+	if status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("%s after the heartbeat: status %d, body %s; want the published %s", path, status, body, want)
+	}
+	if h.Get("ETag") != "" || h.Get("X-Cache") != "" {
+		t.Errorf("%s between publish and sync: ETag %q, X-Cache %q; want a live answer", path, h.Get("ETag"), h.Get("X-Cache"))
+	}
+	if status, _, _ := fetchHeader(t, ts.URL+path, "If-None-Match", etags[path]); status != http.StatusOK {
+		t.Errorf("%s: the old validator got %d between publish and sync, want 200", path, status)
+	}
+
+	if err := coord.SyncNow(t.Context()); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	wantMovedOn(t, ts.URL, ref.URL, etags, "after the sync")
+}
+
+// TestShardRestartedAtSameEpoch: epochs are numbered per process, so a
+// shard restarted on another archive can come back on the epoch number
+// it had. The coordinator tells the two processes apart, syncs again and
+// moves to a new fleet epoch: the restarted shard's bytes are served,
+// proxied and fleet-wide, under new validators.
+func TestShardRestartedAtSameEpoch(t *testing.T) {
+	_, zoneB := partitionZones(t)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	next := smallFleetDB(t, 11)
+	ref := httptest.NewServer(dzdbapi.New(next))
+	t.Cleanup(ref.Close)
+	etags := cachedETags(t, ts.URL, []string{"/v1/domains/day5." + string(zoneB), "/v1/stats"})
+
+	owner := zonedb.ShardOf(zoneB, 2)
+	db := next.View().FilterShard(owner, 2)
+	if was, now := procs[owner].db.View().Epoch(), db.View().Epoch(); was != now {
+		t.Fatalf("restarted shard is on epoch %d, was on %d; the test needs the same number", now, was)
+	}
+	procs[owner].restart(db, owner, 2)
+	if err := coord.SyncNow(t.Context()); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	wantMovedOn(t, ts.URL, ref.URL, etags, "after the restart")
+}
+
+// TestDegradedFleetServesLive: with a shard down, fleet answers are
+// partial, and a partial answer is neither served from the cache nor
+// stored in it, nor a 304 to the healthy fleet's validator. Once the
+// shard is back the fleet settles on the same epoch: the healthy bytes
+// and validators serve again, and nothing partial was kept.
+func TestDegradedFleetServesLive(t *testing.T) {
+	zoneA, _ := partitionZones(t)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	paths := []string{"/v1/stats", "/v1/nameservers/ns1.hoster." + string(zoneA)}
+	healthy := make(map[string][]byte)
+	etags := make(map[string]string)
+	for _, path := range paths {
+		_, h, body := fetchHeader(t, ts.URL+path)
+		healthy[path], etags[path] = body, h.Get("ETag")
+	}
+	partial := func(body []byte) bool {
+		var v struct {
+			Partial bool `json:"partial"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		return v.Partial
+	}
+
+	// A scatter that finds the shard dead before any heartbeat has is
+	// partial, and unsettles the fleet rather than caching that answer or
+	// stamping it with the healthy fleet's validator.
+	procs[0].down.Store(true)
+	early := paths[1] + "?limit=1"
+	status, h, body := fetchHeader(t, ts.URL+early)
+	if status != http.StatusOK || !partial(body) {
+		t.Errorf("%s with an undetected dead shard: status %d, body %s; want 200 partial", early, status, body)
+	}
+	earlyTag := h.Get("ETag")
+	if earlyTag != "" || h.Get("X-Cache") != "" {
+		t.Errorf("%s with an undetected dead shard: ETag %q, X-Cache %q; want a live answer", early, earlyTag, h.Get("X-Cache"))
+	}
+	paths = append(paths, early)
+
+	if err := coord.SyncNow(t.Context()); err == nil {
+		t.Fatal("SyncNow should report the dead shard")
+	}
+	for _, path := range paths {
+		for i := 0; i < 2; i++ {
+			status, h, body := fetchHeader(t, ts.URL+path, "If-None-Match", etags[path])
+			if status != http.StatusOK || !partial(body) {
+				t.Errorf("%s degraded: status %d, body %s; want 200 partial", path, status, body)
+			}
+			if h.Get("X-Cache") != "" || h.Get("ETag") != "" {
+				t.Errorf("%s degraded: X-Cache %q, ETag %q; want a live answer", path, h.Get("X-Cache"), h.Get("ETag"))
+			}
+		}
+	}
+
+	procs[0].down.Store(false)
+	if err := coord.SyncNow(t.Context()); err != nil {
+		t.Fatalf("SyncNow after recovery: %v", err)
+	}
+	if status, _, body := fetchHeader(t, ts.URL+early); status != http.StatusOK || partial(body) {
+		t.Errorf("%s recovered: status %d, body %s; want the whole answer", early, status, body)
+	}
+	if earlyTag != "" {
+		if status, _, _ := fetchHeader(t, ts.URL+early, "If-None-Match", earlyTag); status == http.StatusNotModified {
+			t.Errorf("%s recovered: the partial answer's validator %s got 304", early, earlyTag)
+		}
+	}
+	for _, path := range paths[:2] {
+		status, h, body := fetchHeader(t, ts.URL+path)
+		if status != http.StatusOK || partial(body) || !bytes.Equal(body, healthy[path]) || h.Get("ETag") != etags[path] {
+			t.Errorf("%s recovered: status %d, ETag %q, body %s; want the healthy %s under %s",
+				path, status, h.Get("ETag"), body, healthy[path], etags[path])
+		}
+		if status, _, _ := fetchHeader(t, ts.URL+path, "If-None-Match", etags[path]); status != http.StatusNotModified {
+			t.Errorf("%s recovered: the healthy validator got %d, want 304", path, status)
+		}
+	}
+}
+
+// TestTraceAcrossCoordinatorHop: a traceparent sent to the coordinator
+// gets the serving layer's span and request log line, and travels on to
+// the shards the coordinator asks — the owning shard of a proxied
+// route, every shard of a scatter.
+func TestTraceAcrossCoordinatorHop(t *testing.T) {
+	zoneA, zoneB := partitionZones(t)
+	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	var logBuf bytes.Buffer
+	coord, err := cluster.New(cluster.Config{Shards: urls, Heartbeat: time.Second,
+		Log: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	if err := coord.SyncNow(t.Context()); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	tracer := trace.New()
+	coord.Tracer = tracer
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+
+	for i, c := range []struct {
+		path   string
+		shards []int
+	}{
+		{"/v1/domains/alpha." + string(zoneB), []int{1}},
+		{"/v1/nameservers/ns1.hoster." + string(zoneA), []int{0, 1}},
+	} {
+		traceID := fmt.Sprintf("%032x", 0xabc0+i)
+		fetchHeader(t, ts.URL+c.path, "traceparent", "00-"+traceID+"-00000000000000f1-01")
+		for _, n := range c.shards {
+			tp, _ := procs[n].traceparent.Load().(string)
+			sc, ok := trace.ParseTraceparent(tp)
+			if !ok || sc.TraceID.String() != traceID {
+				t.Errorf("%s: shard %d saw traceparent %q, want trace %s", c.path, n, tp, traceID)
+			}
+		}
+		if !strings.Contains(logBuf.String(), "trace_id="+traceID) {
+			t.Errorf("%s: the coordinator's request log lost trace %s:\n%s", c.path, traceID, logBuf.String())
+		}
+		found := false
+		for _, rec := range tracer.Records() {
+			found = found || rec.TraceID == traceID
+		}
+		if !found {
+			t.Errorf("%s: no coordinator span in trace %s", c.path, traceID)
 		}
 	}
 }

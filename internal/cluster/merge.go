@@ -18,11 +18,12 @@ import (
 // load.
 type fleetState struct {
 	// EpochState.Epoch is the coordinator's own monotonic fleet epoch.
-	// It moves whenever any shard's epoch moves, and stamps the merged
+	// It moves whenever any shard's generation moves (a publish or a
+	// restart), and stamps the merged
 	// delta feed so followers detect mid-walk reloads exactly like they
 	// do against a single dzdbd.
 	dzdbapi.EpochState
-	shardEpochs []uint64
+	generations []generation
 	syncedAt    time.Time
 }
 
@@ -44,9 +45,9 @@ func (c *Coordinator) sync(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, syncTimeout)
 	defer cancel()
 
-	epochs := make([]uint64, len(c.shards))
+	gens := make([]generation, len(c.shards))
 	for i, sh := range c.shards {
-		epochs[i] = sh.epoch()
+		gens[i] = sh.generation()
 	}
 
 	pulls := make([]*shardPull, len(c.shards))
@@ -66,25 +67,27 @@ func (c *Coordinator) sync(ctx context.Context) error {
 		}
 	}
 
-	// Abort if any epoch moved under the pull: the data would mix
-	// generations.
+	// Abort if any shard moved under the pull, by a publish or a
+	// restart: the data would mix generations.
 	for i, sh := range c.shards {
 		info, err := sh.hb.ShardInfo(ctx)
 		if err != nil {
 			return fmt.Errorf("confirming shard %d epoch: %w", i, err)
 		}
-		if info.Epoch != epochs[i] {
-			return fmt.Errorf("shard %d adopted epoch %d during sync (started on %d)", i, info.Epoch, epochs[i])
+		if generationOf(info) != gens[i] {
+			return fmt.Errorf("shard %d moved to epoch %d of instance %s during sync (started on %d of %s)",
+				i, info.Epoch, info.Instance, gens[i].epoch, gens[i].instance)
 		}
 	}
 
 	fs := &fleetState{
 		EpochState:  mergePulls(pulls),
-		shardEpochs: epochs,
+		generations: gens,
 		syncedAt:    time.Now(),
 	}
 	fs.Epoch = c.epochN.Add(1)
 	c.fleet.Store(fs)
+	c.settle()
 	c.signal.Broadcast()
 	if c.log != nil {
 		_, closeDay := fs.Feed.Window()

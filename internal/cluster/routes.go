@@ -8,35 +8,31 @@ import (
 	"sync"
 
 	"repro/internal/dzdbapi"
+	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/zonedb"
 )
 
-func (c *Coordinator) routes() {
-	// The fleet-wide routes are the node's own handlers, rendering the
-	// last complete sync instead of a view: pagination, limits, the
-	// long-poll and every byte of the envelopes are dzdbapi's. They are
-	// mounted bare — the coordinator has no response cache, ETags or gzip
-	// of its own yet.
-	epoch := dzdbapi.NewEpochRoutes(fleetSource{c})
-	c.mux.HandleFunc("GET /v1/stats", c.synced(epoch.Stats))
-	c.mux.HandleFunc("GET /v1/zones", c.synced(epoch.Zones))
-	c.mux.HandleFunc("GET /v1/top/nameservers", c.synced(epoch.TopNameservers))
-	c.mux.HandleFunc("GET /v1/deltas", c.synced(epoch.Deltas))
-	c.mux.HandleFunc("GET /v1/nameservers/{name}", c.handleNameserver)
-	c.mux.HandleFunc("GET /v1/domains/{name}", c.handleDomain)
-	c.mux.HandleFunc("GET /v1/zones/{zone}/snapshot", c.handleSnapshot)
+func (c *Coordinator) routes(reg *obs.Registry) {
+	// Every /v1 route is behind dzdbapi's serving layer over the fleet's
+	// epochs: the request span and log, admission, the fleet-epoch ETag
+	// and 304, the response cache and gzip are the node's. The four
+	// fleet-wide routes are its own handlers, rendering the last complete
+	// sync instead of a view; the three below are what only a
+	// coordinator does, and are cached under the same fleet epoch.
+	c.Front = dzdbapi.NewFront(fleetSource{c}, reg)
+	c.Front.Log = c.log
+	c.Handle("/v1/nameservers/{name}", c.handleNameserver)
+	c.Handle("/v1/domains/{name}", c.handleDomain)
+	c.Handle("/v1/zones/{zone}/snapshot", c.handleSnapshot)
+	// Membership changes between epochs, so it is served bare.
 	c.mux.HandleFunc("GET /v1/cluster/shards", c.handleShards)
+	c.mux.Handle("/", c.Front)
 }
 
 // ServeHTTP serves the coordinator's /v1 surface.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
-}
-
-// synced mounts one of dzdbapi's epoch-wide handlers on the state of
-// the last complete sync.
-func (c *Coordinator) synced(h func(http.ResponseWriter, *http.Request, *dzdbapi.EpochState)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { h(w, r, c.state()) }
 }
 
 // state returns what the last complete sync merged, or nil before the
@@ -49,9 +45,19 @@ func (c *Coordinator) state() *dzdbapi.EpochState {
 }
 
 // fleetSource is the dzdbapi.Source of a fleet: the last complete sync,
-// the broadcast every sync ends with, and the two things only a fleet
-// can say — that an answer may be partial, and that there is none yet.
+// settled or not, the broadcast every sync ends with, and the two
+// things only a fleet can say — that an answer may be partial, and that
+// there is none yet.
 type fleetSource struct{ c *Coordinator }
+
+// Pin serves a settled fleet's requests from the state settle stored,
+// and any other live from the last complete sync.
+func (f fleetSource) Pin() (*dzdbapi.EpochState, bool) {
+	if st := f.c.settled.Load(); st != nil {
+		return st, true
+	}
+	return f.c.state(), false
+}
 
 func (f fleetSource) Current() (*dzdbapi.EpochState, <-chan struct{}) {
 	ch := f.c.signal.Wait()
@@ -60,12 +66,14 @@ func (f fleetSource) Current() (*dzdbapi.EpochState, <-chan struct{}) {
 
 // Partial stamps degraded fleet-wide answers: the served state is the
 // last complete sync, but with a shard down it may trail a reload that
-// shard already took, so the envelope says so explicitly.
+// shard already took, so the envelope says so explicitly. A render that
+// finds the fleet degraded unsettles it, so a partial answer is never
+// cached.
 func (f fleetSource) Partial() bool {
 	if !f.c.degraded() {
 		return false
 	}
-	f.c.partialN.Inc()
+	f.c.markPartial()
 	return true
 }
 
@@ -73,6 +81,13 @@ func (f fleetSource) Partial() bool {
 // complete sync.
 func (f fleetSource) Unavailable(w http.ResponseWriter) {
 	f.c.retryLater(w, CodeNotSynced, "fleet has not completed a sync yet; retry shortly")
+}
+
+// markPartial counts a partial answer and unsettles the fleet until the
+// next heartbeat round decides again.
+func (c *Coordinator) markPartial() {
+	c.partialN.Inc()
+	c.unsettle()
 }
 
 // retryLater sheds a request the fleet cannot answer right now: 503
@@ -91,7 +106,7 @@ func (c *Coordinator) retryLater(w http.ResponseWriter, code, format string, arg
 // response to partial: true rather than failing the whole query. The
 // name and the page are parsed first: a malformed request asks no shard
 // and marks nothing partial.
-func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request, _ *dzdbapi.EpochState) {
 	name, ok := dzdbapi.ParseName(w, r.PathValue("name"))
 	if !ok {
 		return
@@ -118,6 +133,9 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
 		}(i, sh)
 	}
 	wg.Wait()
+	if r.Context().Err() != nil {
+		return // the client is gone; its shard errors say nothing of the fleet
+	}
 
 	resp := dzdbapi.NameserverResponse{Name: string(name)}
 	found, failed := false, false
@@ -152,14 +170,14 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request) {
 	}
 	if failed || c.degraded() {
 		resp.Partial = true
-		c.partialN.Inc()
+		c.markPartial()
 	}
 	dzdbapi.WriteNameserverPage(w, page, &resp)
 }
 
 // handleDomain routes a domain lookup to the shard owning the
-// domain's zone and relays the shard's response verbatim.
-func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request) {
+// domain's zone and relays the shard's answer.
+func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request, _ *dzdbapi.EpochState) {
 	name, ok := dzdbapi.ParseName(w, r.PathValue("name"))
 	if !ok {
 		return
@@ -168,7 +186,7 @@ func (c *Coordinator) handleDomain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot routes a zone snapshot to the owning shard.
-func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request, _ *dzdbapi.EpochState) {
 	zone, ok := dzdbapi.ParseName(w, r.PathValue("zone"))
 	if !ok {
 		return
@@ -176,11 +194,12 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	c.proxyTo(w, r, c.shards[zonedb.ShardOf(zone, len(c.shards))])
 }
 
-// proxyTo relays one request to its owning shard byte-for-byte:
-// conditional and encoding negotiation headers forward, and the
-// shard's status, headers (ETag included), and body come back
-// untouched — so single-zone responses through the coordinator are
-// the bytes the shard produced.
+// proxyTo relays one request to its owning shard and the shard's
+// status, content type and body back. The shard is asked for identity
+// bytes and nothing else: validation, caching and compression are the
+// coordinator's own serving layer's, on the fleet epoch, so the shard's
+// ETag and X-Cache stay behind. The request's trace context goes along,
+// so the shard's request log and span join the caller's trace.
 func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, sh *shard) {
 	if !sh.isUp() {
 		c.retryLater(w, CodeShardUnavailable, "shard %d owning this zone is unavailable", sh.id)
@@ -191,17 +210,10 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, sh *shard)
 		dzdbapi.WriteError(w, http.StatusInternalServerError, dzdbapi.CodeInternal, "building shard request: %v", err)
 		return
 	}
-	// Setting Accept-Encoding explicitly (identity when the client sent
-	// none) disables the Go transport's transparent gzip, so whatever
-	// representation the shard negotiated relays verbatim.
-	if ae := r.Header.Get("Accept-Encoding"); ae != "" {
-		req.Header.Set("Accept-Encoding", ae)
-	} else {
-		req.Header.Set("Accept-Encoding", "identity")
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
+	// An explicit identity also keeps the Go transport from asking for
+	// gzip only to undo it.
+	req.Header.Set("Accept-Encoding", "identity")
+	trace.Inject(r.Context(), req.Header)
 	resp, err := sh.proxy.Do(req)
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -211,13 +223,9 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, sh *shard)
 		return
 	}
 	defer resp.Body.Close()
-	for k, vv := range resp.Header {
-		switch k {
-		case "Connection", "Keep-Alive", "Transfer-Encoding":
-			continue
-		}
-		for _, v := range vv {
-			w.Header().Add(k, v)
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)

@@ -452,7 +452,7 @@ func TestAdvanceImmutability(t *testing.T) {
 	pinned := srv.state.Load()
 	page := func(path string) []byte {
 		rec := httptest.NewRecorder()
-		srv.epoch.Deltas(rec, httptest.NewRequest(http.MethodGet, path, nil), pinned)
+		srv.deltas(rec, httptest.NewRequest(http.MethodGet, path, nil), pinned)
 		return rec.Body.Bytes()
 	}
 	paths := []string{"/v1/deltas", "/v1/deltas?limit=1", "/v1/deltas?from=2015-01-02"}

@@ -16,8 +16,9 @@ import (
 const MetricCacheRequests = "dzdb_cache_requests_total"
 
 const (
-	// defaultCacheBytes is the response cache budget when the embedder
-	// never calls SetCacheBytes.
+	// defaultCacheBytes is the response cache budget of every serving
+	// layer: a coordinator's, and a node's unless SetCacheBytes says
+	// otherwise.
 	defaultCacheBytes = 64 << 20
 	// maxCacheBody is the largest single body the cache will hold; a
 	// full-zone snapshot past this size is recomputed per request rather
@@ -134,7 +135,7 @@ func (c *respCache) put(epoch uint64, key, ctype, enc string, body []byte) {
 
 // bump retires the working set when a newer epoch publishes; puts and
 // gets would do this lazily, but flushing eagerly releases the old
-// bodies immediately and keeps the gauges honest.
+// bodies immediately.
 func (c *respCache) bump(epoch uint64) {
 	c.mu.Lock()
 	if epoch > c.epoch {
@@ -191,13 +192,18 @@ func cacheKey(r *http.Request) string {
 }
 
 // makeETag derives the strong validator for a request under an epoch.
-// Views are immutable, so (epoch, canonical params) fully determines
-// the representation; no body hashing is needed, which is what lets
-// If-None-Match be answered before the handler runs.
-func makeETag(epoch uint64, key string) string {
+// Epoch states are immutable, so (epoch, canonical params) fully
+// determines the representation; no body hashing is needed, which is
+// what lets If-None-Match be answered before the handler runs. Epoch
+// numbers are per process, though: a restart counts from 1 again over
+// whatever data it loaded. The salt, drawn once per serving layer, is
+// XORed into the key's hash, so two processes never issue the same
+// validator for one key, and a client revalidating across a restart
+// gets the new bytes rather than a false 304.
+func makeETag(salt, epoch uint64, key string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	return fmt.Sprintf("\"e%d-%016x\"", epoch, h.Sum64())
+	return fmt.Sprintf("\"e%d-%016x\"", epoch, h.Sum64()^salt)
 }
 
 // etagMatch implements the If-None-Match weak comparison over a
@@ -223,21 +229,38 @@ func etagMatch(header, etag string) bool {
 // bodies can be inserted into the cache, stamping the precomputed ETag
 // on success responses. Bodies past maxCacheBody stop buffering and
 // pass straight through.
+//
+// The ETag, and the X-Cache mark when miss is set, go out only if src is
+// still settled on st when the header is written: a render can unsettle
+// its source (a fleet that finds a shard dead renders "partial": true),
+// and such an answer must not carry the epoch's validator. live records
+// that it did not.
 type recordingWriter struct {
 	http.ResponseWriter
+	src     Source
+	st      *EpochState
 	etag    string
+	miss    bool
 	status  int
 	buf     bytes.Buffer
 	tooBig  bool
 	started bool
+	live    bool
 }
 
 func (w *recordingWriter) WriteHeader(status int) {
 	if !w.started {
 		w.started = true
 		w.status = status
-		if status == http.StatusOK {
-			w.Header().Set("ETag", w.etag)
+		if now, settled := w.src.Pin(); !settled || now != w.st {
+			w.live = true
+		} else {
+			if status == http.StatusOK {
+				w.Header().Set("ETag", w.etag)
+			}
+			if w.miss {
+				w.Header().Set("X-Cache", "miss")
+			}
 		}
 	}
 	w.ResponseWriter.WriteHeader(status)

@@ -133,7 +133,7 @@ func parseDeltasQuery(w http.ResponseWriter, r *http.Request) (q deltasQuery, ok
 	return q, ok
 }
 
-// Deltas serves the per-day change feed, /v1/deltas. Without a close
+// deltas serves the per-day change feed, /v1/deltas. Without a close
 // day there is no boundary between "removed" and "not yet sealed", so
 // until the source has a sealed epoch the route answers with the
 // source's refusal.
@@ -142,14 +142,14 @@ func parseDeltasQuery(w http.ResponseWriter, r *http.Request) (q deltasQuery, ok
 // changed day); ?cursor= resumes a paginated walk; ?limit= caps the
 // number of days per page (0 = the whole remaining window); ?wait=30s
 // long-polls an empty window until a publish (see deltasLongPoll).
-func (e *EpochRoutes) Deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
+func (f *Front) deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	q, ok := parseDeltasQuery(w, r)
 	switch {
 	case !ok:
 	case q.wait > 0:
-		e.deltasLongPoll(w, r, q)
+		f.deltasLongPoll(w, r, q)
 	case st == nil || st.Feed == nil:
-		e.src.Unavailable(w)
+		f.src.Unavailable(w)
 	default:
 		writeJSON(w, http.StatusOK, deltaPage(st, q))
 	}

@@ -16,13 +16,16 @@
 //
 // # Serving layer
 //
-// Every /v1 response derives a strong ETag from the pinned View's
-// epoch plus the canonical request parameters — the epoch is the
-// validator, so If-None-Match is answered with 304 before the handler
-// runs, and an in-process LRU keyed by (epoch, route, params) serves
-// hot bodies without recompute. Publishing a new View (Close, Adopt)
-// invalidates the cache wholesale and refreshes precomputed hot
-// aggregates (stats, zone list, top-nameserver table).
+// Every route sits behind one serving layer, Front, over a Source of
+// epochs: a Server is one over its own database, the cluster
+// coordinator one over the state it merges from its shards. Every /v1
+// response derives a strong ETag from the pinned epoch plus the
+// canonical request parameters — the epoch is the validator, so
+// If-None-Match is answered with 304 before the handler runs, and an
+// in-process LRU keyed by (epoch, route, params) serves hot bodies
+// without recompute. Publishing a new View (Close, Adopt) invalidates
+// the cache wholesale and refreshes precomputed hot aggregates (stats,
+// zone list, top-nameserver table).
 //
 // The delta feed pushes by long-poll: GET /v1/deltas?wait=30s on an
 // empty window parks until a publish or the wait expires, and answers
@@ -53,7 +56,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -64,7 +66,6 @@ import (
 	"repro/internal/dnsname"
 	"repro/internal/interval"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/zonedb"
 )
 
@@ -167,50 +168,24 @@ type ZonesResponse struct {
 
 // Server serves a zonedb.DB. Each request reads the state of the DB's
 // last published View, so serving concurrently with ingestion (and
-// swapping databases with zonedb.DB.Adopt) is safe.
+// swapping databases with zonedb.DB.Adopt) is safe. Its serving layer,
+// the embedded Front, is one over the node's own epochs.
 type Server struct {
-	mux      *http.ServeMux
-	obs      *obs.Registry
-	requests *obs.CounterVec   // MetricRequests{route,class}
-	latency  *obs.HistogramVec // MetricRequestSeconds{route}
+	*Front
 
-	// Serving layer: the epoch-keyed response cache, the state of the
-	// epoch being served (the View plus its publish-time aggregates),
-	// and the publish broadcast the push paths park on.
-	cache  *respCache
+	// The state of the epoch being served (the View plus its
+	// publish-time aggregates), and the publish broadcast the push paths
+	// park on.
 	state  atomic.Pointer[EpochState]
 	signal *EpochSignal
-	epoch  *EpochRoutes // /v1/stats, /v1/zones, /v1/top/nameservers, /v1/deltas
-
-	// Protection: per-client token buckets and the concurrency cap.
-	limits      *limiter
-	maxInflight int64
-	inflight    atomic.Int64
-	streams     atomic.Int64
-	shedRateN   atomic.Uint64
-	shedLoadN   atomic.Uint64
 
 	// shardID/shardCount identify this server's slice of a cluster
 	// partition (0 of 1 when unsharded); see SetShardIdentity.
 	shardID    int
 	shardCount int
 
-	cacheReqs     *obs.CounterVec // MetricCacheRequests{route,outcome}
-	shedTotal     *obs.CounterVec // MetricShed{route,code}
-	inflightGauge *obs.Gauge
-	pushActive    *obs.Gauge
-	hookSeconds   *obs.Histogram  // MetricPublishHookSeconds
-	published     *obs.CounterVec // MetricEpochPublish{how}
-
-	// Log, when non-nil, receives one structured record per request,
-	// carrying the request's trace ID when the client sent a
-	// traceparent header. Set before serving.
-	Log *slog.Logger
-	// Tracer, when non-nil, opens a server span per request, joined to
-	// the caller's trace when a valid traceparent header is present
-	// (a malformed or absent header starts a fresh root). Set before
-	// serving.
-	Tracer *trace.Tracer
+	hookSeconds *obs.Histogram  // MetricPublishHookSeconds
+	published   *obs.CounterVec // MetricEpochPublish{how}
 }
 
 // New builds the API server for db with its own private metrics
@@ -222,39 +197,23 @@ func New(db *zonedb.DB) *Server {
 // NewWithRegistry builds the API server recording request metrics into
 // reg — what dzdbd uses to fold API metrics into its /metrics registry.
 func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
-	s := &Server{mux: http.NewServeMux(), obs: reg}
-	s.requests = reg.CounterVec(MetricRequests,
-		"API requests by route and status class.", "route", "class")
-	s.latency = reg.HistogramVec(MetricRequestSeconds,
-		"API request latency by route.", nil, "route")
-	s.cacheReqs = reg.CounterVec(MetricCacheRequests,
-		"Response cache lookups by route and outcome (hit, miss, revalidated).", "route", "outcome")
-	s.shedTotal = reg.CounterVec(MetricShed,
-		"Requests shed by the protection layer, by route and error code.", "route", "code")
-	s.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
-	s.pushActive = reg.Gauge(MetricPushActive, "Parked long-poll delta requests.")
+	s := &Server{signal: NewEpochSignal()}
+	s.Front = NewFront(nodeSource{s}, reg)
 	s.hookSeconds = reg.Histogram(MetricPublishHookSeconds,
 		"Time the publish hook took to make and install an epoch's state.", nil)
 	s.published = reg.CounterVec(MetricEpochPublish,
 		"Epochs installed by the publish hook, by how their state was made (advance, rebuild).", "how")
 
-	s.cache = newRespCache(defaultCacheBytes)
-	s.signal = NewEpochSignal()
 	s.state.Store(computeState(db.View()))
 	db.OnPublish(s.onPublish)
-	s.epoch = NewEpochRoutes(nodeSource{s})
 
-	s.handle("GET /v1/stats", "/v1/stats", s.epoch.Stats)
-	s.handle("GET /v1/zones", "/v1/zones", s.epoch.Zones)
-	s.handle("GET /v1/domains/{name}", "/v1/domains/{name}", s.handleDomain)
-	s.handle("GET /v1/nameservers/{name}", "/v1/nameservers/{name}", s.handleNameserver)
-	s.handle("GET /v1/top/nameservers", "/v1/top/nameservers", s.epoch.TopNameservers)
-	s.handle("GET /v1/zones/{zone}/snapshot", "/v1/zones/{zone}/snapshot", s.handleSnapshot)
-	s.handle("GET /v1/deltas", "/v1/deltas", s.epoch.Deltas)
+	s.Handle("/v1/domains/{name}", s.handleDomain)
+	s.Handle("/v1/nameservers/{name}", s.handleNameserver)
+	s.Handle("/v1/zones/{zone}/snapshot", s.handleSnapshot)
 
 	// Internal shard-to-coordinator surface (not part of the public API).
-	s.handle("GET /v1/internal/shard-info", "/v1/internal/shard-info", s.handleShardInfo)
-	s.handle("GET /v1/internal/ns-exposure", "/v1/internal/ns-exposure", s.handleNSExposure)
+	s.Handle("/v1/internal/shard-info", s.handleShardInfo)
+	s.Handle("/v1/internal/ns-exposure", s.handleNSExposure)
 	return s
 }
 
@@ -283,8 +242,10 @@ func (s *Server) onPublish(v *zonedb.View) {
 }
 
 // nodeSource is the Source of a single node: the state its publish
-// hook last stored, never partial.
+// hook last stored, always settled, never partial.
 type nodeSource struct{ s *Server }
+
+func (n nodeSource) Pin() (*EpochState, bool) { return n.s.state.Load(), true }
 
 func (n nodeSource) Current() (*EpochState, <-chan struct{}) {
 	ch := n.s.signal.Wait()
@@ -310,207 +271,6 @@ func (s *Server) SetCacheBytes(n int64) {
 		return
 	}
 	s.cache = newRespCache(n)
-}
-
-// CacheStats snapshots the response cache (zero-valued when caching is
-// disabled).
-func (s *Server) CacheStats() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return s.cache.stats()
-}
-
-// Metrics returns the registry the request middleware records into.
-func (s *Server) Metrics() *obs.Registry { return s.obs }
-
-// LatencyHistograms returns the request-latency histograms for the given
-// routes (by route label, e.g. "/v1/domains/{name}"), creating any not
-// yet hit. The SLO tracker in dzdbd feeds on these.
-func (s *Server) LatencyHistograms(routes ...string) []*obs.Histogram {
-	vec := s.obs.HistogramVec(MetricRequestSeconds, "API request latency by route.", nil, "route")
-	out := make([]*obs.Histogram, len(routes))
-	for i, r := range routes {
-		out[i] = vec.With(r)
-	}
-	return out
-}
-
-// V1Routes lists the versioned route labels — the set the serving SLO is
-// defined over.
-func V1Routes() []string {
-	return []string{
-		"/v1/stats", "/v1/zones", "/v1/domains/{name}", "/v1/nameservers/{name}",
-		"/v1/top/nameservers", "/v1/zones/{zone}/snapshot", "/v1/deltas",
-	}
-}
-
-// handlerFunc is a route handler with the request's pinned state
-// threaded through: the middleware loads it once so the protection,
-// cache, and handler layers all observe the same epoch.
-type handlerFunc func(w http.ResponseWriter, r *http.Request, st *EpochState)
-
-// handle mounts handler at pattern behind the metrics-and-tracing
-// middleware. The route label is the pattern without the method so
-// label cardinality is bounded by the route table, never by client
-// input.
-//
-// Trace context flows in via the W3C traceparent header: a valid one
-// parents the request's server span (and is echoed into the request
-// log and the latency histogram's exemplar), an absent or malformed
-// one starts a fresh root span.
-func (s *Server) handle(pattern, route string, handler handlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := s.obs.Now()
-		ctx := r.Context()
-		remote, hasRemote := trace.Extract(r.Header)
-		if hasRemote {
-			ctx = trace.ContextWithRemote(ctx, remote)
-		}
-		ctx, sp := s.Tracer.Start(ctx, "dzdbapi."+route)
-		isPush := route == "/v1/deltas" && r.URL.Query().Get("wait") != ""
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		s.serve(sw, r.WithContext(ctx), route, isPush, handler)
-		elapsed := s.obs.Now().Sub(start)
-
-		traceID := sp.TraceID()
-		if traceID == "" && hasRemote {
-			traceID = remote.TraceID.String()
-		}
-		s.requests.With(route, statusClass(sw.status)).Inc()
-		if !isPush {
-			// A parked long-poll lasts until a publish or its wait; that
-			// is not request latency and would wreck the p99.
-			s.latency.With(route).ObserveExemplar(elapsed.Seconds(), traceID)
-		}
-		if sp != nil {
-			sp.SetAttr("route", route)
-			sp.SetAttr("status", strconv.Itoa(sw.status))
-			sp.End()
-		}
-		if s.Log != nil {
-			args := []any{"route", route, "status", sw.status,
-				"dur_us", elapsed.Microseconds()}
-			if traceID != "" {
-				args = append(args, "trace_id", traceID)
-			}
-			s.Log.Info("request", args...)
-		}
-	})
-}
-
-// serve runs the protection and cache layers around handler. The state
-// is pinned exactly once and makes the response epoch-addressable:
-// If-None-Match is answered 304 from the epoch alone, and hot bodies
-// come out of the LRU without recompute. Long-polls bypass the cache:
-// what they answer depends on when a publish lands, not on the epoch
-// pinned here.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, isPush bool, handler handlerFunc) {
-	release, ok := s.admit(w, r, route, isPush)
-	if !ok {
-		return
-	}
-	defer release()
-	st := s.state.Load()
-	if isPush {
-		handler(w, r, st)
-		return
-	}
-	key := cacheKey(r)
-	enc := ""
-	if compressibleRoute(route) {
-		// The representation varies by Accept-Encoding whether or not
-		// this request negotiated gzip, so downstream caches must split
-		// on it either way.
-		w.Header().Add("Vary", "Accept-Encoding")
-		if acceptsGzip(r) {
-			enc = "gzip"
-			// The encoding is part of the cache key, which also makes
-			// the derived ETag encoding-aware: the gzip and identity
-			// variants never share a validator.
-			key += gzipKeySuffix
-		}
-	}
-	etag := makeETag(st.Epoch, key)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		// The epoch is the validator: the client's representation came
-		// from this same immutable View, so no recompute is needed to
-		// know it still matches.
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		s.cacheReqs.With(route, "revalidated").Inc()
-		return
-	}
-	if s.cache == nil {
-		rec := &recordingWriter{ResponseWriter: w, etag: etag, tooBig: true}
-		s.runHandler(rec, r, st, enc, handler)
-		return
-	}
-	if e, hit := s.cache.get(st.Epoch, key); hit {
-		h := w.Header()
-		h.Set("ETag", etag)
-		h.Set("Content-Type", e.ctype)
-		if e.enc != "" {
-			h.Set("Content-Encoding", e.enc)
-		}
-		h.Set("X-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(e.body)
-		s.cacheReqs.With(route, "hit").Inc()
-		return
-	}
-	s.cacheReqs.With(route, "miss").Inc()
-	w.Header().Set("X-Cache", "miss")
-	rec := &recordingWriter{ResponseWriter: w, etag: etag}
-	s.runHandler(rec, r, st, enc, handler)
-	if rec.status == http.StatusOK && !rec.tooBig {
-		s.cache.put(st.Epoch, key, rec.Header().Get("Content-Type"), enc,
-			append([]byte(nil), rec.buf.Bytes()...))
-	}
-}
-
-// runHandler invokes handler, interposing a gzip compressor when the
-// request negotiated one. The recording writer sits below the
-// compressor, so what it captures (and the cache stores) is the
-// compressed variant.
-func (s *Server) runHandler(w http.ResponseWriter, r *http.Request, st *EpochState, enc string, handler handlerFunc) {
-	if enc != "gzip" {
-		handler(w, r, st)
-		return
-	}
-	gz := newGzipWriter(w)
-	handler(gz, r, st)
-	_ = gz.Close()
-}
-
-// statusWriter captures the response status for the middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// statusClass buckets a status code ("2xx", "4xx", ...).
-func statusClass(status int) string {
-	switch {
-	case status >= 500:
-		return "5xx"
-	case status >= 400:
-		return "4xx"
-	case status >= 300:
-		return "3xx"
-	default:
-		return "2xx"
-	}
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -254,10 +254,18 @@ func RankNameservers(rows []TopNameserver) []TopNameserver {
 	return top
 }
 
-// Source is where the epoch-wide routes get what they render. A Server
-// is one over its own database; the cluster coordinator is one over the
-// state it merges from its shards.
+// Source is where a Front gets the epochs it serves. A Server is one
+// over its own database; the cluster coordinator is one over the state
+// it merges from its shards.
 type Source interface {
+	// Pin returns the state a request is served from — nil before there
+	// is one — and whether the source is settled on it: only a settled
+	// source's answers carry the epoch's ETag, are answered 304 and go
+	// into and out of the response cache; the rest are rendered live. A
+	// source that unsettles and settles again on the same epoch hands out
+	// a new state pointer, so a render that straddled the change is not
+	// cached.
+	Pin() (st *EpochState, settled bool)
 	// Current returns the state of the epoch being served — nil before
 	// there is one — and a channel closed when the next is published.
 	// Implementations take the channel before the state, so a caller
@@ -273,52 +281,41 @@ type Source interface {
 	Unavailable(w http.ResponseWriter)
 }
 
-// EpochRoutes serves the four routes whose answer belongs to an epoch
-// as a whole rather than to one name. A Server mounts them behind its
-// cache and ETag layers; the cluster coordinator mounts the same
-// handlers over its merged state, so a fleet's answers are a node's by
-// construction. Each handler takes the state pinned for the request;
-// only the feed's long-poll, which outlives an epoch, goes back to the
-// Source for the next one.
-type EpochRoutes struct {
-	src Source
-}
+// The four routes whose answer belongs to an epoch as a whole rather
+// than to one name are the Front's own handlers. Each takes the state
+// pinned for the request; only the feed's long-poll, which outlives an
+// epoch, goes back to the Source for the next one.
 
-// NewEpochRoutes returns the epoch-wide handlers over src.
-func NewEpochRoutes(src Source) *EpochRoutes {
-	return &EpochRoutes{src: src}
-}
-
-// Stats serves /v1/stats.
-func (e *EpochRoutes) Stats(w http.ResponseWriter, r *http.Request, st *EpochState) {
+// stats serves /v1/stats.
+func (f *Front) stats(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	if st == nil {
-		e.src.Unavailable(w)
+		f.src.Unavailable(w)
 		return
 	}
 	resp := st.Stats
-	resp.Partial = e.src.Partial()
+	resp.Partial = f.src.Partial()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Zones serves /v1/zones.
-func (e *EpochRoutes) Zones(w http.ResponseWriter, r *http.Request, st *EpochState) {
+// zones serves /v1/zones.
+func (f *Front) zones(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	p, ok := ParsePage(w, r)
 	if !ok {
 		return
 	}
 	if st == nil {
-		e.src.Unavailable(w)
+		f.src.Unavailable(w)
 		return
 	}
 	zones := st.Stats.Zones
 	start, end, next := p.window(len(zones), func(i int) string { return zones[i] })
-	writeJSON(w, http.StatusOK, ZonesResponse{Zones: zones[start:end], NextCursor: next, Partial: e.src.Partial()})
+	writeJSON(w, http.StatusOK, ZonesResponse{Zones: zones[start:end], NextCursor: next, Partial: f.src.Partial()})
 }
 
-// TopNameservers serves /v1/top/nameservers.
-func (e *EpochRoutes) TopNameservers(w http.ResponseWriter, r *http.Request, st *EpochState) {
+// topNameservers serves /v1/top/nameservers.
+func (f *Front) topNameservers(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	if st == nil {
-		e.src.Unavailable(w)
+		f.src.Unavailable(w)
 		return
 	}
 	limit := defaultTopNSLimit
@@ -339,5 +336,5 @@ func (e *EpochRoutes) TopNameservers(w http.ResponseWriter, r *http.Request, st 
 	if rows == nil {
 		rows = []TopNameserver{}
 	}
-	writeJSON(w, http.StatusOK, TopNameserversResponse{Nameservers: rows, Partial: e.src.Partial()})
+	writeJSON(w, http.StatusOK, TopNameserversResponse{Nameservers: rows, Partial: f.src.Partial()})
 }

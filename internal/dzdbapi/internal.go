@@ -2,6 +2,7 @@ package dzdbapi
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -17,10 +18,13 @@ import (
 // heartbeat answer the cluster coordinator polls. ShardID/ShardCount
 // echo the partition the process was started with so the coordinator
 // can reject a misconfigured fleet member; Epoch and CloseDay identify
-// the sealed generation currently served.
+// the sealed generation currently served. Epochs are numbered per
+// process, so Instance, drawn once per server, tells a restarted shard
+// that is back on its old epoch number from the process it replaced.
 type ShardInfoResponse struct {
 	ShardID    int    `json:"shard_id"`
 	ShardCount int    `json:"shard_count"`
+	Instance   string `json:"instance"`
 	Epoch      uint64 `json:"epoch"`
 	Ready      bool   `json:"ready"`
 	CloseDay   string `json:"close_day,omitempty"`
@@ -55,6 +59,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *Epo
 	resp := ShardInfoResponse{
 		ShardID:    s.shardID,
 		ShardCount: count,
+		Instance:   fmt.Sprintf("%016x", s.salt),
 		Domains:    st.Stats.Domains,
 		Zones:      len(st.Stats.Zones),
 	}

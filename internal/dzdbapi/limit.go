@@ -137,30 +137,30 @@ type ServeStats struct {
 }
 
 // ServeStats returns the current protection-layer counters.
-func (s *Server) ServeStats() ServeStats {
+func (f *Front) ServeStats() ServeStats {
 	return ServeStats{
-		Inflight:      s.inflight.Load(),
-		MaxInflight:   s.maxInflight,
-		RateLimited:   s.shedRateN.Load(),
-		Overloaded:    s.shedLoadN.Load(),
-		ActiveStreams: s.streams.Load(),
+		Inflight:      f.inflight.Load(),
+		MaxInflight:   f.maxInflight,
+		RateLimited:   f.shedRateN.Load(),
+		Overloaded:    f.shedLoadN.Load(),
+		ActiveStreams: f.streams.Load(),
 	}
 }
 
 // shed writes the v1 error envelope for a protection rejection and
 // records it. Both codes carry Retry-After so well-behaved clients
 // back off exactly as long as the server asks.
-func (s *Server) shed(w http.ResponseWriter, route string, status int, code string, retryAfter time.Duration) {
+func (f *Front) shed(w http.ResponseWriter, route string, status int, code string, retryAfter time.Duration) {
 	w.Header().Set("Retry-After", retryAfterSecs(retryAfter))
 	switch code {
 	case CodeRateLimited:
-		s.shedRateN.Add(1)
+		f.shedRateN.Add(1)
 		writeError(w, status, code, "client request rate exceeds the server's per-client limit")
 	default:
-		s.shedLoadN.Add(1)
+		f.shedLoadN.Add(1)
 		writeError(w, status, code, "server is at its concurrency cap; retry shortly")
 	}
-	s.shedTotal.With(route, code).Inc()
+	f.shedTotal.With(route, code).Inc()
 }
 
 // admit applies rate limiting and the inflight cap to a request. The
@@ -168,25 +168,25 @@ func (s *Server) shed(w http.ResponseWriter, route string, status int, code stri
 // must run when it finishes; ok=false means an error response has
 // been written. A long-poll (isPush) skips the inflight cap (it parks
 // by design) but still pays the rate limit.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, route string, isPush bool) (func(), bool) {
-	if s.limits != nil {
-		if ok, wait := s.limits.allow(clientKey(r)); !ok {
-			s.shed(w, route, http.StatusTooManyRequests, CodeRateLimited, wait)
+func (f *Front) admit(w http.ResponseWriter, r *http.Request, route string, isPush bool) (func(), bool) {
+	if f.limits != nil {
+		if ok, wait := f.limits.allow(clientKey(r)); !ok {
+			f.shed(w, route, http.StatusTooManyRequests, CodeRateLimited, wait)
 			return nil, false
 		}
 	}
 	if isPush {
-		s.pushActive.Set(s.streams.Add(1))
-		return func() { s.pushActive.Set(s.streams.Add(-1)) }, true
+		f.pushActive.Set(f.streams.Add(1))
+		return func() { f.pushActive.Set(f.streams.Add(-1)) }, true
 	}
-	n := s.inflight.Add(1)
-	if s.maxInflight > 0 && n > s.maxInflight {
-		s.inflightGauge.Set(s.inflight.Add(-1))
-		s.shed(w, route, http.StatusServiceUnavailable, CodeOverloaded, time.Second)
+	n := f.inflight.Add(1)
+	if f.maxInflight > 0 && n > f.maxInflight {
+		f.inflightGauge.Set(f.inflight.Add(-1))
+		f.shed(w, route, http.StatusServiceUnavailable, CodeOverloaded, time.Second)
 		return nil, false
 	}
-	s.inflightGauge.Set(n)
+	f.inflightGauge.Set(n)
 	return func() {
-		s.inflightGauge.Set(s.inflight.Add(-1))
+		f.inflightGauge.Set(f.inflight.Add(-1))
 	}, true
 }

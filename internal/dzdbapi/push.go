@@ -53,18 +53,18 @@ func (e *EpochSignal) Broadcast() {
 // envelope (empty Deltas on timeout). A caught-up follower therefore
 // holds exactly one outstanding request and still sees a new epoch's
 // days the moment it lands.
-func (e *EpochRoutes) deltasLongPoll(w http.ResponseWriter, r *http.Request, q deltasQuery) {
+func (f *Front) deltasLongPoll(w http.ResponseWriter, r *http.Request, q deltasQuery) {
 	timer := time.NewTimer(q.wait)
 	defer timer.Stop()
 	for expired := false; ; {
-		st, ch := e.src.Current()
+		st, ch := f.src.Current()
 		if st != nil && st.Feed != nil {
 			if resp := deltaPage(st, q); len(resp.Deltas) > 0 || expired {
 				writeJSON(w, http.StatusOK, resp)
 				return
 			}
 		} else if expired {
-			e.src.Unavailable(w)
+			f.src.Unavailable(w)
 			return
 		}
 		select {

@@ -50,15 +50,15 @@ func get(t *testing.T, url string, hdr ...string) *http.Response {
 }
 
 // FuzzETagMatch: no If-None-Match value makes etagMatch panic, and one
-// that lists the validator — strong or weak, anywhere in the list —
-// always matches it.
+// that lists the validator — strong or weak, anywhere in the list, under
+// any salt — always matches it.
 func FuzzETagMatch(f *testing.F) {
-	f.Add(uint64(1), "/v1/stats", "")
-	f.Add(uint64(7), "/v1/zones?limit=1", `"e6-0000000000000000", W/"x"`)
-	f.Add(uint64(0), "", `*`)
-	f.Add(uint64(1<<63), "k", `,, W/ ,"`)
-	f.Fuzz(func(t *testing.T, epoch uint64, key, other string) {
-		etag := makeETag(epoch, key)
+	f.Add(uint64(0), uint64(1), "/v1/stats", "")
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(7), "/v1/zones?limit=1", `"e6-0000000000000000", W/"x"`)
+	f.Add(uint64(1<<63), uint64(0), "", `*`)
+	f.Add(^uint64(0), uint64(1<<63), "k", `,, W/ ,"`)
+	f.Fuzz(func(t *testing.T, salt, epoch uint64, key, other string) {
+		etag := makeETag(salt, epoch, key)
 		etagMatch(other, etag)
 		for _, header := range []string{
 			etag,
@@ -101,6 +101,33 @@ func TestETagStableWithinEpoch(t *testing.T) {
 	c := get(t, ts.URL+"/v1/deltas?from="+d(100).String()+"&limit=6")
 	if c.Header.Get("ETag") == a.Header.Get("ETag") {
 		t.Errorf("different params share ETag %q", c.Header.Get("ETag"))
+	}
+}
+
+// TestETagSaltedPerServer: epoch numbers restart with the process, so a
+// server restarted over other data can reach the epoch its predecessor
+// served. Two servers over different databases at the same epoch issue
+// different validators for one path, and one answers the other's with
+// the full 200.
+func TestETagSaltedPerServer(t *testing.T) {
+	dbA, dbB := testDB(), testDB2()
+	if a, b := dbA.View().Epoch(), dbB.View().Epoch(); a != b {
+		t.Fatalf("epochs %d and %d: the test needs two databases at one epoch", a, b)
+	}
+	tsA := httptest.NewServer(New(dbA))
+	t.Cleanup(tsA.Close)
+	tsB := httptest.NewServer(New(dbB))
+	t.Cleanup(tsB.Close)
+
+	etagA := get(t, tsA.URL+"/v1/stats").Header.Get("ETag")
+	etagB := get(t, tsB.URL+"/v1/stats").Header.Get("ETag")
+	if etagA == "" || etagA == etagB {
+		t.Fatalf("servers over different data share the validator %q", etagA)
+	}
+	resp := get(t, tsB.URL+"/v1/stats", "If-None-Match", etagA)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("B answered A's validator with %d (%d bytes), want 200 with its body", resp.StatusCode, len(body))
 	}
 }
 
