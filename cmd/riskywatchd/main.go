@@ -10,10 +10,10 @@
 //
 // Alerts are emitted as JSON Lines on stdout or -alerts FILE, and
 // optionally POSTed to a -webhook URL. The engine state checkpoints to
-// -checkpoint FILE on an interval and on shutdown, so a restarted
-// watcher resumes where it left off without replaying history (and
-// without re-emitting old alerts — the alert sequence number is part of
-// the checkpoint).
+// -checkpoint FILE every minute while applying and on shutdown, so a
+// restarted watcher resumes where it left off without replaying history
+// (and without re-emitting old alerts — the alert sequence number is
+// part of the checkpoint).
 //
 // Usage:
 //
@@ -25,9 +25,9 @@
 // alert counters are served on GET /metrics alongside /debug/pprof,
 // /healthz, /readyz, and the human-readable /statusz. Readiness means
 // "alerting usefully right now": the feed (or archive) is reachable,
-// lag is within -max-lag-days, and the checkpoint is younger than
-// -max-checkpoint-age — a watcher that is silently behind is missed
-// hijack windows, so it reports not-ready rather than limping quietly.
+// lag is within two days, and the checkpoint is younger than five
+// minutes — a watcher that is silently behind is missed hijack windows,
+// so it reports not-ready rather than limping quietly.
 // The lag gauge updates on every pass (an archive re-stat, or a
 // long-poll answered, empty pages included), so a stalled feed shows as
 // growing lag instead of a frozen gauge.
@@ -71,13 +71,10 @@ func main() {
 	alertsPath := flag.String("alerts", "-", "JSONL alert sink (\"-\" = stdout)")
 	webhook := flag.String("webhook", "", "POST each alert as JSON to this URL")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: restored at start when present, rewritten on interval and shutdown")
-	ckptEvery := flag.Duration("checkpoint-interval", time.Minute, "how often to checkpoint while applying")
 	poll := flag.Duration("poll", 2*time.Second, "archive re-stat cadence; with -feed, the backoff after a failed request")
 	once := flag.Bool("once", false, "exit after the first full catch-up instead of tailing")
 	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
 	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (at most the server's 1m cap)")
-	maxLag := flag.Int("max-lag-days", 2, "readiness threshold: max days the engine may trail the feed's close day")
-	maxCkptAge := flag.Duration("max-checkpoint-age", 5*time.Minute, "readiness threshold: max checkpoint age (with -checkpoint)")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := daemon.RegisterProfFlags(flag.CommandLine)
@@ -99,8 +96,6 @@ func main() {
 		webhook:  *webhook,
 		hc:       &http.Client{Timeout: 10 * time.Second},
 		ckptPath: *ckptPath,
-		ckptIvl:  *ckptEvery,
-		maxLag:   *maxLag,
 		feedWait: *feedWait,
 
 		lag:     app.Reg.Gauge("watch_feed_lag_days", "Days between the feed's close day and the last day applied."),
@@ -114,7 +109,7 @@ func main() {
 
 	// Readiness: the source must be answering (TTL'd — a wedged poll
 	// loop goes stale and flips /readyz without ever reporting an
-	// error), the engine must be within -max-lag-days of the feed's
+	// error), the engine must be within maxLagDays of the feed's
 	// close, and the checkpoint must be young enough to bound replay
 	// after a crash.
 	park := time.Duration(0)
@@ -123,16 +118,16 @@ func main() {
 	}
 	w.feedCheck = app.Health.Register("feed", feedTTL(*poll, park))
 	app.Health.RegisterFunc("lag", func() error {
-		if lag := w.lag.Value(); lag > int64(*maxLag) {
-			return fmt.Errorf("%d days behind the feed (max %d)", lag, *maxLag)
+		if lag := w.lag.Value(); lag > maxLagDays {
+			return fmt.Errorf("%d days behind the feed (max %d)", lag, maxLagDays)
 		}
 		return nil
 	})
 	if *ckptPath != "" {
 		app.Health.RegisterFunc("checkpoint", func() error {
 			age := time.Since(time.Unix(0, w.lastCkpt.Load()))
-			if age > *maxCkptAge {
-				return fmt.Errorf("checkpoint %s old (max %s)", age.Round(time.Second), *maxCkptAge)
+			if age > maxCheckpointAge {
+				return fmt.Errorf("checkpoint %s old (max %s)", age.Round(time.Second), maxCheckpointAge)
 			}
 			return nil
 		})
@@ -241,6 +236,15 @@ func main() {
 	app.Log.Info("stopped")
 }
 
+// The watcher checkpoints every checkpointInterval while applying, and
+// readiness fails once the engine trails the feed's close day by more
+// than maxLagDays or the checkpoint is older than maxCheckpointAge.
+const (
+	checkpointInterval = time.Minute
+	maxLagDays         = 2
+	maxCheckpointAge   = 5 * time.Minute
+)
+
 // feedTTL is how long the feed check may go without a pass before
 // /readyz calls it stale. A caught-up follower's pass is one parked
 // long-poll, answered empty after park (zero in archive mode), so the
@@ -282,9 +286,7 @@ type watcher struct {
 	hc      *http.Client
 
 	ckptPath string
-	ckptIvl  time.Duration
-	lastCkpt atomic.Int64 // unix nanos of the last checkpoint write
-	maxLag   int
+	lastCkpt atomic.Int64  // unix nanos of the last checkpoint write
 	feedWait time.Duration // long-poll hold
 
 	// lastDay/seq/closeDay mirror engine and feed state for concurrent
@@ -393,7 +395,7 @@ func (w *watcher) checkpoint(force bool) error {
 		return nil
 	}
 	last := time.Unix(0, w.lastCkpt.Load())
-	if !force && time.Since(last) < w.ckptIvl {
+	if !force && time.Since(last) < checkpointInterval {
 		return nil
 	}
 	if err := segment.WriteAtomic(w.ckptPath, w.engine.Save); err != nil {

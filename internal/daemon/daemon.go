@@ -2,8 +2,8 @@
 // this repository repeats: the -version flag, a named structured
 // logger, build-info registration, a signal-bound context, and the
 // observability endpoint — /metrics + pprof plus the operational-health
-// surface (/healthz, /readyz, /statusz), the go_*/process_* runtime
-// gauges, and the slo_* burn-rate tracker. Keeping it in one place
+// surface (/healthz, /readyz, /statusz) and the go_*/process_* runtime
+// gauges. Keeping it in one place
 // means dzdbd, dzdbcoord, and riskywatchd cannot drift apart on process
 // hygiene: every daemon answers the same probes with the same
 // semantics, and only the readiness conditions differ.
@@ -26,7 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/health"
 	obsruntime "repro/internal/obs/runtime"
-	"repro/internal/obs/slo"
 )
 
 // App is the shared per-process state.
@@ -41,20 +40,16 @@ type App struct {
 	// Runtime publishes the go_*/process_* gauges, sampled as each
 	// /metrics scrape and /statusz render answers.
 	Runtime *obsruntime.Collector
-	// SLO evaluates latency objectives registered via TrackSLO into
-	// slo_* gauges and the /statusz SLO block.
-	SLO *slo.Tracker
 
 	start   time.Time
 	statusz statusz
-	sloLoop bool
 	// restoreProf undoes StartProfiler's runtime rates (nil until then).
 	restoreProf func()
 }
 
 // New builds the app: named logger on the default registry with build
-// info and the runtime gauges registered, and empty health and SLO
-// registries. If version is true (the -version flag), it prints
+// info and the runtime gauges registered, and an empty health
+// registry. If version is true (the -version flag), it prints
 // build information and exits — callers invoke it right after
 // flag.Parse and never see it return in that case.
 func New(name string, version bool) *App {
@@ -72,19 +67,7 @@ func New(name string, version bool) *App {
 	a.Reg.RegisterBuildInfo()
 	a.Health.Instrument(a.Reg)
 	a.Runtime = obsruntime.New(a.Reg)
-	a.SLO = slo.NewTracker(a.Reg)
 	return a
-}
-
-// TrackSLO registers a latency objective over histograms and (on first
-// use) starts the background evaluation loop.
-func (a *App) TrackSLO(obj slo.Objective, hists ...*obs.Histogram) {
-	a.SLO.Track(obj, hists...)
-	if !a.sloLoop {
-		a.sloLoop = true
-		a.SLO.Start()
-	}
-	a.SLO.Evaluate()
 }
 
 // BeginShutdown fails readiness (/healthz is untouched) so load
@@ -99,10 +82,9 @@ func (a *App) BeginShutdown(grace time.Duration) {
 	}
 }
 
-// Close stops the SLO loop and restores the profiling rates. Safe to
-// call more than once; the daemons defer it, tests use it for cleanup.
+// Close restores the profiling rates. Safe to call more than once; the
+// daemons defer it, tests use it for cleanup.
 func (a *App) Close() {
-	a.SLO.Stop()
 	if a.restoreProf != nil {
 		a.restoreProf()
 		a.restoreProf = nil

@@ -247,6 +247,25 @@ func TestMetricsSampleOnScrape(t *testing.T) {
 	}
 }
 
+// TestNoSLOFamiliesByDefault: a daemon exports slo_* only when it
+// tracks an objective of its own; the shared core tracks none.
+func TestNoSLOFamiliesByDefault(t *testing.T) {
+	app := New("testd", false)
+	t.Cleanup(app.Close)
+	var buf bytes.Buffer
+	if _, err := app.Reg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if m := regexp.MustCompile(`(?m)^# TYPE (slo_\S+)`).FindStringSubmatch(buf.String()); m != nil {
+		t.Errorf("a fresh App exports %s", m[1])
+	}
+	var sb strings.Builder
+	app.renderStatus(&sb)
+	if strings.Contains(sb.String(), "[slo]") {
+		t.Errorf("a fresh App's /statusz has an [slo] section:\n%s", sb.String())
+	}
+}
+
 func TestShutdownNil(t *testing.T) {
 	Shutdown(nil, time.Second) // must not panic
 	srv := HTTPServer("127.0.0.1:0", http.NewServeMux())

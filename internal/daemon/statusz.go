@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -24,7 +23,7 @@ type section struct {
 }
 
 // statusz assembles the human-readable status page from sections. The
-// daemon core contributes build/runtime/health/SLO blocks; each daemon
+// daemon core contributes build/runtime/health blocks; each daemon
 // adds its own (current epoch, feed lag, breaker states, ...) via
 // App.StatusSection.
 type statusz struct {
@@ -100,20 +99,6 @@ func (a *App) renderStatus(sb *strings.Builder) {
 		rows = append(rows, KV{st.Name, v})
 	}
 	writeSection(sb, "health", rows)
-
-	// SLO block, from the tracker's last evaluation.
-	if reps := a.SLO.Reports(); len(reps) > 0 {
-		rows := make([]KV, 0, len(reps))
-		for _, rep := range reps {
-			verdict := "PASS"
-			if !rep.Met {
-				verdict = "FAIL"
-			}
-			rows = append(rows, KV{rep.Objective.Name, verdict + " · " + rep.String()})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].K < rows[j].K })
-		writeSection(sb, "slo", rows)
-	}
 
 	for _, sec := range a.statusz.snapshot() {
 		writeSection(sb, sec.title, sec.fn())

@@ -66,7 +66,8 @@ type APIError struct {
 	// error page from a proxy, a panic trace), kept for diagnostics.
 	Body string
 	// RetryAfter is the server's backoff guidance from a Retry-After
-	// header (shed 429/503 responses carry one); zero when absent.
+	// header (a coordinator's 503 carries one, as may any server's 429);
+	// zero when absent.
 	RetryAfter time.Duration
 }
 
@@ -90,7 +91,7 @@ func (c *Client) httpClient() *http.Client {
 const maxRetryAfterWait = 5 * time.Second
 
 // retryableResponse classifies errors for the retry policy: server-side
-// (5xx), shed 429s, and transport failures may clear up; other
+// (5xx), 429s, and transport failures may clear up; other
 // client-side (4xx) errors will repeat identically and are permanent.
 func retryableResponse(err error) bool {
 	var ae *APIError
@@ -101,7 +102,7 @@ func retryableResponse(err error) bool {
 }
 
 // do runs fn through the breaker and retry policy, if configured. When
-// a response carries Retry-After (a shed 429/503), the client sleeps
+// a response carries Retry-After (a 429 or 503), the client sleeps
 // out the server's guidance (capped at maxRetryAfterWait) before the
 // policy's own backoff schedules the next attempt.
 func (c *Client) do(ctx context.Context, fn func(ctx context.Context) error) error {

@@ -3,8 +3,10 @@ package dzdbapi
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -134,4 +136,98 @@ func TestClientBreakerFailsFast(t *testing.T) {
 	if hits.Load() != before {
 		t.Fatal("open breaker let a request through")
 	}
+}
+
+// TestClientHonorsRetryAfter: a 429 or 503 with Retry-After is
+// retryable, and the parsed Retry-After rides APIError so the retry
+// loop can sleep it out. The coordinator answers 503 with one when the
+// fleet cannot serve; the client honours either status from any server.
+func TestClientHonorsRetryAfter(t *testing.T) {
+	for _, status := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) == 1 {
+					w.Header().Set("Retry-After", "0")
+					writeError(w, status, "slow_down", "slow down")
+					return
+				}
+				writeJSON(w, http.StatusOK, StatsResponse{Domains: 7, Zones: []string{}})
+			}))
+			t.Cleanup(ts.Close)
+
+			// Without a retry policy the refusal surfaces as a typed error
+			// with the parsed backoff hint.
+			bare := &Client{BaseURL: ts.URL}
+			_, err := bare.Stats()
+			ae, ok := err.(*APIError)
+			if !ok || ae.Status != status || ae.Code != "slow_down" {
+				t.Fatalf("bare err = %v", err)
+			}
+			if !retryableResponse(err) {
+				t.Errorf("%d classified as permanent", status)
+			}
+
+			calls.Store(0)
+			retrying := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 3, BaseDelay: -1}}
+			stats, err := retrying.Stats()
+			if err != nil {
+				t.Fatalf("retrying client: %v", err)
+			}
+			if stats.Domains != 7 {
+				t.Errorf("stats = %+v", stats)
+			}
+			if got := calls.Load(); got != 2 {
+				t.Errorf("server saw %d calls, want 2 (refusal then success)", got)
+			}
+		})
+	}
+}
+
+// TestParseRetryAfter covers both header forms and the absence case.
+func TestParseRetryAfter(t *testing.T) {
+	mk := func(v string) *http.Response {
+		h := http.Header{}
+		if v != "" {
+			h.Set("Retry-After", v)
+		}
+		return &http.Response{Header: h}
+	}
+	if got := parseRetryAfter(mk("7")); got != 7*time.Second {
+		t.Errorf("seconds form = %s", got)
+	}
+	if got := parseRetryAfter(mk("")); got != 0 {
+		t.Errorf("absent = %s", got)
+	}
+	future := time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
+	if got := parseRetryAfter(mk(future)); got <= 0 || got > 31*time.Second {
+		t.Errorf("http-date form = %s", got)
+	}
+	if got := parseRetryAfter(mk("garbage")); got != 0 {
+		t.Errorf("garbage = %s", got)
+	}
+	// Seconds past what a Duration holds saturate instead of wrapping:
+	// 9223372037 s once read as -2562047h, 18446744073 s as -709ms.
+	for _, v := range []string{"9223372037", "18446744073", "99999999999999999999999"} {
+		if got := parseRetryAfter(mk(v)); got != math.MaxInt64 {
+			t.Errorf("%s seconds = %s, want the largest Duration", v, got)
+		}
+	}
+	if got := parseRetryAfter(mk("-5")); got != 0 {
+		t.Errorf("negative = %s", got)
+	}
+}
+
+// FuzzParseRetryAfter: no header value yields a negative wait.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, v := range []string{"7", "", "garbage", "-1", "9223372037", "18446744073",
+		"99999999999999999999", "Wed, 21 Oct 2015 07:28:00 GMT", "Fri, 31 Dec 9999 23:59:59 GMT"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		resp := &http.Response{Header: http.Header{"Retry-After": {v}}}
+		if got := parseRetryAfter(resp); got < 0 {
+			t.Fatalf("Retry-After %q = %s", v, got)
+		}
+	})
 }

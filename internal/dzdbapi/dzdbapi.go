@@ -29,9 +29,7 @@
 //
 // The delta feed pushes by long-poll: GET /v1/deltas?wait=30s on an
 // empty window parks until a publish or the wait expires, and answers
-// with the ordinary page. Per-client token-bucket rate limits and a
-// concurrency cap shed excess load with the v1 error envelope plus
-// Retry-After.
+// with the ordinary page.
 //
 // Pagination: list endpoints accept ?limit= (page size; absent or 0
 // returns everything) and ?cursor= (opaque
@@ -73,6 +71,7 @@ import (
 const (
 	MetricRequests       = "dzdb_http_requests_total"
 	MetricRequestSeconds = "dzdb_http_request_seconds"
+	MetricInflight       = "dzdb_http_inflight"
 )
 
 // Metric names recorded by the publish hook. The histogram is the
@@ -303,10 +302,6 @@ const (
 	CodeInvalidWait   = "invalid_wait"
 	CodeNotFound      = "not_found"
 	CodeInternal      = "internal"
-	// CodeRateLimited (429) and CodeOverloaded (503) are the shed
-	// responses; both carry a Retry-After header.
-	CodeRateLimited = "rate_limited"
-	CodeOverloaded  = "overloaded"
 )
 
 // ErrorBody is the machine-readable half of the error envelope.

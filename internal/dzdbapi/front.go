@@ -12,9 +12,9 @@ import (
 )
 
 // Front is the serving layer of the /v1 surface: the request span and
-// log, admission, the epoch ETag with its pre-dispatch 304, the
-// response cache and gzip negotiation, in front of every route, over a
-// Source. A Server is a Front over its own database; the cluster
+// log, the inflight and push-stream counts, the epoch ETag with its
+// pre-dispatch 304, the response cache and gzip negotiation, in front
+// of every route, over a Source. A Server is a Front over its own database; the cluster
 // coordinator is one over the state it merges from its shards. Either
 // way the four epoch-wide routes (/v1/stats, /v1/zones,
 // /v1/top/nameservers, /v1/deltas) are the Front's own handlers, so a
@@ -33,16 +33,12 @@ type Front struct {
 	cache *respCache
 	salt  uint64
 
-	// Protection: per-client token buckets and the concurrency cap.
-	limits      *limiter
-	maxInflight int64
-	inflight    atomic.Int64
-	streams     atomic.Int64
-	shedRateN   atomic.Uint64
-	shedLoadN   atomic.Uint64
+	// inflight counts requests being served; streams counts parked
+	// long-polls, which are kept apart so they never read as load.
+	inflight atomic.Int64
+	streams  atomic.Int64
 
 	cacheReqs     *obs.CounterVec // MetricCacheRequests{route,outcome}
-	shedTotal     *obs.CounterVec // MetricShed{route,code}
 	inflightGauge *obs.Gauge
 	pushActive    *obs.Gauge
 
@@ -67,8 +63,6 @@ func NewFront(src Source, reg *obs.Registry) *Front {
 		"API request latency by route.", nil, "route")
 	f.cacheReqs = reg.CounterVec(MetricCacheRequests,
 		"Response cache lookups by route and outcome (hit, miss, revalidated).", "route", "outcome")
-	f.shedTotal = reg.CounterVec(MetricShed,
-		"Requests shed by the protection layer, by route and error code.", "route", "code")
 	f.inflightGauge = reg.Gauge(MetricInflight, "Requests currently being served.")
 	f.pushActive = reg.Gauge(MetricPushActive, "Parked long-poll delta requests.")
 	f.cache = newRespCache(defaultCacheBytes)
@@ -81,9 +75,9 @@ func NewFront(src Source, reg *obs.Registry) *Front {
 }
 
 // HandlerFunc is a route handler with the request's pinned state
-// threaded through: the middleware pins it once so the protection,
-// cache, and handler layers all observe the same epoch. A route that
-// does not read the state (a coordinator's proxied and scatter-gathered
+// threaded through: the middleware pins it once so the cache and
+// handler layers both observe the same epoch. A route that does not
+// read the state (a coordinator's proxied and scatter-gathered
 // ones) still answers for it: the ETag and the cache are keyed by its
 // epoch.
 type HandlerFunc func(w http.ResponseWriter, r *http.Request, st *EpochState)
@@ -136,20 +130,17 @@ func (f *Front) Handle(route string, handler HandlerFunc) {
 	})
 }
 
-// serve runs the protection and cache layers around handler. The state
-// is pinned exactly once; when the source is settled that makes the
-// response epoch-addressable: If-None-Match is answered 304 from the
-// epoch alone, and hot bodies come out of the LRU without recompute.
-// An unsettled source's responses are rendered live, with no ETag, and
-// kept out of the cache — and so is a render that unsettles the source
-// itself, which the recording writer checks when the header goes out. Long-polls bypass the cache too: what they
-// answer depends on when a publish lands, not on the epoch pinned here.
+// serve counts the request and runs the cache layer around handler.
+// The state is pinned exactly once; when the source is settled that
+// makes the response epoch-addressable: If-None-Match is answered 304
+// from the epoch alone, and hot bodies come out of the LRU without
+// recompute. An unsettled source's responses are rendered live, with no
+// ETag, and kept out of the cache — and so is a render that unsettles
+// the source itself, which the recording writer checks when the header
+// goes out. Long-polls bypass the cache too: what they answer depends
+// on when a publish lands, not on the epoch pinned here.
 func (f *Front) serve(w http.ResponseWriter, r *http.Request, route string, isPush bool, handler HandlerFunc) {
-	release, ok := f.admit(w, r, route, isPush)
-	if !ok {
-		return
-	}
-	defer release()
+	defer f.admit(isPush)()
 	st, settled := f.src.Pin()
 	if isPush {
 		handler(w, r, st)
@@ -227,6 +218,29 @@ func runHandler(w http.ResponseWriter, r *http.Request, st *EpochState, enc stri
 	gz := newGzipWriter(w)
 	handler(gz, r, st)
 	_ = gz.Close()
+}
+
+// admit counts a request as inflight, or a parked long-poll as a push
+// stream, and returns the func that uncounts it when it finishes.
+func (f *Front) admit(isPush bool) func() {
+	if isPush {
+		f.pushActive.Set(f.streams.Add(1))
+		return func() { f.pushActive.Set(f.streams.Add(-1)) }
+	}
+	f.inflightGauge.Set(f.inflight.Add(1))
+	return func() { f.inflightGauge.Set(f.inflight.Add(-1)) }
+}
+
+// ServeStats counts what the serving layer holds open, for /statusz.
+type ServeStats struct {
+	Inflight int64
+	// ActiveStreams counts parked long-poll requests.
+	ActiveStreams int64
+}
+
+// ServeStats returns the current inflight and push-stream counts.
+func (f *Front) ServeStats() ServeStats {
+	return ServeStats{Inflight: f.inflight.Load(), ActiveStreams: f.streams.Load()}
 }
 
 // ServeHTTP implements http.Handler.

@@ -120,3 +120,45 @@ func TestLongPollClientAcrossEpochs(t *testing.T) {
 		t.Errorf("feed requests = %d, want 1", got)
 	}
 }
+
+// TestPushExemptFromInflightCap: a parked long-poll is counted as a push
+// stream, not as a request in flight, so it never reads as load; the
+// stream count returns to 0 when the poll is answered.
+func TestPushExemptFromInflightCap(t *testing.T) {
+	db := testDB()
+	srv := New(db)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	// Park a long-poll past the close day.
+	done := make(chan error, 1)
+	go func() {
+		hc := &http.Client{Timeout: 30 * time.Second}
+		resp, err := hc.Get(ts.URL + "/v1/deltas?from=" + d(201).String() + "&wait=20s")
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ServeStats().ActiveStreams == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("long-poll never registered as a stream")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := srv.ServeStats().Inflight; got != 0 {
+		t.Errorf("inflight = %d while only a long-poll is parked, want 0", got)
+	}
+	if resp := get(t, ts.URL+"/v1/stats"); resp.StatusCode != http.StatusOK {
+		t.Errorf("request beside a parked long-poll: %d", resp.StatusCode)
+	}
+	db.Adopt(testDB2()) // release the parked poll
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.ServeStats().ActiveStreams; got != 0 {
+		t.Errorf("active streams = %d after poll returned, want 0", got)
+	}
+}

@@ -29,10 +29,14 @@
 //
 // On Open the store verifies every manifest-listed segment's length and
 // checksum; a segment that fails is quarantined (moved into the
-// quarantine/ subdirectory, counted in obs, reported to the caller) and
-// the store continues with the surviving epochs — graceful degradation,
-// mirroring the ingester's snapshot quarantine. The caller rebuilds only
-// the affected epochs from source archives.
+// quarantine/ subdirectory and reported to the caller by Quarantined)
+// and the store continues with the surviving epochs — graceful
+// degradation, mirroring the ingester's snapshot quarantine. The caller
+// rebuilds only the affected epochs from source archives.
+//
+// No command opens a store today: the benchmark's ingest and cold-start
+// workloads seal and load through it, and it is the durable writer an
+// ingest spool will use. Every production reader calls ReadFile.
 package segment
 
 import (

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/dates"
-	"repro/internal/obs"
 	"repro/internal/zonedb"
 )
 
@@ -29,15 +28,6 @@ const (
 	// defaultKeep is how many sealed epochs Seal retains; older segments
 	// are pruned once the manifest naming the survivors is durable.
 	defaultKeep = 4
-)
-
-// Metric names exported by the store.
-const (
-	// MetricSegments gauges the number of sealed segments in the manifest.
-	MetricSegments = "zonedb_segments"
-	// MetricQuarantined counts segments (and manifests) quarantined,
-	// labeled by reason.
-	MetricQuarantined = "zonedb_segments_quarantined_total"
 )
 
 // ErrEmpty reports a store holding no sealed epochs.
@@ -55,9 +45,9 @@ type Info struct {
 	CRC  uint32
 	// CloseDay is the epoch's seal day (the payload's close day).
 	CloseDay dates.Day
-	// SourceTag is an opaque provenance tag recorded by the sealer —
-	// dzdbd stores a checksum of the source archive here so a SIGHUP can
-	// recognise an unchanged source and skip the re-ingest.
+	// SourceTag is an opaque provenance tag recorded by the sealer — a
+	// checksum of the source, say, so a caller can recognise an unchanged
+	// source and skip the re-ingest.
 	SourceTag string
 }
 
@@ -87,9 +77,6 @@ type Hooks struct {
 // Option configures a Store at Open.
 type Option func(*Store)
 
-// WithObs routes store metrics into reg.
-func WithObs(reg *obs.Registry) Option { return func(s *Store) { s.obs = reg } }
-
 // WithKeep sets how many sealed epochs Seal retains (minimum 1).
 func WithKeep(n int) Option {
 	return func(s *Store) {
@@ -107,7 +94,6 @@ func WithHooks(h Hooks) Option { return func(s *Store) { s.hooks = h } }
 type Store struct {
 	dir   string
 	keep  int
-	obs   *obs.Registry
 	hooks Hooks
 
 	mu          sync.Mutex
@@ -127,9 +113,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{dir: dir, keep: defaultKeep}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.obs != nil {
-		s.quarantinedVec() // announced at zero, before any quarantine
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -189,7 +172,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("segment: rewriting manifest after recovery: %w", err)
 		}
 	}
-	s.updateMetricsLocked()
 	return s, nil
 }
 
@@ -320,7 +302,6 @@ func (s *Store) Seal(v *zonedb.View, sourceTag string) (Info, error) {
 	for _, p := range pruned {
 		os.Remove(filepath.Join(s.dir, p.Name))
 	}
-	s.updateMetricsLocked()
 	return info, nil
 }
 
@@ -367,13 +348,6 @@ func (s *Store) quarantine(name, reason string, err error) {
 	s.mu.Lock()
 	s.quarantined = append(s.quarantined, Quarantine{Name: name, Reason: reason, Err: err})
 	s.mu.Unlock()
-	if s.obs != nil {
-		s.quarantinedVec().With(reason).Inc()
-	}
-}
-
-func (s *Store) quarantinedVec() *obs.CounterVec {
-	return s.obs.CounterVec(MetricQuarantined, "Segment files quarantined by verification.", "reason")
 }
 
 // dropSegment quarantines a segment discovered corrupt after Open and
@@ -396,14 +370,6 @@ func (s *Store) dropSegment(info Info, reason string, err error) {
 	// LoadLatest's fallback loop must make progress).
 	s.segs = kept
 	s.writeManifestLocked(kept)
-	s.updateMetricsLocked()
-}
-
-func (s *Store) updateMetricsLocked() {
-	if s.obs == nil {
-		return
-	}
-	s.obs.Gauge(MetricSegments, "Sealed epoch segments in the manifest.").Set(int64(len(s.segs)))
 }
 
 // writeFile durably writes the file at path: temp file, encode, flush,

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/zonedb"
 )
 
@@ -269,6 +268,57 @@ func TestTornSegmentMatrix(t *testing.T) {
 			}
 		})
 	}
+
+	// A crash that tears the only sealed epoch and leaves a seal's debris
+	// beside it: the torn file is quarantined (kept, not deleted), the
+	// debris swept, the store comes up empty, and the epoch rebuilt from
+	// source reseals and survives a reopen.
+	t.Run("only-epoch-with-debris", func(t *testing.T) {
+		dir := sealEpochs(t, 100)
+		seg1 := "epoch-000001.seg"
+		raw1, err := os.ReadFile(filepath.Join(dir, seg1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			seg1:                   raw1[:len(raw1)/2],
+			"epoch-000099.seg.tmp": []byte("torn"),
+			"epoch-000098.seg":     []byte("orphan"),
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := reopen(t, dir)
+		if q := st.Quarantined(); len(q) != 1 || q[0].Name != seg1 {
+			t.Fatalf("quarantine = %+v, want only %s", q, seg1)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, quarantineDir, seg1)); err != nil || !bytes.Equal(got, raw1[:len(raw1)/2]) {
+			t.Fatalf("torn segment not kept in quarantine as it was: %v", err)
+		}
+		for _, name := range []string{"epoch-000099.seg.tmp", "epoch-000098.seg"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s survived the sweep", name)
+			}
+		}
+		if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
+			t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
+		}
+		if _, err := st.Seal(testDB(t, 100).View(), "rebuilt"); err != nil {
+			t.Fatalf("reseal: %v", err)
+		}
+		st2 := reopen(t, dir)
+		if q := st2.Quarantined(); len(q) != 0 {
+			t.Fatalf("reopen after reseal quarantined %+v", q)
+		}
+		db, info, err := st2.LoadLatest()
+		if err != nil || info.SourceTag != "rebuilt" {
+			t.Fatalf("LoadLatest after reseal = %+v, %v", info, err)
+		}
+		if !bytes.Equal(archiveBytes(t, db), want100) {
+			t.Fatal("resealed epoch bytes differ")
+		}
+	})
 }
 
 // TestTornManifestMatrix corrupts the manifest at every line boundary
@@ -469,31 +519,10 @@ func TestSourceTagRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	dir := t.TempDir()
-	st, err := Open(dir, WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seals := 1; seals <= 2; seals++ {
-		if _, err := st.Seal(testDB(t, 100).View(), ""); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := reg.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("%s %d\n", MetricSegments, seals); !strings.Contains(buf.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
 // TestOldFormatSegmentRefusedOnce: a segment written before the binary
 // payload — the text archive framed under the "dzdbseg 1" magic — is a
 // sound file as far as the manifest can tell, so Open admits it; Load
-// refuses it as corrupt, once: it is quarantined and counted, and the
+// refuses it as corrupt, once: it is quarantined and reported, and the
 // store goes on with the next-newest epoch (or none, and the caller
 // rebuilds from source and reseals).
 func TestOldFormatSegmentRefusedOnce(t *testing.T) {
@@ -523,11 +552,10 @@ func TestOldFormatSegmentRefusedOnce(t *testing.T) {
 		}
 	}
 	// refused asserts the store admitted the file at Open, and that the
-	// first load moved it aside and counted it.
+	// first load moved it aside and reported it.
 	refused := func(t *testing.T, dir string, load func(*Store)) {
 		t.Helper()
-		reg := obs.NewRegistry()
-		st, err := Open(dir, WithObs(reg))
+		st, err := Open(dir)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -544,13 +572,6 @@ func TestOldFormatSegmentRefusedOnce(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(dir, quarantineDir, "epoch-000009.seg")); err != nil {
 			t.Errorf("old-format segment not moved aside: %v", err)
-		}
-		var metrics bytes.Buffer
-		if _, err := reg.WriteTo(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		if want := MetricQuarantined + `{reason="decode"} 1`; !strings.Contains(metrics.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, metrics.String())
 		}
 		// The refusal is durable: the next open does not meet the file again.
 		if st2 := reopen(t, dir); len(st2.Quarantined()) != 0 {
