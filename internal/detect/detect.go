@@ -2,6 +2,8 @@ package detect
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -96,12 +98,13 @@ type Config struct {
 	SkipSingleRepoCheck bool
 	// SkipMining skips the (purely reporting) substring-mining stage.
 	SkipMining bool
-	// Workers parallelizes the candidate-extraction stage (static
-	// resolvability over every nameserver). Zero or one runs
-	// sequentially. Extraction workers use private resolvers and the
-	// candidates are sorted before anything reads them, so results are
-	// byte-identical regardless of worker count.
-	// Classification is always serial.
+	// Workers overrides the candidate-extraction stage's worker count
+	// (static resolvability over every nameserver); zero means
+	// GOMAXPROCS, and the count never exceeds the number of nameservers.
+	// Extraction workers use private resolvers and the candidates are
+	// sorted before anything reads them, so results are byte-identical
+	// regardless of worker count. Classification is serial, with
+	// substring mining beside it.
 	Workers int
 }
 
@@ -146,18 +149,18 @@ type Detector struct {
 }
 
 // stage runs fn as one named pipeline stage: it times it, records a
-// trace child span (when ctx carries one), and appends a StageTiming.
-// fn receives the stage's trace context — extraction parents its worker
-// spans on it — and returns the number of items the stage processed.
-// Timings never influence detection results.
-func (d *Detector) stage(ctx context.Context, stats *RunStats, name string, fn func(ctx context.Context) int) {
+// trace child span of ctx (when ctx carries one), and returns the
+// stage's timing. fn receives the stage's trace context — extraction
+// parents its worker spans on it — and returns the number of items the
+// stage processed. Timings never influence detection results.
+func stage(ctx context.Context, name string, fn func(ctx context.Context) int) StageTiming {
 	ctx, tsp := trace.Start(ctx, name)
 	t0 := time.Now()
 	n := fn(ctx)
 	dur := time.Since(t0)
 	tsp.SetAttrInt("items", n)
 	tsp.End()
-	stats.Stages = append(stats.Stages, StageTiming{Stage: name, Duration: dur, Items: n})
+	return StageTiming{Stage: name, Duration: dur, Items: n}
 }
 
 // candidate is one unresolvable-at-first-reference nameserver.
@@ -167,102 +170,104 @@ type candidate struct {
 }
 
 // extractCandidates runs stage 1 (§3.2.1) over every observed
-// nameserver, optionally in parallel. busy holds each worker's busy
-// time (one entry in sequential mode) for the utilization report. Each
-// parallel worker runs as a child span of ctx so shard imbalance is
-// visible in the trace.
+// nameserver on min(Workers, nameservers) strided workers, the caller
+// being one of them; Workers 0 means GOMAXPROCS. Each worker owns a
+// resolver (its scratch space serves one query at a time) and runs as
+// a child span of ctx, so shard imbalance is visible in the trace. busy
+// holds each worker's busy time for the utilization report. The
+// candidates are sorted by name, so the result does not depend on the
+// worker count.
 func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (total int, candidates []candidate, busy []time.Duration) {
 	var all []dnsname.Name
 	zd.Nameservers(func(ns dnsname.Name) bool {
 		all = append(all, ns)
 		return true
 	})
-	total = len(all)
 	workers := d.Cfg.Workers
-	if workers <= 1 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(all)))
+	results := make([][]candidate, workers)
+	busy = make([]time.Duration, workers)
+	work := func(w int) {
+		_, wsp := trace.Start(ctx, "detect.extract.worker")
+		wsp.SetAttrInt("worker", w)
 		t0 := time.Now()
 		static := resolve.NewStatic(zd)
-		for _, ns := range all {
-			if bad, first := static.UnresolvableAtFirstReference(ns); bad {
-				candidates = append(candidates, candidate{ns, first})
+		var mine []candidate
+		for i := w; i < len(all); i += workers {
+			if bad, first := static.UnresolvableAtFirstReference(all[i]); bad {
+				mine = append(mine, candidate{all[i], first})
 			}
 		}
-		busy = []time.Duration{time.Since(t0)}
-	} else {
-		// Shard the nameserver list; each worker owns a resolver (its
-		// scratch space serves one query at a time).
-		var wg sync.WaitGroup
-		results := make([][]candidate, workers)
-		busy = make([]time.Duration, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				_, wsp := trace.Start(ctx, "detect.extract.worker")
-				wsp.SetAttrInt("worker", w)
-				t0 := time.Now()
-				static := resolve.NewStatic(zd)
-				var mine []candidate
-				for i := w; i < len(all); i += workers {
-					ns := all[i]
-					if bad, first := static.UnresolvableAtFirstReference(ns); bad {
-						mine = append(mine, candidate{ns, first})
-					}
-				}
-				results[w] = mine
-				busy[w] = time.Since(t0)
-				wsp.SetAttrInt("items", (len(all)+workers-1-w)/workers)
-				wsp.End()
-			}(w)
-		}
-		wg.Wait()
-		for _, part := range results {
-			candidates = append(candidates, part...)
-		}
+		results[w] = mine
+		busy[w] = time.Since(t0)
+		wsp.SetAttrInt("items", (len(all)+workers-1-w)/workers)
+		wsp.End()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	candidates = slices.Concat(results...)
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ns < candidates[j].ns })
-	return total, candidates, busy
+	return len(all), candidates, busy
 }
 
 // RunContext executes the full methodology with each pipeline stage
 // running as a child span of the trace carried by ctx (see
 // internal/obs/trace). The run reads the DB's published View, pinned at
 // the start, so it is safe to run concurrently with further ingestion.
+// Substring mining and classification both only read the sorted
+// candidates, so mining runs on a goroutine of its own beside
+// classification; the run joins it before returning.
 func (d *Detector) RunContext(ctx context.Context) *Result {
 	ctx, rsp := trace.Start(ctx, "detect.run")
 	defer rsp.End()
 	start := time.Now()
 	zd := d.DB.View()
 	res := &Result{byNS: make(map[dnsname.Name]int)}
-	stats := &RunStats{Workers: 1, MatchesByMethod: make(map[string]int)}
-	if d.Cfg.Workers > 1 {
-		stats.Workers = d.Cfg.Workers
-	}
+	stats := &RunStats{MatchesByMethod: make(map[string]int)}
 
 	// Stage 1: unresolvable-at-first-reference candidates.
 	var candidates []candidate
-	d.stage(ctx, stats, StageExtract, func(ctx context.Context) int {
+	stats.Stages = append(stats.Stages, stage(ctx, StageExtract, func(ctx context.Context) int {
 		var total int
 		total, candidates, stats.WorkerBusy = d.extractCandidates(ctx, zd)
 		res.Funnel.TotalNameservers = total
 		return total
-	})
+	}))
+	stats.Workers = len(stats.WorkerBusy)
 	res.Funnel.Candidates = len(candidates)
 
 	// Stage 2a: mine patterns (reporting; classification uses the
 	// confirmed catalog, as the paper confirmed idioms with registrars).
+	// It writes only res.Patterns and its own timing.
+	var mined sync.WaitGroup
+	var mine StageTiming
 	if !d.Cfg.SkipMining {
-		d.stage(ctx, stats, StageMine, func(context.Context) int {
-			names := make([]dnsname.Name, len(candidates))
-			for i, c := range candidates {
-				names[i] = c.ns
-			}
-			res.Patterns = MineSubstrings(names, d.Cfg.Miner)
-			return len(candidates)
-		})
+		mined.Add(1)
+		go func() {
+			defer mined.Done()
+			mine = stage(ctx, StageMine, func(context.Context) int {
+				names := make([]dnsname.Name, len(candidates))
+				for i, c := range candidates {
+					names[i] = c.ns
+				}
+				res.Patterns = MineSubstrings(names, d.Cfg.Miner)
+				return len(candidates)
+			})
+		}()
 	}
 
-	d.stage(ctx, stats, StageClassify, func(context.Context) int {
+	classify := stage(ctx, StageClassify, func(context.Context) int {
 		rules := Rules{WHOIS: d.WHOIS, Dir: d.Dir}
 		for _, c := range candidates {
 			ev := &viewEvidence{zd: zd, dir: d.Dir, ns: c.ns, first: c.first, skipSingleRepo: d.Cfg.SkipSingleRepoCheck}
@@ -280,6 +285,11 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 		}
 		return len(candidates)
 	})
+	mined.Wait()
+	if !d.Cfg.SkipMining {
+		stats.Stages = append(stats.Stages, mine)
+	}
+	stats.Stages = append(stats.Stages, classify)
 	res.Funnel.Sacrificial = len(res.Sacrificial)
 	stats.Wall = time.Since(start)
 	stats.Funnel = res.Funnel

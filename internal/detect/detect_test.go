@@ -310,7 +310,7 @@ func TestMiningIgnoresRandomNoise(t *testing.T) {
 // TestParallelWorkersIdentical verifies that candidate extraction is
 // independent of the worker count.
 func TestParallelWorkersIdentical(t *testing.T) {
-	seq := runDetector(t, Config{SkipMining: true})
+	seq := runDetector(t, Config{SkipMining: true, Workers: 1})
 	for _, workers := range []int{2, 4, 8} {
 		par := runDetector(t, Config{SkipMining: true, Workers: workers})
 		if seq.Funnel != par.Funnel {

@@ -21,8 +21,9 @@ func NewDetector(db *zonedb.DB, wh *whois.History, dir *registry.Directory, opts
 	return d
 }
 
-// WithWorkers shards the candidate-extraction stage across n
-// goroutines. n <= 1 runs sequentially; output is identical either way.
+// WithWorkers overrides the candidate-extraction stage's worker count
+// (default GOMAXPROCS); n <= 0 keeps the default and n = 1 runs the
+// stage on the caller alone. Output is identical either way.
 func WithWorkers(n int) Option {
 	return func(d *Detector) { d.Cfg.Workers = n }
 }

@@ -66,36 +66,50 @@ func (c *MinerConfig) defaults() {
 // the registered domain as a unit (where sink domains like
 // LAMEDELEGATION.ORG live). Reported patterns are maximal: a substring
 // wholly contained in a longer pattern with the same support is dropped.
+//
+// A substring found in MinSupport names has each of its MinLen-byte
+// windows in at least as many, so a first pass counts each label's
+// windows and the second counts only the substrings whose windows all
+// reached MinSupport: most candidate labels are random, and none of
+// their substrings, nor a marker's extension into a random tail, is
+// ever stored. The mostlyRandom filter applies in the second pass only,
+// since a window of a kept substring may itself be mostly digits.
 func MineSubstrings(names []dnsname.Name, cfg MinerConfig) []Pattern {
 	cfg.defaults()
-	support := make(map[string]int)
-	perName := make(map[string]bool)
-	for _, n := range names {
-		clear(perName)
+	labels := make([]string, len(names))
+	windows := supportCounter{}
+	for i, n := range names {
 		label := n.FirstLabel()
 		if len(label) > 40 {
 			label = label[:40]
 		}
-		for l := cfg.MinLen; l <= cfg.MaxLen && l <= len(label); l++ {
-			for i := 0; i+l <= len(label); i++ {
-				sub := label[i : i+l]
-				if mostlyRandom(sub) {
-					continue
+		labels[i] = label
+		for j := 0; j+cfg.MinLen <= len(label); j++ {
+			windows.add(label[j:j+cfg.MinLen], i)
+		}
+	}
+	support := supportCounter{}
+	var frequent []bool // frequent[j]: the window at j reached MinSupport
+	for i, label := range labels {
+		frequent = frequent[:0]
+		for j := 0; j+cfg.MinLen <= len(label); j++ {
+			frequent = append(frequent, windows[label[j:j+cfg.MinLen]].names >= cfg.MinSupport)
+		}
+		for j := range frequent {
+			for l := cfg.MinLen; l <= cfg.MaxLen && j+l <= len(label) && frequent[j+l-cfg.MinLen]; l++ {
+				if sub := label[j : j+l]; !mostlyRandom(sub) {
+					support.add(sub, i)
 				}
-				perName[sub] = true
 			}
 		}
-		if reg, ok := dnsname.RegisteredDomain(n); ok {
-			perName[string(reg)] = true
-		}
-		for sub := range perName {
-			support[sub]++
+		if reg, ok := dnsname.RegisteredDomain(names[i]); ok {
+			support.add(string(reg), i)
 		}
 	}
 	var pats []Pattern
 	for sub, sup := range support {
-		if sup >= cfg.MinSupport {
-			pats = append(pats, Pattern{Substring: sub, Support: sup})
+		if sup.names >= cfg.MinSupport {
+			pats = append(pats, Pattern{Substring: sub, Support: sup.names})
 		}
 	}
 	sort.Slice(pats, func(i, j int) bool {
@@ -125,6 +139,19 @@ func MineSubstrings(names []dnsname.Name, cfg MinerConfig) []Pattern {
 		}
 	}
 	return out
+}
+
+// supportCounter counts, for each string, the distinct names it was
+// seen in. Names are fed in index order, so the last name a string was
+// seen in is enough to count each name once.
+type supportCounter map[string]seenIn
+
+type seenIn struct{ names, last int }
+
+func (c supportCounter) add(s string, name int) {
+	if e, ok := c[s]; !ok || e.last != name {
+		c[s] = seenIn{e.names + 1, name}
+	}
 }
 
 // mostlyRandom rejects substrings dominated by digits or hex noise that

@@ -36,12 +36,17 @@ func (t StageTiming) Rate() float64 {
 // RunStats is the timing side of one Detector.RunContext: what `-stats`
 // reports and later perf PRs measure themselves against.
 type RunStats struct {
-	Wall   time.Duration `json:"wall_nanoseconds"`
+	Wall time.Duration `json:"wall_nanoseconds"`
+	// Stages come in pipeline order: extract, mine (absent with
+	// SkipMining), classify. Mine runs beside classify, so their
+	// durations overlap and may sum to more than the wall.
 	Stages []StageTiming `json:"stages"`
-	// Workers is the extraction worker count actually used (>= 1).
+	// Workers is the extraction worker count actually used: GOMAXPROCS
+	// unless Config.Workers overrides it, capped at the number of
+	// nameservers, and at least 1.
 	Workers int `json:"workers"`
-	// WorkerBusy holds each extraction worker's busy time; with one
-	// worker it equals the extract stage duration.
+	// WorkerBusy holds each extraction worker's busy time, one entry per
+	// worker.
 	WorkerBusy []time.Duration `json:"worker_busy_nanoseconds"`
 	// MatchesByMethod counts classifications by match method (sink,
 	// marker, original).

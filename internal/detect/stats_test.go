@@ -3,6 +3,7 @@ package detect
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -27,8 +28,8 @@ func TestRunStatsCollected(t *testing.T) {
 	if st.Stage(StageExtract).Items != res.Funnel.TotalNameservers {
 		t.Errorf("extract items = %d, want %d", st.Stage(StageExtract).Items, res.Funnel.TotalNameservers)
 	}
-	if st.Workers != 1 || len(st.WorkerBusy) != 1 {
-		t.Errorf("workers = %d, busy = %v, want 1 worker", st.Workers, st.WorkerBusy)
+	if w := min(runtime.GOMAXPROCS(0), res.Funnel.TotalNameservers); st.Workers != w || len(st.WorkerBusy) != w {
+		t.Errorf("workers = %d, busy = %v, want GOMAXPROCS (%d)", st.Workers, st.WorkerBusy, w)
 	}
 	if st.Funnel != res.Funnel {
 		t.Errorf("stats funnel %+v != result funnel %+v", st.Funnel, res.Funnel)

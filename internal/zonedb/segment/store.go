@@ -339,11 +339,23 @@ func (s *Store) verifySegment(info Info) (string, error) {
 
 // quarantine moves a file into the quarantine/ subdirectory (when it
 // exists on disk) and records the event. It takes s.mu itself to append
-// the record, so callers must not hold it; the move is idempotent.
+// the record, so callers must not hold it; the move is idempotent. The
+// move never replaces an earlier quarantined file: a name already taken
+// there (a reseal reuses the sequence number of a quarantined epoch)
+// gets the first free ".N" suffix.
 func (s *Store) quarantine(name, reason string, err error) {
 	src := filepath.Join(s.dir, name)
 	if _, statErr := os.Stat(src); statErr == nil {
-		os.Rename(src, filepath.Join(s.dir, quarantineDir, name))
+		// Stop at the first name Lstat cannot find, whatever the
+		// reason; an unreadable quarantine/ must not spin here.
+		kept := name
+		for n := 1; ; n++ {
+			if _, statErr := os.Lstat(filepath.Join(s.dir, quarantineDir, kept)); statErr != nil {
+				break
+			}
+			kept = fmt.Sprintf("%s.%d", name, n)
+		}
+		os.Rename(src, filepath.Join(s.dir, quarantineDir, kept))
 	}
 	s.mu.Lock()
 	s.quarantined = append(s.quarantined, Quarantine{Name: name, Reason: reason, Err: err})

@@ -321,6 +321,51 @@ func TestTornSegmentMatrix(t *testing.T) {
 	})
 }
 
+// TestQuarantineKeepsEveryTornCopy: a reseal after the only epoch was
+// quarantined reuses its sequence number, and when that segment is torn
+// too its quarantined copy must land beside the first, not over it.
+func TestQuarantineKeepsEveryTornCopy(t *testing.T) {
+	dir := sealEpochs(t, 100)
+	seg1 := "epoch-000001.seg"
+	tear := func(cut func([]byte) []byte) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, seg1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := cut(raw)
+		if err := os.WriteFile(filepath.Join(dir, seg1), torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return torn
+	}
+	first := tear(func(b []byte) []byte { return b[:len(b)/2] })
+	st := reopen(t, dir)
+	if info, err := st.Seal(testDB(t, 200).View(), "resealed"); err != nil || info.Name != seg1 {
+		t.Fatalf("reseal = %+v, %v; want %s again", info, err, seg1)
+	}
+	second := tear(func(b []byte) []byte { return b[:len(b)-4] })
+	st2 := reopen(t, dir)
+
+	for i, st := range []*Store{st, st2} {
+		if q := st.Quarantined(); len(q) != 1 || q[0].Name != seg1 {
+			t.Fatalf("open %d quarantined %+v, want %s", i+1, q, seg1)
+		}
+	}
+	for i, kept := range []struct {
+		name string
+		torn []byte
+	}{{seg1, first}, {seg1 + ".1", second}} {
+		got, err := os.ReadFile(filepath.Join(dir, quarantineDir, kept.name))
+		if err != nil || !bytes.Equal(got, kept.torn) {
+			t.Errorf("quarantine/%s does not hold torn copy %d as it was: %v", kept.name, i+1, err)
+		}
+	}
+	if _, _, err := st2.LoadLatest(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
+	}
+}
+
 // TestTornManifestMatrix corrupts the manifest at every line boundary
 // and mid-line, plus bit flips. A corrupt manifest is quarantined along
 // with the (now unprovable) segment files; the store comes up empty and
