@@ -77,7 +77,6 @@ func main() {
 		cs := coord.CacheStats()
 		rows := []daemon.KV{
 			{K: "fleet_epoch", V: fmt.Sprintf("%d", coord.FleetEpoch())},
-			{K: "shards", V: fmt.Sprintf("%d", len(urls))},
 			{K: "cache_hit_ratio", V: fmt.Sprintf("%.3f", cs.HitRatio())},
 			{K: "cache_bytes", V: fmt.Sprintf("%d of %d", cs.Bytes, cs.Capacity)},
 		}

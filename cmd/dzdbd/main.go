@@ -22,9 +22,9 @@
 //	curl 'http://localhost:8053/debug/pprof/heap?seconds=30' > delta.pprof
 //
 // -prof-mutex-fraction/-prof-block-rate enable contention profiling
-// (off by default; it taxes every lock), which lights up the /statusz
-// contention table and /debug/pprof/mutex (412 profiling_disabled while
-// the fraction is 0).
+// (off by default; it taxes every lock): /debug/pprof/mutex?seconds=N
+// then serves a delta profile (412 profiling_disabled while the
+// fraction is 0), and /statusz [profiling] shows both rates.
 //
 // The listener comes up immediately: probes and /statusz answer while
 // the archive loads in the background, with /readyz reporting 503 until
@@ -55,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -111,42 +110,27 @@ func main() {
 
 	// Serving SLO: 99% of v1 requests under 250ms, tracked over 5m/1h
 	// burn windows across every versioned route's latency histogram.
-	tracker := slo.NewTracker(reg)
-	tracker.Track(slo.Objective{Name: "v1_latency", Target: 0.99, Threshold: 0.25},
+	tracker := slo.NewTracker(reg, slo.Objective{Name: "v1_latency", Target: 0.99, Threshold: 0.25},
 		api.LatencyHistograms(dzdbapi.V1Routes()...)...)
 	tracker.Evaluate()
 	tracker.Start()
 	defer tracker.Stop()
 	app.StatusSection("slo", func() []daemon.KV {
-		var rows []daemon.KV
-		for _, rep := range tracker.Reports() {
-			verdict := "PASS"
-			if !rep.Met {
-				verdict = "FAIL"
-			}
-			rows = append(rows, daemon.KV{K: rep.Objective.Name, V: verdict + " · " + rep.String()})
+		rep := tracker.Report()
+		verdict := "PASS"
+		if !rep.Met {
+			verdict = "FAIL"
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].K < rows[j].K })
-		return rows
+		return []daemon.KV{{K: rep.Objective.Name, V: verdict + " · " + rep.String()}}
 	})
 
 	app.StatusSection("store", func() []daemon.KV {
 		v := db.View()
-		rows := []daemon.KV{
-			{K: "epoch", V: fmt.Sprintf("%d", v.Epoch())},
-			{K: "sealed", V: fmt.Sprintf("%v", v.Closed())},
-			{K: "zones", V: fmt.Sprintf("%d", len(v.Zones()))},
-			{K: "domains", V: fmt.Sprintf("%d", v.NumDomains())},
-			{K: "nameservers", V: fmt.Sprintf("%d", v.NumNameservers())},
-		}
+		rows := []daemon.KV{{K: "epoch", V: fmt.Sprintf("%d", v.Epoch())}}
 		if v.Closed() {
 			rows = append(rows, daemon.KV{K: "close_day", V: v.CloseDay().String()})
 		}
-		if *shardCount > 1 {
-			rows = append(rows, daemon.KV{K: "shard", V: fmt.Sprintf("%d of %d", *shardID, *shardCount)})
-		}
-		rows = append(rows, daemon.KV{K: "archive", V: *load})
-		return rows
+		return append(rows, daemon.KV{K: "archive", V: *load})
 	})
 
 	published := api.Metrics().CounterVec(dzdbapi.MetricEpochPublish, "", "how")

@@ -8,7 +8,7 @@
 //
 //	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-csv] [-json]
 //	         [-save-data PREFIX] [-save-snapshots DIR]
-//	         [-figures-csv DIR] [-stats] [-stats-json FILE]
+//	         [-figures-csv DIR] [-stats] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-mutexprofile FILE]
 //	riskybiz -data PREFIX [same output flags]
 //
@@ -25,13 +25,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"repro"
 	"repro/internal/analysis"
-	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/trace"
@@ -63,9 +61,7 @@ func main() {
 	figuresCSV := flag.String("figures-csv", "", "write per-figure CSV data files into this directory")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON instead of text artifacts")
 	stats := flag.Bool("stats", false, "print a detection stage-timing report to stderr")
-	statsJSON := flag.String("stats-json", "", "also dump the stage timings as JSON to this file (\"-\" = stderr)")
-	traceOut := flag.String("trace", "", "write a JSONL trace journal of the run to this file (\"-\" = stderr)")
-	traceChrome := flag.String("trace-chrome", "", "write the run's trace in Chrome trace_event format (load in Perfetto) to this file")
+	traceOut := flag.String("trace", "", "write the run's trace in Chrome trace_event JSON (load in Perfetto) to this file (\"-\" = stderr)")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := prof.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -83,21 +79,15 @@ func main() {
 	defer stopProfiles()
 
 	var tracer *trace.Tracer
-	if *traceOut != "" || *traceChrome != "" {
+	if *traceOut != "" {
 		tracer = trace.New()
 	}
-	ctx, root := tracer.Start(context.Background(), "riskybiz")
-	var study *riskybiz.Study
-	var err error
-	if *data != "" {
-		study, err = load(ctx, *data, *snapshots, *strict, *maxQuarantine)
-	} else {
-		study, err = riskybiz.RunContext(ctx, riskybiz.Options{Seed: *seed, DomainsPerDay: *scale})
-	}
-	root.SetError(err)
-	root.End()
-	if terr := exportTraces(tracer, *traceOut, *traceChrome); terr != nil {
-		fatalf("writing trace: %v", terr)
+	study, err := runStudy(tracer, *data, *snapshots, *strict, *maxQuarantine,
+		riskybiz.Options{Seed: *seed, DomainsPerDay: *scale})
+	if tracer != nil {
+		if terr := writeTrace(tracer, *traceOut); terr != nil {
+			fatalf("writing trace: %v", terr)
+		}
 	}
 	if err != nil {
 		fatalf("run: %v", err)
@@ -111,11 +101,6 @@ func main() {
 	}
 	if *stats {
 		study.Result.Stats.WriteReport(os.Stderr)
-	}
-	if *statsJSON != "" {
-		if err := writeStatsJSON(study.Result.Stats, *statsJSON); err != nil {
-			fatalf("writing -stats-json: %v", err)
-		}
 	}
 	if *saveData != "" {
 		if err := riskybiz.SaveData(study, *saveData); err != nil {
@@ -143,6 +128,23 @@ func main() {
 	study.PrintArtifacts(os.Stdout, subset, *csv)
 }
 
+// runStudy runs the study under a root span "riskybiz" on tracer (nil
+// for an untraced run): over the dataset saved under data when it is
+// set, else over a world simulated with opts.
+func runStudy(tracer *trace.Tracer, data, snapshots string, strict bool, maxQuarantine int, opts riskybiz.Options) (*riskybiz.Study, error) {
+	ctx, root := tracer.Start(context.Background(), "riskybiz")
+	defer root.End()
+	var study *riskybiz.Study
+	var err error
+	if data != "" {
+		study, err = load(ctx, data, snapshots, strict, maxQuarantine)
+	} else {
+		study, err = riskybiz.RunContext(ctx, opts)
+	}
+	root.SetError(err)
+	return study, err
+}
+
 // load runs the study over the dataset saved under prefix, its zone DB
 // ingested from the snapshot files matching glob when one is given.
 func load(ctx context.Context, prefix, glob string, strict bool, maxQuarantine int) (*riskybiz.Study, error) {
@@ -168,53 +170,20 @@ func load(ctx context.Context, prefix, glob string, strict bool, maxQuarantine i
 	return study, nil
 }
 
-// writeStatsJSON dumps stage timings to path ("-" selects stderr).
-func writeStatsJSON(stats *detect.RunStats, path string) error {
-	if path == "-" {
-		return stats.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := stats.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// exportTraces writes the tracer's journal to the requested outputs
-// (empty paths skip an exporter; "-" selects stderr).
-func exportTraces(tracer *trace.Tracer, jsonlPath, chromePath string) error {
-	if tracer == nil {
-		return nil
-	}
-	if jsonlPath != "" {
-		if err := writeToFile(jsonlPath, tracer.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	if chromePath != "" {
-		if err := writeToFile(chromePath, tracer.WriteChromeTrace); err != nil {
-			return err
-		}
-	}
+// writeTrace writes the tracer's journal as Chrome trace_event JSON to
+// path ("-" selects stderr).
+func writeTrace(tracer *trace.Tracer, path string) error {
 	if d := tracer.Dropped(); d > 0 {
 		logger.Warn("trace journal truncated", "dropped_spans", d)
 	}
-	return nil
-}
-
-func writeToFile(path string, fn func(io.Writer) error) error {
 	if path == "-" {
-		return fn(os.Stderr)
+		return tracer.WriteChromeTrace(os.Stderr)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
+	if err := tracer.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

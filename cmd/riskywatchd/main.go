@@ -92,7 +92,6 @@ func main() {
 
 	w := &watcher{
 		app:      app,
-		tracer:   trace.New(),
 		webhook:  *webhook,
 		hc:       &http.Client{Timeout: 10 * time.Second},
 		ckptPath: *ckptPath,
@@ -133,13 +132,8 @@ func main() {
 		})
 	}
 
-	source := *feed
-	if source == "" {
-		source = *archive + ".dzdb"
-	}
 	app.StatusSection("watch", func() []daemon.KV {
 		rows := []daemon.KV{
-			{K: "source", V: source},
 			{K: "last_day", V: w.engineLastDay()},
 			{K: "alerts_emitted", V: fmt.Sprintf("%d", w.engineSeq())},
 			{K: "feed_lag_days", V: fmt.Sprintf("%d", w.lag.Value())},
@@ -151,9 +145,7 @@ func main() {
 			rows = append(rows, daemon.KV{K: "feed_breaker", V: w.breaker.State().String()})
 		}
 		if w.ckptPath != "" {
-			rows = append(rows,
-				daemon.KV{K: "checkpoint", V: w.ckptPath},
-				daemon.KV{K: "checkpoint_age", V: time.Since(time.Unix(0, w.lastCkpt.Load())).Round(time.Second).String()})
+			rows = append(rows, daemon.KV{K: "checkpoint_age", V: time.Since(time.Unix(0, w.lastCkpt.Load())).Round(time.Second).String()})
 		}
 		return rows
 	})
@@ -278,7 +270,6 @@ func loadWHOIS(path, prefix string) (*whois.History, error) {
 type watcher struct {
 	app     *daemon.App
 	engine  *watch.Engine
-	tracer  *trace.Tracer
 	breaker *faults.Breaker // feed mode only
 
 	enc     *json.Encoder
@@ -371,13 +362,9 @@ func (w *watcher) emit(a watch.Alert) {
 	}
 }
 
-// onApplied updates the per-day metrics and trace, and checkpoints when
-// the interval has elapsed. It runs on the apply goroutine.
-func (w *watcher) onApplied(ctx context.Context, day, closeDay dates.Day, alerts int) {
-	_, sp := w.tracer.Start(ctx, "watch.apply_day")
-	sp.SetAttr("day", day.String())
-	sp.SetAttrInt("alerts", alerts)
-	sp.End()
+// onApplied updates the per-day metrics, and checkpoints when the
+// interval has elapsed. It runs on the apply goroutine.
+func (w *watcher) onApplied(day, closeDay dates.Day) {
 	w.applied.Inc()
 	w.lag.Set(int64(closeDay - day))
 	w.syncMirror()
@@ -418,11 +405,11 @@ func (w *watcher) runFeed(ctx context.Context, base string, poll time.Duration, 
 			BaseURL: base,
 			Retry:   &faults.Policy{MaxAttempts: 5},
 			Breaker: w.breaker,
-			Tracer:  w.tracer,
+			Tracer:  trace.New(), // a span per request, so each carries a traceparent
 		},
 		Engine:    w.engine,
 		OnAlert:   w.emit,
-		OnApplied: func(day, closeDay dates.Day, n int) { w.onApplied(ctx, day, closeDay, n) },
+		OnApplied: func(day, closeDay dates.Day, _ int) { w.onApplied(day, closeDay) },
 		OnPass:    w.passed,
 		Poll:      poll,
 		Once:      once,
@@ -500,7 +487,7 @@ func (w *watcher) replayArchive(ctx context.Context, path string) error {
 		for _, a := range alerts {
 			w.emit(a)
 		}
-		w.onApplied(ctx, d, idx.Last(), len(alerts))
+		w.onApplied(d, idx.Last())
 	}
 	w.app.Log.Info("caught up", "last_day", w.engine.LastDay().String(),
 		"alerts", int(w.engine.Seq()))

@@ -83,16 +83,6 @@ func (t *Table5) DeltaDomains() int {
 	return t.After.VulnerableDomains - t.Before.VulnerableDomains
 }
 
-// BaselineDeltaNS returns the organic year-earlier change.
-func (t *Table5) BaselineDeltaNS() int {
-	return t.BaselineAfter.VulnerableNS - t.BaselineBefore.VulnerableNS
-}
-
-// BaselineDeltaDomains returns the organic year-earlier domain change.
-func (t *Table5) BaselineDeltaDomains() int {
-	return t.BaselineAfter.VulnerableDomains - t.BaselineBefore.VulnerableDomains
-}
-
 // Disappearance counts gross remediation between two days: vulnerable
 // nameservers (and their domains) present at the first day that are gone
 // by the second — the measure the paper uses for the organic baseline

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
-
-	"repro/internal/obs/prof"
 )
 
 // ProfFlags is the daemons' shared contention-profiling flag block.
@@ -25,9 +23,10 @@ func RegisterProfFlags(fs *flag.FlagSet) *ProfFlags {
 }
 
 // StartProfiler applies the parsed contention-profiling rates (Close
-// restores the previous ones) and registers the /statusz profiling
-// section — the rates plus, when mutex profiling is on, the top
-// contended lock sites. Call once, after New and flag parsing.
+// restores the previous ones) and registers the /statusz [profiling]
+// section showing both. The contention itself is read from
+// /debug/pprof/mutex?seconds=N and block?seconds=N. Call once, after
+// New and flag parsing.
 func (a *App) StartProfiler(f *ProfFlags) {
 	prevMutex := runtime.SetMutexProfileFraction(-1)
 	if f.MutexFraction > 0 {
@@ -45,25 +44,9 @@ func (a *App) StartProfiler(f *ProfFlags) {
 		}
 	}
 	a.StatusSection("profiling", func() []KV {
-		rows := []KV{
+		return []KV{
 			{"mutex_fraction", fmt.Sprintf("%d", f.MutexFraction)},
 			{"block_rate_ns", fmt.Sprintf("%d", f.BlockRate)},
 		}
-		if f.MutexFraction <= 0 {
-			rows = append(rows, KV{"contention", "mutex profiling off (-prof-mutex-fraction to enable)"})
-			return rows
-		}
-		sites := prof.TopContended(5)
-		if len(sites) == 0 {
-			rows = append(rows, KV{"contention", "no contention recorded"})
-			return rows
-		}
-		for i, s := range sites {
-			rows = append(rows, KV{
-				fmt.Sprintf("contended_%d", i+1),
-				fmt.Sprintf("%s — %d events, %d delay cycles", s.Site, s.Count, s.Delay),
-			})
-		}
-		return rows
 	})
 }

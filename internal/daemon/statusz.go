@@ -71,15 +71,11 @@ func (a *App) renderStatus(sb *strings.Builder) {
 	rt := a.Runtime.Sample()
 	writeSection(sb, "runtime", []KV{
 		{"goroutines", fmt.Sprintf("%d", rt.Goroutines)},
-		{"gomaxprocs", fmt.Sprintf("%d", rt.GOMAXPROCS)},
 		{"heap_alloc", fmtBytes(rt.HeapAlloc)},
 		{"heap_sys", fmtBytes(rt.HeapSys)},
 		{"heap_objects", fmt.Sprintf("%d", rt.HeapObjects)},
 		{"gc_cycles", fmt.Sprintf("%d", rt.NumGC)},
 		{"gc_pause_total", rt.PauseTotal.Round(time.Microsecond).String()},
-		{"gc_cpu_fraction", fmt.Sprintf("%.5f", rt.GCCPUFraction)},
-		{"open_fds", fmt.Sprintf("%d", rt.OpenFDs)},
-		{"sampled", fmt.Sprintf("%s ago", time.Since(rt.At).Round(time.Millisecond))},
 	})
 
 	// Health block: every check with its probe-time verdict.

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -19,9 +18,9 @@ const (
 
 // StageTiming is one pipeline stage's wall time and throughput.
 type StageTiming struct {
-	Stage    string        `json:"stage"`
-	Duration time.Duration `json:"nanoseconds"`
-	Items    int           `json:"items"`
+	Stage    string
+	Duration time.Duration
+	Items    int
 }
 
 // Rate returns items per second (zero when the stage was too fast to
@@ -36,22 +35,22 @@ func (t StageTiming) Rate() float64 {
 // RunStats is the timing side of one Detector.RunContext: what `-stats`
 // reports and later perf PRs measure themselves against.
 type RunStats struct {
-	Wall time.Duration `json:"wall_nanoseconds"`
+	Wall time.Duration
 	// Stages come in pipeline order: extract, mine (absent with
 	// SkipMining), classify. Mine runs beside classify, so their
 	// durations overlap and may sum to more than the wall.
-	Stages []StageTiming `json:"stages"`
+	Stages []StageTiming
 	// Workers is the extraction worker count actually used: GOMAXPROCS
 	// unless Config.Workers overrides it, capped at the number of
 	// nameservers, and at least 1.
-	Workers int `json:"workers"`
+	Workers int
 	// WorkerBusy holds each extraction worker's busy time, one entry per
 	// worker.
-	WorkerBusy []time.Duration `json:"worker_busy_nanoseconds"`
+	WorkerBusy []time.Duration
 	// MatchesByMethod counts classifications by match method (sink,
 	// marker, original).
-	MatchesByMethod map[string]int `json:"matches_by_method"`
-	Funnel          Funnel         `json:"funnel"`
+	MatchesByMethod map[string]int
+	Funnel          Funnel
 }
 
 // Stage returns the named stage's timing, or a zero value.
@@ -105,11 +104,4 @@ func (s *RunStats) WriteReport(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// WriteJSON dumps the stats as one JSON object.
-func (s *RunStats) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

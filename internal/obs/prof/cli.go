@@ -1,3 +1,8 @@
+// Package prof carries the batch CLI's profile-file flags. The daemons
+// need nothing from here: net/http/pprof, which they mount at
+// /debug/pprof/, answers ?seconds=N with a delta profile (the change in
+// a profile across a window, not the process-lifetime cumulative view),
+// and their opt-in mutex/block sampling rates live in internal/daemon.
 package prof
 
 import (

@@ -9,7 +9,6 @@
 package runtime
 
 import (
-	"os"
 	stdruntime "runtime"
 	"time"
 
@@ -19,17 +18,14 @@ import (
 // Sample is one point-in-time reading of the runtime: what the gauges
 // were set from, plus the rows /statusz renders.
 type Sample struct {
-	At            time.Time
 	Uptime        time.Duration
 	Goroutines    int
-	GOMAXPROCS    int
 	HeapAlloc     uint64
 	HeapSys       uint64
 	HeapObjects   uint64
 	NumGC         uint32
 	PauseTotal    time.Duration
 	GCCPUFraction float64
-	OpenFDs       int // -1 when the platform offers no /proc/self/fd
 }
 
 // Collector publishes runtime samples into a registry. Create with
@@ -66,32 +62,19 @@ func (c *Collector) Sample() Sample {
 	var ms stdruntime.MemStats
 	stdruntime.ReadMemStats(&ms)
 	s := Sample{
-		At:            time.Now(),
+		Uptime:        time.Since(c.start),
 		Goroutines:    stdruntime.NumGoroutine(),
-		GOMAXPROCS:    stdruntime.GOMAXPROCS(0),
 		HeapAlloc:     ms.HeapAlloc,
 		HeapSys:       ms.HeapSys,
 		HeapObjects:   ms.HeapObjects,
 		NumGC:         ms.NumGC,
 		PauseTotal:    time.Duration(ms.PauseTotalNs),
 		GCCPUFraction: ms.GCCPUFraction,
-		OpenFDs:       countOpenFDs(),
 	}
-	s.Uptime = s.At.Sub(c.start)
 
 	c.goroutines.Set(int64(s.Goroutines))
 	c.heapAlloc.Set(int64(s.HeapAlloc))
 	c.gcCPU.Set(s.GCCPUFraction)
 	c.uptime.Set(s.Uptime.Seconds())
 	return s
-}
-
-// countOpenFDs counts entries in /proc/self/fd. Platforms without procfs
-// (or a sandbox hiding it) report -1 rather than a misleading zero.
-func countOpenFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
 }

@@ -1,10 +1,10 @@
 // Package slo turns the obs package's fixed-bucket histograms into
 // service-level signals: a quantile estimator over bucket snapshots and
-// a rolling multi-window burn-rate tracker for latency objectives.
+// a rolling multi-window burn-rate tracker for one latency objective.
 //
 // An Objective says "Target fraction of requests complete within
-// Threshold seconds" (e.g. 99% under 250ms). The Tracker snapshots the
-// tracked histograms on every Evaluate, diffs against snapshots from
+// Threshold seconds" (e.g. 99% under 250ms). The Tracker snapshots its
+// histograms on every Evaluate, diffs against snapshots from
 // window-ago, and computes per-window error rates and burn rates:
 //
 //	error rate = fraction of observations above Threshold in the window
@@ -14,7 +14,9 @@
 // allots; sustained rates above 1 forecast a violation (the multi-window
 // convention from the SRE workbook — a short window catches fast burns,
 // a long window catches slow leaks). Results are exported as slo_*
-// gauges and kept for /statusz.
+// gauges and kept for /statusz. A window with no requests estimates its
+// quantiles as NaN, and slo_latency_seconds says NaN too rather than
+// keeping the last busy window's values.
 //
 // Histogram observations above the largest finite bound land in no
 // finite bucket; Quantile and the error-rate computation treat them as
@@ -116,25 +118,6 @@ func sub(cur, old obs.BucketSnapshot) obs.BucketSnapshot {
 	return out
 }
 
-// merge sums snapshots from several histograms sharing a bucket layout
-// (e.g. every /v1 route's latency histogram) into one.
-func merge(snaps []obs.BucketSnapshot) obs.BucketSnapshot {
-	if len(snaps) == 0 {
-		return obs.BucketSnapshot{}
-	}
-	out := obs.BucketSnapshot{Bounds: snaps[0].Bounds, Counts: make([]uint64, len(snaps[0].Counts))}
-	for _, s := range snaps {
-		for i := range s.Counts {
-			if i < len(out.Counts) {
-				out.Counts[i] += s.Counts[i]
-			}
-		}
-		out.Count += s.Count
-		out.Sum += s.Sum
-	}
-	return out
-}
-
 // Objective is one latency SLO: Target fraction of requests within
 // Threshold seconds.
 type Objective struct {
@@ -147,24 +130,21 @@ type Objective struct {
 	Threshold float64
 }
 
-// Budget returns the error budget 1 - Target.
-func (o Objective) Budget() float64 { return 1 - o.Target }
-
 // WindowReport is one rolling window's burn-rate evaluation.
 type WindowReport struct {
 	Window    time.Duration
-	Covered   time.Duration // actual span of the diffed snapshots (< Window during warm-up)
-	Count     uint64        // observations in the window
-	ErrorRate float64       // bad / total (0 when the window is empty)
-	BurnRate  float64       // ErrorRate / budget
-	Met       bool          // BurnRate <= 1
+	Count     uint64  // observations in the window
+	ErrorRate float64 // bad / total (0 when the window is empty)
+	BurnRate  float64 // ErrorRate / (1 - Target)
+	Met       bool    // BurnRate <= 1
 }
 
-// Report is one objective's full evaluation.
+// Report is the objective's full evaluation.
 type Report struct {
 	Objective Objective
 	Windows   []WindowReport
-	// P50/P95/P99 are latency quantiles over the longest window.
+	// P50/P95/P99 are latency quantiles over the longest window (NaN
+	// when it holds no observation).
 	P50, P95, P99 float64
 	// Met is true when every window's burn rate is within budget.
 	Met bool
@@ -200,14 +180,7 @@ type timedSnapshot struct {
 	s  obs.BucketSnapshot
 }
 
-// tracked is one objective under observation.
-type tracked struct {
-	obj   Objective
-	hists []*obs.Histogram
-	ring  []timedSnapshot
-}
-
-// windows are the rolling evaluation windows every objective is judged
+// windows are the rolling evaluation windows the objective is judged
 // over, shortest first: the short one catches fast burns, the long one
 // slow leaks.
 var windows = [...]time.Duration{5 * time.Minute, time.Hour}
@@ -215,126 +188,126 @@ var windows = [...]time.Duration{5 * time.Minute, time.Hour}
 // interval is the cadence of the background loop Start runs.
 const interval = 15 * time.Second
 
-// Tracker evaluates objectives over histograms on a cadence. Create
-// with NewTracker, add objectives with Track, then either call Evaluate
-// on your own schedule or Start a background loop.
+// Tracker evaluates one objective over histograms on a cadence. Create
+// with NewTracker, then either call Evaluate on your own schedule or
+// Start a background loop.
 type Tracker struct {
 	// Now supplies the clock; overridable in tests. Defaults to time.Now.
 	Now func() time.Time
 
-	reg *obs.Registry
+	obj   Objective
+	hists []*obs.Histogram
 
 	burn    *obs.FloatGaugeVec // slo_burn_rate{slo,window}
 	errRate *obs.FloatGaugeVec // slo_error_rate{slo,window}
 	quant   *obs.FloatGaugeVec // slo_latency_seconds{slo,quantile}
 	met     *obs.GaugeVec      // slo_met{slo}
 
-	mu      sync.Mutex
-	tracked []*tracked
-	last    []Report
+	mu   sync.Mutex
+	ring []timedSnapshot
+	last Report
 
 	stopOnce sync.Once
 	done     chan struct{}
 }
 
-// NewTracker creates a tracker exporting slo_* metrics into reg.
-func NewTracker(reg *obs.Registry) *Tracker {
-	return &Tracker{
+// NewTracker tracks obj over hists (their snapshots are summed; they
+// must share a bucket layout), evaluated over 5 m and 1 h windows and
+// exported as slo_* metrics into reg.
+func NewTracker(reg *obs.Registry, obj Objective, hists ...*obs.Histogram) *Tracker {
+	t := &Tracker{
 		Now:     time.Now,
-		reg:     reg,
+		obj:     obj,
+		hists:   hists,
 		burn:    reg.FloatGaugeVec("slo_burn_rate", "Error-budget burn rate per rolling window (1 = spending exactly the budget).", "slo", "window"),
 		errRate: reg.FloatGaugeVec("slo_error_rate", "Fraction of observations over the SLO threshold per rolling window.", "slo", "window"),
 		quant:   reg.FloatGaugeVec("slo_latency_seconds", "Estimated latency quantiles over the longest rolling window.", "slo", "quantile"),
 		met:     reg.GaugeVec("slo_met", "Whether every window's burn rate is within budget (1 yes, 0 no).", "slo"),
 		done:    make(chan struct{}),
 	}
-}
-
-// Track registers an objective over one or more histograms (their
-// snapshots are summed; they must share a bucket layout), evaluated
-// over 5 m and 1 h windows.
-func (t *Tracker) Track(obj Objective, hists ...*obs.Histogram) {
 	// Seed the ring with the histograms' current state so the first
-	// Evaluate reports observations since Track, not an empty diff.
-	snaps := make([]obs.BucketSnapshot, len(hists))
-	for i, h := range hists {
-		snaps[i] = h.Snapshot()
-	}
-	seed := timedSnapshot{at: t.now(), s: merge(snaps)}
-	t.mu.Lock()
-	t.tracked = append(t.tracked, &tracked{obj: obj, hists: hists, ring: []timedSnapshot{seed}})
-	t.mu.Unlock()
+	// Evaluate reports observations since now, not an empty diff. The
+	// seed's time is never read: it is every window's baseline until a
+	// later sample is old enough to take its place.
+	t.ring = []timedSnapshot{{s: t.snapshot()}}
+	return t
 }
 
-// Evaluate snapshots every tracked histogram, computes per-window burn
-// rates, exports the slo_* gauges, and returns (and retains, for
-// Reports) the evaluations.
-func (t *Tracker) Evaluate() []Report {
+// snapshot sums the tracked histograms' current buckets.
+func (t *Tracker) snapshot() obs.BucketSnapshot {
+	var out obs.BucketSnapshot
+	for _, h := range t.hists {
+		s := h.Snapshot()
+		if out.Counts == nil {
+			out.Bounds, out.Counts = s.Bounds, make([]uint64, len(s.Counts))
+		}
+		for i := range s.Counts {
+			if i < len(out.Counts) {
+				out.Counts[i] += s.Counts[i]
+			}
+		}
+		out.Count += s.Count
+		out.Sum += s.Sum
+	}
+	return out
+}
+
+// Evaluate snapshots the histograms, computes per-window burn rates,
+// exports the slo_* gauges, and returns (and retains, for Report) the
+// evaluation.
+func (t *Tracker) Evaluate() Report {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	reports := make([]Report, 0, len(t.tracked))
-	for _, tr := range t.tracked {
-		snaps := make([]obs.BucketSnapshot, len(tr.hists))
-		for i, h := range tr.hists {
-			snaps[i] = h.Snapshot()
-		}
-		cur := timedSnapshot{at: now, s: merge(snaps)}
-		maxW := windows[len(windows)-1]
-		tr.ring = append(tr.ring, cur)
-		// Prune samples older than the longest window (keeping one beyond
-		// the boundary so a full window is always diffable).
-		for len(tr.ring) > 2 && now.Sub(tr.ring[1].at) >= maxW {
-			tr.ring = tr.ring[1:]
-		}
-
-		rep := Report{Objective: tr.obj, Met: true}
-		budget := tr.obj.Budget()
-		for _, w := range windows {
-			old := oldestWithin(tr.ring, now, w)
-			d := sub(cur.s, old.s)
-			wr := WindowReport{Window: w, Covered: now.Sub(old.at), Count: d.Count, Met: true}
-			if d.Count > 0 {
-				good := GoodCount(d, tr.obj.Threshold)
-				wr.ErrorRate = float64(d.Count-good) / float64(d.Count)
-				if budget > 0 {
-					wr.BurnRate = wr.ErrorRate / budget
-				} else if wr.ErrorRate > 0 {
-					wr.BurnRate = math.Inf(1)
-				}
-				wr.Met = wr.BurnRate <= 1
-			}
-			rep.Met = rep.Met && wr.Met
-			rep.Windows = append(rep.Windows, wr)
-			t.burn.With(tr.obj.Name, w.String()).Set(wr.BurnRate)
-			t.errRate.With(tr.obj.Name, w.String()).Set(wr.ErrorRate)
-		}
-		longest := sub(cur.s, oldestWithin(tr.ring, now, maxW).s)
-		rep.P50 = Quantile(longest, 0.50)
-		rep.P95 = Quantile(longest, 0.95)
-		rep.P99 = Quantile(longest, 0.99)
-		for _, q := range []struct {
-			l string
-			v float64
-		}{{"0.5", rep.P50}, {"0.95", rep.P95}, {"0.99", rep.P99}} {
-			if !math.IsNaN(q.v) {
-				t.quant.With(tr.obj.Name, q.l).Set(q.v)
-			}
-		}
-		if rep.Met {
-			t.met.With(tr.obj.Name).Set(1)
-		} else {
-			t.met.With(tr.obj.Name).Set(0)
-		}
-		reports = append(reports, rep)
+	cur := timedSnapshot{at: now, s: t.snapshot()}
+	maxW := windows[len(windows)-1]
+	t.ring = append(t.ring, cur)
+	// Prune samples older than the longest window (keeping one beyond
+	// the boundary so a full window is always diffable).
+	for len(t.ring) > 2 && now.Sub(t.ring[1].at) >= maxW {
+		t.ring = t.ring[1:]
 	}
-	t.last = reports
-	return reports
+
+	name := t.obj.Name
+	rep := Report{Objective: t.obj, Met: true}
+	budget := 1 - t.obj.Target
+	for _, w := range windows {
+		d := sub(cur.s, oldestWithin(t.ring, now, w).s)
+		wr := WindowReport{Window: w, Count: d.Count, Met: true}
+		if d.Count > 0 {
+			good := GoodCount(d, t.obj.Threshold)
+			wr.ErrorRate = float64(d.Count-good) / float64(d.Count)
+			if budget > 0 {
+				wr.BurnRate = wr.ErrorRate / budget
+			} else if wr.ErrorRate > 0 {
+				wr.BurnRate = math.Inf(1)
+			}
+			wr.Met = wr.BurnRate <= 1
+		}
+		rep.Met = rep.Met && wr.Met
+		rep.Windows = append(rep.Windows, wr)
+		t.burn.With(name, w.String()).Set(wr.BurnRate)
+		t.errRate.With(name, w.String()).Set(wr.ErrorRate)
+	}
+	longest := sub(cur.s, oldestWithin(t.ring, now, maxW).s)
+	rep.P50 = Quantile(longest, 0.50)
+	rep.P95 = Quantile(longest, 0.95)
+	rep.P99 = Quantile(longest, 0.99)
+	t.quant.With(name, "0.5").Set(rep.P50)
+	t.quant.With(name, "0.95").Set(rep.P95)
+	t.quant.With(name, "0.99").Set(rep.P99)
+	if rep.Met {
+		t.met.With(name).Set(1)
+	} else {
+		t.met.With(name).Set(0)
+	}
+	t.last = rep
+	return rep
 }
 
 // oldestWithin picks the baseline snapshot for a window ending now: the
 // newest sample at least window old, or the oldest sample during
-// warm-up (the report's Covered field says what was actually spanned).
+// warm-up.
 func oldestWithin(ring []timedSnapshot, now time.Time, window time.Duration) timedSnapshot {
 	best := ring[0]
 	for _, ts := range ring[1:] {
@@ -347,12 +320,12 @@ func oldestWithin(ring []timedSnapshot, now time.Time, window time.Duration) tim
 	return best
 }
 
-// Reports returns the evaluations from the last Evaluate (nil before the
-// first).
-func (t *Tracker) Reports() []Report {
+// Report returns the evaluation from the last Evaluate (the zero Report
+// before the first).
+func (t *Tracker) Report() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Report(nil), t.last...)
+	return t.last
 }
 
 func (t *Tracker) now() time.Time {

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,23 +95,20 @@ func TestGoodCount(t *testing.T) {
 func TestTrackerBurnRate(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("req_seconds", "request latency", []float64{0.25, 1})
-	tr := NewTracker(reg)
+	// 90% under 250ms: the error budget is 10%.
+	tr := NewTracker(reg, Objective{Name: "latency", Target: 0.9, Threshold: 0.25}, h)
 	now := time.Unix(1000, 0)
 	tr.Now = func() time.Time { return now }
 
-	// 90% under 250ms: the error budget is 10%.
-	obj := Objective{Name: "latency", Target: 0.9, Threshold: 0.25}
-	tr.Track(obj, h)
-
 	// Baseline: no traffic yet.
-	reps := tr.Evaluate()
-	if len(reps) != 1 || len(reps[0].Windows) != 2 {
-		t.Fatalf("reports = %+v", reps)
+	rep := tr.Evaluate()
+	if len(rep.Windows) != 2 {
+		t.Fatalf("report = %+v", rep)
 	}
-	if w := reps[0].Windows; w[0].Window != 5*time.Minute || w[1].Window != time.Hour {
+	if w := rep.Windows; w[0].Window != 5*time.Minute || w[1].Window != time.Hour {
 		t.Fatalf("windows = %v and %v, want 5m and 1h", w[0].Window, w[1].Window)
 	}
-	if w := reps[0].Windows[0]; w.Count != 0 || !w.Met {
+	if w := rep.Windows[0]; w.Count != 0 || !w.Met {
 		t.Errorf("empty window = %+v, want count 0, met", w)
 	}
 
@@ -123,15 +121,15 @@ func TestTrackerBurnRate(t *testing.T) {
 		h.Observe(0.9)
 	}
 	now = now.Add(time.Minute)
-	reps = tr.Evaluate()
-	w := reps[0].Windows[0]
+	rep = tr.Evaluate()
+	w := rep.Windows[0]
 	if w.Count != 100 {
 		t.Fatalf("window count = %d, want 100", w.Count)
 	}
 	if math.Abs(w.ErrorRate-0.05) > 1e-9 || math.Abs(w.BurnRate-0.5) > 1e-9 {
 		t.Errorf("error %v burn %v, want 0.05 / 0.5", w.ErrorRate, w.BurnRate)
 	}
-	if !w.Met || !reps[0].Met {
+	if !w.Met || !rep.Met {
 		t.Error("burn 0.5 should meet the objective")
 	}
 
@@ -141,12 +139,12 @@ func TestTrackerBurnRate(t *testing.T) {
 		h.Observe(0.9)
 	}
 	now = now.Add(time.Minute)
-	reps = tr.Evaluate()
-	w = reps[0].Windows[0]
+	rep = tr.Evaluate()
+	w = rep.Windows[0]
 	if w.Count != 120 {
 		t.Fatalf("window count = %d, want 120", w.Count)
 	}
-	if w.Met || reps[0].Met {
+	if w.Met || rep.Met {
 		t.Errorf("burn %v should violate the objective", w.BurnRate)
 	}
 
@@ -156,37 +154,81 @@ func TestTrackerBurnRate(t *testing.T) {
 	now = now.Add(6 * time.Minute)
 	tr.Evaluate()
 	now = now.Add(6 * time.Minute)
-	reps = tr.Evaluate()
-	w = reps[0].Windows[0]
+	rep = tr.Evaluate()
+	w = rep.Windows[0]
 	if w.Count != 0 || !w.Met {
 		t.Errorf("after idle window: %+v, want empty and met", w)
 	}
-	if long := reps[0].Windows[1]; long.Count != 120 || long.Met || reps[0].Met {
+	if long := rep.Windows[1]; long.Count != 120 || long.Met || rep.Met {
 		t.Errorf("hour window after 14 idle minutes: %+v, want 120 observations, burning", long)
 	}
 
-	if got := tr.Reports(); len(got) != 1 {
-		t.Errorf("Reports() = %d entries, want 1", len(got))
+	if got := tr.Report(); got.String() != rep.String() || got.Met != rep.Met {
+		t.Errorf("Report() = %v, want the last evaluation %v", got, rep)
 	}
 }
 
 func TestTrackerQuantiles(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("q_seconds", "latency", []float64{0.1, 0.5, 1})
-	tr := NewTracker(reg)
+	tr := NewTracker(reg, Objective{Name: "q", Target: 0.99, Threshold: 0.5}, h)
 	now := time.Unix(2000, 0)
 	tr.Now = func() time.Time { return now }
-	tr.Track(Objective{Name: "q", Target: 0.99, Threshold: 0.5}, h)
 
 	for i := 0; i < 100; i++ {
 		h.Observe(0.05) // all in the first bucket
 	}
 	now = now.Add(time.Minute)
-	rep := tr.Evaluate()[0]
+	rep := tr.Evaluate()
 	if math.IsNaN(rep.P50) || rep.P50 > 0.1 {
 		t.Errorf("P50 = %v, want <= 0.1", rep.P50)
 	}
 	if rep.P99 > 0.1 {
 		t.Errorf("P99 = %v, want <= 0.1", rep.P99)
+	}
+}
+
+// TestQuantileGaugeNaNWhenIdle: once the longest window holds no
+// request, slo_latency_seconds must say so (NaN, as the /statusz line's
+// "-" does) instead of keeping the last busy window's quantiles.
+func TestQuantileGaugeNaNWhenIdle(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("idle_seconds", "latency", []float64{0.1, 0.25, 1})
+	tr := NewTracker(reg, Objective{Name: "idle", Target: 0.99, Threshold: 0.25}, h)
+	now := time.Unix(3000, 0)
+	tr.Now = func() time.Time { return now }
+	exposition := func() string {
+		var sb strings.Builder
+		reg.WriteTo(&sb)
+		return sb.String()
+	}
+
+	for i := 0; i < 100; i++ {
+		h.Observe(0.5)
+	}
+	now = now.Add(15 * time.Second)
+	tr.Evaluate()
+	if out := exposition(); !strings.Contains(out, `slo_latency_seconds{slo="idle",quantile="0.99"} 0.99`) {
+		t.Fatalf("busy window: want p99 0.99 exported:\n%s", out)
+	}
+
+	// 75 idle minutes at the 15 s cadence: the hour window empties.
+	var rep Report
+	for i := 0; i < 300; i++ {
+		now = now.Add(15 * time.Second)
+		rep = tr.Evaluate()
+	}
+	if !math.IsNaN(rep.P99) || rep.Windows[1].Count != 0 {
+		t.Fatalf("idle report: p99 %v, hour count %d; want NaN and 0", rep.P99, rep.Windows[1].Count)
+	}
+	out := exposition()
+	for _, q := range []string{"0.5", "0.95", "0.99"} {
+		want := `slo_latency_seconds{slo="idle",quantile="` + q + `"} NaN`
+		if !strings.Contains(out, want) {
+			t.Errorf("after 75 idle minutes /metrics lacks %s:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(rep.String(), "p99=-") {
+		t.Errorf("status line %q does not show an idle p99", rep.String())
 	}
 }

@@ -28,19 +28,6 @@ func (r Record) Attr(key string) string {
 	return ""
 }
 
-// WriteJSONL writes the journal as JSON Lines: one span object per
-// line, in completion order, so the file streams and greps cleanly
-// (`jq 'select(.trace_id=="...")'` reassembles one tree).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range t.Records() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // chromeEvent is one entry of the Chrome trace_event format
 // (docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 type chromeEvent struct {

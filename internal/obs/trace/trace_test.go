@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -133,7 +132,11 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestJSONLExport(t *testing.T) {
+// TestChromeTraceExport: the one export format carries what a reader
+// needs to rebuild the tree — trace, span and parent IDs, the error and
+// the attributes — as args on complete ("X") events, with one thread
+// name ("M") per trace.
+func TestChromeTraceExport(t *testing.T) {
 	tr := New()
 	ctx, root := tr.Start(context.Background(), "run")
 	_, child := tr.Start(ctx, "stage")
@@ -143,57 +146,41 @@ func TestJSONLExport(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var recs []Record
-	for sc.Scan() {
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		recs = append(recs, r)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("%d lines, want 2", len(recs))
-	}
-	if recs[0].Name != "stage" || recs[0].Attr("items") != "42" || recs[0].Error != "partial" {
-		t.Fatalf("stage record: %+v", recs[0])
-	}
-	if recs[0].ParentID != recs[1].SpanID {
-		t.Fatal("exported parent link broken")
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	tr := New()
-	ctx, root := tr.Start(context.Background(), "run")
-	_, child := tr.Start(ctx, "stage")
-	child.End()
-	root.End()
-
-	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	var complete, meta int
+	var meta int
+	spans := make(map[string]map[string]string)
 	for _, ev := range out.TraceEvents {
-		switch ev["ph"] {
+		switch ev.Ph {
 		case "X":
-			complete++
+			spans[ev.Name] = ev.Args
 		case "M":
 			meta++
 		}
 	}
-	if complete != 2 || meta != 1 {
-		t.Fatalf("events: %d complete, %d metadata (want 2, 1)", complete, meta)
+	if len(spans) != 2 || meta != 1 {
+		t.Fatalf("events: %d complete, %d metadata (want 2, 1)", len(spans), meta)
+	}
+	run, stage := spans["run"], spans["stage"]
+	if stage["items"] != "42" || stage["error"] != "partial" {
+		t.Fatalf("stage args: %v", stage)
+	}
+	if stage["parent_id"] == "" || stage["parent_id"] != run["span_id"] || stage["trace_id"] != run["trace_id"] {
+		t.Fatalf("exported parent link broken: run %v, stage %v", run, stage)
+	}
+	if _, ok := run["parent_id"]; ok {
+		t.Fatalf("root span has a parent: %v", run)
 	}
 }
 

@@ -98,27 +98,6 @@ func pad(s string, width int) string {
 	return s + strings.Repeat(" ", width-len(s))
 }
 
-// BarChart renders labeled counts as a horizontal ASCII bar chart, scaled
-// to maxWidth characters.
-func BarChart(w io.Writer, labels []string, values []int, maxWidth int) {
-	if maxWidth <= 0 {
-		maxWidth = 60
-	}
-	maxV, maxL := 1, 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		n := v * maxWidth / maxV
-		fmt.Fprintf(w, "%s |%s %d\n", pad(labels[i], maxL), strings.Repeat("#", n), v)
-	}
-}
-
 // CDFChart renders cumulative-fraction points as a coarse ASCII curve:
 // one row per requested quantile.
 func CDFChart(w io.Writer, name string, quantile func(p float64) int) {

@@ -48,18 +48,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	var sb strings.Builder
-	BarChart(&sb, []string{"x", "yy"}, []int{10, 5}, 20)
-	out := sb.String()
-	if !strings.Contains(out, strings.Repeat("#", 20)) {
-		t.Errorf("max bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, strings.Repeat("#", 10)) {
-		t.Errorf("half bar missing:\n%s", out)
-	}
-}
-
 func TestCDFChart(t *testing.T) {
 	var sb strings.Builder
 	CDFChart(&sb, "demo", func(p float64) int { return int(p * 100) })

@@ -63,8 +63,8 @@ type Quarantine struct {
 }
 
 // Hooks intercept the store's file operations — the crash-matrix tests
-// inject faults.WriteCloser wrappers and failing renames here. Zero
-// value means direct OS calls.
+// inject failing writers and renames here. Zero value means direct OS
+// calls.
 type Hooks struct {
 	// WrapFile, when set, wraps every file the store writes (segment and
 	// manifest temp files), keyed by the final file name. The returned

@@ -466,9 +466,58 @@ func (p faultPlan) hooks() Hooks {
 		if name != p.target {
 			return f
 		}
-		return &faults.WriteCloser{W: f, FailAfter: p.failAfter, Short: p.short, FailSync: p.failSync, FailClose: p.failClose}
+		return &faultyFile{f: f, failAfter: p.failAfter, short: p.short, failSync: p.failSync, failClose: p.failClose}
 	}
 	return h
+}
+
+// faultyFile injects the failures a durable write path must survive: a
+// write error after failAfter bytes (negative: never), short writes
+// that deliver half of each buffer with a nil error, a failed fsync,
+// and a failed Close (the file is still closed, but the caller must
+// treat it as unusable).
+type faultyFile struct {
+	f                   *os.File
+	failAfter           int64
+	short               bool
+	failSync, failClose bool
+	n                   int64
+}
+
+func (w *faultyFile) Write(p []byte) (int, error) {
+	if w.failAfter >= 0 {
+		remaining := w.failAfter - w.n
+		if remaining <= 0 {
+			return 0, faults.ErrInjected
+		}
+		if int64(len(p)) > remaining {
+			p = p[:remaining]
+		}
+	}
+	if w.short && len(p) > 1 {
+		p = p[:len(p)/2]
+	}
+	n, err := w.f.Write(p)
+	w.n += int64(n)
+	if err == nil && w.failAfter >= 0 && w.n >= w.failAfter {
+		err = faults.ErrInjected
+	}
+	return n, err
+}
+
+func (w *faultyFile) Sync() error {
+	if w.failSync {
+		return faults.ErrInjected
+	}
+	return w.f.Sync()
+}
+
+func (w *faultyFile) Close() error {
+	err := w.f.Close()
+	if w.failClose {
+		return faults.ErrInjected
+	}
+	return err
 }
 
 // TestCrashMatrix kills a Seal at every write stage — segment write
