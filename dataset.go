@@ -143,20 +143,16 @@ func SaveSnapshots(st *Study, dir string) (int, error) {
 		return 0, err
 	}
 	v := st.DB.View()
+	x := v.ZoneIndex()
 	cfg := st.World.Config()
 	zones := v.Zones()
 	n := 0
+	var buf []byte
 	for day := cfg.Start; day <= cfg.End; day++ {
 		for _, zone := range zones {
-			f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%s.zone", zone, day)))
-			if err != nil {
-				return n, err
-			}
-			if err := v.SnapshotOn(zone, day).Write(f); err != nil {
-				f.Close()
-				return n, err
-			}
-			if err := f.Close(); err != nil {
+			buf = x.SnapshotOn(zone, day).AppendTo(buf[:0])
+			name := string(zone) + "-" + day.String() + ".zone"
+			if err := os.WriteFile(filepath.Join(dir, name), buf, 0o666); err != nil {
 				return n, err
 			}
 			n++

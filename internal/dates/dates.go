@@ -13,6 +13,7 @@ package dates
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Day is a civil date encoded as days since 2000-01-01 (Day 0).
@@ -126,11 +127,35 @@ func (d Day) Month() Month {
 
 // String formats d as YYYY-MM-DD. The None sentinel formats as "none".
 func (d Day) String() string {
+	var b [16]byte
+	return string(d.AppendTo(b[:0]))
+}
+
+// AppendTo appends d as String formats it to b and returns the result.
+func (d Day) AppendTo(b []byte) []byte {
 	if d == None {
-		return "none"
+		return append(b, "none"...)
 	}
 	y, m, dd := d.YMD()
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	b = append(appendPadded(b, y, 4), '-')
+	b = append(appendPadded(b, m, 2), '-')
+	return appendPadded(b, dd, 2)
+}
+
+// appendPadded appends v to b as fmt's %0*d writes it: zero-padded to
+// width, a minus sign counted in the width.
+func appendPadded(b []byte, v, width int) []byte {
+	if v < 0 {
+		b, v, width = append(b, '-'), -v, width-1
+	}
+	digits := 1
+	for x := v; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // Valid reports whether d is a real date (not the None sentinel).
@@ -291,7 +316,8 @@ func (r Range) Each(fn func(Day)) {
 
 // MarshalJSON encodes d as "YYYY-MM-DD" (the None sentinel as "none").
 func (d Day) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + d.String() + `"`), nil
+	b := make([]byte, 0, 12)
+	return append(d.AppendTo(append(b, '"')), '"'), nil
 }
 
 // UnmarshalJSON decodes "YYYY-MM-DD" or "none".

@@ -1,6 +1,8 @@
 package dates
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,38 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 	if None.String() != "none" {
 		t.Errorf("None.String() = %q", None.String())
+	}
+}
+
+// TestStringMatchesSprintf holds the append-based String to the
+// fmt.Sprintf form it replaced, on every day of years 0000-9999 and on
+// days whose years fall outside them.
+func TestStringMatchesSprintf(t *testing.T) {
+	ref := func(d Day) string {
+		y, m, dd := d.YMD()
+		return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	}
+	check := func(d Day) {
+		if got, want := d.String(), ref(d); got != want {
+			t.Fatalf("Day(%d).String() = %q, want %q", d, got, want)
+		}
+	}
+	for d := FromYMD(0, 1, 1); d <= FromYMD(9999, 12, 31); d++ {
+		check(d)
+	}
+	for _, d := range []Day{
+		FromYMD(-1, 12, 31), FromYMD(-9, 1, 1), FromYMD(-10, 6, 1), FromYMD(-99, 1, 1),
+		FromYMD(-100, 1, 1), FromYMD(-999, 3, 1), FromYMD(-1000, 1, 1), FromYMD(-12345, 2, 28),
+		FromYMD(10000, 1, 1), FromYMD(123456, 7, 4), None + 1, None - 1,
+		math.MaxInt32, math.MinInt32,
+	} {
+		check(d)
+	}
+	if got := None.String(); got != "none" {
+		t.Fatalf("None.String() = %q", got)
+	}
+	if got := string(None.AppendTo([]byte("x"))); got != "xnone" {
+		t.Fatalf("None.AppendTo = %q", got)
 	}
 }
 

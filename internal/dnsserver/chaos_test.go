@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/faults"
 )
 
 func TestChaosStubRecoversFromDatagramLoss(t *testing.T) {
@@ -20,21 +18,21 @@ func TestChaosStubRecoversFromDatagramLoss(t *testing.T) {
 	// 25% of sends are silently dropped and a further 15% of operations
 	// stall briefly — comfortably past the 20% fault floor the retry
 	// path must absorb.
-	base := faults.FaultyDialer(nil, faults.Plan{
+	base := faultyDialer(nil, faultPlan{
 		Seed:      5,
 		DropRate:  0.25,
 		DelayRate: 0.15,
 		Delay:     2 * time.Millisecond,
 	})
 	var mu sync.Mutex
-	var conns []*faults.Conn
+	var conns []*faultConn
 	stub.Dialer = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		c, err := base(ctx, network, addr)
 		if err != nil {
 			return nil, err
 		}
 		mu.Lock()
-		conns = append(conns, c.(*faults.Conn))
+		conns = append(conns, c.(*faultConn))
 		mu.Unlock()
 		return c, nil
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,9 +91,9 @@ func (s *Snapshot) Nameservers() []dnsname.Name {
 	return out
 }
 
-// defaultTTL is the TTL written for all records; zone snapshots carry no
-// per-record TTL information relevant to the study.
-const defaultTTL = 86400
+// ttlIN is the TTL and class written for all records; zone snapshots
+// carry no per-record TTL information relevant to the study.
+const ttlIN = " 86400 IN "
 
 // Write emits the snapshot in master-file style:
 //
@@ -103,31 +104,66 @@ const defaultTTL = 86400
 //
 // Owner names inside the zone are written relative to the origin.
 func (s *Snapshot) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "; zone %s snapshot %s\n", s.Zone, s.Date)
-	fmt.Fprintf(bw, "$ORIGIN %s.\n", s.Zone)
-	rel := func(n dnsname.Name) string {
-		if n == s.Zone {
-			return "@"
-		}
-		if n.IsSubdomainOf(s.Zone) {
-			return strings.TrimSuffix(string(n), "."+string(s.Zone))
-		}
-		return string(n) + "."
-	}
+	_, err := w.Write(s.AppendTo(nil))
+	return err
+}
+
+// AppendTo appends the bytes Write emits to b and returns the result.
+func (s *Snapshot) AppendTo(b []byte) []byte {
+	b = slices.Grow(b, s.sizeHint())
+	b = append(b, "; zone "...)
+	b = append(b, s.Zone...)
+	b = append(b, " snapshot "...)
+	b = s.Date.AppendTo(b)
+	b = append(b, "\n$ORIGIN "...)
+	b = append(b, s.Zone...)
+	b = append(b, ".\n"...)
 	for _, d := range s.Delegations {
 		for _, ns := range d.Nameservers {
-			fmt.Fprintf(bw, "%s %d IN NS %s.\n", rel(d.Domain), defaultTTL, ns)
+			b = s.appendOwner(b, d.Domain)
+			b = append(b, ttlIN+"NS "...)
+			b = append(b, ns...)
+			b = append(b, ".\n"...)
 		}
 	}
 	for _, g := range s.Glue {
-		typ := "A"
+		b = s.appendOwner(b, g.Host)
 		if g.Addr.Is6() {
-			typ = "AAAA"
+			b = append(b, ttlIN+"AAAA "...)
+		} else {
+			b = append(b, ttlIN+"A "...)
 		}
-		fmt.Fprintf(bw, "%s %d IN %s %s\n", rel(g.Host), defaultTTL, typ, g.Addr)
+		b = append(g.Addr.AppendTo(b), '\n')
 	}
-	return bw.Flush()
+	return b
+}
+
+// appendOwner appends n as an owner name relative to the zone: "@" for
+// the zone itself, the labels above it for a name inside it, and the
+// absolute name otherwise.
+func (s *Snapshot) appendOwner(b []byte, n dnsname.Name) []byte {
+	switch {
+	case n == s.Zone:
+		return append(b, '@')
+	case n.IsSubdomainOf(s.Zone):
+		return append(b, n[:len(n)-len(s.Zone)-1]...)
+	default:
+		return append(append(b, n...), '.')
+	}
+}
+
+// sizeHint bounds from above the bytes AppendTo writes for s.
+func (s *Snapshot) sizeHint() int {
+	n := 64 + 2*len(s.Zone)
+	for _, d := range s.Delegations {
+		for _, ns := range d.Nameservers {
+			n += len(d.Domain) + len(ns) + 16
+		}
+	}
+	for _, g := range s.Glue {
+		n += len(g.Host) + 64
+	}
+	return n
 }
 
 // ParseError reports a syntax error with its line number.

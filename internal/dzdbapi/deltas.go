@@ -151,7 +151,7 @@ func (f *Front) deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	case st == nil || st.Feed == nil:
 		f.src.Unavailable(w)
 	default:
-		writeJSON(w, http.StatusOK, deltaPage(st, q))
+		writeDeltasPage(w, deltaPage(st, q))
 	}
 }
 

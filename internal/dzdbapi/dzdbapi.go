@@ -55,9 +55,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/dates"
@@ -470,33 +470,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *Epoc
 	if !ok {
 		return
 	}
-	db := st.view
 	raw := r.URL.Query().Get("date")
 	day, err := dates.Parse(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidDate, "invalid date %q (want YYYY-MM-DD)", raw)
 		return
 	}
-	found := false
-	for _, z := range db.Zones() {
-		if z == zone {
-			found = true
-		}
-	}
-	if !found {
+	if _, found := slices.BinarySearch(st.Stats.Zones, string(zone)); !found {
 		writeError(w, http.StatusNotFound, CodeNotFound, "zone %s not observed", zone)
 		return
 	}
-	if day > db.CloseDay() {
+	if day > st.view.CloseDay() {
 		writeError(w, http.StatusNotFound, CodeNotFound, "zone %s not observed on %s", zone, day)
 		return
 	}
-	snap := db.SnapshotOn(zone, day)
 	w.Header().Set("Content-Type", "text/dns; charset=utf-8")
-	var sb strings.Builder
-	if err := snap.Write(&sb); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "rendering snapshot: %v", err)
-		return
-	}
-	_, _ = w.Write([]byte(sb.String()))
+	_, _ = w.Write(st.zones.get().SnapshotOn(zone, day).AppendTo(nil))
 }

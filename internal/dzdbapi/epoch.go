@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -58,6 +60,9 @@ type EpochState struct {
 	// view is what a node's per-name routes read; a coordinator's state
 	// has none.
 	view *zonedb.View
+	// zones is the view's zone index, which /v1/zones/{zone}/snapshot
+	// renders from; a coordinator's state has none.
+	zones *lazyZoneIndex
 	// exposure is a node's row for every nameserver, sorted by name: the
 	// table /v1/internal/ns-exposure pages through and TopNS is selected
 	// from. open[i] counts the edges of exposure[i] present on the view's
@@ -115,11 +120,50 @@ func newState(v *zonedb.View) *EpochState {
 		Epoch: v.Epoch(),
 		Stats: StatsResponse{Domains: v.NumDomains(), Nameservers: v.NumNameservers(), Zones: zs},
 		view:  v,
+		zones: &lazyZoneIndex{view: v},
 	}
 	if v.Closed() {
 		st.Feed = &indexFeed{view: v}
 	}
 	return st
+}
+
+// lazyZoneIndex is a view's zone index, built by the first snapshot
+// request of the epoch, as the feed's delta index is by the first feed
+// request: an epoch nobody asks for a snapshot never walks its facts for
+// one. When the epoch before had built its index and the view is a plain
+// dated advance of it, the first request extends that index instead,
+// for the cost of the change and of copying the zones it touched (see
+// zonedb.ZoneIndex.Extend); the publish hook only hands the
+// built index on (next), so it stays out of the hook's time. A lazy
+// index holds its predecessor's only until it is built, and never one
+// its predecessor did not build, so unread epochs chain nothing.
+type lazyZoneIndex struct {
+	view   *zonedb.View
+	parent *zonedb.ZoneIndex // read and dropped by the build
+	once   sync.Once         // guards the one store into idx
+	idx    atomic.Pointer[zonedb.ZoneIndex]
+}
+
+func (z *lazyZoneIndex) get() *zonedb.ZoneIndex {
+	z.once.Do(func() {
+		var idx *zonedb.ZoneIndex
+		ok := false
+		if z.parent != nil {
+			idx, ok = z.parent.Extend(z.view)
+		}
+		if !ok {
+			idx = z.view.ZoneIndex()
+		}
+		z.parent = nil
+		z.idx.Store(idx)
+	})
+	return z.idx.Load()
+}
+
+// next returns the lazy index of v, the view published after z's.
+func (z *lazyZoneIndex) next(v *zonedb.View) *lazyZoneIndex {
+	return &lazyZoneIndex{view: v, parent: z.idx.Load()}
 }
 
 // spanExposure returns the days in an edge's spans (nil: the view does
@@ -151,6 +195,9 @@ func advanceState(prev *EpochState, v *zonedb.View) *EpochState {
 	st := newState(v)
 	if f, ok := prev.Feed.(*indexFeed); ok {
 		st.Feed = f.extended(v)
+	}
+	if prev.zones != nil {
+		st.zones = prev.zones.next(v)
 	}
 
 	// Rows of nameservers first delegated to in this epoch, merged into

@@ -60,7 +60,7 @@ func (f *Front) deltasLongPoll(w http.ResponseWriter, r *http.Request, q deltasQ
 		st, ch := f.src.Current()
 		if st != nil && st.Feed != nil {
 			if resp := deltaPage(st, q); len(resp.Deltas) > 0 || expired {
-				writeJSON(w, http.StatusOK, resp)
+				writeDeltasPage(w, resp)
 				return
 			}
 		} else if expired {

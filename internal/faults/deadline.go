@@ -37,3 +37,8 @@ func IsTimeout(err error) bool {
 	}
 	return errors.Is(err, context.DeadlineExceeded)
 }
+
+// Dialer is the dial hook shared by the clients, matching
+// (*net.Dialer).DialContext. It exists so fault injection can be slid
+// under any client without that client importing test code.
+type Dialer func(ctx context.Context, network, addr string) (net.Conn, error)

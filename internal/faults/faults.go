@@ -1,8 +1,8 @@
 // Package faults is the reproduction's resilience kit: context-aware
 // retries with exponential backoff and full jitter, a circuit breaker
 // with half-open probing, deadline helpers for connection-oriented
-// protocols, and a fault-injection side (a net.Conn wrapper and a
-// failing io.Reader driven by seeded schedules) used by the chaos tests.
+// protocols, and the dial hook (Dialer) the chaos tests slide their
+// fault-injecting connections under.
 //
 // The package is stdlib-only and deliberately small: every external edge
 // of the system (DNS exchanges, dzdbapi HTTP calls, zone snapshot
@@ -24,8 +24,8 @@ import (
 // ErrOpen is returned by a Breaker that is rejecting calls.
 var ErrOpen = errors.New("faults: circuit breaker open")
 
-// ErrInjected is the default error produced by the fault-injection
-// types (Conn, Reader) when a scheduled failure fires.
+// ErrInjected is the error the tests' fault injectors return when a
+// scheduled failure fires.
 var ErrInjected = errors.New("faults: injected failure")
 
 // permanentError marks an error that must never be retried.

@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -232,35 +231,5 @@ func TestIsTimeout(t *testing.T) {
 	}
 	if IsTimeout(errors.New("nope")) || IsTimeout(nil) {
 		t.Error("false positive")
-	}
-}
-
-func TestReaderFailsAfterN(t *testing.T) {
-	r := NewReader(strings.NewReader(strings.Repeat("x", 100)), 10)
-	buf := make([]byte, 4)
-	total := 0
-	var err error
-	for err == nil {
-		var n int
-		n, err = r.Read(buf)
-		total += n
-	}
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v", err)
-	}
-	if total != 10 {
-		t.Fatalf("delivered %d bytes before failing, want 10", total)
-	}
-}
-
-func TestReaderEOFBeforeFailure(t *testing.T) {
-	r := NewReader(strings.NewReader("abc"), 100)
-	buf := make([]byte, 16)
-	n, _ := r.Read(buf)
-	if n != 3 {
-		t.Fatalf("n = %d", n)
-	}
-	if _, err := r.Read(buf); err != io.EOF {
-		t.Fatalf("err = %v, want EOF", err)
 	}
 }

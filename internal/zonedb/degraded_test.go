@@ -11,7 +11,6 @@ import (
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/dnszone"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -210,7 +209,7 @@ func TestDegradedIngestSurvivesReadFaults(t *testing.T) {
 	src := &FileSource{FS: fsys, Paths: paths, Wrap: func(r io.Reader) io.Reader {
 		n++
 		if n == 2 {
-			return faults.NewReader(r, 10)
+			return newFailingReader(r, 10)
 		}
 		return r
 	}}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
+	"repro/internal/dnszone"
 	"repro/internal/interval"
 )
 
@@ -47,4 +48,29 @@ func ViewOfSpans(closed bool, closeDay dates.Day, zones []dnsname.Name, edges ma
 	db.publishLocked(nil)
 	db.mu.Unlock()
 	return db.View()
+}
+
+// SnapshotOnReference is SnapshotOn as it was before the zone index: a
+// walk of every edge and glue host, grouped in a map and sorted by
+// Snapshot.Sort. It is the oracle the index and the filtered walk are
+// held to.
+func (v *View) SnapshotOnReference(zone dnsname.Name, day dates.Day) *dnszone.Snapshot {
+	t := &v.tables
+	snap := dnszone.NewSnapshot(zone, day)
+	perDomain := make(map[dnsname.Name][]dnsname.Name)
+	for e, f := range t.edges {
+		if e.zone() == zone && t.spansOf(f, e.Domain).contains(day) {
+			perDomain[e.Domain] = append(perDomain[e.Domain], e.NS)
+		}
+	}
+	for d, ns := range perDomain {
+		snap.AddDelegation(d, ns...)
+	}
+	for h, f := range t.glue {
+		if h.TLD() == zone && t.spansOf(f, h).contains(day) {
+			snap.AddGlue(h, docAddr)
+		}
+	}
+	snap.Sort()
+	return snap
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/dnszone"
-	"repro/internal/faults"
 )
 
 // oneAtATime is the reference FileSource: each Next opens, wraps, parses
@@ -231,7 +230,7 @@ func TestFileSourceOrder(t *testing.T) {
 		n := 0
 		return func(r io.Reader) io.Reader {
 			if n++; n == 5 {
-				return faults.NewReader(r, 10)
+				return newFailingReader(r, 10)
 			}
 			return r
 		}

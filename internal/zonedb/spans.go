@@ -101,12 +101,22 @@ type factSpans struct {
 // fact's spans through it. name is the fact's domain or host name, whose
 // zone says how far an open span is sealed.
 func (t *tables) spansOf(f fact, name dnsname.Name) factSpans {
+	sealed := dates.None
+	if f.open && !f.eager {
+		sealed = t.sealedThrough(name)
+	}
+	return f.shown(sealed)
+}
+
+// shown is spansOf for a caller that looked up, once for many facts of
+// one zone, the day the zone is sealed through.
+func (f fact) shown(sealed dates.Day) factSpans {
 	s := factSpans{ended: f.spans, tail: noTail}
 	if s.ended == nil {
 		s.ended = &noSpans
 	}
 	if f.open && !f.eager {
-		s.tail = dates.NewRange(f.start, t.sealedThrough(name))
+		s.tail = dates.NewRange(f.start, sealed)
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package zonedb
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/dates"
@@ -338,25 +339,24 @@ func (t *tables) Zones() []dnsname.Name {
 // SnapshotOn reconstructs the zone file of one TLD on one day, as if the
 // daily snapshot had been archived. An open fact shows through its zone's
 // sealed-through day and no further, so past that day a delegation and
-// its glue are missing alike: the day was not observed.
+// its glue are missing alike: the day was not observed. It walks the
+// whole database; to render many snapshots of one view, build its
+// ZoneIndex.
 func (t *tables) SnapshotOn(zone dnsname.Name, day dates.Day) *dnszone.Snapshot {
-	snap := dnszone.NewSnapshot(zone, day)
-	perDomain := make(map[dnsname.Name][]dnsname.Name)
+	sealed := t.sealedThrough(zone)
+	var edges []Edge
 	for e, f := range t.edges {
-		if e.zone() == zone && t.spansOf(f, e.Domain).contains(day) {
-			perDomain[e.Domain] = append(perDomain[e.Domain], e.NS)
+		if e.zone() == zone && f.shown(sealed).contains(day) {
+			edges = append(edges, e)
 		}
 	}
-	for d, ns := range perDomain {
-		snap.AddDelegation(d, ns...)
-	}
-	// Glue addresses are not retained by the DB (only presence), so the
-	// snapshot records presence with a reserved-documentation address.
+	var hosts []dnsname.Name
 	for h, f := range t.glue {
-		if h.TLD() == zone && t.spansOf(f, h).contains(day) {
-			snap.AddGlue(h, docAddr)
+		if h.TLD() == zone && f.shown(sealed).contains(day) {
+			hosts = append(hosts, h)
 		}
 	}
-	snap.Sort()
-	return snap
+	slices.SortFunc(edges, CompareEdges)
+	slices.Sort(hosts)
+	return snapshotOf(zone, day, edges, hosts)
 }

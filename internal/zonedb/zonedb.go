@@ -7,7 +7,9 @@
 // registry reports changes as they happen (registry.Recorder), and the DB
 // closes the affected interval; the result is bit-identical to diffing
 // daily snapshots at one-day granularity, at event cost instead of
-// snapshot cost. View.SnapshotOn reconstructs any single day's zone file.
+// snapshot cost. View.SnapshotOn reconstructs any single day's zone file
+// by one walk of the database; a ZoneIndex, built by one walk, then
+// reconstructs as many as its holder asks for at the cost of their zone.
 //
 // A fact still present is stored as the day its span opened; the tables
 // carry the day each zone is sealed through, and readers see an open
