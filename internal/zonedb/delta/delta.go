@@ -11,7 +11,10 @@
 // one of names — the edges on one goroutine, the names on another —
 // and each day's lists are sorted on GOMAXPROCS goroutines, so the whole
 // index costs O(total spans) time, the memory of what it returns, and a
-// few dozen allocations however many facts the view holds.
+// few dozen allocations however many facts the view holds. A view loaded
+// from a segment walks its facts in key order, so its days' lists come
+// out of the walk sorted and their sort is one pass over each; the index
+// does not depend on the order of the walk.
 //
 // Deltas are derived exclusively from sealed intervals — the same facts
 // the batch detector sees — so replaying every DayDelta from First()

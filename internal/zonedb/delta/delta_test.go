@@ -603,7 +603,8 @@ var benchIndex *Index
 // a feed's first request costs after a rebuild. Scale 8 is the world of
 // the bench's detect-cold workload, which builds over a view loaded from
 // its segment (scale=8/loaded): the same facts as the replayed view, in
-// other maps and slabs.
+// other maps and slabs, walked in key order rather than map order, so
+// each day's lists are sorted when the walk has written them.
 func BenchmarkBuild(b *testing.B) {
 	replayed := map[float64]*zonedb.View{}
 	for _, c := range []struct {

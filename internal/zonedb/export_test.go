@@ -1,7 +1,9 @@
 package zonedb
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -11,6 +13,52 @@ import (
 
 // Absorb is absorb, for the tests outside the package.
 func (db *DB) Absorb(other *DB) { db.absorb(other) }
+
+// RichDB, SeedDB and EmptyClosedDB are the package tests' sealed
+// databases, for the tests outside the package.
+var RichDB, SeedDB, EmptyClosedDB = richDB, seedDB, emptyClosedDB
+
+// WalksInKeyOrder returns nil when each of the loaded view v's Each*Spans
+// walks yields the keys of its fact map in key order (CompareEdges for
+// edges, name order for domains and glue), each with the very set the
+// map holds for it, and otherwise says where the first walk strays.
+func WalksInKeyOrder(v *View) error {
+	t := &v.tables
+	if err := walksInKeyOrder(t, "edges", t.edges, t.EachEdgeSpans, CompareEdges, func(e Edge) dnsname.Name { return e.Domain }); err != nil {
+		return err
+	}
+	named := func(n dnsname.Name) dnsname.Name { return n }
+	if err := walksInKeyOrder(t, "domains", t.domains, t.EachDomainSpans, dnsname.Compare, named); err != nil {
+		return err
+	}
+	return walksInKeyOrder(t, "glue", t.glue, t.EachGlueSpans, dnsname.Compare, named)
+}
+
+func walksInKeyOrder[K comparable](t *tables, table string, m map[K]fact, walk func(func(K, *interval.Set) bool), cmp func(a, b K) int, nameOf func(K) dnsname.Name) error {
+	want := make([]K, 0, len(m))
+	for k := range m {
+		want = append(want, k)
+	}
+	slices.SortFunc(want, cmp)
+	var err error
+	i := 0
+	walk(func(k K, s *interval.Set) bool {
+		switch {
+		case i >= len(want):
+			err = fmt.Errorf("%s: the walk yields %v past the map's %d keys", table, k, len(want))
+		case k != want[i]:
+			err = fmt.Errorf("%s: the walk's key %d is %v, want %v", table, i, k, want[i])
+		case s != t.spansOf(m[k], nameOf(k)).set(nil):
+			err = fmt.Errorf("%s: the walk yields %v with another set than the map holds", table, k)
+		}
+		i++
+		return err == nil
+	})
+	if err == nil && i < len(want) {
+		err = fmt.Errorf("%s: the walk yields %d keys, the map holds %d", table, i, len(want))
+	}
+	return err
+}
 
 // SharesFactMaps reports whether two views hold the same fact maps: a
 // Close that did not thaw the database publishes its parent's.

@@ -211,7 +211,10 @@ func (t *tables) writeSegment(w io.Writer) error {
 // interval sets, their spans and the byNS/byDomain index slices. Each
 // carved slice is capped at its length, so a later append (a writer
 // extending an index after thaw, an Add on an absorbed set) reallocates
-// rather than growing into its neighbour.
+// rather than growing into its neighbour. The tables also keep the
+// payload's key order for the Each*Spans walks, at the cost of one name
+// slice each for domains and glue: the edge keys are byDomain's slab and
+// the sets the set slab.
 func ReadSegment(p []byte) (*DB, error) {
 	fail := func(format string, args ...any) (*DB, error) {
 		return nil, fmt.Errorf("zonedb: segment payload: "+format, args...)
@@ -264,14 +267,14 @@ func ReadSegment(p []byte) (*DB, error) {
 
 	d.sets = make([]interval.Set, keys[0]+keys[1]+keys[2])
 	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
-	var named [2]segNamed
+	var named [2]ordered[dnsname.Name]
 	for i, name := range [2]string{"domains", "glue"} {
-		ids := make([]uint32, keys[i])
-		sets, err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) { ids[k] = id })
+		keyed := make([]dnsname.Name, keys[i])
+		sets, err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) { keyed[k] = d.names[id] })
 		if err != nil {
 			return fail("%s: %v", name, err)
 		}
-		named[i] = segNamed{ids: ids, sets: sets}
+		named[i] = ordered[dnsname.Name]{keys: keyed, sets: sets}
 	}
 	edges, err := d.readEdges(int(keys[segEdges]), int(spans[segEdges]))
 	if err != nil {
@@ -284,13 +287,15 @@ func ReadSegment(p []byte) (*DB, error) {
 	}
 
 	// The payload is accepted. The edge map, the largest, fills beside
-	// the rest; no two writers share a table.
+	// the rest; no two writers share a table. The tables keep the
+	// payload's key order for the walks.
+	t.order = &keyOrder{edges: ordered[Edge]{keys: edges.keyed, sets: edges.sets}, domains: named[0], glue: named[1]}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t.edges = edges.facts()
+		t.edges = t.order.edges.facts()
 	}()
-	t.domains, t.glue = named[0].facts(d.names), named[1].facts(d.names)
+	t.domains, t.glue = named[0].facts(), named[1].facts()
 	t.byDomain, t.byNS = edges.index(d.names)
 	<-done
 
@@ -304,26 +309,47 @@ func ReadSegment(p []byte) (*DB, error) {
 	return db, nil
 }
 
-// segNamed is a decoded domain or glue section: each key's name id and
-// set, in payload order.
-type segNamed struct {
-	ids  []uint32
+// keyOrder is a loaded generation's facts in the order its segment
+// stored them: every key of each table, ascending, with its set.
+type keyOrder struct {
+	edges         ordered[Edge]
+	domains, glue ordered[dnsname.Name]
+}
+
+// ordered is one decoded section: key k's set is sets[k], a slice of
+// the load's set slab, and the fact the table holds for it is closed.
+type ordered[K comparable] struct {
+	keys []K
 	sets []interval.Set
 }
 
-func (s segNamed) facts(names []dnsname.Name) map[dnsname.Name]fact {
-	m := make(map[dnsname.Name]fact, len(s.ids))
-	for k, id := range s.ids {
-		m[names[id]] = fact{spans: &s.sets[k]}
+// fact returns what the table holds for key k.
+func (o ordered[K]) fact(k int) fact { return fact{spans: &o.sets[k]} }
+
+// facts returns the section's table.
+func (o ordered[K]) facts() map[K]fact {
+	m := make(map[K]fact, len(o.keys))
+	for k, key := range o.keys {
+		m[key] = o.fact(k)
 	}
 	return m
+}
+
+// each is the Each*Spans walk of the section: the sets the table holds,
+// in key order.
+func (o ordered[K]) each(fn func(K, *interval.Set) bool) {
+	for k, key := range o.keys {
+		if !fn(key, &o.sets[k]) {
+			return
+		}
+	}
 }
 
 // segEdgeKeys is the decoded edge section, in payload order — sorted by
 // (domain, ns) — with what indexing it needs: each key's edge, set and
 // ns id, the number of edges per ns id, and the number of domains.
 type segEdgeKeys struct {
-	keyed    []Edge // each key's edge: byDomain's slab
+	keyed    []Edge // each key's edge: byDomain's slab and the key order
 	sorted   []Edge // byNS's slab, filled by index
 	sets     []interval.Set
 	nsOf     []uint32
@@ -408,15 +434,6 @@ func (d *segDecoder) readEdges(nEdges, nSpans int) (segEdgeKeys, error) {
 		}
 	})
 	return k, err
-}
-
-// facts returns the edge table.
-func (k segEdgeKeys) facts() map[Edge]fact {
-	m := make(map[Edge]fact, len(k.keyed))
-	for i, e := range k.keyed {
-		m[e] = fact{spans: &k.sets[i]}
-	}
-	return m
 }
 
 // index builds both traversal indexes. Edges arrive sorted by (domain,

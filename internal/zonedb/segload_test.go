@@ -3,6 +3,7 @@ package zonedb_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -113,4 +114,101 @@ func TestReadSegmentConcurrent(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestReadSegmentWalksInKeyOrder: a loaded view walks its facts in the
+// order its segment stored them — key order — and yields the very sets
+// its maps hold. The first write after the load drops that order, so the
+// next view's walks include the write, while the view pinned before it
+// walks as it did.
+func TestReadSegmentWalksInKeyOrder(t *testing.T) {
+	cfg := sim.DefaultConfig(3)
+	cfg.Seed = 1
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*zonedb.View{
+		"rich": zonedb.RichDB().View(), "seed": zonedb.SeedDB().View(),
+		"empty": zonedb.EmptyClosedDB().View(), "scale 3": w.ZoneDB().View(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var payload bytes.Buffer
+			if err := src.WriteSegment(&payload); err != nil {
+				t.Fatal(err)
+			}
+			db, err := zonedb.ReadSegment(payload.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := db.View()
+			if err := zonedb.WalksInKeyOrder(pinned); err != nil {
+				t.Fatalf("loaded: %v", err)
+			}
+			before := walked(pinned)
+
+			// One new key per table, and a domain the load held registered
+			// again.
+			day := pinned.CloseDay() + 1
+			var again dnsname.Name
+			pinned.EachDomainSpans(func(d dnsname.Name, _ *interval.Set) bool {
+				again = d
+				return false
+			})
+			db.DomainAdded("com", "zz-written.com", day)
+			db.DelegationAdded("com", "zz-written.com", "ns.zz-written.com", day)
+			db.GlueAdded("com", "ns.zz-written.com", day)
+			if again != "" {
+				db.DomainAdded(again.TLD(), again, day)
+			}
+			db.Close(day)
+
+			if err := zonedb.WalksInKeyOrder(pinned); err != nil {
+				t.Errorf("pinned after a write: %v", err)
+			}
+			if got := walked(pinned); !maps.Equal(got, before) {
+				t.Error("the pinned view walks otherwise after a write")
+			}
+			v := db.View()
+			after := walked(v)
+			want := map[string]string{
+				"E zz-written.com ns.zz-written.com": v.EdgeSpans("zz-written.com", "ns.zz-written.com").String(),
+				"D zz-written.com":                   v.DomainSpans("zz-written.com").String(),
+				"G ns.zz-written.com":                v.GlueSpans("ns.zz-written.com").String(),
+			}
+			if again != "" {
+				want["D "+string(again)] = v.DomainSpans(again).String()
+			}
+			for k, spans := range want {
+				if after[k] != spans {
+					t.Errorf("the written view walks %s with %q, want %q", k, after[k], spans)
+				}
+			}
+			if len(after) != len(before)+3 {
+				t.Errorf("the written view walks %d facts, want %d", len(after), len(before)+3)
+			}
+		})
+	}
+}
+
+// walked renders what v's three Each*Spans walks yield: each fact's spans
+// by table and key.
+func walked(v *zonedb.View) map[string]string {
+	out := make(map[string]string)
+	v.EachEdgeSpans(func(e zonedb.Edge, s *interval.Set) bool {
+		out["E "+string(e.Domain)+" "+string(e.NS)] = s.String()
+		return true
+	})
+	v.EachDomainSpans(func(d dnsname.Name, s *interval.Set) bool {
+		out["D "+string(d)] = s.String()
+		return true
+	})
+	v.EachGlueSpans(func(h dnsname.Name, s *interval.Set) bool {
+		out["G "+string(h)] = s.String()
+		return true
+	})
+	return out
 }

@@ -45,6 +45,12 @@ type tables struct {
 	// is nil until its first entry.
 	eager eagerKeys
 	shown map[dnsname.Name]int
+
+	// order, on tables a segment was loaded into, is every fact's key and
+	// set in the order the segment stored them: key order. The
+	// Each*Spans walks read it instead of the fact maps. The first write
+	// after the load drops it (thaw); a View published before keeps it.
+	order *keyOrder
 }
 
 // eagerKeys is a set of fact keys per table.
@@ -267,7 +273,16 @@ func (t *tables) NSOn(domain dnsname.Name, day dates.Day) []dnsname.Name {
 // be empty. The sets are fn's to keep; a walk allocates a few times, not
 // once per fact. The delta layer walks this to bucket interval boundaries
 // by day.
+//
+// A view loaded from a segment, until the first write after the load,
+// walks its facts in key order (CompareEdges here, name order for
+// domains and glue) without a map lookup; callers must not rely on
+// that order.
 func (t *tables) EachEdgeSpans(fn func(e Edge, spans *interval.Set) bool) {
+	if t.order != nil {
+		t.order.edges.each(fn)
+		return
+	}
 	a := slab{facts: len(t.edges)}
 	for e, f := range t.edges {
 		if !fn(e, t.spansOf(f, e.Domain).set(&a)) {
@@ -277,16 +292,26 @@ func (t *tables) EachEdgeSpans(fn func(e Edge, spans *interval.Set) bool) {
 }
 
 // EachDomainSpans calls fn for every domain ever observed registered,
-// with its registration intervals, in unspecified order, stopping if fn
-// returns false. It allocates as EachEdgeSpans does.
+// with its registration intervals, in unspecified order (a loaded view's
+// is name order, as EachEdgeSpans says), stopping if fn returns false. It
+// allocates as EachEdgeSpans does.
 func (t *tables) EachDomainSpans(fn func(domain dnsname.Name, spans *interval.Set) bool) {
+	if t.order != nil {
+		t.order.domains.each(fn)
+		return
+	}
 	eachSpans(t, t.domains, fn)
 }
 
 // EachGlueSpans calls fn for every host ever observed with glue, with its
-// glue-presence intervals, in unspecified order, stopping if fn returns
-// false. It allocates as EachEdgeSpans does.
+// glue-presence intervals, in unspecified order (a loaded view's is name
+// order, as EachEdgeSpans says), stopping if fn returns false. It
+// allocates as EachEdgeSpans does.
 func (t *tables) EachGlueSpans(fn func(host dnsname.Name, spans *interval.Set) bool) {
+	if t.order != nil {
+		t.order.glue.each(fn)
+		return
+	}
 	eachSpans(t, t.glue, fn)
 }
 

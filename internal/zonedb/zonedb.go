@@ -38,6 +38,16 @@
 // The View deliberately exposes only zone-derivable queries. The detector
 // is built exclusively on this interface plus WHOIS, never on simulator
 // ground truth.
+//
+// # Loaded views
+//
+// ReadSegment builds a DB from the sealed facts a segment stored in key
+// order, and its tables keep that order beside the fact maps: until the
+// first write after the load, the Each*Spans walks go through it front to
+// back, a set per fact with no map lookup, and View.ZoneIndex groups from
+// it. The write drops it and the writer walks its maps from then on; a
+// View published before the write keeps it. The walks' documented order
+// stays unspecified, and callers must not rely on key order.
 package zonedb
 
 import (
@@ -171,7 +181,9 @@ func ended[K comparable](g *generation, keys *map[K]bool, k K, zone dnsname.Name
 // thaw clones the generation's top-level maps so mutations stop being
 // visible to the last published View. Interval sets and index slices are
 // still shared; sets are cloned lazily by own, and index slices are only
-// ever appended to (readers never see past their own length).
+// ever appended to (readers never see past their own length). A loaded
+// generation's key order is dropped: the View keeps it, the writer walks
+// its maps from here on.
 func (g *generation) thaw() {
 	if !g.frozen {
 		return
@@ -185,6 +197,7 @@ func (g *generation) thaw() {
 	g.eager = g.eager.clone()
 	g.shown = maps.Clone(g.shown)
 	g.owned = make(map[*interval.Set]bool)
+	g.order = nil
 	g.frozen = false
 }
 

@@ -43,7 +43,9 @@ func byEdge(a, b keyed[Edge]) int         { return CompareEdges(a.k, b.k) }
 func byName(a, b keyed[dnsname.Name]) int { return dnsname.Compare(a.k, b.k) }
 
 // ZoneIndex builds the view's zone index: one walk over its edges and one
-// over its glue, then a sort of each zone's share.
+// over its glue, then a sort of each zone's share. A loaded view walks its
+// key order and places each zone's share stably, so each sort finds its
+// share in order already.
 func (v *View) ZoneIndex() *ZoneIndex {
 	x := &ZoneIndex{v: v, zones: make(map[dnsname.Name]*zoneFacts, len(v.zones))}
 	zone := func(z dnsname.Name) *zoneFacts {
@@ -54,19 +56,63 @@ func (v *View) ZoneIndex() *ZoneIndex {
 		}
 		return zf
 	}
-	edges, slots := byZone(v.edges, Edge.zone)
-	for z, r := range slots {
+	var edges []keyed[Edge]
+	var glue []keyed[dnsname.Name]
+	var edgeSlots, glueSlots map[dnsname.Name][2]int
+	if v.order != nil {
+		edges, edgeSlots = byZoneInOrder(v.order.edges, Edge.zone)
+		glue, glueSlots = byZoneInOrder(v.order.glue, dnsname.Name.TLD)
+	} else {
+		edges, edgeSlots = byZone(v.edges, Edge.zone)
+		glue, glueSlots = byZone(v.glue, dnsname.Name.TLD)
+	}
+	for z, r := range edgeSlots {
 		zf := zone(z)
 		zf.edges = edges[r[0]:r[1]:r[1]]
 		slices.SortFunc(zf.edges, byEdge)
 	}
-	glue, slots := byZone(v.glue, dnsname.Name.TLD)
-	for z, r := range slots {
+	for z, r := range glueSlots {
 		zf := zone(z)
 		zf.glue = glue[r[0]:r[1]:r[1]]
 		slices.SortFunc(zf.glue, byName)
 	}
 	return x
+}
+
+// zoneGroups numbers the zones of a table's keys in the order a walk meets
+// them, and counts each zone's keys.
+type zoneGroups struct {
+	idOf  map[dnsname.Name]int32
+	zones []dnsname.Name
+	count []int
+}
+
+// add counts one key of zone z and returns z's group.
+func (g *zoneGroups) add(z dnsname.Name) int32 {
+	id, ok := g.idOf[z]
+	if !ok {
+		if g.idOf == nil {
+			g.idOf = make(map[dnsname.Name]int32)
+		}
+		id = int32(len(g.zones))
+		g.idOf[z] = id
+		g.zones, g.count = append(g.zones, z), append(g.count, 0)
+	}
+	g.count[id]++
+	return id
+}
+
+// layout lays the groups out side by side in group order, and returns
+// each group's first slot and each zone's slots.
+func (g *zoneGroups) layout() (start []int, slots map[dnsname.Name][2]int) {
+	start = make([]int, len(g.count))
+	slots = make(map[dnsname.Name][2]int, len(g.zones))
+	for id, sum := 0, 0; id < len(g.count); id++ {
+		start[id] = sum
+		sum += g.count[id]
+		slots[g.zones[id]] = [2]int{start[id], sum}
+	}
+	return start, slots
 }
 
 // byZone returns m's facts with their keys in one slice of exactly
@@ -76,29 +122,15 @@ func (v *View) ZoneIndex() *ZoneIndex {
 func byZone[K comparable](m map[K]fact, zoneOf func(K) dnsname.Name) ([]keyed[K], map[dnsname.Name][2]int) {
 	out := make([]keyed[K], 0, len(m))
 	ids := make([]int32, 0, len(m)) // the group of each entry of out
-	idOf := make(map[dnsname.Name]int32)
-	var zones []dnsname.Name
-	var count []int
+	var g zoneGroups
 	for k, f := range m {
-		z := zoneOf(k)
-		id, ok := idOf[z]
-		if !ok {
-			id = int32(len(zones))
-			idOf[z] = id
-			zones, count = append(zones, z), append(count, 0)
-		}
-		count[id]++
 		out = append(out, keyed[K]{k, f})
-		ids = append(ids, id)
+		ids = append(ids, g.add(zoneOf(k)))
 	}
-	next := make([]int, len(count)) // each group's next unplaced slot
-	ends := make([]int, len(count))
-	slots := make(map[dnsname.Name][2]int, len(zones))
-	for id, sum := 0, 0; id < len(count); id++ {
-		next[id] = sum
-		sum += count[id]
-		ends[id] = sum
-		slots[zones[id]] = [2]int{next[id], sum}
+	next, slots := g.layout() // each group's next unplaced slot
+	ends := make([]int, len(next))
+	for id := range next {
+		ends[id] = next[id] + g.count[id]
 	}
 	for id := range next {
 		for next[id] < ends[id] {
@@ -113,6 +145,23 @@ func byZone[K comparable](m map[K]fact, zoneOf func(K) dnsname.Name) ([]keyed[K]
 			out[i], out[j] = out[j], out[i]
 			ids[i], ids[j] = ids[j], ids[i]
 		}
+	}
+	return out, slots
+}
+
+// byZoneInOrder is byZone for a loaded table, walked in key order: a
+// count, then a stable placement, so each zone's group keeps key order.
+func byZoneInOrder[K comparable](o ordered[K], zoneOf func(K) dnsname.Name) ([]keyed[K], map[dnsname.Name][2]int) {
+	ids := make([]int32, len(o.keys))
+	var g zoneGroups
+	for i, k := range o.keys {
+		ids[i] = g.add(zoneOf(k))
+	}
+	next, slots := g.layout()
+	out := make([]keyed[K], len(o.keys))
+	for i, k := range o.keys {
+		out[next[ids[i]]] = keyed[K]{k, o.fact(i)}
+		next[ids[i]]++
 	}
 	return out, slots
 }

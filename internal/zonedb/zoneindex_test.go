@@ -198,10 +198,26 @@ func TestZoneIndexMatchesSnapshotOn(t *testing.T) {
 	})
 }
 
+// loadedView returns v after a round trip through its segment encoding.
+func loadedView(tb testing.TB, v *zonedb.View) *zonedb.View {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := v.WriteSegment(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	db, err := zonedb.ReadSegment(buf.Bytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db.View()
+}
+
 // BenchmarkSnapshotOn renders snapshots of a scale-3 world, a zone and a
 // day at a time, the way /v1/zones/{zone}/snapshot asks for them: from
 // the zone index, by the filtered walk View.SnapshotOn takes, and by the
-// walk it replaced; build is the index's own cost, paid once a view.
+// walk it replaced; build is the index's own cost, paid once a view, and
+// build/loaded its cost on the world loaded from its segment, dzdbd's
+// first index after -load or SIGHUP.
 func BenchmarkSnapshotOn(b *testing.B) {
 	cfg := sim.DefaultConfig(3)
 	cfg.Seed = 1
@@ -226,6 +242,13 @@ func BenchmarkSnapshotOn(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v.ZoneIndex()
+		}
+	})
+	b.Run("build/loaded", func(b *testing.B) {
+		loaded := loadedView(b, v)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loaded.ZoneIndex()
 		}
 	})
 	b.Run("index", func(b *testing.B) { render(b, x.SnapshotOn) })
