@@ -6,9 +6,8 @@
 //
 // Usage:
 //
-//	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-csv] [-json]
-//	         [-save-data PREFIX] [-save-snapshots DIR]
-//	         [-figures-csv DIR] [-stats] [-trace FILE]
+//	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-json]
+//	         [-save-data PREFIX] [-save-snapshots DIR] [-stats] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-mutexprofile FILE]
 //	riskybiz -data PREFIX [same output flags]
 //
@@ -29,11 +28,9 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
 	"repro/internal/obs/trace"
-	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/zonedb"
 )
@@ -55,10 +52,8 @@ func main() {
 	strict := flag.Bool("strict", false, "with -snapshots, abort on the first invalid snapshot instead of quarantining it")
 	maxQuarantine := flag.Int("max-quarantine", 0, "with -snapshots, abort after quarantining this many snapshots (0 = unlimited)")
 	only := flag.String("only", "", "comma-separated subset: funnel,patterns,table1..table6,figure3..figure7,accident,partial")
-	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	saveData := flag.String("save-data", "", "save the dataset the study ran on: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
 	saveSnapshots := flag.String("save-snapshots", "", "after simulating, write each zone's daily master-file snapshots into this directory")
-	figuresCSV := flag.String("figures-csv", "", "write per-figure CSV data files into this directory")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON instead of text artifacts")
 	stats := flag.Bool("stats", false, "print a detection stage-timing report to stderr")
 	traceOut := flag.String("trace", "", "write the run's trace in Chrome trace_event JSON (load in Perfetto) to this file (\"-\" = stderr)")
@@ -108,12 +103,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dataset saved under %s.{dzdb,whois,exclude}\n", *saveData)
 	}
-	if *figuresCSV != "" {
-		if err := writeFigureCSVs(study, *figuresCSV); err != nil {
-			fatalf("writing figure CSVs: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "figure data written to %s\n", *figuresCSV)
-	}
 	if *jsonOut {
 		summary := study.Analysis.Summarize(sim.NotificationDay, sim.FollowupDay)
 		if err := summary.WriteJSON(os.Stdout); err != nil {
@@ -125,7 +114,7 @@ func main() {
 	if *only != "" {
 		subset = strings.Split(*only, ",")
 	}
-	study.PrintArtifacts(os.Stdout, subset, *csv)
+	study.PrintArtifacts(os.Stdout, subset)
 }
 
 // runStudy runs the study under a root span "riskybiz" on tracer (nil
@@ -188,63 +177,4 @@ func writeTrace(tracer *trace.Tracer, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeFigureCSVs emits the raw series behind every figure so they can
-// be re-plotted with external tooling.
-func writeFigureCSVs(study *riskybiz.Study, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	a := study.Analysis
-	save := func(name string, t *report.Table) error {
-		f, err := os.Create(dir + "/" + name)
-		if err != nil {
-			return err
-		}
-		t.CSV(f)
-		return f.Close()
-	}
-	monthly := func(name string, s *analysis.MonthlySeries) error {
-		t := report.NewTable("month", "count")
-		for i, m := range s.Months {
-			t.AddRow(m.String(), s.Counts[i])
-		}
-		return save(name, t)
-	}
-	if err := monthly("figure3.csv", a.Figure3()); err != nil {
-		return err
-	}
-	if err := monthly("figure4.csv", a.Figure4()); err != nil {
-		return err
-	}
-	t5 := report.NewTable("nameserver", "hijack_value_days", "domains", "hijacked")
-	for _, p := range a.Figure5() {
-		t5.AddRow(string(p.NS), p.Value, p.NDomains, p.Hijacked)
-	}
-	if err := save("figure5.csv", t5); err != nil {
-		return err
-	}
-	cdf := func(name string, c *analysis.CDF) error {
-		t := report.NewTable("days", "fraction")
-		for _, pt := range c.Points() {
-			t.AddRow(int(pt[0]), pt[1])
-		}
-		return save(name, t)
-	}
-	nsCDF, domCDF := a.Figure6()
-	if err := cdf("figure6_nameservers.csv", nsCDF); err != nil {
-		return err
-	}
-	if err := cdf("figure6_domains.csv", domCDF); err != nil {
-		return err
-	}
-	never, exposure, hijacked := a.Figure7()
-	if err := cdf("figure7_never_hijacked.csv", never); err != nil {
-		return err
-	}
-	if err := cdf("figure7_hijacked_exposure.csv", exposure); err != nil {
-		return err
-	}
-	return cdf("figure7_hijacked_days.csv", hijacked)
 }

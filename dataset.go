@@ -28,7 +28,7 @@ import (
 
 // SaveData writes the study's data as a dataset under prefix, so
 // detection can be re-run without simulating (LoadContext, riskywatchd
-// -archive, zonedump -load, dzdbd -load). The segment replaces
+// -archive, dzdbd -load). The segment replaces
 // PREFIX.dzdb atomically: a riskywatchd tailing it never reads a
 // half-written file.
 func SaveData(st *Study, prefix string) error {

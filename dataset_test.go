@@ -16,7 +16,7 @@ import (
 func printed(t *testing.T, st *Study) (text, summary []byte) {
 	t.Helper()
 	var tb, jb bytes.Buffer
-	st.PrintArtifacts(&tb, nil, false)
+	st.PrintArtifacts(&tb, nil)
 	if err := st.Analysis.Summarize(sim.NotificationDay, sim.FollowupDay).WriteJSON(&jb); err != nil {
 		t.Fatal(err)
 	}

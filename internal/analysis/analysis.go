@@ -129,7 +129,7 @@ func (c *CDF) Quantile(p float64) int {
 func (c *CDF) Samples() []int { return c.samples }
 
 // Points renders the CDF as (x, fraction) pairs, one per distinct value,
-// suitable for plotting or CSV emission.
+// suitable for plotting.
 func (c *CDF) Points() [][2]float64 {
 	var out [][2]float64
 	n := len(c.samples)

@@ -17,8 +17,6 @@ type ArtifactOptions struct {
 	// funnel, patterns, table1..table6, figure3..figure7, accident,
 	// partial). Empty prints everything.
 	Only []string
-	// CSV renders tables as CSV instead of aligned text.
-	CSV bool
 	// NotificationDay / FollowupDay parameterize Table 5.
 	NotificationDay dates.Day
 	FollowupDay     dates.Day
@@ -44,11 +42,7 @@ func (o *ArtifactOptions) wants(key string) bool {
 // be nil when pattern output is not requested.
 func PrintArtifacts(w io.Writer, a *analysis.Analysis, res *detect.Result, opts ArtifactOptions) {
 	emit := func(t *Table) {
-		if opts.CSV {
-			t.CSV(w)
-		} else {
-			t.Render(w)
-		}
+		t.Render(w)
 		fmt.Fprintln(w)
 	}
 	if opts.wants("funnel") {

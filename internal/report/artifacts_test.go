@@ -69,14 +69,3 @@ func TestPrintArtifactsOnlyFilter(t *testing.T) {
 		t.Errorf("unrequested artifacts printed:\n%s", out)
 	}
 }
-
-func TestPrintArtifactsCSVMode(t *testing.T) {
-	a, res := buildAnalysis()
-	var sb strings.Builder
-	report.PrintArtifacts(&sb, a, res, report.ArtifactOptions{
-		Only: []string{"table3"}, CSV: true,
-	})
-	if !strings.Contains(sb.String(), ",hijackable,hijacked,") {
-		t.Errorf("CSV header missing:\n%s", sb.String())
-	}
-}

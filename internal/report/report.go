@@ -1,5 +1,5 @@
-// Package report renders analysis results as aligned text tables, ASCII
-// charts, and CSV — the presentation layer for cmd/riskybiz and the
+// Package report renders analysis results as aligned text tables and
+// ASCII charts — the presentation layer for cmd/riskybiz and the
 // benchmark harness.
 package report
 
@@ -70,25 +70,6 @@ func (t *Table) String() string {
 	var sb strings.Builder
 	t.Render(&sb)
 	return sb.String()
-}
-
-// CSV writes the table as comma-separated values, quoting as needed.
-func (t *Table) CSV(w io.Writer) {
-	writeCSVRow(w, t.header)
-	for _, row := range t.rows {
-		writeCSVRow(w, row)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		if strings.ContainsAny(c, ",\"\n") {
-			c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-		}
-		parts[i] = c
-	}
-	fmt.Fprintln(w, strings.Join(parts, ","))
 }
 
 func pad(s string, width int) string {

@@ -30,24 +30,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRow("plain", "with,comma")
-	tb.AddRow("quote\"inside", "multi\nline")
-	var sb strings.Builder
-	tb.CSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"with,comma"`) {
-		t.Errorf("comma not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"quote""inside"`) {
-		t.Errorf("quote not escaped: %s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("header: %s", out)
-	}
-}
-
 func TestCDFChart(t *testing.T) {
 	var sb strings.Builder
 	CDFChart(&sb, "demo", func(p float64) int { return int(p * 100) })

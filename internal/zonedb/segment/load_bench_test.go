@@ -36,8 +36,8 @@ func BenchmarkOpenLoadLatest(b *testing.B) {
 	}
 }
 
-// BenchmarkReadFile is what riskybiz -data, riskywatchd -archive, zonedump
-// -load and dzdbd -load pay to load saved data: ReadFile of the file
+// BenchmarkReadFile is what riskybiz -data, riskywatchd -archive and
+// dzdbd -load pay to load saved data: ReadFile of the file
 // riskybiz -save-data writes for the same world as
 // BenchmarkOpenLoadLatest, with no manifest and no whole-file CRC pass.
 func BenchmarkReadFile(b *testing.B) {

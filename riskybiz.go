@@ -54,10 +54,8 @@ type Options struct {
 	Seed int64
 	// DomainsPerDay scales the simulated ecosystem (default 10).
 	DomainsPerDay float64
-	// DisableHijackers, DisableAccident, and DisableRemediation switch
-	// off scenario components (ablations).
-	DisableHijackers   bool
-	DisableAccident    bool
+	// DisableRemediation switches off the §7 notification campaign's
+	// effects (an ablation).
 	DisableRemediation bool
 	// UniformHijackers replaces degree-selective hijacker behaviour with
 	// a uniform coin flip (the Figure 5/6 ablation).
@@ -106,8 +104,6 @@ func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}
-	cfg.Hijackers = !opts.DisableHijackers
-	cfg.Accident = !opts.DisableAccident
 	cfg.Remediation = !opts.DisableRemediation
 	cfg.UniformHijackers = opts.UniformHijackers
 	cfg.UseInvalidTLD = opts.InvalidTLDRemediation
@@ -145,13 +141,12 @@ func (st *Study) analyze(ctx context.Context, dir *registry.Directory, cfg detec
 }
 
 // PrintArtifacts renders the tables and figures named in only (every one
-// when only is empty) to w, as CSV when csv is set. The §4 accident
+// when only is empty) to w. The §4 accident
 // report counts the study's excluded nameservers, and "residual at end
 // of data" is read on the day the zone data was sealed.
-func (st *Study) PrintArtifacts(w io.Writer, only []string, csv bool) {
+func (st *Study) PrintArtifacts(w io.Writer, only []string) {
 	report.PrintArtifacts(w, st.Analysis, st.Result, report.ArtifactOptions{
 		Only:            only,
-		CSV:             csv,
 		NotificationDay: sim.NotificationDay,
 		FollowupDay:     sim.FollowupDay,
 		AccidentNS:      st.Exclude,
