@@ -29,7 +29,8 @@ func main() {
 
 func run() error {
 	// Simulate the ecosystem and serve its zone database over HTTP.
-	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 5, DomainsPerDay: 5})
+	ctx := context.Background()
+	study, err := riskybiz.RunContext(ctx, riskybiz.Options{Seed: 5, DomainsPerDay: 5})
 	if err != nil {
 		return err
 	}
@@ -37,7 +38,7 @@ func run() error {
 	defer srv.Close()
 	client := &dzdbapi.Client{BaseURL: srv.URL, HTTPClient: http.DefaultClient}
 
-	stats, err := client.Stats()
+	stats, err := client.Stats(ctx)
 	if err != nil {
 		return err
 	}
@@ -63,7 +64,7 @@ func run() error {
 	fmt.Printf("candidate nameserver: %s\n", target)
 
 	// Step 1: when did it first appear, and for which domains?
-	nsResp, err := client.Nameserver(target)
+	nsResp, err := client.Nameserver(ctx, target, "", 0)
 	if err != nil {
 		return err
 	}
@@ -71,7 +72,7 @@ func run() error {
 		nsResp.FirstSeen, nsResp.Summary.Domains, nsResp.Summary.DomainDays)
 
 	// Step 2: the affected domain's nameserver history.
-	domResp, err := client.Domain(victim)
+	domResp, err := client.Domain(ctx, victim)
 	if err != nil {
 		return err
 	}

@@ -128,22 +128,6 @@ func (c *CDF) Quantile(p float64) int {
 // Samples returns the sorted samples (owned by the CDF).
 func (c *CDF) Samples() []int { return c.samples }
 
-// Points renders the CDF as (x, fraction) pairs, one per distinct value,
-// suitable for plotting.
-func (c *CDF) Points() [][2]float64 {
-	var out [][2]float64
-	n := len(c.samples)
-	for i := 0; i < n; {
-		j := i
-		for j < n && c.samples[j] == c.samples[i] {
-			j++
-		}
-		out = append(out, [2]float64{float64(c.samples[i]), float64(j) / float64(n)})
-		i = j
-	}
-	return out
-}
-
 // MonthlySeries is a per-month count series (Figures 3 and 4).
 type MonthlySeries struct {
 	Months []dates.Month

@@ -267,10 +267,6 @@ func TestCDF(t *testing.T) {
 	if c.Quantile(0.5) != 3 || c.Quantile(1) != 10 {
 		t.Errorf("Quantile: %d %d", c.Quantile(0.5), c.Quantile(1))
 	}
-	pts := c.Points()
-	if len(pts) != 4 || pts[0][0] != 1 || pts[3][1] != 1 {
-		t.Errorf("Points = %v", pts)
-	}
 	emptyCDF := NewCDF(nil)
 	if emptyCDF.At(5) != 0 || emptyCDF.Quantile(0.5) != 0 {
 		t.Error("empty CDF misbehaves")

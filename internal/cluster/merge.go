@@ -103,7 +103,7 @@ func (c *Coordinator) sync(ctx context.Context) error {
 func (c *Coordinator) pull(ctx context.Context, sh *shard) (*shardPull, error) {
 	p := &shardPull{}
 	var err error
-	if p.stats, err = sh.data.StatsContext(ctx); err != nil {
+	if p.stats, err = sh.data.Stats(ctx); err != nil {
 		return nil, fmt.Errorf("stats: %w", err)
 	}
 	cursor := ""
@@ -118,15 +118,21 @@ func (c *Coordinator) pull(ctx context.Context, sh *shard) (*shardPull, error) {
 		}
 		cursor = page.NextCursor
 	}
-	if p.deltas, err = sh.data.Deltas(ctx, dates.None, "", 0, 0); err != nil {
-		return nil, fmt.Errorf("deltas: %w", err)
+	cursor = ""
+	for {
+		page, err := sh.data.Deltas(ctx, dates.None, cursor, 0, 0)
+		if err != nil {
+			return nil, fmt.Errorf("deltas: %w", err)
+		}
+		if p.deltas != nil {
+			page.Deltas = append(p.deltas.Deltas, page.Deltas...)
+		}
+		p.deltas = page
+		if page.NextCursor == "" {
+			return p, nil
+		}
+		cursor = page.NextCursor
 	}
-	if p.deltas.NextCursor != "" {
-		// limit 0 asks for the whole window in one page; a cursor back
-		// means the server changed that contract.
-		return nil, fmt.Errorf("deltas: unexpected pagination from shard %d", sh.id)
-	}
-	return p, nil
 }
 
 // mergePulls combines per-shard pulls into fleet-wide answers. Domains

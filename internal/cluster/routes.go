@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
+	"repro/internal/dnsname"
 	"repro/internal/dzdbapi"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -111,7 +113,7 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request, _
 	if !ok {
 		return
 	}
-	page, ok := dzdbapi.ParsePage(w, r)
+	page, ok := dzdbapi.ParsePage(w, r, dzdbapi.MaxNameserverPage)
 	if !ok {
 		return
 	}
@@ -129,7 +131,7 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request, _
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			results[i].resp, results[i].err = sh.data.NameserverPage(r.Context(), name, "", 0)
+			results[i].resp, results[i].err = wholeNameserver(r.Context(), sh.data, name)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -173,6 +175,23 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request, _
 		c.markPartial()
 	}
 	dzdbapi.WriteNameserverPage(w, page, &resp)
+}
+
+// wholeNameserver fetches one shard's answer for a nameserver with
+// every domain the shard delegates to it, walking the shard's pages.
+func wholeNameserver(ctx context.Context, cl *dzdbapi.Client, name dnsname.Name) (*dzdbapi.NameserverResponse, error) {
+	resp, err := cl.Nameserver(ctx, name, "", 0)
+	for err == nil && resp.NextCursor != "" {
+		var page *dzdbapi.NameserverResponse
+		if page, err = cl.Nameserver(ctx, name, resp.NextCursor, 0); err == nil {
+			resp.Domains = append(resp.Domains, page.Domains...)
+			resp.NextCursor = page.NextCursor
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // handleDomain routes a domain lookup to the shard owning the

@@ -113,12 +113,6 @@ func (d Day) YMD() (year, month, day int) {
 	return civilFromDays(int64(d) + epochOffset)
 }
 
-// Year returns the calendar year containing d.
-func (d Day) Year() int {
-	y, _, _ := d.YMD()
-	return y
-}
-
 // Month returns the Month containing d.
 func (d Day) Month() Month {
 	y, m, _ := d.YMD()
@@ -246,17 +240,6 @@ func (m Month) Year() int { return int(m) / 12 }
 // MonthNumber returns the 1-based month-of-year of m.
 func (m Month) MonthNumber() int { return int(m)%12 + 1 }
 
-// Next returns the following month.
-func (m Month) Next() Month { return m + 1 }
-
-// First returns the first day of m.
-func (m Month) First() Day { return FromYMD(m.Year(), m.MonthNumber(), 1) }
-
-// Last returns the last day of m.
-func (m Month) Last() Day {
-	return FromYMD(m.Year(), m.MonthNumber(), daysInMonth(m.Year(), m.MonthNumber()))
-}
-
 // String formats m as YYYY-MM.
 func (m Month) String() string {
 	return fmt.Sprintf("%04d-%02d", m.Year(), m.MonthNumber())
@@ -305,13 +288,6 @@ func (r Range) Intersect(other Range) Range {
 // String formats r as "[YYYY-MM-DD, YYYY-MM-DD]".
 func (r Range) String() string {
 	return fmt.Sprintf("[%s, %s]", r.First, r.Last)
-}
-
-// Each calls fn for every day in r, in order.
-func (r Range) Each(fn func(Day)) {
-	for d := r.First; d <= r.Last; d++ {
-		fn(d)
-	}
 }
 
 // MarshalJSON encodes d as "YYYY-MM-DD" (the None sentinel as "none").

@@ -135,13 +135,10 @@ func TestMonth(t *testing.T) {
 	if m.Year() != 2016 || m.MonthNumber() != 7 {
 		t.Fatalf("Month() = %v", m)
 	}
-	if m.First() != FromYMD(2016, 7, 1) || m.Last() != FromYMD(2016, 7, 31) {
-		t.Errorf("month bounds wrong: %s..%s", m.First(), m.Last())
+	if (m + 1).MonthNumber() != 8 {
+		t.Errorf("m+1 = %v", m+1)
 	}
-	if m.Next().MonthNumber() != 8 {
-		t.Errorf("Next() = %v", m.Next())
-	}
-	if MonthOf(2016, 12).Next() != MonthOf(2017, 1) {
+	if MonthOf(2016, 12)+1 != MonthOf(2017, 1) {
 		t.Errorf("year rollover broken")
 	}
 	if m.String() != "2016-07" {
@@ -174,11 +171,6 @@ func TestRange(t *testing.T) {
 	inter := r.Intersect(NewRange(FromYMD(2011, 4, 8), FromYMD(2011, 4, 20)))
 	if inter.Days() != 3 {
 		t.Errorf("Intersect days = %d, want 3", inter.Days())
-	}
-	count := 0
-	r.Each(func(Day) { count++ })
-	if count != 10 {
-		t.Errorf("Each visited %d days", count)
 	}
 }
 

@@ -91,8 +91,6 @@ type Funnel struct {
 
 // Config tunes a detection run.
 type Config struct {
-	// Miner configures the pattern-mining stage.
-	Miner MinerConfig
 	// SkipSingleRepoCheck disables the single-repository elimination
 	// (ablation).
 	SkipSingleRepoCheck bool
@@ -261,7 +259,7 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 				for i, c := range candidates {
 					names[i] = c.ns
 				}
-				res.Patterns = MineSubstrings(names, d.Cfg.Miner)
+				res.Patterns = MineSubstrings(names, MinerConfig{})
 				return len(candidates)
 			})
 		}()

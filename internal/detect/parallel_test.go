@@ -160,10 +160,16 @@ func TestDetectSpanTree(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, w := range workers {
-		if w.ParentID != extract.SpanID {
-			t.Errorf("worker %s parent %q, want detect.extract %q", w.Attr("worker"), w.ParentID, extract.SpanID)
+		worker := ""
+		for _, a := range w.Attrs {
+			if a.Key == "worker" {
+				worker = a.Value
+			}
 		}
-		seen[w.Attr("worker")] = true
+		if w.ParentID != extract.SpanID {
+			t.Errorf("worker %s parent %q, want detect.extract %q", worker, w.ParentID, extract.SpanID)
+		}
+		seen[worker] = true
 	}
 	if len(seen) != 3 {
 		t.Errorf("worker attrs %v, want three distinct", seen)

@@ -149,14 +149,17 @@ func (r *Rules) matchOriginal(ns dnsname.Name, first dates.Day, ev Evidence) (*i
 
 // originalIdiomFor maps an attributed registrar to its original-based
 // renaming idiom, distinguishing Enom's 123.BIZ era from its random-name
-// era by shape. Unknown registrars yield nil: the methodology is
-// conservative and only classifies confirmed idioms (§3.3).
+// era by shape: the original's second-level label plus "123". The TLD
+// is not part of the shape: under the paper's ".biz unless already
+// .biz, then .com" rule a .biz original is renamed into .com. Unknown
+// registrars yield nil: the methodology is conservative and only
+// classifies confirmed idioms (§3.3).
 func originalIdiomFor(registrarName string, ns, orig dnsname.Name) *idioms.Idiom {
 	switch registrarName {
 	case "Enom":
 		ssld, _ := dnsname.SecondLevelLabel(ns)
 		osld, _ := dnsname.SecondLevelLabel(orig)
-		if ns.TLD() == "biz" && ssld == osld+"123" {
+		if ssld == osld+"123" {
 			return idioms.Lookup(idioms.Enom123)
 		}
 		return idioms.Lookup(idioms.EnomRandom)

@@ -60,6 +60,19 @@ func TestOriginalVote(t *testing.T) {
 	}
 }
 
+// TestEnom123OutsideBiz: Enom's 123 era renames a .biz original into
+// .com (".biz unless already .biz, then .com"), and the shape still
+// files it as the 123.BIZ idiom, not the random-name one.
+func TestEnom123OutsideBiz(t *testing.T) {
+	who := whois.New()
+	who.Observe("shukurhub.biz", d(0), "Enom")
+	rules := Rules{WHOIS: who, Dir: registry.NewDirectory()}
+	v := rules.Classify("ns1.shukurhub123.com", d(10), listEvidence{"ns1.shukurhub.biz"})
+	if v.Outcome != OutSacrificial || v.Registrar != "Enom" || v.Idiom == nil || v.Idiom.ID != idioms.Enom123 {
+		t.Fatalf("verdict %+v, want Enom's %s", v, idioms.Enom123)
+	}
+}
+
 func reversed(l listEvidence) listEvidence {
 	out := make(listEvidence, len(l))
 	for i, n := range l {

@@ -116,23 +116,6 @@ func checkLabel(label string) error {
 // String returns the canonical presentation form.
 func (n Name) String() string { return string(n) }
 
-// Labels returns the labels of n from most- to least-specific
-// ("ns1.foo.com" -> ["ns1", "foo", "com"]).
-func (n Name) Labels() []string {
-	if n == "" {
-		return nil
-	}
-	return strings.Split(string(n), ".")
-}
-
-// NumLabels returns the number of labels in n.
-func (n Name) NumLabels() int {
-	if n == "" {
-		return 0
-	}
-	return strings.Count(string(n), ".") + 1
-}
-
 // TLD returns the final label of n ("ns1.foo.com" -> "com").
 func (n Name) TLD() Name {
 	if i := strings.LastIndexByte(string(n), '.'); i >= 0 {

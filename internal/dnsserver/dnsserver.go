@@ -6,7 +6,6 @@
 package dnsserver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -16,7 +15,6 @@ import (
 
 	"repro/internal/dnsname"
 	"repro/internal/dnswire"
-	"repro/internal/obs/trace"
 )
 
 // Policy decides whether a query may be answered. Queries it rejects
@@ -50,7 +48,6 @@ type Server struct {
 	policy  Policy
 
 	pc     net.PacketConn
-	ln     net.Listener
 	closed atomic.Bool
 
 	// Stats is exported for tests and the experiment harness.
@@ -60,11 +57,6 @@ type Server struct {
 	// ones); the experiment uses it to observe incoming resolution
 	// attempts without answering them.
 	QueryLog func(q dnswire.Question, from netip.AddrPort)
-
-	// Tracer, when non-nil, journals one "dns.query" span per query
-	// (DNS has no trace-context carrier, so query spans are always
-	// roots, tagged with name, type, and outcome). Set before Serve.
-	Tracer *trace.Tracer
 }
 
 type recordKey struct {
@@ -173,7 +165,7 @@ func (s *Server) Serve(pc net.PacketConn) error {
 			}
 			return err
 		}
-		resp := s.handleWire(buf[:n], addrPortOf(from), true)
+		resp := s.handleWire(buf[:n], addrPortOf(from))
 		if resp != nil {
 			if _, err := pc.WriteTo(resp, from); err != nil {
 				s.Stats.Errors.Add(1)
@@ -182,82 +174,16 @@ func (s *Server) Serve(pc net.PacketConn) error {
 	}
 }
 
-// ServeTCP accepts DNS-over-TCP sessions on ln (RFC 1035 §4.2.2: each
-// message is prefixed with a two-octet length). TCP responses are never
-// truncated, so the stub's TC-bit fallback lands here.
-func (s *Server) ServeTCP(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return net.ErrClosed
-			}
-			return err
-		}
-		go s.tcpSession(conn)
-	}
-}
-
-func (s *Server) tcpSession(conn net.Conn) {
-	defer conn.Close()
-	from := addrPortOf(conn.RemoteAddr())
-	var hdr [2]byte
-	for {
-		if _, err := readFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := int(hdr[0])<<8 | int(hdr[1])
-		if n == 0 || n > 65535 {
-			return
-		}
-		buf := make([]byte, n)
-		if _, err := readFull(conn, buf); err != nil {
-			return
-		}
-		resp := s.handleWire(buf, from, false)
-		if resp == nil {
-			continue // policy drop: stay silent but keep the connection
-		}
-		out := make([]byte, 2+len(resp))
-		out[0], out[1] = byte(len(resp)>>8), byte(len(resp))
-		copy(out[2:], resp)
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
-
-func readFull(conn net.Conn, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := conn.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // Close stops the server.
 func (s *Server) Close() error {
 	s.closed.Store(true)
-	var first error
 	s.mu.Lock()
-	pc, ln := s.pc, s.ln
+	pc := s.pc
 	s.mu.Unlock()
 	if pc != nil {
-		first = pc.Close()
+		return pc.Close()
 	}
-	if ln != nil {
-		if err := ln.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }
 
 func addrPortOf(addr net.Addr) netip.AddrPort {
@@ -271,23 +197,16 @@ func addrPortOf(addr net.Addr) netip.AddrPort {
 }
 
 // handleWire processes one wire-format query; a nil return means "send
-// nothing" (malformed input or policy drop). udp selects 512-octet
-// truncation semantics.
-func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
-	_, sp := s.Tracer.Start(context.Background(), "dns.query")
-	outcome := "error"
-	defer func() {
-		sp.SetAttr("outcome", outcome)
-		sp.End()
-	}()
+// nothing" (malformed input or policy drop). An answer larger than the
+// query's UDP payload size (512 octets without EDNS0) goes out
+// truncated, with TC set.
+func (s *Server) handleWire(wire []byte, from netip.AddrPort) []byte {
 	msg, err := dnswire.Decode(wire)
 	if err != nil || msg.Header.Response || len(msg.Questions) != 1 {
 		s.Stats.Errors.Add(1)
 		return nil
 	}
 	q := msg.Questions[0]
-	sp.SetAttr("name", string(q.Name))
-	sp.SetAttr("type", q.Type.String())
 	s.Stats.Queries.Add(1)
 	if s.QueryLog != nil {
 		s.QueryLog(q, from)
@@ -298,7 +217,6 @@ func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
 	s.mu.RUnlock()
 	if !policy(q, from) {
 		s.Stats.Dropped.Add(1)
-		outcome = "dropped"
 		return nil
 	}
 
@@ -334,18 +252,12 @@ func (s *Server) handleWire(wire []byte, from netip.AddrPort, udp bool) []byte {
 	if size > 512 {
 		resp.AddOPT(4096)
 	}
-	var out []byte
-	if udp {
-		out, err = dnswire.EncodeUDPSize(resp, size)
-	} else {
-		out, err = dnswire.Encode(resp)
-	}
+	out, err := dnswire.EncodeUDPSize(resp, size)
 	if err != nil {
 		s.Stats.Errors.Add(1)
 		return nil
 	}
 	s.Stats.Answered.Add(1)
-	outcome = resp.Header.RCode.String()
 	return out
 }
 

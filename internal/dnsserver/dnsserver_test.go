@@ -192,13 +192,46 @@ func TestMalformedDatagramIgnored(t *testing.T) {
 	}
 }
 
-func TestTCPFallbackOnTruncation(t *testing.T) {
+// rawExchange sends query to addr over UDP and returns the answer as it
+// came off the wire, and decoded.
+func rawExchange(t *testing.T, addr string, query *dnswire.Message) ([]byte, *dnswire.Message) {
+	t.Helper()
+	wire, err := dnswire.Encode(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 65535)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := dnswire.Decode(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf[:n], resp
+}
+
+// txtServer serves n 200-octet TXT records at name, more than 512
+// octets of answer for n >= 3.
+func txtServer(t *testing.T, name dnsname.Name, n int) string {
+	t.Helper()
 	srv := New(nil)
-	srv.AddZone("big.example")
-	// Enough TXT data to exceed the 512-octet UDP limit.
-	for i := 0; i < 10; i++ {
+	srv.AddZone(name)
+	for i := 0; i < n; i++ {
 		if err := srv.AddRecord(dnswire.Record{
-			Name: "big.example", Type: dnswire.TypeTXT,
+			Name: name, Type: dnswire.TypeTXT,
 			Text: []string{string(make([]byte, 200))},
 		}); err != nil {
 			t.Fatal(err)
@@ -208,73 +241,46 @@ func TestTCPFallbackOnTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _ = srv.Serve(pc) }()
-	go func() { _ = srv.ServeTCP(ln) }()
 	t.Cleanup(func() { srv.Close() })
+	return pc.LocalAddr().String()
+}
 
-	// Without fallback: the UDP answer is truncated and empty.
-	noFallback := &resolve.Stub{Server: pc.LocalAddr().String(), NoTCPFallback: true,
-		Timeout: 300 * time.Millisecond}
-	resp, err := noFallback.Query(ctx(t), "big.example", dnswire.TypeTXT)
+func txtQuery(name dnsname.Name) *dnswire.Message {
+	return &dnswire.Message{
+		Header:    dnswire.Header{ID: 7},
+		Questions: []dnswire.Question{{Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassIN}},
+	}
+}
+
+// TestTruncatedUDPAnswer: an answer over the classic 512-octet limit
+// goes out within 512 octets, with TC set and the record sections
+// empty; the stub hands it back as it came (there is no TCP fallback).
+func TestTruncatedUDPAnswer(t *testing.T) {
+	addr := txtServer(t, "big.example", 10)
+	wire, resp := rawExchange(t, addr, txtQuery("big.example"))
+	if len(wire) > 512 {
+		t.Fatalf("UDP answer is %d octets, want at most 512", len(wire))
+	}
+	if !resp.Header.Truncated || len(resp.Answers) != 0 {
+		t.Fatalf("truncated=%v answers=%d, want TC set and no answers", resp.Header.Truncated, len(resp.Answers))
+	}
+
+	stub := &resolve.Stub{Server: addr, Timeout: 300 * time.Millisecond}
+	resp, err := stub.Query(ctx(t), "big.example", dnswire.TypeTXT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Header.Truncated || len(resp.Answers) != 0 {
-		t.Fatalf("expected truncated empty UDP answer, got %d answers", len(resp.Answers))
-	}
-
-	// With fallback: the full answer arrives over TCP.
-	stub := &resolve.Stub{Server: pc.LocalAddr().String(), TCPServer: ln.Addr().String(),
-		Timeout: 500 * time.Millisecond}
-	resp, err = stub.Query(ctx(t), "big.example", dnswire.TypeTXT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Truncated || len(resp.Answers) != 10 {
-		t.Fatalf("TCP fallback: truncated=%v answers=%d", resp.Header.Truncated, len(resp.Answers))
-	}
-}
-
-func TestTCPPolicyDropKeepsConnection(t *testing.T) {
-	srv, _ := startServer(t, func(dnswire.Question, netip.AddrPort) bool { return false })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.ServeTCP(ln) }()
-
-	stub := &resolve.Stub{Server: ln.Addr().String(), Timeout: 200 * time.Millisecond, Retries: 0}
-	// Direct TCP exchange times out silently under the deny-all policy.
-	if _, err := stub.Query(ctx(t), "victim.edu", dnswire.TypeA); err == nil {
-		t.Fatal("policy drop should yield no UDP answer either")
+		t.Fatalf("stub: truncated=%v answers=%d, want the truncated answer", resp.Header.Truncated, len(resp.Answers))
 	}
 }
 
 func TestEDNS0LargeUDPAnswer(t *testing.T) {
-	srv := New(nil)
-	srv.AddZone("edns.example")
-	for i := 0; i < 6; i++ {
-		if err := srv.AddRecord(dnswire.Record{
-			Name: "edns.example", Type: dnswire.TypeTXT,
-			Text: []string{string(make([]byte, 200))},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(pc) }()
-	t.Cleanup(func() { srv.Close() })
+	addr := txtServer(t, "edns.example", 6)
 
 	// Classic 512-octet client: truncated.
-	classic := &resolve.Stub{Server: pc.LocalAddr().String(), NoTCPFallback: true,
-		Timeout: 300 * time.Millisecond}
+	classic := &resolve.Stub{Server: addr, Timeout: 300 * time.Millisecond}
 	resp, err := classic.Query(ctx(t), "edns.example", dnswire.TypeTXT)
 	if err != nil {
 		t.Fatal(err)
@@ -283,15 +289,16 @@ func TestEDNS0LargeUDPAnswer(t *testing.T) {
 		t.Fatal("classic client should see TC")
 	}
 
-	// EDNS0 client advertising 4096: the full answer fits in one datagram.
-	edns := &resolve.Stub{Server: pc.LocalAddr().String(), NoTCPFallback: true,
-		AdvertiseUDPSize: 4096, Timeout: 300 * time.Millisecond}
-	resp, err = edns.Query(ctx(t), "edns.example", dnswire.TypeTXT)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A query advertising 4096 octets: the full answer fits in one
+	// datagram.
+	query := txtQuery("edns.example")
+	query.AddOPT(4096)
+	wire, resp := rawExchange(t, addr, query)
 	if resp.Header.Truncated || len(resp.Answers) != 6 {
 		t.Fatalf("EDNS0 answer: truncated=%v answers=%d", resp.Header.Truncated, len(resp.Answers))
+	}
+	if len(wire) <= 512 {
+		t.Fatalf("EDNS0 answer is %d octets; the test wants one past the classic limit", len(wire))
 	}
 	// The server echoes an OPT record.
 	hasOPT := false

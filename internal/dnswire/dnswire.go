@@ -342,12 +342,6 @@ func Encode(m *Message) ([]byte, error) {
 	return e.buf, nil
 }
 
-// EncodeUDP serializes m, setting the TC bit and trimming records if the
-// message exceeds the classic 512-octet UDP payload limit.
-func EncodeUDP(m *Message) ([]byte, error) {
-	return EncodeUDPSize(m, maxUDPPayload)
-}
-
 // EncodeUDPSize serializes m for a UDP payload of at most max octets
 // (the EDNS0-negotiated size), setting the TC bit and trimming the
 // record sections when the message exceeds it. OPT records in the

@@ -137,12 +137,12 @@ func TestEncodeUDPTruncates(t *testing.T) {
 			Text: []string{strings.Repeat("x", 100)},
 		})
 	}
-	wire, err := EncodeUDP(m)
+	wire, err := EncodeUDPSize(m, 512)
 	if err != nil {
-		t.Fatalf("EncodeUDP: %v", err)
+		t.Fatalf("EncodeUDPSize: %v", err)
 	}
 	if len(wire) > 512 {
-		t.Fatalf("EncodeUDP produced %d bytes", len(wire))
+		t.Fatalf("EncodeUDPSize produced %d bytes", len(wire))
 	}
 	back, err := Decode(wire)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestNameEncodingTooLongLabel(t *testing.T) {
 }
 
 // FuzzDecode feeds the decoder untrusted bytes, as a DNS server reads
-// them off UDP and TCP. It must never panic, and any message it decodes
+// them off UDP. It must never panic, and any message it decodes
 // that Encode accepts must survive another round trip unchanged.
 func FuzzDecode(f *testing.F) {
 	m := sampleMessage()
@@ -232,7 +232,7 @@ func FuzzDecode(f *testing.F) {
 		big.Answers = append(big.Answers, Record{Name: "big.example.com", Type: TypeTXT,
 			Class: ClassIN, TTL: 60, Text: []string{strings.Repeat("x", 100)}})
 	}
-	wire, _ = EncodeUDP(big)
+	wire, _ = EncodeUDPSize(big, 512)
 	f.Add(wire)
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12, 0, 1, 0, 1})         // pointer loop
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 14, 0, 1, 0, 1})         // forward pointer

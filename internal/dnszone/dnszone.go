@@ -71,26 +71,6 @@ func (s *Snapshot) Sort() {
 	})
 }
 
-// NumDomains returns the number of delegated domains in the snapshot.
-func (s *Snapshot) NumDomains() int { return len(s.Delegations) }
-
-// Nameservers returns the deduplicated set of nameserver names referenced
-// by the snapshot's delegations.
-func (s *Snapshot) Nameservers() []dnsname.Name {
-	seen := make(map[dnsname.Name]bool)
-	var out []dnsname.Name
-	for _, d := range s.Delegations {
-		for _, ns := range d.Nameservers {
-			if !seen[ns] {
-				seen[ns] = true
-				out = append(out, ns)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ttlIN is the TTL and class written for all records; zone snapshots
 // carry no per-record TTL information relevant to the study.
 const ttlIN = " 86400 IN "

@@ -121,18 +121,6 @@ func TestAtOwner(t *testing.T) {
 	}
 }
 
-func TestNameservers(t *testing.T) {
-	s := sampleSnapshot()
-	ns := s.Nameservers()
-	want := []dnsname.Name{"dropthishost-abc.biz", "ns1.example.com", "ns2.example.com"}
-	if !reflect.DeepEqual(ns, want) {
-		t.Fatalf("Nameservers = %v", ns)
-	}
-	if s.NumDomains() != 2 {
-		t.Errorf("NumDomains = %d", s.NumDomains())
-	}
-}
-
 func TestReadWithoutHeaderUsesOrigin(t *testing.T) {
 	in := "$ORIGIN net.\nfoo 86400 IN NS ns1.x.com.\n"
 	s, err := Read(strings.NewReader(in))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -31,6 +32,18 @@ func body(t *testing.T, s *Server, path string) []byte {
 		t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.Bytes())
 	}
 	return rec.Body.Bytes()
+}
+
+// snapList is a zonedb.SnapshotSource over snapshots in memory.
+type snapList struct{ snaps []*dnszone.Snapshot }
+
+func (l *snapList) Next() (*dnszone.Snapshot, string, error) {
+	if len(l.snaps) == 0 {
+		return nil, "", io.EOF
+	}
+	snap := l.snaps[0]
+	l.snaps = l.snaps[1:]
+	return snap, "", nil
 }
 
 // script drives one database through a random sequence of epochs over a
@@ -203,7 +216,7 @@ func (s *script) step() {
 				snaps = append(snaps, s.db.View().SnapshotOn(z, day))
 			}
 		}
-		if err := ing.IngestAll(&zonedb.SliceSource{Snaps: snaps}); err != nil {
+		if err := ing.IngestAll(&snapList{snaps: snaps}); err != nil {
 			s.t.Fatal(err)
 		}
 		s.adopt("Adopt of a parallel ingest", ing.Finish(), true, no)

@@ -22,8 +22,6 @@ const (
 	// maxJSONBody bounds structured responses; the largest legitimate
 	// payload (a nameserver's full delegation history) is far below this.
 	maxJSONBody = 8 << 20
-	// maxSnapshotBody bounds zone snapshot downloads.
-	maxSnapshotBody = 64 << 20
 	// maxErrBody bounds how much of an error payload is read, and
 	// errSnippet how much of it is quoted back in APIError.
 	maxErrBody = 4 << 10
@@ -215,27 +213,8 @@ func (c *Client) getJSONClient(ctx context.Context, op, path string, out any, hc
 	})
 }
 
-// TopNameservers fetches the precomputed exposure leaderboard (limit
-// 0 uses the server default).
-func (c *Client) TopNameservers(ctx context.Context, limit int) (*TopNameserversResponse, error) {
-	path := "/v1/top/nameservers"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
-	}
-	var out TopNameserversResponse
-	if err := c.getJSON(ctx, "top_nameservers", path, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats fetches database-wide counts.
-func (c *Client) Stats() (*StatsResponse, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats bounded by ctx.
-func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
+func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	var out StatsResponse
 	if err := c.getJSON(ctx, "stats", "/v1/stats", &out); err != nil {
 		return nil, err
@@ -243,35 +222,8 @@ func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 	return &out, nil
 }
 
-// Zones fetches one page of observed zones. cursor "" starts from the
-// beginning; limit 0 fetches everything in one response. The returned
-// NextCursor resumes the listing, and is empty on the last page.
-func (c *Client) Zones(ctx context.Context, cursor string, limit int) (*ZonesResponse, error) {
-	q := url.Values{}
-	if cursor != "" {
-		q.Set("cursor", cursor)
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	path := "/v1/zones"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var out ZonesResponse
-	if err := c.getJSON(ctx, "zones", path, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Domain fetches a domain's registration spans and nameserver history.
-func (c *Client) Domain(name dnsname.Name) (*DomainResponse, error) {
-	return c.DomainContext(context.Background(), name)
-}
-
-// DomainContext is Domain bounded by ctx.
-func (c *Client) DomainContext(ctx context.Context, name dnsname.Name) (*DomainResponse, error) {
+func (c *Client) Domain(ctx context.Context, name dnsname.Name) (*DomainResponse, error) {
 	var out DomainResponse
 	if err := c.getJSON(ctx, "domain", "/v1/domains/"+url.PathEscape(string(name)), &out); err != nil {
 		return nil, err
@@ -279,21 +231,11 @@ func (c *Client) DomainContext(ctx context.Context, name dnsname.Name) (*DomainR
 	return &out, nil
 }
 
-// Nameserver fetches a nameserver's delegated domains and exposure.
-func (c *Client) Nameserver(name dnsname.Name) (*NameserverResponse, error) {
-	return c.NameserverContext(context.Background(), name)
-}
-
-// NameserverContext is Nameserver bounded by ctx. The response carries
-// the full domain list; use NameserverPage to walk it in pages.
-func (c *Client) NameserverContext(ctx context.Context, name dnsname.Name) (*NameserverResponse, error) {
-	return c.NameserverPage(ctx, name, "", 0)
-}
-
-// NameserverPage fetches one page of a nameserver's delegated domains
-// (cursor ""/limit 0 fetch everything). Summary always reflects the full
-// exposure regardless of the window.
-func (c *Client) NameserverPage(ctx context.Context, name dnsname.Name, cursor string, limit int) (*NameserverResponse, error) {
+// Nameserver fetches one page of a nameserver's delegated domains
+// (cursor "" starts the list; limit 0 asks for the server's largest
+// page). Summary always reflects the full exposure regardless of the
+// window.
+func (c *Client) Nameserver(ctx context.Context, name dnsname.Name, cursor string, limit int) (*NameserverResponse, error) {
 	path := "/v1/nameservers/" + url.PathEscape(string(name))
 	q := url.Values{}
 	if cursor != "" {
@@ -310,41 +252,4 @@ func (c *Client) NameserverPage(ctx context.Context, name dnsname.Name, cursor s
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Snapshot fetches a zone's master-file snapshot for a date.
-func (c *Client) Snapshot(zone dnsname.Name, date string) (string, error) {
-	return c.SnapshotContext(context.Background(), zone, date)
-}
-
-// SnapshotContext is Snapshot bounded by ctx.
-func (c *Client) SnapshotContext(ctx context.Context, zone dnsname.Name, date string) (string, error) {
-	ctx, sp := c.Tracer.Start(ctx, "dzdbapi.client.snapshot")
-	var body string
-	err := c.do(ctx, func(ctx context.Context) error {
-		u := fmt.Sprintf("%s/v1/zones/%s/snapshot?date=%s",
-			c.BaseURL, url.PathEscape(string(zone)), url.QueryEscape(date))
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return faults.Permanent(err)
-		}
-		trace.Inject(ctx, req.Header)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer drain(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return errorFromResponse(resp)
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBody))
-		if err != nil {
-			return err
-		}
-		body = string(raw)
-		return nil
-	})
-	sp.SetError(err)
-	sp.End()
-	return body, err
 }

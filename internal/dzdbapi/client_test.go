@@ -26,7 +26,7 @@ func TestClientRetries5xx(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 5, BaseDelay: -1}}
-	stats, err := c.Stats()
+	stats, err := c.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 5, BaseDelay: -1}}
-	_, err := c.Domain("ghost.com")
+	_, err := c.Domain(t.Context(), "ghost.com")
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != 404 || ae.Msg != "no such domain" {
 		t.Fatalf("err = %v", err)
@@ -62,7 +62,7 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 		Retry: &faults.Policy{MaxAttempts: 3, BaseDelay: -1,
 			OnRetry: func(int, error, time.Duration) { calls++ }},
 	}
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Stats(t.Context()); err == nil {
 		t.Fatal("dead server should error")
 	}
 	if calls != 2 {
@@ -77,7 +77,7 @@ func TestAPIErrorKeepsNonJSONSnippet(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL}
-	_, err := c.Stats()
+	_, err := c.Stats(t.Context())
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %v", err)
@@ -102,7 +102,7 @@ func TestClientContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 5, BaseDelay: -1}}
-	if _, err := c.StatsContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := c.Stats(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if hits.Load() != 0 {
@@ -119,10 +119,10 @@ func TestClientBreakerFailsFast(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := &Client{
 		BaseURL: ts.URL,
-		Breaker: &faults.Breaker{Name: "dzdb", FailureThreshold: 2, OpenTimeout: time.Minute},
+		Breaker: &faults.Breaker{Name: "dzdb", OpenTimeout: time.Minute},
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Stats(); err == nil {
+	for i := 0; i < 5; i++ { // the breaker's failure threshold
+		if _, err := c.Stats(t.Context()); err == nil {
 			t.Fatal("expected 500")
 		}
 	}
@@ -130,7 +130,7 @@ func TestClientBreakerFailsFast(t *testing.T) {
 		t.Fatalf("breaker state = %v", c.Breaker.State())
 	}
 	before := hits.Load()
-	if _, err := c.Stats(); !errors.Is(err, faults.ErrOpen) {
+	if _, err := c.Stats(t.Context()); !errors.Is(err, faults.ErrOpen) {
 		t.Fatalf("err = %v, want ErrOpen", err)
 	}
 	if hits.Load() != before {
@@ -159,7 +159,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 			// Without a retry policy the refusal surfaces as a typed error
 			// with the parsed backoff hint.
 			bare := &Client{BaseURL: ts.URL}
-			_, err := bare.Stats()
+			_, err := bare.Stats(t.Context())
 			ae, ok := err.(*APIError)
 			if !ok || ae.Status != status || ae.Code != "slow_down" {
 				t.Fatalf("bare err = %v", err)
@@ -170,7 +170,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 
 			calls.Store(0)
 			retrying := &Client{BaseURL: ts.URL, Retry: &faults.Policy{MaxAttempts: 3, BaseDelay: -1}}
-			stats, err := retrying.Stats()
+			stats, err := retrying.Stats(t.Context())
 			if err != nil {
 				t.Fatalf("retrying client: %v", err)
 			}

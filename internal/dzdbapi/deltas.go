@@ -129,7 +129,7 @@ func parseDeltasQuery(w http.ResponseWriter, r *http.Request) (q deltasQuery, ok
 		}
 		q.from = d
 	}
-	q.page, ok = ParsePage(w, r)
+	q.page, ok = ParsePage(w, r, maxDeltasPage)
 	return q, ok
 }
 
@@ -140,7 +140,7 @@ func parseDeltasQuery(w http.ResponseWriter, r *http.Request) (q deltasQuery, ok
 //
 // Parameters: ?from=YYYY-MM-DD starts the window (clamped to the first
 // changed day); ?cursor= resumes a paginated walk; ?limit= caps the
-// number of days per page (0 = the whole remaining window); ?wait=30s
+// number of days per page (absent or 0: maxDeltasPage); ?wait=30s
 // long-polls an empty window until a publish (see deltasLongPoll).
 func (f *Front) deltas(w http.ResponseWriter, r *http.Request, st *EpochState) {
 	q, ok := parseDeltasQuery(w, r)
@@ -180,13 +180,13 @@ const longPollMargin = 10 * time.Second
 
 // Deltas fetches one page of the per-day change feed. from bounds the
 // window start (dates.None starts at the first changed day); cursor ""
-// starts the walk, limit 0 fetches the whole remaining window in one
-// page. The returned NextCursor resumes the walk and is empty on the
-// final page. wait > 0 long-polls: when the requested window is empty
-// the server holds the request up to wait (at most MaxLongPollWait) and
-// answers the moment a new epoch publishes, or with an empty final page
-// on timeout; the call's HTTP timeout then stretches to wait+10s so the
-// default 2s never kills a parked request.
+// starts the walk, limit 0 asks for the server's largest page. The
+// returned NextCursor resumes the walk and is empty on the final page.
+// wait > 0 long-polls: when the requested window is empty the server
+// holds the request up to wait (at most MaxLongPollWait) and answers the
+// moment a new epoch publishes, or with an empty final page on timeout;
+// the call's HTTP timeout then stretches to wait+10s so the default 2s
+// never kills a parked request.
 func (c *Client) Deltas(ctx context.Context, from dates.Day, cursor string, limit int, wait time.Duration) (*DeltasResponse, error) {
 	q := url.Values{}
 	if from != dates.None {

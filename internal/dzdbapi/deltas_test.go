@@ -198,17 +198,17 @@ func TestDeltasErrors(t *testing.T) {
 // pre-existing v1 routes too, not just the delta feed.
 func TestErrorCodeThroughClient(t *testing.T) {
 	c := startAPI(t)
-	if _, err := c.Domain("ghost.com"); err == nil {
+	if _, err := c.Domain(t.Context(), "ghost.com"); err == nil {
 		t.Error("missing domain: want error")
 	} else if ae, ok := err.(*APIError); !ok || ae.Code != CodeNotFound {
 		t.Errorf("missing domain err = %v", err)
 	}
-	if _, err := c.Domain("-bad-.com"); err == nil {
+	if _, err := c.Domain(t.Context(), "-bad-.com"); err == nil {
 		t.Error("invalid name: want error")
 	} else if ae, ok := err.(*APIError); !ok || ae.Code != CodeInvalidName {
 		t.Errorf("invalid name err = %v", err)
 	}
-	if _, err := c.Zones(context.Background(), "%%%not-a-cursor", 1); err == nil {
+	if _, err := c.Nameserver(t.Context(), "ns2.internetemc.com", "%%%not-a-cursor", 1); err == nil {
 		t.Error("invalid cursor: want error")
 	} else if ae, ok := err.(*APIError); !ok || ae.Code != CodeInvalidCursor {
 		t.Errorf("invalid cursor err = %v", err)

@@ -31,10 +31,12 @@
 // empty window parks until a publish or the wait expires, and answers
 // with the ordinary page.
 //
-// Pagination: list endpoints accept ?limit= (page size; absent or 0
-// returns everything) and ?cursor= (opaque
-// token from the previous page's next_cursor; empty means start). A
-// response with more data sets next_cursor; the last page omits it.
+// Pagination: list endpoints accept ?limit= (page size) and ?cursor=
+// (opaque token from the previous page's next_cursor; empty means
+// start). Each list route has a largest page: an absent or zero limit
+// gets it, and a larger limit is clamped to it, so no answer grows with
+// the database. A response with more data sets next_cursor; the last
+// page omits it.
 //
 // Errors are a uniform envelope {"error":{"code","message"}} with codes
 // invalid_name, invalid_date, invalid_cursor, invalid_limit, not_found,
@@ -346,28 +348,49 @@ func decodeCursor(raw string) (string, error) {
 	return string(b), nil
 }
 
+// The largest page of each list route, in items. Each is sized so that
+// the largest such page of the scale-8, seed-1 world fits maxCacheBody
+// (4 MiB), and is at least every limit an in-repository client sends:
+//   - /v1/deltas: 500 days; the largest 500-day window is 2.5 MB (the
+//     whole 5,206-day feed is 22 MB), and watch.Follower asks for 365;
+//   - /v1/nameservers/{name}: 10,000 domains; the largest nameserver
+//     has 7,105 (1.1 MB);
+//   - /v1/zones: 1,000 zones; the world has 9;
+//   - /v1/internal/ns-exposure: 20,000 rows of 23,808 (2.0 MB).
+const (
+	maxDeltasPage     = 500
+	MaxNameserverPage = 10000 // the cluster coordinator pages its merge by it too
+	maxZonesPage      = 1000
+	maxNSExposurePage = 20000
+)
+
 // Page is the window a request's ?cursor=&limit= select from a sorted
 // list of keys. Handlers parse it before doing any work, so a malformed
 // request costs nothing but its 400.
 type Page struct {
-	limit int    // 0: no pagination
+	limit int    // at least 1
 	after string // the key of the previous page's last item; "" starts
 }
 
-// ParsePage parses ?limit= and ?cursor=. The bool is false if either is
-// malformed, and the invalid_limit or invalid_cursor response has been
-// written. Exported for the cluster coordinator, which must refuse a
+// ParsePage parses ?limit= and ?cursor= for a route whose largest page
+// is largest items: an absent or zero limit reads as largest, and a
+// larger one is clamped to it. The bool is false if either parameter
+// is malformed (a limit that is not a non-negative integer, a cursor
+// that is not base64url), and the invalid_limit or invalid_cursor
+// response has been written. Exported for the cluster coordinator, which must refuse a
 // malformed page before it asks any shard.
-func ParsePage(w http.ResponseWriter, r *http.Request) (Page, bool) {
+func ParsePage(w http.ResponseWriter, r *http.Request, largest int) (Page, bool) {
 	q := r.URL.Query()
-	var p Page
+	p := Page{limit: largest}
 	if raw := q.Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
 			writeError(w, http.StatusBadRequest, CodeInvalidLimit, "invalid limit %q", raw)
 			return Page{}, false
 		}
-		p.limit = v
+		if v > 0 && v < largest {
+			p.limit = v
+		}
 	}
 	if raw := q.Get("cursor"); raw != "" {
 		key, err := decodeCursor(raw)
@@ -387,7 +410,7 @@ func (p Page) window(n int, keyAt func(int) string) (start, end int, next string
 		start = sort.Search(n, func(i int) bool { return keyAt(i) > p.after })
 	}
 	end = n
-	if p.limit > 0 && p.limit < n-start {
+	if p.limit < n-start {
 		end = start + p.limit
 	}
 	if end < n {
@@ -427,7 +450,7 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 	if !ok {
 		return
 	}
-	p, ok := ParsePage(w, r)
+	p, ok := ParsePage(w, r, MaxNameserverPage)
 	if !ok {
 		return
 	}

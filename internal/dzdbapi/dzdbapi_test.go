@@ -37,7 +37,7 @@ func startAPI(t *testing.T) *Client {
 
 func TestStats(t *testing.T) {
 	c := startAPI(t)
-	stats, err := c.Stats()
+	stats, err := c.Stats(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStats(t *testing.T) {
 
 func TestDomainHistory(t *testing.T) {
 	c := startAPI(t)
-	resp, err := c.Domain("WHITECOUNTY.NET") // case-insensitive
+	resp, err := c.Domain(t.Context(), "WHITECOUNTY.NET") // case-insensitive
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDomainHistory(t *testing.T) {
 
 func TestNameserver(t *testing.T) {
 	c := startAPI(t)
-	resp, err := c.Nameserver("ns2.internetemc1aj2kdy.biz")
+	resp, err := c.Nameserver(t.Context(), "ns2.internetemc1aj2kdy.biz", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestNameserver(t *testing.T) {
 	if len(resp.GlueSpans) != 0 {
 		t.Errorf("sacrificial NS should have no glue: %+v", resp.GlueSpans)
 	}
-	withGlue, err := c.Nameserver("ns2.internetemc.com")
+	withGlue, err := c.Nameserver(t.Context(), "ns2.internetemc.com", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +102,15 @@ func TestNameserver(t *testing.T) {
 
 func TestNotFoundAndBadRequest(t *testing.T) {
 	c := startAPI(t)
-	if _, err := c.Domain("ghost.com"); err == nil {
+	if _, err := c.Domain(t.Context(), "ghost.com"); err == nil {
 		t.Error("missing domain should 404")
 	} else if ae, ok := err.(*APIError); !ok || ae.Status != 404 {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := c.Nameserver("never.seen.biz"); err == nil {
+	if _, err := c.Nameserver(t.Context(), "never.seen.biz", "", 0); err == nil {
 		t.Error("missing NS should 404")
 	}
-	if _, err := c.Domain("-bad-.com"); err == nil {
+	if _, err := c.Domain(t.Context(), "-bad-.com"); err == nil {
 		t.Error("invalid name should 400")
 	} else if ae, ok := err.(*APIError); !ok || ae.Status != 400 {
 		t.Errorf("err = %v", err)
@@ -118,19 +118,20 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	c := startAPI(t)
-	body, err := c.Snapshot("net", d(50).String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := New(testDB())
+	body := string(body(t, srv, "/v1/zones/net/snapshot?date="+d(50).String()))
 	if !strings.Contains(body, "$ORIGIN net.") || !strings.Contains(body, "ns2.internetemc.com.") {
 		t.Fatalf("snapshot body:\n%s", body)
 	}
-	if _, err := c.Snapshot("net", "not-a-date"); err == nil {
-		t.Error("bad date should fail")
-	}
-	if _, err := c.Snapshot("org", d(50).String()); err == nil {
-		t.Error("unknown zone should 404")
+	for path, want := range map[string]int{
+		"/v1/zones/net/snapshot?date=not-a-date":        http.StatusBadRequest,
+		"/v1/zones/org/snapshot?date=" + d(50).String(): http.StatusNotFound,
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != want {
+			t.Errorf("GET %s: %d, want %d", path, rec.Code, want)
+		}
 	}
 }
 
@@ -143,13 +144,13 @@ func TestMiddlewareRecordsRequests(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL}
 
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Domain("whitecounty.net"); err != nil {
+	if _, err := c.Domain(t.Context(), "whitecounty.net"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Domain("ghost.com"); err == nil {
+	if _, err := c.Domain(t.Context(), "ghost.com"); err == nil {
 		t.Fatal("expected 404")
 	}
 

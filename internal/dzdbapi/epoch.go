@@ -346,7 +346,7 @@ func (f *Front) stats(w http.ResponseWriter, r *http.Request, st *EpochState) {
 
 // zones serves /v1/zones.
 func (f *Front) zones(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	p, ok := ParsePage(w, r)
+	p, ok := ParsePage(w, r, maxZonesPage)
 	if !ok {
 		return
 	}

@@ -155,7 +155,7 @@ func TestShardInternalEndpoints(t *testing.T) {
 		t.Errorf("rows not sorted: %+v", rows)
 	}
 	for _, row := range rows {
-		ns, err := c.NameserverContext(ctx, mustName(t, row.Nameserver))
+		ns, err := c.Nameserver(ctx, mustName(t, row.Nameserver), "", 0)
 		if err != nil {
 			t.Fatalf("Nameserver(%s): %v", row.Nameserver, err)
 		}

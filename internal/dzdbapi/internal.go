@@ -72,7 +72,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *Epo
 }
 
 func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	p, ok := ParsePage(w, r)
+	p, ok := ParsePage(w, r, maxNSExposurePage)
 	if !ok {
 		return
 	}
@@ -91,7 +91,8 @@ func (c *Client) ShardInfo(ctx context.Context) (*ShardInfoResponse, error) {
 }
 
 // NSExposure fetches one page of the shard's complete nameserver
-// exposure table (cursor ""/limit 0 fetch everything in one page).
+// exposure table (cursor "" starts it; limit 0 asks for the server's
+// largest page).
 func (c *Client) NSExposure(ctx context.Context, cursor string, limit int) (*NSExposureResponse, error) {
 	q := url.Values{}
 	if cursor != "" {

@@ -240,40 +240,35 @@ func TestAdoptFlipsETagAndCache(t *testing.T) {
 }
 
 // TestTopNameservers covers the precomputed leaderboard: aggregate
-// ordering, the limit window, the typed client, and the error envelope.
+// ordering, the limit window, and the error envelope.
 func TestTopNameservers(t *testing.T) {
 	srv := New(testDB())
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	c := &Client{BaseURL: ts.URL}
-	ctx := context.Background()
+	top := func(path string) (out TopNameserversResponse) {
+		if err := json.Unmarshal(body(t, srv, path), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
-	top, err := c.TopNameservers(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
+	all := top("/v1/top/nameservers")
+	if len(all.Nameservers) != 2 {
+		t.Fatalf("leaderboard = %+v", all.Nameservers)
 	}
-	if len(top.Nameservers) != 2 {
-		t.Fatalf("leaderboard = %+v", top.Nameservers)
-	}
-	first := top.Nameservers[0]
+	first := all.Nameservers[0]
 	if first.Nameserver != "ns2.internetemc.com" || first.Domains != 2 || first.DomainDays != 200 {
 		t.Errorf("top entry = %+v", first)
 	}
-	if top.Nameservers[1].Domains != 1 || top.Nameservers[1].DomainDays != 101 {
-		t.Errorf("second entry = %+v", top.Nameservers[1])
+	if all.Nameservers[1].Domains != 1 || all.Nameservers[1].DomainDays != 101 {
+		t.Errorf("second entry = %+v", all.Nameservers[1])
 	}
 
-	one, err := c.TopNameservers(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := top("/v1/top/nameservers?limit=1")
 	if len(one.Nameservers) != 1 || one.Nameservers[0].Nameserver != first.Nameserver {
 		t.Errorf("limit=1 = %+v", one.Nameservers)
 	}
 
-	if _, err := c.TopNameservers(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
 	status, ae := rawError(t, ts.URL, "/v1/top/nameservers?limit=abc")
 	if status != 400 || ae.Error.Code != CodeInvalidLimit {
 		t.Errorf("bad limit = %d %q", status, ae.Error.Code)
@@ -346,7 +341,7 @@ func TestNeverClosedDBServesEmptyView(t *testing.T) {
 
 	// Sealing publishes the events, and the same server serves them.
 	db.Close(d(10))
-	if _, err := c.DomainContext(ctx, "whitecounty.net"); err != nil {
+	if _, err := c.Domain(ctx, "whitecounty.net"); err != nil {
 		t.Errorf("after Close: %v", err)
 	}
 }

@@ -40,7 +40,7 @@ func TestClientServerPreservesTraceID(t *testing.T) {
 	clientTracer := trace.New()
 	ctx, root := clientTracer.Start(context.Background(), "test.root")
 	c := &Client{BaseURL: ts.URL, Tracer: clientTracer}
-	if _, err := c.StatsContext(ctx); err != nil {
+	if _, err := c.Stats(ctx); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

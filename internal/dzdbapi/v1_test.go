@@ -10,28 +10,22 @@ import (
 )
 
 func TestZonesPagination(t *testing.T) {
-	c := startAPI(t)
-	ctx := context.Background()
-
-	all, err := c.Zones(ctx, "", 0)
-	if err != nil {
-		t.Fatal(err)
+	srv := New(testDB())
+	zones := func(path string) (out ZonesResponse) {
+		if err := json.Unmarshal(body(t, srv, path), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if len(all.Zones) != 2 || all.NextCursor != "" {
+
+	if all := zones("/v1/zones"); len(all.Zones) != 2 || all.NextCursor != "" {
 		t.Fatalf("unpaginated zones = %+v", all)
 	}
-
-	p1, err := c.Zones(ctx, "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := zones("/v1/zones?limit=1")
 	if len(p1.Zones) != 1 || p1.Zones[0] != "com" || p1.NextCursor == "" {
 		t.Fatalf("page 1 = %+v", p1)
 	}
-	p2, err := c.Zones(ctx, p1.NextCursor, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := zones("/v1/zones?limit=1&cursor=" + p1.NextCursor)
 	if len(p2.Zones) != 1 || p2.Zones[0] != "net" || p2.NextCursor != "" {
 		t.Fatalf("page 2 = %+v", p2)
 	}
@@ -41,7 +35,7 @@ func TestNameserverPagination(t *testing.T) {
 	c := startAPI(t)
 	ctx := context.Background()
 
-	full, err := c.NameserverContext(ctx, "ns2.internetemc.com")
+	full, err := c.Nameserver(ctx, "ns2.internetemc.com", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +46,7 @@ func TestNameserverPagination(t *testing.T) {
 	var got []string
 	cursor := ""
 	for page := 0; ; page++ {
-		resp, err := c.NameserverPage(ctx, "ns2.internetemc.com", cursor, 1)
+		resp, err := c.Nameserver(ctx, "ns2.internetemc.com", cursor, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +144,7 @@ func TestServesReadsDuringAdopt(t *testing.T) {
 					return
 				default:
 				}
-				stats, err := c.StatsContext(ctx)
+				stats, err := c.Stats(ctx)
 				if err != nil {
 					t.Errorf("stats during adopt: %v", err)
 					return
@@ -159,7 +153,7 @@ func TestServesReadsDuringAdopt(t *testing.T) {
 					t.Errorf("inconsistent stats during adopt: %+v", stats)
 					return
 				}
-				if _, err := c.DomainContext(ctx, "whitecounty.net"); err != nil {
+				if _, err := c.Domain(ctx, "whitecounty.net"); err != nil {
 					t.Errorf("domain during adopt: %v", err)
 					return
 				}

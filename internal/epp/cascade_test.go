@@ -28,10 +28,9 @@ func TestCascadeDeleteRemovesForeignDelegations(t *testing.T) {
 		t.Fatalf("bar.com delegation not trimmed: %v", ns)
 	}
 	// No dangling references remain anywhere.
-	r.Hosts(func(h *Host) bool {
+	for _, h := range r.hosts {
 		t.Errorf("unexpected surviving host %s", h.Name)
-		return true
-	})
+	}
 }
 
 func TestCascadeDeleteSponsorship(t *testing.T) {

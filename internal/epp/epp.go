@@ -538,24 +538,3 @@ func (r *Repository) SubordinateHosts(domain dnsname.Name) []*Host {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// Domains iterates all domain objects in unspecified order.
-func (r *Repository) Domains(fn func(*Domain) bool) {
-	for _, d := range r.domains {
-		if !fn(d) {
-			return
-		}
-	}
-}
-
-// Hosts iterates all host objects in unspecified order.
-func (r *Repository) Hosts(fn func(*Host) bool) {
-	for _, h := range r.hosts {
-		if !fn(h) {
-			return
-		}
-	}
-}
-
-// NumDomains returns the number of domain objects.
-func (r *Repository) NumDomains() int { return len(r.domains) }

@@ -359,7 +359,7 @@ func TestInvariantUnderRandomOps(t *testing.T) {
 
 func checkInvariants(t *testing.T, r *Repository, step int) {
 	t.Helper()
-	r.Hosts(func(h *Host) bool {
+	for _, h := range r.hosts {
 		for _, d := range r.LinkedDomains(h.Name) {
 			dom, err := r.DomainInfo(d)
 			if err != nil {
@@ -374,9 +374,8 @@ func checkInvariants(t *testing.T, r *Repository, step int) {
 				t.Fatalf("step %d: internal host %s has dangling superordinate", step, h.Name)
 			}
 		}
-		return true
-	})
-	r.Domains(func(d *Domain) bool {
+	}
+	for _, d := range r.domains {
 		for _, roid := range d.nsHosts {
 			h := r.hostsByROID[roid]
 			if h == nil {
@@ -391,8 +390,7 @@ func checkInvariants(t *testing.T, r *Repository, step int) {
 				t.Fatalf("step %d: subordinate listing inconsistent for %s", step, d.Name)
 			}
 		}
-		return true
-	})
+	}
 	if len(r.hosts) != len(r.hostsByROID) || len(r.domains) != len(r.domainsByROID) {
 		t.Fatalf("step %d: %d hosts by name, %d by ROID; %d domains by name, %d by ROID",
 			step, len(r.hosts), len(r.hostsByROID), len(r.domains), len(r.domainsByROID))

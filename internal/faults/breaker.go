@@ -36,24 +36,22 @@ const (
 	MetricBreakerRejected    = "faults_breaker_rejected_total"
 )
 
+// failureThreshold is the consecutive-failure count that trips a
+// Breaker.
+const failureThreshold = 5
+
 // Breaker is a consecutive-failure circuit breaker. Closed, it admits
-// every call. After FailureThreshold consecutive failures it opens and
-// rejects calls with ErrOpen for OpenTimeout, then admits HalfOpenProbes
-// trial calls; all succeeding closes it, any failing re-opens it.
+// every call. After failureThreshold consecutive failures it opens and
+// rejects calls with ErrOpen for OpenTimeout, then admits one trial
+// call: its success closes the breaker, its failure re-opens it.
 // Configure before first use; Allow/Record/Do are safe for concurrent
 // use.
 type Breaker struct {
 	// Name labels the breaker in metrics.
 	Name string
-	// FailureThreshold is the consecutive-failure count that trips the
-	// breaker (default 5).
-	FailureThreshold int
 	// OpenTimeout is how long the breaker stays open before probing
 	// (default 5s).
 	OpenTimeout time.Duration
-	// HalfOpenProbes is how many consecutive successes close a half-open
-	// breaker (default 1).
-	HalfOpenProbes int
 	// Now supplies the clock; overridable in tests. Defaults to time.Now.
 	Now func() time.Time
 	// IsFailure classifies an admitted call's error: only errors for
@@ -65,12 +63,11 @@ type Breaker struct {
 	// must not open the circuit to a perfectly healthy backend.
 	IsFailure func(error) bool
 
-	mu        sync.Mutex
-	state     State
-	failures  int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	probes    int // probes admitted this half-open period
-	openedAt  time.Time
+	mu       sync.Mutex
+	state    State
+	failures int  // consecutive failures while closed
+	probing  bool // the half-open period's trial call is admitted
+	openedAt time.Time
 
 	gauge       *obs.Gauge
 	transitions *obs.CounterVec
@@ -86,25 +83,11 @@ func (b *Breaker) Instrument(reg *obs.Registry) {
 	b.gauge.Set(int64(Closed))
 }
 
-func (b *Breaker) threshold() int {
-	if b.FailureThreshold < 1 {
-		return 5
-	}
-	return b.FailureThreshold
-}
-
 func (b *Breaker) timeout() time.Duration {
 	if b.OpenTimeout <= 0 {
 		return 5 * time.Second
 	}
 	return b.OpenTimeout
-}
-
-func (b *Breaker) probesWanted() int {
-	if b.HalfOpenProbes < 1 {
-		return 1
-	}
-	return b.HalfOpenProbes
 }
 
 func (b *Breaker) now() time.Time {
@@ -124,8 +107,7 @@ func (b *Breaker) transitionLocked(s State) {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
-		b.successes = 0
-		b.probes = 0
+		b.probing = false
 	case Open:
 		b.openedAt = b.now()
 	}
@@ -162,13 +144,13 @@ func (b *Breaker) Allow() error {
 		b.transitionLocked(HalfOpen)
 		fallthrough
 	case HalfOpen:
-		if b.probes >= b.probesWanted() {
+		if b.probing {
 			if b.rejected != nil {
 				b.rejected.Inc()
 			}
 			return ErrOpen
 		}
-		b.probes++
+		b.probing = true
 	}
 	return nil
 }
@@ -188,7 +170,7 @@ func (b *Breaker) Record(err error) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.threshold() {
+		if b.failures >= failureThreshold {
 			b.transitionLocked(Open)
 		}
 	case HalfOpen:
@@ -196,10 +178,7 @@ func (b *Breaker) Record(err error) {
 			b.transitionLocked(Open)
 			return
 		}
-		b.successes++
-		if b.successes >= b.probesWanted() {
-			b.transitionLocked(Closed)
-		}
+		b.transitionLocked(Closed)
 	case Open:
 		// A straggler from before the trip; nothing to learn.
 	}

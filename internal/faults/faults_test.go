@@ -92,10 +92,10 @@ func TestRetryCancellationBetweenAttempts(t *testing.T) {
 }
 
 func TestBackoffIsCappedAndJittered(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 300 * time.Millisecond, Seed: 42}
+	p := Policy{BaseDelay: 100 * time.Millisecond, Seed: 42}
 	for n := 1; n < 40; n++ {
 		d := p.backoff(n)
-		if d < 0 || d > 300*time.Millisecond {
+		if d < 0 || d > maxDelay {
 			t.Fatalf("backoff(%d) = %v outside [0, cap]", n, d)
 		}
 	}
@@ -107,14 +107,14 @@ func TestBackoffIsCappedAndJittered(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	reg := obs.NewRegistry()
-	b := &Breaker{Name: "edge", FailureThreshold: 3, OpenTimeout: time.Minute, Now: func() time.Time { return now }}
+	b := &Breaker{Name: "edge", OpenTimeout: time.Minute, Now: func() time.Time { return now }}
 	b.Instrument(reg)
 
 	boom := errors.New("boom")
 	fail := func(context.Context) error { return boom }
 	ok := func(context.Context) error { return nil }
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if err := b.Do(context.Background(), fail); !errors.Is(err, boom) {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -164,11 +164,12 @@ func TestBreakerLifecycle(t *testing.T) {
 
 func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := &Breaker{Name: "edge", FailureThreshold: 1, OpenTimeout: time.Second, HalfOpenProbes: 1,
-		Now: func() time.Time { return now }}
-	b.Record(errors.New("boom"))
+	b := &Breaker{Name: "edge", OpenTimeout: time.Second, Now: func() time.Time { return now }}
+	for i := 0; i < failureThreshold; i++ {
+		b.Record(errors.New("boom"))
+	}
 	if b.State() != Open {
-		t.Fatal("threshold 1 should trip immediately")
+		t.Fatal("the threshold's failures should trip it")
 	}
 	now = now.Add(2 * time.Second)
 	if err := b.Allow(); err != nil {
@@ -186,8 +187,7 @@ func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 func TestBreakerIsFailureClassifier(t *testing.T) {
 	benign := errors.New("not found")
 	hard := errors.New("connection refused")
-	b := &Breaker{Name: "edge", FailureThreshold: 2,
-		IsFailure: func(err error) bool { return errors.Is(err, hard) }}
+	b := &Breaker{Name: "edge", IsFailure: func(err error) bool { return errors.Is(err, hard) }}
 
 	// Benign errors never trip the breaker, no matter how many.
 	for i := 0; i < 10; i++ {
@@ -198,7 +198,9 @@ func TestBreakerIsFailureClassifier(t *testing.T) {
 	}
 
 	// They also reset the consecutive-failure count, like a success.
-	b.Record(hard)
+	for i := 0; i < failureThreshold-1; i++ {
+		b.Record(hard)
+	}
 	b.Record(benign)
 	b.Record(hard)
 	if b.State() != Closed {
@@ -206,8 +208,9 @@ func TestBreakerIsFailureClassifier(t *testing.T) {
 	}
 
 	// Hard failures still trip it.
-	b.Record(hard)
-	b.Record(hard)
+	for i := 0; i < failureThreshold-1; i++ {
+		b.Record(hard)
+	}
 	if b.State() != Open {
 		t.Fatalf("hard failures should trip: %v", b.State())
 	}

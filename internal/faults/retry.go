@@ -7,6 +7,9 @@ import (
 	"time"
 )
 
+// maxDelay caps Retry's backoff.
+const maxDelay = 2 * time.Second
+
 // Policy parameterizes Retry. The zero value is usable: three attempts,
 // 50ms base delay doubling to a 2s cap, full jitter, and every error
 // except Permanent-marked ones considered retryable.
@@ -15,11 +18,9 @@ type Policy struct {
 	// (default 3). Values below 1 mean the default.
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 50ms).
-	// It doubles per attempt up to MaxDelay. A negative value disables
-	// sleeping entirely (immediate retries — what lock-step tests want).
+	// It doubles per attempt up to 2s. A negative value disables
+	// sleeping entirely (immediate retries).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
 	// Retryable classifies errors; nil treats every non-Permanent error
 	// as retryable. It is not consulted for Permanent-marked errors.
 	Retryable func(error) bool
@@ -43,13 +44,6 @@ func (p Policy) base() time.Duration {
 		return 50 * time.Millisecond
 	}
 	return p.BaseDelay
-}
-
-func (p Policy) cap() time.Duration {
-	if p.MaxDelay <= 0 {
-		return 2 * time.Second
-	}
-	return p.MaxDelay
 }
 
 // sharedRng jitters for policies without an explicit seed. A fixed seed
@@ -81,8 +75,8 @@ func (p Policy) backoff(n int) time.Duration {
 		return 0
 	}
 	d := p.base() << (n - 1)
-	if d <= 0 || d > p.cap() { // <<-overflow or past the cap
-		d = p.cap()
+	if d <= 0 || d > maxDelay { // <<-overflow or past the cap
+		d = maxDelay
 	}
 	return p.jitter(d)
 }

@@ -151,10 +151,6 @@ var byID = func() map[ID]*Idiom {
 // Lookup returns the idiom with the given ID, or nil.
 func Lookup(id ID) *Idiom { return byID[id] }
 
-// All returns the full catalog in table order. The slice is shared; do not
-// modify.
-func All() []Idiom { return catalog }
-
 // ByClass returns all idioms of the given class, in table order.
 func ByClass(c Class) []Idiom {
 	var out []Idiom

@@ -13,7 +13,7 @@ func rng() *rand.Rand { return rand.New(rand.NewSource(7)) }
 
 func TestCatalogIntegrity(t *testing.T) {
 	seen := map[ID]bool{}
-	for _, id := range All() {
+	for _, id := range catalog {
 		if seen[id.ID] {
 			t.Errorf("duplicate idiom ID %s", id.ID)
 		}
@@ -53,7 +53,7 @@ func TestRenameShapes(t *testing.T) {
 				strings.Contains(string(n), ".internetemc") && n.TLD() == "biz"
 		}},
 		{DropThisHost, func(n dnsname.Name) bool {
-			return strings.HasPrefix(n.FirstLabel(), "dropthishost-") && n.TLD() == "biz" && n.NumLabels() == 2
+			return strings.HasPrefix(n.FirstLabel(), "dropthishost-") && n.TLD() == "biz" && strings.Count(string(n), ".") == 1
 		}},
 		{DeletedDrop, func(n dnsname.Name) bool {
 			return strings.HasPrefix(string(n), "deleted-") && strings.Contains(string(n), ".drop-") && n.TLD() == "biz"

@@ -80,33 +80,6 @@ func (s *Set) Add(r dates.Range) {
 	s.spans = append(s.spans[:lo+1], s.spans[hi:]...)
 }
 
-// AddDay inserts a single day.
-func (s *Set) AddDay(d dates.Day) { s.Add(dates.NewRange(d, d)) }
-
-// ExtendLast grows the span containing (or adjacent to) day d-1 through d.
-// It is the hot path for daily snapshot ingestion: almost every observation
-// extends the most recent span by one day. Falls back to Add otherwise.
-func (s *Set) ExtendLast(d dates.Day) {
-	if n := len(s.spans); n > 0 {
-		last := &s.spans[n-1]
-		if d == last.Last+1 {
-			last.Last = d
-			return
-		}
-		if last.Contains(d) {
-			return
-		}
-		if d > last.Last {
-			s.spans = append(s.spans, dates.NewRange(d, d))
-			return
-		}
-	} else {
-		s.spans = append(s.spans, dates.NewRange(d, d))
-		return
-	}
-	s.AddDay(d)
-}
-
 // Contains reports whether day d is in the set.
 func (s *Set) Contains(d dates.Day) bool {
 	i := sort.Search(len(s.spans), func(i int) bool {

@@ -93,28 +93,6 @@ func TestAgainstNaiveModel(t *testing.T) {
 	}
 }
 
-func TestExtendLast(t *testing.T) {
-	var s Set
-	for d := dates.Day(10); d <= 20; d++ {
-		s.ExtendLast(d)
-	}
-	if s.Len() != 1 || s.TotalDays() != 11 {
-		t.Fatalf("contiguous ExtendLast: %v", s.String())
-	}
-	s.ExtendLast(25)
-	if s.Len() != 2 {
-		t.Fatalf("gap ExtendLast: %v", s.String())
-	}
-	s.ExtendLast(25) // idempotent on contained day
-	if s.TotalDays() != 12 {
-		t.Fatalf("repeat ExtendLast: %v", s.String())
-	}
-	s.ExtendLast(15) // out-of-order falls back to Add
-	if s.TotalDays() != 12 {
-		t.Fatalf("contained fallback: %v", s.String())
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	a := FromRanges(r(0, 10), r(20, 30), r(40, 50))
 	b := FromRanges(r(5, 25), r(45, 60))
@@ -184,7 +162,7 @@ func TestFirstLastEmpty(t *testing.T) {
 	if s.String() != "{}" {
 		t.Errorf("empty String = %q", s.String())
 	}
-	s.AddDay(7)
+	s.Add(dates.NewRange(7, 7))
 	if s.Empty() || s.First() != 7 || s.Last() != 7 {
 		t.Error("single-day set misbehaves")
 	}

@@ -149,9 +149,6 @@ func (r *Registry) RegisterFunc(name string, fn func() error) {
 // accepting work. Call on SIGTERM, before closing listeners.
 func (r *Registry) BeginShutdown() { r.draining.Store(true) }
 
-// Draining reports whether BeginShutdown was called.
-func (r *Registry) Draining() bool { return r.draining.Load() }
-
 // Readiness evaluates every check plus the drain state.
 func (r *Registry) Readiness() (bool, []Status) {
 	now := r.now()

@@ -112,9 +112,6 @@ func TestBeginShutdown(t *testing.T) {
 	r.Register("store", 0).OK()
 
 	r.BeginShutdown()
-	if !r.Draining() {
-		t.Error("Draining() should report true after BeginShutdown")
-	}
 	ready, sts := r.Readiness()
 	if ready {
 		t.Error("draining registry should fail readiness")

@@ -47,32 +47,16 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; negative deltas are ignored).
-func (c *Counter) Add(n int) {
-	if n > 0 {
-		c.v.Add(uint64(n))
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
+// Gauge is a value that can go up and down; each reading replaces the last.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -86,17 +70,6 @@ type FloatGauge struct {
 
 // Set replaces the value.
 func (g *FloatGauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Add adds delta (which may be negative).
-func (g *FloatGauge) Add(delta float64) {
-	for {
-		old := g.v.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.v.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }

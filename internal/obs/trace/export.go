@@ -18,16 +18,6 @@ type Record struct {
 	Error    string        `json:"error,omitempty"`
 }
 
-// Attr returns the value of the named attribute ("" when absent).
-func (r Record) Attr(key string) string {
-	for _, a := range r.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // chromeEvent is one entry of the Chrome trace_event format
 // (docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 type chromeEvent struct {

@@ -294,16 +294,6 @@ func (t *Tracer) record(rec Record) {
 	t.records = append(t.records, rec)
 }
 
-// Len returns the number of journaled spans (0 for nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.records)
-}
-
 // Dropped returns how many finished spans exceeded MaxSpans.
 func (t *Tracer) Dropped() int {
 	if t == nil {

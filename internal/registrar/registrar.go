@@ -58,9 +58,6 @@ func New(id epp.RegistrarID, name string, rng *rand.Rand, schedule ...Phase) *Re
 	return &Registrar{id: id, name: name, schedule: schedule, rng: rng}
 }
 
-// ID returns the registrar's EPP account identifier.
-func (r *Registrar) ID() epp.RegistrarID { return r.id }
-
 // Name returns the registrar's display name (as WHOIS reports it).
 func (r *Registrar) Name() string { return r.name }
 

@@ -83,7 +83,7 @@ func TestScheduleOrderEnforced(t *testing.T) {
 func TestDeleteDomainSimple(t *testing.T) {
 	reg := verisign()
 	rr := newRegistrar(t, "Tucows")
-	must(t, reg.RegisterDomain(rr.ID(), "plain.com", day0, exp1))
+	must(t, reg.RegisterDomain(rr.id, "plain.com", day0, exp1))
 	renames, err := rr.DeleteDomain(reg, "plain.com", exp1)
 	must(t, err)
 	if len(renames) != 0 || reg.Repository().DomainExists("plain.com") {
@@ -94,9 +94,9 @@ func TestDeleteDomainSimple(t *testing.T) {
 func TestDeleteDomainDeletesUnlinkedHosts(t *testing.T) {
 	reg := verisign()
 	rr := newRegistrar(t, "Tucows")
-	must(t, reg.RegisterDomain(rr.ID(), "self.com", day0, exp1))
-	must(t, reg.CreateHost(rr.ID(), "ns1.self.com", day0, addr))
-	must(t, reg.SetNS(rr.ID(), "self.com", day0, "ns1.self.com"))
+	must(t, reg.RegisterDomain(rr.id, "self.com", day0, exp1))
+	must(t, reg.CreateHost(rr.id, "ns1.self.com", day0, addr))
+	must(t, reg.SetNS(rr.id, "self.com", day0, "ns1.self.com"))
 	renames, err := rr.DeleteDomain(reg, "self.com", exp1)
 	must(t, err)
 	if len(renames) != 0 {
@@ -110,7 +110,7 @@ func TestDeleteDomainDeletesUnlinkedHosts(t *testing.T) {
 func TestDeleteDomainRenamesLinkedHosts(t *testing.T) {
 	reg := verisign()
 	gd := newRegistrar(t, "GoDaddy", Phase{From: day0, Idiom: idioms.DropThisHost})
-	buildProvider(t, reg, gd.ID())
+	buildProvider(t, reg, gd.id)
 	renames, err := gd.DeleteDomain(reg, "provider.com", exp1)
 	must(t, err)
 	if len(renames) != 1 {
@@ -142,7 +142,7 @@ func TestDeleteDomainRenamesLinkedHosts(t *testing.T) {
 func TestDeleteDomainNoIdiom(t *testing.T) {
 	reg := verisign()
 	plain := newRegistrar(t, "Tucows")
-	buildProvider(t, reg, plain.ID())
+	buildProvider(t, reg, plain.id)
 	_, err := plain.DeleteDomain(reg, "provider.com", exp1)
 	if !errors.Is(err, ErrNoIdiom) {
 		t.Fatalf("err = %v, want ErrNoIdiom", err)
@@ -163,8 +163,8 @@ func TestSinkIdiomRenamesInternally(t *testing.T) {
 	ibs := newRegistrar(t, "Internet.bs", Phase{From: day0, Idiom: idioms.DummyNS})
 	// The sink domain must exist and be sponsored by the renaming
 	// registrar.
-	must(t, reg.RegisterDomain(ibs.ID(), "dummyns.com", day0, exp1.AddYears(20)))
-	buildProvider(t, reg, ibs.ID())
+	must(t, reg.RegisterDomain(ibs.id, "dummyns.com", day0, exp1.AddYears(20)))
+	buildProvider(t, reg, ibs.id)
 	renames, err := ibs.DeleteDomain(reg, "provider.com", exp1)
 	must(t, err)
 	if len(renames) != 1 || renames[0].New.Parent() != "dummyns.com" {
@@ -183,9 +183,9 @@ func TestExternalizeAvoidsOwnRepository(t *testing.T) {
 	// registrar must land in a foreign TLD instead.
 	neustar := registry.New("Neustar", nil, "biz", "us")
 	ibs := newRegistrar(t, "Internet.bs", Phase{From: day0, Idiom: idioms.DeletedDrop})
-	must(t, neustar.RegisterDomain(ibs.ID(), "provider.biz", day0, exp1))
-	must(t, neustar.CreateHost(ibs.ID(), "ns1.provider.biz", day0, addr))
-	must(t, neustar.SetNS(ibs.ID(), "provider.biz", day0, "ns1.provider.biz"))
+	must(t, neustar.RegisterDomain(ibs.id, "provider.biz", day0, exp1))
+	must(t, neustar.CreateHost(ibs.id, "ns1.provider.biz", day0, addr))
+	must(t, neustar.SetNS(ibs.id, "provider.biz", day0, "ns1.provider.biz"))
 	must(t, neustar.RegisterDomain("other", "victim.us", day0, exp1))
 	must(t, neustar.SetNS("other", "victim.us", day0, "ns1.provider.biz"))
 	renames, err := ibs.DeleteDomain(neustar, "provider.biz", exp1)
@@ -204,9 +204,9 @@ func TestRemediateDelegations(t *testing.T) {
 		Phase{From: day0, Idiom: idioms.DropThisHost},
 		Phase{From: exp1.Add(30), Idiom: idioms.EmptyAS112},
 	)
-	buildProvider(t, reg, gd.ID())
+	buildProvider(t, reg, gd.id)
 	// Make bar.com GoDaddy-sponsored so remediation applies.
-	must(t, reg.Repository().TransferDomain("bar.com", gd.ID()))
+	must(t, reg.Repository().TransferDomain("bar.com", gd.id))
 	renames, err := gd.DeleteDomain(reg, "provider.com", exp1)
 	must(t, err)
 	sac := renames[0].New
@@ -241,7 +241,7 @@ func TestRemediationSkipsForeignSponsors(t *testing.T) {
 		Phase{From: day0, Idiom: idioms.DropThisHost},
 		Phase{From: exp1.Add(30), Idiom: idioms.EmptyAS112},
 	)
-	buildProvider(t, reg, gd.ID()) // bar.com stays sponsored by "other"
+	buildProvider(t, reg, gd.id) // bar.com stays sponsored by "other"
 	renames, err := gd.DeleteDomain(reg, "provider.com", exp1)
 	must(t, err)
 	n, err := gd.RemediateDelegations(reg, []dnsname.Name{renames[0].New}, exp1.Add(60))
@@ -262,7 +262,7 @@ func TestDeleteDomainWrongSponsor(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	gd := newRegistrar(t, "GoDaddy")
-	if gd.ID() != "godaddy" || gd.Name() != "GoDaddy" {
+	if gd.id != "godaddy" || gd.Name() != "GoDaddy" {
 		t.Error("accessors broken")
 	}
 }

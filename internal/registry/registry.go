@@ -7,18 +7,14 @@
 // delegation, a host rename silently rewriting NS records, glue appearing
 // or vanishing — is reported to a Recorder as it happens, which is how the
 // longitudinal zone database observes "daily zone files" without
-// re-publishing half a million records every simulated day. PublishZone
-// can still materialize a full master-file snapshot for any single day.
+// re-publishing half a million records every simulated day.
 package registry
 
 import (
-	"fmt"
 	"net/netip"
-	"sort"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
-	"repro/internal/dnszone"
 	"repro/internal/epp"
 )
 
@@ -90,9 +86,6 @@ func (r *Registry) Repository() *epp.Repository { return r.repo }
 
 // TLDs returns the TLDs this registry operates.
 func (r *Registry) TLDs() []dnsname.Name { return r.repo.TLDs() }
-
-// Manages reports whether name falls under a TLD of this registry.
-func (r *Registry) Manages(name dnsname.Name) bool { return r.repo.Manages(name) }
 
 // zoneOf returns the TLD zone a name belongs to.
 func zoneOf(name dnsname.Name) dnsname.Name { return name.TLD() }
@@ -258,35 +251,6 @@ func (r *Registry) RenewDomain(registrar epp.RegistrarID, name dnsname.Name, new
 	return r.repo.RenewDomain(registrar, name, newExpiry)
 }
 
-// PublishZone materializes the full zone snapshot for one TLD on a day,
-// equivalent to the daily zone files the study collected.
-func (r *Registry) PublishZone(tld dnsname.Name, day dates.Day) (*dnszone.Snapshot, error) {
-	if !r.repo.Manages(dnsname.Join("x", tld)) {
-		return nil, fmt.Errorf("registry %s does not operate %s", r.name, tld)
-	}
-	snap := dnszone.NewSnapshot(tld, day)
-	r.repo.Domains(func(d *epp.Domain) bool {
-		if d.Name.TLD() != tld {
-			return true
-		}
-		if ns := r.repo.NSNames(d); len(ns) > 0 {
-			snap.AddDelegation(d.Name, ns...)
-		}
-		return true
-	})
-	r.repo.Hosts(func(h *epp.Host) bool {
-		if h.External() || h.Name.TLD() != tld {
-			return true
-		}
-		for _, a := range h.Addrs {
-			snap.AddGlue(h.Name, a)
-		}
-		return true
-	})
-	snap.Sort()
-	return snap, nil
-}
-
 // Directory maps TLDs to the registry operating them. The detector uses
 // it for the single-repository property: this mapping is public knowledge
 // (IANA publishes it), not simulator ground truth.
@@ -316,29 +280,4 @@ func (d *Directory) OperatorOf(tld dnsname.Name) string {
 		return r.Name()
 	}
 	return ""
-}
-
-// Registries returns the distinct registries in the directory, sorted by
-// name.
-func (d *Directory) Registries() []*Registry {
-	seen := make(map[*Registry]bool)
-	var out []*Registry
-	for _, r := range d.byTLD {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// TLDs returns all TLDs known to the directory, sorted.
-func (d *Directory) TLDs() []dnsname.Name {
-	out := make([]dnsname.Name, 0, len(d.byTLD))
-	for tld := range d.byTLD {
-		out = append(out, tld)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -153,29 +153,6 @@ func TestExternalHostNoGlueEvents(t *testing.T) {
 	}
 }
 
-func TestPublishZone(t *testing.T) {
-	reg, _ := setup(t)
-	must(t, reg.RegisterDomain("A", "foo.com", day0, exp1))
-	must(t, reg.CreateHost("A", "ns1.foo.com", day0, addr))
-	must(t, reg.SetNS("A", "foo.com", day0, "ns1.foo.com"))
-	must(t, reg.RegisterDomain("A", "empty.com", day0, exp1)) // no delegation
-	must(t, reg.RegisterDomain("A", "other.net", day0, exp1))
-	must(t, reg.CreateHost("A", "ns1.other.net", day0, addr))
-	must(t, reg.SetNS("A", "other.net", day0, "ns1.other.net"))
-
-	snap, err := reg.PublishZone("com", day0.Add(1))
-	must(t, err)
-	if snap.NumDomains() != 1 || snap.Delegations[0].Domain != "foo.com" {
-		t.Fatalf("snapshot = %+v", snap.Delegations)
-	}
-	if len(snap.Glue) != 1 || snap.Glue[0].Host != "ns1.foo.com" {
-		t.Fatalf("glue = %+v", snap.Glue)
-	}
-	if _, err := reg.PublishZone("org", day0); err == nil {
-		t.Error("publishing a foreign zone should fail")
-	}
-}
-
 func TestDirectory(t *testing.T) {
 	verisign := New("Verisign", nil, "com", "net")
 	afilias := New("Afilias", nil, "org", "info")
@@ -188,14 +165,6 @@ func TestDirectory(t *testing.T) {
 	}
 	if dir.OperatorOf("org") != "Afilias" || dir.OperatorOf("xx") != "" {
 		t.Error("OperatorOf broken")
-	}
-	regs := dir.Registries()
-	if len(regs) != 2 || regs[0].Name() != "Afilias" {
-		t.Fatalf("Registries = %v", regs)
-	}
-	tlds := dir.TLDs()
-	if !reflect.DeepEqual(tlds, []dnsname.Name{"com", "info", "net", "org"}) {
-		t.Fatalf("TLDs = %v", tlds)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -16,34 +15,22 @@ import (
 )
 
 // Stub is a minimal stub resolver that queries one authoritative server
-// over UDP, falling back to TCP when the server sets the TC bit
-// (RFC 1035 §4.2.2). The controlled experiment uses it to confirm that a
-// hijacked sacrificial nameserver really answers for its delegated
-// names.
+// over UDP. It has no TCP fallback: a truncated answer (TC set) is
+// returned as it came. The controlled experiment uses it to confirm
+// that a hijacked sacrificial nameserver really answers for its
+// delegated names.
 type Stub struct {
 	// Server is the authoritative server's UDP address.
 	Server string
-	// TCPServer is the address for truncation fallback; defaults to
-	// Server. Empty string with NoTCPFallback unset still falls back to
-	// Server.
-	TCPServer string
-	// NoTCPFallback disables the TC-bit retry.
-	NoTCPFallback bool
-	// AdvertiseUDPSize, when greater than 512, adds an EDNS0 OPT record
-	// to queries advertising this UDP payload size (RFC 6891).
-	AdvertiseUDPSize uint16
 	// Timeout bounds each attempt (default 2s).
 	Timeout time.Duration
-	// Retries is the number of additional attempts (default 2).
-	Retries int
-	// Backoff is the sleep before the first retry; attempts double it up
-	// to ten times the base, with jitter. Zero means retry immediately,
-	// the right default for UDP where the first attempt likely just
+	// Retries is the number of additional attempts (default 2). Retries
+	// go out at once: over UDP the first attempt most likely just
 	// vanished.
-	Backoff time.Duration
-	// Dialer overrides how connections are dialed (both UDP and the TCP
-	// truncation fallback). It exists so fault injection can be slid
-	// under the resolver; nil uses net.Dialer with the attempt timeout.
+	Retries int
+	// Dialer overrides how connections are dialed. It exists so fault
+	// injection can be slid under the resolver; nil uses net.Dialer with
+	// the attempt timeout.
 	Dialer faults.Dialer
 
 	mu  sync.Mutex
@@ -94,41 +81,24 @@ func (s *Stub) Query(ctx context.Context, name dnsname.Name, qtype dnswire.Type)
 			{Name: name, Type: qtype, Class: dnswire.ClassIN},
 		},
 	}
-	if s.AdvertiseUDPSize > 512 {
-		query.AddOPT(s.AdvertiseUDPSize)
-	}
 	wire, err := dnswire.Encode(query)
 	if err != nil {
 		return nil, err
 	}
 	// Timeouts and lost datagrams retry; anything structural (a
 	// mismatched question, a decode failure) will repeat identically and
-	// does not. faults.Retry checks ctx before every attempt and aborts
-	// any backoff sleep on cancellation.
+	// does not. faults.Retry checks ctx before every attempt.
 	policy := faults.Policy{
 		MaxAttempts: s.retries() + 1,
-		BaseDelay:   s.Backoff,
-		MaxDelay:    10 * s.Backoff,
+		BaseDelay:   -1, // retry immediately
 		Retryable: func(err error) bool {
 			return faults.IsTimeout(err) || errors.Is(err, ErrNoResponse)
 		},
 	}
-	if s.Backoff <= 0 {
-		policy.BaseDelay = -1 // retry immediately
-	}
 	var resp *dnswire.Message
-	err = faults.Retry(ctx, policy, func(ctx context.Context) error {
-		r, err := s.exchange(ctx, wire, query.Header.ID, name, qtype)
-		if err != nil {
-			return err
-		}
-		if r.Header.Truncated && !s.NoTCPFallback {
-			if r, err = s.exchangeTCP(ctx, wire, query.Header.ID, name, qtype); err != nil {
-				return err
-			}
-		}
-		resp = r
-		return nil
+	err = faults.Retry(ctx, policy, func(ctx context.Context) (err error) {
+		resp, err = s.exchange(ctx, wire, query.Header.ID, name, qtype)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -175,47 +145,6 @@ func (s *Stub) exchange(ctx context.Context, wire []byte, id uint16, name dnsnam
 		}
 		return resp, nil
 	}
-}
-
-// exchangeTCP retries the query over TCP with RFC 1035 length framing.
-func (s *Stub) exchangeTCP(ctx context.Context, wire []byte, id uint16, name dnsname.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-	addr := s.TCPServer
-	if addr == "" {
-		addr = s.Server
-	}
-	conn, err := s.dial(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := faults.SetConnDeadline(conn, ctx, s.timeout()); err != nil {
-		return nil, err
-	}
-	framed := make([]byte, 2+len(wire))
-	framed[0], framed[1] = byte(len(wire)>>8), byte(len(wire))
-	copy(framed[2:], wire)
-	if _, err := conn.Write(framed); err != nil {
-		return nil, err
-	}
-	var hdr [2]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, int(hdr[0])<<8|int(hdr[1]))
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	resp, err := dnswire.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Header.ID != id || !resp.Header.Response {
-		return nil, ErrMismatch
-	}
-	if len(resp.Questions) != 1 || resp.Questions[0].Name != name || resp.Questions[0].Type != qtype {
-		return nil, ErrMismatch
-	}
-	return resp, nil
 }
 
 // LookupA resolves A records for name, returning the addresses as

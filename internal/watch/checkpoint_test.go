@@ -39,7 +39,7 @@ func watchingCheckpoint(t testing.TB) ([]byte, *whois.History, *registry.Directo
 			t.Fatal(err)
 		}
 	}
-	if f := e.Funnel(); f.Sacrificial != 1 {
+	if f := e.funnel; f.Sacrificial != 1 {
 		t.Fatalf("funnel %+v, want one sacrificial", f)
 	}
 	var buf bytes.Buffer

@@ -99,7 +99,7 @@ func TestDemotionAndHijack(t *testing.T) {
 		t.Errorf("sacrificial alert details: %+v", alerts[0])
 	}
 
-	f := e.Funnel()
+	f := e.funnel
 	// Four NS ever delegated to; all unresolvable at first reference;
 	// the two originals stay unclassified, victim's rename is demoted to
 	// the single-repo bucket, acme's stands.
@@ -145,7 +145,7 @@ func TestStrictDepthWhateverTheOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// ns.f.us and ns.e.biz are too far from the glue; the cycle has none.
-		if got := e.Funnel().Candidates; got != 2+len(cycle) {
+		if got := e.funnel.Candidates; got != 2+len(cycle) {
 			t.Errorf("candidates = %d, want %d", got, 2+len(cycle))
 		}
 		// Ask the engine's own chase over its own day state, the call

@@ -246,10 +246,6 @@ func (e *Engine) LastDay() dates.Day { return e.last }
 // Seq returns the number of alerts emitted so far.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// Funnel returns the current candidate-elimination counts. After a full
-// replay they equal the batch Detector's funnel.
-func (e *Engine) Funnel() detect.Funnel { return e.funnel }
-
 // ApplyDay advances the engine by one day. Days must be applied in
 // strictly increasing order; gaps are fine (a skipped day is implicitly
 // quiet). A day at or before LastDay returns ErrStale and changes

@@ -163,7 +163,7 @@ func TestApplyDayAllocs(t *testing.T) {
 	// warm-up run AllocsPerRun makes applies the first of them.
 	var busy []*delta.DayDelta
 	for d := quiet.Day + 1; d <= idx.Last(); d++ {
-		if dd := idx.Day(d); !dd.Empty() {
+		if dd := idx.Day(d); dd.Changes() != 0 {
 			busy = append(busy, dd)
 		}
 	}

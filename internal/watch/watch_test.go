@@ -144,9 +144,9 @@ func TestReplayEquivalence(t *testing.T) {
 			for _, a := range alerts {
 				counts[a.Type]++
 			}
-			if got := counts[AlertSacrificial] - counts[AlertRetracted]; got != e.Funnel().Sacrificial {
+			if got := counts[AlertSacrificial] - counts[AlertRetracted]; got != e.funnel.Sacrificial {
 				t.Errorf("alerts: %d sacrificial - %d retracted = %d, funnel says %d",
-					counts[AlertSacrificial], counts[AlertRetracted], got, e.Funnel().Sacrificial)
+					counts[AlertSacrificial], counts[AlertRetracted], got, e.funnel.Sacrificial)
 			}
 			hijacked := 0
 			for _, s := range batch.Sacrificial {

@@ -22,8 +22,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumDomains() != 2 {
-		t.Fatalf("domains = %d", back.NumDomains())
+	if n := len(back.byDomain); n != 2 {
+		t.Fatalf("domains = %d", n)
 	}
 	if got := back.RegistrarOn("foo.com", dates.FromYMD(2017, 1, 1)); got != "Network Solutions" {
 		t.Errorf("registrar = %q", got)

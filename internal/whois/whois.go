@@ -55,12 +55,3 @@ func (h *History) RegistrarOn(domain dnsname.Name, day dates.Day) string {
 	}
 	return recs[i-1].Registrar
 }
-
-// Records returns the full history of a domain in chronological order.
-// The slice is owned by the database.
-func (h *History) Records(domain dnsname.Name) []Record {
-	return h.byDomain[domain]
-}
-
-// NumDomains returns the number of domains with history.
-func (h *History) NumDomains() int { return len(h.byDomain) }

@@ -36,24 +36,11 @@ func TestOutOfOrderObservations(t *testing.T) {
 	h.Observe("x.com", dates.FromYMD(2018, 1, 1), "Later")
 	h.Observe("x.com", dates.FromYMD(2010, 1, 1), "Earlier")
 	h.Observe("x.com", dates.FromYMD(2014, 1, 1), "Middle")
-	recs := h.Records("x.com")
+	recs := h.byDomain["x.com"]
 	if len(recs) != 3 || recs[0].Registrar != "Earlier" || recs[1].Registrar != "Middle" || recs[2].Registrar != "Later" {
 		t.Fatalf("records = %+v", recs)
 	}
 	if h.RegistrarOn("x.com", dates.FromYMD(2012, 6, 1)) != "Earlier" {
 		t.Error("lookup between out-of-order inserts broken")
-	}
-}
-
-func TestNumDomains(t *testing.T) {
-	h := New()
-	if h.NumDomains() != 0 {
-		t.Error("fresh history not empty")
-	}
-	h.Observe("a.com", 1, "X")
-	h.Observe("a.com", 2, "Y")
-	h.Observe("b.com", 1, "X")
-	if h.NumDomains() != 2 {
-		t.Errorf("NumDomains = %d", h.NumDomains())
 	}
 }

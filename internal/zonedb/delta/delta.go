@@ -56,13 +56,6 @@ type DayDelta struct {
 	GlueRemoved []dnsname.Name `json:"glue_removed,omitempty"`
 }
 
-// Empty reports whether the delta carries no changes (a quiet day).
-func (d *DayDelta) Empty() bool {
-	return len(d.EdgesAdded) == 0 && len(d.EdgesRemoved) == 0 &&
-		len(d.DomainsAdded) == 0 && len(d.DomainsRemoved) == 0 &&
-		len(d.GlueAdded) == 0 && len(d.GlueRemoved) == 0
-}
-
 // Changes returns the total number of change events in the delta.
 func (d *DayDelta) Changes() int {
 	return len(d.EdgesAdded) + len(d.EdgesRemoved) +

@@ -90,10 +90,10 @@ func TestBuildHandCrafted(t *testing.T) {
 	// Facts running into the close day never emit removals: the feed
 	// cannot distinguish "gone" from "not yet observed".
 	quiet := idx.Day(day("2020-03-01"))
-	if !quiet.Empty() {
+	if quiet.Changes() != 0 {
 		t.Errorf("close day should be quiet, got %+v", quiet)
 	}
-	if d := idx.Day(day("2020-03-02")); !d.Empty() {
+	if d := idx.Day(day("2020-03-02")); d.Changes() != 0 {
 		t.Errorf("beyond close day should be empty, got %+v", d)
 	}
 
@@ -454,7 +454,7 @@ func buildsReference(t *testing.T, name string, v *zonedb.View) {
 	// Every other day is quiet, the days either side of the record too.
 	if first != dates.None {
 		for d := first - 1; d <= v.CloseDay()+1 && d <= first+20_000; d++ {
-			if g := idx.Day(d); want[d] == nil && (g.Day != d || !g.Empty()) {
+			if g := idx.Day(d); want[d] == nil && (g.Day != d || g.Changes() != 0) {
 				t.Fatalf("%s, %s: delta %+v on a quiet day", name, d, g)
 			}
 		}

@@ -135,16 +135,6 @@ type QuarantineReport struct {
 // Total returns the number of quarantined snapshots.
 func (r QuarantineReport) Total() int { return len(r.Entries) }
 
-// ByZone returns quarantine counts per zone; unidentifiable snapshots
-// count under the empty name.
-func (r QuarantineReport) ByZone() map[dnsname.Name]int {
-	out := make(map[dnsname.Name]int)
-	for _, e := range r.Entries {
-		out[e.Zone]++
-	}
-	return out
-}
-
 // String renders a one-line summary, e.g. "3 quarantined (com: 2 [gap 1,
 // out-of-order 1], ?: 1 [corrupt 1])".
 func (r QuarantineReport) String() string {

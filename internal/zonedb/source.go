@@ -92,30 +92,6 @@ func (f *FileSource) start(path string) chan fileRead {
 	return slot
 }
 
-// SliceSource yields an in-memory snapshot slice in order — the test and
-// benchmark counterpart of FileSource.
-type SliceSource struct {
-	Snaps []*dnszone.Snapshot
-	// Name, when set, labels snapshots for diagnostics as Name[i].
-	Name string
-
-	next int
-}
-
-// Next implements SnapshotSource.
-func (s *SliceSource) Next() (*dnszone.Snapshot, string, error) {
-	if s.next >= len(s.Snaps) {
-		return nil, "", io.EOF
-	}
-	snap := s.Snaps[s.next]
-	name := ""
-	if s.Name != "" {
-		name = fmt.Sprintf("%s[%d]", s.Name, s.next)
-	}
-	s.next++
-	return snap, name, nil
-}
-
 // IngestAll drains src into the ingester. In strict mode the first
 // invalid snapshot aborts the ingest with its error; in degraded mode
 // invalid snapshots — unreadable, unparseable, undated, out of order, or

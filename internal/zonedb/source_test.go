@@ -316,3 +316,27 @@ func BenchmarkFileSourceIngest(b *testing.B) {
 		ing.Finish()
 	}
 }
+
+// SliceSource yields an in-memory snapshot slice in order: the tests'
+// counterpart of FileSource.
+type SliceSource struct {
+	Snaps []*dnszone.Snapshot
+	// Name, when set, labels snapshots for diagnostics as Name[i].
+	Name string
+
+	next int
+}
+
+// Next implements SnapshotSource.
+func (s *SliceSource) Next() (*dnszone.Snapshot, string, error) {
+	if s.next >= len(s.Snaps) {
+		return nil, "", io.EOF
+	}
+	snap := s.Snaps[s.next]
+	name := ""
+	if s.Name != "" {
+		name = fmt.Sprintf("%s[%d]", s.Name, s.next)
+	}
+	s.next++
+	return snap, name, nil
+}

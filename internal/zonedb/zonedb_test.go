@@ -168,18 +168,18 @@ func TestSnapshotOn(t *testing.T) {
 	v := db.View()
 
 	snap := v.SnapshotOn("com", d(11))
-	if snap.NumDomains() != 2 {
-		t.Fatalf("snapshot domains = %d", snap.NumDomains())
+	if len(snap.Delegations) != 2 {
+		t.Fatalf("snapshot domains = %d", len(snap.Delegations))
 	}
 	snap2 := v.SnapshotOn("com", d(15))
-	if snap2.NumDomains() != 1 {
-		t.Fatalf("snapshot after removal = %d", snap2.NumDomains())
+	if len(snap2.Delegations) != 1 {
+		t.Fatalf("snapshot after removal = %d", len(snap2.Delegations))
 	}
 	if len(snap.Glue) != 1 {
 		t.Fatalf("glue = %v", snap.Glue)
 	}
 	// Zone filter: nothing from .com shows in .biz.
-	if v.SnapshotOn("biz", d(11)).NumDomains() != 0 {
+	if len(v.SnapshotOn("biz", d(11)).Delegations) != 0 {
 		t.Error("zone filter broken")
 	}
 }
@@ -194,12 +194,12 @@ func TestSnapshotPastSealedDay(t *testing.T) {
 	db.GlueAdded("net", "ns1.x.net", d(1))
 	db.Close(d(10))
 	v := db.View()
-	if snap := v.SnapshotOn("net", d(10)); snap.NumDomains() != 1 || len(snap.Glue) != 1 {
-		t.Fatalf("close day: %d delegations, glue %v; want the delegation and its glue", snap.NumDomains(), snap.Glue)
+	if snap := v.SnapshotOn("net", d(10)); len(snap.Delegations) != 1 || len(snap.Glue) != 1 {
+		t.Fatalf("close day: %d delegations, glue %v; want the delegation and its glue", len(snap.Delegations), snap.Glue)
 	}
 	for _, day := range []dates.Day{d(11), d(500)} {
-		if snap := v.SnapshotOn("net", day); snap.NumDomains() != 0 || len(snap.Glue) != 0 {
-			t.Errorf("%s, past the close day: %d delegations, glue %v; want neither", day, snap.NumDomains(), snap.Glue)
+		if snap := v.SnapshotOn("net", day); len(snap.Delegations) != 0 || len(snap.Glue) != 0 {
+			t.Errorf("%s, past the close day: %d delegations, glue %v; want neither", day, len(snap.Delegations), snap.Glue)
 		}
 	}
 
@@ -208,8 +208,8 @@ func TestSnapshotPastSealedDay(t *testing.T) {
 	ragged.GlueAdded("net", "ns1.x.net", d(1))
 	ragged.DomainAdded("com", "a.com", d(1))
 	ragged.CloseZones(map[dnsname.Name]dates.Day{"com": d(10)})
-	if snap := ragged.View().SnapshotOn("net", d(5)); snap.NumDomains() != 0 || len(snap.Glue) != 0 {
-		t.Errorf("unsealed zone: %d delegations, glue %v; want neither", snap.NumDomains(), snap.Glue)
+	if snap := ragged.View().SnapshotOn("net", d(5)); len(snap.Delegations) != 0 || len(snap.Glue) != 0 {
+		t.Errorf("unsealed zone: %d delegations, glue %v; want neither", len(snap.Delegations), snap.Glue)
 	}
 }
 

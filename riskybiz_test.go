@@ -6,6 +6,7 @@ package riskybiz
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -367,7 +368,30 @@ func TestRemediationAttribution(t *testing.T) {
 }
 
 func TestIdiomTimelineEras(t *testing.T) {
-	st := sharedStudy(t)
+	checkIdiomEras(t, sharedStudy(t))
+}
+
+// TestIdiomErasAcrossSeeds holds the era checks at the seeds whose Enom
+// renames a .biz original in its 123 era (3 and 6 at scale 8): the
+// rename lands in .com, and it must still date the 123.BIZ era, not
+// open the random one.
+func TestIdiomErasAcrossSeeds(t *testing.T) {
+	for _, seed := range []int64{3, 6} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			st, err := RunContext(context.Background(), Options{Seed: seed, DomainsPerDay: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdiomEras(t, st)
+		})
+	}
+}
+
+// checkIdiomEras asserts the idiom timeline's eras: each registrar's
+// hijackable idiom ends where its next begins, and protected idioms
+// appear only after the notification.
+func checkIdiomEras(t *testing.T, st *Study) {
+	t.Helper()
 	rows := st.Analysis.IdiomTimeline()
 	if len(rows) < 6 {
 		t.Fatalf("timeline rows = %d", len(rows))
