@@ -7,7 +7,7 @@
 // Usage:
 //
 //	riskybiz [-scale N] [-seed S] [-only table3,figure6] [-json]
-//	         [-save-data PREFIX] [-save-snapshots DIR] [-stats] [-trace FILE]
+//	         [-save-data PREFIX] [-save-snapshots DIR] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-mutexprofile FILE]
 //	riskybiz -data PREFIX [same output flags]
 //
@@ -55,7 +55,6 @@ func main() {
 	saveData := flag.String("save-data", "", "save the dataset the study ran on: the zone DB as a segment file PREFIX.dzdb, plus PREFIX.whois and PREFIX.exclude")
 	saveSnapshots := flag.String("save-snapshots", "", "after simulating, write each zone's daily master-file snapshots into this directory")
 	jsonOut := flag.Bool("json", false, "emit the full result summary as JSON instead of text artifacts")
-	stats := flag.Bool("stats", false, "print a detection stage-timing report to stderr")
 	traceOut := flag.String("trace", "", "write the run's trace in Chrome trace_event JSON (load in Perfetto) to this file (\"-\" = stderr)")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := prof.RegisterCLIFlags(flag.CommandLine)
@@ -93,9 +92,6 @@ func main() {
 			fatalf("writing -save-snapshots: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "%d snapshots written to %s\n", n, *saveSnapshots)
-	}
-	if *stats {
-		study.Result.Stats.WriteReport(os.Stderr)
 	}
 	if *saveData != "" {
 		if err := riskybiz.SaveData(study, *saveData); err != nil {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// TestTraceStagesMatchStats: the file -trace writes is Chrome
-// trace_event JSON, and the detection stages in it are the ones -stats
-// reports — one span per stage, each a child of detect.run, under the
+// TestTraceHoldsDetectionStages: the file -trace writes is Chrome
+// trace_event JSON, and the detection stages in it are the ones the run
+// timed — one span per stage, each a child of detect.run, under the
 // same names RunStats.Stages carries.
-func TestTraceStagesMatchStats(t *testing.T) {
+func TestTraceHoldsDetectionStages(t *testing.T) {
 	tracer := trace.New()
 	study, err := runStudy(tracer, "", "", false, 0, riskybiz.Options{Seed: 1, DomainsPerDay: 1})
 	if err != nil {

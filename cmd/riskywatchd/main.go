@@ -1,19 +1,24 @@
 // Command riskywatchd is the streaming counterpart of riskybiz -data: it
-// watches zone history as it grows and raises an alert the day a
-// sacrificial nameserver appears, is retracted, or gets hijacked,
+// runs zone history forward one day at a time and raises an alert the
+// day a sacrificial nameserver appears, is retracted, or gets hijacked,
 // instead of re-running batch detection over the whole archive.
 //
 // It consumes per-day zone deltas from one of two sources:
 //
-//	riskywatchd -archive PREFIX            # PREFIX.dzdb (+ PREFIX.whois), tailed on mtime
+//	riskywatchd -archive PREFIX            # PREFIX.dzdb (+ PREFIX.whois), replayed once
 //	riskywatchd -feed http://host:8053     # a dzdbd /v1/deltas feed, long-polled
 //
-// Alerts are emitted as JSON Lines on stdout or -alerts FILE, and
-// optionally POSTed to a -webhook URL. The engine state checkpoints to
-// -checkpoint FILE every minute while applying and on shutdown, so a
-// restarted watcher resumes where it left off without replaying history
-// (and without re-emitting old alerts — the alert sequence number is
-// part of the checkpoint).
+// An archive is replayed from the engine's position to its last day,
+// and then the process exits. To follow a history that grows, serve it
+// with dzdbd -load (SIGHUP makes dzdbd re-read a rewritten file) and
+// follow that with -feed; with -once a follower exits after its first
+// full catch-up.
+//
+// Alerts are emitted as JSON Lines on stdout or -alerts FILE. The engine
+// state checkpoints to -checkpoint FILE every minute while applying and
+// at exit, so a restarted watcher resumes where it left off without
+// replaying history (and without re-emitting old alerts — the alert
+// sequence number is part of the checkpoint).
 //
 // Usage:
 //
@@ -28,24 +33,21 @@
 // lag is within two days, and the checkpoint is younger than five
 // minutes — a watcher that is silently behind is missed hijack windows,
 // so it reports not-ready rather than limping quietly.
-// The lag gauge updates on every pass (an archive re-stat, or a
+// The lag gauge updates on every pass (the archive replay, or a
 // long-poll answered, empty pages included), so a stalled feed shows as
 // growing lag instead of a frozen gauge.
 //
-// The process shuts down gracefully on SIGINT/SIGTERM: readiness flips
-// to 503 first, the -drain window elapses, and a final checkpoint is
-// written before exit.
+// The process shuts down gracefully on SIGINT/SIGTERM, and after an
+// archive replay: readiness flips to 503 first, the -drain window
+// elapses, and a final checkpoint is written before exit.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sync/atomic"
 	"time"
@@ -64,38 +66,61 @@ import (
 	"repro/internal/zonedb/segment"
 )
 
+// config is what the flags select.
+type config struct {
+	archive, feed   string
+	whois, alerts   string
+	checkpoint      string
+	metrics         string
+	once            bool
+	feedWait, drain time.Duration
+}
+
 func main() {
-	archive := flag.String("archive", "", "riskybiz -save-data prefix (segment file PREFIX.dzdb, PREFIX.whois); replayed, then tailed for rewrites")
-	feed := flag.String("feed", "", "base URL of a dzdbd /v1/deltas feed to follow")
-	whoisPath := flag.String("whois", "", "WHOIS archive for registrar attribution (default PREFIX.whois in archive mode)")
-	alertsPath := flag.String("alerts", "-", "JSONL alert sink (\"-\" = stdout)")
-	webhook := flag.String("webhook", "", "POST each alert as JSON to this URL")
-	ckptPath := flag.String("checkpoint", "", "checkpoint file: restored at start when present, rewritten on interval and shutdown")
-	poll := flag.Duration("poll", 2*time.Second, "archive re-stat cadence; with -feed, the backoff after a failed request")
-	once := flag.Bool("once", false, "exit after the first full catch-up instead of tailing")
-	metricsAddr := flag.String("metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
-	feedWait := flag.Duration("feed-wait", 30*time.Second, "server-side hold per long-poll request (at most the server's 1m cap)")
-	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
+	var c config
+	flag.StringVar(&c.archive, "archive", "", "riskybiz -save-data prefix (segment file PREFIX.dzdb, PREFIX.whois): replayed once, then the process exits")
+	flag.StringVar(&c.feed, "feed", "", "base URL of a dzdbd /v1/deltas feed to follow")
+	flag.StringVar(&c.whois, "whois", "", "WHOIS archive for registrar attribution (default PREFIX.whois in archive mode)")
+	flag.StringVar(&c.alerts, "alerts", "-", "JSONL alert sink (\"-\" = stdout)")
+	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file: restored at start when present, rewritten on interval and at exit")
+	flag.BoolVar(&c.once, "once", false, "with -feed, exit after the first full catch-up instead of following")
+	flag.StringVar(&c.metrics, "metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
+	flag.DurationVar(&c.feedWait, "feed-wait", 30*time.Second, "server-side hold per long-poll request (at most the server's 1m cap)")
+	flag.DurationVar(&c.drain, "drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := daemon.RegisterProfFlags(flag.CommandLine)
 	flag.Parse()
 
 	app := daemon.New("riskywatchd", *version)
 	defer app.Close()
-	if (*archive == "") == (*feed == "") {
+	if (c.archive == "") == (c.feed == "") {
 		app.Fatal("flags", errors.New("exactly one of -archive or -feed is required"))
 	}
-	if *feedWait <= 0 {
-		app.Fatal("flags", fmt.Errorf("-feed-wait must be positive (got %s)", *feedWait))
+	if c.once && c.archive != "" {
+		app.Fatal("flags", errors.New("-once applies to -feed only: -archive always exits after one replay"))
+	}
+	if c.feedWait <= 0 {
+		app.Fatal("flags", fmt.Errorf("-feed-wait must be positive (got %s)", c.feedWait))
 	}
 	app.StartProfiler(profFlags)
+	ctx, stop := daemon.SignalContext()
+	defer stop()
+	if err := run(ctx, app, c); err != nil {
+		app.Fatal("riskywatchd", err)
+	}
+}
 
+// run restores the checkpoint, replays the archive or follows the feed
+// until it is done or ctx is, then drains and writes the final
+// checkpoint. A cancelled ctx is a clean shutdown, not an error.
+func run(ctx context.Context, app *daemon.App, c config) error {
+	park := time.Duration(0)
+	if c.feed != "" {
+		park = min(c.feedWait, dzdbapi.MaxLongPollWait)
+	}
 	w := &watcher{
 		app:      app,
-		webhook:  *webhook,
-		hc:       &http.Client{Timeout: 10 * time.Second},
-		ckptPath: *ckptPath,
-		feedWait: *feedWait,
+		ckptPath: c.checkpoint,
 
 		lag:     app.Reg.Gauge("watch_feed_lag_days", "Days between the feed's close day and the last day applied."),
 		ckptAge: app.Reg.Gauge("watch_checkpoint_age_seconds", "Seconds since the last checkpoint was written."),
@@ -111,18 +136,14 @@ func main() {
 	// error), the engine must be within maxLagDays of the feed's
 	// close, and the checkpoint must be young enough to bound replay
 	// after a crash.
-	park := time.Duration(0)
-	if *feed != "" {
-		park = min(*feedWait, dzdbapi.MaxLongPollWait)
-	}
-	w.feedCheck = app.Health.Register("feed", feedTTL(*poll, park))
+	w.feedCheck = app.Health.Register("feed", feedTTL(park))
 	app.Health.RegisterFunc("lag", func() error {
 		if lag := w.lag.Value(); lag > maxLagDays {
 			return fmt.Errorf("%d days behind the feed (max %d)", lag, maxLagDays)
 		}
 		return nil
 	})
-	if *ckptPath != "" {
+	if c.checkpoint != "" {
 		app.Health.RegisterFunc("checkpoint", func() error {
 			age := time.Since(time.Unix(0, w.lastCkpt.Load()))
 			if age > maxCheckpointAge {
@@ -134,8 +155,8 @@ func main() {
 
 	app.StatusSection("watch", func() []daemon.KV {
 		rows := []daemon.KV{
-			{K: "last_day", V: w.engineLastDay()},
-			{K: "alerts_emitted", V: fmt.Sprintf("%d", w.engineSeq())},
+			{K: "last_day", V: dates.Day(w.lastDay.Load()).String()},
+			{K: "alerts_emitted", V: fmt.Sprintf("%d", w.seq.Load())},
 			{K: "feed_lag_days", V: fmt.Sprintf("%d", w.lag.Value())},
 		}
 		if cd := dates.Day(w.closeDay.Load()); cd != dates.None {
@@ -150,34 +171,34 @@ func main() {
 		return rows
 	})
 
-	if *alertsPath == "" || *alertsPath == "-" {
+	if c.alerts == "" || c.alerts == "-" {
 		w.enc = json.NewEncoder(os.Stdout)
 	} else {
-		f, err := os.OpenFile(*alertsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(c.alerts, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			app.Fatal("opening alert sink", err)
+			return fmt.Errorf("opening alert sink: %w", err)
 		}
 		defer f.Close()
 		w.enc = json.NewEncoder(f)
 	}
 
-	wh, err := loadWHOIS(*whoisPath, *archive)
+	wh, err := loadWHOIS(c.whois, c.archive)
 	if err != nil {
-		app.Fatal("loading WHOIS archive", err)
+		return fmt.Errorf("loading WHOIS archive: %w", err)
 	}
 	dir := sim.StandardDirectory()
 
-	if *ckptPath != "" {
-		if f, err := os.Open(*ckptPath); err == nil {
+	if c.checkpoint != "" {
+		if f, err := os.Open(c.checkpoint); err == nil {
 			w.engine, err = watch.Restore(f, wh, dir)
 			f.Close()
 			if err != nil {
-				app.Fatal("restoring checkpoint", err)
+				return fmt.Errorf("restoring checkpoint: %w", err)
 			}
-			app.Log.Info("checkpoint restored", "path", *ckptPath,
+			app.Log.Info("checkpoint restored", "path", c.checkpoint,
 				"last_day", w.engine.LastDay().String(), "alerts", int(w.engine.Seq()))
 		} else if !errors.Is(err, os.ErrNotExist) {
-			app.Fatal("opening checkpoint", err)
+			return fmt.Errorf("opening checkpoint: %w", err)
 		}
 	}
 	if w.engine == nil {
@@ -185,9 +206,7 @@ func main() {
 	}
 	w.syncMirror()
 
-	metricsSrv := app.ServeObservability(*metricsAddr)
-	ctx, stop := daemon.SignalContext()
-	defer stop()
+	metricsSrv := app.ServeObservability(c.metrics)
 
 	// Age the checkpoint gauge in the background so /metrics moves even
 	// between applies.
@@ -205,27 +224,29 @@ func main() {
 		}
 	}()
 
-	if *archive != "" {
-		err = w.runArchive(ctx, *archive, *poll, *once)
+	if c.archive != "" {
+		err = w.runArchive(ctx, c.archive)
 	} else {
-		err = w.runFeed(ctx, *feed, *poll, *once)
+		err = w.runFeed(ctx, c.feed, c.feedWait, c.once)
 	}
 	close(ageDone)
-	switch {
-	case err == nil || errors.Is(err, context.Canceled):
+	if errors.Is(err, context.Canceled) {
+		err = nil
+	}
+	if err == nil {
 		app.Log.Info("shutting down", "last_day", w.engine.LastDay().String())
-	default:
-		app.Log.Error("watch loop failed", "err", err)
-		defer os.Exit(1)
+	} else {
+		err = fmt.Errorf("watch loop failed: %w", err)
 	}
 	// Readiness flips before the final checkpoint and metrics teardown,
 	// so probes racing shutdown see 503 while the endpoint still answers.
-	app.BeginShutdown(*drain)
+	app.BeginShutdown(c.drain)
 	if cerr := w.checkpoint(true); cerr != nil {
 		app.Log.Error("final checkpoint", "err", cerr)
 	}
 	daemon.Shutdown(metricsSrv, 5*time.Second)
 	app.Log.Info("stopped")
+	return err
 }
 
 // The watcher checkpoints every checkpointInterval while applying, and
@@ -240,10 +261,10 @@ const (
 // feedTTL is how long the feed check may go without a pass before
 // /readyz calls it stale. A caught-up follower's pass is one parked
 // long-poll, answered empty after park (zero in archive mode), so the
-// TTL covers one park plus a margin of three poll intervals, at least
-// 10 s.
-func feedTTL(poll, park time.Duration) time.Duration {
-	return park + max(3*poll, 10*time.Second)
+// TTL covers one park plus a 10 s margin, more than three of the
+// follower's 2 s backoffs after a failed request.
+func feedTTL(park time.Duration) time.Duration {
+	return park + 10*time.Second
 }
 
 // loadWHOIS reads the registrar history: -whois when given, else the
@@ -272,13 +293,10 @@ type watcher struct {
 	engine  *watch.Engine
 	breaker *faults.Breaker // feed mode only
 
-	enc     *json.Encoder
-	webhook string
-	hc      *http.Client
+	enc *json.Encoder
 
 	ckptPath string
-	lastCkpt atomic.Int64  // unix nanos of the last checkpoint write
-	feedWait time.Duration // long-poll hold
+	lastCkpt atomic.Int64 // unix nanos of the last checkpoint write
 
 	// lastDay/seq/closeDay mirror engine and feed state for concurrent
 	// readers (/statusz, health funcs); the engine itself is owned by the
@@ -295,14 +313,6 @@ type watcher struct {
 	alerts  *obs.CounterVec
 }
 
-// engineLastDay renders the mirrored engine position.
-func (w *watcher) engineLastDay() string {
-	return dates.Day(w.lastDay.Load()).String()
-}
-
-// engineSeq returns the mirrored alert sequence number.
-func (w *watcher) engineSeq() uint64 { return w.seq.Load() }
-
 // syncMirror refreshes the atomic mirrors from the engine. Call from
 // the apply goroutine only.
 func (w *watcher) syncMirror() {
@@ -310,8 +320,8 @@ func (w *watcher) syncMirror() {
 	w.seq.Store(w.engine.Seq())
 }
 
-// passed records the outcome of one catch-up pass (feed page walk or
-// archive re-stat): the reachability check and — the part that must
+// passed records the outcome of one catch-up pass (a feed page walk or
+// the archive replay): the reachability check and — the part that must
 // move even when nothing new arrived — the lag gauge.
 func (w *watcher) passed(last, closeDay dates.Day, err error) {
 	if err != nil {
@@ -330,35 +340,11 @@ func (w *watcher) passed(last, closeDay dates.Day, err error) {
 	w.lag.Set(lag)
 }
 
-// emit writes one alert to every sink.
+// emit writes one alert to the JSONL sink.
 func (w *watcher) emit(a watch.Alert) {
 	w.alerts.With(a.Type).Inc()
 	if err := w.enc.Encode(a); err != nil {
 		w.app.Log.Error("writing alert", "err", err)
-	}
-	if w.webhook == "" {
-		return
-	}
-	body, _ := json.Marshal(a)
-	err := faults.Retry(context.Background(), faults.Policy{MaxAttempts: 3}, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.webhook, bytes.NewReader(body))
-		if err != nil {
-			return faults.Permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			return fmt.Errorf("webhook status %s", resp.Status)
-		}
-		return nil
-	})
-	if err != nil {
-		w.app.Log.Error("webhook delivery failed", "seq", int(a.Seq), "err", err)
 	}
 }
 
@@ -396,8 +382,9 @@ func (w *watcher) checkpoint(force bool) error {
 // runFeed follows a remote /v1/deltas feed through the fault-tolerant
 // client: retries absorb transient failures, the breaker stops
 // hammering a down server, and the follower protocol guarantees no
-// alert is lost or duplicated across either.
-func (w *watcher) runFeed(ctx context.Context, base string, poll time.Duration, once bool) error {
+// alert is lost or duplicated across either. After a failed request
+// the follower backs off for its default 2 s.
+func (w *watcher) runFeed(ctx context.Context, base string, wait time.Duration, once bool) error {
 	w.breaker = &faults.Breaker{Name: "dzdb_feed"}
 	w.breaker.Instrument(w.app.Reg)
 	f := &watch.Follower{
@@ -411,51 +398,22 @@ func (w *watcher) runFeed(ctx context.Context, base string, poll time.Duration, 
 		OnAlert:   w.emit,
 		OnApplied: func(day, closeDay dates.Day, _ int) { w.onApplied(day, closeDay) },
 		OnPass:    w.passed,
-		Poll:      poll,
 		Once:      once,
 		Mode:      watch.ModeLongPoll,
-		Wait:      w.feedWait,
+		Wait:      wait,
 		Log:       w.app.Log,
 	}
 	w.app.Log.Info("following feed", "url", base, "from", w.engine.LastDay().String())
 	return f.Run(ctx)
 }
 
-// runArchive replays the segment file PREFIX.dzdb through the engine,
-// then tails it: when it is replaced (riskybiz -save-data writing a later
-// world; the replace is atomic, so a reload never meets a half-written
-// file) the new epoch is loaded and only the days past the engine's
-// position are applied.
-func (w *watcher) runArchive(ctx context.Context, prefix string, poll time.Duration, once bool) error {
+// runArchive replays the segment file PREFIX.dzdb through the engine
+// once, from the day after the engine's position to the archive's last
+// day; a restart from a current checkpoint applies nothing. The file is
+// read once: to follow a history that grows, serve it with dzdbd -load
+// and follow that with -feed.
+func (w *watcher) runArchive(ctx context.Context, prefix string) error {
 	path := prefix + ".dzdb"
-	var lastMod time.Time
-	for {
-		st, err := os.Stat(path)
-		if err != nil {
-			w.passed(w.engine.LastDay(), dates.None, err)
-			return err
-		}
-		if !st.ModTime().Equal(lastMod) {
-			lastMod = st.ModTime()
-			if err := w.replayArchive(ctx, path); err != nil {
-				return err
-			}
-		}
-		// Every poll — replay or no-op — refreshes the reachability
-		// check and the lag gauge against the last seen close day.
-		w.passed(w.engine.LastDay(), dates.Day(w.closeDay.Load()), nil)
-		if once {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}
-
-func (w *watcher) replayArchive(ctx context.Context, path string) error {
 	db, err := segment.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", path, err)
@@ -469,16 +427,13 @@ func (w *watcher) replayArchive(ctx context.Context, path string) error {
 	if last := w.engine.LastDay(); last != dates.None {
 		from = last + 1
 	}
-	if from > idx.Last() {
-		return nil // nothing new in this epoch
+	if from <= idx.Last() {
+		w.app.Log.Info("replaying archive", "path", path,
+			"from", from.String(), "to", idx.Last().String())
 	}
-	w.app.Log.Info("replaying archive", "path", path,
-		"from", from.String(), "to", idx.Last().String())
 	for d := from; d <= idx.Last(); d++ {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		alerts, err := w.engine.ApplyDay(idx.Day(d))
 		if err != nil {
@@ -489,6 +444,7 @@ func (w *watcher) replayArchive(ctx context.Context, path string) error {
 		}
 		w.onApplied(d, idx.Last())
 	}
+	w.passed(w.engine.LastDay(), idx.Last(), nil)
 	w.app.Log.Info("caught up", "last_day", w.engine.LastDay().String(),
 		"alerts", int(w.engine.Seq()))
 	return nil

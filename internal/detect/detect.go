@@ -171,27 +171,24 @@ type candidate struct {
 // nameserver on min(Workers, nameservers) strided workers, the caller
 // being one of them; Workers 0 means GOMAXPROCS. Each worker owns a
 // resolver (its scratch space serves one query at a time) and runs as
-// a child span of ctx, so shard imbalance is visible in the trace. busy
-// holds each worker's busy time for the utilization report. The
-// candidates are sorted by name, so the result does not depend on the
-// worker count.
-func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (total int, candidates []candidate, busy []time.Duration) {
+// a child span of ctx, so shard imbalance is visible in the trace.
+// workers is the count it ran. The candidates are sorted by name, so
+// the result does not depend on the worker count.
+func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (total int, candidates []candidate, workers int) {
 	var all []dnsname.Name
 	zd.Nameservers(func(ns dnsname.Name) bool {
 		all = append(all, ns)
 		return true
 	})
-	workers := d.Cfg.Workers
+	workers = d.Cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, len(all)))
 	results := make([][]candidate, workers)
-	busy = make([]time.Duration, workers)
 	work := func(w int) {
 		_, wsp := trace.Start(ctx, "detect.extract.worker")
 		wsp.SetAttrInt("worker", w)
-		t0 := time.Now()
 		static := resolve.NewStatic(zd)
 		var mine []candidate
 		for i := w; i < len(all); i += workers {
@@ -200,7 +197,6 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 			}
 		}
 		results[w] = mine
-		busy[w] = time.Since(t0)
 		wsp.SetAttrInt("items", (len(all)+workers-1-w)/workers)
 		wsp.End()
 	}
@@ -216,7 +212,7 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 	wg.Wait()
 	candidates = slices.Concat(results...)
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ns < candidates[j].ns })
-	return len(all), candidates, busy
+	return len(all), candidates, workers
 }
 
 // RunContext executes the full methodology with each pipeline stage
@@ -229,7 +225,6 @@ func (d *Detector) extractCandidates(ctx context.Context, zd *zonedb.View) (tota
 func (d *Detector) RunContext(ctx context.Context) *Result {
 	ctx, rsp := trace.Start(ctx, "detect.run")
 	defer rsp.End()
-	start := time.Now()
 	zd := d.DB.View()
 	res := &Result{byNS: make(map[dnsname.Name]int)}
 	stats := &RunStats{MatchesByMethod: make(map[string]int)}
@@ -238,11 +233,10 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	var candidates []candidate
 	stats.Stages = append(stats.Stages, stage(ctx, StageExtract, func(ctx context.Context) int {
 		var total int
-		total, candidates, stats.WorkerBusy = d.extractCandidates(ctx, zd)
+		total, candidates, stats.Workers = d.extractCandidates(ctx, zd)
 		res.Funnel.TotalNameservers = total
 		return total
 	}))
-	stats.Workers = len(stats.WorkerBusy)
 	res.Funnel.Candidates = len(candidates)
 
 	// Stage 2a: mine patterns (reporting; classification uses the
@@ -289,8 +283,6 @@ func (d *Detector) RunContext(ctx context.Context) *Result {
 	}
 	stats.Stages = append(stats.Stages, classify)
 	res.Funnel.Sacrificial = len(res.Sacrificial)
-	stats.Wall = time.Since(start)
-	stats.Funnel = res.Funnel
 	res.Stats = stats
 	return res
 }

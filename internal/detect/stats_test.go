@@ -1,14 +1,12 @@
 package detect
 
 import (
-	"bytes"
 	"runtime"
-	"strings"
 	"testing"
 )
 
 // TestRunStatsCollected: every Run carries stage timings, the worker
-// busy vector, and the funnel mirror.
+// count and the matches by method.
 func TestRunStatsCollected(t *testing.T) {
 	res := runDetector(t, Config{})
 	st := res.Stats
@@ -27,21 +25,10 @@ func TestRunStatsCollected(t *testing.T) {
 	if st.Stage(StageExtract).Items != res.Funnel.TotalNameservers {
 		t.Errorf("extract items = %d, want %d", st.Stage(StageExtract).Items, res.Funnel.TotalNameservers)
 	}
-	if w := min(runtime.GOMAXPROCS(0), res.Funnel.TotalNameservers); st.Workers != w || len(st.WorkerBusy) != w {
-		t.Errorf("workers = %d, busy = %v, want GOMAXPROCS (%d)", st.Workers, st.WorkerBusy, w)
-	}
-	if st.Funnel != res.Funnel {
-		t.Errorf("stats funnel %+v != result funnel %+v", st.Funnel, res.Funnel)
+	if w := min(runtime.GOMAXPROCS(0), res.Funnel.TotalNameservers); st.Workers != w {
+		t.Errorf("workers = %d, want GOMAXPROCS (%d)", st.Workers, w)
 	}
 	if st.MatchesByMethod["sink"] == 0 || st.MatchesByMethod["marker"] == 0 || st.MatchesByMethod["original"] == 0 {
 		t.Errorf("matches by method = %v, want all three methods", st.MatchesByMethod)
-	}
-
-	var buf bytes.Buffer
-	st.WriteReport(&buf)
-	for _, frag := range []string{"detect.extract", "funnel:", "matches:", "worker utilization"} {
-		if !strings.Contains(buf.String(), frag) {
-			t.Errorf("report missing %q:\n%s", frag, buf.String())
-		}
 	}
 }

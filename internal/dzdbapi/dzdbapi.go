@@ -53,6 +53,7 @@
 package dzdbapi
 
 import (
+	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -455,7 +456,22 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 		return
 	}
 	db := st.view
-	first := db.NSFirstSeen(name)
+	// One walk over the edges gives the first day seen and the summary,
+	// which count every edge; only the page's window is rendered.
+	type edge struct {
+		domain dnsname.Name
+		spans  *interval.Set
+	}
+	var edges []edge
+	first, days := dates.None, 0
+	db.EachDomainOf(name, func(domain dnsname.Name, sp *interval.Set) bool {
+		edges = append(edges, edge{domain, sp})
+		if f := sp.First(); f != dates.None && (first == dates.None || f < first) {
+			first = f
+		}
+		days += sp.TotalDays()
+		return true
+	})
 	glue := db.GlueSpans(name)
 	if first == dates.None && glue == nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, "nameserver %s not observed", name)
@@ -465,21 +481,23 @@ func (s *Server) handleNameserver(w http.ResponseWriter, r *http.Request, st *Ep
 	if first != dates.None {
 		resp.FirstSeen = first.String()
 	}
-	db.EachDomainOf(name, func(domain dnsname.Name, sp *interval.Set) bool {
-		resp.Domains = append(resp.Domains, DomainOfNS{Domain: string(domain), Spans: spansOf(sp)})
-		resp.Summary.Domains++
-		resp.Summary.DomainDays += sp.TotalDays()
-		return true
-	})
-	WriteNameserverPage(w, p, &resp)
+	resp.Summary.DomainDays = days
+	resp.Summary.Domains = len(edges)
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.domain, b.domain) })
+	start, end, next := p.window(len(edges), func(i int) string { return string(edges[i].domain) })
+	for _, e := range edges[start:end] {
+		resp.Domains = append(resp.Domains, DomainOfNS{Domain: string(e.domain), Spans: spansOf(e.spans)})
+	}
+	resp.NextCursor = next
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // WriteNameserverPage finishes a /v1/nameservers/{name} answer whose
 // Domains hold the nameserver's whole exposure in any order: it sorts
-// them, windows the list by p, and renders. A node calls it with the
-// edges of its view, the cluster coordinator with the disjoint union of
-// its shards' answers, so the two page and render alike and their
-// cursors are interchangeable.
+// them, windows the list by p, and renders. The cluster coordinator
+// calls it with the disjoint union of its shards' answers; a node
+// windows its view's edges by the same Page.window before it builds any
+// entry, so the two page alike and their cursors are interchangeable.
 func WriteNameserverPage(w http.ResponseWriter, p Page, resp *NameserverResponse) {
 	sort.Slice(resp.Domains, func(i, j int) bool { return resp.Domains[i].Domain < resp.Domains[j].Domain })
 	start, end, next := p.window(len(resp.Domains), func(i int) string { return resp.Domains[i].Domain })
