@@ -39,7 +39,8 @@
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, and after an
 // archive replay: readiness flips to 503 first, the -drain window
-// elapses, and a final checkpoint is written before exit.
+// elapses when -metrics serves probes (with no listener there is none to
+// wait for), and a final checkpoint is written before exit.
 package main
 
 import (
@@ -86,7 +87,7 @@ func main() {
 	flag.BoolVar(&c.once, "once", false, "with -feed, exit after the first full catch-up instead of following")
 	flag.StringVar(&c.metrics, "metrics", "", "HTTP address for /metrics and /debug/pprof (empty = disabled)")
 	flag.DurationVar(&c.feedWait, "feed-wait", 30*time.Second, "server-side hold per long-poll request (at most the server's 1m cap)")
-	flag.DurationVar(&c.drain, "drain", time.Second, "how long readiness reports 503 before shutdown proceeds")
+	flag.DurationVar(&c.drain, "drain", time.Second, "how long readiness reports 503 on -metrics before shutdown proceeds (none without -metrics)")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := daemon.RegisterProfFlags(flag.CommandLine)
 	flag.Parse()
@@ -240,7 +241,13 @@ func run(ctx context.Context, app *daemon.App, c config) error {
 	}
 	// Readiness flips before the final checkpoint and metrics teardown,
 	// so probes racing shutdown see 503 while the endpoint still answers.
-	app.BeginShutdown(c.drain)
+	// Without a listener no probe can see it, and there is no window to
+	// wait out.
+	drain := c.drain
+	if metricsSrv == nil {
+		drain = 0
+	}
+	app.BeginShutdown(drain)
 	if cerr := w.checkpoint(true); cerr != nil {
 		app.Log.Error("final checkpoint", "err", cerr)
 	}

@@ -49,15 +49,8 @@ func TestFeedTTLCoversOnePark(t *testing.T) {
 // engine's over the archive's delta index, and a second run from the
 // checkpoint the first one wrote emits nothing.
 func TestArchiveReplaysOnce(t *testing.T) {
-	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 1, DomainsPerDay: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	prefix := filepath.Join(dir, "ds")
-	if err := riskybiz.SaveData(study, prefix); err != nil {
-		t.Fatal(err)
-	}
+	prefix := savedStudy(t, dir)
 
 	db, err := segment.ReadFile(prefix + ".dzdb")
 	if err != nil {
@@ -128,5 +121,53 @@ func TestArchiveReplaysOnce(t *testing.T) {
 	}
 	if got := replay(); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("a run from the checkpoint appended %d B of alerts", len(got)-want.Len())
+	}
+}
+
+// savedStudy saves a small study's data under dir and returns its prefix.
+func savedStudy(t *testing.T, dir string) string {
+	t.Helper()
+	study, err := riskybiz.RunContext(context.Background(), riskybiz.Options{Seed: 1, DomainsPerDay: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(dir, "ds")
+	if err := riskybiz.SaveData(study, prefix); err != nil {
+		t.Fatal(err)
+	}
+	return prefix
+}
+
+// TestArchiveDrainsOnlyWithListener: the -drain window holds readiness at
+// 503 for the probes of the -metrics listener. An archive run without one
+// has no probe to answer, and returns without waiting a 30 s drain out;
+// with one it still waits its drain.
+func TestArchiveDrainsOnlyWithListener(t *testing.T) {
+	dir := t.TempDir()
+	prefix := savedStudy(t, dir)
+	for _, tc := range []struct {
+		metrics     string
+		drain, wait time.Duration
+	}{
+		{metrics: "", drain: 30 * time.Second, wait: 5 * time.Second},
+		{metrics: "127.0.0.1:0", drain: 300 * time.Millisecond, wait: time.Minute},
+	} {
+		c := config{archive: prefix, alerts: filepath.Join(dir, "alerts.jsonl"), metrics: tc.metrics, drain: tc.drain}
+		app := daemon.New("riskywatchd", false)
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- run(context.Background(), app, c) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("metrics %q: %v", tc.metrics, err)
+			}
+		case <-time.After(tc.wait):
+			t.Fatalf("metrics %q: the archive run did not return within %s (drain %s)", tc.metrics, tc.wait, tc.drain)
+		}
+		if took := time.Since(start); tc.metrics != "" && took < tc.drain {
+			t.Errorf("with a listener the run returned after %s, before its %s drain", took, tc.drain)
+		}
+		app.Close()
 	}
 }

@@ -203,6 +203,12 @@ func (e *Engine) intern(name dnsname.Name) int32 {
 		e.free = e.free[:n-1]
 		e.recs[id].name = name
 	} else {
+		if len(e.recs) == cap(e.recs) {
+			// Double: past 256 records append grows by a quarter, and a
+			// replay interning tens of thousands of names would copy the
+			// table about four times over.
+			e.recs = slices.Grow(e.recs, max(len(e.recs), 256))
+		}
 		id = int32(len(e.recs))
 		e.recs = append(e.recs, rec{name: name, first: dates.None})
 	}

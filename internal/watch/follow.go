@@ -54,8 +54,9 @@ type Follower struct {
 	Mode string
 	// Wait is the long-poll hold sent as ?wait= (default 30s, at most
 	// dzdbapi.MaxLongPollWait; only meaningful in ModeLongPoll). A Once
-	// pass never sends it: a caught-up Once follower returns instead of
-	// parking for Wait.
+	// pass never sends it, nor does Run's first pass: a caught-up Once
+	// follower returns, and any other reports, instead of parking for
+	// Wait.
 	Wait time.Duration
 
 	Log *slog.Logger
@@ -94,11 +95,21 @@ func (f *Follower) wait() time.Duration {
 // Run follows the feed until ctx is done (or, with Once, until caught
 // up). Transport errors that survive the client's own retry policy are
 // logged and retried at the poll cadence; in Once mode they abort.
+//
+// In long-poll mode the first pass asks without ?wait=, as a Once pass
+// does, and Run then loops straight into the first parked one: a
+// follower that starts caught up — restored from a checkpoint at the
+// feed's close day — reports its pass (OnPass) at once, not after a
+// whole park.
 func (f *Follower) Run(ctx context.Context) error {
-	for {
+	for first := true; ; first = false {
+		wait := time.Duration(0)
+		if f.Mode == ModeLongPoll && !f.Once && !first {
+			wait = f.wait()
+		}
 		passStart := time.Now()
 		before := f.Engine.LastDay()
-		caughtUp, closeDay, err := f.sync(ctx)
+		caughtUp, closeDay, err := f.sync(ctx, wait)
 		passDur := time.Since(passStart)
 		if f.OnPass != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			f.OnPass(f.Engine.LastDay(), closeDay, err)
@@ -116,12 +127,12 @@ func (f *Follower) Run(ctx context.Context) error {
 			return nil
 		}
 		if f.Mode == ModeLongPoll && err == nil &&
-			(f.Engine.LastDay() != before || passDur >= f.wait()/2) {
-			// The server parked the request (or delivered work): loop
-			// straight into the next long-poll. The quick-empty-return
-			// case below means the server ignored ?wait (an old
-			// binary), so fall back to the poll cadence rather than
-			// busy-loop.
+			(first || f.Engine.LastDay() != before || passDur >= f.wait()/2) {
+			// The pass was the unparked first one, or the server parked
+			// the request (or delivered work): loop straight into the
+			// next long-poll. The quick-empty-return case below means
+			// the server ignored ?wait (an old binary), so fall back to
+			// the poll cadence rather than busy-loop.
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -136,10 +147,11 @@ func (f *Follower) Run(ctx context.Context) error {
 }
 
 // sync performs one catch-up pass: request days after the engine's last
-// applied day and walk the cursor chain until the page window is
+// applied day, asking the server to hold each request for wait (none
+// when zero), and walk the cursor chain until the page window is
 // exhausted. It reports whether the engine reached the feed's close
 // day, and the close day itself (dates.None when no page was read).
-func (f *Follower) sync(ctx context.Context) (bool, dates.Day, error) {
+func (f *Follower) sync(ctx context.Context, wait time.Duration) (bool, dates.Day, error) {
 	from := dates.None
 	if last := f.Engine.LastDay(); last != dates.None {
 		from = last + 1
@@ -147,10 +159,6 @@ func (f *Follower) sync(ctx context.Context) (bool, dates.Day, error) {
 	cursor := ""
 	epoch := uint64(0)
 	closeDay := dates.None
-	wait := time.Duration(0)
-	if f.Mode == ModeLongPoll && !f.Once {
-		wait = f.wait()
-	}
 	for {
 		resp, err := f.Client.Deltas(ctx, from, cursor, f.pageSize(), wait)
 		if err != nil {

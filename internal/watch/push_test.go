@@ -189,3 +189,83 @@ func TestFollowerLongPollClampsWait(t *testing.T) {
 		t.Errorf("Run = %v, want context.Canceled", err)
 	}
 }
+
+// TestFollowerLongPollFirstPassReports: a long-poll follower that starts
+// caught up — restored from a checkpoint at the feed's close day — must
+// report its first pass at once, not after parking a whole Wait, or
+// readiness reads "never reported" through a routine restart. The first
+// request asks for no hold; the next one parks.
+func TestFollowerLongPollFirstPassReports(t *testing.T) {
+	db := feedDB(10)
+	e := pushEngine()
+	catchUp := httptest.NewServer(dzdbapi.New(db))
+	t.Cleanup(catchUp.Close)
+	if err := (&Follower{Client: &dzdbapi.Client{BaseURL: catchUp.URL}, Engine: e, Once: true}).Run(context.Background()); err != nil {
+		t.Fatalf("catch-up: %v", err)
+	}
+
+	srv := dzdbapi.New(db)
+	// Each feed request's ?wait=, "" for none. The test reads two; the
+	// buffer holds the rest a slow test run may see before cancel, so
+	// the handler never blocks (it drops any past that).
+	waits := make(chan string, 8)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/deltas" {
+			select {
+			case waits <- r.URL.Query().Get("wait"):
+			default:
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	type pass struct {
+		last, closeDay dates.Day
+		err            error
+	}
+	// OnPass runs on Run's goroutine, which must never block on it: the
+	// test reads the first pass, and the one slot drops any later one.
+	passes := make(chan pass, 1)
+	const wait = 20 * time.Second
+	f := &Follower{
+		Client: &dzdbapi.Client{BaseURL: ts.URL},
+		Engine: e,
+		Mode:   ModeLongPoll,
+		Wait:   wait,
+		Poll:   wait, // a poll-cadence fallback would stall the test
+		OnPass: func(last, closeDay dates.Day, err error) {
+			select {
+			case passes <- pass{last, closeDay, err}:
+			default:
+			}
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- f.Run(ctx) }()
+
+	select {
+	case p := <-passes:
+		if p.err != nil || p.last != 10 || p.closeDay != 10 {
+			t.Errorf("first pass reported last day %s, close day %s, err %v; want day 10, lag 0, no error", p.last, p.closeDay, p.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a caught-up follower reported no pass within 1s")
+	}
+	for i, want := range []string{"", wait.String()} {
+		select {
+		case got := <-waits:
+			if got != want {
+				t.Errorf("feed request %d asked ?wait=%q, want %q", i+1, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("feed request %d never came", i+1)
+		}
+	}
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("Run = %v, want context.Canceled", err)
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
+
+	"repro/internal/dnsname"
 )
 
 // A sealed view is stored in one format, the binary segment payload of
@@ -59,14 +61,16 @@ func (s *sumWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// sortedKeys returns m's keys in sorted order.
-func sortedKeys[K ~string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+// sortedFacts returns the keys and facts the walk each yields, sorted by
+// key.
+func sortedFacts[K comparable](each func(func(K, fact) bool), cmp func(a, b K) int) []keyed[K] {
+	var out []keyed[K]
+	each(func(k K, f fact) bool {
+		out = append(out, keyed[K]{k, f})
+		return true
+	})
+	slices.SortFunc(out, func(a, b keyed[K]) int { return cmp(a.k, b.k) })
+	return out
 }
 
 // WriteArchive archives the view, which must have been sealed by Close or
@@ -85,32 +89,22 @@ func (t *tables) writeArchive(w io.Writer) error {
 	for _, z := range t.Zones() {
 		fmt.Fprintf(sw, "Z %s\n", z)
 	}
-	a := slab{facts: len(t.domains)}
-	for _, d := range sortedKeys(t.domains) {
-		for _, r := range t.spansOf(t.domains[d], d).set(&a).Spans() {
-			fmt.Fprintf(sw, "D %s %s %s\n", d, r.First, r.Last)
+	a := slab{facts: t.NumDomains()}
+	for _, d := range sortedFacts(t.eachDomainFact, dnsname.Compare) {
+		for _, r := range t.spansOf(d.f, d.k).set(&a).Spans() {
+			fmt.Fprintf(sw, "D %s %s %s\n", d.k, r.First, r.Last)
 		}
 	}
-	a = slab{facts: len(t.glue)}
-	for _, h := range sortedKeys(t.glue) {
-		for _, r := range t.spansOf(t.glue[h], h).set(&a).Spans() {
-			fmt.Fprintf(sw, "G %s %s %s\n", h, r.First, r.Last)
+	a = slab{facts: t.numGlue()}
+	for _, h := range sortedFacts(t.eachGlueFact, dnsname.Compare) {
+		for _, r := range t.spansOf(h.f, h.k).set(&a).Spans() {
+			fmt.Fprintf(sw, "G %s %s %s\n", h.k, r.First, r.Last)
 		}
 	}
-	edges := make([]Edge, 0, len(t.edges))
-	for e := range t.edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Domain != edges[j].Domain {
-			return edges[i].Domain < edges[j].Domain
-		}
-		return edges[i].NS < edges[j].NS
-	})
-	a = slab{facts: len(t.edges)}
-	for _, e := range edges {
-		for _, r := range t.spansOf(t.edges[e], e.Domain).set(&a).Spans() {
-			fmt.Fprintf(sw, "E %s %s %s %s\n", e.Domain, e.NS, r.First, r.Last)
+	a = slab{facts: t.numEdges()}
+	for _, e := range sortedFacts(t.eachEdgeFact, CompareEdges) {
+		for _, r := range t.spansOf(e.f, e.k.Domain).set(&a).Spans() {
+			fmt.Fprintf(sw, "E %s %s %s %s\n", e.k.Domain, e.k.NS, r.First, r.Last)
 		}
 	}
 	// The trailer checksums everything above it; it is written past the

@@ -88,8 +88,8 @@ func (t *tables) writeSegment(w io.Writer) error {
 	}
 
 	// Pass one: the keys that have spans, and the names they mention.
-	ids := make(map[dnsname.Name]uint32, len(t.zones)+len(t.domains)+len(t.byNS))
-	names := make([]dnsname.Name, 0, len(t.zones)+len(t.domains)+len(t.byNS))
+	ids := make(map[dnsname.Name]uint32, len(t.zones)+t.NumDomains()+t.NumNameservers())
+	names := make([]dnsname.Name, 0, len(t.zones)+t.NumDomains()+t.NumNameservers())
 	nameBytes := 0
 	note := func(n dnsname.Name) {
 		if _, seen := ids[n]; !seen {
@@ -101,27 +101,29 @@ func (t *tables) writeSegment(w io.Writer) error {
 	for z := range t.zones {
 		note(z)
 	}
-	collect := func(m map[dnsname.Name]fact) []segEntry {
-		out := make([]segEntry, 0, len(m))
-		a := slab{facts: len(m)}
-		for n, f := range m {
+	collect := func(n int, each func(func(dnsname.Name, fact) bool)) []segEntry {
+		out := make([]segEntry, 0, n)
+		a := slab{facts: n}
+		each(func(n dnsname.Name, f fact) bool {
 			if s := t.spansOf(f, n).set(&a); !s.Empty() {
 				note(n)
 				out = append(out, segEntry{name: n, set: s})
 			}
-		}
+			return true
+		})
 		return out
 	}
-	domains, glue := collect(t.domains), collect(t.glue)
-	edges := make([]segEntry, 0, len(t.edges))
-	a := slab{facts: len(t.edges)}
-	for e, f := range t.edges {
+	domains, glue := collect(t.NumDomains(), t.eachDomainFact), collect(t.numGlue(), t.eachGlueFact)
+	edges := make([]segEntry, 0, t.numEdges())
+	a := slab{facts: t.numEdges()}
+	t.eachEdgeFact(func(e Edge, f fact) bool {
 		if s := t.spansOf(f, e.Domain).set(&a); !s.Empty() {
 			note(e.Domain)
 			note(e.NS)
 			edges = append(edges, segEntry{name: e.Domain, ns: e.NS, set: s})
 		}
-	}
+		return true
+	})
 
 	// Pass two: ids are ranks in the sorted name table, so sorting keys by
 	// id is the text archive's sort by name.
@@ -201,20 +203,20 @@ func (t *tables) writeSegment(w io.Writer) error {
 // spans be in normal form. It keeps no reference to p.
 //
 // Every check runs first, on the caller, in payload order, so a refused
-// payload starts no goroutine. Only an accepted one fills the tables:
-// the edge map on a goroutine of its own while the caller fills the
-// other maps and both traversal indexes, joined before the DB is
-// published.
+// payload starts no goroutine. An accepted one is kept in the payload's
+// own shape (segFacts): each table's keys in key order with their sets,
+// the edge keys' positions sorted by nameserver, and, per role a name
+// plays, an index from the name to where its facts lie in those — the
+// host index built on a goroutine of its own while the caller builds the
+// domain index, joined before the DB is published. Every read of the
+// loaded view answers from that shape, and the first write after the
+// load builds the fact maps from it (thaw).
 //
 // The loaded DB's facts are built from a handful of allocations: one
-// string that every name is a substring of, and one slab each for the
-// interval sets, their spans and the byNS/byDomain index slices. Each
-// carved slice is capped at its length, so a later append (a writer
-// extending an index after thaw, an Add on an absorbed set) reallocates
-// rather than growing into its neighbour. The tables also keep the
-// payload's key order for the Each*Spans walks, at the cost of one name
-// slice each for domains and glue: the edge keys are byDomain's slab and
-// the sets the set slab.
+// string that every name is a substring of, one slab for the spans, a
+// key slice and a set slice per table, the nameserver order, and the two
+// indexes. Each set's spans are capped at their length, so an Add on an
+// absorbed set reallocates rather than growing into its neighbour.
 func ReadSegment(p []byte) (*DB, error) {
 	fail := func(format string, args ...any) (*DB, error) {
 		return nil, fmt.Errorf("zonedb: segment payload: "+format, args...)
@@ -265,18 +267,29 @@ func ReadSegment(p []byte) (*DB, error) {
 		t.zones[d.names[id]] = true
 	}
 
-	d.sets = make([]interval.Set, keys[0]+keys[1]+keys[2])
 	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
-	var named [2]ordered[dnsname.Name]
-	for i, name := range [2]string{"domains", "glue"} {
-		keyed := make([]dnsname.Name, keys[i])
-		sets, err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) { keyed[k] = d.names[id] })
-		if err != nil {
-			return fail("%s: %v", name, err)
+	// Where each name id's facts lie, per role, filled in as the sections
+	// are read: as a domain, and as a host.
+	roles := [2][]segKey{make([]segKey, len(d.names)), make([]segKey, len(d.names))}
+	for _, role := range roles {
+		for id := range role {
+			role[id].set = -1
 		}
-		named[i] = ordered[dnsname.Name]{keys: keyed, sets: sets}
 	}
-	edges, err := d.readEdges(int(keys[segEdges]), int(spans[segEdges]))
+	s := &segFacts{}
+	for i, table := range [2]*segNameTable{&s.domains, &s.glue} {
+		table.keys = make([]dnsname.Name, keys[i])
+		table.sets = make([]interval.Set, keys[i])
+		err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) *interval.Set {
+			table.keys[k] = d.names[id]
+			roles[i][id].set = int32(k)
+			return &table.sets[k]
+		})
+		if err != nil {
+			return fail("%s: %v", [2]string{"domains", "glue"}[i], err)
+		}
+	}
+	nsOf, err := d.readEdges(&s.edges, roles, int(keys[segEdges]), int(spans[segEdges]))
 	if err != nil {
 		return fail("edges: %v", err)
 	}
@@ -286,18 +299,17 @@ func ReadSegment(p []byte) (*DB, error) {
 		}
 	}
 
-	// The payload is accepted. The edge map, the largest, fills beside
-	// the rest; no two writers share a table. The tables keep the
-	// payload's key order for the walks.
-	t.order = &keyOrder{edges: ordered[Edge]{keys: edges.keyed, sets: edges.sets}, domains: named[0], glue: named[1]}
+	// The payload is accepted. The host index fills beside the domain
+	// index; the two share nothing but the names they read.
+	s.edges.sortByNS(roles[1], nsOf)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t.edges = t.order.edges.facts()
+		s.asHost = roleIndex(d.names, roles[1])
 	}()
-	t.domains, t.glue = named[0].facts(), named[1].facts()
-	t.byDomain, t.byNS = edges.index(d.names)
+	s.asDomain = roleIndex(d.names, roles[0])
 	<-done
+	t.seg = s
 
 	// Published as a fresh DB's second epoch (its first is the empty one),
 	// with no horizon: nothing says how far its facts were sealed.
@@ -309,63 +321,14 @@ func ReadSegment(p []byte) (*DB, error) {
 	return db, nil
 }
 
-// keyOrder is a loaded generation's facts in the order its segment
-// stored them: every key of each table, ascending, with its set.
-type keyOrder struct {
-	edges         ordered[Edge]
-	domains, glue ordered[dnsname.Name]
-}
-
-// ordered is one decoded section: key k's set is sets[k], a slice of
-// the load's set slab, and the fact the table holds for it is closed.
-type ordered[K comparable] struct {
-	keys []K
-	sets []interval.Set
-}
-
-// fact returns what the table holds for key k.
-func (o ordered[K]) fact(k int) fact { return fact{spans: &o.sets[k]} }
-
-// facts returns the section's table.
-func (o ordered[K]) facts() map[K]fact {
-	m := make(map[K]fact, len(o.keys))
-	for k, key := range o.keys {
-		m[key] = o.fact(k)
-	}
-	return m
-}
-
-// each is the Each*Spans walk of the section: the sets the table holds,
-// in key order.
-func (o ordered[K]) each(fn func(K, *interval.Set) bool) {
-	for k, key := range o.keys {
-		if !fn(key, &o.sets[k]) {
-			return
-		}
-	}
-}
-
-// segEdgeKeys is the decoded edge section, in payload order — sorted by
-// (domain, ns) — with what indexing it needs: each key's edge, set and
-// ns id, the number of edges per ns id, and the number of domains.
-type segEdgeKeys struct {
-	keyed    []Edge // each key's edge: byDomain's slab and the key order
-	sorted   []Edge // byNS's slab, filled by index
-	sets     []interval.Set
-	nsOf     []uint32
-	perNS    []uint32
-	nDomains int
-}
-
 // segDecoder walks a payload whose total length ReadSegment has already
-// reconciled with the header, handing out the slabs as it goes.
+// reconciled with the header, handing out the span slab as it goes.
 type segDecoder struct {
 	rest  []byte
 	names []dnsname.Name
 	used  []bool // per name id: some record refers to it
 
-	sets  []interval.Set // unclaimed tail of the set slab
-	spans []dates.Range  // unclaimed tail of the span slab
+	spans []dates.Range // unclaimed tail of the span slab
 }
 
 func (d *segDecoder) take(n int) []byte {
@@ -414,75 +377,38 @@ func (d *segDecoder) readNames(nNames, nameBytes int) error {
 	return nil
 }
 
-// readEdges decodes and checks the edge section, and records what facts
-// and index need; it fills no table.
-func (d *segDecoder) readEdges(nEdges, nSpans int) (segEdgeKeys, error) {
-	slab := make([]Edge, 2*nEdges)
-	k := segEdgeKeys{
-		keyed:  slab[:nEdges:nEdges],
-		sorted: slab[nEdges:],
-		nsOf:   make([]uint32, nEdges),
-		perNS:  make([]uint32, len(d.names)),
-	}
-	lastDomain := -1
-	var err error
-	k.sets, err = d.section(nEdges, nSpans, true, func(i int, dom, ns uint32) {
-		k.keyed[i], k.nsOf[i] = Edge{Domain: d.names[dom], NS: d.names[ns]}, ns
-		k.perNS[ns]++
-		if int(dom) != lastDomain {
-			k.nDomains, lastDomain = k.nDomains+1, int(dom)
+// readEdges decodes and checks the edge section into e: its keys and
+// sets, each domain's run of them in roles[0], and in roles[1] the number
+// of edges each name is the nameserver of, for sortByNS. It returns each
+// key's ns id, which sortByNS needs.
+func (d *segDecoder) readEdges(e *segEdgeTable, roles [2][]segKey, nEdges, nSpans int) ([]uint32, error) {
+	e.keys = make([]Edge, nEdges)
+	e.sets = make([]interval.Set, nEdges)
+	e.byNS = make([]int32, nEdges)
+	nsOf := make([]uint32, nEdges)
+	domains, hosts := roles[0], roles[1]
+	err := d.section(nEdges, nSpans, true, func(k int, dom, ns uint32) *interval.Set {
+		e.keys[k], nsOf[k] = Edge{Domain: d.names[dom], NS: d.names[ns]}, ns
+		if r := &domains[dom].run; r[1] == 0 {
+			e.nDomains++
+			r[0], r[1] = int32(k), int32(k+1)
+		} else {
+			r[1]++
 		}
+		if hosts[ns].run[1] == 0 {
+			e.nNS++
+		}
+		hosts[ns].run[1]++
+		return &e.sets[k]
 	})
-	return k, err
-}
-
-// index builds both traversal indexes. Edges arrive sorted by (domain,
-// ns), so byDomain's slices are runs of the key table and byNS's a
-// stable counting sort of it by ns: both in the order appending each
-// edge, in archive order, to its two index slices produces. It writes
-// only the byNS half of the slab and perNS, so it may run beside facts.
-func (k segEdgeKeys) index(names []dnsname.Name) (byDomain, byNS map[dnsname.Name][]Edge) {
-	keyed, sorted := k.keyed, k.sorted
-	nEdges := len(keyed)
-	byDomain = make(map[dnsname.Name][]Edge, k.nDomains)
-	for i := 0; i < nEdges; {
-		j := i + 1
-		for j < nEdges && keyed[j].Domain == keyed[i].Domain {
-			j++
-		}
-		byDomain[keyed[i].Domain] = keyed[i:j:j]
-		i = j
-	}
-
-	nsEnd := k.perNS // per ns id: edge count, then end offset in sorted
-	nNS, end := 0, uint32(0)
-	for id, n := range nsEnd {
-		if n > 0 {
-			nNS++
-		}
-		end += n
-		nsEnd[id] = end - n // start offset; the fill below advances it to the end
-	}
-	for i, ns := range k.nsOf {
-		sorted[nsEnd[ns]] = keyed[i]
-		nsEnd[ns]++
-	}
-	byNS = make(map[dnsname.Name][]Edge, nNS)
-	start := uint32(0)
-	for id, end := range nsEnd {
-		if end > start {
-			byNS[names[id]] = sorted[start:end:end]
-		}
-		start = end
-	}
-	return byDomain, byNS
+	return nsOf, err
 }
 
 // section decodes one key table and the span array behind it, calling
-// place with each key's position and ids, and returns the keys' verified
-// sets, key k's at k. An edge key has two name ids, the others one (ns
-// is then zero).
-func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id, ns uint32)) ([]interval.Set, error) {
+// place with each key's position and ids, and verifies each key's set
+// where place says it goes. An edge key has two name ids, the others one
+// (ns is then zero).
+func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id, ns uint32) *interval.Set) error {
 	keyLen := 8
 	if edge {
 		keyLen = 12
@@ -490,8 +416,6 @@ func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id,
 	// The key table gets a cursor of its own; d moves on to the spans.
 	keys := segDecoder{rest: d.take(keyLen * nKeys), names: d.names, used: d.used}
 	raw := d.take(8 * nSpans)
-	sets := d.sets[:nKeys:nKeys]
-	d.sets = d.sets[nKeys:]
 	spans := d.spans[:nSpans]
 	d.spans = d.spans[nSpans:]
 	for i := range spans {
@@ -504,39 +428,38 @@ func (d *segDecoder) section(nKeys, nSpans int, edge bool, place func(k int, id,
 	for k := 0; k < nKeys; k++ {
 		id, err := keys.nameID()
 		if err != nil {
-			return nil, fmt.Errorf("key %d: %v", k, err)
+			return fmt.Errorf("key %d: %v", k, err)
 		}
 		key, ns := uint64(id), uint32(0)
 		if edge {
 			if ns, err = keys.nameID(); err != nil {
-				return nil, fmt.Errorf("key %d: %v", k, err)
+				return fmt.Errorf("key %d: %v", k, err)
 			}
 			key = key<<32 | uint64(ns)
 		}
 		if k > 0 && key <= prev {
-			return nil, fmt.Errorf("key %d (%s) repeats or sorts before its predecessor", k, d.names[id])
+			return fmt.Errorf("key %d (%s) repeats or sorts before its predecessor", k, d.names[id])
 		}
 		prev = key
 		claimed := keys.u32()
 		if claimed == 0 {
-			return nil, fmt.Errorf("key %d (%s) has no spans", k, d.names[id])
+			return fmt.Errorf("key %d (%s) has no spans", k, d.names[id])
 		}
 		if uint64(claimed) > uint64(len(spans)) {
-			return nil, fmt.Errorf("key %d (%s) claims %d spans, %d remain", k, d.names[id], claimed, len(spans))
+			return fmt.Errorf("key %d (%s) claims %d spans, %d remain", k, d.names[id], claimed, len(spans))
 		}
 		n := int(claimed)
-		set := &sets[k]
+		set := place(k, id, ns)
 		if *set, err = interval.FromNormalized(spans[:n:n]); err != nil {
-			return nil, fmt.Errorf("key %d (%s): %v", k, d.names[id], err)
+			return fmt.Errorf("key %d (%s): %v", k, d.names[id], err)
 		}
 		if !segSpansOK(set) {
-			return nil, fmt.Errorf("key %d (%s): spans %s out of range", k, d.names[id], set)
+			return fmt.Errorf("key %d (%s): spans %s out of range", k, d.names[id], set)
 		}
-		place(k, id, ns)
 		spans = spans[n:]
 	}
 	if len(spans) != 0 {
-		return nil, fmt.Errorf("%d spans belong to no key", len(spans))
+		return fmt.Errorf("%d spans belong to no key", len(spans))
 	}
-	return sets, nil
+	return nil
 }

@@ -81,11 +81,12 @@ func TestSegmentMatchesArchive(t *testing.T) {
 			if got, want := archiveView(t, fromSeg.View()), archiveView(t, v); got != want {
 				t.Errorf("loaded segment archives to\n%s\nwant\n%s", got, want)
 			}
-			// The text reader records events, so its tables keep no key
-			// order: the loaded order is set aside here and held to the
-			// maps by TestReadSegmentWalksInKeyOrder.
+			// The text reader records events, so its tables are maps: the
+			// loaded tables are compared as the first write would unpack
+			// them, and the loaded shape is held to the maps by
+			// TestReadSegmentWalksInKeyOrder and TestReadSegmentAnswersLikeLive.
 			seg := fromSeg.View().tables
-			seg.order = nil
+			seg.unpack()
 			if !reflect.DeepEqual(seg, fromText.View().tables) {
 				t.Errorf("tables differ:\nsegment %+v\ntext    %+v", seg, fromText.View().tables)
 			}
@@ -355,7 +356,9 @@ func allocatedBy(fn func()) uint64 {
 // it never panics, it allocates in proportion to the payload it was
 // given, and whatever it accepts is canonical — the loaded database
 // re-encodes to the very same bytes, directly and by way of the text
-// archive — and walks its facts as its maps hold them, in key order.
+// archive — walks its facts as its maps hold them, in key order, and
+// answers every read as the text archive's database of the same facts
+// does.
 func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(soundSegment().bytes())
@@ -399,6 +402,10 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		if again := segmentBytes(t, viaText.View()); !bytes.Equal(again, data) {
 			t.Fatalf("payload changed on its way through the text archive:\n in %x\nout %x", data, again)
+		}
+		names := AnswerNames(viaText.View())
+		if got, want := Answers(db.View(), names, true), Answers(viaText.View(), names, true); got != want {
+			t.Fatalf("the loaded view answers\n%s\nthe map path\n%s", got, want)
 		}
 	})
 }

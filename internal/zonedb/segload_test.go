@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -211,4 +212,214 @@ func walked(v *zonedb.View) map[string]string {
 		return true
 	})
 	return out
+}
+
+// TestReadSegmentAnswersLikeLive holds every read of a loaded view to the
+// map path. The rich, seed, empty and a scale-3 database are sealed and
+// loaded at GOMAXPROCS 1, 2 and 8, and each loaded view must say about
+// every name in the payload, and a few absent ones, exactly what the
+// reference text parser's database of the same facts says — set for set
+// and in each walk's own order — and, walks sorted, what the sealed live
+// view says. Then the same writes go to the loaded database and to the
+// reference: the view pinned before them still answers as it did, and
+// the one the writes thawed answers as the written reference does.
+func TestReadSegmentAnswersLikeLive(t *testing.T) {
+	cfg := sim.DefaultConfig(3)
+	cfg.Seed = 1
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*zonedb.View{
+		"rich": zonedb.RichDB().View(), "seed": zonedb.SeedDB().View(),
+		"empty": zonedb.EmptyClosedDB().View(), "scale 3": w.ZoneDB().View(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var payload bytes.Buffer
+			if err := src.WriteSegment(&payload); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := zonedb.TextReference(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := zonedb.AnswerNames(ref.View())
+			want := zonedb.Answers(ref.View(), names, true)
+			wantLive := zonedb.Answers(src, names, false)
+			if got := zonedb.Answers(ref.View(), names, false); got != wantLive {
+				t.Fatalf("the reference answers otherwise than the live view:\n%s", firstDiff(got, wantLive))
+			}
+
+			var db *zonedb.DB
+			for _, procs := range []int{1, 2, 8} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					if db, err = zonedb.ReadSegment(payload.Bytes()); err != nil {
+						t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+					}
+				}()
+				if got := zonedb.Answers(db.View(), names, true); got != want {
+					t.Fatalf("GOMAXPROCS=%d: the loaded view answers otherwise than the map path:\n%s", procs, firstDiff(got, want))
+				}
+			}
+			if got := zonedb.Answers(db.View(), names, false); got != wantLive {
+				t.Fatalf("the loaded view answers otherwise than the live view:\n%s", firstDiff(got, wantLive))
+			}
+
+			// Writes that extend a domain the load holds with a new
+			// nameserver, give a nameserver it holds a new domain, and add
+			// a domain, glue and an edge of their own.
+			pinned := db.View()
+			write := func(db *zonedb.DB) {
+				day := pinned.CloseDay() + 1
+				db.DomainAdded("com", "zz-written.com", day)
+				db.DelegationAdded("com", "zz-written.com", "ns.zz-written.com", day)
+				db.GlueAdded("com", "ns.zz-written.com", day)
+				var dom, ns dnsname.Name
+				pinned.EachEdgeSpans(func(e zonedb.Edge, _ *interval.Set) bool {
+					dom, ns = e.Domain, e.NS
+					return false
+				})
+				if dom != "" {
+					db.DelegationAdded(dom.TLD(), dom, "ns.zz-written.com", day)
+					db.DelegationAdded("com", "zz-written.com", ns, day)
+					db.DomainAdded(dom.TLD(), dom, day)
+				}
+				db.Close(day)
+			}
+			write(db)
+			write(ref)
+			if got := zonedb.Answers(pinned, names, true); got != want {
+				t.Fatalf("the pinned view answers otherwise after a write:\n%s", firstDiff(got, want))
+			}
+			written := append(slices.Clone(names), "zz-written.com", "ns.zz-written.com")
+			slices.Sort(written)
+			if got, want := zonedb.Answers(db.View(), written, true), zonedb.Answers(ref.View(), written, true); got != want {
+				t.Fatalf("the thawed view answers otherwise than the written reference:\n%s", firstDiff(got, want))
+			}
+		})
+	}
+}
+
+// firstDiff shows the first line where got and want part, with the
+// lines before it.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			var at, was string
+			if i < len(g) {
+				at = g[i]
+			}
+			if i < len(w) {
+				was = w[i]
+			}
+			return fmt.Sprintf("line %d:\n got  %s\n want %s\nafter\n%s", i+1, at, was, strings.Join(g[max(0, i-3):i], "\n"))
+		}
+	}
+	return "no difference"
+}
+
+// BenchmarkKeyedReads times single keyed reads of the scale-8 world (seed
+// 1), as dzdbd serves a loaded view and the detector reads one: live is
+// the world's own view, as the simulator recorded it; loaded is the view
+// ReadSegment returns for its segment; and maps holds the loaded facts
+// in the fact maps the first write builds from it, over the very names
+// and sets the load decoded: the map form, with nothing else changed.
+// Each op is one read of a key drawn from a
+// fixed shuffle of every key of its kind, so neither form gets the
+// cache's help from walking in key order.
+func BenchmarkKeyedReads(b *testing.B) {
+	cfg := sim.DefaultConfig(8)
+	cfg.Seed = 1
+	w, err := sim.NewWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		b.Fatal(err)
+	}
+	src := w.ZoneDB().View()
+	var payload bytes.Buffer
+	if err := src.WriteSegment(&payload); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := zonedb.ReadSegment(payload.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := zonedb.Unpacked(loaded.View())
+
+	var edges []zonedb.Edge
+	var domains, hosts, nameservers []dnsname.Name
+	ref.EachEdgeSpans(func(e zonedb.Edge, _ *interval.Set) bool {
+		edges = append(edges, e)
+		return true
+	})
+	ref.EachDomainSpans(func(d dnsname.Name, _ *interval.Set) bool {
+		domains = append(domains, d)
+		return true
+	})
+	ref.EachGlueSpans(func(h dnsname.Name, _ *interval.Set) bool {
+		hosts = append(hosts, h)
+		return true
+	})
+	ref.Nameservers(func(ns dnsname.Name) bool {
+		nameservers = append(nameservers, ns)
+		return true
+	})
+	// Each key is a copy of its own, as a request's names are: no form
+	// finds its key by the pointer it stores.
+	clone := func(n dnsname.Name) dnsname.Name { return dnsname.Name(strings.Clone(string(n))) }
+	rng := rand.New(rand.NewSource(1))
+	for _, keys := range [][]dnsname.Name{domains, hosts, nameservers} {
+		for i := range keys {
+			keys[i] = clone(keys[i])
+		}
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	}
+	for i, e := range edges {
+		edges[i] = zonedb.Edge{Domain: clone(e.Domain), NS: clone(e.NS)}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	day := src.CloseDay() - 365
+
+	var sink int
+	count := func(dnsname.Name, *interval.Set) bool {
+		sink++
+		return true
+	}
+	for _, form := range []struct {
+		name string
+		v    *zonedb.View
+	}{{"live", src}, {"maps", ref}, {"loaded", loaded.View()}} {
+		v := form.v
+		for _, read := range []struct {
+			name string
+			fn   func(i int)
+		}{
+			{"EdgeSpans", func(i int) { e := edges[i%len(edges)]; sink += v.EdgeSpans(e.Domain, e.NS).Len() }},
+			{"DomainSpans", func(i int) { sink += v.DomainSpans(domains[i%len(domains)]).Len() }},
+			{"EachNSOf", func(i int) { v.EachNSOf(domains[i%len(domains)], count) }},
+			{"EachDomainOf", func(i int) { v.EachDomainOf(nameservers[i%len(nameservers)], count) }},
+			{"GlueOn", func(i int) {
+				if v.GlueOn(hosts[i%len(hosts)], day) {
+					sink++
+				}
+			}},
+		} {
+			b.Run(form.name+"/"+read.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					read.fn(i)
+				}
+			})
+		}
+	}
+	if sink == 0 {
+		b.Fatal("no read found anything")
+	}
 }

@@ -10,8 +10,8 @@ import (
 // riskywatchd catch-up and a dzdbd warm boot all begin with — verify the
 // store, decode its newest epoch — on the benchmark's own world (scale
 // 8, seed 1: 43,480 domains, 23,808 nameservers). Read allocs/op with
-// -benchmem: the load is a few slabs and the maps, not an allocation per
-// fact.
+// -benchmem: the load is a few slabs and two name indexes, not an
+// allocation per fact.
 func BenchmarkOpenLoadLatest(b *testing.B) {
 	dir := b.TempDir()
 	st, err := Open(dir)

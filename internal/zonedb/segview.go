@@ -1,0 +1,316 @@
+package zonedb
+
+import (
+	"repro/internal/dnsname"
+	"repro/internal/interval"
+)
+
+// segFacts is a loaded generation's facts in its segment's shape: each
+// table's keys in key order with their sets, and an index from each name
+// to where its facts lie, one per role a name plays: a domain, and a
+// host (a nameserver or a glue host). Every set is closed — a fact the
+// tables hold for it has no open span — so a read needs no seal day. A
+// keyed read is one hash and, for the edges of a name, a walk of one
+// contiguous run.
+type segFacts struct {
+	edges            segEdgeTable
+	domains, glue    segNameTable
+	asDomain, asHost map[dnsname.Name]segKey
+}
+
+// segKey is where a loaded generation holds one name's facts in one role:
+// the position of its set in the role's table (domains for a domain, glue
+// for a host), -1 where it has none, and the key positions of its edges
+// in the role: edges.keys[run[0]:run[1]] as a domain, and
+// edges.byNS[run[0]:run[1]] as a nameserver.
+type segKey struct {
+	set int32
+	run [2]int32
+}
+
+// roleIndex returns the names that play the role whose keys keys holds
+// per name id, with their keys.
+func roleIndex(names []dnsname.Name, keys []segKey) map[dnsname.Name]segKey {
+	n := 0
+	for _, k := range keys {
+		if k.set >= 0 || k.run[1] > k.run[0] {
+			n++
+		}
+	}
+	m := make(map[dnsname.Name]segKey, n)
+	for id, k := range keys {
+		if k.set >= 0 || k.run[1] > k.run[0] {
+			m[names[id]] = k
+		}
+	}
+	return m
+}
+
+// segNameTable is a loaded domain or glue table: the keys, ascending,
+// and key k's set at sets[k].
+type segNameTable struct {
+	keys []dnsname.Name
+	sets []interval.Set
+}
+
+// segEdgeTable is the loaded edge table: the keys in payload order —
+// sorted by (domain, ns) — with key k's set at sets[k], and the key
+// positions stably sorted by ns.
+type segEdgeTable struct {
+	keys []Edge
+	sets []interval.Set
+	byNS []int32
+
+	nDomains, nNS int // names with edges as a domain, as a nameserver
+}
+
+// fact returns what the table holds at position k, if k is one.
+func (t *segNameTable) fact(k int32) (fact, bool) {
+	if k < 0 {
+		return fact{}, false
+	}
+	return fact{spans: &t.sets[k]}, true
+}
+
+// each is the Each*Spans walk of the table: its sets, in key order.
+func (t *segNameTable) each(fn func(dnsname.Name, *interval.Set) bool) {
+	for k, key := range t.keys {
+		if !fn(key, &t.sets[k]) {
+			return
+		}
+	}
+}
+
+// facts returns the table as a fact map.
+func (t *segNameTable) facts() map[dnsname.Name]fact {
+	m := make(map[dnsname.Name]fact, len(t.keys))
+	for k, key := range t.keys {
+		m[key] = fact{spans: &t.sets[k]}
+	}
+	return m
+}
+
+// each is EachEdgeSpans over the table: its sets, in key order.
+func (e *segEdgeTable) each(fn func(Edge, *interval.Set) bool) {
+	for k := range e.keys {
+		if !fn(e.keys[k], &e.sets[k]) {
+			return
+		}
+	}
+}
+
+// sortByNS fills byNS with a stable counting sort of the key positions
+// by ns, whose id nsOf holds per key, and turns the number of edges each
+// name is the nameserver of, which the decode left in hosts[id].run[1],
+// into its run of byNS.
+func (e *segEdgeTable) sortByNS(hosts []segKey, nsOf []uint32) {
+	var end int32
+	for id := range hosts {
+		r := &hosts[id].run
+		n := r[1]
+		r[0], r[1] = end, end // the fill below moves r[1] to the run's end
+		end += n
+	}
+	for k, ns := range nsOf {
+		r := &hosts[ns].run
+		e.byNS[r[1]] = int32(k)
+		r[1]++
+	}
+}
+
+// eachNS calls fn with every name that is the nameserver of an edge, in
+// name order, stopping if fn returns false.
+func (e *segEdgeTable) eachNS(fn func(dnsname.Name) bool) {
+	for i, k := range e.byNS {
+		if ns := e.keys[k].NS; (i == 0 || ns != e.keys[e.byNS[i-1]].NS) && !fn(ns) {
+			return
+		}
+	}
+}
+
+// unpack gives loaded tables the fact maps and traversal indexes every
+// other generation holds, built from the segment's shape, and drops the
+// shape: the first write after a load runs it (thaw), and the View
+// published before keeps the shape. The sets stay the load's, shared
+// with that View until a write owns them. byDomain's slices are runs of
+// the key table and byNS's runs of a copy sorted by ns, so both are in
+// the order that appending each edge, in key order, to its two index
+// slices produces. Each is capped at its length, so a writer's append
+// reallocates rather than growing into its neighbour.
+func (t *tables) unpack() {
+	s := t.seg
+	e := &s.edges
+	t.edges = make(map[Edge]fact, len(e.keys))
+	for k, key := range e.keys {
+		t.edges[key] = fact{spans: &e.sets[k]}
+	}
+	t.domains, t.glue = s.domains.facts(), s.glue.facts()
+	sorted := make([]Edge, len(e.byNS))
+	for i, k := range e.byNS {
+		sorted[i] = e.keys[k]
+	}
+	t.byDomain = runs(e.keys, e.nDomains, func(e Edge) dnsname.Name { return e.Domain })
+	t.byNS = runs(sorted, e.nNS, func(e Edge) dnsname.Name { return e.NS })
+	t.seg = nil
+}
+
+// runs returns the runs of edges that share a name, by that name, each
+// capped at its length; there are n of them.
+func runs(edges []Edge, n int, name func(Edge) dnsname.Name) map[dnsname.Name][]Edge {
+	m := make(map[dnsname.Name][]Edge, n)
+	for i := 0; i < len(edges); {
+		j := i + 1
+		for j < len(edges) && name(edges[j]) == name(edges[i]) {
+			j++
+		}
+		m[name(edges[i])] = edges[i:j:j]
+		i = j
+	}
+	return m
+}
+
+// The primitives below are where the two forms of the fact tables
+// differ: the maps a writer keeps, and a loaded segment's shape. Every
+// read goes through them, save the few that branch on the form once
+// themselves: the Each*Spans walks, Nameservers and the counts.
+
+// edgeFact returns the fact the tables hold for edge (domain, ns).
+func (t *tables) edgeFact(domain, ns dnsname.Name) (fact, bool) {
+	if t.seg == nil {
+		f, ok := t.edges[Edge{Domain: domain, NS: ns}]
+		return f, ok
+	}
+	r := t.edgesOfDomain(domain)
+	for i, e := range r.edges {
+		if e.NS == ns {
+			return fact{spans: &r.sets[i]}, true
+		}
+	}
+	return fact{}, false
+}
+
+// domainFact returns the fact the tables hold for domain.
+func (t *tables) domainFact(domain dnsname.Name) (fact, bool) {
+	if t.seg == nil {
+		f, ok := t.domains[domain]
+		return f, ok
+	}
+	k, ok := t.seg.asDomain[domain]
+	if !ok {
+		return fact{}, false
+	}
+	return t.seg.domains.fact(k.set)
+}
+
+// glueFact returns the fact the tables hold for host's glue.
+func (t *tables) glueFact(host dnsname.Name) (fact, bool) {
+	if t.seg == nil {
+		f, ok := t.glue[host]
+		return f, ok
+	}
+	k, ok := t.seg.asHost[host]
+	if !ok {
+		return fact{}, false
+	}
+	return t.seg.glue.fact(k.set)
+}
+
+// edgeRun is the edges of one name as a domain or as a nameserver, in
+// its index's order, with their facts: a live index slice and the edge
+// map, a loaded run of keys and their sets, or a loaded run of key
+// positions.
+type edgeRun struct {
+	edges []Edge
+	facts map[Edge]fact  // live: the edges' facts
+	sets  []interval.Set // loaded, by domain: edges[i]'s set is sets[i]
+	at    []int32        // loaded, by nameserver: positions in keyed
+	keyed *segEdgeTable
+}
+
+func (r *edgeRun) len() int {
+	if r.keyed != nil {
+		return len(r.at)
+	}
+	return len(r.edges)
+}
+
+// edge returns the run's i'th edge and its fact.
+func (r *edgeRun) edge(i int) (Edge, fact) {
+	switch {
+	case r.keyed != nil:
+		k := r.at[i]
+		return r.keyed.keys[k], fact{spans: &r.keyed.sets[k]}
+	case r.sets != nil:
+		return r.edges[i], fact{spans: &r.sets[i]}
+	}
+	e := r.edges[i]
+	return e, r.facts[e]
+}
+
+// edgesOfDomain returns the edges domain is the domain of.
+func (t *tables) edgesOfDomain(domain dnsname.Name) edgeRun {
+	if t.seg == nil {
+		return edgeRun{edges: t.byDomain[domain], facts: t.edges}
+	}
+	r, e := t.seg.asDomain[domain].run, &t.seg.edges
+	return edgeRun{edges: e.keys[r[0]:r[1]], sets: e.sets[r[0]:r[1]]}
+}
+
+// edgesOfNS returns the edges ns is the nameserver of.
+func (t *tables) edgesOfNS(ns dnsname.Name) edgeRun {
+	if t.seg == nil {
+		return edgeRun{edges: t.byNS[ns], facts: t.edges}
+	}
+	r := t.seg.asHost[ns].run
+	return edgeRun{at: t.seg.edges.byNS[r[0]:r[1]], keyed: &t.seg.edges}
+}
+
+// eachEdgeFact, eachDomainFact and eachGlueFact call fn with each key of
+// their table and its fact, in unspecified order, stopping if fn returns
+// false.
+func (t *tables) eachEdgeFact(fn func(Edge, fact) bool) {
+	if t.seg == nil {
+		eachFact(t.edges, fn)
+		return
+	}
+	t.seg.edges.each(func(e Edge, s *interval.Set) bool { return fn(e, fact{spans: s}) })
+}
+
+func (t *tables) eachDomainFact(fn func(dnsname.Name, fact) bool) {
+	if t.seg == nil {
+		eachFact(t.domains, fn)
+		return
+	}
+	t.seg.domains.each(func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
+}
+
+func (t *tables) eachGlueFact(fn func(dnsname.Name, fact) bool) {
+	if t.seg == nil {
+		eachFact(t.glue, fn)
+		return
+	}
+	t.seg.glue.each(func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
+}
+
+func eachFact[K comparable](m map[K]fact, fn func(K, fact) bool) {
+	for k, f := range m {
+		if !fn(k, f) {
+			return
+		}
+	}
+}
+
+// numEdges and numGlue count the keys of their tables.
+func (t *tables) numEdges() int {
+	if t.seg == nil {
+		return len(t.edges)
+	}
+	return len(t.seg.edges.keys)
+}
+
+func (t *tables) numGlue() int {
+	if t.seg == nil {
+		return len(t.glue)
+	}
+	return len(t.seg.glue.keys)
+}

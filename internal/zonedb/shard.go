@@ -34,16 +34,17 @@ func ShardOf(zone dnsname.Name, n int) int {
 // post-publish generation.
 func (v *View) FilterZones(keep func(zone dnsname.Name) bool) *DB {
 	t := newTables()
-	for e, f := range v.edges {
+	v.eachEdgeFact(func(e Edge, f fact) bool {
 		if keep(e.zone()) {
 			t.edges[e] = f
 			t.byNS[e.NS] = append(t.byNS[e.NS], e)
 			t.byDomain[e.Domain] = append(t.byDomain[e.Domain], e)
 			book(&t, &t.eager.edges, e, e.zone(), f, 1)
 		}
-	}
-	filterFacts(&t, t.domains, v.domains, &t.eager.domains, keep)
-	filterFacts(&t, t.glue, v.glue, &t.eager.glue, keep)
+		return true
+	})
+	filterFacts(&t, t.domains, v.eachDomainFact, &t.eager.domains, keep)
+	filterFacts(&t, t.glue, v.eachGlueFact, &t.eager.glue, keep)
 	for z := range v.zones {
 		if keep(z) {
 			t.zones[z] = true
@@ -58,15 +59,16 @@ func (v *View) FilterZones(keep func(zone dnsname.Name) bool) *DB {
 	return db
 }
 
-// filterFacts copies the facts of src whose zone keep keeps into dst, one
-// of t's tables, whose eager keys are keys.
-func filterFacts(t *tables, dst, src map[dnsname.Name]fact, keys *map[dnsname.Name]bool, keep func(zone dnsname.Name) bool) {
-	for n, f := range src {
+// filterFacts copies the facts the walk each yields whose zone keep keeps
+// into dst, one of t's tables, whose eager keys are keys.
+func filterFacts(t *tables, dst map[dnsname.Name]fact, each func(func(dnsname.Name, fact) bool), keys *map[dnsname.Name]bool, keep func(zone dnsname.Name) bool) {
+	each(func(n dnsname.Name, f fact) bool {
 		if keep(n.TLD()) {
 			dst[n] = f
 			book(t, keys, n, n.TLD(), f, 1)
 		}
-	}
+		return true
+	})
 }
 
 // FilterShard is FilterZones specialised to the ShardOf partition:

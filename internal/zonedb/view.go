@@ -46,11 +46,12 @@ type tables struct {
 	eager eagerKeys
 	shown map[dnsname.Name]int
 
-	// order, on tables a segment was loaded into, is every fact's key and
-	// set in the order the segment stored them: key order. The
-	// Each*Spans walks read it instead of the fact maps. The first write
-	// after the load drops it (thaw); a View published before keeps it.
-	order *keyOrder
+	// seg, on tables a segment was loaded into, holds the facts in the
+	// segment's shape, and the five maps above are nil: reads answer from
+	// it through the primitives in segview.go. The first write after the
+	// load builds the maps from it and drops it (thaw); a View published
+	// before keeps it.
+	seg *segFacts
 }
 
 // eagerKeys is a set of fact keys per table.
@@ -132,7 +133,7 @@ func (v *View) Advance() *Change { return v.change }
 // EdgeSpans returns the presence intervals of a delegation edge, or nil.
 // Like every set a query returns, it must not be modified.
 func (t *tables) EdgeSpans(domain, ns dnsname.Name) *interval.Set {
-	f, ok := t.edges[Edge{Domain: domain, NS: ns}]
+	f, ok := t.edgeFact(domain, ns)
 	if !ok {
 		return nil
 	}
@@ -142,7 +143,7 @@ func (t *tables) EdgeSpans(domain, ns dnsname.Name) *interval.Set {
 // DomainSpans returns the registration intervals of a domain, or nil if
 // the domain was never observed.
 func (t *tables) DomainSpans(domain dnsname.Name) *interval.Set {
-	f, ok := t.domains[domain]
+	f, ok := t.domainFact(domain)
 	if !ok {
 		return nil
 	}
@@ -151,7 +152,7 @@ func (t *tables) DomainSpans(domain dnsname.Name) *interval.Set {
 
 // GlueSpans returns the glue-presence intervals of a host, or nil.
 func (t *tables) GlueSpans(host dnsname.Name) *interval.Set {
-	f, ok := t.glue[host]
+	f, ok := t.glueFact(host)
 	if !ok {
 		return nil
 	}
@@ -160,20 +161,20 @@ func (t *tables) GlueSpans(host dnsname.Name) *interval.Set {
 
 // GlueOn reports whether host had glue on day.
 func (t *tables) GlueOn(host dnsname.Name, day dates.Day) bool {
-	f, ok := t.glue[host]
+	f, ok := t.glueFact(host)
 	return ok && t.spansOf(f, host).contains(day)
 }
 
 // DomainRegisteredOn reports whether domain was registered on day.
 func (t *tables) DomainRegisteredOn(domain dnsname.Name, day dates.Day) bool {
-	f, ok := t.domains[domain]
+	f, ok := t.domainFact(domain)
 	return ok && t.spansOf(f, domain).contains(day)
 }
 
 // DomainFirstSeen returns the first day domain was observed registered,
 // or dates.None.
 func (t *tables) DomainFirstSeen(domain dnsname.Name) dates.Day {
-	f, ok := t.domains[domain]
+	f, ok := t.domainFact(domain)
 	if !ok {
 		return dates.None
 	}
@@ -183,7 +184,7 @@ func (t *tables) DomainFirstSeen(domain dnsname.Name) dates.Day {
 // DomainFirstSeenAfter returns the first day >= from on which domain was
 // registered, or dates.None.
 func (t *tables) DomainFirstSeenAfter(domain dnsname.Name, from dates.Day) dates.Day {
-	f, ok := t.domains[domain]
+	f, ok := t.domainFact(domain)
 	if !ok {
 		return dates.None
 	}
@@ -194,8 +195,10 @@ func (t *tables) DomainFirstSeenAfter(domain dnsname.Name, from dates.Day) dates
 // dates.None if ns never appeared.
 func (t *tables) NSFirstSeen(ns dnsname.Name) dates.Day {
 	first := dates.None
-	for _, e := range t.byNS[ns] {
-		if f := t.spansOf(t.edges[e], e.Domain).first(); f != dates.None && (first == dates.None || f < first) {
+	r := t.edgesOfNS(ns)
+	for i := range r.len() {
+		e, f := r.edge(i)
+		if f := t.spansOf(f, e.Domain).first(); f != dates.None && (first == dates.None || f < first) {
 			first = f
 		}
 	}
@@ -204,28 +207,41 @@ func (t *tables) NSFirstSeen(ns dnsname.Name) dates.Day {
 
 // DomainsOf returns every domain that ever delegated to ns, sorted.
 func (t *tables) DomainsOf(ns dnsname.Name) []dnsname.Name {
-	edges := t.byNS[ns]
-	out := make([]dnsname.Name, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, e.Domain)
+	r := t.edgesOfNS(ns)
+	out := make([]dnsname.Name, r.len())
+	for i := range out {
+		e, _ := r.edge(i)
+		out[i] = e.Domain
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// EdgesOf returns the delegation edges pointing at ns. The slice is owned
-// by the store and must not be modified.
-func (t *tables) EdgesOf(ns dnsname.Name) []Edge { return t.byNS[ns] }
+// EdgesOf returns the delegation edges pointing at ns. The slice must not
+// be modified: a view that was not loaded from a segment hands out its
+// own.
+func (t *tables) EdgesOf(ns dnsname.Name) []Edge {
+	r := t.edgesOfNS(ns)
+	if r.keyed == nil {
+		return r.edges
+	}
+	out := make([]Edge, r.len())
+	for i := range out {
+		out[i], _ = r.edge(i)
+	}
+	return out
+}
 
 // EachNSOf calls fn for every nameserver domain ever delegated to, with
 // the presence intervals of that edge, in unspecified order, stopping if
 // fn returns false. The sets are fn's to keep; a call allocates at most a
 // few times, however many edges it visits.
 func (t *tables) EachNSOf(domain dnsname.Name, fn func(ns dnsname.Name, spans *interval.Set) bool) {
-	edges := t.byDomain[domain]
-	a := slab{facts: len(edges)}
-	for _, e := range edges {
-		if !fn(e.NS, t.spansOf(t.edges[e], domain).set(&a)) {
+	r := t.edgesOfDomain(domain)
+	a := slab{facts: r.len()}
+	for i := range r.len() {
+		e, f := r.edge(i)
+		if !fn(e.NS, t.spansOf(f, domain).set(&a)) {
 			return
 		}
 	}
@@ -235,10 +251,11 @@ func (t *tables) EachNSOf(domain dnsname.Name, fn func(ns dnsname.Name, spans *i
 // presence intervals of that edge, in EdgesOf order, stopping if fn
 // returns false. It allocates as EachNSOf does.
 func (t *tables) EachDomainOf(ns dnsname.Name, fn func(domain dnsname.Name, spans *interval.Set) bool) {
-	edges := t.byNS[ns]
-	a := slab{facts: len(edges)}
-	for _, e := range edges {
-		if !fn(e.Domain, t.spansOf(t.edges[e], e.Domain).set(&a)) {
+	r := t.edgesOfNS(ns)
+	a := slab{facts: r.len()}
+	for i := range r.len() {
+		e, f := r.edge(i)
+		if !fn(e.Domain, t.spansOf(f, e.Domain).set(&a)) {
 			return
 		}
 	}
@@ -248,8 +265,10 @@ func (t *tables) EachDomainOf(ns dnsname.Name, fn func(domain dnsname.Name, span
 // in unspecified order, stopping if fn returns false. It allocates
 // nothing.
 func (t *tables) EachNSOn(domain dnsname.Name, day dates.Day, fn func(ns dnsname.Name) bool) {
-	for _, e := range t.byDomain[domain] {
-		if t.spansOf(t.edges[e], domain).contains(day) && !fn(e.NS) {
+	r := t.edgesOfDomain(domain)
+	for i := range r.len() {
+		e, f := r.edge(i)
+		if t.spansOf(f, domain).contains(day) && !fn(e.NS) {
 			return
 		}
 	}
@@ -276,11 +295,10 @@ func (t *tables) NSOn(domain dnsname.Name, day dates.Day) []dnsname.Name {
 //
 // A view loaded from a segment, until the first write after the load,
 // walks its facts in key order (CompareEdges here, name order for
-// domains and glue) without a map lookup; callers must not rely on
-// that order.
+// domains and glue), set after set; callers must not rely on that order.
 func (t *tables) EachEdgeSpans(fn func(e Edge, spans *interval.Set) bool) {
-	if t.order != nil {
-		t.order.edges.each(fn)
+	if t.seg != nil {
+		t.seg.edges.each(fn)
 		return
 	}
 	a := slab{facts: len(t.edges)}
@@ -296,8 +314,8 @@ func (t *tables) EachEdgeSpans(fn func(e Edge, spans *interval.Set) bool) {
 // is name order, as EachEdgeSpans says), stopping if fn returns false. It
 // allocates as EachEdgeSpans does.
 func (t *tables) EachDomainSpans(fn func(domain dnsname.Name, spans *interval.Set) bool) {
-	if t.order != nil {
-		t.order.domains.each(fn)
+	if t.seg != nil {
+		t.seg.domains.each(fn)
 		return
 	}
 	eachSpans(t, t.domains, fn)
@@ -308,8 +326,8 @@ func (t *tables) EachDomainSpans(fn func(domain dnsname.Name, spans *interval.Se
 // order, as EachEdgeSpans says), stopping if fn returns false. It
 // allocates as EachEdgeSpans does.
 func (t *tables) EachGlueSpans(fn func(host dnsname.Name, spans *interval.Set) bool) {
-	if t.order != nil {
-		t.order.glue.each(fn)
+	if t.seg != nil {
+		t.seg.glue.each(fn)
 		return
 	}
 	eachSpans(t, t.glue, fn)
@@ -327,29 +345,39 @@ func eachSpans(t *tables, m map[dnsname.Name]fact, fn func(dnsname.Name, *interv
 // Nameservers calls fn for every nameserver name ever observed in a
 // delegation, in unspecified order, stopping if fn returns false.
 func (t *tables) Nameservers(fn func(ns dnsname.Name) bool) {
-	for ns := range t.byNS {
-		if !fn(ns) {
-			return
+	if t.seg == nil {
+		for ns := range t.byNS {
+			if !fn(ns) {
+				return
+			}
 		}
+		return
 	}
+	t.seg.edges.eachNS(fn)
 }
 
 // Domains calls fn for every domain ever observed registered, in
 // unspecified order, stopping if fn returns false.
 func (t *tables) Domains(fn func(domain dnsname.Name) bool) {
-	for d := range t.domains {
-		if !fn(d) {
-			return
-		}
-	}
+	t.eachDomainFact(func(d dnsname.Name, _ fact) bool { return fn(d) })
 }
 
 // NumNameservers returns the number of distinct nameserver names ever
 // observed.
-func (t *tables) NumNameservers() int { return len(t.byNS) }
+func (t *tables) NumNameservers() int {
+	if t.seg == nil {
+		return len(t.byNS)
+	}
+	return t.seg.edges.nNS
+}
 
 // NumDomains returns the number of distinct domains ever observed.
-func (t *tables) NumDomains() int { return len(t.domains) }
+func (t *tables) NumDomains() int {
+	if t.seg == nil {
+		return len(t.domains)
+	}
+	return len(t.seg.domains.keys)
+}
 
 // Zones returns the observed zones, sorted.
 func (t *tables) Zones() []dnsname.Name {
@@ -370,17 +398,19 @@ func (t *tables) Zones() []dnsname.Name {
 func (t *tables) SnapshotOn(zone dnsname.Name, day dates.Day) *dnszone.Snapshot {
 	sealed := t.sealedThrough(zone)
 	var edges []Edge
-	for e, f := range t.edges {
+	t.eachEdgeFact(func(e Edge, f fact) bool {
 		if e.zone() == zone && f.shown(sealed).contains(day) {
 			edges = append(edges, e)
 		}
-	}
+		return true
+	})
 	var hosts []dnsname.Name
-	for h, f := range t.glue {
+	t.eachGlueFact(func(h dnsname.Name, f fact) bool {
 		if h.TLD() == zone && f.shown(sealed).contains(day) {
 			hosts = append(hosts, h)
 		}
-	}
+		return true
+	})
 	slices.SortFunc(edges, CompareEdges)
 	slices.Sort(hosts)
 	return snapshotOf(zone, day, edges, hosts)

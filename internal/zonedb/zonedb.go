@@ -41,13 +41,17 @@
 //
 // # Loaded views
 //
-// ReadSegment builds a DB from the sealed facts a segment stored in key
-// order, and its tables keep that order beside the fact maps: until the
-// first write after the load, the Each*Spans walks go through it front to
-// back, a set per fact with no map lookup, and View.ZoneIndex groups from
-// it. The write drops it and the writer walks its maps from then on; a
-// View published before the write keeps it. The walks' documented order
-// stays unspecified, and callers must not rely on key order.
+// ReadSegment builds a DB whose tables hold the sealed facts in the
+// segment's own shape instead of the fact maps: each table's keys in key
+// order with their sets, the edge keys' positions sorted by nameserver,
+// and two indexes from a name to where its facts lie, as a domain and as
+// a host. Until the first write after the load every read answers from
+// that shape: a keyed read is one hash and a contiguous run, the
+// Each*Spans walks go front to back in key order, and View.ZoneIndex
+// groups from it. The write builds the fact maps from it (thaw) and the
+// writer uses them from then on; a View published before the write keeps
+// the shape. The walks' documented order stays unspecified, and callers
+// must not rely on key order.
 package zonedb
 
 import (
@@ -182,22 +186,26 @@ func ended[K comparable](g *generation, keys *map[K]bool, k K, zone dnsname.Name
 // visible to the last published View. Interval sets and index slices are
 // still shared; sets are cloned lazily by own, and index slices are only
 // ever appended to (readers never see past their own length). A loaded
-// generation's key order is dropped: the View keeps it, the writer walks
-// its maps from here on.
+// generation has no maps to clone: it builds them from the segment's
+// shape (unpack), which the View keeps, and the writer reads its maps
+// from here on.
 func (g *generation) thaw() {
 	if !g.frozen {
 		return
 	}
-	g.edges = cloneMap(g.edges)
-	g.domains = cloneMap(g.domains)
-	g.glue = cloneMap(g.glue)
-	g.byNS = cloneMap(g.byNS)
-	g.byDomain = cloneMap(g.byDomain)
+	if g.seg != nil {
+		g.unpack()
+	} else {
+		g.edges = cloneMap(g.edges)
+		g.domains = cloneMap(g.domains)
+		g.glue = cloneMap(g.glue)
+		g.byNS = cloneMap(g.byNS)
+		g.byDomain = cloneMap(g.byDomain)
+	}
 	g.zones = cloneMap(g.zones)
 	g.eager = g.eager.clone()
 	g.shown = maps.Clone(g.shown)
 	g.owned = make(map[*interval.Set]bool)
-	g.order = nil
 	g.frozen = false
 }
 
@@ -321,6 +329,9 @@ func (db *DB) absorb(other *DB) {
 	og := other.gen
 	other.mu.Unlock()
 
+	if og.seg != nil {
+		og.unpack() // other is dead: its maps need no copy
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	g := db.writable()

@@ -59,9 +59,9 @@ func (v *View) ZoneIndex() *ZoneIndex {
 	var edges []keyed[Edge]
 	var glue []keyed[dnsname.Name]
 	var edgeSlots, glueSlots map[dnsname.Name][2]int
-	if v.order != nil {
-		edges, edgeSlots = byZoneInOrder(v.order.edges, Edge.zone)
-		glue, glueSlots = byZoneInOrder(v.order.glue, dnsname.Name.TLD)
+	if v.seg != nil {
+		edges, edgeSlots = byZoneInOrder(v.numEdges(), v.eachEdgeFact, Edge.zone)
+		glue, glueSlots = byZoneInOrder(v.numGlue(), v.eachGlueFact, dnsname.Name.TLD)
 	} else {
 		edges, edgeSlots = byZone(v.edges, Edge.zone)
 		glue, glueSlots = byZone(v.glue, dnsname.Name.TLD)
@@ -149,20 +149,25 @@ func byZone[K comparable](m map[K]fact, zoneOf func(K) dnsname.Name) ([]keyed[K]
 	return out, slots
 }
 
-// byZoneInOrder is byZone for a loaded table, walked in key order: a
-// count, then a stable placement, so each zone's group keeps key order.
-func byZoneInOrder[K comparable](o ordered[K], zoneOf func(K) dnsname.Name) ([]keyed[K], map[dnsname.Name][2]int) {
-	ids := make([]int32, len(o.keys))
+// byZoneInOrder is byZone for a loaded table of n keys, which each walks
+// in key order: a count, then a stable placement, so each zone's group
+// keeps key order.
+func byZoneInOrder[K comparable](n int, each func(func(K, fact) bool), zoneOf func(K) dnsname.Name) ([]keyed[K], map[dnsname.Name][2]int) {
+	ids := make([]int32, 0, n)
 	var g zoneGroups
-	for i, k := range o.keys {
-		ids[i] = g.add(zoneOf(k))
-	}
+	each(func(k K, _ fact) bool {
+		ids = append(ids, g.add(zoneOf(k)))
+		return true
+	})
 	next, slots := g.layout()
-	out := make([]keyed[K], len(o.keys))
-	for i, k := range o.keys {
-		out[next[ids[i]]] = keyed[K]{k, o.fact(i)}
+	out := make([]keyed[K], n)
+	i := 0
+	each(func(k K, f fact) bool {
+		out[next[ids[i]]] = keyed[K]{k, f}
 		next[ids[i]]++
-	}
+		i++
+		return true
+	})
 	return out, slots
 }
 
@@ -172,7 +177,8 @@ func byZoneInOrder[K comparable](o ordered[K], zoneOf func(K) dnsname.Name) ([]k
 // reads from v only the facts whose value may differ from x's — the keys
 // the epoch wrote, and the eager facts of either view, which a Close
 // seals fact by fact — and copies only the zones they fall in: the cost
-// of the change and of the zones it touched.
+// of the change and of the zones it touched. An advance was written
+// after any load, so v's facts are in its maps.
 func (x *ZoneIndex) Extend(v *View) (*ZoneIndex, bool) {
 	ch := v.Advance()
 	if ch == nil || x.v.Epoch()+1 != v.Epoch() || x.v.CloseDay() != ch.ParentClose {
