@@ -18,14 +18,21 @@ import (
 // empty, null and quiet-day windows, None days, every list of a day,
 // names and cursors that need escaping, with and without next_cursor.
 func FuzzDeltasPage(f *testing.F) {
-	// The writer spells out each field of the page: one added to these
-	// types must be added to it too.
+	// The writer spells out each exported field of the page, as
+	// encoding/json encodes those only: one added to these types must be
+	// added to it too.
 	for typ, n := range map[reflect.Type]int{
 		reflect.TypeOf(DeltasResponse{}): 5, reflect.TypeOf(DayDeltaJSON{}): 2,
 		reflect.TypeOf(delta.DayDelta{}): 7, reflect.TypeOf(zonedb.Edge{}): 2,
 	} {
-		if typ.NumField() != n {
-			f.Fatalf("%s has %d fields, the page writer knows %d", typ, typ.NumField(), n)
+		exported := 0
+		for i := range typ.NumField() {
+			if typ.Field(i).IsExported() {
+				exported++
+			}
+		}
+		if exported != n {
+			f.Fatalf("%s has %d exported fields, the page writer knows %d", typ, exported, n)
 		}
 	}
 	f.Add(uint64(7), int32(d(0)), int32(d(200)), "", []byte{1, 0, 0x3f, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "odd.com")

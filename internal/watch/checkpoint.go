@@ -129,14 +129,14 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 	e.seq = cp.Seq
 	e.funnel = cp.Funnel
 	for _, h := range cp.Glue {
-		id := e.intern(h)
+		id := e.intern(-1, h)
 		if e.recs[id].glue {
 			return nil, fmt.Errorf("watch: checkpoint lists glue for %s twice", h)
 		}
 		e.recs[id].glue = true
 	}
 	for _, d := range cp.Domains {
-		id := e.intern(d)
+		id := e.intern(-1, d)
 		if e.recs[id].reg {
 			return nil, fmt.Errorf("watch: checkpoint lists domain %s twice", d)
 		}
@@ -146,18 +146,18 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 		if s.First == dates.None {
 			return nil, fmt.Errorf("watch: checkpoint has no first day for nameserver %s", s.NS)
 		}
-		id := e.intern(s.NS)
+		id := e.intern(-1, s.NS)
 		if e.recs[id].first != dates.None {
 			return nil, fmt.Errorf("watch: checkpoint lists nameserver %s as seen twice", s.NS)
 		}
 		e.recs[id].first = s.First
 	}
 	for _, ed := range cp.Edges {
-		nsID, ns := e.lookup(ed.NS)
+		nsID, ns := e.lookup(-1, ed.NS)
 		if ns == nil || ns.first == dates.None {
 			return nil, fmt.Errorf("watch: checkpoint delegates %s to %s, a nameserver it never saw", ed.Domain, ed.NS)
 		}
-		domID := e.intern(ed.Domain)
+		domID := e.intern(-1, ed.Domain)
 		dom := &e.recs[domID]
 		if slices.Contains(dom.ns, nsID) {
 			return nil, fmt.Errorf("watch: checkpoint lists edge %s -> %s twice", ed.Domain, ed.NS)
@@ -178,7 +178,7 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 				return nil, fmt.Errorf("watch: checkpoint candidate %s has no spans for %s", st.NS, dom)
 			}
 		}
-		id := e.intern(st.NS)
+		id := e.intern(-1, st.NS)
 		e.recs[id].cand = st
 		e.cands = append(e.cands, id)
 		if st.Phase == detect.OutSacrificial && st.Class == idioms.Hijackable &&

@@ -25,7 +25,11 @@
 // The day state is kept on interned ids — one table from name to id and
 // one record per name — and a name's id is recycled once it carries no
 // state, so the engine's memory is bounded by the names live today, plus
-// every nameserver ever seen, plus the candidates.
+// every nameserver ever seen, plus the candidates. A day that carries its
+// names as ids in a name table (delta.DayDelta.IDs, the days of a view
+// loaded from a segment) is resolved through a second table, from those
+// ids to the engine's, sized once per name table, so a mention costs an
+// index, not a hash; a day without them is resolved by name.
 //
 // The engine's state is serializable: Checkpoint/Restore round-trips
 // the whole machine through JSON so a killed watcher resumes exactly
@@ -131,8 +135,11 @@ func (st *nsState) numDomains() int {
 //
 // ids maps each name that carries state to its record in recs, and a
 // record gives its id to free the moment it carries none (the package
-// comment states the memory bound this gives). A day's delta costs one
-// hash per name it mentions and allocates no maps.
+// comment states the memory bound this gives). byDict maps each id of the
+// name table dict to the record of its name, -1 where the name has none;
+// a record knows its dict id, and clears its slot when it is recycled.
+// A day's delta costs one hash per name it mentions, or one per name it
+// gives a record when it carries ids, and allocates no maps.
 type Engine struct {
 	rules detect.Rules
 	chase resolve.Chase
@@ -141,6 +148,9 @@ type Engine struct {
 	recs  []rec
 	free  []int32
 	cands []int32 // every id with a candidate record, so Result is O(candidates)
+
+	dict   *zonedb.Names // the name table of the last day applied by id
+	byDict []int32
 
 	regWatch map[dnsname.Name][]dnsname.Name // registrable domain -> hijackable NS watching it
 
@@ -164,6 +174,7 @@ type rec struct {
 	ns    []int32   // nameservers this domain delegates to today
 	cand  *nsState  // the candidate record, for a name classified on its first day
 	first dates.Day // first day delegated to as a nameserver; dates.None if never
+	did   int32     // the name's id in dict; -1 if it has none
 	glue  bool      // host with glue today
 	reg   bool      // domain registered today
 }
@@ -192,10 +203,24 @@ func New(wh *whois.History, dir *registry.Directory) *Engine {
 	}
 }
 
+// Every name a day mentions is resolved by intern or lookup from its
+// name and did, its id in the day's name table, which is -1 on a day
+// without one (and for a name from elsewhere): by byDict when did is an
+// id, and by the name map when not.
+
 // intern returns name's id, giving it a record if it has none.
-func (e *Engine) intern(name dnsname.Name) int32 {
-	if id, ok := e.ids[name]; ok {
+func (e *Engine) intern(did int32, name dnsname.Name) int32 {
+	if did >= 0 {
+		if id := e.byDict[did]; id >= 0 {
+			return id
+		}
+	} else if id, ok := e.ids[name]; ok {
 		return id
+	} else if e.dict != nil {
+		// A name given a record by name may be in dict all the same.
+		if i, ok := e.dict.ID(name); ok {
+			did = i
+		}
 	}
 	var id int32
 	if n := len(e.free); n > 0 {
@@ -213,13 +238,21 @@ func (e *Engine) intern(name dnsname.Name) int32 {
 		e.recs = append(e.recs, rec{name: name, first: dates.None})
 	}
 	e.ids[name] = id
+	if e.recs[id].did = did; did >= 0 {
+		e.byDict[did] = id
+	}
 	return id
 }
 
 // lookup returns name's record, or nil if it carries no state.
-func (e *Engine) lookup(name dnsname.Name) (int32, *rec) {
-	id, ok := e.ids[name]
-	if !ok {
+func (e *Engine) lookup(did int32, name dnsname.Name) (int32, *rec) {
+	id := int32(-1)
+	if did >= 0 {
+		id = e.byDict[did]
+	} else if i, ok := e.ids[name]; ok {
+		id = i
+	}
+	if id < 0 {
 		return -1, nil
 	}
 	return id, &e.recs[id]
@@ -227,7 +260,7 @@ func (e *Engine) lookup(name dnsname.Name) (int32, *rec) {
 
 // candidate returns name's candidate record, or nil.
 func (e *Engine) candidate(name dnsname.Name) *nsState {
-	if _, r := e.lookup(name); r != nil {
+	if _, r := e.lookup(-1, name); r != nil {
 		return r.cand
 	}
 	return nil
@@ -241,8 +274,48 @@ func (e *Engine) release(id int32) {
 		return
 	}
 	delete(e.ids, r.name)
-	*r = rec{ns: r.ns[:0], first: dates.None}
+	if r.did >= 0 {
+		e.byDict[r.did] = -1
+	}
+	*r = rec{ns: r.ns[:0], first: dates.None, did: -1}
 	e.free = append(e.free, id)
+}
+
+// useDict makes dict the name table days are resolved by id in: byDict
+// is made for it, and the name map remade with room for every name in it
+// (no more can carry state at once), each record carrying over with its
+// id in dict.
+func (e *Engine) useDict(dict *zonedb.Names) {
+	e.dict, e.byDict = dict, make([]int32, dict.Len())
+	for i := range e.byDict {
+		e.byDict[i] = -1
+	}
+	ids := make(map[dnsname.Name]int32, max(dict.Len(), len(e.ids)))
+	for name, id := range e.ids {
+		ids[name] = id
+		r := &e.recs[id]
+		r.did = -1
+		if i, ok := dict.ID(name); ok {
+			r.did, e.byDict[i] = i, id
+		}
+	}
+	e.ids = ids
+}
+
+// idAt returns entry i of a day's id list, or -1 on a day without ids.
+func idAt(ids []int32, i int) int32 {
+	if ids == nil {
+		return -1
+	}
+	return ids[i]
+}
+
+// edgeAt is idAt for a day's edge lists.
+func edgeAt(ids []delta.EdgeID, i int) delta.EdgeID {
+	if ids == nil {
+		return delta.EdgeID{Domain: -1, NS: -1}
+	}
+	return ids[i]
 }
 
 // LastDay returns the last applied day, or dates.None before the first
@@ -268,8 +341,13 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	if e.last != dates.None && day <= e.last {
 		return nil, fmt.Errorf("%w: day %s, engine at %s", ErrStale, day, e.last)
 	}
-	if !slices.IsSortedFunc(dd.EdgesRemoved, zonedb.CompareEdges) {
+	ids, byID := dd.IDs()
+	if byID && !slices.IsSortedFunc(ids.EdgesRemoved, delta.CompareEdgeIDs) ||
+		!byID && !slices.IsSortedFunc(dd.EdgesRemoved, zonedb.CompareEdges) {
 		return nil, fmt.Errorf("watch: day %s: removed edges not sorted by domain, then nameserver", day)
+	}
+	if byID && ids.Dict != e.dict {
+		e.useDict(ids.Dict)
 	}
 	var alerts []Alert
 
@@ -280,10 +358,11 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// record released meanwhile has no delegations left to remove).
 	domID := int32(-1)
 	for i, ed := range dd.EdgesRemoved {
+		did := edgeAt(ids.EdgesRemoved, i)
 		if i == 0 || ed.Domain != dd.EdgesRemoved[i-1].Domain {
-			domID, _ = e.lookup(ed.Domain)
+			domID, _ = e.lookup(did.Domain, ed.Domain)
 		}
-		nsID, ns := e.lookup(ed.NS)
+		nsID, ns := e.lookup(did.NS, ed.NS)
 		if ns == nil {
 			continue // never delegated to: neither active nor a candidate
 		}
@@ -309,10 +388,11 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// trigger a single-repo demotion in step 6).
 	e.fresh, e.touched = e.fresh[:0], e.touched[:0]
 	for i, ed := range dd.EdgesAdded {
+		did := edgeAt(ids.EdgesAdded, i)
 		if i == 0 || ed.Domain != dd.EdgesAdded[i-1].Domain {
-			domID = e.intern(ed.Domain)
+			domID = e.intern(did.Domain, ed.Domain)
 		}
-		nsID := e.intern(ed.NS)
+		nsID := e.intern(did.NS, ed.NS)
 		if dom := &e.recs[domID]; !slices.Contains(dom.ns, nsID) {
 			dom.ns = append(dom.ns, nsID)
 		}
@@ -345,8 +425,8 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// watch of any sacrificial NS whose registrable domain this is; the
 	// watchers were all registered on earlier days (a same-day
 	// registration is a collision, handled at classification).
-	for _, dom := range dd.DomainsAdded {
-		id := e.intern(dom) // may grow recs: index it afterwards
+	for i, dom := range dd.DomainsAdded {
+		id := e.intern(idAt(ids.DomainsAdded, i), dom) // may grow recs: index it afterwards
 		e.recs[id].reg = true
 		if watchers := e.regWatch[dom]; len(watchers) > 0 {
 			for _, ns := range watchers {
@@ -362,20 +442,20 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 			delete(e.regWatch, dom)
 		}
 	}
-	for _, dom := range dd.DomainsRemoved {
-		if id, r := e.lookup(dom); r != nil {
+	for i, dom := range dd.DomainsRemoved {
+		if id, r := e.lookup(idAt(ids.DomainsRemoved, i), dom); r != nil {
 			r.reg = false
 			e.release(id)
 		}
 	}
 
 	// 4. Glue churn.
-	for _, h := range dd.GlueAdded {
-		id := e.intern(h)
+	for i, h := range dd.GlueAdded {
+		id := e.intern(idAt(ids.GlueAdded, i), h)
 		e.recs[id].glue = true
 	}
-	for _, h := range dd.GlueRemoved {
-		if id, r := e.lookup(h); r != nil {
+	for i, h := range dd.GlueRemoved {
+		if id, r := e.lookup(idAt(ids.GlueRemoved, i), h); r != nil {
 			r.glue = false
 			e.release(id)
 		}
@@ -496,7 +576,7 @@ func (e *Engine) classify(edges []dayEdge, day dates.Day, removed []zonedb.Edge,
 	}
 	hijackable := false
 	if st.Class == idioms.Hijackable && st.RegDomain != "" {
-		if _, r := e.lookup(st.RegDomain); r != nil && r.reg {
+		if _, r := e.lookup(-1, st.RegDomain); r != nil && r.reg {
 			st.Collision = true // already registered the day the name appeared
 		} else {
 			hijackable = true

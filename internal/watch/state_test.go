@@ -187,16 +187,26 @@ func TestApplyDayAllocs(t *testing.T) {
 
 // BenchmarkReplay is the go-test twin of the bench's watch.apply_s: one
 // engine replaying a scale-8 world's whole history (~15 s of set-up).
+// The bench replays the index of a view loaded from its segment, whose
+// days carry ids (loaded); live replays the simulated world's own view,
+// by name, as a feed follower and the ingest-fed workloads do.
 func BenchmarkReplay(b *testing.B) {
-	w, _, idx := buildWorld(b, 8, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		e := New(w.WHOIS(), w.Directory())
-		for d := idx.First(); d <= idx.Last(); d++ {
-			if _, err := e.ApplyDay(idx.Day(d)); err != nil {
-				b.Fatal(err)
+	w, v, live := buildWorld(b, 8, 1)
+	_, loaded := loadedIndex(b, v)
+	for _, c := range []struct {
+		name string
+		idx  *delta.Index
+	}{{"live", live}, {"loaded", loaded}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				e := New(w.WHOIS(), w.Directory())
+				for d := c.idx.First(); d <= c.idx.Last(); d++ {
+					if _, err := e.ApplyDay(c.idx.Day(d)); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -6,11 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/dates"
 	"repro/internal/detect"
+	"repro/internal/dnsname"
+	"repro/internal/dzdbapi"
 	"repro/internal/sim"
+	"repro/internal/whois"
 	"repro/internal/zonedb"
 	"repro/internal/zonedb/delta"
 )
@@ -90,6 +95,79 @@ func diffResults(t *testing.T, batch, inc *detect.Result) {
 	}
 }
 
+// loadedIndex returns v's database after a round trip through its
+// segment encoding, and that database's delta index: a view with a name
+// table, whose days carry ids.
+func loadedIndex(t testing.TB, v *zonedb.View) (*zonedb.DB, *delta.Index) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := v.WriteSegment(&buf); err != nil {
+		t.Fatal(err)
+	}
+	db, err := zonedb.ReadSegment(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := delta.Build(db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := idx.First(); d <= idx.Last(); d++ {
+		if dd := idx.Day(d); dd.Changes() > 0 {
+			if _, ok := dd.IDs(); !ok {
+				t.Fatalf("%s: a loaded view's day carries no ids", d)
+			}
+		}
+	}
+	return db, idx
+}
+
+// checkTable fails unless the engine's table from dictionary id to
+// engine id is exact: a slot holds the record of its name, and a name
+// with a record in the dictionary has its slot.
+func checkTable(t *testing.T, e *Engine) {
+	t.Helper()
+	if len(e.byDict) != e.dict.Len() {
+		t.Fatalf("table of %d slots for a dictionary of %d names", len(e.byDict), e.dict.Len())
+	}
+	for did, id := range e.byDict {
+		name := e.dict.Name(int32(did))
+		switch mapped, ok := e.ids[name]; {
+		case id < 0 && ok:
+			t.Fatalf("slot %d (%s) is empty, but the name map gives it record %d", did, name, mapped)
+		case id >= 0 && (!ok || mapped != id):
+			t.Fatalf("slot %d (%s) holds record %d, the name map %d (%v)", did, name, id, mapped, ok)
+		case id >= 0 && e.recs[id].did != int32(did):
+			t.Fatalf("slot %d (%s) holds record %d, whose dictionary id is %d", did, name, id, e.recs[id].did)
+		}
+	}
+	for name, id := range e.ids {
+		did, in := e.dict.ID(name)
+		if !in {
+			did = -1
+		}
+		if e.recs[id].did != did {
+			t.Fatalf("record %d (%s) has dictionary id %d, the dictionary says %d", id, name, e.recs[id].did, did)
+		}
+	}
+}
+
+// sameReplay fails unless alerts are want's and e saves the checkpoint
+// whose SHA-256 is sum.
+func sameReplay(t *testing.T, e *Engine, alerts, want []Alert, sum string) {
+	t.Helper()
+	if !slices.Equal(alerts, want) {
+		t.Errorf("%d alerts, the live replay %d: the streams differ", len(alerts), len(want))
+	}
+	var ckpt bytes.Buffer
+	if err := e.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(ckpt.Bytes()); hex.EncodeToString(got[:]) != sum {
+		t.Errorf("final checkpoint (%d bytes) sha256 %x, want %s", ckpt.Len(), got, sum)
+	}
+}
+
 // finalCheckpoints holds the SHA-256 of each seed's final Save bytes
 // after TestReplayEquivalence's full replay (scale 2). Result covers only
 // the candidates; these pin the rest of the engine's state too — glue,
@@ -117,6 +195,14 @@ var finalCheckpoints = map[int64]string{
 // Seeds 1–8 draw all of those but never a retraction or a collision;
 // TestDemotionAndHijack and detect's TestCollisionClassification hold
 // those two paths.
+//
+// The live view's index is replayed by name. Each seed's history is also
+// replayed by dictionary id, from the index of its view loaded from its
+// segment; by name again, from that index's days after the /v1/deltas
+// JSON, which carries no ids; and by id across a restart, restoring a
+// mid-history checkpoint and going on with the index of another load,
+// whose name table is not the first's. Every one must give the live
+// replay's alerts byte for byte and its pinned checkpoint.
 func TestReplayEquivalence(t *testing.T) {
 	drawn := map[string]int{}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -131,13 +217,8 @@ func TestReplayEquivalence(t *testing.T) {
 				t.Fatalf("engine at %s, close day %s", e.LastDay(), v.CloseDay())
 			}
 			diffResults(t, batch, e.Result())
-			var ckpt bytes.Buffer
-			if err := e.Save(&ckpt); err != nil {
-				t.Fatal(err)
-			}
-			if sum := sha256.Sum256(ckpt.Bytes()); hex.EncodeToString(sum[:]) != finalCheckpoints[seed] {
-				t.Errorf("final checkpoint (%d bytes) sha256 %x, want %s", ckpt.Len(), sum, finalCheckpoints[seed])
-			}
+			sameReplay(t, e, alerts, alerts, finalCheckpoints[seed])
+			replaysAlike(t, w, v, alerts, finalCheckpoints[seed])
 
 			// Alert-stream bookkeeping must reconcile with the funnel.
 			counts := map[string]int{}
@@ -174,6 +255,166 @@ func TestReplayEquivalence(t *testing.T) {
 		}
 	}
 	t.Logf("outcomes drawn over the sweep: %v", drawn)
+	t.Run("released and re-added", testReleasedAndReAdded)
+}
+
+// replaysAlike replays the history of the simulated world w, whose live
+// view v replayed by name gave want and the checkpoint whose SHA-256 is
+// sum, by the three other ways TestReplayEquivalence names.
+func replaysAlike(t *testing.T, w *sim.World, v *zonedb.View, want []Alert, sum string) {
+	db, idx := loadedIndex(t, v)
+	t.Run("loaded", func(t *testing.T) {
+		e := New(w.WHOIS(), w.Directory())
+		alerts := replay(t, e, idx, idx.First(), idx.Last())
+		checkTable(t, e)
+		sameReplay(t, e, alerts, want, sum)
+	})
+
+	t.Run("feed", func(t *testing.T) {
+		ts := httptest.NewServer(dzdbapi.New(db))
+		defer ts.Close()
+		e := New(w.WHOIS(), w.Directory())
+		var alerts []Alert
+		f := &Follower{
+			Client:  &dzdbapi.Client{BaseURL: ts.URL},
+			Engine:  e,
+			OnAlert: func(a Alert) { alerts = append(alerts, a) },
+			Once:    true,
+		}
+		if err := f.Run(context.Background()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if e.dict != nil {
+			t.Error("the feed's days were applied by id")
+		}
+		sameReplay(t, e, alerts, want, sum)
+	})
+
+	t.Run("restored onto another load", func(t *testing.T) {
+		mid := idx.First() + (idx.Last()-idx.First())/2
+		e1 := New(w.WHOIS(), w.Directory())
+		alerts := replay(t, e1, idx, idx.First(), mid)
+		var ckpt bytes.Buffer
+		if err := e1.Save(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := Restore(&ckpt, w.WHOIS(), w.Directory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Another load of the history with a name registered and dropped
+		// before mid, which sorts first: every name's id is one more.
+		other, err := zonedb.ReadSegment(segmentOf(t, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.DomainAdded("com", "0.com", idx.First())
+		other.DomainRemoved("com", "0.com", idx.First()+1)
+		other.Close(v.CloseDay())
+		_, idx2 := loadedIndex(t, other.View())
+		first, _ := idx2.Day(idx.First()).IDs()
+		later, _ := idx.Day(idx.First()).IDs()
+		if first.Dict.Name(0) != "0.com" || first.Dict.Len() != later.Dict.Len()+1 {
+			t.Fatalf("the second load's name table starts %s and holds %d names, the first's %d", first.Dict.Name(0), first.Dict.Len(), later.Dict.Len())
+		}
+		alerts = append(alerts, replay(t, e2, idx2, mid+1, idx2.Last())...)
+		checkTable(t, e2)
+		sameReplay(t, e2, alerts, want, sum)
+	})
+}
+
+// segmentOf returns v's segment payload.
+func segmentOf(t testing.TB, v *zonedb.View) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := v.WriteSegment(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// testReleasedAndReAdded: a domain and a glue host that lose all their
+// state give their records back, and when they return on a later day,
+// by id, they are given records again. Day for day, the replay by id
+// keeps the table exact and saves what the replay by name saves, up to a
+// hijack alert.
+func testReleasedAndReAdded(t *testing.T) {
+	d0 := dates.FromYMD(2020, 1, 1)
+	shop, gone, host := dnsname.Name("shop.org"), dnsname.Name("gone.org"), dnsname.Name("host.gone.org")
+	db := zonedb.New()
+	db.DomainAdded("org", shop, d0)
+	db.DelegationAdded("org", shop, "ns1.victim.com", d0)
+	db.DelegationRemoved("org", shop, "ns1.victim.com", d0+1)
+	db.DelegationAdded("org", shop, "ns1.victim123.biz", d0+1)
+	for _, on := range []dates.Day{d0, d0 + 4} {
+		db.DomainAdded("org", gone, on)
+		db.GlueAdded("org", host, on)
+		db.DelegationAdded("org", gone, "ns1.victim.com", on)
+		db.DomainRemoved("org", gone, on+2)
+		db.GlueRemoved("org", host, on+2)
+		db.DelegationRemoved("org", gone, "ns1.victim.com", on+2)
+	}
+	db.DomainAdded("biz", "victim123.biz", d0+5)
+	db.Close(d0 + 7)
+	byName, err := delta.Build(db.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, byID := loadedIndex(t, db.View())
+
+	wh := whois.New()
+	wh.Observe("victim.com", d0, "Enom")
+	dir := sim.StandardDirectory()
+	named, numbered := New(wh, dir), New(wh, dir)
+	var hijacks int
+	released := map[dnsname.Name]bool{}
+	for d := d0; d <= d0+7; d++ {
+		want, err := named.ApplyDay(byName.Day(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := numbered.ApplyDay(byID.Day(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: alerts by id %+v, by name %+v", d, got, want)
+		}
+		for _, a := range got {
+			if a.Type == AlertHijacked {
+				hijacks++
+			}
+		}
+		checkTable(t, numbered)
+		var g, w bytes.Buffer
+		if err := numbered.Save(&g); err != nil {
+			t.Fatal(err)
+		}
+		if err := named.Save(&w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s: the replay by id saves\n%s\nby name\n%s", d, g.Bytes(), w.Bytes())
+		}
+		for _, n := range []dnsname.Name{gone, host} {
+			if _, live := numbered.ids[n]; !live {
+				released[n] = true
+			} else if released[n] && d < d0+4 {
+				t.Fatalf("%s: %s has a record again before it is re-added", d, n)
+			}
+		}
+	}
+	if !released[gone] || !released[host] {
+		t.Errorf("released over the replay: %v, want %s and %s", released, gone, host)
+	}
+	for _, n := range []dnsname.Name{gone, host} {
+		if _, live := numbered.ids[n]; live {
+			t.Errorf("%s still has a record after its second removal", n)
+		}
+	}
+	if hijacks != 1 {
+		t.Errorf("%d hijack alerts, want 1", hijacks)
+	}
 }
 
 // TestCheckpointRestoreMidHistory kills the engine mid-replay, restores

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/dates"
@@ -19,12 +20,19 @@ import (
 
 const archiveMagic = "whois 1"
 
-// WriteArchive archives the history.
+// WriteArchive archives the history: its domains in name order, each
+// domain's records in day order, so one history always writes the same
+// bytes.
 func (h *History) WriteArchive(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintln(bw, archiveMagic)
-	for domain, recs := range h.byDomain {
-		for _, rec := range recs {
+	domains := make([]dnsname.Name, 0, len(h.byDomain))
+	for domain := range h.byDomain {
+		domains = append(domains, domain)
+	}
+	slices.Sort(domains)
+	for _, domain := range domains {
+		for _, rec := range h.byDomain[domain] {
 			fmt.Fprintf(bw, "W %s %s %s\n", domain, rec.Day, rec.Registrar)
 		}
 	}

@@ -2,10 +2,13 @@ package whois
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dates"
+	"repro/internal/dnsname"
 )
 
 func TestArchiveRoundTrip(t *testing.T) {
@@ -30,6 +33,49 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 	if got := back.RegistrarOn("foo.com", dates.FromYMD(2013, 1, 1)); got != "Enom" {
 		t.Errorf("registrar = %q", got)
+	}
+}
+
+// TestArchiveIsDeterministic: one history writes the same bytes every
+// time, whatever order it was observed in, domains in name order, and
+// reads back into a history that writes them again.
+func TestArchiveIsDeterministic(t *testing.T) {
+	observe := func(h *History, i int) {
+		domain := dnsname.Name(fmt.Sprintf("d%03d.com", i))
+		h.Observe(domain, dates.FromYMD(2010+i%7, 1, 1), "Enom")
+		h.Observe(domain, dates.FromYMD(2018, 1+i%12, 1), "Network Solutions")
+	}
+	forward, backward := New(), New()
+	for i := 0; i < 200; i++ {
+		observe(forward, i)
+		observe(backward, 199-i)
+	}
+	archive := func(h *History) []byte {
+		var buf bytes.Buffer
+		if err := h.WriteArchive(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := archive(forward)
+	for i := 0; i < 5; i++ {
+		if got := archive(forward); !bytes.Equal(got, want) {
+			t.Fatalf("write %d of one history differs from the first", i+2)
+		}
+	}
+	if got := archive(backward); !bytes.Equal(got, want) {
+		t.Fatal("the same records observed in another order write other bytes")
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(lines) != 401 || !slices.IsSorted(lines[1:]) {
+		t.Fatalf("%d lines, not one magic line and 400 records in order:\n%s", len(lines), want)
+	}
+	back, err := ReadFrom(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := archive(back); !bytes.Equal(got, want) {
+		t.Fatal("the archive read back writes other bytes")
 	}
 }
 

@@ -12,9 +12,14 @@
 // and each day's lists are sorted on GOMAXPROCS goroutines, so the whole
 // index costs O(total spans) time, the memory of what it returns, and a
 // few dozen allocations however many facts the view holds. A view loaded
-// from a segment walks its facts in key order, so its days' lists come
-// out of the walk sorted and their sort is one pass over each; the index
-// does not depend on the order of the walk.
+// from a segment keeps its name table (zonedb.View.Names) and is walked
+// by id, in key order: the slabs hold ids, each day's ids come out of the
+// walk sorted (the table is in byte order, so ids sort as their names
+// do), and its name lists are read off the table in their order. Each
+// day of such an index carries its ids beside its name lists
+// (DayDelta.IDs), which is how a watch engine resolves a day's names
+// without hashing them. The index does not depend on the order of the
+// walk, and its name lists are the same by either path.
 //
 // Deltas are derived exclusively from sealed intervals — the same facts
 // the batch detector sees — so replaying every DayDelta from First()
@@ -27,6 +32,7 @@ package delta
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -43,6 +49,10 @@ import (
 // slices hold facts present on Day-1 but not Day. All slices are sorted
 // (edges by domain then nameserver, names lexically) so a delta is
 // deterministic for a given view and safe to diff in tests.
+//
+// A day built from a view with a name table (zonedb.View.Names) also
+// carries its lists as ids in that table (IDs). Such a day's lists must
+// not be modified, save by Sort, which keeps the two forms parallel.
 type DayDelta struct {
 	Day dates.Day `json:"day"`
 
@@ -54,6 +64,71 @@ type DayDelta struct {
 
 	GlueAdded   []dnsname.Name `json:"glue_added,omitempty"`
 	GlueRemoved []dnsname.Name `json:"glue_removed,omitempty"`
+
+	// ids, on a day built with a name table, holds the build's ids, the
+	// day's from edgeAt in its edges and from nameAt in its names.
+	ids            *idSlabs
+	edgeAt, nameAt int
+}
+
+// idSlabs is a build's lists as ids in dict: each day's two edge lists'
+// ids one after the other in edges, and its four name lists' in names,
+// each list as long as the name list it stands for.
+type idSlabs struct {
+	dict  *zonedb.Names
+	edges []EdgeID
+	names []int32
+}
+
+// EdgeID is an edge as the ids of its domain and its nameserver in a
+// name table.
+type EdgeID struct{ Domain, NS int32 }
+
+// CompareEdgeIDs orders edge ids by domain, then nameserver: in a table
+// in byte order, as zonedb.CompareEdges orders their edges.
+func CompareEdgeIDs(a, b EdgeID) int {
+	if c := cmp.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.NS, b.NS)
+}
+
+// IDs is a day's lists as ids in Dict, the name table of the view the
+// day was built from: entry i of each list is the ids of entry i of the
+// day's list of the same name, so Dict.Name(DomainsAdded[i]) is
+// DomainsAdded[i] of the day. The table is in byte order, so ids sort as
+// their names do. Nothing in it may be modified.
+type IDs struct {
+	Dict *zonedb.Names
+
+	EdgesAdded, EdgesRemoved     []EdgeID
+	DomainsAdded, DomainsRemoved []int32
+	GlueAdded, GlueRemoved       []int32
+}
+
+// IDs returns d's lists as ids, and false when d carries none: it was
+// not built from a view with a name table (it came from a live view, a
+// JSON feed or a fleet's merge), or it is quiet.
+func (d *DayDelta) IDs() (IDs, bool) {
+	if d.ids == nil {
+		return IDs{}, false
+	}
+	ea, er := len(d.EdgesAdded), len(d.EdgesRemoved)
+	e, n := d.ids.edges[d.edgeAt:d.edgeAt+ea+er], d.ids.names[d.nameAt:]
+	at := func(l int) []int32 {
+		list := n[:l:l]
+		n = n[l:]
+		return list
+	}
+	return IDs{
+		Dict:           d.ids.dict,
+		EdgesAdded:     e[:ea:ea],
+		EdgesRemoved:   e[ea:],
+		DomainsAdded:   at(len(d.DomainsAdded)),
+		DomainsRemoved: at(len(d.DomainsRemoved)),
+		GlueAdded:      at(len(d.GlueAdded)),
+		GlueRemoved:    at(len(d.GlueRemoved)),
+	}, true
 }
 
 // Changes returns the total number of change events in the delta.
@@ -77,9 +152,18 @@ type Index struct {
 // The edges and the names are bucketed apart, the edges on a goroutine
 // of their own, and their days merged; then the days' lists are sorted
 // on GOMAXPROCS goroutines. No goroutine outlives the call.
+//
+// A view with a name table (zonedb.View.Names), one loaded from a
+// segment, is walked by id: the buckets hold ids, each day's ids are
+// sorted as integers, and its name lists are read off the table in that
+// order, so every day of the index carries both (DayDelta.IDs).
 func Build(v *zonedb.View) (*Index, error) {
 	if !v.Closed() {
 		return nil, fmt.Errorf("delta: view (epoch %d) is not closed", v.Epoch())
+	}
+	var ids *idSlabs
+	if names := v.Names(); names != nil {
+		ids = &idSlabs{dict: names}
 	}
 	// The view holds at least an edge per nameserver and a registration
 	// per domain: that many facts, if not more, are walked.
@@ -89,28 +173,55 @@ func Build(v *zonedb.View) (*Index, error) {
 	go func() {
 		defer close(done)
 		var b buckets
-		edgeDays, edgeFirst = b.fill(dates.None, v.CloseDay(), v.NumNameservers(), func() {
+		edgeDays, edgeFirst = b.fill(dates.None, v.CloseDay(), v.NumNameservers(), ids != nil, func() {
+			if ids != nil {
+				v.EachEdgeIDs(func(d, ns int32, spans *interval.Set) bool {
+					visit(&b, b.edgeIDs, edgesAdded, EdgeID{d, ns}, spans)
+					return true
+				})
+				return
+			}
 			v.EachEdgeSpans(func(e zonedb.Edge, spans *interval.Set) bool {
 				visit(&b, b.edges, edgesAdded, e, spans)
 				return true
 			})
 		})
+		if ids != nil {
+			ids.edges = b.edgeIDs
+		}
 	}()
 	var b buckets
-	domain := func(d dnsname.Name, spans *interval.Set) bool {
-		visit(&b, b.names, domainsAdded, d, spans)
-		return true
-	}
-	glue := func(h dnsname.Name, spans *interval.Set) bool {
-		visit(&b, b.names, glueAdded, h, spans)
-		return true
-	}
-	nameDays, first := b.fill(dates.None, v.CloseDay(), v.NumDomains(), func() {
-		v.EachDomainSpans(domain)
-		v.EachGlueSpans(glue)
+	nameDays, first := b.fill(dates.None, v.CloseDay(), v.NumDomains(), ids != nil, func() {
+		if ids != nil {
+			v.EachDomainIDs(func(id int32, spans *interval.Set) bool {
+				visit(&b, b.nameIDs, domainsAdded, id, spans)
+				return true
+			})
+			v.EachGlueIDs(func(id int32, spans *interval.Set) bool {
+				visit(&b, b.nameIDs, glueAdded, id, spans)
+				return true
+			})
+			return
+		}
+		v.EachDomainSpans(func(d dnsname.Name, spans *interval.Set) bool {
+			visit(&b, b.names, domainsAdded, d, spans)
+			return true
+		})
+		v.EachGlueSpans(func(h dnsname.Name, spans *interval.Set) bool {
+			visit(&b, b.names, glueAdded, h, spans)
+			return true
+		})
 	})
+	if ids != nil {
+		ids.names = b.nameIDs
+	}
 	<-done
 	days := merge(edgeDays, nameDays)
+	if ids != nil {
+		for i := range days {
+			days[i].ids = ids
+		}
+	}
 	sortDays(days)
 	return &Index{epoch: v.Epoch(), first: earliest(first, edgeFirst), last: v.CloseDay(), days: pointers(nil, days)}, nil
 }
@@ -149,6 +260,7 @@ func merge(edges, names []DayDelta) []DayDelta {
 		default:
 			d, n := edges[0], &names[0]
 			d.DomainsAdded, d.DomainsRemoved, d.GlueAdded, d.GlueRemoved = n.DomainsAdded, n.DomainsRemoved, n.GlueAdded, n.GlueRemoved
+			d.nameAt = n.nameAt
 			out, edges, names = append(out, d), edges[1:], names[1:]
 		}
 	}
@@ -199,7 +311,7 @@ func Extend(prev *Index, v *zonedb.View) (*Index, error) {
 			prev.epoch, prev.last, v.Epoch(), ch.ParentClose)
 	}
 	var b buckets
-	fresh, first := b.fill(prev.last, v.CloseDay(), len(ch.Edges)+len(ch.Domains)+len(ch.Glue), func() {
+	fresh, first := b.fill(prev.last, v.CloseDay(), len(ch.Edges)+len(ch.Domains)+len(ch.Glue), false, func() {
 		for _, e := range ch.Edges {
 			visit(&b, b.edges, edgesAdded, e, v.EdgeSpans(e.Domain, e.NS))
 		}
@@ -275,6 +387,11 @@ type buckets struct {
 
 	edges []zonedb.Edge
 	names []dnsname.Name
+
+	// A walk by id writes the ids to these instead; the name slabs are
+	// filled from them once each day is sorted.
+	edgeIDs []EdgeID
+	nameIDs []int32
 }
 
 const (
@@ -370,8 +487,9 @@ func (b *buckets) cover(day dates.Day) bool {
 // facts each time, at least facts of them — and returns the non-quiet
 // days in day order, their lists capacity-clipped sub-slices of two slabs
 // in the order the last walk met them, and the earliest addition. The
-// caller sorts them.
-func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelta, dates.Day) {
+// caller sorts them. A walk by id writes ids, and each day's name lists
+// are left to Sort to fill from them; the day holds where its ids start.
+func (b *buckets) fill(after, last dates.Day, facts int, byID bool, walk func()) ([]DayDelta, dates.Day) {
 	*b = buckets{after: after, last: last, first: dates.None, room: denseFactor * facts}
 	walk()
 	if b.wide {
@@ -405,6 +523,9 @@ func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelt
 		}
 	}
 	b.pass, b.edges, b.names = writing, make([]zonedb.Edge, nEdges), make([]dnsname.Name, nNames)
+	if byID {
+		b.edgeIDs, b.nameIDs = make([]EdgeID, nEdges), make([]int32, nNames)
+	}
 	walk()
 
 	// Each cursor now stands at the end of its list, which is where the
@@ -430,6 +551,9 @@ func (b *buckets) fill(after, last dates.Day, facts int, walk func()) ([]DayDelt
 		if b.sparse != nil {
 			d.Day = b.sparse[s]
 		}
+		if byID {
+			d.edgeAt, d.nameAt = edgeAt, nameAt
+		}
 		d.EdgesAdded, d.EdgesRemoved = edgeList(end[edgesAdded]), edgeList(end[edgesRemoved])
 		d.DomainsAdded, d.DomainsRemoved = nameList(end[domainsAdded]), nameList(end[domainsRemoved])
 		d.GlueAdded, d.GlueRemoved = nameList(end[glueAdded]), nameList(end[glueRemoved])
@@ -450,14 +574,79 @@ func cut[T any](slab []T, from, to int) []T {
 // Sort puts d's lists in the order Build and Extend emit them: edges by
 // domain then nameserver, names lexically. The disjoint union of days
 // that were each in that order is in it again once sorted, which is how
-// a fleet's merged feed reads as one node's.
+// a fleet's merged feed reads as one node's. A day that carries ids is
+// sorted by them, and its name lists are rewritten from its name table
+// in their order.
 func (d *DayDelta) Sort() {
+	if ids, ok := d.IDs(); ok {
+		for _, l := range [][]EdgeID{ids.EdgesAdded, ids.EdgesRemoved} {
+			if !slices.IsSortedFunc(l, CompareEdgeIDs) {
+				slices.SortFunc(l, CompareEdgeIDs)
+			}
+		}
+		for _, l := range [][]int32{ids.DomainsAdded, ids.DomainsRemoved, ids.GlueAdded, ids.GlueRemoved} {
+			if !slices.IsSorted(l) {
+				slices.Sort(l)
+			}
+		}
+		for i, e := range ids.EdgesAdded {
+			d.EdgesAdded[i] = zonedb.Edge{Domain: ids.Dict.Name(e.Domain), NS: ids.Dict.Name(e.NS)}
+		}
+		for i, e := range ids.EdgesRemoved {
+			d.EdgesRemoved[i] = zonedb.Edge{Domain: ids.Dict.Name(e.Domain), NS: ids.Dict.Name(e.NS)}
+		}
+		named(d.DomainsAdded, ids.DomainsAdded, ids.Dict)
+		named(d.DomainsRemoved, ids.DomainsRemoved, ids.Dict)
+		named(d.GlueAdded, ids.GlueAdded, ids.Dict)
+		named(d.GlueRemoved, ids.GlueRemoved, ids.Dict)
+		return
+	}
 	slices.SortFunc(d.EdgesAdded, zonedb.CompareEdges)
 	slices.SortFunc(d.EdgesRemoved, zonedb.CompareEdges)
 	slices.Sort(d.DomainsAdded)
 	slices.Sort(d.DomainsRemoved)
 	slices.Sort(d.GlueAdded)
 	slices.Sort(d.GlueRemoved)
+}
+
+// SameLists reports whether a and b are the same day with the same lists
+// — every exported field equal, a nil list told from an empty one — and
+// whether each id either carries names the entry it stands for. It is how
+// a day built by id is held to the same day built by name.
+func SameLists(a, b *DayDelta) bool {
+	x, y := *a, *b
+	x.ids, x.edgeAt, x.nameAt = nil, 0, 0
+	y.ids, y.edgeAt, y.nameAt = nil, 0, 0
+	return reflect.DeepEqual(x, y) && a.idsName() && b.idsName()
+}
+
+// idsName reports whether each id d carries, if any, is the id of its
+// entry.
+func (d *DayDelta) idsName() bool {
+	ids, ok := d.IDs()
+	if !ok {
+		return true
+	}
+	edgeIDs := slices.Concat(ids.EdgesAdded, ids.EdgesRemoved)
+	for i, e := range slices.Concat(d.EdgesAdded, d.EdgesRemoved) {
+		if ids.Dict.Name(edgeIDs[i].Domain) != e.Domain || ids.Dict.Name(edgeIDs[i].NS) != e.NS {
+			return false
+		}
+	}
+	nameIDs := slices.Concat(ids.DomainsAdded, ids.DomainsRemoved, ids.GlueAdded, ids.GlueRemoved)
+	for i, n := range slices.Concat(d.DomainsAdded, d.DomainsRemoved, d.GlueAdded, d.GlueRemoved) {
+		if ids.Dict.Name(nameIDs[i]) != n {
+			return false
+		}
+	}
+	return true
+}
+
+// named writes the names of ids in dict to names.
+func named(names []dnsname.Name, ids []int32, dict *zonedb.Names) {
+	for i, id := range ids {
+		names[i] = dict.Name(id)
+	}
 }
 
 // Epoch returns the epoch of the view the index was built from.

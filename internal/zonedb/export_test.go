@@ -42,6 +42,70 @@ func WalksInKeyOrder(v *View) error {
 	return walksInKeyOrder(t, "glue", maps.glue, t.EachGlueSpans, dnsname.Compare, named)
 }
 
+// IDsName returns nil when the id walks of v name what its Each*Spans
+// walks do: on a loaded view, its name table ascends strictly and each
+// id walk yields, key for key and with the very sets, the ids of the keys
+// its Each*Spans twin yields; on any other view there is no table and
+// the id walks yield nothing. Otherwise it says where they part.
+func IDsName(v *View) error {
+	names := v.Names()
+	if names == nil {
+		n := 0
+		v.EachEdgeIDs(func(_, _ int32, _ *interval.Set) bool { n++; return true })
+		v.EachDomainIDs(func(int32, *interval.Set) bool { n++; return true })
+		v.EachGlueIDs(func(int32, *interval.Set) bool { n++; return true })
+		if n > 0 {
+			return fmt.Errorf("a view without a name table walks %d facts by id", n)
+		}
+		return nil
+	}
+	for id := int32(1); id < int32(names.Len()); id++ {
+		if names.Name(id-1) >= names.Name(id) {
+			return fmt.Errorf("name %d %q does not sort after %q", id, names.Name(id), names.Name(id-1))
+		}
+	}
+	for id := int32(0); id < int32(names.Len()); id++ {
+		if got, ok := names.ID(names.Name(id)); !ok || got != id {
+			return fmt.Errorf("ID(%q) = %d, %v; want %d", names.Name(id), got, ok, id)
+		}
+	}
+	type key struct {
+		names [2]dnsname.Name
+		set   *interval.Set
+	}
+	var byName, byID []key
+	v.EachEdgeSpans(func(e Edge, s *interval.Set) bool {
+		byName = append(byName, key{[2]dnsname.Name{e.Domain, e.NS}, s})
+		return true
+	})
+	v.EachEdgeIDs(func(d, ns int32, s *interval.Set) bool {
+		byID = append(byID, key{[2]dnsname.Name{names.Name(d), names.Name(ns)}, s})
+		return true
+	})
+	for _, table := range []struct {
+		byName func(func(dnsname.Name, *interval.Set) bool)
+		byID   func(func(int32, *interval.Set) bool)
+	}{{v.EachDomainSpans, v.EachDomainIDs}, {v.EachGlueSpans, v.EachGlueIDs}} {
+		table.byName(func(n dnsname.Name, s *interval.Set) bool {
+			byName = append(byName, key{[2]dnsname.Name{n}, s})
+			return true
+		})
+		table.byID(func(id int32, s *interval.Set) bool {
+			byID = append(byID, key{[2]dnsname.Name{names.Name(id)}, s})
+			return true
+		})
+	}
+	if len(byID) != len(byName) {
+		return fmt.Errorf("the id walks yield %d facts, the name walks %d", len(byID), len(byName))
+	}
+	for i := range byName {
+		if byID[i] != byName[i] {
+			return fmt.Errorf("fact %d: the id walk names %v, the name walk %v", i, byID[i].names, byName[i].names)
+		}
+	}
+	return nil
+}
+
 func walksInKeyOrder[K comparable](t *tables, table string, m map[K]fact, walk func(func(K, *interval.Set) bool), cmp func(a, b K) int, nameOf func(K) dnsname.Name) error {
 	want := make([]K, 0, len(m))
 	for k := range m {

@@ -581,7 +581,7 @@ func sameIndex(tb testing.TB, what string, got, want *delta.Index) {
 		return
 	}
 	for d := got.First(); d <= got.Last(); d++ {
-		if g, w := got.Day(d), want.Day(d); !reflect.DeepEqual(g, w) {
+		if g, w := got.Day(d), want.Day(d); !delta.SameLists(g, w) {
 			tb.Fatalf("%s: %s is %+v, want %+v", what, d, g, w)
 		}
 	}

@@ -213,9 +213,11 @@ func (t *tables) writeSegment(w io.Writer) error {
 // load builds the fact maps from it (thaw).
 //
 // The loaded DB's facts are built from a handful of allocations: one
-// string that every name is a substring of, one slab for the spans, a
-// key slice and a set slice per table, the nameserver order, and the two
-// indexes. Each set's spans are capped at their length, so an Add on an
+// string that every name is a substring of, the name table, one slab for
+// the spans, a key slice and a set slice per table, the edges' nameserver
+// ids and order, and the two indexes. The name table stays with the
+// loaded view (View.Names), so a reader can number its names as the
+// payload does. Each set's spans are capped at their length, so an Add on an
 // absorbed set reallocates rather than growing into its neighbour.
 func ReadSegment(p []byte) (*DB, error) {
 	fail := func(format string, args ...any) (*DB, error) {
@@ -278,10 +280,10 @@ func ReadSegment(p []byte) (*DB, error) {
 	}
 	s := &segFacts{}
 	for i, table := range [2]*segNameTable{&s.domains, &s.glue} {
-		table.keys = make([]dnsname.Name, keys[i])
+		table.ids = make([]int32, keys[i])
 		table.sets = make([]interval.Set, keys[i])
 		err := d.section(int(keys[i]), int(spans[i]), false, func(k int, id, _ uint32) *interval.Set {
-			table.keys[k] = d.names[id]
+			table.ids[k] = int32(id)
 			roles[i][id].set = int32(k)
 			return &table.sets[k]
 		})
@@ -289,8 +291,7 @@ func ReadSegment(p []byte) (*DB, error) {
 			return fail("%s: %v", [2]string{"domains", "glue"}[i], err)
 		}
 	}
-	nsOf, err := d.readEdges(&s.edges, roles, int(keys[segEdges]), int(spans[segEdges]))
-	if err != nil {
+	if err := d.readEdges(&s.edges, roles, int(keys[segEdges]), int(spans[segEdges])); err != nil {
 		return fail("edges: %v", err)
 	}
 	for id, used := range d.used {
@@ -301,14 +302,15 @@ func ReadSegment(p []byte) (*DB, error) {
 
 	// The payload is accepted. The host index fills beside the domain
 	// index; the two share nothing but the names they read.
-	s.edges.sortByNS(roles[1], nsOf)
+	s.edges.sortByNS(roles[1])
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.asHost = roleIndex(d.names, roles[1])
+		s.asHost = roleIndex(d.table, roles[1])
 	}()
-	s.asDomain = roleIndex(d.names, roles[0])
+	s.asDomain = roleIndex(d.table, roles[0])
 	<-done
+	s.names = d.table
 	t.seg = s
 
 	// Published as a fresh DB's second epoch (its first is the empty one),
@@ -325,8 +327,9 @@ func ReadSegment(p []byte) (*DB, error) {
 // reconciled with the header, handing out the span slab as it goes.
 type segDecoder struct {
 	rest  []byte
-	names []dnsname.Name
-	used  []bool // per name id: some record refers to it
+	table *Names
+	names []dnsname.Name // table's names, for the decode
+	used  []bool         // per name id: some record refers to it
 
 	spans []dates.Range // unclaimed tail of the span slab
 }
@@ -354,6 +357,7 @@ func (d *segDecoder) nameID() (uint32, error) {
 func (d *segDecoder) readNames(nNames, nameBytes int) error {
 	lens := d.take(nNames)
 	text := string(d.take(nameBytes))
+	d.table = &Names{text: text, ends: make([]uint32, nNames)}
 	d.names = make([]dnsname.Name, nNames)
 	d.used = make([]bool, nNames)
 	off := 0
@@ -369,7 +373,7 @@ func (d *segDecoder) readNames(nNames, nameBytes int) error {
 		if i > 0 && string(d.names[i-1]) >= s {
 			return fmt.Errorf("name %d %q does not sort after %q", i, s, d.names[i-1])
 		}
-		d.names[i], off = dnsname.Name(s), end
+		d.names[i], d.table.ends[i], off = dnsname.Name(s), uint32(end), end
 	}
 	if off != len(text) {
 		return fmt.Errorf("%d name bytes belong to no name", len(text)-off)
@@ -377,18 +381,18 @@ func (d *segDecoder) readNames(nNames, nameBytes int) error {
 	return nil
 }
 
-// readEdges decodes and checks the edge section into e: its keys and
-// sets, each domain's run of them in roles[0], and in roles[1] the number
-// of edges each name is the nameserver of, for sortByNS. It returns each
-// key's ns id, which sortByNS needs.
-func (d *segDecoder) readEdges(e *segEdgeTable, roles [2][]segKey, nEdges, nSpans int) ([]uint32, error) {
+// readEdges decodes and checks the edge section into e: its keys, sets
+// and nameserver ids, each domain's run of them in roles[0], and in
+// roles[1] the number of edges each name is the nameserver of, for
+// sortByNS.
+func (d *segDecoder) readEdges(e *segEdgeTable, roles [2][]segKey, nEdges, nSpans int) error {
 	e.keys = make([]Edge, nEdges)
 	e.sets = make([]interval.Set, nEdges)
 	e.byNS = make([]int32, nEdges)
-	nsOf := make([]uint32, nEdges)
+	e.nsIDs = make([]int32, nEdges)
 	domains, hosts := roles[0], roles[1]
-	err := d.section(nEdges, nSpans, true, func(k int, dom, ns uint32) *interval.Set {
-		e.keys[k], nsOf[k] = Edge{Domain: d.names[dom], NS: d.names[ns]}, ns
+	return d.section(nEdges, nSpans, true, func(k int, dom, ns uint32) *interval.Set {
+		e.keys[k], e.nsIDs[k] = Edge{Domain: d.names[dom], NS: d.names[ns]}, int32(ns)
 		if r := &domains[dom].run; r[1] == 0 {
 			e.nDomains++
 			r[0], r[1] = int32(k), int32(k+1)
@@ -401,7 +405,6 @@ func (d *segDecoder) readEdges(e *segEdgeTable, roles [2][]segKey, nEdges, nSpan
 		hosts[ns].run[1]++
 		return &e.sets[k]
 	})
-	return nsOf, err
 }
 
 // section decodes one key table and the span array behind it, calling

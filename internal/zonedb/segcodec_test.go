@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
+	"repro/internal/interval"
 )
 
 // segmentBytes encodes v as a segment payload.
@@ -356,9 +358,9 @@ func allocatedBy(fn func()) uint64 {
 // it never panics, it allocates in proportion to the payload it was
 // given, and whatever it accepts is canonical — the loaded database
 // re-encodes to the very same bytes, directly and by way of the text
-// archive — walks its facts as its maps hold them, in key order, and
-// answers every read as the text archive's database of the same facts
-// does.
+// archive — walks its facts as its maps hold them, in key order, by name
+// and by id alike, and answers every read as the text archive's database
+// of the same facts does.
 func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(soundSegment().bytes())
@@ -391,6 +393,9 @@ func FuzzReadSegment(f *testing.F) {
 			return
 		}
 		if err := WalksInKeyOrder(db.View()); err != nil {
+			t.Fatal(err)
+		}
+		if err := IDsName(db.View()); err != nil {
 			t.Fatal(err)
 		}
 		if again := segmentBytes(t, db.View()); !bytes.Equal(again, data) {
@@ -443,22 +448,40 @@ func TestLoadedViewImmutableUnderWrites(t *testing.T) {
 		db.DelegationAdded("net", "bar.net", "ns2.x.net", d(120))
 		db.Close(d(130))
 	}
-	// snapshot renders everything a view can say, index order included.
+	// snapshot renders everything a view can say, index order included,
+	// through the reads every form of the tables answers: the edges of
+	// each nameserver and of each domain, in their index's order.
 	snapshot := func(v *View) string {
 		var sb strings.Builder
 		sb.WriteString(archiveView(t, v))
-		for _, ns := range sortedKeys(v.byNS) {
+		var nameservers []dnsname.Name
+		v.Nameservers(func(ns dnsname.Name) bool {
+			nameservers = append(nameservers, ns)
+			return true
+		})
+		slices.Sort(nameservers)
+		for _, ns := range nameservers {
 			sb.WriteString("byNS " + string(ns))
 			for _, e := range v.EdgesOf(ns) {
 				sb.WriteString(" " + string(e.Domain))
 			}
+			v.EachDomainOf(ns, func(dom dnsname.Name, spans *interval.Set) bool {
+				sb.WriteString(" " + string(dom) + " " + spans.String())
+				return true
+			})
 			sb.WriteString("\n")
 		}
-		for _, dom := range sortedKeys(v.byDomain) {
+		domains := map[dnsname.Name]bool{}
+		v.EachEdgeSpans(func(e Edge, _ *interval.Set) bool {
+			domains[e.Domain] = true
+			return true
+		})
+		for _, dom := range sortedKeys(domains) {
 			sb.WriteString("byDomain " + string(dom))
-			for _, e := range v.byDomain[dom] {
-				sb.WriteString(" " + string(e.NS))
-			}
+			v.EachNSOf(dom, func(ns dnsname.Name, spans *interval.Set) bool {
+				sb.WriteString(" " + string(ns) + " " + spans.String())
+				return true
+			})
 			sb.WriteString("\n")
 		}
 		return sb.String()
@@ -468,6 +491,9 @@ func TestLoadedViewImmutableUnderWrites(t *testing.T) {
 		db := load()
 		pinned := db.View()
 		before := snapshot(pinned)
+		if !strings.Contains(before, "byNS ") || !strings.Contains(before, "byDomain ") {
+			t.Fatalf("the loaded view renders no index:\n%s", before)
+		}
 		mutate(db)
 		if got := snapshot(pinned); got != before {
 			t.Errorf("pinned view changed:\n%s\nwas\n%s", got, before)

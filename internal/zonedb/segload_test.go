@@ -11,10 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dates"
 	"repro/internal/dnsname"
 	"repro/internal/interval"
 	"repro/internal/sim"
 	"repro/internal/zonedb"
+	"repro/internal/zonedb/delta"
 )
 
 // goroutinesSettle fails unless the goroutine count comes back down to
@@ -220,7 +222,8 @@ func walked(v *zonedb.View) map[string]string {
 // every name in the payload, and a few absent ones, exactly what the
 // reference text parser's database of the same facts says — set for set
 // and in each walk's own order — and, walks sorted, what the sealed live
-// view says. Then the same writes go to the loaded database and to the
+// view says. Its id walks name what its walks by name do, and its delta
+// index, whose days carry ids, is the live view's day for day. Then the same writes go to the loaded database and to the
 // reference: the view pinned before them still answers as it did, and
 // the one the writes thawed answers as the written reference does.
 func TestReadSegmentAnswersLikeLive(t *testing.T) {
@@ -264,10 +267,14 @@ func TestReadSegmentAnswersLikeLive(t *testing.T) {
 				if got := zonedb.Answers(db.View(), names, true); got != want {
 					t.Fatalf("GOMAXPROCS=%d: the loaded view answers otherwise than the map path:\n%s", procs, firstDiff(got, want))
 				}
+				if err := zonedb.IDsName(db.View()); err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
 			}
 			if got := zonedb.Answers(db.View(), names, false); got != wantLive {
 				t.Fatalf("the loaded view answers otherwise than the live view:\n%s", firstDiff(got, wantLive))
 			}
+			indexesAlike(t, db.View(), src)
 
 			// Writes that extend a domain the load holds with a new
 			// nameserver, give a nameserver it holds a new domain, and add
@@ -295,12 +302,49 @@ func TestReadSegmentAnswersLikeLive(t *testing.T) {
 			if got := zonedb.Answers(pinned, names, true); got != want {
 				t.Fatalf("the pinned view answers otherwise after a write:\n%s", firstDiff(got, want))
 			}
+			if err := zonedb.IDsName(pinned); err != nil {
+				t.Fatalf("the pinned view after a write: %v", err)
+			}
+			if db.View().Names() != nil {
+				t.Fatal("the view a write thawed keeps the name table")
+			}
 			written := append(slices.Clone(names), "zz-written.com", "ns.zz-written.com")
 			slices.Sort(written)
 			if got, want := zonedb.Answers(db.View(), written, true), zonedb.Answers(ref.View(), written, true); got != want {
 				t.Fatalf("the thawed view answers otherwise than the written reference:\n%s", firstDiff(got, want))
 			}
 		})
+	}
+}
+
+// indexesAlike fails unless the delta index of the loaded view is the
+// live view's, day for day, and each of its non-quiet days carries ids,
+// each the id of its entry in the loaded view's name table.
+func indexesAlike(t *testing.T, loaded, live *zonedb.View) {
+	t.Helper()
+	got, err := delta.Build(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := delta.Build(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.First() != want.First() || got.Last() != want.Last() || got.Days() != want.Days() {
+		t.Fatalf("the loaded view's index spans %s..%s in %d days, the live view's %s..%s in %d",
+			got.First(), got.Last(), got.Days(), want.First(), want.Last(), want.Days())
+	}
+	if want.First() == dates.None {
+		return
+	}
+	for d := want.First(); d <= want.Last(); d++ {
+		g, w := got.Day(d), want.Day(d)
+		if !delta.SameLists(g, w) {
+			t.Fatalf("%s: the loaded view's delta %+v, the live view's %+v", d, g, w)
+		}
+		if ids, ok := g.IDs(); g.Changes() > 0 && (!ok || ids.Dict != loaded.Names()) {
+			t.Fatalf("%s: a loaded view's day carries no ids in its name table", d)
+		}
 	}
 }
 

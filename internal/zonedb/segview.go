@@ -1,21 +1,53 @@
 package zonedb
 
 import (
+	"sort"
+	"strings"
+
 	"repro/internal/dnsname"
 	"repro/internal/interval"
 )
 
-// segFacts is a loaded generation's facts in its segment's shape: each
-// table's keys in key order with their sets, and an index from each name
-// to where its facts lie, one per role a name plays: a domain, and a
-// host (a nameserver or a glue host). Every set is closed — a fact the
-// tables hold for it has no open span — so a read needs no seal day. A
-// keyed read is one hash and, for the edges of a name, a walk of one
-// contiguous run.
+// segFacts is a loaded generation's facts in its segment's shape: the
+// payload's name table, each table's keys in key order with their sets,
+// and an index from each name to where its facts lie, one per role a
+// name plays: a domain, and a host (a nameserver or a glue host). Every
+// set is closed — a fact the tables hold for it has no open span — so a
+// read needs no seal day. A keyed read is one hash and, for the edges of
+// a name, a walk of one contiguous run.
 type segFacts struct {
+	names            *Names
 	edges            segEdgeTable
 	domains, glue    segNameTable
 	asDomain, asHost map[dnsname.Name]segKey
+}
+
+// Names is a segment's name table: every name its facts mention, and
+// its zones, once each in byte order, so that a name's id is its
+// position and ids compare as their names do. It is held as one string
+// and where each name ends in it; every name a loaded view hands out is a
+// substring of that string.
+type Names struct {
+	text string
+	ends []uint32
+}
+
+// Len returns the number of names in the table.
+func (n *Names) Len() int { return len(n.ends) }
+
+// Name returns the name whose id is id.
+func (n *Names) Name(id int32) dnsname.Name {
+	start := uint32(0)
+	if id > 0 {
+		start = n.ends[id-1]
+	}
+	return dnsname.Name(n.text[start:n.ends[id]])
+}
+
+// ID returns name's id, and false if name is not in the table.
+func (n *Names) ID(name dnsname.Name) (int32, bool) {
+	i, ok := sort.Find(len(n.ends), func(i int) int { return strings.Compare(string(name), string(n.Name(int32(i)))) })
+	return int32(i), ok
 }
 
 // segKey is where a loaded generation holds one name's facts in one role:
@@ -30,7 +62,7 @@ type segKey struct {
 
 // roleIndex returns the names that play the role whose keys keys holds
 // per name id, with their keys.
-func roleIndex(names []dnsname.Name, keys []segKey) map[dnsname.Name]segKey {
+func roleIndex(names *Names, keys []segKey) map[dnsname.Name]segKey {
 	n := 0
 	for _, k := range keys {
 		if k.set >= 0 || k.run[1] > k.run[0] {
@@ -40,26 +72,27 @@ func roleIndex(names []dnsname.Name, keys []segKey) map[dnsname.Name]segKey {
 	m := make(map[dnsname.Name]segKey, n)
 	for id, k := range keys {
 		if k.set >= 0 || k.run[1] > k.run[0] {
-			m[names[id]] = k
+			m[names.Name(int32(id))] = k
 		}
 	}
 	return m
 }
 
-// segNameTable is a loaded domain or glue table: the keys, ascending,
-// and key k's set at sets[k].
+// segNameTable is a loaded domain or glue table: the keys, ascending, as
+// their ids in the name table, and key k's set at sets[k].
 type segNameTable struct {
-	keys []dnsname.Name
+	ids  []int32
 	sets []interval.Set
 }
 
 // segEdgeTable is the loaded edge table: the keys in payload order —
-// sorted by (domain, ns) — with key k's set at sets[k], and the key
-// positions stably sorted by ns.
+// sorted by (domain, ns) — with key k's set at sets[k] and its ns's id at
+// nsIDs[k], and the key positions stably sorted by ns.
 type segEdgeTable struct {
-	keys []Edge
-	sets []interval.Set
-	byNS []int32
+	keys  []Edge
+	sets  []interval.Set
+	nsIDs []int32
+	byNS  []int32
 
 	nDomains, nNS int // names with edges as a domain, as a nameserver
 }
@@ -72,20 +105,30 @@ func (t *segNameTable) fact(k int32) (fact, bool) {
 	return fact{spans: &t.sets[k]}, true
 }
 
-// each is the Each*Spans walk of the table: its sets, in key order.
-func (t *segNameTable) each(fn func(dnsname.Name, *interval.Set) bool) {
-	for k, key := range t.keys {
-		if !fn(key, &t.sets[k]) {
+// each is the Each*Spans walk of the table, whose ids are in names: its
+// sets, in key order.
+func (t *segNameTable) each(names *Names, fn func(dnsname.Name, *interval.Set) bool) {
+	for k, id := range t.ids {
+		if !fn(names.Name(id), &t.sets[k]) {
 			return
 		}
 	}
 }
 
-// facts returns the table as a fact map.
-func (t *segNameTable) facts() map[dnsname.Name]fact {
-	m := make(map[dnsname.Name]fact, len(t.keys))
-	for k, key := range t.keys {
-		m[key] = fact{spans: &t.sets[k]}
+// eachID is each with the keys as their ids.
+func (t *segNameTable) eachID(fn func(int32, *interval.Set) bool) {
+	for k, id := range t.ids {
+		if !fn(id, &t.sets[k]) {
+			return
+		}
+	}
+}
+
+// facts returns the table, whose ids are in names, as a fact map.
+func (t *segNameTable) facts(names *Names) map[dnsname.Name]fact {
+	m := make(map[dnsname.Name]fact, len(t.ids))
+	for k, id := range t.ids {
+		m[names.Name(id)] = fact{spans: &t.sets[k]}
 	}
 	return m
 }
@@ -99,11 +142,27 @@ func (e *segEdgeTable) each(fn func(Edge, *interval.Set) bool) {
 	}
 }
 
+// eachID is each with the keys as their names' ids in names: the ns's as
+// the decode read it, and the domain's where a cursor over names, moved
+// on past the ids before it, meets the key's domain — the keys are in
+// domain order, and the domain is the very substring of the table's text
+// the cursor makes, whose comparison stops at its pointer.
+func (e *segEdgeTable) eachID(names *Names, fn func(domain, ns int32, spans *interval.Set) bool) {
+	id := int32(0)
+	for k := range e.keys {
+		for names.Name(id) != e.keys[k].Domain {
+			id++
+		}
+		if !fn(id, e.nsIDs[k], &e.sets[k]) {
+			return
+		}
+	}
+}
+
 // sortByNS fills byNS with a stable counting sort of the key positions
-// by ns, whose id nsOf holds per key, and turns the number of edges each
-// name is the nameserver of, which the decode left in hosts[id].run[1],
-// into its run of byNS.
-func (e *segEdgeTable) sortByNS(hosts []segKey, nsOf []uint32) {
+// by ns, and turns the number of edges each name is the nameserver of,
+// which the decode left in hosts[id].run[1], into its run of byNS.
+func (e *segEdgeTable) sortByNS(hosts []segKey) {
 	var end int32
 	for id := range hosts {
 		r := &hosts[id].run
@@ -111,7 +170,7 @@ func (e *segEdgeTable) sortByNS(hosts []segKey, nsOf []uint32) {
 		r[0], r[1] = end, end // the fill below moves r[1] to the run's end
 		end += n
 	}
-	for k, ns := range nsOf {
+	for k, ns := range e.nsIDs {
 		r := &hosts[ns].run
 		e.byNS[r[1]] = int32(k)
 		r[1]++
@@ -144,7 +203,7 @@ func (t *tables) unpack() {
 	for k, key := range e.keys {
 		t.edges[key] = fact{spans: &e.sets[k]}
 	}
-	t.domains, t.glue = s.domains.facts(), s.glue.facts()
+	t.domains, t.glue = s.domains.facts(s.names), s.glue.facts(s.names)
 	sorted := make([]Edge, len(e.byNS))
 	for i, k := range e.byNS {
 		sorted[i] = e.keys[k]
@@ -281,7 +340,7 @@ func (t *tables) eachDomainFact(fn func(dnsname.Name, fact) bool) {
 		eachFact(t.domains, fn)
 		return
 	}
-	t.seg.domains.each(func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
+	t.seg.domains.each(t.seg.names, func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
 }
 
 func (t *tables) eachGlueFact(fn func(dnsname.Name, fact) bool) {
@@ -289,7 +348,7 @@ func (t *tables) eachGlueFact(fn func(dnsname.Name, fact) bool) {
 		eachFact(t.glue, fn)
 		return
 	}
-	t.seg.glue.each(func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
+	t.seg.glue.each(t.seg.names, func(n dnsname.Name, s *interval.Set) bool { return fn(n, fact{spans: s}) })
 }
 
 func eachFact[K comparable](m map[K]fact, fn func(K, fact) bool) {
@@ -312,5 +371,5 @@ func (t *tables) numGlue() int {
 	if t.seg == nil {
 		return len(t.glue)
 	}
-	return len(t.seg.glue.keys)
+	return len(t.seg.glue.ids)
 }

@@ -315,7 +315,7 @@ func (t *tables) EachEdgeSpans(fn func(e Edge, spans *interval.Set) bool) {
 // allocates as EachEdgeSpans does.
 func (t *tables) EachDomainSpans(fn func(domain dnsname.Name, spans *interval.Set) bool) {
 	if t.seg != nil {
-		t.seg.domains.each(fn)
+		t.seg.domains.each(t.seg.names, fn)
 		return
 	}
 	eachSpans(t, t.domains, fn)
@@ -327,10 +327,42 @@ func (t *tables) EachDomainSpans(fn func(domain dnsname.Name, spans *interval.Se
 // allocates as EachEdgeSpans does.
 func (t *tables) EachGlueSpans(fn func(host dnsname.Name, spans *interval.Set) bool) {
 	if t.seg != nil {
-		t.seg.glue.each(fn)
+		t.seg.glue.each(t.seg.names, fn)
 		return
 	}
 	eachSpans(t, t.glue, fn)
+}
+
+// Names returns the name table of a view loaded from a segment, until
+// the first write after the load, and nil for any other view.
+//
+// EachEdgeIDs, EachDomainIDs and EachGlueIDs are the Each*Spans walks of
+// such a view, in the same order, with each key as its names' ids in the
+// table — found without a hash, from where the walk is — and walk
+// nothing on a view without one.
+func (t *tables) Names() *Names {
+	if t.seg == nil {
+		return nil
+	}
+	return t.seg.names
+}
+
+func (t *tables) EachEdgeIDs(fn func(domain, ns int32, spans *interval.Set) bool) {
+	if t.seg != nil {
+		t.seg.edges.eachID(t.seg.names, fn)
+	}
+}
+
+func (t *tables) EachDomainIDs(fn func(domain int32, spans *interval.Set) bool) {
+	if t.seg != nil {
+		t.seg.domains.eachID(fn)
+	}
+}
+
+func (t *tables) EachGlueIDs(fn func(host int32, spans *interval.Set) bool) {
+	if t.seg != nil {
+		t.seg.glue.eachID(fn)
+	}
 }
 
 func eachSpans(t *tables, m map[dnsname.Name]fact, fn func(dnsname.Name, *interval.Set) bool) {
@@ -376,7 +408,7 @@ func (t *tables) NumDomains() int {
 	if t.seg == nil {
 		return len(t.domains)
 	}
-	return len(t.seg.domains.keys)
+	return len(t.seg.domains.ids)
 }
 
 // Zones returns the observed zones, sorted.
