@@ -183,7 +183,7 @@ func Restore(r io.Reader, wh *whois.History, dir *registry.Directory) (*Engine, 
 		e.cands = append(e.cands, id)
 		if st.Phase == detect.OutSacrificial && st.Class == idioms.Hijackable &&
 			!st.Collision && st.RegDomain != "" && st.HijackedOn == dates.None {
-			e.regWatch[st.RegDomain] = append(e.regWatch[st.RegDomain], st.NS)
+			e.addWatch(st.RegDomain, st.NS)
 		}
 	}
 	return e, nil

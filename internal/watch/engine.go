@@ -22,14 +22,16 @@
 // candidates when the violating edge arrives and emits a "retracted"
 // alert, so the final state still converges to the batch verdict.
 //
-// The day state is kept on interned ids — one table from name to id and
-// one record per name — and a name's id is recycled once it carries no
-// state, so the engine's memory is bounded by the names live today, plus
-// every nameserver ever seen, plus the candidates. A day that carries its
-// names as ids in a name table (delta.DayDelta.IDs, the days of a view
-// loaded from a segment) is resolved through a second table, from those
-// ids to the engine's, sized once per name table, so a mention costs an
-// index, not a hash; a day without them is resolved by name.
+// The day state is kept on interned ids — one record per name — and a
+// name's id is recycled once it carries no state, so the engine's memory
+// is bounded by the names live today, plus every nameserver ever seen,
+// plus the candidates. A day that carries its names as ids in a name
+// table (delta.DayDelta.IDs, the days of a view loaded from a segment) is
+// resolved through a table from those ids to the engine's, sized once
+// per name table, so a mention costs an index, not a hash, and so does
+// giving a name a record. A day without them is resolved by name: through
+// the name table for a name in it, and through a map from name to id for
+// the rest.
 //
 // The engine's state is serializable: Checkpoint/Restore round-trips
 // the whole machine through JSON so a killed watcher resumes exactly
@@ -133,13 +135,17 @@ func (st *nsState) numDomains() int {
 // Engine is the incremental detector. It is not safe for concurrent
 // use; one goroutine owns it (the daemon's apply loop).
 //
-// ids maps each name that carries state to its record in recs, and a
-// record gives its id to free the moment it carries none (the package
-// comment states the memory bound this gives). byDict maps each id of the
-// name table dict to the record of its name, -1 where the name has none;
-// a record knows its dict id, and clears its slot when it is recycled.
-// A day's delta costs one hash per name it mentions, or one per name it
-// gives a record when it carries ids, and allocates no maps.
+// recs holds a record for each name that carries state, and a record
+// gives its id to free the moment it carries none (the package comment
+// states the memory bound this gives). A name in dict, the name table of
+// the last day applied by id, finds its record through byDict, which maps
+// each id of dict to the record of its name, -1 where the name has none;
+// any other name finds it through ids, the name map. A record knows its
+// dict id, -1 for a name the map holds, and clears its slot or its entry
+// when it is recycled. watching marks the ids of dict whose names
+// regWatch holds. A day's delta costs one hash per name it mentions, or,
+// when it carries ids, only the hashes of the names the resolver chase
+// and classification look up; it allocates no maps.
 type Engine struct {
 	rules detect.Rules
 	chase resolve.Chase
@@ -149,8 +155,9 @@ type Engine struct {
 	free  []int32
 	cands []int32 // every id with a candidate record, so Result is O(candidates)
 
-	dict   *zonedb.Names // the name table of the last day applied by id
-	byDict []int32
+	dict     *zonedb.Names // the name table of the last day applied by id
+	byDict   []int32
+	watching []bool
 
 	regWatch map[dnsname.Name][]dnsname.Name // registrable domain -> hijackable NS watching it
 
@@ -206,21 +213,26 @@ func New(wh *whois.History, dir *registry.Directory) *Engine {
 // Every name a day mentions is resolved by intern or lookup from its
 // name and did, its id in the day's name table, which is -1 on a day
 // without one (and for a name from elsewhere): by byDict when did is an
-// id, and by the name map when not.
+// id, or when dict holds the name all the same, and by the name map when
+// not.
+
+// dictID returns did, or where it is -1, name's id in dict, -1 if it has
+// none.
+func (e *Engine) dictID(did int32, name dnsname.Name) int32 {
+	if did < 0 && e.dict != nil {
+		did, _ = e.dict.ID(name)
+	}
+	return did
+}
 
 // intern returns name's id, giving it a record if it has none.
 func (e *Engine) intern(did int32, name dnsname.Name) int32 {
-	if did >= 0 {
+	if did = e.dictID(did, name); did >= 0 {
 		if id := e.byDict[did]; id >= 0 {
 			return id
 		}
 	} else if id, ok := e.ids[name]; ok {
 		return id
-	} else if e.dict != nil {
-		// A name given a record by name may be in dict all the same.
-		if i, ok := e.dict.ID(name); ok {
-			did = i
-		}
 	}
 	var id int32
 	if n := len(e.free); n > 0 {
@@ -237,9 +249,10 @@ func (e *Engine) intern(did int32, name dnsname.Name) int32 {
 		id = int32(len(e.recs))
 		e.recs = append(e.recs, rec{name: name, first: dates.None})
 	}
-	e.ids[name] = id
 	if e.recs[id].did = did; did >= 0 {
 		e.byDict[did] = id
+	} else {
+		e.ids[name] = id
 	}
 	return id
 }
@@ -247,7 +260,7 @@ func (e *Engine) intern(did int32, name dnsname.Name) int32 {
 // lookup returns name's record, or nil if it carries no state.
 func (e *Engine) lookup(did int32, name dnsname.Name) (int32, *rec) {
 	id := int32(-1)
-	if did >= 0 {
+	if did = e.dictID(did, name); did >= 0 {
 		id = e.byDict[did]
 	} else if i, ok := e.ids[name]; ok {
 		id = i
@@ -273,33 +286,42 @@ func (e *Engine) release(id int32) {
 	if !r.idle() {
 		return
 	}
-	delete(e.ids, r.name)
 	if r.did >= 0 {
 		e.byDict[r.did] = -1
+	} else {
+		delete(e.ids, r.name)
 	}
 	*r = rec{ns: r.ns[:0], first: dates.None, did: -1}
 	e.free = append(e.free, id)
 }
 
 // useDict makes dict the name table days are resolved by id in: byDict
-// is made for it, and the name map remade with room for every name in it
-// (no more can carry state at once), each record carrying over with its
-// id in dict.
+// and watching are made for it, and every record re-homed with its id in
+// dict, to its slot if dict holds its name and to the name map if not.
 func (e *Engine) useDict(dict *zonedb.Names) {
-	e.dict, e.byDict = dict, make([]int32, dict.Len())
+	e.dict, e.byDict, e.watching = dict, make([]int32, dict.Len()), make([]bool, dict.Len())
 	for i := range e.byDict {
 		e.byDict[i] = -1
 	}
-	ids := make(map[dnsname.Name]int32, max(dict.Len(), len(e.ids)))
-	for name, id := range e.ids {
-		ids[name] = id
-		r := &e.recs[id]
-		r.did = -1
-		if i, ok := dict.ID(name); ok {
-			r.did, e.byDict[i] = i, id
+	for reg := range e.regWatch {
+		if did, ok := dict.ID(reg); ok {
+			e.watching[did] = true
 		}
 	}
-	e.ids = ids
+	for id := range e.recs {
+		r := &e.recs[id]
+		if r.idle() {
+			continue // free: every other record carries state
+		}
+		if r.did < 0 {
+			delete(e.ids, r.name)
+		}
+		if did, in := dict.ID(r.name); in {
+			r.did, e.byDict[did] = did, int32(id)
+		} else {
+			r.did, e.ids[r.name] = -1, int32(id)
+		}
+	}
 }
 
 // idAt returns entry i of a day's id list, or -1 on a day without ids.
@@ -424,10 +446,15 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 	// 3. Domain registration churn. A registration fires the hijack
 	// watch of any sacrificial NS whose registrable domain this is; the
 	// watchers were all registered on earlier days (a same-day
-	// registration is a collision, handled at classification).
+	// registration is a collision, handled at classification). A domain
+	// in dict that nobody watches is passed over by its id.
 	for i, dom := range dd.DomainsAdded {
-		id := e.intern(idAt(ids.DomainsAdded, i), dom) // may grow recs: index it afterwards
+		did := e.dictID(idAt(ids.DomainsAdded, i), dom)
+		id := e.intern(did, dom) // may grow recs: index it afterwards
 		e.recs[id].reg = true
+		if did >= 0 && !e.watching[did] {
+			continue
+		}
 		if watchers := e.regWatch[dom]; len(watchers) > 0 {
 			for _, ns := range watchers {
 				st := e.candidate(ns)
@@ -439,7 +466,7 @@ func (e *Engine) ApplyDay(dd *delta.DayDelta) ([]Alert, error) {
 					Hijackable: true, Domains: st.numDomains(),
 				}))
 			}
-			delete(e.regWatch, dom)
+			e.endWatch(dom)
 		}
 	}
 	for i, dom := range dd.DomainsRemoved {
@@ -580,7 +607,7 @@ func (e *Engine) classify(edges []dayEdge, day dates.Day, removed []zonedb.Edge,
 			st.Collision = true // already registered the day the name appeared
 		} else {
 			hijackable = true
-			e.regWatch[st.RegDomain] = append(e.regWatch[st.RegDomain], ns)
+			e.addWatch(st.RegDomain, ns)
 		}
 	}
 	return append(alerts, e.alert(Alert{
@@ -638,25 +665,41 @@ func (f *firstDay) EachDropped(fn func(prev dnsname.Name)) {
 type today Engine
 
 func (t *today) Glue(name dnsname.Name) bool {
-	id, ok := t.ids[name]
-	return ok && t.recs[id].glue
+	_, r := (*Engine)(t).lookup(-1, name)
+	return r != nil && r.glue
 }
 
 func (t *today) AppendNS(buf []dnsname.Name, reg dnsname.Name) []dnsname.Name {
-	if id, ok := t.ids[reg]; ok {
-		for _, ns := range t.recs[id].ns {
+	if _, r := (*Engine)(t).lookup(-1, reg); r != nil {
+		for _, ns := range r.ns {
 			buf = append(buf, t.recs[ns].name)
 		}
 	}
 	return buf
 }
 
+// addWatch starts ns's watch for the registration of reg.
+func (e *Engine) addWatch(reg, ns dnsname.Name) {
+	if did := e.dictID(-1, reg); did >= 0 {
+		e.watching[did] = true
+	}
+	e.regWatch[reg] = append(e.regWatch[reg], ns)
+}
+
+// endWatch ends every watch for the registration of reg.
+func (e *Engine) endWatch(reg dnsname.Name) {
+	delete(e.regWatch, reg)
+	if did := e.dictID(-1, reg); did >= 0 {
+		e.watching[did] = false
+	}
+}
+
 // unwatch removes a demoted candidate from its registration watch.
 func (e *Engine) unwatch(st *nsState) {
-	if st.RegDomain == "" {
+	ws, ok := e.regWatch[st.RegDomain]
+	if !ok {
 		return
 	}
-	ws := e.regWatch[st.RegDomain]
 	for i, ns := range ws {
 		if ns == st.NS {
 			ws = append(ws[:i], ws[i+1:]...)
@@ -664,7 +707,7 @@ func (e *Engine) unwatch(st *nsState) {
 		}
 	}
 	if len(ws) == 0 {
-		delete(e.regWatch, st.RegDomain)
+		e.endWatch(st.RegDomain)
 	} else {
 		e.regWatch[st.RegDomain] = ws
 	}

@@ -2,6 +2,7 @@ package watch
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -142,10 +143,24 @@ func TestUnsortedRemovalsRefused(t *testing.T) {
 
 // TestApplyDayAllocs: a quiet day allocates nothing, and a busy day
 // allocates only for what it adds to the state — names interned,
-// candidates started, spans sealed, alerts — not a map per day.
+// candidates started, spans sealed, alerts — not a map per day. It holds
+// the replay by name of the live view's index and the replay by id of the
+// index of the view loaded from its segment; by id, a name given a record
+// costs no entry in a name map either.
 func TestApplyDayAllocs(t *testing.T) {
-	w, _, idx := buildWorld(t, 2, 1)
-	e := New(w.WHOIS(), w.Directory())
+	w, v, live := buildWorld(t, 2, 1)
+	_, loaded := loadedIndex(t, v)
+	for _, c := range []struct {
+		name string
+		idx  *delta.Index
+	}{{"live", live}, {"loaded", loaded}} {
+		t.Run(c.name, func(t *testing.T) {
+			testApplyDayAllocs(t, New(w.WHOIS(), w.Directory()), c.idx)
+		})
+	}
+}
+
+func testApplyDayAllocs(t *testing.T, e *Engine, idx *delta.Index) {
 	mid := idx.First() + (idx.Last()-idx.First())/2
 	replay(t, e, idx, idx.First(), mid)
 
@@ -159,30 +174,65 @@ func TestApplyDayAllocs(t *testing.T) {
 		t.Errorf("a quiet day allocates %.1f times", n)
 	}
 
-	// The busy days of the rest of the history, one per run; the
-	// warm-up run AllocsPerRun makes applies the first of them.
-	var busy []*delta.DayDelta
+	// The busy days of the rest of the history, each measured alone, with
+	// the names it gives a record counted beforehand.
+	var allocs, size uint64
+	days, changes, given := 0, 0, 0
+	var ids []int32
 	for d := quiet.Day + 1; d <= idx.Last(); d++ {
-		if dd := idx.Day(d); dd.Changes() != 0 {
-			busy = append(busy, dd)
+		dd := idx.Day(d)
+		if dd.Changes() == 0 {
+			continue
 		}
-	}
-	next := 0
-	perDay := testing.AllocsPerRun(len(busy)-1, func() {
-		if _, err := e.ApplyDay(busy[next]); err != nil {
-			t.Fatal(err)
+		if byID, ok := dd.IDs(); ok {
+			ids = append(append(ids[:0], byID.DomainsAdded...), byID.GlueAdded...)
+			for _, ed := range byID.EdgesAdded {
+				ids = append(ids, ed.Domain, ed.NS)
+			}
+			slices.Sort(ids)
+			for i, did := range ids {
+				if (i == 0 || did != ids[i-1]) && e.byDict[did] < 0 {
+					given++
+				}
+			}
 		}
-		next++
-	})
-	changes := 0
-	for _, dd := range busy[1:] {
+		n, b := allocated(func() {
+			if _, err := e.ApplyDay(dd); err != nil {
+				t.Fatal(err)
+			}
+		})
+		allocs, size = allocs+n, size+b
+		days++
 		changes += dd.Changes()
 	}
-	perChange := perDay * float64(len(busy)-1) / float64(changes)
-	t.Logf("%d busy days, %.1f changes and %.1f allocations a day", len(busy)-1, float64(changes)/float64(len(busy)-1), perDay)
+	perChange := float64(allocs) / float64(changes)
+	t.Logf("%d busy days, %.1f changes and %.1f allocations a day", days, float64(changes)/float64(days), float64(allocs)/float64(days))
 	if perChange > 0.25 {
 		t.Errorf("a busy day allocates %.2f times per change, want at most 0.25", perChange)
 	}
+	if e.dict == nil {
+		return
+	}
+	// By id, a name given a record costs its share of the record slice and
+	// of its delegations: 35 bytes a name over these days at scale 2, seed
+	// 1. Entering each name in a name map too, which then grows with the
+	// names live, measured 87.
+	perName := float64(size) / float64(given)
+	t.Logf("%d names given a record, %.1f bytes allocated a name", given, perName)
+	if perName > 64 {
+		t.Errorf("a busy day by id allocates %.1f bytes per name it gives a record, want at most 64", perName)
+	}
+}
+
+// allocated returns the number of allocations fn makes and their bytes,
+// measured on one P, as testing.AllocsPerRun does.
+func allocated(fn func()) (n, size uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // BenchmarkReplay is the go-test twin of the bench's watch.apply_s: one

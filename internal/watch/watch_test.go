@@ -122,32 +122,46 @@ func loadedIndex(t testing.TB, v *zonedb.View) (*zonedb.DB, *delta.Index) {
 	return db, idx
 }
 
-// checkTable fails unless the engine's table from dictionary id to
-// engine id is exact: a slot holds the record of its name, and a name
-// with a record in the dictionary has its slot.
+// checkTable fails unless the engine finds each record in exactly one
+// place: a slot of the table from dictionary id to engine id holds the
+// record that carries that id and that name, the name map holds only
+// names outside the dictionary, and every record that carries state is
+// in the one its dictionary id names. The ids marked watched are those of
+// the registrable domains the watch holds.
 func checkTable(t *testing.T, e *Engine) {
 	t.Helper()
-	if len(e.byDict) != e.dict.Len() {
-		t.Fatalf("table of %d slots for a dictionary of %d names", len(e.byDict), e.dict.Len())
+	if len(e.byDict) != e.dict.Len() || len(e.watching) != e.dict.Len() {
+		t.Fatalf("tables of %d and %d slots for a dictionary of %d names", len(e.byDict), len(e.watching), e.dict.Len())
+	}
+	for did, w := range e.watching {
+		if name := e.dict.Name(int32(did)); w != (len(e.regWatch[name]) > 0) {
+			t.Fatalf("id %d (%s) is marked watched %v, but the watch holds %v", did, name, w, e.regWatch[name])
+		}
 	}
 	for did, id := range e.byDict {
-		name := e.dict.Name(int32(did))
-		switch mapped, ok := e.ids[name]; {
-		case id < 0 && ok:
-			t.Fatalf("slot %d (%s) is empty, but the name map gives it record %d", did, name, mapped)
-		case id >= 0 && (!ok || mapped != id):
-			t.Fatalf("slot %d (%s) holds record %d, the name map %d (%v)", did, name, id, mapped, ok)
-		case id >= 0 && e.recs[id].did != int32(did):
-			t.Fatalf("slot %d (%s) holds record %d, whose dictionary id is %d", did, name, id, e.recs[id].did)
+		if id < 0 {
+			continue
+		}
+		if r, name := &e.recs[id], e.dict.Name(int32(did)); r.did != int32(did) || r.name != name || r.idle() {
+			t.Fatalf("slot %d (%s) holds record %d, which carries dictionary id %d, name %s and state %v", did, name, id, r.did, r.name, !r.idle())
 		}
 	}
 	for name, id := range e.ids {
-		did, in := e.dict.ID(name)
-		if !in {
-			did = -1
+		if did, in := e.dict.ID(name); in {
+			t.Fatalf("the name map holds %s, whose dictionary id is %d", name, did)
 		}
-		if e.recs[id].did != did {
-			t.Fatalf("record %d (%s) has dictionary id %d, the dictionary says %d", id, name, e.recs[id].did, did)
+		if r := &e.recs[id]; r.did != -1 || r.name != name || r.idle() {
+			t.Fatalf("the name map gives %s record %d, which carries dictionary id %d, name %s and state %v", name, id, r.did, r.name, !r.idle())
+		}
+	}
+	for id := range e.recs {
+		r := &e.recs[id]
+		if r.idle() {
+			continue
+		}
+		mapped, ok := e.ids[r.name]
+		if r.did >= 0 && e.byDict[r.did] != int32(id) || r.did < 0 && (!ok || mapped != int32(id)) {
+			t.Fatalf("record %d (%s, dictionary id %d) carries state, but neither the table nor the name map gives it", id, r.name, r.did)
 		}
 	}
 }
@@ -337,7 +351,9 @@ func segmentOf(t testing.TB, v *zonedb.View) []byte {
 // state give their records back, and when they return on a later day,
 // by id, they are given records again. Day for day, the replay by id
 // keeps the table exact and saves what the replay by name saves, up to a
-// hijack alert.
+// hijack alert. An engine restored from the replay by id's checkpoint
+// before the hijack, and going on by id, raises the same alerts: the
+// table it switches to marks the watch the checkpoint rebuilt.
 func testReleasedAndReAdded(t *testing.T) {
 	d0 := dates.FromYMD(2020, 1, 1)
 	shop, gone, host := dnsname.Name("shop.org"), dnsname.Name("gone.org"), dnsname.Name("host.gone.org")
@@ -366,6 +382,7 @@ func testReleasedAndReAdded(t *testing.T) {
 	wh.Observe("victim.com", d0, "Enom")
 	dir := sim.StandardDirectory()
 	named, numbered := New(wh, dir), New(wh, dir)
+	var resumed *Engine
 	var hijacks int
 	released := map[dnsname.Name]bool{}
 	for d := d0; d <= d0+7; d++ {
@@ -379,6 +396,18 @@ func testReleasedAndReAdded(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: alerts by id %+v, by name %+v", d, got, want)
+		}
+		if resumed != nil {
+			again, err := resumed.ApplyDay(byID.Day(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(again, want) {
+				t.Fatalf("%s: alerts by id after a restore %+v, by name %+v", d, again, want)
+			}
+			if resumed.dict != nil { // a quiet day carries no ids
+				checkTable(t, resumed)
+			}
 		}
 		for _, a := range got {
 			if a.Type == AlertHijacked {
@@ -396,8 +425,13 @@ func testReleasedAndReAdded(t *testing.T) {
 		if !bytes.Equal(g.Bytes(), w.Bytes()) {
 			t.Fatalf("%s: the replay by id saves\n%s\nby name\n%s", d, g.Bytes(), w.Bytes())
 		}
+		if d == d0+2 {
+			if resumed, err = Restore(&g, wh, dir); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, n := range []dnsname.Name{gone, host} {
-			if _, live := numbered.ids[n]; !live {
+			if _, r := numbered.lookup(-1, n); r == nil {
 				released[n] = true
 			} else if released[n] && d < d0+4 {
 				t.Fatalf("%s: %s has a record again before it is re-added", d, n)
@@ -408,12 +442,72 @@ func testReleasedAndReAdded(t *testing.T) {
 		t.Errorf("released over the replay: %v, want %s and %s", released, gone, host)
 	}
 	for _, n := range []dnsname.Name{gone, host} {
-		if _, live := numbered.ids[n]; live {
+		if _, r := numbered.lookup(-1, n); r != nil {
 			t.Errorf("%s still has a record after its second removal", n)
 		}
 	}
 	if hijacks != 1 {
 		t.Errorf("%d hijack alerts, want 1", hijacks)
+	}
+}
+
+// TestIDReplayKeepsNoNameMap: a replay by id finds every record through
+// the table from dictionary id to engine id, and the name map stays empty
+// day after day. A day without ids puts in the map only a name the
+// dictionary lacks; a name it holds takes its slot, where a later day by
+// id finds the same record.
+func TestIDReplayKeepsNoNameMap(t *testing.T) {
+	w, v, _ := buildWorld(t, 2, 1)
+	_, idx := loadedIndex(t, v)
+	e := New(w.WHOIS(), w.Directory())
+	for d := idx.First(); d <= idx.Last(); d++ {
+		if _, err := e.ApplyDay(idx.Day(d)); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.ids) != 0 {
+			t.Fatalf("%s: the name map holds %d names after a day by id", d, len(e.ids))
+		}
+	}
+	checkTable(t, e)
+
+	d0 := dates.FromYMD(2020, 1, 1)
+	inside, outside := dnsname.Name("host.shop.org"), dnsname.Name("ns1.elsewhere.net")
+	db := zonedb.New()
+	db.DomainAdded("org", "shop.org", d0)
+	db.GlueAdded("org", inside, d0+1)
+	db.GlueRemoved("org", inside, d0+2)
+	db.Close(d0 + 3)
+	_, byID := loadedIndex(t, db.View())
+	e = New(whois.New(), sim.StandardDirectory())
+	for _, dd := range []*delta.DayDelta{
+		byID.Day(d0),
+		{Day: d0 + 1, GlueAdded: []dnsname.Name{inside, outside}},
+	} {
+		if _, err := e.ApplyDay(dd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkTable(t, e)
+	outID, out := e.lookup(-1, outside)
+	if len(e.ids) != 1 || out == nil || !out.glue || e.ids[outside] != outID {
+		t.Fatalf("after glue for %s by name, the name map is %v", outside, e.ids)
+	}
+	did, ok := e.dict.ID(inside)
+	if id, in := e.lookup(-1, inside); !ok || in == nil || !in.glue || e.byDict[did] != id {
+		t.Fatalf("after glue for %s by name, its slot %d (%v) holds record %d", inside, did, ok, e.byDict[did])
+	}
+
+	// The day by id removes inside's glue: it finds the record the day by
+	// name gave it, which goes, and outside's stays as it was.
+	if _, err := e.ApplyDay(byID.Day(d0 + 2)); err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, e)
+	if _, in := e.lookup(-1, inside); in != nil || e.byDict[did] != -1 {
+		t.Errorf("%s still has record %d after its glue went by id", inside, e.byDict[did])
+	}
+	if id, r := e.lookup(-1, outside); id != outID || r == nil || !r.glue || len(e.ids) != 1 {
+		t.Errorf("%s has record %d (glue %v) after a day by id, had %d; the name map is %v", outside, id, r != nil && r.glue, outID, e.ids)
 	}
 }
 

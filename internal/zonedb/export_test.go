@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/dates"
 	"repro/internal/dnsname"
@@ -43,10 +44,13 @@ func WalksInKeyOrder(v *View) error {
 }
 
 // IDsName returns nil when the id walks of v name what its Each*Spans
-// walks do: on a loaded view, its name table ascends strictly and each
-// id walk yields, key for key and with the very sets, the ids of the keys
-// its Each*Spans twin yields; on any other view there is no table and
-// the id walks yield nothing. Otherwise it says where they part.
+// walks do: on a loaded view, its name table ascends strictly, ID answers
+// each name's position (a zone's too) and no for a name the table lacks
+// (a prefix, a suffix and a one-byte change of each of its first 100
+// names, where the table lacks them), and each id walk yields, key for
+// key and with the very sets, the ids of the keys its Each*Spans twin
+// yields; on any other view there is no table and the id walks yield
+// nothing. Otherwise it says where they part.
 func IDsName(v *View) error {
 	names := v.Names()
 	if names == nil {
@@ -67,6 +71,17 @@ func IDsName(v *View) error {
 	for id := int32(0); id < int32(names.Len()); id++ {
 		if got, ok := names.ID(names.Name(id)); !ok || got != id {
 			return fmt.Errorf("ID(%q) = %d, %v; want %d", names.Name(id), got, ok, id)
+		}
+	}
+	for id := int32(0); id < int32(min(names.Len(), 100)); id++ {
+		name := string(names.Name(id))
+		changed := []byte(name)
+		changed[len(changed)/2] ^= 1
+		for _, other := range []string{name[:len(name)-1], name + "a", string(changed)} {
+			want, in := sort.Find(names.Len(), func(i int) int { return strings.Compare(other, string(names.Name(int32(i)))) })
+			if got, ok := names.ID(dnsname.Name(other)); ok != in || in && got != int32(want) {
+				return fmt.Errorf("ID(%q) = %d, %v; the table holds it %v, at %d", other, got, ok, in, want)
+			}
 		}
 	}
 	type key struct {

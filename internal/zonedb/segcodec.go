@@ -213,12 +213,14 @@ func (t *tables) writeSegment(w io.Writer) error {
 // load builds the fact maps from it (thaw).
 //
 // The loaded DB's facts are built from a handful of allocations: one
-// string that every name is a substring of, the name table, one slab for
-// the spans, a key slice and a set slice per table, the edges' nameserver
-// ids and order, and the two indexes. The name table stays with the
-// loaded view (View.Names), so a reader can number its names as the
-// payload does. Each set's spans are capped at their length, so an Add on an
-// absorbed set reallocates rather than growing into its neighbour.
+// string that every name is a substring of, the name table and its
+// zones' ids, one slab for the spans, a key slice and a set slice per
+// table, the edges' nameserver ids and order, and the two indexes. The
+// name table stays with the loaded view (View.Names), so a reader can
+// number its names as the payload does, and finds a name's id through
+// the two indexes. Each set's spans are capped at their length, so an
+// Add on an absorbed set reallocates rather than growing into its
+// neighbour.
 func ReadSegment(p []byte) (*DB, error) {
 	fail := func(format string, args ...any) (*DB, error) {
 		return nil, fmt.Errorf("zonedb: segment payload: "+format, args...)
@@ -256,8 +258,9 @@ func ReadSegment(p []byte) (*DB, error) {
 		closeDay: closeDay,
 		sealAll:  dates.None,
 	}
+	d.table.zones = make([]int32, nZones)
 	prev := -1
-	for range nZones {
+	for i := range d.table.zones {
 		id, err := d.nameID()
 		if err != nil {
 			return fail("zone: %v", err)
@@ -267,6 +270,7 @@ func ReadSegment(p []byte) (*DB, error) {
 		}
 		prev = int(id)
 		t.zones[d.names[id]] = true
+		d.table.zones[i] = int32(id)
 	}
 
 	d.spans = make([]dates.Range, spans[0]+spans[1]+spans[2])
@@ -275,7 +279,7 @@ func ReadSegment(p []byte) (*DB, error) {
 	roles := [2][]segKey{make([]segKey, len(d.names)), make([]segKey, len(d.names))}
 	for _, role := range roles {
 		for id := range role {
-			role[id].set = -1
+			role[id].set = ^int32(id)
 		}
 	}
 	s := &segFacts{}
@@ -310,7 +314,7 @@ func ReadSegment(p []byte) (*DB, error) {
 	}()
 	s.asDomain = roleIndex(d.table, roles[0])
 	<-done
-	s.names = d.table
+	s.names, d.table.facts = d.table, s
 	t.seg = s
 
 	// Published as a fresh DB's second epoch (its first is the empty one),

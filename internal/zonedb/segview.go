@@ -1,9 +1,6 @@
 package zonedb
 
 import (
-	"sort"
-	"strings"
-
 	"repro/internal/dnsname"
 	"repro/internal/interval"
 )
@@ -26,10 +23,13 @@ type segFacts struct {
 // its zones, once each in byte order, so that a name's id is its
 // position and ids compare as their names do. It is held as one string
 // and where each name ends in it; every name a loaded view hands out is a
-// substring of that string.
+// substring of that string. It keeps the ids of the zones and the facts
+// loaded with it, whose role indexes find a name's id.
 type Names struct {
-	text string
-	ends []uint32
+	text  string
+	ends  []uint32
+	zones []int32
+	facts *segFacts
 }
 
 // Len returns the number of names in the table.
@@ -44,17 +44,34 @@ func (n *Names) Name(id int32) dnsname.Name {
 	return dnsname.Name(n.text[start:n.ends[id]])
 }
 
-// ID returns name's id, and false if name is not in the table.
+// ID returns name's id, and -1 and false if name is not in the table.
+// A name is in it because a fact mentions it, and the role index of the
+// facts loaded with the table that holds it answers with one hash (the
+// hosts' first, the names a resolver chase asks after most), or because
+// it is a zone: a name in neither index is looked for among the zones
+// alone.
 func (n *Names) ID(name dnsname.Name) (int32, bool) {
-	i, ok := sort.Find(len(n.ends), func(i int) int { return strings.Compare(string(name), string(n.Name(int32(i)))) })
-	return int32(i), ok
+	s := n.facts
+	if k, ok := s.asHost[name]; ok {
+		return s.glue.idOf(k), true
+	}
+	if k, ok := s.asDomain[name]; ok {
+		return s.domains.idOf(k), true
+	}
+	for _, id := range n.zones {
+		if n.Name(id) == name {
+			return id, true
+		}
+	}
+	return -1, false
 }
 
 // segKey is where a loaded generation holds one name's facts in one role:
 // the position of its set in the role's table (domains for a domain, glue
-// for a host), -1 where it has none, and the key positions of its edges
-// in the role: edges.keys[run[0]:run[1]] as a domain, and
-// edges.byNS[run[0]:run[1]] as a nameserver.
+// for a host) or, where it has none, the complement of its name id (^id,
+// which is negative), and the key positions of its edges in the role:
+// edges.keys[run[0]:run[1]] as a domain, and edges.byNS[run[0]:run[1]]
+// as a nameserver.
 type segKey struct {
 	set int32
 	run [2]int32
@@ -95,6 +112,15 @@ type segEdgeTable struct {
 	byNS  []int32
 
 	nDomains, nNS int // names with edges as a domain, as a nameserver
+}
+
+// idOf returns the name id of the name whose key in the table's role is
+// k.
+func (t *segNameTable) idOf(k segKey) int32 {
+	if k.set >= 0 {
+		return t.ids[k.set]
+	}
+	return ^k.set
 }
 
 // fact returns what the table holds at position k, if k is one.
