@@ -37,12 +37,6 @@
 // the new epoch, and reads never block behind the reload. The archive is
 // fingerprinted first: an unchanged file is never re-read, and a file
 // that fails to load leaves the previous epoch serving.
-//
-// With -shard-id/-shard-count, the process serves only its zone-hash
-// slice of the database as one member of a dzdbcoord fleet (see
-// cmd/dzdbcoord): the database is projected with FilterShard after
-// load, and /v1/internal/shard-info reports the identity so
-// the coordinator can verify the partition config.
 package main
 
 import (
@@ -71,8 +65,6 @@ func main() {
 	load := flag.String("load", "", "the zone DB to serve: a segment file (riskybiz -save-data's PREFIX.dzdb); required")
 	drain := flag.Duration("drain", time.Second, "how long readiness reports 503 before the listener closes on shutdown")
 	cacheSize := flag.Int("cache-size", 64, "response cache budget in MiB (0 disables body caching; ETag/304 stays on)")
-	shardID := flag.Int("shard-id", 0, "this process's shard index in a dzdbcoord fleet (requires -shard-count)")
-	shardCount := flag.Int("shard-count", 1, "total shards in the fleet; >1 serves only this shard's zone-hash slice")
 	version := flag.Bool("version", false, "print build information and exit")
 	profFlags := daemon.RegisterProfFlags(flag.CommandLine)
 	flag.Parse()
@@ -81,10 +73,6 @@ func main() {
 	logger, fatal, reg := app.Log, app.Fatal, app.Reg
 	if *load == "" {
 		fatal("flags", errors.New("-load is required (write one with riskybiz -save-data PREFIX)"))
-	}
-	if *shardCount < 1 || *shardID < 0 || *shardID >= *shardCount {
-		fatal("validating shard flags",
-			fmt.Errorf("-shard-id %d out of range for -shard-count %d", *shardID, *shardCount))
 	}
 	app.StartProfiler(profFlags)
 
@@ -99,11 +87,10 @@ func main() {
 		}
 		return nil
 	})
-	arc := &archive{path: *load, db: db, shardID: *shardID, shardCount: *shardCount}
+	arc := &archive{path: *load, db: db}
 
 	api := dzdbapi.NewWithRegistry(db, reg)
 	api.Log = logger
-	api.SetShardIdentity(*shardID, *shardCount)
 	api.SetCacheBytes(int64(*cacheSize) << 20)
 	mux := app.ObservabilityMux()
 	mux.Handle("/", api)
@@ -219,18 +206,16 @@ func main() {
 // fingerprints the copy the database last adopted; mu makes the boot
 // load and each SIGHUP reload run one at a time.
 type archive struct {
-	path                string
-	db                  *zonedb.DB
-	shardID, shardCount int
+	path string
+	db   *zonedb.DB
 
 	mu  sync.Mutex
 	tag string
 }
 
-// reload adopts the file into the database — projected to this
-// process's shard slice — unless its fingerprint equals the copy last
-// adopted, and reports whether it published a new epoch. On error the
-// epoch being served is left as it was.
+// reload adopts the file into the database unless its fingerprint
+// equals the copy last adopted, and reports whether it published a new
+// epoch. On error the epoch being served is left as it was.
 func (a *archive) reload() (bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -244,9 +229,6 @@ func (a *archive) reload() (bool, error) {
 	fresh, err := segment.ReadFile(a.path)
 	if err != nil {
 		return false, fmt.Errorf("reading %s: %w", a.path, err)
-	}
-	if a.shardCount > 1 {
-		fresh = fresh.View().FilterShard(a.shardID, a.shardCount)
 	}
 	a.db.Adopt(fresh)
 	a.tag = tag

@@ -1,11 +1,13 @@
-// Package cluster is the control plane for a sharded dzdbd fleet. A
-// Coordinator fronts N dzdbd processes that each serve one slice of a
-// zone-hash partition (see zonedb.ShardOf / zonedb.View.FilterShard):
-// it tracks shard membership and health with a heartbeat loop, routes
-// single-zone queries to the owning shard, scatter-gathers fleet-wide
-// queries, and merges the per-shard delta feeds into one totally
-// ordered feed that unchanged watch.Follower consumers can tail with
-// exactly-once application.
+// Package cluster is a coordinator over a sharded fleet of dzdbapi
+// servers. A Coordinator fronts N servers that each serve one slice of
+// a zone-hash partition (see zonedb.ShardOf / zonedb.View.FilterShard):
+// it routes single-zone queries to the owning shard, scatter-gathers
+// fleet-wide queries, and merges the per-shard delta feeds into one
+// totally ordered feed that unchanged watch.Follower consumers can tail
+// with exactly-once application. It has no heartbeat loop: a
+// coordinator advances by SyncNow, which probes every shard and, when
+// the fleet is ready on a new epoch vector, syncs. No program runs one;
+// the serve-cluster benchmark drives it over in-process shards.
 //
 // Consistency model: fleet-wide answers (stats, zones, the exposure
 // leaderboard, the merged delta feed) come from the last complete
@@ -26,18 +28,18 @@
 // fleet answers as its epoch: every shard up, ready, and on the epoch
 // vector of the last complete sync (a shard's epoch and the instance of
 // its process, since epochs are numbered per process), decided at the
-// end of each heartbeat round and each sync. A settled fleet answers 304 to its validators
-// and serves and fills its cache; any other request (a degraded fleet's
-// "partial": true answers, or one between a shard's publish and the
-// sync that follows it) is rendered live, without an ETag. A shard's
-// publish therefore reaches every route within one heartbeat.
+// end of each probe round and each sync. A settled fleet answers 304 to
+// its validators and serves and fills its cache; any other request (a
+// degraded fleet's "partial": true answers, or one between a shard's
+// publish and the sync that follows it) is rendered live, without an
+// ETag. A shard's publish therefore reaches every route at the next
+// probe round.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -45,14 +47,7 @@ import (
 
 	"repro/internal/dzdbapi"
 	"repro/internal/faults"
-	"repro/internal/obs"
-	"repro/internal/obs/health"
 )
-
-// MetricPartial counts responses the coordinator served with
-// "partial": true. Shard membership and the fleet epoch are read from
-// /statusz [cluster] and /v1/cluster/shards.
-const MetricPartial = "cluster_partial_responses_total"
 
 // Error codes the coordinator adds to the v1 envelope vocabulary.
 const (
@@ -65,32 +60,22 @@ const (
 )
 
 const (
-	defaultHeartbeat = 2 * time.Second
+	// heartbeat is how long a shard's breaker stays open, and so the
+	// Retry-After hint of a request the fleet cannot answer.
+	heartbeat = 2 * time.Second
 	// syncTimeout bounds one fleet sync — the full scatter pull of
 	// stats, exposure tables, and delta feeds.
 	syncTimeout = 30 * time.Second
-	// heartbeatTimeout bounds one probe so a hung shard cannot stall
-	// the round past the next tick.
+	// heartbeatTimeout bounds one probe, so a hung shard cannot stall
+	// a round.
 	heartbeatTimeout = 2 * time.Second
 )
 
 // Config describes the fleet a Coordinator fronts.
 type Config struct {
-	// Shards are the shard base URLs; index i must be the dzdbd started
-	// with -shard-id i -shard-count len(Shards).
+	// Shards are the shard base URLs; index i must be the server given
+	// the shard identity i of len(Shards) (dzdbapi.Server.SetShardIdentity).
 	Shards []string
-	// Heartbeat is the membership poll interval (default 2s). Shard
-	// health TTLs and Retry-After hints derive from it.
-	Heartbeat time.Duration
-	// Log receives coordinator events when set.
-	Log *slog.Logger
-}
-
-func (c Config) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return defaultHeartbeat
 }
 
 // shard is the coordinator's view of one fleet member.
@@ -105,20 +90,17 @@ type shard struct {
 	// data runs the sync pulls and scatter-gather queries, with retry
 	// and a breaker so one flapping shard degrades to fail-fast instead
 	// of adding its full timeout to every fleet-wide query.
-	data    *dzdbapi.Client
-	breaker *faults.Breaker
+	data *dzdbapi.Client
 	// proxy carries raw single-zone pass-through bodies (snapshots can
-	// run to tens of MB, so it gets a longer deadline than the
-	// heartbeat client).
+	// run to tens of MB, so it gets a longer deadline than the probe
+	// client).
 	proxy *http.Client
 
-	mu       sync.Mutex
-	up       bool
-	ready    bool
-	info     dzdbapi.ShardInfoResponse
-	lastErr  string
-	lastSeen time.Time
-	check    *health.Check
+	mu      sync.Mutex
+	up      bool
+	ready   bool
+	info    dzdbapi.ShardInfoResponse
+	lastErr string
 }
 
 func (s *shard) isUp() bool {
@@ -152,70 +134,35 @@ func (s *shard) generation() generation {
 	return generationOf(&s.info)
 }
 
-// ShardStatus is one shard's membership row, for /statusz and the
-// /v1/cluster/shards introspection route.
-type ShardStatus struct {
-	ID       int       `json:"id"`
-	URL      string    `json:"url"`
-	Up       bool      `json:"up"`
-	Ready    bool      `json:"ready"`
-	Epoch    uint64    `json:"epoch"`
-	CloseDay string    `json:"close_day,omitempty"`
-	Domains  int       `json:"domains"`
-	Zones    int       `json:"zones"`
-	LastSeen time.Time `json:"last_seen"`
-	Err      string    `json:"err,omitempty"`
-}
-
 // Coordinator fronts the fleet. It is an http.Handler serving the same
-// /v1 surface as a single dzdbd, through the same serving layer, plus
-// /v1/cluster/shards.
+// /v1 surface as a single dzdbd, through the same serving layer.
 type Coordinator struct {
 	*dzdbapi.Front
 
-	cfg    Config
 	shards []*shard
-	mux    *http.ServeMux
-	log    *slog.Logger
 
-	fleet   atomic.Pointer[fleetState]
-	epochN  atomic.Uint64        // last assigned fleet epoch
-	signal  *dzdbapi.EpochSignal // broadcast on every completed sync
-	syncMu  sync.Mutex           // one fleet sync at a time
-	syncing atomic.Bool          // a background sync is in flight (tick dedup)
+	fleet  atomic.Pointer[fleetState]
+	epochN atomic.Uint64        // last assigned fleet epoch
+	signal *dzdbapi.EpochSignal // broadcast on every completed sync
+	syncMu sync.Mutex           // one fleet sync at a time
 
 	// settled is what a settled fleet serves from — a copy of the last
 	// sync's state, fresh each time the fleet settles — or nil when it is
 	// not settled. settleMu orders the decisions.
 	settleMu sync.Mutex
 	settled  atomic.Pointer[dzdbapi.EpochState]
-
-	partialN *obs.Counter // MetricPartial
 }
 
-// New builds a coordinator for the given fleet with a private metrics
-// registry.
+// New builds a coordinator for the given fleet. It serves 503
+// not_synced until the first SyncNow completes.
 func New(cfg Config) (*Coordinator, error) {
-	return NewWithRegistry(cfg, obs.NewRegistry())
-}
-
-// NewWithRegistry is New exporting metrics into reg.
-func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
-	c := &Coordinator{
-		cfg:    cfg,
-		log:    cfg.Log,
-		signal: dzdbapi.NewEpochSignal(),
-		mux:    http.NewServeMux(),
-
-		partialN: reg.Counter(MetricPartial, "responses served with partial: true"),
-	}
+	c := &Coordinator{signal: dzdbapi.NewEpochSignal()}
 	for i, url := range cfg.Shards {
 		br := &faults.Breaker{
-			Name:        fmt.Sprintf("shard%d", i),
-			OpenTimeout: cfg.heartbeat(),
+			OpenTimeout: heartbeat,
 			// Scatter-gather asks every shard for every nameserver, so a
 			// healthy shard answers 404 for the names it doesn't hold —
 			// constantly. Only transport errors and 5xx count as shard
@@ -228,12 +175,10 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 				return true
 			},
 		}
-		br.Instrument(reg)
-		sh := &shard{
-			id:      i,
-			url:     url,
-			breaker: br,
-			hb:      &dzdbapi.Client{BaseURL: url, HTTPClient: &http.Client{Timeout: heartbeatTimeout}},
+		c.shards = append(c.shards, &shard{
+			id:  i,
+			url: url,
+			hb:  &dzdbapi.Client{BaseURL: url, HTTPClient: &http.Client{Timeout: heartbeatTimeout}},
 			data: &dzdbapi.Client{
 				BaseURL: url,
 				// Sync pulls move whole exposure tables and delta feeds,
@@ -243,69 +188,16 @@ func NewWithRegistry(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 				Retry:      &faults.Policy{MaxAttempts: 2, BaseDelay: 50 * time.Millisecond},
 			},
 			proxy: &http.Client{Timeout: 30 * time.Second},
-		}
-		c.shards = append(c.shards, sh)
+		})
 	}
-	c.routes(reg)
+	c.routes()
 	return c, nil
 }
 
-// RegisterHealth wires the fleet into a probe registry: one push check
-// per shard (TTL three heartbeats, so a wedged heartbeat loop degrades
-// to stale) and a "fleet" readiness check that fails until the first
-// complete sync and whenever any shard is down — a degraded
-// coordinator keeps answering but reports unready so balancers prefer
-// a healthy one.
-func (c *Coordinator) RegisterHealth(h *health.Registry) {
-	for _, sh := range c.shards {
-		sh.check = h.Register(fmt.Sprintf("shard%d", sh.id), 3*c.cfg.heartbeat())
-		sh.check.Fail("no heartbeat yet")
-	}
-	h.RegisterFunc("fleet", func() error {
-		if c.fleet.Load() == nil {
-			return errors.New("fleet never synced")
-		}
-		if reason := c.degradedReason(); reason != "" {
-			return errors.New(reason)
-		}
-		return nil
-	})
-}
-
-// Run drives the heartbeat/sync loop until ctx is done. The first
-// round runs immediately, so a fleet that is already up becomes ready
-// one round-trip after boot.
-func (c *Coordinator) Run(ctx context.Context) error {
-	t := time.NewTicker(c.cfg.heartbeat())
-	defer t.Stop()
-	for {
-		c.tick(ctx)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
-func (c *Coordinator) tick(ctx context.Context) {
-	c.heartbeatOnce(ctx)
-	// Sync off the heartbeat loop: a full fleet pull can take many
-	// heartbeat periods, and blocking the loop would let the per-shard
-	// health checks go stale mid-sync.
-	if c.needSync() && c.syncing.CompareAndSwap(false, true) {
-		go func() {
-			defer c.syncing.Store(false)
-			if err := c.sync(ctx); err != nil && c.log != nil {
-				c.log.Warn("fleet sync failed; serving previous fleet epoch", "err", err)
-			}
-		}()
-	}
-}
-
-// SyncNow runs one heartbeat round and, if the fleet is ready on a new
-// epoch vector, one synchronous fleet sync. Boot paths and tests call
-// it to reach a served fleet epoch without waiting out ticker rounds.
+// SyncNow runs one probe round and, if the fleet is ready on a new
+// epoch vector, one synchronous fleet sync. It fails, naming the shard,
+// while any shard is down, not ready or misconfigured; the coordinator
+// then keeps serving the last complete sync, partial.
 func (c *Coordinator) SyncNow(ctx context.Context) error {
 	c.heartbeatOnce(ctx)
 	for _, sh := range c.shards {
@@ -319,13 +211,7 @@ func (c *Coordinator) SyncNow(ctx context.Context) error {
 	if !c.needSync() {
 		return nil
 	}
-	if err := c.sync(ctx); err != nil {
-		return err
-	}
-	// The pull may have outlasted the shard checks' TTL; refresh them so
-	// a successful SyncNow leaves the fleet observably ready.
-	c.heartbeatOnce(ctx)
-	return nil
+	return c.sync(ctx)
 }
 
 // heartbeatOnce probes every shard concurrently, settles membership and
@@ -348,12 +234,12 @@ func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 	defer cancel()
 	info, err := sh.hb.ShardInfo(ctx)
 	if err != nil || !info.Ready || info.ShardID != sh.id || info.ShardCount != len(c.shards) || generationOf(info) != sh.generation() {
-		// Unsettle before anything (readiness, a partial mark) can show
-		// the change; only the end of the round settles again.
+		// Unsettle before anything (a partial mark) can show the change;
+		// only the end of the round settles again.
 		c.unsettle()
 	}
 	sh.mu.Lock()
-	wasReady := sh.up && sh.ready
+	defer sh.mu.Unlock()
 	switch {
 	case err != nil:
 		sh.up, sh.ready = false, false
@@ -367,30 +253,11 @@ func (c *Coordinator) probe(ctx context.Context, sh *shard) {
 	default:
 		sh.up, sh.ready = true, info.Ready
 		sh.info = *info
-		sh.lastSeen = time.Now()
 		if info.Ready {
 			sh.lastErr = ""
 		} else {
 			sh.lastErr = "no sealed epoch yet"
 		}
-	}
-	up, ready, errStr := sh.up, sh.ready, sh.lastErr
-	sh.mu.Unlock()
-
-	if up && ready {
-		if sh.check != nil {
-			sh.check.OK()
-		}
-		if !wasReady && c.log != nil {
-			c.log.Info("shard admitted", "shard", sh.id, "url", sh.url)
-		}
-		return
-	}
-	if sh.check != nil {
-		sh.check.Fail(errStr)
-	}
-	if wasReady && c.log != nil {
-		c.log.Warn("shard lost", "shard", sh.id, "url", sh.url, "err", errStr)
 	}
 }
 
@@ -435,55 +302,20 @@ func (c *Coordinator) settle() {
 }
 
 // unsettle serves everything live until the next decision: a request
-// saw the fleet degraded before the heartbeat round that will say so
-// had ended.
+// saw the fleet degraded before the probe round that will say so had
+// ended, or an answer was partial and must not be cached.
 func (c *Coordinator) unsettle() {
 	c.settleMu.Lock()
 	c.settled.Store(nil)
 	c.settleMu.Unlock()
 }
 
-// degradedReason is "" when every shard is up and ready, else one
-// human-readable line naming the failing shards.
-func (c *Coordinator) degradedReason() string {
-	var bad []string
+// degraded reports whether any shard is down or not ready.
+func (c *Coordinator) degraded() bool {
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if !sh.up || !sh.ready {
-			bad = append(bad, fmt.Sprintf("shard %d: %s", sh.id, sh.lastErr))
+		if !sh.isReady() {
+			return true
 		}
-		sh.mu.Unlock()
 	}
-	if len(bad) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%d of %d shards unavailable (%s)", len(bad), len(c.shards), bad[0])
-}
-
-func (c *Coordinator) degraded() bool { return c.degradedReason() != "" }
-
-// FleetEpoch returns the epoch of the last completed sync (0 before
-// the first).
-func (c *Coordinator) FleetEpoch() uint64 {
-	if fs := c.fleet.Load(); fs != nil {
-		return fs.Epoch
-	}
-	return 0
-}
-
-// Shards reports per-shard membership for /statusz.
-func (c *Coordinator) Shards() []ShardStatus {
-	out := make([]ShardStatus, 0, len(c.shards))
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st := ShardStatus{
-			ID: sh.id, URL: sh.url, Up: sh.up, Ready: sh.ready,
-			Epoch: sh.info.Epoch, CloseDay: sh.info.CloseDay,
-			Domains: sh.info.Domains, Zones: sh.info.Zones,
-			LastSeen: sh.lastSeen, Err: sh.lastErr,
-		}
-		sh.mu.Unlock()
-		out = append(out, st)
-	}
-	return out
+	return false
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/dnsname"
 	"repro/internal/dzdbapi"
 	"repro/internal/faults"
-	"repro/internal/obs/health"
 	"repro/internal/obs/trace"
 	"repro/internal/sim"
 	"repro/internal/watch"
@@ -108,7 +107,7 @@ func startFleet(t *testing.T, db *zonedb.DB, n int) ([]string, []*shardProc) {
 
 func newCoord(t *testing.T, urls []string) *cluster.Coordinator {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Shards: urls, Heartbeat: time.Second})
+	c, err := cluster.New(cluster.Config{Shards: urls})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
@@ -428,8 +427,8 @@ func smallFleetDB(t *testing.T, last dates.Day) *zonedb.DB {
 }
 
 // TestNameserverBadPageAsksNoShard: a malformed ?cursor= or ?limit= is
-// refused before the scatter — no shard is asked, and on a degraded
-// fleet nothing is counted as a partial answer.
+// refused before the scatter — no shard is asked, and a settled fleet
+// stays settled: nothing was answered partial.
 func TestNameserverBadPageAsksNoShard(t *testing.T) {
 	zoneA, _ := partitionZones(t)
 	host := "ns1.hoster." + string(zoneA)
@@ -437,12 +436,11 @@ func TestNameserverBadPageAsksNoShard(t *testing.T) {
 	coord := newCoord(t, urls)
 	ts := httptest.NewServer(coord)
 	t.Cleanup(ts.Close)
-	partial := coord.Metrics().Counter(cluster.MetricPartial, "")
 	shardRequests := func() int64 { return procs[0].requests.Load() + procs[1].requests.Load() }
 
 	check := func(path, code string) {
 		t.Helper()
-		asked, marked := shardRequests(), partial.Value()
+		asked := shardRequests()
 		status, body := fetch(t, ts.URL+path)
 		var ae struct {
 			Error dzdbapi.ErrorBody `json:"error"`
@@ -453,12 +451,12 @@ func TestNameserverBadPageAsksNoShard(t *testing.T) {
 		if n := shardRequests() - asked; n != 0 {
 			t.Errorf("%s: %d shard requests, want 0", path, n)
 		}
-		if n := partial.Value() - marked; n != 0 {
-			t.Errorf("%s: partial counter moved by %d, want 0", path, n)
-		}
 	}
 	check("/v1/nameservers/"+host+"?cursor=%21%21", dzdbapi.CodeInvalidCursor)
 	check("/v1/nameservers/"+host+"?limit=-1", dzdbapi.CodeInvalidLimit)
+	if _, h, _ := fetchHeader(t, ts.URL+"/v1/stats"); h.Get("ETag") == "" {
+		t.Error("a refused page unsettled the fleet: /v1/stats has no ETag")
+	}
 
 	// With a shard down the same requests still ask nothing, while a
 	// well-formed one is answered partial.
@@ -468,12 +466,10 @@ func TestNameserverBadPageAsksNoShard(t *testing.T) {
 	}
 	check("/v1/nameservers/"+host+"?cursor=%21%21", dzdbapi.CodeInvalidCursor)
 	check("/v1/nameservers/"+host+"?limit=x", dzdbapi.CodeInvalidLimit)
-	marked := partial.Value()
-	if status, _ := fetch(t, ts.URL+"/v1/nameservers/"+host+"?limit=1"); status != http.StatusOK {
-		t.Errorf("well-formed request on a degraded fleet: status %d", status)
-	}
-	if partial.Value() != marked+1 {
-		t.Error("a well-formed request on a degraded fleet must count as partial")
+	status, body := fetch(t, ts.URL+"/v1/nameservers/"+host+"?limit=1")
+	var resp dzdbapi.NameserverResponse
+	if err := json.Unmarshal(body, &resp); err != nil || status != http.StatusOK || !resp.Partial {
+		t.Errorf("well-formed request on a degraded fleet: status %d, body %s; want 200 partial", status, body)
 	}
 }
 
@@ -587,8 +583,8 @@ func follow(t *testing.T, w *sim.World, url, mode string) ([]watch.Alert, *watch
 // criterion for the feed: an unchanged watch.Follower tailing the
 // coordinator's merged /v1/deltas produces exactly the alert stream of
 // a direct in-process replay — including while a shard is dead — and
-// the fleet degrades and recovers visibly (readiness, partial
-// envelopes, 503 on routes owned by the dead shard).
+// the fleet degrades and recovers visibly (SyncNow's error, partial
+// envelopes served live, 503 on routes owned by the dead shard).
 func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 	w := testWorld(t)
 	want, wantEngine := replayDirect(t, w)
@@ -597,21 +593,7 @@ func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 	}
 
 	urls, procs := startFleet(t, w.ZoneDB(), 2)
-	coord, err := cluster.New(cluster.Config{Shards: urls, Heartbeat: time.Second})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	h := health.NewRegistry()
-	coord.RegisterHealth(h)
-	if ok, sts := h.Readiness(); ok {
-		t.Fatalf("ready before first sync: %+v", sts)
-	}
-	if err := coord.SyncNow(t.Context()); err != nil {
-		t.Fatalf("SyncNow: %v", err)
-	}
-	if ok, sts := h.Readiness(); !ok {
-		t.Fatalf("not ready after sync: %+v", sts)
-	}
+	coord := newCoord(t, urls)
 	ts := httptest.NewServer(coord)
 	t.Cleanup(ts.Close)
 
@@ -639,20 +621,20 @@ func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 		t.Fatalf("long-polled feed alerts diverge: got %d, want %d", len(gotLong), len(want))
 	}
 
-	// Kill shard 0. The coordinator marks the fleet degraded (readiness
-	// 503, partial envelopes) but keeps serving the merged feed from the
-	// last complete sync — a fresh follower still gets every day,
-	// exactly once.
+	// Kill shard 0. The coordinator marks the fleet degraded (SyncNow
+	// fails, envelopes are partial and served live) but keeps serving
+	// the merged feed from the last complete sync — a fresh follower
+	// still gets every day, exactly once.
 	procs[0].down.Store(true)
 	if err := coord.SyncNow(t.Context()); err == nil {
 		t.Fatal("SyncNow should report the dead shard")
 	}
-	if ok, _ := h.Readiness(); ok {
-		t.Fatal("readiness should degrade with a shard down")
-	}
-	status, body := fetch(t, ts.URL+"/v1/stats")
+	status, h, body := fetchHeader(t, ts.URL+"/v1/stats")
 	if status != http.StatusOK {
 		t.Fatalf("degraded stats status = %d", status)
+	}
+	if etag := h.Get("ETag"); etag != "" {
+		t.Errorf("degraded stats carry ETag %q, want a live answer", etag)
 	}
 	var stats dzdbapi.StatsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
@@ -689,16 +671,16 @@ func TestMergedFeedExactlyOnceAcrossShardLoss(t *testing.T) {
 		t.Errorf("snapshot on live shard status = %d, want 200", status)
 	}
 
-	// Restart the shard: one heartbeat round re-admits it, readiness
-	// recovers, and envelopes drop the partial mark.
+	// Restart the shard: one probe round re-admits it, SyncNow succeeds
+	// again, and envelopes drop the partial mark.
 	procs[0].down.Store(false)
 	if err := coord.SyncNow(t.Context()); err != nil {
 		t.Fatalf("SyncNow after recovery: %v", err)
 	}
-	if ok, sts := h.Readiness(); !ok {
-		t.Fatalf("not ready after recovery: %+v", sts)
+	_, h, body = fetchHeader(t, ts.URL+"/v1/stats")
+	if h.Get("ETag") == "" {
+		t.Error("recovered stats carry no ETag")
 	}
-	_, body = fetch(t, ts.URL+"/v1/stats")
 	stats = dzdbapi.StatsResponse{}
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("decoding recovered stats: %v", err)
@@ -727,16 +709,14 @@ func TestCoordinatorRejectsMisconfiguredShard(t *testing.T) {
 	ts1 := httptest.NewServer(bad)
 	t.Cleanup(ts1.Close)
 
-	coord, err := cluster.New(cluster.Config{Shards: []string{ts0.URL, ts1.URL}, Heartbeat: time.Second})
+	coord, err := cluster.New(cluster.Config{Shards: []string{ts0.URL, ts1.URL}})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
-	if err := coord.SyncNow(t.Context()); err == nil {
-		t.Fatal("SyncNow must refuse a misconfigured shard")
-	}
-	sts := coord.Shards()
-	if sts[1].Ready || sts[1].Err == "" {
-		t.Fatalf("misconfigured shard admitted: %+v", sts[1])
+	err = coord.SyncNow(t.Context())
+	if err == nil || !strings.Contains(err.Error(), "shard 1") ||
+		!strings.Contains(err.Error(), "shard identity mismatch: reports 0 of 3, want 1 of 2") {
+		t.Fatalf("SyncNow = %v, want shard 1 refused for its identity", err)
 	}
 }
 
@@ -745,7 +725,7 @@ func TestCoordinatorRejectsMisconfiguredShard(t *testing.T) {
 func TestNotSyncedBeforeFirstFleetSync(t *testing.T) {
 	w := testWorld(t)
 	urls, _ := startFleet(t, w.ZoneDB(), 2)
-	coord, err := cluster.New(cluster.Config{Shards: urls, Heartbeat: time.Second})
+	coord, err := cluster.New(cluster.Config{Shards: urls})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
@@ -986,15 +966,9 @@ func TestDegradedFleetServesLive(t *testing.T) {
 func TestTraceAcrossCoordinatorHop(t *testing.T) {
 	zoneA, zoneB := partitionZones(t)
 	urls, procs := startFleet(t, smallFleetDB(t, 10), 2)
+	coord := newCoord(t, urls)
 	var logBuf bytes.Buffer
-	coord, err := cluster.New(cluster.Config{Shards: urls, Heartbeat: time.Second,
-		Log: slog.New(slog.NewTextHandler(&logBuf, nil))})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	if err := coord.SyncNow(t.Context()); err != nil {
-		t.Fatalf("SyncNow: %v", err)
-	}
+	coord.Log = slog.New(slog.NewTextHandler(&logBuf, nil))
 	tracer := trace.New()
 	coord.Tracer = tracer
 	ts := httptest.NewServer(coord)

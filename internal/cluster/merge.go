@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/dates"
 	"repro/internal/dzdbapi"
@@ -24,7 +23,6 @@ type fleetState struct {
 	// do against a single dzdbd.
 	dzdbapi.EpochState
 	generations []generation
-	syncedAt    time.Time
 }
 
 // shardPull is the raw material one shard contributes to a sync.
@@ -38,7 +36,7 @@ type shardPull struct {
 // leaving the previous state serving — if any pull fails or if any
 // shard's epoch moved while the pull was in flight (a reload mid-sync
 // would splice two generations into one "consistent" answer; the next
-// tick simply syncs again on the settled vector).
+// SyncNow simply syncs again on the settled vector).
 func (c *Coordinator) sync(ctx context.Context) error {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
@@ -83,18 +81,11 @@ func (c *Coordinator) sync(ctx context.Context) error {
 	fs := &fleetState{
 		EpochState:  mergePulls(pulls),
 		generations: gens,
-		syncedAt:    time.Now(),
 	}
 	fs.Epoch = c.epochN.Add(1)
 	c.fleet.Store(fs)
 	c.settle()
 	c.signal.Broadcast()
-	if c.log != nil {
-		_, closeDay := fs.Feed.Window()
-		c.log.Info("fleet synced", "fleet_epoch", fs.Epoch,
-			"domains", fs.Stats.Domains, "nameservers", fs.Stats.Nameservers,
-			"zones", len(fs.Stats.Zones), "close_day", closeDay.String())
-	}
 	return nil
 }
 

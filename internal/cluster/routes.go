@@ -15,26 +15,17 @@ import (
 	"repro/internal/zonedb"
 )
 
-func (c *Coordinator) routes(reg *obs.Registry) {
+func (c *Coordinator) routes() {
 	// Every /v1 route is behind dzdbapi's serving layer over the fleet's
 	// epochs: the request span and log, admission, the fleet-epoch ETag
 	// and 304, the response cache and gzip are the node's. The four
 	// fleet-wide routes are its own handlers, rendering the last complete
 	// sync instead of a view; the three below are what only a
 	// coordinator does, and are cached under the same fleet epoch.
-	c.Front = dzdbapi.NewFront(fleetSource{c}, reg)
-	c.Front.Log = c.log
+	c.Front = dzdbapi.NewFront(fleetSource{c}, obs.NewRegistry())
 	c.Handle("/v1/nameservers/{name}", c.handleNameserver)
 	c.Handle("/v1/domains/{name}", c.handleDomain)
 	c.Handle("/v1/zones/{zone}/snapshot", c.handleSnapshot)
-	// Membership changes between epochs, so it is served bare.
-	c.mux.HandleFunc("GET /v1/cluster/shards", c.handleShards)
-	c.mux.Handle("/", c.Front)
-}
-
-// ServeHTTP serves the coordinator's /v1 surface.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
 }
 
 // state returns what the last complete sync merged, or nil before the
@@ -75,7 +66,7 @@ func (f fleetSource) Partial() bool {
 	if !f.c.degraded() {
 		return false
 	}
-	f.c.markPartial()
+	f.c.unsettle()
 	return true
 }
 
@@ -85,18 +76,11 @@ func (f fleetSource) Unavailable(w http.ResponseWriter) {
 	f.c.retryLater(w, CodeNotSynced, "fleet has not completed a sync yet; retry shortly")
 }
 
-// markPartial counts a partial answer and unsettles the fleet until the
-// next heartbeat round decides again.
-func (c *Coordinator) markPartial() {
-	c.partialN.Inc()
-	c.unsettle()
-}
-
 // retryLater sheds a request the fleet cannot answer right now: 503
-// with the heartbeat, the soonest membership can change, as the
+// with the heartbeat, the soonest a shard's breaker closes, as the
 // backoff hint.
 func (c *Coordinator) retryLater(w http.ResponseWriter, code, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.heartbeat().Seconds())+1))
+	w.Header().Set("Retry-After", strconv.Itoa(int(heartbeat.Seconds())+1))
 	dzdbapi.WriteError(w, http.StatusServiceUnavailable, code, format, args...)
 }
 
@@ -171,8 +155,9 @@ func (c *Coordinator) handleNameserver(w http.ResponseWriter, r *http.Request, _
 		return
 	}
 	if failed || c.degraded() {
+		// A partial answer unsettles the fleet, so it is never cached.
 		resp.Partial = true
-		c.markPartial()
+		c.unsettle()
 	}
 	dzdbapi.WriteNameserverPage(w, page, &resp)
 }
@@ -249,14 +234,4 @@ func (c *Coordinator) proxyTo(w http.ResponseWriter, r *http.Request, sh *shard)
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-}
-
-// handleShards is the cluster introspection route: per-shard
-// membership, health, and epochs, plus the fleet epoch.
-func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
-	dzdbapi.WriteJSON(w, http.StatusOK, struct {
-		FleetEpoch uint64        `json:"fleet_epoch"`
-		Degraded   bool          `json:"degraded"`
-		Shards     []ShardStatus `json:"shards"`
-	}{c.FleetEpoch(), c.degraded(), c.Shards()})
 }

@@ -4,7 +4,7 @@
 // observability endpoint — /metrics + pprof plus the operational-health
 // surface (/healthz, /readyz, /statusz) and the go_*/process_* runtime
 // gauges. Keeping it in one place
-// means dzdbd, dzdbcoord, and riskywatchd cannot drift apart on process
+// means dzdbd and riskywatchd cannot drift apart on process
 // hygiene: every daemon answers the same probes with the same
 // semantics, and only the readiness conditions differ.
 package daemon

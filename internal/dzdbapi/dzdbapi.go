@@ -182,7 +182,7 @@ type Server struct {
 	signal *EpochSignal
 
 	// shardID/shardCount identify this server's slice of a cluster
-	// partition (0 of 1 when unsharded); see SetShardIdentity.
+	// partition; see SetShardIdentity.
 	shardID    int
 	shardCount int
 
@@ -212,10 +212,6 @@ func NewWithRegistry(db *zonedb.DB, reg *obs.Registry) *Server {
 	s.Handle("/v1/domains/{name}", s.handleDomain)
 	s.Handle("/v1/nameservers/{name}", s.handleNameserver)
 	s.Handle("/v1/zones/{zone}/snapshot", s.handleSnapshot)
-
-	// Internal shard-to-coordinator surface (not part of the public API).
-	s.Handle("/v1/internal/shard-info", s.handleShardInfo)
-	s.Handle("/v1/internal/ns-exposure", s.handleNSExposure)
 	return s
 }
 
@@ -282,12 +278,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
-
-// WriteJSON renders v exactly as every v1 handler does (two-space
-// indent, application/json). The cluster coordinator uses it so merged
-// responses are byte-identical to a single node's rendering of the same
-// value.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
 
 // WriteError renders the uniform v1 error envelope. Exported for the
 // cluster coordinator, which must speak the same error dialect as the

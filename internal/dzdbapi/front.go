@@ -199,7 +199,7 @@ func (f *Front) serve(w http.ResponseWriter, r *http.Request, route string, isPu
 	// A body is stored only if it went out as the epoch's and the source
 	// is still settled on the state it was rendered from: one that
 	// unsettled meanwhile (a shard lost, seen by this very render or by a
-	// heartbeat since) may have put a partial answer in it.
+	// probe since) may have put a partial answer in it.
 	if now, settled := f.src.Pin(); settled && now == st && !rec.live && rec.status == http.StatusOK && !rec.tooBig {
 		f.cache.put(st.Epoch, key, rec.Header().Get("Content-Type"), enc,
 			append([]byte(nil), rec.buf.Bytes()...))

@@ -1,7 +1,9 @@
 package dzdbapi
 
 import (
+	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -162,5 +164,49 @@ func TestShardInternalEndpoints(t *testing.T) {
 		if row.Domains != ns.Summary.Domains || row.DomainDays != ns.Summary.DomainDays {
 			t.Errorf("%s exposure %+v disagrees with summary %+v", row.Nameserver, row, ns.Summary)
 		}
+	}
+}
+
+// TestInternalRoutesNeedShardIdentity: the shard-to-coordinator surface
+// is mounted by SetShardIdentity and by nothing else. A plain server
+// answers 404 on both internal routes; a shard serves them, and its
+// public /v1 bodies are the plain server's.
+func TestInternalRoutesNeedShardIdentity(t *testing.T) {
+	db := testDB()
+	plain := New(db)
+	shard := New(db)
+	shard.SetShardIdentity(1, 2)
+	serve := func(s *Server, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+
+	for _, path := range []string{"/v1/internal/shard-info", "/v1/internal/ns-exposure", "/v1/internal/ns-exposure?limit=1"} {
+		if rec := serve(plain, path); rec.Code != http.StatusNotFound {
+			t.Errorf("plain server GET %s: status %d, want 404", path, rec.Code)
+		}
+	}
+	for _, path := range []string{
+		"/v1/stats", "/v1/zones", "/v1/top/nameservers", "/v1/deltas",
+		"/v1/domains/whitecounty.net", "/v1/nameservers/ns2.internetemc.com",
+		"/v1/zones/net/snapshot?date=" + d(150).String(),
+	} {
+		got, want := serve(shard, path), serve(plain, path)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("GET %s: shard %d %s, plain %d %s", path, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+
+	// What the mounted routes answer is TestShardInternalEndpoints'.
+	var info ShardInfoResponse
+	if rec := serve(shard, "/v1/internal/shard-info"); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &info) != nil ||
+		info.ShardID != 1 || info.ShardCount != 2 {
+		t.Errorf("shard-info: status %d, body %s; want shard 1 of 2", rec.Code, rec.Body)
+	}
+	var page NSExposureResponse
+	if rec := serve(shard, "/v1/internal/ns-exposure?limit=1"); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &page) != nil ||
+		len(page.Rows) != 1 || page.NextCursor == "" {
+		t.Errorf("ns-exposure?limit=1: status %d, body %s; want one row and a cursor", rec.Code, rec.Body)
 	}
 }

@@ -8,19 +8,20 @@ import (
 	"strconv"
 )
 
-// The /v1/internal/ routes are the shard-to-coordinator surface: they
-// ride the same middleware, ETag, and cache layers as the public v1
-// routes (responses are epoch-addressable like everything else) but are
-// not part of the stable public API and may change shape between
-// releases.
+// The /v1/internal/ routes are the shard-to-coordinator surface, mounted
+// only on a server given a shard identity (SetShardIdentity): dzdbd
+// never serves them. They ride the same middleware, ETag, and cache
+// layers as the public v1 routes (responses are epoch-addressable like
+// everything else) but are not part of the public API.
 
 // ShardInfoResponse is the /v1/internal/shard-info payload — the
-// heartbeat answer the cluster coordinator polls. ShardID/ShardCount
-// echo the partition the process was started with so the coordinator
-// can reject a misconfigured fleet member; Epoch and CloseDay identify
-// the sealed generation currently served. Epochs are numbered per
-// process, so Instance, drawn once per server, tells a restarted shard
-// that is back on its old epoch number from the process it replaced.
+// answer to the probe the cluster coordinator sends on every sync.
+// ShardID/ShardCount echo the partition SetShardIdentity recorded, so
+// the coordinator can reject a misconfigured fleet member; Epoch and
+// CloseDay identify the sealed generation currently served. Epochs are
+// numbered per process, so Instance, drawn once per server, tells a
+// restarted shard that is back on its old epoch number from the
+// process it replaced.
 type ShardInfoResponse struct {
 	ShardID    int    `json:"shard_id"`
 	ShardCount int    `json:"shard_count"`
@@ -44,21 +45,20 @@ type NSExposureResponse struct {
 	NextCursor string          `json:"next_cursor,omitempty"`
 }
 
-// SetShardIdentity records the partition this server holds, echoed on
-// /v1/internal/shard-info. Call before serving. An unsharded server
-// reports the identity partition (shard 0 of 1).
+// SetShardIdentity makes the server shard id of count in a
+// coordinator's fleet: it records the partition, echoed on
+// /v1/internal/shard-info, and mounts the two internal routes. Call it
+// once, before serving.
 func (s *Server) SetShardIdentity(id, count int) {
 	s.shardID, s.shardCount = id, count
+	s.Handle("/v1/internal/shard-info", s.handleShardInfo)
+	s.Handle("/v1/internal/ns-exposure", s.handleNSExposure)
 }
 
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request, st *EpochState) {
-	count := s.shardCount
-	if count <= 0 {
-		count = 1
-	}
 	resp := ShardInfoResponse{
 		ShardID:    s.shardID,
-		ShardCount: count,
+		ShardCount: s.shardCount,
 		Instance:   fmt.Sprintf("%016x", s.salt),
 		Domains:    st.Stats.Domains,
 		Zones:      len(st.Stats.Zones),
@@ -81,7 +81,7 @@ func (s *Server) handleNSExposure(w http.ResponseWriter, r *http.Request, st *Ep
 	writeJSON(w, http.StatusOK, NSExposureResponse{Rows: rows[start:end], NextCursor: next})
 }
 
-// ShardInfo fetches the shard's heartbeat payload.
+// ShardInfo fetches the shard's probe payload.
 func (c *Client) ShardInfo(ctx context.Context) (*ShardInfoResponse, error) {
 	var out ShardInfoResponse
 	if err := c.getJSON(ctx, "shard_info", "/v1/internal/shard-info", &out); err != nil {

@@ -44,6 +44,7 @@ func TestListPageBounds(t *testing.T) {
 	}
 	v := w.ZoneDB().View()
 	srv := New(w.ZoneDB())
+	srv.SetShardIdentity(0, 1) // mounts /v1/internal/ns-exposure
 
 	idx, err := delta.Build(v)
 	if err != nil {

@@ -308,7 +308,9 @@ func TestNeverClosedDBServesEmptyView(t *testing.T) {
 	db.DomainAdded("net", "whitecounty.net", d(0))
 	db.DelegationAdded("net", "whitecounty.net", "ns2.internetemc.com", d(0))
 	db.GlueAdded("com", "ns2.internetemc.com", d(0))
-	ts := httptest.NewServer(New(db))
+	srv := New(db)
+	srv.SetShardIdentity(0, 1) // mounts /v1/internal/shard-info
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()

@@ -4,8 +4,8 @@
 // and /statusz handlers call Sample as they answer, so what a reader
 // sees is the runtime at the moment of the read.
 //
-// The collector is created by internal/daemon, so dzdbd, dzdbcoord, and
-// riskywatchd all report the same families without per-daemon wiring.
+// The collector is created by internal/daemon, so dzdbd and riskywatchd
+// report the same families without per-daemon wiring.
 package runtime
 
 import (

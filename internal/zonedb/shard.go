@@ -8,10 +8,10 @@ import (
 
 // ShardOf maps a zone to its owning shard among n — FNV-32a of the zone
 // name mod n. This is the single partition function for the system:
-// parallel ingest uses it for zone-affine workers, dzdbd -shard-id uses
-// it to project its slice of the fact space, and the cluster coordinator
-// uses it to route single-zone queries to the owning shard. All three
-// must agree, which is why it lives here.
+// parallel ingest uses it for zone-affine workers, and the cluster
+// coordinator uses it to route single-zone queries to the shard that
+// FilterShard projected them into. The two must agree, which is why it
+// lives here.
 func ShardOf(zone dnsname.Name, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(zone))
