@@ -71,6 +71,11 @@ func NewFront(src Source, reg *obs.Registry) *Front {
 	f.Handle("/v1/zones", f.zones)
 	f.Handle("/v1/top/nameservers", f.topNameservers)
 	f.Handle("/v1/deltas", f.deltas)
+	// A GET under /v1/ that no route matches answers in the error
+	// envelope too, not net/http's text 404.
+	f.mux.HandleFunc("GET /v1/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, CodeNotFound, "no route %s", r.URL.Path)
+	})
 	return f
 }
 

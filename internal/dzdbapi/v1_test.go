@@ -109,6 +109,12 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"/v1/zones/com/snapshot?date=nope", 400, "invalid_date"},
 		{"/v1/zones/xyz/snapshot?date=2016-07-15", 404, "not_found"},
 		{"/v1/zones/com/snapshot?date=" + d(201).String(), 404, "not_found"}, // past the close day
+		// Paths no route matches, the internal ones of a server that is
+		// no shard among them.
+		{"/v1/nope", 404, "not_found"},
+		{"/v1/domains/", 404, "not_found"},
+		{"/v1/internal/shard-info", 404, "not_found"},
+		{"/v1/internal/ns-exposure", 404, "not_found"},
 	} {
 		status, ae := rawError(t, ts.URL, tc.path)
 		if status != tc.status || ae.Error.Code != tc.code {
@@ -118,6 +124,16 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		if ae.Error.Message == "" {
 			t.Errorf("GET %s: empty error message", tc.path)
 		}
+	}
+
+	// A method other than GET on a route still answers 405.
+	resp, err := http.Post(ts.URL+"/v1/stats", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/stats = %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -58,7 +58,9 @@ func ReadFrom(r io.Reader) (*History, error) {
 			continue
 		}
 		parts := strings.SplitN(line, " ", 4)
-		if len(parts) != 4 || parts[0] != "W" {
+		// The scanner drops one \r before each newline, so a registrar
+		// ending in \r would not read back as WriteArchive wrote it.
+		if len(parts) != 4 || parts[0] != "W" || strings.HasSuffix(parts[3], "\r") {
 			return nil, fmt.Errorf("whois: line %d: malformed record %q", lineNo, line)
 		}
 		domain, err := dnsname.Parse(parts[1])

@@ -3,6 +3,7 @@ package whois
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -87,9 +88,61 @@ func TestArchiveErrors(t *testing.T) {
 		"whois 1\nW -bad-.com 2012-01-01 X\n",
 		"whois 1\nW foo.com baddate X\n",
 		"whois 1\nQ foo.com 2012-01-01 X\n",
+		// A registrar ending in \r, which the archive cannot carry.
+		"whois 1\nW foo.com 2012-01-01 X\r\r\n",
 	} {
 		if _, err := ReadFrom(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadFrom(%q) should fail", in)
 		}
 	}
+}
+
+// FuzzReadFrom holds ReadFrom to the decoder contract: it never panics,
+// it allocates in proportion to its input (a scale-free 1 MiB for the
+// scanner's buffer, then about 11 bytes a byte on a megabyte of one-line
+// records), and an archive it accepts writes bytes that read back and
+// write themselves again.
+func FuzzReadFrom(f *testing.F) {
+	h := New()
+	h.Observe("foo.com", dates.FromYMD(2012, 1, 1), "Enom")
+	h.Observe("foo.com", dates.FromYMD(2016, 5, 1), "Network Solutions")
+	h.Observe("bar.net", dates.FromYMD(2010, 3, 4), "Tucows")
+	var good bytes.Buffer
+	if err := h.WriteArchive(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte("whois 1\r\nW FOO.com 2012-01-01 X\r\n\r\nW foo.com 2012-01-01 \n"))
+	f.Add([]byte("whois 1\nW foo.com 2012-02-30 X\n"))
+	f.Add([]byte("whois 1\nW foo.com 2012-01-01 X\r\r\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		before := totalAlloc()
+		h, err := ReadFrom(bytes.NewReader(in))
+		if got, bound := totalAlloc()-before, uint64(1<<20+32*len(in)); got > bound {
+			t.Fatalf("ReadFrom allocated %d bytes for %d of input, bound %d", got, len(in), bound)
+		}
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := h.WriteArchive(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrom(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back what WriteArchive wrote: %v\n%q", err, first.Bytes())
+		}
+		if err := back.WriteArchive(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write, read, write is not stable:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+func totalAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
 }

@@ -28,10 +28,10 @@ func simView(tb testing.TB, scale float64, seed int64) *zonedb.View {
 
 // TestSegmentAndArchiveLoadTheSameDatabase is the differential check on
 // the two ways a sealed view is saved, over simulated worlds and their
-// shard projections: what Load makes of a sealed segment and what
-// ReadFile makes of a WriteFile archive byte-identically, to the view's
-// own archive; the file WriteFile writes is the segment Seal writes; and
-// sealing is deterministic. (zonedb's TestSegmentMatchesArchive holds
+// shard projections: what LoadLatest makes of a sealed epoch and what
+// ReadFile makes of a WriteFile file archive byte-identically, to the
+// view's own archive; the file WriteFile writes is the segment Seal
+// writes; and sealing is deterministic. (zonedb's TestSegmentMatchesArchive holds
 // the decoded tables, index order included, to the text reference.)
 func TestSegmentAndArchiveLoadTheSameDatabase(t *testing.T) {
 	empty := zonedb.New()

@@ -160,8 +160,11 @@ func TestReadFileRefusals(t *testing.T) {
 		return out
 	}
 	cases := map[string][]byte{
-		// A text archive from before the segment was the one format.
+		// A text archive from before the segment was the one format, and
+		// the same archive in a segment's framing, as segments were
+		// written before the binary payload.
 		"text archive":        text.Bytes(),
+		"dzdbseg 1":           oldFormatSegment(t, db),
 		"empty":               {},
 		"truncate@end-1":      good[:len(good)-1],
 		"bitflip in block":    flip(len(segMagic) + 8 + 5),

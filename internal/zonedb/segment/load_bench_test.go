@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// BenchmarkOpenLoadLatest is the cold start the detect-cold workload, a
-// riskywatchd catch-up and a dzdbd warm boot all begin with — verify the
-// store, decode its newest epoch — on the benchmark's own world (scale
-// 8, seed 1: 43,480 domains, 23,808 nameservers). Read allocs/op with
-// -benchmem: the load is a few slabs and two name indexes, not an
-// allocation per fact.
+// BenchmarkOpenLoadLatest is the cold start the detect-cold workload
+// times — list the store's epochs, read the newest with ReadFile — on
+// the benchmark's own world (scale 8, seed 1: 43,480 domains, 23,808
+// nameservers). Read allocs/op with -benchmem: the load is a few slabs
+// and two name indexes, not an allocation per fact, and Open adds only
+// the directory listing to BenchmarkReadFile.
 func BenchmarkOpenLoadLatest(b *testing.B) {
 	dir := b.TempDir()
 	st, err := Open(dir)
@@ -39,7 +39,7 @@ func BenchmarkOpenLoadLatest(b *testing.B) {
 // BenchmarkReadFile is what riskybiz -data, riskywatchd -archive and
 // dzdbd -load pay to load saved data: ReadFile of the file
 // riskybiz -save-data writes for the same world as
-// BenchmarkOpenLoadLatest, with no manifest and no whole-file CRC pass.
+// BenchmarkOpenLoadLatest.
 func BenchmarkReadFile(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "world.dzdb")
 	if err := WriteFile(path, simView(b, 8, 1)); err != nil {

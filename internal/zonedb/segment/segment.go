@@ -1,7 +1,6 @@
-// Package segment is the zone database's on-disk format and durability
-// layer: one self-checking file per sealed database, and a store of them
-// — immutable, per-epoch segment files plus an atomically replaced
-// MANIFEST naming the sealed set.
+// Package segment is the zone database's on-disk format: one
+// self-checking file per sealed database, and a store that keeps a
+// directory of them, one per sealed epoch.
 //
 // A segment file is the canonical binary encoding of one sealed epoch
 // (zonedb's View.WriteSegment: a sorted name table, then fixed-width key
@@ -15,38 +14,32 @@
 //
 // There is one format, and it is what saved data is: WriteFile and
 // ReadFile are the single-file form (riskybiz -save-data writes it, and
-// riskybiz -data, riskywatchd and dzdbd -load read it), Seal and
-// Load the store's. A file under any other magic — an older segment, or
-// the text archive View.WriteArchive prints for people and diffs — is
-// refused as corrupt; in a store it is quarantined and reported, and the
-// caller rebuilds that epoch from source and reseals it.
+// riskybiz -data, riskywatchd and dzdbd -load read it). A file under any
+// other magic — an older segment, or the text archive View.WriteArchive
+// prints for people and diffs — is refused as corrupt.
 //
-// The MANIFEST is the commit point. It lists every sealed segment with
-// its size and whole-file checksum, carries its own trailing checksum,
-// and is only ever replaced via temp-file + fsync + rename — a crash at
-// any byte leaves either the old manifest or the new one, never a torn
-// one. A segment file not named by the manifest was never committed.
+// Every file the package writes goes through one routine (WriteAtomic):
+// temp file, fsync, rename, directory fsync. The rename is the commit
+// point, so a reader sees the previous file or the new one, never a
+// torn one. A Store's epochs are such files (epoch-NNNNNN.seg): Seal
+// writes the next one, and LoadLatest reads the newest, falling back to
+// an older one when the newest is corrupt.
 //
-// On Open the store verifies every manifest-listed segment's length and
-// checksum; a segment that fails is quarantined (moved into the
-// quarantine/ subdirectory and reported to the caller by Quarantined)
-// and the store continues with the surviving epochs — graceful
-// degradation, mirroring the ingester's snapshot quarantine. The caller
-// rebuilds only the affected epochs from source archives.
-//
-// No command opens a store today: the benchmark's ingest and cold-start
-// workloads seal and load through it, and it is the durable writer an
-// ingest spool will use. Every production reader calls ReadFile.
+// No command opens a store: the benchmark's ingest and cold-start
+// workloads seal and load through it. Every production reader calls
+// ReadFile.
 package segment
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/zonedb"
 )
@@ -62,11 +55,11 @@ const blockSize = 64 * 1024
 // corrupt length prefix cannot demand an absurd allocation.
 const maxBlockLen = 1 << 24
 
-// castagnoli is the CRC32C table used for every checksum in the store.
+// castagnoli is the CRC32C table used for every checksum in a segment.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a segment or manifest whose bytes fail structural
-// or checksum verification. Match with errors.Is.
+// ErrCorrupt reports a segment whose bytes fail structural or checksum
+// verification. Match with errors.Is.
 var ErrCorrupt = fmt.Errorf("segment: corrupt")
 
 // blockWriter frames a payload stream into checksummed blocks. Writes
@@ -159,24 +152,100 @@ func writeSegment(w io.Writer, encode func(io.Writer) error) error {
 }
 
 // WriteFile durably writes the closed view v to path as one segment
-// file. The file checks itself, so it needs no manifest. It replaces
-// path atomically, as Seal does a store's files: a reader sees the
-// previous file or the new one, never a torn one, and a write that fails
-// leaves the previous file as it was.
+// file, replacing path atomically: a reader sees the previous file or the
+// new one, never a torn one, and a write that fails leaves the previous
+// file as it was.
 func WriteFile(path string, v *zonedb.View) error {
 	return WriteAtomic(path, func(w io.Writer) error {
 		return writeSegment(w, v.WriteSegment)
 	})
 }
 
-// WriteAtomic durably replaces the file at path with what encode writes,
-// by the routine the store writes its own files with: temp file, fsync,
-// rename, directory fsync. A crash leaves the previous file or the new
-// one, and an encode that fails leaves the previous file as it was and
-// no temp file behind.
+// WriteAtomic durably replaces the file at path with what encode writes:
+// temp file, fsync, rename, directory fsync. A crash leaves the previous
+// file or the new one, and an encode that fails leaves the previous file
+// as it was and no temp file behind.
 func WriteAtomic(path string, encode func(io.Writer) error) error {
-	_, _, err := writeFile(path, Hooks{}, encode)
-	return err
+	return writeFile(path, hooks{}, encode)
+}
+
+// tmpSuffix ends the name of the temp file writeFile renames into place.
+const tmpSuffix = ".tmp"
+
+// hooks intercept writeFile's file and rename, so the crash-matrix tests
+// can fail each step; the zero value means direct OS calls.
+type hooks struct {
+	// wrap, when set, wraps the temp file. The returned writer's Close
+	// must close the file.
+	wrap func(f *os.File) io.WriteCloser
+	// rename, when set, replaces os.Rename.
+	rename func(oldpath, newpath string) error
+}
+
+// writeFile is WriteAtomic with the file operations routed through h:
+// temp file, encode, flush, fsync, close, rename into place, fsync the
+// directory. On error nothing at path was disturbed and the temp file is
+// removed.
+func writeFile(path string, h hooks, encode func(io.Writer) error) error {
+	tmp := path + tmpSuffix
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	var w io.WriteCloser = f
+	if h.wrap != nil {
+		w = h.wrap(f)
+	}
+	rename := os.Rename
+	if h.rename != nil {
+		rename = h.rename
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	fail := func(err error) error {
+		w.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := encode(bw); err != nil {
+		return fail(err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fail(err)
+	}
+	if err := syncWriter(w); err != nil {
+		return fail(fmt.Errorf("fsync: %w", err))
+	}
+	if err := w.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncWriter fsyncs through an injected wrapper when it supports Sync.
+func syncWriter(w io.Writer) error {
+	if sy, ok := w.(interface{ Sync() error }); ok {
+		return sy.Sync()
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory so a completed rename survives power loss.
+// Filesystems that cannot sync directories make this a no-op.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
+		return err
+	}
+	return nil
 }
 
 // ReadFile loads the segment file at path, as WriteFile wrote it, into a
@@ -184,41 +253,36 @@ func WriteAtomic(path string, encode func(io.Writer) error) error {
 // another format included — yields an error wrapping ErrCorrupt, and the
 // file's own size bounds what the decoder allocates.
 func ReadFile(path string) (*zonedb.DB, error) {
+	db, _, err := readFile(path)
+	return db, err
+}
+
+// readFile is ReadFile, also returning the size of the file it read.
+func readFile(path string) (*zonedb.DB, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	// The size of the file this handle holds, not of whatever a concurrent
 	// WriteFile renames over path meanwhile.
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	db, err := readSegment(f, fi.Size())
+	payload, err := decodeSegment(bufio.NewReaderSize(f, 1<<16), fi.Size())
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return db, nil
-}
-
-// readSegment de-frames a segment of at most size bytes and decodes its
-// payload into a fresh, closed database. Every defect wraps ErrCorrupt.
-func readSegment(r io.Reader, size int64) (*zonedb.DB, error) {
-	payload, err := decodeSegment(bufio.NewReaderSize(r, 1<<16), size)
-	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
 	db, err := zonedb.ReadSegment(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%s: %w: %v", path, ErrCorrupt, err)
 	}
-	return db, nil
+	return db, fi.Size(), nil
 }
 
 // decodeSegment reads and verifies a segment stream of at most size
-// bytes — the file length the manifest recorded, or the file's own for
-// ReadFile — returning the payload
+// bytes — the file's own length, for ReadFile — returning the payload
 // bytes. Every defect — bad magic, truncated header or data, per-block
 // checksum mismatch, oversized length, more payload than a file of that
 // size can frame, missing or wrong trailer, trailing garbage — yields an

@@ -65,7 +65,7 @@ func TestDecodeSegmentRejectsDefects(t *testing.T) {
 		{name: "partial-trailer", data: enc[:len(enc)-3]},
 		{name: "trailing-garbage", data: append(append([]byte(nil), enc...), 0)},
 		// A sound segment, but one byte more payload than a file of the
-		// size the manifest recorded could frame.
+		// size the caller allows could frame.
 		{name: "payload-over-allowed-size", data: enc, under: 1},
 	}
 	flip := func(at int) []byte {

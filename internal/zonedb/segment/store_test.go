@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 )
 
 // testDB builds a tiny sealed database whose close day distinguishes
-// epochs (so tests can tell which epoch a Load returned).
+// epochs (so tests can tell which epoch a load returned).
 func testDB(t *testing.T, closeDay dates.Day) *zonedb.DB {
 	t.Helper()
 	db := zonedb.New()
@@ -45,106 +44,13 @@ func archiveBytes(t *testing.T, db *zonedb.DB) []byte {
 func sealEpochs(t *testing.T, days ...dates.Day) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	st := reopen(t, dir)
 	for _, day := range days {
-		if _, err := st.Seal(testDB(t, day).View(), fmt.Sprintf("tag-%s", day)); err != nil {
+		if _, err := st.Seal(testDB(t, day).View(), ""); err != nil {
 			t.Fatalf("Seal(%s): %v", day, err)
 		}
 	}
 	return dir
-}
-
-func TestSealAndReopen(t *testing.T) {
-	dir := sealEpochs(t, 100, 200)
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if q := st.Quarantined(); len(q) != 0 {
-		t.Fatalf("clean reopen quarantined %v", q)
-	}
-	segs := st.Segments()
-	if len(segs) != 2 || segs[0].Seq != 1 || segs[1].Seq != 2 {
-		t.Fatalf("segments = %+v", segs)
-	}
-	db, info, err := st.LoadLatest()
-	if err != nil {
-		t.Fatalf("LoadLatest: %v", err)
-	}
-	if info.CloseDay != 200 || info.SourceTag != "tag-"+dates.Day(200).String() {
-		t.Fatalf("latest info = %+v", info)
-	}
-	want := archiveBytes(t, testDB(t, 200))
-	if got := archiveBytes(t, db); !bytes.Equal(got, want) {
-		t.Fatal("recovered epoch differs from sealed epoch")
-	}
-}
-
-func TestOpenEmptyDir(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if _, ok := st.Latest(); ok {
-		t.Fatal("empty store reported a latest epoch")
-	}
-	if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("LoadLatest on empty store: %v", err)
-	}
-}
-
-func TestRetentionPrunesOldSegments(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, WithKeep(2))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for _, day := range []dates.Day{100, 200, 300} {
-		if _, err := st.Seal(testDB(t, day).View(), ""); err != nil {
-			t.Fatalf("Seal: %v", err)
-		}
-	}
-	segs := st.Segments()
-	if len(segs) != 2 || segs[0].Seq != 2 || segs[1].Seq != 3 {
-		t.Fatalf("segments after retention = %+v", segs)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "epoch-000001.seg")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("pruned segment still on disk: %v", err)
-	}
-	// Sequence numbers keep growing past pruned epochs.
-	if info, err := st.Seal(testDB(t, 400).View(), ""); err != nil || info.Seq != 4 {
-		t.Fatalf("Seal after prune: info=%+v err=%v", info, err)
-	}
-}
-
-func TestOpenSweepsTempAndOrphanFiles(t *testing.T) {
-	dir := sealEpochs(t, 100)
-	// A crashed seal leaves a temp file and possibly a renamed-but-never-
-	// committed segment; neither is named by the manifest.
-	if err := os.WriteFile(filepath.Join(dir, "epoch-000009.seg.tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "epoch-000009.seg"), []byte("uncommitted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if q := st.Quarantined(); len(q) != 0 {
-		t.Fatalf("sweep should not quarantine: %v", q)
-	}
-	for _, name := range []string{"epoch-000009.seg.tmp", "epoch-000009.seg"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s survived the sweep", name)
-		}
-	}
-	if len(st.Segments()) != 1 {
-		t.Fatalf("segments = %+v", st.Segments())
-	}
 }
 
 // reopen asserts dir opens without error and returns the store.
@@ -157,39 +63,119 @@ func reopen(t *testing.T, dir string) *Store {
 	return st
 }
 
-// copyDir clones a sealed store directory so each corruption case
-// mutates its own copy.
-func copyDir(t *testing.T, src string) string {
+// loadsEpoch asserts the store's newest loadable epoch is the one sealed
+// as seq with the given close day, holding testDB's facts.
+func loadsEpoch(t *testing.T, st *Store, seq uint64, closeDay dates.Day) {
 	t.Helper()
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
+	db, info, err := st.LoadLatest()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("LoadLatest: %v", err)
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if info.Seq != seq || info.Name != epochName(seq) || info.CloseDay != closeDay {
+		t.Fatalf("LoadLatest = %+v, want epoch %d closed %s", info, seq, closeDay)
 	}
-	return dst
+	if fi, err := os.Stat(filepath.Join(st.dir, info.Name)); err != nil || fi.Size() != info.Size {
+		t.Fatalf("Info.Size %d for the file on disk (stat err %v)", info.Size, err)
+	}
+	if got, want := archiveBytes(t, db), archiveBytes(t, testDB(t, closeDay)); !bytes.Equal(got, want) {
+		t.Fatal("loaded epoch differs from the sealed one")
+	}
 }
 
-// TestTornSegmentMatrix corrupts the newest segment at every interesting
-// byte position — truncations at and inside each framing boundary, bit
-// flips in block data, block checksums, and the magic — and asserts the
-// store quarantines it and falls back to the older sealed epoch, never
-// panicking and never serving corrupt data.
+func TestSealAndReopen(t *testing.T) {
+	dir := sealEpochs(t, 100, 200)
+	loadsEpoch(t, reopen(t, dir), 2, 200)
+}
+
+func TestOpenEmptyDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not", "yet")
+	st := reopen(t, dir)
+	if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("LoadLatest on empty store: %v", err)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("Open did not make the directory: %v", err)
+	}
+}
+
+func TestRetentionPrunesOldSegments(t *testing.T) {
+	dir := t.TempDir()
+	st := reopen(t, dir)
+	for day := dates.Day(100); day <= 600; day += 100 {
+		if _, err := st.Seal(testDB(t, day).View(), ""); err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+	}
+	for seq := uint64(1); seq <= 6; seq++ {
+		_, err := os.Stat(filepath.Join(dir, epochName(seq)))
+		if pruned := seq <= 6-keep; pruned != errors.Is(err, os.ErrNotExist) {
+			t.Errorf("epoch %d: pruned %v, stat err %v", seq, pruned, err)
+		}
+	}
+	// Sequence numbers keep growing past pruned epochs, in this handle
+	// and in a reopened one.
+	if info, err := st.Seal(testDB(t, 700).View(), ""); err != nil || info.Seq != 7 {
+		t.Fatalf("Seal after prune: info=%+v err=%v", info, err)
+	}
+	st2 := reopen(t, dir)
+	loadsEpoch(t, st2, 7, 700)
+	if info, err := st2.Seal(testDB(t, 800).View(), ""); err != nil || info.Seq != 8 {
+		t.Fatalf("Seal after reopen: info=%+v err=%v", info, err)
+	}
+}
+
+// TestOpenSweepsTempAndOrphanFiles: a crashed seal's temp file is swept
+// at open. A complete epoch file is a committed epoch, and files the
+// store did not name (an older store's MANIFEST and quarantine/) are left
+// alone.
+func TestOpenSweepsTempAndOrphanFiles(t *testing.T) {
+	dir := sealEpochs(t, 100)
+	if err := os.WriteFile(filepath.Join(dir, "epoch-000009.seg.tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("dzdbman 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "quarantine"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st := reopen(t, dir)
+	if _, err := os.Stat(filepath.Join(dir, "epoch-000009.seg.tmp")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("temp file survived the sweep: %v", err)
+	}
+	for _, name := range []string{"MANIFEST", "quarantine"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s was removed: %v", name, err)
+		}
+	}
+	loadsEpoch(t, st, 1, 100)
+}
+
+// oldFormatSegment is a segment written before the binary payload: the
+// text archive framed under the "dzdbseg 1" magic. Its blocks and
+// trailer check out; only its magic is refused.
+func oldFormatSegment(t *testing.T, db *zonedb.DB) []byte {
+	t.Helper()
+	var old bytes.Buffer
+	old.WriteString("dzdbseg 1\n")
+	bw := newBlockWriter(&old)
+	if err := db.View().WriteArchive(bw); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return old.Bytes()
+}
+
+// TestTornSegmentMatrix corrupts the newest of two epochs at every
+// framing boundary — truncations at and inside the magic, the block
+// header, the block data and the trailer, bit flips in each, bytes after
+// the trailer, an old-format file — and asserts LoadLatest falls back to
+// the older epoch and leaves the torn file where it is, as it was.
 func TestTornSegmentMatrix(t *testing.T) {
-	master := sealEpochs(t, 100, 200)
-	seg2 := "epoch-000002.seg"
-	raw, err := os.ReadFile(filepath.Join(master, seg2))
+	seg2 := epochName(2)
+	raw, err := os.ReadFile(filepath.Join(sealEpochs(t, 100, 200), seg2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,265 +196,96 @@ func TestTornSegmentMatrix(t *testing.T) {
 		}
 		return fmt.Sprint(at)
 	}
-	type tear struct {
-		name   string
-		mutate func([]byte) []byte
+	tears := map[string][]byte{
+		"append-garbage": append(append([]byte(nil), raw...), "junk"...),
+		"old-format":     oldFormatSegment(t, testDB(t, 200)),
 	}
-	var tears []tear
 	for _, cut := range cuts {
-		if cut < 0 || cut >= len(raw) {
-			continue
-		}
-		cut := cut
-		tears = append(tears, tear{"truncate@" + where(cut), func(b []byte) []byte { return b[:cut] }})
+		tears["truncate@"+where(cut)] = raw[:cut]
 	}
-	flips := []int{len(segMagic) - 2, len(segMagic) + 2, len(segMagic) + 6, len(segMagic) + 20, len(raw) - 2}
-	for _, at := range flips {
-		at := at
-		tears = append(tears, tear{"bitflip@" + where(at), func(b []byte) []byte {
-			out := append([]byte(nil), b...)
-			out[at] ^= 0x40
-			return out
-		}})
+	for _, at := range []int{len(segMagic) - 2, len(segMagic) + 2, len(segMagic) + 6, len(segMagic) + 20, len(raw) - 2} {
+		flipped := append([]byte(nil), raw...)
+		flipped[at] ^= 0x40
+		tears["bitflip@"+where(at)] = flipped
 	}
-	tears = append(tears, tear{"append-garbage", func(b []byte) []byte { return append(append([]byte(nil), b...), "junk"...) }})
-
-	want100 := archiveBytes(t, testDB(t, 100))
-	for _, tc := range tears {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := copyDir(t, master)
-			if err := os.WriteFile(filepath.Join(dir, seg2), tc.mutate(raw), 0o644); err != nil {
+	for name, torn := range tears {
+		t.Run(name, func(t *testing.T) {
+			dir := sealEpochs(t, 100, 200)
+			path := filepath.Join(dir, seg2)
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st := reopen(t, dir)
-			q := st.Quarantined()
-			if len(q) != 1 || q[0].Name != seg2 {
-				t.Fatalf("quarantine = %+v", q)
-			}
-			if _, err := os.Stat(filepath.Join(dir, quarantineDir, seg2)); err != nil {
-				t.Fatalf("corrupt segment not moved aside: %v", err)
-			}
-			db, info, err := st.LoadLatest()
-			if err != nil {
-				t.Fatalf("LoadLatest after quarantine: %v", err)
-			}
-			if info.Seq != 1 || info.CloseDay != 100 {
-				t.Fatalf("fell back to %+v, want epoch 1", info)
-			}
-			if got := archiveBytes(t, db); !bytes.Equal(got, want100) {
-				t.Fatal("fallback epoch bytes differ")
-			}
-			// The repaired manifest must be durable: a second open is clean.
-			st2 := reopen(t, dir)
-			if q := st2.Quarantined(); len(q) != 0 {
-				t.Fatalf("second open still quarantining: %+v", q)
-			}
-			if len(st2.Segments()) != 1 {
-				t.Fatalf("second open segments = %+v", st2.Segments())
+			loadsEpoch(t, reopen(t, dir), 1, 100)
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, torn) {
+				t.Fatalf("the torn epoch was moved or changed (read err %v)", err)
 			}
 		})
 	}
 
-	// A crash that tears the only sealed epoch and leaves a seal's debris
-	// beside it: the torn file is quarantined (kept, not deleted), the
-	// debris swept, the store comes up empty, and the epoch rebuilt from
-	// source reseals and survives a reopen.
+	// A crash that tears the only sealed epoch and leaves a seal's temp
+	// file beside it: the temp file is swept, LoadLatest reports the torn
+	// epoch as corrupt and keeps it, and the epoch rebuilt from source
+	// seals as the next one and loads.
 	t.Run("only-epoch-with-debris", func(t *testing.T) {
 		dir := sealEpochs(t, 100)
-		seg1 := "epoch-000001.seg"
-		raw1, err := os.ReadFile(filepath.Join(dir, seg1))
+		seg1 := filepath.Join(dir, epochName(1))
+		raw1, err := os.ReadFile(seg1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, data := range map[string][]byte{
-			seg1:                   raw1[:len(raw1)/2],
-			"epoch-000099.seg.tmp": []byte("torn"),
-			"epoch-000098.seg":     []byte("orphan"),
-		} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(seg1, raw1[:len(raw1)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "epoch-000002.seg.tmp"), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := reopen(t, dir)
+		if _, err := os.Stat(filepath.Join(dir, "epoch-000002.seg.tmp")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("temp file survived the sweep: %v", err)
+		}
+		if _, _, err := st.LoadLatest(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("LoadLatest = %v, want ErrCorrupt", err)
+		}
+		if got, err := os.ReadFile(seg1); err != nil || !bytes.Equal(got, raw1[:len(raw1)/2]) {
+			t.Fatalf("the torn epoch was moved or changed (read err %v)", err)
+		}
+		if _, err := st.Seal(testDB(t, 100).View(), ""); err != nil {
+			t.Fatalf("reseal: %v", err)
+		}
+		loadsEpoch(t, reopen(t, dir), 2, 100)
+	})
+
+	// When no epoch loads, the error is the newest one's.
+	t.Run("every-epoch-torn", func(t *testing.T) {
+		dir := sealEpochs(t, 100, 200)
+		for seq := uint64(1); seq <= 2; seq++ {
+			if err := os.WriteFile(filepath.Join(dir, epochName(seq)), nil, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st := reopen(t, dir)
-		if q := st.Quarantined(); len(q) != 1 || q[0].Name != seg1 {
-			t.Fatalf("quarantine = %+v, want only %s", q, seg1)
-		}
-		if got, err := os.ReadFile(filepath.Join(dir, quarantineDir, seg1)); err != nil || !bytes.Equal(got, raw1[:len(raw1)/2]) {
-			t.Fatalf("torn segment not kept in quarantine as it was: %v", err)
-		}
-		for _, name := range []string{"epoch-000099.seg.tmp", "epoch-000098.seg"} {
-			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("%s survived the sweep", name)
-			}
-		}
-		if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
-			t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
-		}
-		if _, err := st.Seal(testDB(t, 100).View(), "rebuilt"); err != nil {
-			t.Fatalf("reseal: %v", err)
-		}
-		st2 := reopen(t, dir)
-		if q := st2.Quarantined(); len(q) != 0 {
-			t.Fatalf("reopen after reseal quarantined %+v", q)
-		}
-		db, info, err := st2.LoadLatest()
-		if err != nil || info.SourceTag != "rebuilt" {
-			t.Fatalf("LoadLatest after reseal = %+v, %v", info, err)
-		}
-		if !bytes.Equal(archiveBytes(t, db), want100) {
-			t.Fatal("resealed epoch bytes differ")
+		_, _, err := reopen(t, dir).LoadLatest()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), seg2) {
+			t.Fatalf("LoadLatest = %v, want ErrCorrupt naming %s", err, seg2)
 		}
 	})
 }
 
-// TestQuarantineKeepsEveryTornCopy: a reseal after the only epoch was
-// quarantined reuses its sequence number, and when that segment is torn
-// too its quarantined copy must land beside the first, not over it.
-func TestQuarantineKeepsEveryTornCopy(t *testing.T) {
-	dir := sealEpochs(t, 100)
-	seg1 := "epoch-000001.seg"
-	tear := func(cut func([]byte) []byte) []byte {
-		t.Helper()
-		raw, err := os.ReadFile(filepath.Join(dir, seg1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		torn := cut(raw)
-		if err := os.WriteFile(filepath.Join(dir, seg1), torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return torn
-	}
-	first := tear(func(b []byte) []byte { return b[:len(b)/2] })
-	st := reopen(t, dir)
-	if info, err := st.Seal(testDB(t, 200).View(), "resealed"); err != nil || info.Name != seg1 {
-		t.Fatalf("reseal = %+v, %v; want %s again", info, err, seg1)
-	}
-	second := tear(func(b []byte) []byte { return b[:len(b)-4] })
-	st2 := reopen(t, dir)
-
-	for i, st := range []*Store{st, st2} {
-		if q := st.Quarantined(); len(q) != 1 || q[0].Name != seg1 {
-			t.Fatalf("open %d quarantined %+v, want %s", i+1, q, seg1)
-		}
-	}
-	for i, kept := range []struct {
-		name string
-		torn []byte
-	}{{seg1, first}, {seg1 + ".1", second}} {
-		got, err := os.ReadFile(filepath.Join(dir, quarantineDir, kept.name))
-		if err != nil || !bytes.Equal(got, kept.torn) {
-			t.Errorf("quarantine/%s does not hold torn copy %d as it was: %v", kept.name, i+1, err)
-		}
-	}
-	if _, _, err := st2.LoadLatest(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
-	}
-}
-
-// TestTornManifestMatrix corrupts the manifest at every line boundary
-// and mid-line, plus bit flips. A corrupt manifest is quarantined along
-// with the (now unprovable) segment files; the store comes up empty and
-// a later reseal works.
-func TestTornManifestMatrix(t *testing.T) {
-	master := sealEpochs(t, 100, 200)
-	raw, err := os.ReadFile(filepath.Join(master, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cuts []int
-	for i, b := range raw {
-		if b == '\n' && i+1 < len(raw) {
-			cuts = append(cuts, i+1) // cut exactly at each line boundary
-		}
-	}
-	cuts = append(cuts, 1, len(raw)/2, len(raw)-1)
-	type tear struct {
-		name   string
-		mutate func([]byte) []byte
-	}
-	var tears []tear
-	for _, cut := range cuts {
-		if cut <= 0 || cut >= len(raw) {
-			continue
-		}
-		cut := cut
-		tears = append(tears, tear{fmt.Sprintf("truncate@%d", cut), func(b []byte) []byte { return b[:cut] }})
-	}
-	tears = append(tears,
-		tear{"bitflip-entry", func(b []byte) []byte {
-			out := append([]byte(nil), b...)
-			out[len(manifestMagic)+5] ^= 0x20
-			return out
-		}},
-		tear{"empty", func([]byte) []byte { return nil }},
-	)
-	for _, tc := range tears {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := copyDir(t, master)
-			if err := os.WriteFile(filepath.Join(dir, manifestName), tc.mutate(raw), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			st := reopen(t, dir)
-			var sawManifest bool
-			for _, q := range st.Quarantined() {
-				if q.Name == manifestName {
-					sawManifest = true
-				}
-			}
-			if !sawManifest {
-				t.Fatalf("manifest not quarantined: %+v", st.Quarantined())
-			}
-			if _, ok := st.Latest(); ok {
-				t.Fatal("store trusted segments after losing the manifest")
-			}
-			// The orphaned segments are preserved for manual recovery, not
-			// deleted.
-			for _, name := range []string{"epoch-000001.seg", "epoch-000002.seg"} {
-				if _, err := os.Stat(filepath.Join(dir, quarantineDir, name)); err != nil {
-					t.Errorf("%s not preserved in quarantine: %v", name, err)
-				}
-			}
-			// The store remains usable: seal a fresh epoch and reopen clean.
-			if _, err := st.Seal(testDB(t, 300).View(), ""); err != nil {
-				t.Fatalf("Seal after manifest loss: %v", err)
-			}
-			st2 := reopen(t, dir)
-			if info, ok := st2.Latest(); !ok || info.CloseDay != 300 {
-				t.Fatalf("reseal not visible after reopen: %+v", info)
-			}
-		})
-	}
-}
-
-// faultPlan arms one injected failure for one target file.
+// faultPlan arms one injected failure of writeFile.
 type faultPlan struct {
-	target    string // final file name the fault applies to
-	failAfter int64  // -1 = no write failure
+	failAfter int64 // -1 = no write failure
 	short     bool
 	failSync  bool
 	failClose bool
-	rename    bool // fail the rename of target instead
+	rename    bool // fail the rename instead
 }
 
-func (p faultPlan) hooks() Hooks {
-	h := Hooks{}
+func (p faultPlan) hooks() hooks {
 	if p.rename {
-		h.Rename = func(oldpath, newpath string) error {
-			if filepath.Base(newpath) == p.target {
-				return faults.ErrInjected
-			}
-			return os.Rename(oldpath, newpath)
-		}
-		return h
+		return hooks{rename: func(string, string) error { return faults.ErrInjected }}
 	}
-	h.WrapFile = func(name string, f *os.File) io.WriteCloser {
-		if name != p.target {
-			return f
-		}
+	return hooks{wrap: func(f *os.File) io.WriteCloser {
 		return &faultyFile{f: f, failAfter: p.failAfter, short: p.short, failSync: p.failSync, failClose: p.failClose}
-	}
-	return h
+	}}
 }
 
 // faultyFile injects the failures a durable write path must survive: a
@@ -520,189 +337,65 @@ func (w *faultyFile) Close() error {
 	return err
 }
 
-// TestCrashMatrix kills a Seal at every write stage — segment write
-// (at several byte offsets), short writes, failed fsync, failed close,
-// failed rename, and the same for the manifest swap — and proves the
-// store always recovers to the previous sealed state: Seal reports the
-// error, the in-memory store is unchanged, and a fresh Open of the
-// directory serves the old epoch with nothing quarantined.
+// TestCrashMatrix kills the write of a segment file at every step of the
+// routine WriteFile, WriteAtomic and Seal share — the write (at several
+// byte offsets), short writes, a failed fsync, a failed close, a failed
+// rename — over a file saved before, and proves the write reports the
+// error, the previous file is byte-identical and loads, no temp file is
+// left, and the next write succeeds.
 func TestCrashMatrix(t *testing.T) {
-	seg2 := "epoch-000002.seg"
 	plans := []struct {
 		name string
 		plan faultPlan
 	}{
-		{"segment-write@0", faultPlan{target: seg2, failAfter: 0}},
-		{"segment-write@1", faultPlan{target: seg2, failAfter: 1}},
-		{"segment-write@7", faultPlan{target: seg2, failAfter: 7}},
-		{"segment-write@64", faultPlan{target: seg2, failAfter: 64}},
-		{"segment-write@150", faultPlan{target: seg2, failAfter: 150}},
-		{"segment-short-write", faultPlan{target: seg2, failAfter: -1, short: true}},
-		{"segment-sync", faultPlan{target: seg2, failAfter: -1, failSync: true}},
-		{"segment-close", faultPlan{target: seg2, failAfter: -1, failClose: true}},
-		{"segment-rename", faultPlan{target: seg2, rename: true}},
-		{"manifest-write@0", faultPlan{target: manifestName, failAfter: 0}},
-		{"manifest-write@16", faultPlan{target: manifestName, failAfter: 16}},
-		{"manifest-short-write", faultPlan{target: manifestName, failAfter: -1, short: true}},
-		{"manifest-sync", faultPlan{target: manifestName, failAfter: -1, failSync: true}},
-		{"manifest-close", faultPlan{target: manifestName, failAfter: -1, failClose: true}},
-		{"manifest-rename", faultPlan{target: manifestName, rename: true}},
+		{"segment-write@0", faultPlan{failAfter: 0}},
+		{"segment-write@1", faultPlan{failAfter: 1}},
+		{"segment-write@7", faultPlan{failAfter: 7}},
+		{"segment-write@64", faultPlan{failAfter: 64}},
+		{"segment-write@150", faultPlan{failAfter: 150}},
+		{"segment-short-write", faultPlan{failAfter: -1, short: true}},
+		{"segment-sync", faultPlan{failAfter: -1, failSync: true}},
+		{"segment-close", faultPlan{failAfter: -1, failClose: true}},
+		{"segment-rename", faultPlan{rename: true}},
 	}
 	want100 := archiveBytes(t, testDB(t, 100))
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := sealEpochs(t, 100)
-			st, err := Open(dir, WithHooks(tc.plan.hooks()))
+			dir := t.TempDir()
+			path := filepath.Join(dir, "saved.dzdb")
+			if err := WriteFile(path, testDB(t, 100).View()); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("Open: %v", err)
+				t.Fatal(err)
 			}
-			if _, err := st.Seal(testDB(t, 200).View(), ""); err == nil {
-				t.Fatal("Seal should have failed under injection")
+			next := testDB(t, 200).View()
+			if err := writeFile(path, tc.plan.hooks(), func(w io.Writer) error {
+				return writeSegment(w, next.WriteSegment)
+			}); err == nil {
+				t.Fatal("the write should have failed under injection")
 			}
-			// The injured handle still serves the previous sealed state.
-			if info, ok := st.Latest(); !ok || info.Seq != 1 {
-				t.Fatalf("latest after failed seal = %+v ok=%v", info, ok)
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("the failed write disturbed the previous file (read err %v)", err)
 			}
-			// And so does a cold reopen of the directory.
-			st2 := reopen(t, dir)
-			if q := st2.Quarantined(); len(q) != 0 {
-				t.Fatalf("failed seal left corruption behind: %+v", q)
-			}
-			db, info, err := st2.LoadLatest()
-			if err != nil {
-				t.Fatalf("LoadLatest after crash: %v", err)
-			}
-			if info.Seq != 1 || info.CloseDay != 100 {
-				t.Fatalf("recovered to %+v, want epoch 1", info)
-			}
-			if got := archiveBytes(t, db); !bytes.Equal(got, want100) {
-				t.Fatal("recovered epoch bytes differ")
-			}
-			// No stray temp files survive the reopen.
 			entries, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range entries {
-				if strings.HasSuffix(e.Name(), tmpSuffix) {
-					t.Errorf("stray temp file %s after recovery", e.Name())
-				}
+			if len(entries) != 1 {
+				t.Errorf("directory holds %d entries, want the file alone", len(entries))
 			}
-			// The store recovers fully: the next seal (no faults) succeeds.
-			if _, err := st2.Seal(testDB(t, 300).View(), ""); err != nil {
-				t.Fatalf("Seal after recovery: %v", err)
+			db, err := ReadFile(path)
+			if err != nil {
+				t.Fatalf("ReadFile after the failed write: %v", err)
 			}
-		})
-	}
-}
-
-func TestSourceTagRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := `crc32c:deadbeef size:42 path:"/tmp/with space"`
-	if _, err := st.Seal(testDB(t, 100).View(), tag); err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	st2 := reopen(t, dir)
-	info, ok := st2.Latest()
-	if !ok || info.SourceTag != tag {
-		t.Fatalf("source tag = %q, want %q", info.SourceTag, tag)
-	}
-}
-
-// TestOldFormatSegmentRefusedOnce: a segment written before the binary
-// payload — the text archive framed under the "dzdbseg 1" magic — is a
-// sound file as far as the manifest can tell, so Open admits it; Load
-// refuses it as corrupt, once: it is quarantined and reported, and the
-// store goes on with the next-newest epoch (or none, and the caller
-// rebuilds from source and reseals).
-func TestOldFormatSegmentRefusedOnce(t *testing.T) {
-	var old bytes.Buffer
-	old.WriteString("dzdbseg 1\n")
-	bw := newBlockWriter(&old)
-	if err := testDB(t, 200).View().WriteArchive(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// plant commits the old-format file as the newest epoch of dir.
-	plant := func(t *testing.T, dir string, older []Info) {
-		t.Helper()
-		info := Info{Seq: 9, Name: "epoch-000009.seg", Size: int64(old.Len()),
-			CRC: crc32.Checksum(old.Bytes(), castagnoli), CloseDay: 200, SourceTag: "old"}
-		if err := os.WriteFile(filepath.Join(dir, info.Name), old.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var manifest bytes.Buffer
-		if err := encodeManifest(&manifest, append(older, info)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// refused asserts the store admitted the file at Open, and that the
-	// first load moved it aside and reported it.
-	refused := func(t *testing.T, dir string, load func(*Store)) {
-		t.Helper()
-		st, err := Open(dir)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		if q := st.Quarantined(); len(q) != 0 {
-			t.Fatalf("Open quarantined %+v: size and checksum match the manifest", q)
-		}
-		if latest, ok := st.Latest(); !ok || latest.Seq != 9 {
-			t.Fatalf("latest = %+v, want the planted epoch", latest)
-		}
-		load(st)
-		q := st.Quarantined()
-		if len(q) != 1 || q[0].Name != "epoch-000009.seg" || q[0].Reason != "decode" || !errors.Is(q[0].Err, ErrCorrupt) {
-			t.Fatalf("quarantine = %+v", q)
-		}
-		if _, err := os.Stat(filepath.Join(dir, quarantineDir, "epoch-000009.seg")); err != nil {
-			t.Errorf("old-format segment not moved aside: %v", err)
-		}
-		// The refusal is durable: the next open does not meet the file again.
-		if st2 := reopen(t, dir); len(st2.Quarantined()) != 0 {
-			t.Errorf("second open quarantined %+v", st2.Quarantined())
-		}
-	}
-
-	t.Run("only epoch", func(t *testing.T) {
-		dir := t.TempDir()
-		plant(t, dir, nil)
-		refused(t, dir, func(st *Store) {
-			if _, _, err := st.LoadLatest(); !errors.Is(err, ErrEmpty) {
-				t.Fatalf("LoadLatest = %v, want ErrEmpty", err)
+			if !bytes.Equal(archiveBytes(t, db), want100) {
+				t.Fatal("the previous file loads other facts")
+			}
+			if err := WriteFile(path, next); err != nil {
+				t.Fatalf("WriteFile after the failed write: %v", err)
 			}
 		})
-	})
-	t.Run("newer than a current epoch", func(t *testing.T) {
-		dir := sealEpochs(t, 100)
-		plant(t, dir, reopen(t, dir).Segments())
-		refused(t, dir, func(st *Store) {
-			db, info, err := st.LoadLatest()
-			if err != nil || info.Seq != 1 {
-				t.Fatalf("LoadLatest = %+v, %v; want epoch 1", info, err)
-			}
-			if !bytes.Equal(archiveBytes(t, db), archiveBytes(t, testDB(t, 100))) {
-				t.Error("fallback epoch bytes differ")
-			}
-		})
-	})
-	t.Run("loaded by name", func(t *testing.T) {
-		dir := t.TempDir()
-		plant(t, dir, nil)
-		refused(t, dir, func(st *Store) {
-			info, _ := st.Latest()
-			if _, err := st.Load(info); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
-				t.Fatalf("Load = %v, want ErrCorrupt for the magic", err)
-			}
-		})
-	})
+	}
 }
