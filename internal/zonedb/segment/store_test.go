@@ -168,6 +168,61 @@ func oldFormatSegment(t *testing.T, db *zonedb.DB) []byte {
 	return old.Bytes()
 }
 
+// TestOldFormatSegmentRefusedOnce plants a "dzdbseg 1" file as the
+// newest epoch and asserts every reader refuses it as corrupt and leaves
+// it where it is, and that it stops counting once a newer epoch is
+// sealed above it.
+func TestOldFormatSegmentRefusedOnce(t *testing.T) {
+	old := oldFormatSegment(t, testDB(t, 200))
+	// plant writes the old-format file into dir as epoch 9 and returns
+	// its path.
+	plant := func(t *testing.T, dir string) string {
+		t.Helper()
+		path := filepath.Join(dir, epochName(9))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// untouched asserts the planted file is still there, byte for byte.
+	untouched := func(t *testing.T, path string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("the old-format epoch was moved or changed (read err %v)", err)
+		}
+	}
+
+	t.Run("only epoch", func(t *testing.T) {
+		dir := t.TempDir()
+		path := plant(t, dir)
+		st := reopen(t, dir)
+		_, _, err := st.LoadLatest()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), epochName(9)) {
+			t.Fatalf("LoadLatest = %v, want ErrCorrupt naming %s", err, epochName(9))
+		}
+		untouched(t, path)
+		// The epoch rebuilt from source seals above it, and the old file
+		// is refused no more.
+		if _, err := st.Seal(testDB(t, 100).View(), ""); err != nil {
+			t.Fatalf("reseal: %v", err)
+		}
+		loadsEpoch(t, reopen(t, dir), 10, 100)
+	})
+	t.Run("newer than a current epoch", func(t *testing.T) {
+		dir := sealEpochs(t, 100)
+		path := plant(t, dir)
+		loadsEpoch(t, reopen(t, dir), 1, 100)
+		untouched(t, path)
+	})
+	t.Run("loaded by name", func(t *testing.T) {
+		path := plant(t, t.TempDir())
+		if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadFile = %v, want ErrCorrupt", err)
+		}
+		untouched(t, path)
+	})
+}
+
 // TestTornSegmentMatrix corrupts the newest of two epochs at every
 // framing boundary — truncations at and inside the magic, the block
 // header, the block data and the trailer, bit flips in each, bytes after
@@ -198,7 +253,6 @@ func TestTornSegmentMatrix(t *testing.T) {
 	}
 	tears := map[string][]byte{
 		"append-garbage": append(append([]byte(nil), raw...), "junk"...),
-		"old-format":     oldFormatSegment(t, testDB(t, 200)),
 	}
 	for _, cut := range cuts {
 		tears["truncate@"+where(cut)] = raw[:cut]
